@@ -183,7 +183,7 @@ def laplacian_sdf_decomposition(C: FiniteCochainComplex, p: int,
         complex_sdf(C, p - 1, rank_rtol).reduced().power_argument(0.5)
     )
     probes = np.unique(np.concatenate([lhs.probe_points(), rhs.probe_points()]))
-    residuals = np.array([lhs(x, TIE_RTOL) - rhs(x, TIE_RTOL) for x in probes])
+    residuals = lhs.values(probes, TIE_RTOL) - rhs.values(probes, TIE_RTOL)
     max_res = float(np.max(np.abs(residuals))) if residuals.size else 0.0
     return LaplacianDecompositionReport(
         probes=probes,
@@ -272,7 +272,7 @@ def _gram_pinv_apply(f: TracedMap, rhs: np.ndarray, rank_rtol: float) -> np.ndar
     """Minimal-gram-norm solutions x with f x = rhs (columns)."""
     ws = f.source.whitener
     wt = f.target.whitener
-    b = wt @ f.coefficients @ np.linalg.inv(ws)
+    b = wt @ f.coefficients @ f.source.inverse_whitener
     u, s, vt = np.linalg.svd(b, full_matrices=False)
     cutoff = max(rank_rtol * (s.max() if s.size else 0.0), ZERO_SV_ATOL)
     inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)

@@ -76,6 +76,15 @@ class SpectralDensityFunction:
         idx = np.searchsorted(self.lams, probe, side="right")
         return 0.0 if idx == 0 else float(self.vals[idx - 1])
 
+    def values(self, lams, tie_rtol: float = 0.0) -> np.ndarray:
+        """Values at every point of lams, each equal to self(lam, tie_rtol)."""
+        lams = np.asarray(lams, dtype=float)
+        if self.lams.size == 0:
+            return np.zeros(lams.shape)
+        probes = lams + tie_rtol * np.maximum(1.0, np.abs(lams))
+        idx = np.searchsorted(self.lams, probes, side="right")
+        return np.where(idx == 0, 0.0, self.vals[idx - 1])
+
     @property
     def total(self) -> float:
         return float(self.vals[-1]) if self.vals.size else 0.0
@@ -144,10 +153,8 @@ class SpectralDensityFunction:
     def equals(self, other: "SpectralDensityFunction", value_atol: float = 1e-8,
                tie_rtol: float = TIE_RTOL) -> bool:
         probes = np.unique(np.concatenate([self.probe_points(), other.probe_points()]))
-        for lam in probes:
-            if abs(self(lam, tie_rtol) - other(lam, tie_rtol)) > value_atol:
-                return False
-        return True
+        diff = self.values(probes, tie_rtol) - other.values(probes, tie_rtol)
+        return not np.any(np.abs(diff) > value_atol)
 
 
 def sdf_of_map(f: TracedMap, rank_rtol: float = RANK_RTOL) -> SpectralDensityFunction:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -29,6 +30,11 @@ def _as_normalization(value) -> float:
     return value
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
 @dataclass(frozen=True)
 class TracedSpace:
     """R^dim with gram form `gram` and trace normalization `normalization`."""
@@ -41,21 +47,24 @@ class TracedSpace:
         if self.dim < 0:
             raise ValueError("dim must be nonnegative")
         object.__setattr__(self, "normalization", _as_normalization(self.normalization))
-        gram = self.gram
-        if gram is None:
-            gram = np.eye(self.dim)
-        gram = np.asarray(gram, dtype=float)
+        if self.gram is None:
+            object.__setattr__(self, "gram", np.eye(self.dim))
+            object.__setattr__(self, "_chol", np.eye(self.dim))
+            return
+        gram = np.asarray(self.gram, dtype=float)
         if gram.shape != (self.dim, self.dim):
             raise ValueError(f"gram must be {self.dim}x{self.dim}, got {gram.shape}")
-        if self.dim > 0:
-            if not np.allclose(gram, gram.T, atol=1e-12, rtol=1e-12):
-                raise ValueError("gram form must be symmetric")
-            eigs = np.linalg.eigvalsh(0.5 * (gram + gram.T))
-            if eigs.min(initial=np.inf) <= 0:
-                raise ValueError("gram form must be positive definite")
-        object.__setattr__(self, "gram", 0.5 * (gram + gram.T))
-        # Cholesky factor L with gram = L L^T; whitening map is L^T.
-        chol = np.linalg.cholesky(self.gram) if self.dim > 0 else np.zeros((0, 0))
+        # |g - g^T| <= atol + rtol |g^T| with atol = rtol = 1e-12; NaN and inf fail it
+        if not np.all(np.abs(gram - gram.T) <= 1e-12 + 1e-12 * np.abs(gram.T)):
+            raise ValueError("gram form must be symmetric")
+        gram = 0.5 * (gram + gram.T)
+        # Cholesky factor L with gram = L L^T; whitening map is L^T.  The
+        # factorization exists exactly when the form is positive definite.
+        try:
+            chol = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            raise ValueError("gram form must be positive definite") from None
+        object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "_chol", chol)
 
     @property
@@ -67,6 +76,16 @@ class TracedSpace:
         """Matrix W with <u, v>_gram = (W u) . (W v); here W = L^T."""
         return self._chol.T
 
+    @cached_property
+    def inverse_whitener(self) -> np.ndarray:
+        """W^{-1}, computed once per space and shared, hence read-only."""
+        return _read_only(np.linalg.inv(self.whitener))
+
+    @cached_property
+    def inverse_gram(self) -> np.ndarray:
+        """gram^{-1}, computed once per space and shared, hence read-only."""
+        return _read_only(np.linalg.inv(self.gram))
+
     def inner(self, u, v) -> float:
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
@@ -74,9 +93,7 @@ class TracedSpace:
 
     def orthonormal_basis(self) -> np.ndarray:
         """Columns form a gram-orthonormal basis (inverse whitener)."""
-        if self.dim == 0:
-            return np.zeros((0, 0))
-        return np.linalg.inv(self.whitener)
+        return self.inverse_whitener.copy()
 
     def with_gram(self, gram: np.ndarray) -> "TracedSpace":
         return TracedSpace(self.dim, self.normalization, gram)
@@ -108,9 +125,8 @@ class TracedMap:
             if self.source.dim == 0 or self.target.dim == 0:
                 self._whitened = np.zeros((self.target.dim, self.source.dim))
             else:
-                ws = self.source.whitener
                 wt = self.target.whitener
-                self._whitened = wt @ self.coefficients @ np.linalg.inv(ws)
+                self._whitened = wt @ self.coefficients @ self.source.inverse_whitener
         return self._whitened
 
     def singular_values(self) -> np.ndarray:
@@ -169,8 +185,7 @@ class TracedMap:
         """f* with <f u, v>_target = <u, f* v>_source."""
         if self.source.dim == 0 or self.target.dim == 0:
             return TracedMap(self.target, self.source, np.zeros((self.source.dim, self.target.dim)))
-        gs_inv = np.linalg.inv(self.source.gram)
-        coeff = gs_inv @ self.coefficients.T @ self.target.gram
+        coeff = self.source.inverse_gram @ self.coefficients.T @ self.target.gram
         return TracedMap(self.target, self.source, coeff)
 
     def check_adjoint_identity(self, atol: float = ADJOINT_ATOL) -> float:

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from l2tor.checks import (check_basic_F, check_block_matrix_F,
+from l2tor.checks import (_Side, check_basic_F, check_block_matrix_F,
                           check_gromov_shubin, check_short_exact, run_suite)
+from l2tor.config import TIE_RTOL
 from l2tor.complexes import FiniteCochainComplex
 from l2tor.rand import (random_homotopy_pair, random_short_exact_triple,
                         rng_for)
+from l2tor.sdf import SpectralDensityFunction
 from l2tor.traced import TracedMap, TracedSpace
 
 
@@ -146,3 +150,37 @@ def test_suite_reports_are_deterministic():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("nope", seed=1, instances=1)
+
+
+# seed 20240801, 30 instances, max_dim 6: any change to a generator, a checker or
+# the evaluation of step functions that moves a probe or a skip shows here
+_SUITE_COUNTS = {
+    "basic": (5318, {"reduced.1": 7, "basic.2": 12, "reduced.2": 12, "reduced.3": 11}),
+    "block": (3677, {"block.r4": 15, "block.2": 4, "block.5": 1}),
+    "short-exact": (355, {}),
+    "gromov-shubin": (256, {}),
+    "laplacian": (466, {}),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_SUITE_COUNTS))
+def test_suite_counts_are_pinned(suite):
+    rep = run_suite(suite, seed=20240801, instances=30, max_dim=6)
+    probes, skipped = _SUITE_COUNTS[suite]
+    assert rep.probes == probes
+    assert rep.violations == []
+    assert rep.skipped == skipped
+
+
+_steps = st.lists(st.floats(min_value=0.0, max_value=50.0), max_size=6).map(
+    lambda pos: SpectralDensityFunction.from_jumps(pos, np.full(len(pos), 1.0 / 3.0)))
+
+
+@given(st.lists(_steps, max_size=4), st.sampled_from([0.0, 0.1, 2.0 / 3.0]),
+       st.lists(st.floats(min_value=0.0, max_value=60.0), max_size=10),
+       st.sampled_from([0.0, TIE_RTOL]))
+def test_side_values_match_scalar_sum_bitwise(terms, constant, pts, tie_rtol):
+    side = _Side(terms, constant)
+    x = np.concatenate([np.asarray(pts, dtype=float), side.probe_points()])
+    expected = np.array([constant + sum(t(v, tie_rtol) for t in terms) for v in x])
+    assert side.values(x, tie_rtol).tobytes() == expected.tobytes()

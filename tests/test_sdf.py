@@ -6,6 +6,7 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
+from l2tor.config import TIE_RTOL
 from l2tor.rand import random_map, random_space, rng_for
 from l2tor.sdf import (SpectralDensityFunction, ns_exponent_fit, reduced_sdf,
                        sdf_of_map, variational_sdf)
@@ -159,3 +160,37 @@ def test_from_jumps_value_matches_direct_count(positions):
     F = SpectralDensityFunction.from_jumps(positions, np.ones(len(positions)))
     for lam in positions + [0.0, 10.5]:
         assert F(lam) == float(sum(1 for p in positions if p <= lam))
+
+
+@st.composite
+def step_functions(draw, max_size=8):
+    lams = sorted(set(draw(st.lists(
+        st.floats(min_value=0.0, max_value=1e3), max_size=max_size))))
+    jumps = draw(st.lists(st.floats(min_value=1e-3, max_value=10.0),
+                          min_size=len(lams), max_size=len(lams)))
+    return SpectralDensityFunction(lams, np.cumsum(jumps))
+
+
+@st.composite
+def probes_for(draw, F):
+    """Arbitrary points, every breakpoint, its lower neighbour and a point
+    below the first breakpoint."""
+    pts = draw(st.lists(st.floats(min_value=0.0, max_value=2e3), max_size=10))
+    lams = F.lams
+    extra = [lams, np.nextafter(lams, -np.inf), 0.5 * lams[:1], [0.0]]
+    return np.concatenate([np.asarray(pts, dtype=float)] + [np.asarray(e) for e in extra])
+
+
+@given(st.data(), step_functions(), st.sampled_from([0.0, TIE_RTOL]))
+def test_values_match_scalar_evaluation_bitwise(data, F, tie_rtol):
+    x = data.draw(probes_for(F))
+    got = F.values(x, tie_rtol)
+    expected = np.array([F(v, tie_rtol) for v in x], dtype=float)
+    assert got.shape == x.shape
+    assert got.tobytes() == expected.tobytes()
+
+
+def test_values_of_empty_function_are_zero():
+    x = np.array([0.0, 1.0, 1e9])
+    assert np.array_equal(SpectralDensityFunction.zero().values(x, TIE_RTOL), np.zeros(3))
+    assert SpectralDensityFunction.zero().values(np.zeros(0)).shape == (0,)

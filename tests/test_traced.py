@@ -12,6 +12,51 @@ def test_space_rejects_indefinite_gram():
         TracedSpace(2, 1.0, np.array([[1.0, 2.0], [2.0, 1.0]]))
 
 
+@pytest.mark.parametrize("gram", [
+    [[1.0, 0.5], [0.0, 1.0]],          # asymmetric
+    [[1.0, 2.0], [2.0, 1.0]],          # indefinite
+    [[1.0, 1.0], [1.0, 1.0]],          # singular, positive semidefinite
+    [[1.0, np.nan], [np.nan, 1.0]],    # not a number
+], ids=["asymmetric", "indefinite", "singular", "nan"])
+def test_space_rejects_invalid_gram(gram):
+    with pytest.raises(ValueError):
+        TracedSpace(2, 1.0, np.array(gram))
+
+
+def test_space_accepts_rounding_asymmetry_and_symmetrizes():
+    g = np.array([[2.0, 0.5], [0.5 * (1 + 1e-13), 1.0]])
+    s = TracedSpace(2, 1.0, g)
+    assert np.array_equal(s.gram, 0.5 * (g + g.T))
+
+
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_identity_space_is_exactly_the_identity(n):
+    s = TracedSpace(n)
+    for m in (s.gram, s.whitener, s.orthonormal_basis()):
+        assert m.shape == (n, n)
+        assert np.array_equal(m, np.eye(n))
+
+
+def test_cached_inverses_equal_direct_inverses_bitwise():
+    rng = rng_for(1, 5)
+    s = random_space(rng, 5)
+    assert s.inverse_whitener.tobytes() == np.linalg.inv(s.whitener).tobytes()
+    assert s.inverse_gram.tobytes() == np.linalg.inv(s.gram).tobytes()
+    assert s.inverse_whitener is s.inverse_whitener
+    assert s.orthonormal_basis().tobytes() == s.inverse_whitener.tobytes()
+    with pytest.raises(ValueError):
+        s.inverse_gram[0, 0] = 0.0
+
+
+def test_orthonormal_basis_is_a_copy():
+    rng = rng_for(1, 6)
+    src, tgt = random_space(rng, 3), random_space(rng, 2)
+    coeff = rng.standard_normal((2, 3))
+    before = TracedMap(src, tgt, coeff).whitened.copy()
+    src.orthonormal_basis()[:] = 0.0
+    assert np.array_equal(TracedMap(src, tgt, coeff).whitened, before)
+
+
 def test_space_rejects_nonpositive_normalization():
     with pytest.raises(ValueError):
         TracedSpace(2, 0.0)
