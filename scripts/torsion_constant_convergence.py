@@ -1,6 +1,5 @@
 #!/usr/bin/env python3
-"""Per-degree breakdown of the model-space torsion constant and its
-stability under quadrature refinement.
+"""Per-degree breakdown of the model-space torsion constant.
 
 The degree contributions combine the subtracted small-time integral and the
 plain large-time integral; the alternating degree-weighted sum is the
@@ -12,8 +11,7 @@ import math
 import sys
 
 from l2tor.heattrace import d_small, large_time_integral
-from l2tor.hyperbolic import (load_plancherel_table, plancherel_heat_model,
-                              torsion_constant)
+from l2tor.hyperbolic import load_plancherel_table, plancherel_heat_model
 
 
 def main() -> int:
@@ -34,10 +32,6 @@ def main() -> int:
         print(f"{p:>3}{sm:>18.12f}{lg:>18.12f}{weighted:>18.12f}")
     print(f"\nconstant: {total:.12f}")
     print(f"target -1/(3 pi): {-1.0 / (3.0 * math.pi):.12f}")
-
-    coarse = torsion_constant(table, m=table.m, limit_scale=1)
-    fine = torsion_constant(table, m=table.m, limit_scale=2)
-    print(f"resolution doubling shift: {abs(fine - coarse):.3e}")
     return 0
 
 

@@ -10,7 +10,7 @@ from .complexes import (FiniteCochainComplex, ShortExactTriple, complex_sdf,
                         connecting_map, laplacian_sdf_decomposition)
 from .checks import (check_basic_F, check_block_matrix_F, check_gromov_shubin,
                      check_short_exact, run_suite)
-from .spectrum import Spectrum, heat_trace_from_spectrum
+from .spectrum import Spectrum
 from .heattrace import (HeatTraceModel, analytic_torsion, asympt_fit,
                         cheeger_mueller_correction, d_small,
                         large_time_dominating_bound, large_time_integral,
@@ -34,7 +34,7 @@ __all__ = [
     "connecting_map", "laplacian_sdf_decomposition",
     "check_basic_F", "check_block_matrix_F", "check_gromov_shubin",
     "check_short_exact", "run_suite",
-    "Spectrum", "heat_trace_from_spectrum",
+    "Spectrum",
     "HeatTraceModel", "analytic_torsion", "asympt_fit",
     "cheeger_mueller_correction", "d_small", "large_time_dominating_bound",
     "large_time_integral", "zeta_det",

@@ -4,7 +4,9 @@ Subcommands cover the density-inequality suites, zeta/torsion evaluation of
 spectrum files, hyperbolic model-space quantities, the one-dimensional
 heat-kernel comparisons, the boundary anomaly engine, manifest-based
 3-manifold torsion, and the end-to-end selftest.  Reports are JSON with
-sorted keys, so identical seed and configuration give byte-identical output.
+sorted keys, so identical seed and arguments give byte-identical output.
+Handlers raise ValueError (or OSError) for bad usage or input; `main` turns
+either into an `error:` line on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -21,11 +23,11 @@ import numpy as np
 from .anomaly import (PRESET_FAMILIES, ConformalFamily, Jet,
                       anomaly_coefficients)
 from .checks import SUITES, run_suite
-from .config import RunConfig, seed_from_env
+from .config import seed_from_env
 from .heattrace import HeatTraceModel, analytic_torsion, d_small, zeta_det
 from .hyperbolic import (CuspEnd, cusp_volume, heat_density,
                          load_plancherel_table, torsion_constant)
-from .jsj import ManifestError, is_graph_manifold, load_manifest, torsion_3manifold
+from .jsj import is_graph_manifold, load_manifest, torsion_3manifold
 from .kernels1d import Domain1D, boundary_insensitivity_check, sup_bound_check
 from .mellin import resolve_dsmall_constant
 from .selftest import run_selftest
@@ -46,24 +48,6 @@ def _emit(payload: dict, output: str | None) -> None:
         print(text)
 
 
-def _load_config(path: str | None) -> RunConfig:
-    if path is None:
-        return RunConfig()
-    raw_path = Path(path)
-    if raw_path.suffix == ".toml":
-        try:
-            import tomllib
-        except ImportError:
-            raise SystemExit("TOML configs need Python 3.11+; use JSON")
-        raw = tomllib.loads(raw_path.read_text())
-    else:
-        raw = json.loads(raw_path.read_text())
-    return RunConfig(seed=raw.get("seed", seed_from_env()),
-                     tolerances=raw.get("tolerances", {}),
-                     output=raw.get("output"),
-                     output_format=raw.get("output_format", "json"))
-
-
 def _load_spectrum(path: str) -> tuple[Spectrum | None, dict[int, Spectrum] | None]:
     """Spectrum files: a JSON list of [eigenvalue, weight] pairs, or an
     object {"degrees": [{"p": int, "spectrum": [[eig, w], ...]}, ...]}."""
@@ -74,44 +58,44 @@ def _load_spectrum(path: str) -> tuple[Spectrum | None, dict[int, Spectrum] | No
         degrees = {int(entry["p"]): Spectrum.from_pairs(entry["spectrum"])
                    for entry in raw["degrees"]}
         return None, degrees
-    raise SystemExit("spectrum file must be a JSON list of [eigenvalue, weight] "
+    raise ValueError("spectrum file must be a JSON list of [eigenvalue, weight] "
                      "pairs or an object with a 'degrees' list")
 
 
 # -- subcommand handlers ---------------------------------------------------------------
 
 
-def _cmd_sdf_check(args, config: RunConfig) -> int:
+def _cmd_sdf_check(args) -> int:
     rep = run_suite(args.suite, seed=args.seed, instances=args.instances,
                     max_dim=args.max_dim)
     _emit(rep.to_dict(), args.output)
     return 0 if rep.ok else 1
 
 
-def _cmd_zeta(args, config: RunConfig) -> int:
+def _cmd_zeta(args) -> int:
     if args.mode == "selftest-cim":
         res = resolve_dsmall_constant()
         _emit(res.to_dict(), args.output)
         return 0 if res.max_selected_residual < 1e-10 else 1
     if not args.spectrum:
-        raise SystemExit("zeta needs --spectrum (or the selftest-cim mode)")
+        raise ValueError("zeta needs --spectrum (or the selftest-cim mode)")
     single, degrees = _load_spectrum(args.spectrum)
     if args.op == "trace":
         if single is None:
-            raise SystemExit("--op trace expects a flat spectrum file")
+            raise ValueError("--op trace expects a flat spectrum file")
         value = single.heat_trace(args.t, include_kernel=args.include_kernel)
         _emit({"op": "trace", "t": args.t, "value": value, "errorEstimate": 0.0},
               args.output)
         return 0
     if args.op == "det":
         if single is None:
-            raise SystemExit("--op det expects a flat spectrum file")
+            raise ValueError("--op det expects a flat spectrum file")
         value = zeta_det(single, m=args.m)
         _emit({"op": "det", "value": value, "errorEstimate": 1e-10}, args.output)
         return 0
     if args.op == "dsmall":
         if single is None:
-            raise SystemExit("--op dsmall expects a flat spectrum file")
+            raise ValueError("--op dsmall expects a flat spectrum file")
         res = d_small(HeatTraceModel.from_spectrum(single, m=args.m))
         _emit({"op": "dsmall", "value": res.value,
                "errorEstimate": res.quad_error}, args.output)
@@ -127,10 +111,10 @@ def _cmd_zeta(args, config: RunConfig) -> int:
                              for p, sm, lg in res.per_degree],
                "errorEstimate": res.diagnostics["quad_error"]}, args.output)
         return 0
-    raise SystemExit(f"unknown zeta op {args.op!r}")
+    raise ValueError(f"unknown zeta op {args.op!r}")
 
 
-def _cmd_hyperbolic(args, config: RunConfig) -> int:
+def _cmd_hyperbolic(args) -> int:
     if args.op == "constant":
         table = None if args.m % 2 == 0 else load_plancherel_table(args.table)
         value = torsion_constant(table, m=args.m)
@@ -139,7 +123,7 @@ def _cmd_hyperbolic(args, config: RunConfig) -> int:
     if args.op == "density":
         table = load_plancherel_table(args.table)
         if args.m != table.m:
-            raise SystemExit(f"table is for dimension {table.m}")
+            raise ValueError(f"table is for dimension {table.m}")
         value = heat_density(table, args.p, args.t)
         _emit({"op": "density", "m": args.m, "p": args.p, "t": args.t,
                "value": value}, args.output)
@@ -150,10 +134,10 @@ def _cmd_hyperbolic(args, config: RunConfig) -> int:
         _emit({"op": "cusp", "m": args.m, "crossSection": args.cross_section,
                "height": args.height, "value": value}, args.output)
         return 0
-    raise SystemExit(f"unknown hyperbolic op {args.op!r}")
+    raise ValueError(f"unknown hyperbolic op {args.op!r}")
 
 
-def _cmd_heatcmp(args, config: RunConfig) -> int:
+def _cmd_heatcmp(args) -> int:
     make_v, make_n = HEATCMP_PAIRS[args.pair]
     V, N = make_v(), make_n()
     ks = tuple(sorted({args.K, args.K * 2.0, args.K * 0.5}))
@@ -193,17 +177,17 @@ def _family_from_args(args) -> ConformalFamily:
     preset = args.family.split(":", 1)[-1] if args.family else "default"
     if preset in ("default", "paper"):
         return PRESET_FAMILIES[args.dim]
-    raise SystemExit(f"unknown family preset {preset!r}")
+    raise ValueError(f"unknown family preset {preset!r}")
 
 
-def _cmd_anomaly(args, config: RunConfig) -> int:
+def _cmd_anomaly(args) -> int:
     family = _family_from_args(args)
     if args.sweep:
         try:
             u0, u1, n = args.sweep.split(":")
             us = np.linspace(float(u0), float(u1), int(n))
         except ValueError:
-            raise SystemExit("--sweep expects u0:u1:n")
+            raise ValueError("--sweep expects u0:u1:n") from None
         writer = csv.writer(sys.stdout)
         writer.writerow(["u", "sum"] + [f"d{p}" for p in range(family.dim + 1)])
         for u in us:
@@ -219,15 +203,11 @@ def _cmd_anomaly(args, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_jsj(args, config: RunConfig) -> int:
+def _cmd_jsj(args) -> int:
     try:
         manifest = load_manifest(args.input)
     except FileNotFoundError:
-        print(f"error: no such manifest file: {args.input}", file=sys.stderr)
-        return 2
-    except ManifestError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        raise ValueError(f"no such manifest file: {args.input}") from None
     torsion = torsion_3manifold(manifest)
     payload = {
         "name": manifest.name,
@@ -255,7 +235,7 @@ def _cmd_jsj(args, config: RunConfig) -> int:
     return 0
 
 
-def _cmd_selftest(args, config: RunConfig) -> int:
+def _cmd_selftest(args) -> int:
     results = run_selftest(seed=args.seed, quick=args.quick)
     width = max(len(r.name) for r in results)
     for r in results:
@@ -271,8 +251,6 @@ def _cmd_selftest(args, config: RunConfig) -> int:
 
 def _add_common(p: argparse.ArgumentParser) -> None:
     # SUPPRESS keeps a value parsed before the subcommand intact
-    p.add_argument("--config", default=argparse.SUPPRESS,
-                   help="JSON (or TOML on 3.11+) config file")
     p.add_argument("--output", default=argparse.SUPPRESS,
                    help="write the report here instead of stdout")
 
@@ -282,7 +260,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="l2tor",
         description="spectral density suites, zeta-regularized torsion, and "
                     "model-space heat-trace checks")
-    parser.add_argument("--config", help="JSON (or TOML on 3.11+) config file")
     parser.add_argument("--output", help="write the report here instead of stdout")
     sub = parser.add_subparsers(dest="command")
 
@@ -356,13 +333,10 @@ def main(argv=None) -> int:
         parser.print_usage(sys.stderr)
         return 2
     try:
-        config = _load_config(args.config)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: cannot read config: {exc}", file=sys.stderr)
+        return args.handler(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.output is None and config.output:
-        args.output = config.output
-    return args.handler(args, config)
 
 
 if __name__ == "__main__":

@@ -1,13 +1,12 @@
-"""Shared numerical tolerances and run configuration.
+"""Shared numerical tolerances and the master seed.
 
-All thresholds used by the checkers live here so that a run can be
-reproduced from (seed, config) alone.
+All thresholds used by the checkers live here as fixed constants, so that a
+run can be reproduced from the seed alone.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 
 # Singular values below RANK_RTOL * max(singular values) are treated as zero.
 # Deterministic tie-breaking for all rank / kernel decisions.
@@ -47,24 +46,3 @@ def seed_from_env(default: int = DEFAULT_SEED) -> int:
         return default
     return int(raw)
 
-
-@dataclass
-class RunConfig:
-    """Configuration for a CLI run.
-
-    tolerances maps check names to strictly positive overrides; anything
-    missing falls back to the module-level defaults above.
-    """
-
-    seed: int = field(default_factory=seed_from_env)
-    tolerances: dict[str, float] = field(default_factory=dict)
-    output: str | None = None
-    output_format: str = "json"
-
-    def __post_init__(self) -> None:
-        for name, tol in self.tolerances.items():
-            if not tol > 0:
-                raise ValueError(f"tolerance {name!r} must be positive, got {tol}")
-
-    def tol(self, name: str, default: float) -> float:
-        return self.tolerances.get(name, default)

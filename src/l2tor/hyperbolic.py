@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from importlib import resources
 from math import factorial
 
@@ -36,12 +35,9 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=64)
-def _gaussian_moment(k: int, limit_scale: int = 1) -> float:
-    """int_0^inf s^k e^{-s^2} ds by quadrature (oracle: Gamma((k+1)/2)/2)."""
-    val, _ = quad(lambda s: s ** k * math.exp(-s * s), 0.0, 14.0,
-                  limit=200 * limit_scale, epsabs=1e-15, epsrel=1e-13)
-    return val
+def _gaussian_moment(k: int) -> float:
+    """int_0^inf s^k e^{-s^2} ds = Gamma((k+1)/2)/2."""
+    return 0.5 * math.gamma((k + 1) / 2)
 
 
 def _exp_taylor_remainder(z: float, order: int) -> float:
@@ -77,17 +73,17 @@ class PlancherelComponent:
         if not self.poly or any(not np.isfinite(c) for c in self.poly):
             raise ValueError("density polynomial must be finite and nonempty")
 
-    def trace(self, t: float, limit_scale: int = 1) -> float:
+    def trace(self, t: float) -> float:
         """int_0^inf e^{-t(r^2 + shift)} poly(r) dr via r = s / sqrt(t)."""
         if t <= 0:
             raise ValueError("time must be positive")
         acc = 0.0
         for k, c in enumerate(self.poly):
             if c:
-                acc += c * _gaussian_moment(k, limit_scale) * t ** (-(k + 1) / 2.0)
+                acc += c * _gaussian_moment(k) * t ** (-(k + 1) / 2.0)
         return acc * math.exp(-t * self.shift)
 
-    def expansion(self, m: int, limit_scale: int = 1):
+    def expansion(self, m: int):
         """Coefficients of t^{-(m-i)/2}, i = 0..m, plus a stable remainder.
 
         Expanding e^{-shift t} against each power t^{-(k+1)/2} assigns the
@@ -100,7 +96,7 @@ class PlancherelComponent:
         for k, c in enumerate(self.poly):
             if not c:
                 continue
-            base = c * _gaussian_moment(k, limit_scale)
+            base = c * _gaussian_moment(k)
             j_cut = -1
             for j in range(0, (k + 1) // 2 + 1):
                 power = -(k + 1) / 2.0 + j
@@ -146,10 +142,10 @@ class PlancherelTable:
         if len(self.rows) != self.m + 1:
             raise ValueError(f"need rows for every degree 0..{self.m}")
 
-    def density(self, p: int, t: float, limit_scale: int = 1) -> float:
+    def density(self, p: int, t: float) -> float:
         if not 0 <= p <= self.m:
             raise ValueError(f"no density row for degree {p}")
-        return sum(comp.trace(t, limit_scale) for comp in self.rows[p])
+        return sum(comp.trace(t) for comp in self.rows[p])
 
     # -- structural invariants ----------------------------------------------------
 
@@ -209,18 +205,17 @@ def heat_density(table: PlancherelTable, p: int, t: float) -> float:
     return table.density(p, t)
 
 
-def plancherel_heat_model(table: PlancherelTable, p: int,
-                          limit_scale: int = 1) -> HeatTraceModel:
+def plancherel_heat_model(table: PlancherelTable, p: int) -> HeatTraceModel:
     """HeatTraceModel for one degree, with analytic expansion and tail."""
     comps = table.rows[p]
     coeff = np.zeros(table.m + 1)
     remainders = []
     for comp in comps:
-        c, rem = comp.expansion(table.m, limit_scale)
+        c, rem = comp.expansion(table.m)
         coeff += c
         remainders.append(rem)
     return HeatTraceModel(
-        evaluate=lambda t: table.density(p, t, limit_scale),
+        evaluate=lambda t: table.density(p, t),
         m=table.m,
         coefficients=coeff,
         residual=lambda t: sum(r(t) for r in remainders),
@@ -229,8 +224,7 @@ def plancherel_heat_model(table: PlancherelTable, p: int,
     )
 
 
-def torsion_constant(table: PlancherelTable | None = None, m: int = 3,
-                     limit_scale: int = 1) -> float:
+def torsion_constant(table: PlancherelTable | None = None, m: int = 3) -> float:
     """Torsion per unit volume of the odd-dimensional hyperbolic space.
 
     Even dimensions return zero outright: the duality pairing of degrees p
@@ -243,8 +237,7 @@ def torsion_constant(table: PlancherelTable | None = None, m: int = 3,
         table = load_plancherel_table()
     if table.m != m:
         raise ValueError(f"table is for dimension {table.m}, not {m}")
-    models = {p: plancherel_heat_model(table, p, limit_scale)
-              for p in range(m + 1)}
+    models = {p: plancherel_heat_model(table, p) for p in range(m + 1)}
     return analytic_torsion(models).total
 
 

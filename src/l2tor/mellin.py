@@ -2,20 +2,19 @@
 
 Subtracting the divergent expansion terms from a heat trace and integrating
 against dt/t leaves, per expansion power t^{-a} with a = (m-i)/2, a constant
-equal to d/ds [ (1/Gamma(s)) * 1/(s-a) ] at s = 0.  Two closed-form
-candidates circulate for this constant, -(m-i)/2 and -2/(m-i); they agree
-only at m-i = 2.  A high-precision derivative of the reciprocal-Gamma
-product decides between them at startup, and the residual of the losing
-candidate is reported, not hidden.
+equal to d/ds [ (1/Gamma(s)) * 1/(s-a) ] at s = 0.  Since 1/Gamma(s) =
+s + gamma s^2 + ..., that constant is exactly -1/a = -2/(m-i), the closed
+form `dsmall_constant` uses.  A second candidate circulates, -(m-i)/2; the
+two agree only at m-i = 2.  The self-test `resolve_dsmall_constant` decides
+between them by a high-precision derivative of the reciprocal-Gamma
+product and reports the residual of the losing candidate; it backs the
+`cim-constant` criterion and `l2tor zeta selftest-cim`.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
-
-import mpmath
 
 __all__ = [
     "EULER_GAMMA",
@@ -47,6 +46,8 @@ def power_constant_oracle(a: float, dps: int = 40) -> float:
     at zero of the Mellin-regularized trace; 1/Gamma(s) = s + gamma s^2 + ...
     makes the product vanish at s = 0, so the derivative is finite.
     """
+    import mpmath
+
     if not a > 0:
         raise ValueError("power must be positive")
     with mpmath.workdps(dps):
@@ -56,7 +57,7 @@ def power_constant_oracle(a: float, dps: int = 40) -> float:
 
 @dataclass
 class CimResolution:
-    """Outcome of the startup self-test selecting the expansion constant."""
+    """Outcome of the self-test that checks the expansion-constant candidates."""
 
     selected: str                      # "reciprocal" or "literal"
     rows: list[dict]                   # per power gap: oracle and residuals
@@ -81,6 +82,8 @@ def resolve_dsmall_constant(max_gap: int = 6) -> CimResolution:
     worst-case residual wins.  The i = m constant -Gamma'(1) is checked to
     be Euler-Mascheroni by numerical differentiation of Gamma at 1.
     """
+    import mpmath
+
     rows = []
     worst = {"literal": 0.0, "reciprocal": 0.0}
     for gap in range(1, max_gap + 1):
@@ -112,12 +115,10 @@ def resolve_dsmall_constant(max_gap: int = 6) -> CimResolution:
 
 
 def dsmall_constant(i: int, m: int) -> float:
-    """Expansion constant c(i, m): Euler-Mascheroni at i = m, otherwise the
-    oracle-selected candidate for the power gap m - i."""
+    """Expansion constant c(i, m): Euler-Mascheroni at i = m, otherwise
+    -2/(m - i) for the power gap m - i."""
     if i == m:
         return EULER_GAMMA
     if i > m:
         raise ValueError("index exceeds dimension parameter")
-    if resolve_dsmall_constant().selected == "reciprocal":
-        return reciprocal_candidate(i, m)
-    return literal_candidate(i, m)
+    return reciprocal_candidate(i, m)

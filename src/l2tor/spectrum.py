@@ -18,7 +18,6 @@ from .sdf import SpectralDensityFunction
 
 __all__ = [
     "Spectrum",
-    "heat_trace_from_spectrum",
     "circle_spectrum",
     "circle_heat_trace",
 ]
@@ -97,11 +96,6 @@ class Spectrum:
 
     def scaled_weights(self, c: float) -> "Spectrum":
         return Spectrum(self.eigenvalues, c * self.weights)
-
-
-def heat_trace_from_spectrum(S: Spectrum, t: float, include_kernel: bool = False) -> float:
-    """Weighted exponential sum over the spectrum at time t > 0."""
-    return S.heat_trace(t, include_kernel)
 
 
 def circle_spectrum(circumference: float, n_max: int) -> Spectrum:

@@ -95,9 +95,6 @@ class TracedSpace:
         """Columns form a gram-orthonormal basis (inverse whitener)."""
         return self.inverse_whitener.copy()
 
-    def with_gram(self, gram: np.ndarray) -> "TracedSpace":
-        return TracedSpace(self.dim, self.normalization, gram)
-
 
 class TracedMap:
     """Linear map between traced spaces, stored as a coordinate matrix."""

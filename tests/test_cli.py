@@ -184,23 +184,27 @@ def test_output_flag_after_subcommand(capsys, tmp_path):
     assert "value" in json.loads(out_path.read_text())
 
 
-def test_config_file_sets_output(capsys, tmp_path):
-    cfg = tmp_path / "cfg.json"
-    dst = tmp_path / "dst.json"
-    cfg.write_text(json.dumps({"seed": 1, "output": str(dst)}))
-    code, out, _ = run_cli(capsys, "--config", str(cfg),
-                           "hyperbolic", "--m", "4", "--op", "constant")
-    assert code == 0
-    assert json.loads(dst.read_text())["value"] == 0.0
+def test_config_option_is_usage_error(capsys):
+    # there is no config file: --output, --seed and L2TOR_SEED set a run
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", "x.json", "hyperbolic", "--m", "4", "--op", "constant"])
+    assert exc.value.code == 2
 
 
-def test_run_config_rejects_nonpositive_tolerance():
-    from l2tor.config import RunConfig
-    with pytest.raises(ValueError):
-        RunConfig(tolerances={"laplacian": 0.0})
-    cfg = RunConfig(tolerances={"laplacian": 1e-6})
-    assert cfg.tol("laplacian", 1e-8) == 1e-6
-    assert cfg.tol("missing", 1e-8) == 1e-8
+@pytest.mark.parametrize("argv", [
+    ["zeta", "--op", "det"],
+    ["hyperbolic", "--op", "density", "--m", "5"],
+    ["hyperbolic", "--op", "constant", "--m", "5"],
+    ["anomaly", "--dim", "3", "--family", "preset:nope"],
+    ["anomaly", "--dim", "3", "--sweep", "a:b"],
+], ids=["zeta-no-spectrum", "density-wrong-dim", "constant-wrong-dim",
+        "anomaly-unknown-preset", "anomaly-bad-sweep"])
+def test_usage_errors_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")
+    assert len(err.splitlines()) == 1
 
 
 def test_selftest_quick(capsys):

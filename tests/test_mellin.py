@@ -1,4 +1,5 @@
-import math
+import subprocess
+import sys
 
 import pytest
 
@@ -52,3 +53,16 @@ def test_dsmall_constant_dispatch():
 def test_oracle_rejects_nonpositive_power():
     with pytest.raises(ValueError):
         power_constant_oracle(0.0)
+
+
+def test_dsmall_constant_matches_oracle():
+    for gap in range(1, 7):
+        assert dsmall_constant(0, gap) == pytest.approx(
+            power_constant_oracle(gap / 2), abs=1e-12)
+
+
+def test_import_does_not_load_mpmath(src_env):
+    # mpmath serves only the oracle self-test, which imports it on demand
+    subprocess.run([sys.executable, "-c",
+                    "import sys, l2tor; assert 'mpmath' not in sys.modules"],
+                   env=src_env, check=True)

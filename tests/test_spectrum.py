@@ -5,20 +5,19 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from l2tor.spectrum import (Spectrum, circle_heat_trace, circle_spectrum,
-                            heat_trace_from_spectrum)
+from l2tor.spectrum import Spectrum, circle_heat_trace, circle_spectrum
 
 
 def test_trace_example_with_kernel_flag():
     S = Spectrum.from_pairs([(0.0, 1.0), (1.0, 2.0)])
-    assert heat_trace_from_spectrum(S, 1.0) == pytest.approx(2.0 * math.exp(-1.0))
-    assert heat_trace_from_spectrum(S, 1.0, include_kernel=True) == pytest.approx(
+    assert S.heat_trace(1.0) == pytest.approx(2.0 * math.exp(-1.0))
+    assert S.heat_trace(1.0, include_kernel=True) == pytest.approx(
         1.0 + 2.0 * math.exp(-1.0))
 
 
 def test_empty_spectrum_trace_is_zero():
     S = Spectrum.from_pairs([])
-    assert heat_trace_from_spectrum(S, 0.5) == 0.0
+    assert S.heat_trace(0.5) == 0.0
 
 
 def test_nonpositive_time_rejected():
