@@ -12,11 +12,14 @@ either into an `error:` line on stderr and exit status 2.
 from __future__ import annotations
 
 import argparse
+import ast
 import csv
 import json
 import math
+import operator
 import sys
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -24,7 +27,7 @@ from .anomaly import (PRESET_FAMILIES, ConformalFamily, Jet,
                       anomaly_coefficients)
 from .checks import SUITES, run_suite
 from .config import seed_from_env
-from .heattrace import HeatTraceModel, analytic_torsion, d_small, zeta_det
+from .heattrace import HeatTraceModel, analytic_torsion, d_small, zeta_det_with_error
 from .hyperbolic import (CuspEnd, cusp_volume, heat_density,
                          load_plancherel_table, torsion_constant)
 from .jsj import is_graph_manifold, load_manifest, torsion_3manifold
@@ -84,21 +87,22 @@ def _cmd_zeta(args) -> int:
         if single is None:
             raise ValueError("--op trace expects a flat spectrum file")
         value = single.heat_trace(args.t, include_kernel=args.include_kernel)
-        _emit({"op": "trace", "t": args.t, "value": value, "errorEstimate": 0.0},
+        error = single.heat_trace_rounding_bound(args.t, include_kernel=args.include_kernel)
+        _emit({"op": "trace", "t": args.t, "value": value, "errorEstimate": error},
               args.output)
         return 0
     if args.op == "det":
         if single is None:
             raise ValueError("--op det expects a flat spectrum file")
-        value = zeta_det(single, m=args.m)
-        _emit({"op": "det", "value": value, "errorEstimate": 1e-10}, args.output)
+        value, error = zeta_det_with_error(single, m=args.m)
+        _emit({"op": "det", "value": value, "errorEstimate": error}, args.output)
         return 0
     if args.op == "dsmall":
         if single is None:
             raise ValueError("--op dsmall expects a flat spectrum file")
         res = d_small(HeatTraceModel.from_spectrum(single, m=args.m))
         _emit({"op": "dsmall", "value": res.value,
-               "errorEstimate": res.quad_error}, args.output)
+               "errorEstimate": res.error}, args.output)
         return 0
     if args.op == "torsion":
         if degrees is None:
@@ -109,7 +113,7 @@ def _cmd_zeta(args) -> int:
         _emit({"op": "torsion", "value": res.total,
                "perDegree": [{"p": p, "small": sm, "large": lg}
                              for p, sm, lg in res.per_degree],
-               "errorEstimate": res.diagnostics["quad_error"]}, args.output)
+               "errorEstimate": res.diagnostics["error"]}, args.output)
         return 0
     raise ValueError(f"unknown zeta op {args.op!r}")
 
@@ -162,18 +166,80 @@ def _cmd_heatcmp(args) -> int:
     return 0 if verdict["ok"] else 1
 
 
+_EXPR_BINOPS = {ast.Add: operator.add, ast.Sub: operator.sub,
+                ast.Mult: operator.mul, ast.Div: operator.truediv}
+_EXPR_FUNCTIONS = {"exp": Jet.exp, "log": Jet.log, "sqrt": Jet.sqrt}
+_EXPR_MAX_POWER = 64
+
+
+def _int_literal(node: ast.expr) -> int | None:
+    """The value of an integer literal, possibly negated, else None."""
+    sign = 1
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        sign, node = -1, node.operand
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return sign * node.value
+    return None
+
+
+def _compile_expr(node: ast.expr) -> Callable[[dict], object]:
+    """Turn a whitelisted expression tree into a function of {x, u, pi}.
+
+    Allowed: numbers, x, u, pi, + - * /, unary minus, ** with an integer
+    literal exponent, and exp, log, sqrt of one argument; anything else is
+    a ValueError.
+    """
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        value = float(node.value)  # no big-integer arithmetic
+        return lambda env: value
+    if isinstance(node, ast.Name) and node.id in ("x", "u", "pi"):
+        name = node.id
+        return lambda env: env[name]
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        operand = _compile_expr(node.operand)
+        return lambda env: -operand(env)
+    if isinstance(node, ast.BinOp) and type(node.op) in _EXPR_BINOPS:
+        op = _EXPR_BINOPS[type(node.op)]
+        left, right = _compile_expr(node.left), _compile_expr(node.right)
+        return lambda env: op(left(env), right(env))
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow):
+        n = _int_literal(node.right)
+        if n is None or abs(n) > _EXPR_MAX_POWER:
+            raise ValueError(f"--f: exponents must be integer literals of size at most "
+                             f"{_EXPR_MAX_POWER}")
+        base = _compile_expr(node.left)
+        return lambda env: base(env) ** n
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _EXPR_FUNCTIONS and len(node.args) == 1
+            and not node.keywords):
+        fn = _EXPR_FUNCTIONS[node.func.id]
+        arg = _compile_expr(node.args[0])
+        return lambda env: fn(Jet.lift(arg(env)))
+    raise ValueError(f"--f: {ast.unparse(node)!r} is not allowed; use numbers, x, u, pi, "
+                     "+ - * /, integer powers, exp, log and sqrt")
+
+
+def _parse_factor(expr: str) -> Callable:
+    """Conformal factor f(x, u) from the text of --f, parsed, never eval-ed."""
+    try:
+        tree = ast.parse(expr, mode="eval")
+    except SyntaxError as exc:
+        raise ValueError(f"--f: cannot parse {expr!r}: {exc.msg}") from None
+    compiled = _compile_expr(tree.body)
+
+    def factor(x, u):
+        try:
+            return compiled({"x": x, "u": u, "pi": math.pi})
+        except ArithmeticError as exc:
+            raise ValueError(f"--f: {expr!r} at x={Jet.lift(x).value:g}, "
+                             f"u={Jet.lift(u).value:g}: {exc}") from None
+
+    return factor
+
+
 def _family_from_args(args) -> ConformalFamily:
     if args.f:
-        expr = args.f
-        namespace = {"exp": lambda v: Jet.lift(v).exp(),
-                     "log": lambda v: Jet.lift(v).log(),
-                     "sqrt": lambda v: Jet.lift(v).sqrt(),
-                     "pi": math.pi}
-
-        def factor(x, u):
-            return eval(expr, {"__builtins__": {}}, dict(namespace, x=x, u=u))
-
-        return ConformalFamily(args.dim, factor, name=f"expr:{expr}")
+        return ConformalFamily(args.dim, _parse_factor(args.f), name=f"expr:{args.f}")
     preset = args.family.split(":", 1)[-1] if args.family else "default"
     if preset in ("default", "paper"):
         return PRESET_FAMILIES[args.dim]

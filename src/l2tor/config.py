@@ -31,7 +31,8 @@ STRUCTURE_ATOL = 1e-10
 # Adjoint defect tolerance checked on basis vectors at construction time.
 ADJOINT_ATOL = 1e-12
 
-# Absolute quadrature target for all torsion/zeta integrals.
+# Absolute quadrature target for the torsion/zeta integrals that have no
+# closed form.
 QUAD_ATOL = 1e-10
 
 DEFAULT_SEED = 20240801

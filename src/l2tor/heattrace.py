@@ -7,30 +7,42 @@ into a small-time part (subtracted integral plus expansion constants) and the
 plain large-time integral; torsion alternates these over form degrees with
 weight (-1)^p p.
 
-Numerical care: the subtracted integrand suffers catastrophic cancellation
-near t = 0 when computed naively, so models carry a stable `residual`
-callable whenever the trace has a closed form (finite spectra use expm1,
-theta functions use the dual series).
+Exact pieces: finite spectra and circles carry both Mellin integrals in
+closed form.  For a finite spectrum the subtracted integral over (0, 1] is
+-sum w Ein(lam) and the integral of theta/t over [1, inf) is sum w E1(lam);
+for a circle of length L, Poisson summation gives sum_k (2/k) erfc(kL/2) and
+sum_n 2 E1((2 pi n / L)^2).  d_small and large_time_integral use these
+values (method "exact") with a bound on their rounding error.
+
+Quadrature: every other model (the hyperbolic Plancherel degrees,
+hand-built models) is integrated with adaptive quadrature.  The subtracted
+integrand suffers catastrophic cancellation near t = 0 when computed
+naively, so models carry a stable `residual` callable whenever the trace has
+a closed form.  The large-time integral needs a finiteness certificate: a
+spectral gap whose decay theta(t) <= theta(1) e^{-gap (t-1)} is checked at
+fixed times, an exact tail functional, or a dyadic probe of the decay.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.special import erfc, exp1
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammainc
 
 from .config import QUAD_ATOL
-from .mellin import dsmall_constant
+from .mellin import EULER_GAMMA, dsmall_constant
 from .sdf import SpectralDensityFunction
 from .spectrum import (Spectrum, circle_heat_trace, circle_heat_trace_residual)
 
 __all__ = [
     "HeatTraceModel",
+    "ExactIntegral",
     "asympt_fit",
     "AsymptoticFit",
     "d_small",
@@ -40,12 +52,89 @@ __all__ = [
     "analytic_torsion",
     "TorsionResult",
     "zeta_det",
+    "zeta_det_with_error",
     "cheeger_mueller_correction",
     "large_time_dominating_bound",
     "power_weight_double_integral",
 ]
 
 _LOG_CUTOFF = 120.0  # u-range of the log-substituted small-time integral
+
+_EPS = float(np.finfo(float).eps)
+_TINY = float(np.finfo(float).smallest_subnormal)  # bounds a term lost to underflow
+# relative error, in ulps, of one closed-form term at an exactly known
+# argument (special function, logarithm, products)
+_TERM_ULPS = 8.0
+# series of Ein(x) = sum_k (-1)^{k+1} x^k / (k k!) for x < 1: the twentieth
+# term is below 3e-20
+_EIN_SERIES = np.array([0.0] + [(-1) ** (k + 1) / (k * math.factorial(k))
+                                for k in range(1, 21)])
+# circle sums stop where erfc(kL/2) and E1((2 pi n / L)^2) fall below 1e-19;
+# the dropped tails are bounded and added to the error
+_ERFC_CUTOFF = 6.5
+_EXP1_CUTOFF = 42.0
+# at most this many terms per circle sum: shorter circles keep quadrature
+_MAX_CIRCLE_TERMS = 1 << 16
+
+
+class ExactIntegral(NamedTuple):
+    """A Mellin integral in closed form and a bound on its error."""
+
+    value: float
+    error: float
+
+
+def _exact_sum(terms: np.ndarray, ulps: float | np.ndarray = _TERM_ULPS,
+               dropped: float = 0.0) -> ExactIntegral:
+    """Sum of closed-form terms; each is good to `ulps` ulps or lost to
+    underflow, the sum adds at most n - 1 more, and `dropped` bounds a
+    truncated tail."""
+    error = (_EPS * float(np.sum(np.abs(terms) * (terms.size + ulps)))
+             + terms.size * _TINY + dropped)
+    return ExactIntegral(float(np.sum(terms)), error)
+
+
+def _ein(x: np.ndarray) -> np.ndarray:
+    """Ein(x), the integral of (1 - e^{-s})/s over [0, x], without
+    cancellation: its alternating series below 1, E1(x) + log x + gamma
+    (three positive terms) above."""
+    out = np.empty_like(x)
+    low = x < 1.0
+    out[low] = np.polynomial.polynomial.polyval(x[low], _EIN_SERIES)
+    high = x[~low]
+    out[~low] = exp1(high) + np.log(high) + EULER_GAMMA
+    return out
+
+
+def _circle_integrals(L: float) -> tuple[ExactIntegral, ExactIntegral] | None:
+    """Both Mellin integrals of the kernel-free circle trace.
+
+    The residual is L (4 pi t)^{-1/2} sum_{k>=1} 2 e^{-k^2 L^2/4t}, whose
+    integral against dt/t over (0, 1] is sum_k (2/k) erfc(kL/2); the integral
+    of theta/t over [1, inf) is sum_{n>=1} 2 E1((2 pi n / L)^2).  A rounding
+    of the argument x moves erfc(x) by about 2 x^2 ulps, and each of the
+    four roundings in y moves E1(y) by about y ulps.  Dropped tails
+    shrink at least geometrically: erfc(x + d) <= erfc(x) e^{-2xd} and
+    E1(y + d) <= E1(y) e^{-d}.  None when a sum would need more than
+    _MAX_CIRCLE_TERMS terms.
+    """
+    half = 0.5 * L
+    gap = (2.0 * math.pi / L) ** 2
+    K = int(_ERFC_CUTOFF / half) + 1
+    N = int(math.sqrt(_EXP1_CUTOFF / gap)) + 1
+    if max(K, N) > _MAX_CIRCLE_TERMS:
+        return None
+    k = np.arange(1, K + 1, dtype=float)
+    x = k * half
+    x_next = (K + 1) * half
+    dropped = (2.0 / (K + 1)) * math.erfc(x_next) / -math.expm1(-2.0 * x_next * half)
+    small = _exact_sum(2.0 / k * erfc(x), _TERM_ULPS + 2.0 * x * x, dropped)
+    n = np.arange(1, N + 1, dtype=float)
+    y = gap * n * n
+    y_next = gap * (N + 1) ** 2
+    dropped = 2.0 * float(exp1(y_next)) / -math.expm1(-gap * (2 * N + 3))
+    large = _exact_sum(2.0 * exp1(y), _TERM_ULPS + 4.0 * y, dropped)
+    return small, large
 
 
 @dataclass
@@ -58,6 +147,9 @@ class HeatTraceModel:
     theta(t) minus the full expansion without cancellation.  spectral_gap
     certifies exponential large-time decay; tail_integral(T), when present,
     returns the exact value of the integral of theta(t)/t over [T, inf).
+    small_time_exact and large_time_exact, when present, are the integral of
+    the residual against dt/t over (0, 1] and of theta(t)/t over [1, inf)
+    in closed form; the solvers then use them in place of quadrature.
     """
 
     evaluate: Callable[[float], float]
@@ -66,6 +158,8 @@ class HeatTraceModel:
     residual: Callable[[float], float] | None = None
     spectral_gap: float | None = None
     tail_integral: Callable[[float], float] | None = None
+    small_time_exact: ExactIntegral | None = None
+    large_time_exact: ExactIntegral | None = None
     label: str = ""
 
     def __post_init__(self):
@@ -84,7 +178,8 @@ class HeatTraceModel:
         """Kernel-free trace of a finite spectrum.
 
         All expansion coefficients vanish except the constant term, which is
-        the total positive weight; the residual sums w * expm1(-lam t).
+        the total positive weight; the residual sums w * expm1(-lam t).  The
+        two Mellin integrals are -sum w Ein(lam) and sum w E1(lam).
         """
         pos = S.positive_part()
         coeff = np.zeros(m + 1)
@@ -96,20 +191,28 @@ class HeatTraceModel:
             coefficients=coeff,
             residual=pos.heat_trace_residual,
             spectral_gap=gap if gap is not None else math.inf,
+            small_time_exact=_exact_sum(-pos.weights * _ein(pos.eigenvalues)),
+            large_time_exact=_exact_sum(pos.weights * exp1(pos.eigenvalues)),
             label=label or "finite spectrum",
         )
 
     @staticmethod
     def from_circle(circumference: float) -> "HeatTraceModel":
-        """Kernel-free circle trace with its exact two-term expansion."""
+        """Kernel-free circle trace with its exact two-term expansion and,
+        unless the circle is very short, both Mellin integrals exactly."""
         L = circumference
+        if not L > 0:
+            raise ValueError("circumference must be positive")
         coeff = np.array([L / math.sqrt(4.0 * math.pi), -1.0])
+        small, large = _circle_integrals(L) or (None, None)
         return HeatTraceModel(
             evaluate=lambda t: circle_heat_trace(L, t, include_zero=False),
             m=1,
             coefficients=coeff,
             residual=lambda t: circle_heat_trace_residual(L, t),
             spectral_gap=(2.0 * math.pi / L) ** 2,
+            small_time_exact=small,
+            large_time_exact=large,
             label=f"circle L={L:g}",
         )
 
@@ -181,7 +284,8 @@ class DsmallResult:
     value: float
     integral: float
     constant_part: float
-    quad_error: float
+    error: float  # of the integral: quadrature estimate or rounding bound
+    method: str
 
 
 def _check_residual_integrable(model: HeatTraceModel) -> None:
@@ -198,20 +302,26 @@ def _check_residual_integrable(model: HeatTraceModel) -> None:
 def d_small(model: HeatTraceModel) -> DsmallResult:
     """Small-time part: subtracted dt/t integral on (0, 1] plus constants.
 
-    Refuses when expansion coefficients are unknown (run asympt_fit and set
-    them explicitly) or when the subtracted integrand is not integrable.
+    The integral is the model's exact value when it has one, else
+    quadrature.  Refuses when expansion coefficients are unknown (run
+    asympt_fit and set them explicitly) or when the subtracted integrand is
+    not integrable.
     """
     if model.coefficients is None:
         raise ValueError(
             "expansion coefficients unknown; fit them explicitly (asympt_fit) "
             "and set model.coefficients before computing the small-time part")
     _check_residual_integrable(model)
-    integral, err = quad(lambda u: model.residual_value(math.exp(-u)),
-                         0.0, _LOG_CUTOFF, limit=400,
-                         epsabs=QUAD_ATOL * 1e-2, epsrel=1e-12)
+    if model.small_time_exact is not None:
+        (integral, err), method = model.small_time_exact, "exact"
+    else:
+        integral, err = quad(lambda u: model.residual_value(math.exp(-u)),
+                             0.0, _LOG_CUTOFF, limit=400,
+                             epsabs=QUAD_ATOL * 1e-2, epsrel=1e-12)
+        method = "quad"
     constant = float(sum(dsmall_constant(i, model.m) * model.coefficients[i]
                          for i in range(model.m + 1)))
-    return DsmallResult(integral + constant, integral, constant, err)
+    return DsmallResult(integral + constant, integral, constant, err, method)
 
 
 # -- large-time part -----------------------------------------------------------------
@@ -222,8 +332,14 @@ class LargeTimeResult:
     value: float | None
     determinant_class: bool | None
     tail_bound: float | None
-    quad_error: float
+    error: float  # quadrature estimate or rounding bound
     method: str
+
+
+# times t > 1 at which the decay certificate of a spectral gap is checked,
+# and the relative slack that forgives rounding in theta(t) and the bound
+_GAP_PROBES = (1.5, 2.0, 4.0, 8.0)
+_GAP_RTOL = 1e-9
 
 
 def _gap_tail_bound(theta_at_1: float, gap: float, T: float) -> float:
@@ -234,22 +350,38 @@ def _gap_tail_bound(theta_at_1: float, gap: float, T: float) -> float:
     return theta_at_1 * math.exp(gap) * math.exp(-gap * T) / (gap * T)
 
 
+def _gap_decay_holds(model: HeatTraceModel, theta_at_1: float, gap: float) -> bool:
+    """theta(t) <= theta(1) e^{-gap (t-1)} at the probe times, for a
+    positive gap."""
+    if not gap > 0:
+        return False
+    return all(model.evaluate(t) <= theta_at_1 * math.exp(-gap * (t - 1.0)) * (1.0 + _GAP_RTOL)
+               for t in _GAP_PROBES)
+
+
 def large_time_integral(model: HeatTraceModel) -> LargeTimeResult:
     """Integral of theta(t)/t over [1, inf) with a finiteness certificate.
 
-    With a spectral gap the tail is certified exponentially; with an exact
-    tail functional it is added analytically; otherwise dyadic probing
+    An exact value of the model is returned as it is.  A spectral gap
+    certifies the tail once theta is seen to decay at that rate at fixed
+    times, and a value is refused (method "gap-refuted") when it does not;
+    an exact tail functional is added analytically; otherwise dyadic probing
     classifies the decay and refuses a value when divergence is detected or
     the behaviour is ambiguous.
     """
+    if model.large_time_exact is not None:
+        value, err = model.large_time_exact
+        return LargeTimeResult(value, True, None, err, "exact")
     if model.spectral_gap is not None:
         gap = model.spectral_gap
         theta1 = model.evaluate(1.0)
+        if not _gap_decay_holds(model, theta1, gap):
+            return LargeTimeResult(None, None, None, 0.0, "gap-refuted")
         if theta1 == 0.0:
             return LargeTimeResult(0.0, True, 0.0, 0.0, "empty")
         val, err = quad(lambda t: model.evaluate(t) / t, 1.0, np.inf,
                         limit=400, epsabs=QUAD_ATOL * 1e-2, epsrel=1e-12)
-        # diagnostic: the decay certificate dominates the actual tail
+        # the decay just checked bounds the tail over [2, inf)
         tail = _gap_tail_bound(theta1, gap, 2.0)
         return LargeTimeResult(val, True, tail, err, "gap")
     if model.tail_integral is not None:
@@ -314,15 +446,17 @@ def analytic_torsion(models: dict[int, HeatTraceModel]) -> TorsionResult:
                              f"({lg.method})")
         per_degree.append((p, sm.value, lg.value))
         total += (-1) ** p * p * (sm.value + lg.value)
-        err += abs(sm.quad_error) + abs(lg.quad_error)
-    return TorsionResult(per_degree, total, {"quad_error": err})
+        err += abs(p) * (abs(sm.error) + abs(lg.error))
+    return TorsionResult(per_degree, total, {"error": err})
 
 
-def zeta_det(source: Spectrum | HeatTraceModel, m: int = 0) -> float:
-    """exp(-zeta'(0)) through the same small/large split as the torsion.
+def zeta_det_with_error(source: Spectrum | HeatTraceModel, m: int = 0) -> tuple[float, float]:
+    """exp(-zeta'(0)) through the same small/large split as the torsion,
+    with the error det * (small-part error + large-part error).
 
     A finite spectrum must have a positive gap above zero; zero modes are
-    dropped (determinant of the restriction).
+    dropped (determinant of the restriction).  Refuses a model whose large
+    time part is not certified determinant class.
     """
     if isinstance(source, Spectrum):
         pos = source.positive_part()
@@ -335,8 +469,17 @@ def zeta_det(source: Spectrum | HeatTraceModel, m: int = 0) -> float:
         model = source
         if model.spectral_gap is None or model.spectral_gap <= 0:
             raise ValueError("determinant requires a positive spectral gap")
-    zeta_prime_at_0 = d_small(model).value + large_time_integral(model).value
-    return math.exp(-zeta_prime_at_0)
+    sm = d_small(model)
+    lg = large_time_integral(model)
+    if lg.determinant_class is not True:
+        raise ValueError(f"not certified determinant-class ({lg.method})")
+    det = math.exp(-(sm.value + lg.value))
+    return det, det * (abs(sm.error) + abs(lg.error))
+
+
+def zeta_det(source: Spectrum | HeatTraceModel, m: int = 0) -> float:
+    """exp(-zeta'(0)); see zeta_det_with_error."""
+    return zeta_det_with_error(source, m)[0]
 
 
 def cheeger_mueller_correction(chi_boundary: int) -> float:

@@ -76,6 +76,19 @@ class Spectrum:
         mask = slice(None) if include_kernel else self.eigenvalues > 0
         return float(np.sum(self.weights[mask] * np.exp(-t * self.eigenvalues[mask])))
 
+    def heat_trace_rounding_bound(self, t: float, include_kernel: bool = False) -> float:
+        """Bound on the floating-point error of heat_trace(t): each term
+        w e^{-t lam} is good to 2 + t lam ulps (the rounding of t lam is
+        amplified by the exponential), and the sum of n terms adds at most
+        n - 1 more."""
+        if t <= 0:
+            raise ValueError("time must be positive")
+        mask = slice(None) if include_kernel else self.eigenvalues > 0
+        lam = self.eigenvalues[mask]
+        terms = self.weights[mask] * np.exp(-t * lam)
+        eps = float(np.finfo(float).eps)
+        return float(eps * np.sum(terms * (terms.size + 2.0 + t * lam)))
+
     def heat_trace_residual(self, t: float) -> float:
         """Kernel-free trace minus its t -> 0 limit, without cancellation.
 
@@ -117,19 +130,21 @@ def _theta_dual_sum(L: float, t: float, terms: int = 64) -> float:
 def circle_heat_trace(circumference: float, t: float, include_zero: bool = True) -> float:
     """Full heat trace of the circle Laplacian, switching between the
     eigenvalue series and the image (dual) series at t = L^2 / (4 pi) so the
-    faster-converging form is always used."""
+    faster-converging form is always used.  Without the zero mode the
+    eigenvalue series is summed on its own, so small traces keep their
+    relative accuracy."""
     if t <= 0:
         raise ValueError("time must be positive")
     L = circumference
     t_star = L * L / (4.0 * math.pi)
     if t < t_star:
         value = L / math.sqrt(4.0 * math.pi * t) * (1.0 + _theta_dual_sum(L, t))
-    else:
-        base = (2.0 * math.pi / L) ** 2
-        n_max = int(math.ceil(math.sqrt(40.0 / (base * t)))) + 2
-        ns = np.arange(1, n_max + 1, dtype=float)
-        value = 1.0 + float(2.0 * np.sum(np.exp(-t * base * ns ** 2)))
-    return value if include_zero else value - 1.0
+        return value if include_zero else value - 1.0
+    base = (2.0 * math.pi / L) ** 2
+    n_max = int(math.ceil(math.sqrt(40.0 / (base * t)))) + 2
+    ns = np.arange(1, n_max + 1, dtype=float)
+    nonzero = float(2.0 * np.sum(np.exp(-t * base * ns ** 2)))
+    return 1.0 + nonzero if include_zero else nonzero
 
 
 def circle_heat_trace_residual(circumference: float, t: float) -> float:

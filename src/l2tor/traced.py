@@ -47,6 +47,7 @@ class TracedSpace:
         if self.dim < 0:
             raise ValueError("dim must be nonnegative")
         object.__setattr__(self, "normalization", _as_normalization(self.normalization))
+        object.__setattr__(self, "_identity", self.gram is None)
         if self.gram is None:
             object.__setattr__(self, "gram", np.eye(self.dim))
             object.__setattr__(self, "_chol", np.eye(self.dim))
@@ -78,12 +79,18 @@ class TracedSpace:
 
     @cached_property
     def inverse_whitener(self) -> np.ndarray:
-        """W^{-1}, computed once per space and shared, hence read-only."""
+        """W^{-1}, computed once per space and shared, hence read-only; the
+        identity of an identity-gram space is not inverted."""
+        if self._identity:
+            return _read_only(np.eye(self.dim))
         return _read_only(np.linalg.inv(self.whitener))
 
     @cached_property
     def inverse_gram(self) -> np.ndarray:
-        """gram^{-1}, computed once per space and shared, hence read-only."""
+        """gram^{-1}, computed once per space and shared, hence read-only; the
+        identity of an identity-gram space is not inverted."""
+        if self._identity:
+            return _read_only(np.eye(self.dim))
         return _read_only(np.linalg.inv(self.gram))
 
     def inner(self, u, v) -> float:

@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from l2tor.anomaly import anomaly_coefficients
 from l2tor.cli import main
 
 
@@ -57,6 +58,30 @@ def test_zeta_det_trace_dsmall(capsys, tmp_path):
     code, out, _ = run_cli(capsys, "zeta", "--spectrum", str(spec), "--op", "dsmall")
     assert code == 0
     assert "value" in json.loads(out)
+
+
+def test_zeta_error_estimates_are_computed(capsys, tmp_path):
+    spec = tmp_path / "one.json"
+    spec.write_text(json.dumps([[1.0, 1.0]]))
+    code, out, _ = run_cli(capsys, "zeta", "--spectrum", str(spec), "--op", "det")
+    det = json.loads(out)
+    assert code == 0 and det["value"] == pytest.approx(1.0, rel=1e-15)
+    assert det["errorEstimate"] != 1e-10
+    assert 0.0 < det["errorEstimate"] < 1e-14
+    code, out, _ = run_cli(capsys, "zeta", "--spectrum", str(spec), "--op", "trace")
+    trace = json.loads(out)
+    assert trace["errorEstimate"] != 0.0
+    assert trace["errorEstimate"] <= 1e-15 * trace["value"]
+
+
+def test_zeta_det_matches_product_of_eigenvalues(capsys, tmp_path):
+    pairs = [[0.0, 1.0], [1e-3, 2.0], [0.37, 0.5], [2.5, 1.0 / 3.0], [40.0, 1.0]]
+    spec = tmp_path / "s.json"
+    spec.write_text(json.dumps(pairs))
+    code, out, _ = run_cli(capsys, "zeta", "--spectrum", str(spec), "--op", "det")
+    expected = math.exp(sum(w * math.log(lam) for lam, w in pairs if lam > 0))
+    assert code == 0
+    assert json.loads(out)["value"] == pytest.approx(expected, rel=1e-12)
 
 
 def test_zeta_torsion_multi_degree(capsys, tmp_path):
@@ -128,6 +153,48 @@ def test_anomaly_custom_expression(capsys):
     payload = json.loads(out)
     # normal derivative of the variation multiple is 2 at u = 0
     assert payload["sum"] == pytest.approx(-2.0 / (4 * math.pi), abs=1e-12)
+
+
+def test_anomaly_expression_matches_the_python_expression(capsys):
+    # the parsed factor gives the same report as the expression evaluated by
+    # Python on jets, with exp, log and sqrt acting on jets
+    from l2tor.anomaly import ConformalFamily, Jet
+    text = "(1 + u*x*(2 + x))**2 - exp(x)/3 + sqrt(4 + x)*log(2 + x*x) + pi*u*x**3/(1 + x)**-2"
+
+    def python_factor(x, u):
+        exp, log, sqrt = (lambda v: Jet.lift(v).exp()), (lambda v: Jet.lift(v).log()), \
+            (lambda v: Jet.lift(v).sqrt())
+        return ((1 + u*x*(2 + x))**2 - exp(x)/3 + sqrt(4 + x)*log(2 + x*x)
+                + math.pi*u*x**3/(1 + x)**-2)
+
+    code, out, _ = run_cli(capsys, "anomaly", "--dim", "2", "--f", text, "--u", "0.25")
+    assert code == 0
+    family = ConformalFamily(2, python_factor, name=f"expr:{text}")
+    ref = anomaly_coefficients(family, 0.25)
+    expected = {"dim": 2, "family": family.name, "u": 0.25, "d": ref.d_per_degree,
+                "sum": ref.alternating_sum, "psiTables": ref.psi_tables,
+                "diagnostics": ref.diagnostics}
+    assert json.loads(out) == json.loads(json.dumps(expected, default=float))
+
+
+@pytest.mark.parametrize("expr", [
+    "y", "1 +", "x.real", "().__class__", "().__class__.__base__.__subclasses__()",
+    "x[0]", "lambda: 1", "abs(x)", "__import__('os')", "exp(x, x)", "exp(x=1)",
+    "x ** 0.5", "x ** u", "2 ** 100", "x if u else 1", "+x", "x // 2", "x % 2",
+    "'a'", "True", "1j", "[x]", "x < u", "(lambda z: z)(x)",
+], ids=lambda e: e)
+def test_anomaly_expression_rejects_constructs(capsys, expr):
+    code, out, err = run_cli(capsys, "anomaly", "--dim", "2", "--f", expr)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: --f")
+    assert len(err.splitlines()) == 1
+
+
+def test_anomaly_expression_arithmetic_error_is_input_error(capsys):
+    code, out, err = run_cli(capsys, "anomaly", "--dim", "2", "--f", "1/(x - x)")
+    assert code == 2
+    assert err.startswith("error: --f")
 
 
 def test_anomaly_sweep_csv(capsys):

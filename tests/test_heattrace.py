@@ -1,13 +1,17 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import exp1
 
 from l2tor.heattrace import (HeatTraceModel, analytic_torsion, asympt_fit,
                              cheeger_mueller_correction, d_small,
                              large_time_dominating_bound, large_time_integral,
-                             power_weight_double_integral, zeta_det)
+                             power_weight_double_integral, zeta_det,
+                             zeta_det_with_error)
 from l2tor.mellin import EULER_GAMMA
 from l2tor.rand import rng_for
 from l2tor.spectrum import Spectrum
@@ -27,13 +31,153 @@ def test_large_time_kernel_only_spectrum():
     assert res.determinant_class is True
 
 
+def _quadrature_twin(model: HeatTraceModel) -> HeatTraceModel:
+    """The same trace, residual, expansion and gap without the exact values,
+    so that the solvers integrate it numerically."""
+    return HeatTraceModel(evaluate=model.evaluate, m=model.m,
+                          coefficients=model.coefficients, residual=model.residual,
+                          spectral_gap=model.spectral_gap)
+
+
 def test_large_time_tail_bound_dominates_actual_tail():
     from scipy.integrate import quad
     S = Spectrum.from_pairs([(0.7, 2.0), (3.0, 1.0)])
-    model = HeatTraceModel.from_spectrum(S)
+    model = HeatTraceModel(evaluate=lambda t: S.heat_trace(t), m=0,
+                           spectral_gap=S.spectral_gap)
     res = large_time_integral(model)
+    assert res.method == "gap"
     actual_tail, _ = quad(lambda t: model.evaluate(t) / t, 2.0, np.inf)
     assert res.tail_bound >= actual_tail
+
+
+def _close(a: float, b: float, tol: float = 1e-12) -> bool:
+    return abs(a - b) <= tol * max(1.0, abs(a))
+
+
+@given(st.lists(st.tuples(st.floats(-8.0, 3.0), st.sampled_from([1 / 3, 0.5, 1.0, 2.0])),
+                min_size=1, max_size=6),
+       st.booleans())
+def test_exact_spectrum_pieces_match_quadrature(pairs, zero_mode):
+    S = Spectrum.from_pairs([(10.0 ** e, w) for e, w in pairs]
+                            + ([(0.0, 1.0)] if zero_mode else []))
+    model = HeatTraceModel.from_spectrum(S)
+    twin = _quadrature_twin(model)
+    sm, sm_q = d_small(model), d_small(twin)
+    lg, lg_q = large_time_integral(model), large_time_integral(twin)
+    assert (sm.method, lg.method) == ("exact", "exact")
+    assert (sm_q.method, lg_q.method) == ("quad", "gap")
+    assert _close(sm.integral, sm_q.integral)
+    assert sm.constant_part == sm_q.constant_part
+    assert _close(lg.value, lg_q.value)
+
+
+@given(st.floats(math.log(0.05), math.log(50.0)))
+def test_exact_circle_pieces_match_quadrature(log_L):
+    model = HeatTraceModel.from_circle(math.exp(log_L))
+    twin = _quadrature_twin(model)
+    sm, sm_q = d_small(model), d_small(twin)
+    lg, lg_q = large_time_integral(model), large_time_integral(twin)
+    assert (sm.method, lg.method) == ("exact", "exact")
+    assert sm_q.method == "quad" and lg_q.method in ("gap", "empty")
+    assert _close(sm.integral, sm_q.integral)
+    assert _close(lg.value, lg_q.value)
+
+
+def test_exact_error_bounds_cover_high_precision_values():
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    cases = []
+    rng = rng_for(7, 3)
+    for _ in range(20):
+        n = int(rng.integers(1, 9))
+        eig = 10.0 ** rng.uniform(-8.0, 3.0, n)
+        w = rng.choice([1 / 3, 0.5, 1.0, 2.0], n)
+        pairs = list(zip(eig.tolist(), w.tolist()))
+        model = HeatTraceModel.from_spectrum(Spectrum(eig, w))
+        cases.append((model.small_time_exact,
+                       lambda p=pairs: -sum(mp.mpf(w) * (mp.e1(lam) + mp.log(lam) + mp.euler)
+                                            for lam, w in p)))
+        cases.append((model.large_time_exact,
+                      lambda p=pairs: sum(mp.mpf(w) * mp.e1(lam) for lam, w in p)))
+    for L in (0.05, 0.3, 1.0, 2 * math.pi, 7.0, 50.0):
+        model = HeatTraceModel.from_circle(L)
+        cases.append((model.small_time_exact, lambda L=L: mp.nsum(
+            lambda k: 2 / k * mp.erfc(k * mp.mpf(L) / 2), [1, mp.inf])))
+        cases.append((model.large_time_exact, lambda L=L: mp.nsum(
+            lambda n: 2 * mp.e1((2 * mp.pi * n / mp.mpf(L)) ** 2), [1, mp.inf])))
+    with mpmath.workdps(40):
+        for (value, error), truth in cases:
+            assert abs(mp.mpf(value) - truth()) <= error
+            assert error <= 1e-12 * max(1.0, abs(value))
+
+
+def test_very_short_circle_has_no_exact_pieces():
+    model = HeatTraceModel.from_circle(1e-4)
+    assert model.small_time_exact is None and model.large_time_exact is None
+    with pytest.raises(ValueError, match="positive"):
+        HeatTraceModel.from_circle(0.0)
+
+
+def test_exact_methods_carry_rounding_size_errors():
+    S = Spectrum.from_pairs([(0.3, 2.0), (5.0, 0.5)])
+    sm = d_small(HeatTraceModel.from_spectrum(S))
+    lg = large_time_integral(HeatTraceModel.from_spectrum(S))
+    for err, value in ((sm.error, sm.integral), (lg.error, lg.value)):
+        assert 0.0 < err <= 1e-14 * abs(value)
+    det, err = zeta_det_with_error(S)
+    assert det == pytest.approx(0.3 ** 2 * 5.0 ** 0.5, rel=1e-13)
+    assert 0.0 < err <= 1e-13 * det
+
+
+# -- refusals ---------------------------------------------------------------------------
+
+
+def _decaying(gap: float) -> HeatTraceModel:
+    """theta = e^{-t} declared with the given spectral gap."""
+    return HeatTraceModel(evaluate=lambda t: math.exp(-t), m=0,
+                          coefficients=np.array([1.0]),
+                          residual=lambda t: math.expm1(-t), spectral_gap=gap)
+
+
+def test_gap_certificate_accepts_true_gap():
+    res = large_time_integral(_decaying(1.0))
+    assert (res.method, res.determinant_class) == ("gap", True)
+    assert res.value == pytest.approx(float(exp1(1.0)), abs=1e-12)
+
+
+@pytest.mark.parametrize("gap", [2.0, 0.0, -1.0, math.inf])
+def test_gap_certificate_refuses_overstated_gap(gap):
+    model = _decaying(gap)
+    res = large_time_integral(model)
+    assert (res.value, res.determinant_class, res.method) == (None, None, "gap-refuted")
+    with pytest.raises(ValueError, match="gap-refuted"):
+        analytic_torsion({1: model})
+    if gap > 0:
+        with pytest.raises(ValueError, match="gap-refuted"):
+            zeta_det(model)
+
+
+@pytest.mark.parametrize("theta, method, det_class", [
+    (lambda t: 1.0 / math.log(t + math.e), "dyadic-divergent", False),
+    (lambda t: (1.0 + t) ** -0.1, "dyadic-ambiguous", None),
+], ids=["divergent", "ambiguous"])
+def test_dyadic_refusals_stop_the_torsion(theta, method, det_class):
+    model = HeatTraceModel(evaluate=theta, m=0, coefficients=np.array([1.0]))
+    res = large_time_integral(model)
+    assert (res.value, res.determinant_class, res.method) == (None, det_class, method)
+    with pytest.raises(ValueError, match=method):
+        analytic_torsion({1: model})
+
+
+def test_residual_check_still_guards_exact_models():
+    S = Spectrum.from_pairs([(1.0, 1.0)])
+    # claiming no constant term leaves theta itself as the residual
+    wrong = replace(HeatTraceModel.from_spectrum(S), coefficients=np.array([0.0]),
+                    residual=None)
+    assert wrong.small_time_exact is not None
+    for run in (d_small, lambda m: analytic_torsion({1: m}), zeta_det):
+        with pytest.raises(ValueError, match="integrable"):
+            run(wrong)
 
 
 def test_large_time_divergence_detected():

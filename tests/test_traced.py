@@ -48,6 +48,20 @@ def test_cached_inverses_equal_direct_inverses_bitwise():
         s.inverse_gram[0, 0] = 0.0
 
 
+@pytest.mark.parametrize("n", [0, 1, 4])
+def test_identity_space_inverses_are_read_only_identities(n, monkeypatch):
+    def no_inverse(_a):
+        raise AssertionError("an identity gram was inverted")
+
+    monkeypatch.setattr(np.linalg, "inv", no_inverse)
+    s = TracedSpace(n)
+    for inv in (s.inverse_whitener, s.inverse_gram):
+        assert inv.dtype == float and inv.shape == (n, n)
+        assert inv.tobytes() == np.eye(n).tobytes()
+        assert not inv.flags.writeable
+    assert s.inverse_gram is s.inverse_gram
+
+
 def test_orthonormal_basis_is_a_copy():
     rng = rng_for(1, 6)
     src, tgt = random_space(rng, 3), random_space(rng, 2)
