@@ -45,6 +45,7 @@ PSI_3 = (1, 1, -1, -1)
 # dim 2: degree 0 is Neumann, degree 2 Dirichlet; the middle degree carries
 # one of each, recorded as 0 (its variation multiple vanishes anyway)
 PSI_2 = (1, 0, -1)
+_CROSSCHECK_ATOL = 1e-10  # v_operator's cross-check, relative to max(1, |value|)
 
 
 class Jet:
@@ -281,13 +282,13 @@ def hodge_star_conformal(family: ConformalFamily, p: int, point) -> list[dict]:
     return [{"form": a, "image": b, "coefficient": c} for a, b, c in tables[p]]
 
 
-def v_operator(family: ConformalFamily, p: int, point,
-               crosscheck_atol: float = 1e-10) -> float:
+def v_operator(family: ConformalFamily, p: int, point) -> float:
     """Scalar by which the star variation acts on degree-p forms at (x, u).
 
     Computed from the closed-form multiple of (d_u f)/f and cross-checked
     against the u-derivative of the star coefficient on the complementary
-    degree (the operator is (d_u star) composed with the star inverse).
+    degree (the operator is (d_u star) composed with the star inverse), to
+    _CROSSCHECK_ATOL relative to max(1, |value|).
     """
     m = family.dim
     if not 0 <= p <= m:
@@ -299,7 +300,7 @@ def v_operator(family: ConformalFamily, p: int, point,
     power = STAR_POWER[m][m - p]
     star = jet ** power
     from_star = star.d_u / star.value
-    if abs(closed - from_star) > crosscheck_atol * max(1.0, abs(closed)):
+    if abs(closed - from_star) > _CROSSCHECK_ATOL * max(1.0, abs(closed)):
         raise AssertionError(
             f"variation operator cross-check failed at {(x, u)}: "
             f"{closed} vs {from_star}")

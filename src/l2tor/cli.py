@@ -6,7 +6,8 @@ heat-kernel comparisons, the boundary anomaly engine, manifest-based
 3-manifold torsion, and the end-to-end selftest.  Reports are JSON with
 sorted keys, so identical seed and arguments give byte-identical output.
 Handlers raise ValueError (or OSError) for bad usage or input; `main` turns
-either into an `error:` line on stderr and exit status 2.
+these, an ArithmeticError (an overflow on the input) and a report holding
+NaN or inf into an `error:` line on stderr and exit status 2.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ HEATCMP_PAIRS = {
 
 
 def _emit(payload: dict, output: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2, default=float)
+    text = json.dumps(payload, sort_keys=True, indent=2, default=float, allow_nan=False)
     if output:
         Path(output).write_text(text + "\n")
     else:
@@ -400,8 +401,9 @@ def main(argv=None) -> int:
         return 2
     try:
         return args.handler(args)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (OSError, ValueError, ArithmeticError) as exc:
+        kind = f"{type(exc).__name__}: " if isinstance(exc, ArithmeticError) else ""
+        print(f"error: {kind}{exc}", file=sys.stderr)
         return 2
 
 

@@ -12,9 +12,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import RANK_RTOL, STRUCTURE_ATOL, TIE_RTOL, ZERO_SV_ATOL
+from .config import STRUCTURE_ATOL, TIE_RTOL
 from .sdf import SpectralDensityFunction, sdf_of_map
-from .traced import TracedMap, TracedSpace
+from .traced import TracedMap, TracedSpace, nonzero_mask
 
 __all__ = [
     "FiniteCochainComplex",
@@ -26,12 +26,13 @@ __all__ = [
     "LaplacianDecompositionReport",
 ]
 
+LAPLACIAN_ATOL = 1e-8  # largest residual of an identity that holds
+
 
 class FiniteCochainComplex:
     """Graded traced spaces C^0 -> C^1 -> ... with c^{p+1} c^p = 0."""
 
-    def __init__(self, spaces: list[TracedSpace], differentials: list[TracedMap],
-                 structure_atol: float = STRUCTURE_ATOL, validate: bool = True):
+    def __init__(self, spaces: list[TracedSpace], differentials: list[TracedMap]):
         if len(differentials) != max(len(spaces) - 1, 0):
             raise ValueError("need exactly len(spaces) - 1 differentials")
         for p, d in enumerate(differentials):
@@ -41,10 +42,9 @@ class FiniteCochainComplex:
                 raise ValueError(f"differential {p} has wrong target")
         self.spaces = list(spaces)
         self.differentials = list(differentials)
-        if validate:
-            defect = self.square_zero_defect()
-            if defect > structure_atol:
-                raise ValueError(f"c∘c is not zero: operator-norm defect {defect}")
+        defect = self.square_zero_defect()
+        if defect > STRUCTURE_ATOL:
+            raise ValueError(f"c∘c is not zero: operator-norm defect {defect}")
 
     # -- basic structure -------------------------------------------------------------
 
@@ -74,7 +74,7 @@ class FiniteCochainComplex:
 
     # -- gram-aware subspace computations ---------------------------------------------
 
-    def image_complement_basis(self, p: int, rank_rtol: float = RANK_RTOL) -> np.ndarray:
+    def image_complement_basis(self, p: int) -> np.ndarray:
         """Gram-orthonormal basis (columns) of (im c^{p-1})^perp inside C^p."""
         space = self.space(p)
         if space.dim == 0:
@@ -86,14 +86,12 @@ class FiniteCochainComplex:
         else:
             m = wt @ prev.coefficients
             u, s, _ = np.linalg.svd(m, full_matrices=True)
-            cutoff = max(rank_rtol * (s.max() if s.size else 0.0), ZERO_SV_ATOL)
-            rank = int(np.count_nonzero(s > cutoff))
-            u0 = u[:, rank:]
+            u0 = u[:, np.count_nonzero(nonzero_mask(s)):]
         return np.linalg.solve(wt, u0)
 
-    def restricted_differential(self, p: int, rank_rtol: float = RANK_RTOL) -> TracedMap:
+    def restricted_differential(self, p: int) -> TracedMap:
         """c^p restricted to (im c^{p-1})^perp, in a gram-orthonormal basis."""
-        basis = self.image_complement_basis(p, rank_rtol)
+        basis = self.image_complement_basis(p)
         src = TracedSpace(basis.shape[1], self.space(p).normalization)
         d = self.differential(p)
         return TracedMap(src, d.target, d.coefficients @ basis)
@@ -106,36 +104,32 @@ class FiniteCochainComplex:
         down = d_prev @ d_prev.adjoint()
         return TracedMap(self.space(p), self.space(p), up.coefficients + down.coefficients)
 
-    def harmonic_basis(self, p: int, rank_rtol: float = RANK_RTOL) -> np.ndarray:
+    def harmonic_basis(self, p: int) -> np.ndarray:
         """Gram-orthonormal basis of ker(c^p) ∩ (im c^{p-1})^perp."""
         space = self.space(p)
         if space.dim == 0:
             return np.zeros((0, 0))
-        basis = self.image_complement_basis(p, rank_rtol)
+        basis = self.image_complement_basis(p)
         d = self.differential(p)
         if d.target.dim == 0:
             return basis
         m = d.target.whitener @ d.coefficients @ basis
         _, s, vt = np.linalg.svd(m, full_matrices=True)
-        cutoff = max(rank_rtol * (s.max() if s.size else 0.0), ZERO_SV_ATOL)
-        rank = int(np.count_nonzero(s > cutoff))
-        return basis @ vt[rank:].T
+        return basis @ vt[np.count_nonzero(nonzero_mask(s)):].T
 
-    def cohomology_dim(self, p: int, rank_rtol: float = RANK_RTOL) -> int:
-        return self.harmonic_basis(p, rank_rtol).shape[1]
+    def cohomology_dim(self, p: int) -> int:
+        return self.harmonic_basis(p).shape[1]
 
 
-def complex_sdf(C: FiniteCochainComplex, p: int,
-                rank_rtol: float = RANK_RTOL) -> SpectralDensityFunction:
+def complex_sdf(C: FiniteCochainComplex, p: int) -> SpectralDensityFunction:
     """Spectral density of c^p restricted to the complement of im c^{p-1}.
 
     Absent degrees are treated as zero spaces.
     """
-    return sdf_of_map(C.restricted_differential(p, rank_rtol), rank_rtol)
+    return sdf_of_map(C.restricted_differential(p))
 
 
-def complex_sdf_via_projector(C: FiniteCochainComplex, p: int,
-                              rank_rtol: float = RANK_RTOL) -> SpectralDensityFunction:
+def complex_sdf_via_projector(C: FiniteCochainComplex, p: int) -> SpectralDensityFunction:
     """Projector-route oracle for complex_sdf.
 
     Applies c^p to the full space composed with the gram-orthogonal projector
@@ -143,12 +137,12 @@ def complex_sdf_via_projector(C: FiniteCochainComplex, p: int,
     the projected-away subspace.
     """
     space = C.space(p)
-    basis = C.image_complement_basis(p, rank_rtol)
+    basis = C.image_complement_basis(p)
     proj = basis @ basis.T @ space.gram if space.dim else np.zeros((0, 0))
     d = C.differential(p)
     full = TracedMap(space, d.target, d.coefficients @ proj)
     extra = (space.dim - basis.shape[1]) * space.normalization
-    sdf = sdf_of_map(full, rank_rtol)
+    sdf = sdf_of_map(full)
     if extra == 0:
         return sdf
     vals = sdf.vals - extra
@@ -167,20 +161,19 @@ class LaplacianDecompositionReport:
     details: dict = field(default_factory=dict)
 
 
-def laplacian_sdf_decomposition(C: FiniteCochainComplex, p: int,
-                                atol: float = 1e-8,
-                                rank_rtol: float = RANK_RTOL) -> LaplacianDecompositionReport:
+def laplacian_sdf_decomposition(C: FiniteCochainComplex, p: int) -> LaplacianDecompositionReport:
     """Check the eigenvalue-count identity for the Laplacian without kernel.
 
     The positive spectrum of Delta_p splits into squares of the nonzero
     restricted-differential singular values in degrees p and p-1, so the
     kernel-subtracted density of Delta_p at lambda equals the sum of the two
     reduced complex densities at sqrt(lambda).  Residuals are reported at
-    every breakpoint of both sides.
+    every breakpoint of both sides; the identity holds when none exceeds
+    LAPLACIAN_ATOL.
     """
-    lhs = sdf_of_map(C.laplacian(p), rank_rtol).reduced()
-    rhs = complex_sdf(C, p, rank_rtol).reduced().power_argument(0.5).plus(
-        complex_sdf(C, p - 1, rank_rtol).reduced().power_argument(0.5)
+    lhs = sdf_of_map(C.laplacian(p)).reduced()
+    rhs = complex_sdf(C, p).reduced().power_argument(0.5).plus(
+        complex_sdf(C, p - 1).reduced().power_argument(0.5)
     )
     probes = np.unique(np.concatenate([lhs.probe_points(), rhs.probe_points()]))
     residuals = lhs.values(probes, TIE_RTOL) - rhs.values(probes, TIE_RTOL)
@@ -189,7 +182,7 @@ def laplacian_sdf_decomposition(C: FiniteCochainComplex, p: int,
         probes=probes,
         residuals=residuals,
         max_residual=max_res,
-        ok=max_res <= atol,
+        ok=max_res <= LAPLACIAN_ATOL,
         details={"p": p},
     )
 
@@ -198,13 +191,11 @@ class ShortExactTriple:
     """0 -> C -> D -> E -> 0 of finite cochain complexes, degreewise."""
 
     def __init__(self, C: FiniteCochainComplex, D: FiniteCochainComplex,
-                 E: FiniteCochainComplex, j: list[TracedMap], q: list[TracedMap],
-                 structure_atol: float = STRUCTURE_ATOL, validate: bool = True):
+                 E: FiniteCochainComplex, j: list[TracedMap], q: list[TracedMap]):
         self.C, self.D, self.E = C, D, E
         self.j = list(j)
         self.q = list(q)
-        if validate:
-            self.validate(structure_atol)
+        self.validate()
 
     def j_at(self, p: int) -> TracedMap:
         if 0 <= p < len(self.j):
@@ -216,33 +207,32 @@ class ShortExactTriple:
             return self.q[p]
         return TracedMap.zero(self.D.space(p), self.E.space(p))
 
-    def validate(self, atol: float = STRUCTURE_ATOL, rank_rtol: float = RANK_RTOL) -> None:
+    def validate(self) -> None:
         top = max(self.C.top_degree, self.D.top_degree, self.E.top_degree)
         for p in range(top + 1):
             jp, qp = self.j_at(p), self.q_at(p)
-            if self.C.space(p).dim and not jp.is_injective(rank_rtol):
+            if self.C.space(p).dim and not jp.is_injective():
                 raise ValueError(f"j_{p} is not injective")
-            if self.E.space(p).dim and not qp.is_surjective(rank_rtol):
+            if self.E.space(p).dim and not qp.is_surjective():
                 raise ValueError(f"q_{p} is not surjective")
             comp = qp @ jp
-            if comp.norm > atol * max(1.0, qp.norm * jp.norm):
+            if comp.norm > STRUCTURE_ATOL * max(1.0, qp.norm * jp.norm):
                 raise ValueError(f"q_{p} j_{p} != 0")
             # exactness: rank j_p + rank q_p = dim D^p pins ker q = im j
-            if jp.rank(rank_rtol) + qp.rank(rank_rtol) != self.D.space(p).dim:
+            if jp.rank() + qp.rank() != self.D.space(p).dim:
                 raise ValueError(f"ker q_{p} != im j_{p} (rank defect)")
             # commutation with differentials
             dj = self.D.differential(p) @ jp
             jd = self.j_at(p + 1) @ self.C.differential(p)
-            if np.max(np.abs(dj.coefficients - jd.coefficients), initial=0.0) > atol:
+            if np.max(np.abs(dj.coefficients - jd.coefficients), initial=0.0) > STRUCTURE_ATOL:
                 raise ValueError(f"j does not commute with d at degree {p}")
             dq = self.E.differential(p) @ qp
             qd = self.q_at(p + 1) @ self.D.differential(p)
-            if np.max(np.abs(dq.coefficients - qd.coefficients), initial=0.0) > atol:
+            if np.max(np.abs(dq.coefficients - qd.coefficients), initial=0.0) > STRUCTURE_ATOL:
                 raise ValueError(f"q does not commute with d at degree {p}")
 
 
-def connecting_map(T: ShortExactTriple, p: int,
-                   rank_rtol: float = RANK_RTOL) -> TracedMap:
+def connecting_map(T: ShortExactTriple, p: int) -> TracedMap:
     """Connecting map H^p(E) -> H^{p+1}(C) via harmonic representatives.
 
     Lift a harmonic p-cocycle of E through q (minimal-norm preimage), apply
@@ -250,8 +240,8 @@ def connecting_map(T: ShortExactTriple, p: int,
     project onto the harmonic space of C^{p+1}.  Both cohomology spaces carry
     the subspace inner product induced by their harmonic embeddings.
     """
-    h_e = T.E.harmonic_basis(p, rank_rtol)
-    h_c = T.C.harmonic_basis(p + 1, rank_rtol)
+    h_e = T.E.harmonic_basis(p)
+    h_c = T.C.harmonic_basis(p + 1)
     norm = T.E.space(p).normalization
     src = TracedSpace(h_e.shape[1], norm)
     tgt = TracedSpace(h_c.shape[1], T.C.space(p + 1).normalization)
@@ -260,21 +250,21 @@ def connecting_map(T: ShortExactTriple, p: int,
     qp = T.q_at(p)
     jp1 = T.j_at(p + 1)
     # gram-aware pseudoinverses: minimal-norm lift through q, exact pullback by j
-    lifts = _gram_pinv_apply(qp, h_e, rank_rtol)
+    lifts = _gram_pinv_apply(qp, h_e)
     dd = T.D.differential(p).coefficients @ lifts
-    pulled = _gram_pinv_apply(jp1, dd, rank_rtol)
+    pulled = _gram_pinv_apply(jp1, dd)
     # coordinates of the harmonic projection in the orthonormal harmonic basis
     coords = h_c.T @ T.C.space(p + 1).gram @ pulled
     return TracedMap(src, tgt, coords)
 
 
-def _gram_pinv_apply(f: TracedMap, rhs: np.ndarray, rank_rtol: float) -> np.ndarray:
+def _gram_pinv_apply(f: TracedMap, rhs: np.ndarray) -> np.ndarray:
     """Minimal-gram-norm solutions x with f x = rhs (columns)."""
     ws = f.source.whitener
     wt = f.target.whitener
     b = wt @ f.coefficients @ f.source.inverse_whitener
     u, s, vt = np.linalg.svd(b, full_matrices=False)
-    cutoff = max(rank_rtol * (s.max() if s.size else 0.0), ZERO_SV_ATOL)
-    inv = np.where(s > cutoff, 1.0 / np.where(s > cutoff, s, 1.0), 0.0)
+    nonzero = nonzero_mask(s)
+    inv = np.where(nonzero, 1.0 / np.where(nonzero, s, 1.0), 0.0)
     x_white = vt.T @ (inv[:, None] * (u.T @ (wt @ rhs)))
     return np.linalg.solve(ws, x_white)

@@ -8,12 +8,12 @@ from __future__ import annotations
 
 import os
 
-# Singular values below RANK_RTOL * max(singular values) are treated as zero.
-# Deterministic tie-breaking for all rank / kernel decisions.
+# The rank rule, applied only by traced.nonzero_mask: singular values at or
+# below RANK_RTOL times the largest are zero.
 RANK_RTOL = 1e-10
 
-# Absolute floor below which singular values are zero regardless of scale;
-# catches maps that are zero up to accumulated rounding.
+# Absolute floor of the rank rule, below which singular values are zero
+# regardless of scale; catches maps that are zero up to accumulated rounding.
 ZERO_SV_ATOL = 1e-12
 
 # Relative slack applied to the probe position when evaluating the right-hand

@@ -75,6 +75,8 @@ _ERFC_CUTOFF = 6.5
 _EXP1_CUTOFF = 42.0
 # at most this many terms per circle sum: shorter circles keep quadrature
 _MAX_CIRCLE_TERMS = 1 << 16
+_ILL_CONDITIONED = 1e8  # asympt_fit flags a fit with a larger condition number
+_DOMINATION_ATOL = 1e-12  # slack of the large-time domination check
 
 
 class ExactIntegral(NamedTuple):
@@ -246,13 +248,12 @@ class AsymptoticFit:
 
 
 def asympt_fit(theta: Callable[[float], float] | HeatTraceModel,
-               t_grid, m: int | None = None,
-               cond_threshold: float = 1e8) -> AsymptoticFit:
+               t_grid, m: int | None = None) -> AsymptoticFit:
     """Weighted least squares of theta against the powers t^{-(m-i)/2}.
 
     Each row is weighted by t^{m/2} so all basis columns have comparable
-    scale; the condition number of the weighted design is reported and an
-    ill-conditioned fit is flagged, not rejected.
+    scale; the condition number of the weighted design is reported and a fit
+    whose condition number exceeds _ILL_CONDITIONED is flagged, not rejected.
     """
     if isinstance(theta, HeatTraceModel):
         if m is None:
@@ -273,7 +274,7 @@ def asympt_fit(theta: Callable[[float], float] | HeatTraceModel,
     sv = np.linalg.svd(wd, compute_uv=False)
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
     resid = float(np.max(np.abs(design @ coeff - values)))
-    return AsymptoticFit(coeff, cond, resid, cond > cond_threshold)
+    return AsymptoticFit(coeff, cond, resid, cond > _ILL_CONDITIONED)
 
 
 # -- small-time part -----------------------------------------------------------------
@@ -456,7 +457,8 @@ def zeta_det_with_error(source: Spectrum | HeatTraceModel, m: int = 0) -> tuple[
 
     A finite spectrum must have a positive gap above zero; zero modes are
     dropped (determinant of the restriction).  Refuses a model whose large
-    time part is not certified determinant class.
+    time part is not certified determinant class, and one whose determinant
+    overflows a double or underflows to 0.
     """
     if isinstance(source, Spectrum):
         pos = source.positive_part()
@@ -473,7 +475,13 @@ def zeta_det_with_error(source: Spectrum | HeatTraceModel, m: int = 0) -> tuple[
     lg = large_time_integral(model)
     if lg.determinant_class is not True:
         raise ValueError(f"not certified determinant-class ({lg.method})")
-    det = math.exp(-(sm.value + lg.value))
+    zeta_prime = sm.value + lg.value
+    try:
+        det = math.exp(-zeta_prime)
+    except OverflowError:
+        det = 0.0  # refused below, as an underflow is
+    if det == 0.0:
+        raise ValueError(f"exp(-zeta'(0)) is outside double range: zeta'(0) = {zeta_prime}")
     return det, det * (abs(sm.error) + abs(lg.error))
 
 
@@ -492,8 +500,7 @@ def cheeger_mueller_correction(chi_boundary: int) -> float:
 
 
 def large_time_dominating_bound(F: SpectralDensityFunction, eps: float,
-                                spectrum: Spectrum, t_values=None,
-                                atol: float = 1e-12) -> dict:
+                                spectrum: Spectrum, t_values=None) -> dict:
     """Pointwise domination of the large-time integrand by counting data.
 
     For t >= 1 the kernel-free trace obeys
@@ -504,7 +511,7 @@ def large_time_dominating_bound(F: SpectralDensityFunction, eps: float,
 
     where F must be the eigenvalue-counting function of the spectrum with
     F(0) = 0.  The right side is evaluated exactly for the step function F.
-    Returns per-probe margins and any violations.
+    Returns per-probe margins and any violations (beyond _DOMINATION_ATOL).
     """
     if F.value_at_zero() != 0.0:
         raise ValueError("domination bound requires F(0) = 0 (no kernel)")
@@ -531,7 +538,7 @@ def large_time_dominating_bound(F: SpectralDensityFunction, eps: float,
         term3 = math.exp(-t * eps) * math.exp(eps) * theta1 / t
         rhs = term1 + term2 + term3
         margins.append(rhs - lhs)
-        if lhs > rhs + atol:
+        if lhs > rhs + _DOMINATION_ATOL:
             violations.append({"t": float(t), "lhs": lhs, "rhs": rhs})
     return {"violations": violations, "margins": margins, "theta_at_1": theta1}
 

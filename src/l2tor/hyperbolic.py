@@ -179,8 +179,9 @@ class PlancherelTable:
                 "leading_term_rel": leading}
 
 
-def load_plancherel_table(path: str | None = None, validate: bool = True) -> PlancherelTable:
-    """Load a density table from JSON (the packaged m = 3 table by default)."""
+def load_plancherel_table(path: str | None = None) -> PlancherelTable:
+    """Load a density table from JSON (the packaged m = 3 table by default)
+    and validate it."""
     if path is None:
         raw = json.loads(resources.files("l2tor.data").joinpath(
             "plancherel_h3.json").read_text())
@@ -195,8 +196,7 @@ def load_plancherel_table(path: str | None = None, validate: bool = True) -> Pla
                       for c in row["components"])
         rows[p] = comps
     table = PlancherelTable(m, tuple(rows))
-    if validate:
-        table.validate()
+    table.validate()
     return table
 
 

@@ -1,10 +1,11 @@
 """Seeded generators for random traced maps, complexes and triples.
 
-Entries are standard normal, gram forms are A A^T + I, and every generated
-map is redrawn until its nonzero singular values sit safely above the rank
-cutoff, so clamped kernels are unambiguous.  All randomness flows through an
-explicit numpy Generator; instance seeds are spawned deterministically from a
-master seed.
+Entries are standard normal and gram forms are A A^T + I.  Maps from
+random_map, random_injective and random_surjective are redrawn until no
+singular value lies in (1e-12, SEPARATION] times the largest, so the rank
+rule (traced.nonzero_mask) decides their kernels with room to spare.  All
+randomness flows through an explicit numpy Generator; instance seeds are
+spawned deterministically from a master seed.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ __all__ = [
 
 # generated maps are redrawn until clamped rank decisions are this clear-cut
 SEPARATION = 1e-6
+MAX_DRAWS = 64  # draws of one map before _separated gives up
 
 
 def rng_for(master_seed: int, instance: int) -> np.random.Generator:
@@ -34,23 +36,21 @@ def rng_for(master_seed: int, instance: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([master_seed, instance])))
 
 
-def random_space(rng: np.random.Generator, dim: int, normalization: float = 1.0,
-                 identity_gram: bool = False) -> TracedSpace:
-    if dim == 0 or identity_gram:
+def random_space(rng: np.random.Generator, dim: int, normalization: float = 1.0) -> TracedSpace:
+    if dim == 0:
         return TracedSpace(dim, normalization)
     a = rng.standard_normal((dim, dim))
     return TracedSpace(dim, normalization, a @ a.T + np.eye(dim))
 
 
-def _separated(make, predicate=None, tries: int = 64) -> TracedMap:
-    for _ in range(tries):
+def _separated(make, predicate=None) -> TracedMap:
+    for _ in range(MAX_DRAWS):
         f = make()
         sv = f.singular_values()
         if sv.size == 0 or sv[0] == 0.0:
             if predicate is None or predicate(f):
                 return f
             continue
-        nz = sv[sv > SEPARATION * sv[0]]
         tiny = sv[(sv > 0) & (sv <= SEPARATION * sv[0])]
         if tiny.size and np.any(tiny > 1e-12 * sv[0]):
             continue  # singular value inside the danger band; redraw
@@ -97,7 +97,6 @@ def _orthonormal_columns(rng: np.random.Generator, n: int, k: int) -> np.ndarray
 
 def random_complex(rng: np.random.Generator, dims: list[int],
                    normalization: float = 1.0,
-                   identity_gram: bool = False,
                    log_sing_range: tuple[float, float] = (-1.0, 1.0)) -> FiniteCochainComplex:
     """Random complex with prescribed degree dimensions.
 
@@ -113,7 +112,7 @@ def random_complex(rng: np.random.Generator, dims: list[int],
         prev = ranks[p - 1] if p > 0 else 0
         cap = min(dims[p] - prev, dims[p + 1])
         ranks.append(0 if cap <= 0 else int(rng.integers(0, cap + 1)))
-    spaces = [random_space(rng, d, normalization, identity_gram) for d in dims]
+    spaces = [random_space(rng, d, normalization) for d in dims]
     out_frames = []
     in_frames = []
     for p in range(n):

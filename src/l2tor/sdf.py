@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import RANK_RTOL, TIE_RTOL, ZERO_SV_ATOL
-from .traced import TracedMap
+from .config import TIE_RTOL
+from .traced import TracedMap, nonzero_mask
 
 __all__ = [
     "SpectralDensityFunction",
@@ -24,6 +24,8 @@ __all__ = [
     "ns_exponent_fit",
     "NsExponentFit",
 ]
+
+FLAT_ALPHA = 0.05  # fitted exponents at or below it certify no power law
 
 
 class SpectralDensityFunction:
@@ -157,23 +159,23 @@ class SpectralDensityFunction:
         return not np.any(np.abs(diff) > value_atol)
 
 
-def sdf_of_map(f: TracedMap, rank_rtol: float = RANK_RTOL) -> SpectralDensityFunction:
+def sdf_of_map(f: TracedMap) -> SpectralDensityFunction:
     """Spectral density of f: counts generalized singular values <= lambda.
 
     Exact step function; eigenvalues are computed once, tiny singular
-    values are clamped to zero by the deterministic rank rule.
+    values are clamped to zero by the rank rule (traced.nonzero_mask).
     """
-    sv = f.clamped_singular_values(rank_rtol)
+    sv = f.clamped_singular_values()
     weights = np.full(sv.shape, f.source.normalization)
     return SpectralDensityFunction.from_jumps(sv, weights)
 
 
-def reduced_sdf(f: TracedMap, rank_rtol: float = RANK_RTOL) -> SpectralDensityFunction:
+def reduced_sdf(f: TracedMap) -> SpectralDensityFunction:
     """Kernel-subtracted spectral density of f (vanishes at 0)."""
-    return sdf_of_map(f, rank_rtol).reduced()
+    return sdf_of_map(f).reduced()
 
 
-def variational_sdf(f: TracedMap, lam: float, rank_rtol: float = RANK_RTOL) -> float:
+def variational_sdf(f: TracedMap, lam: float) -> float:
     """Largest normalized dimension of a coordinate subspace L of ker(f)^perp
     with |f x| <= lam |x| on L.
 
@@ -196,8 +198,7 @@ def variational_sdf(f: TracedMap, lam: float, rank_rtol: float = RANK_RTOL) -> f
             raise ValueError("variational form requires a diagonal map")
     diag = np.abs(np.diag(coeff)) if coeff.size else np.zeros(0)
     entries = np.concatenate([diag, np.zeros(f.source.dim - diag.size)])
-    cutoff = max(rank_rtol * (entries.max(initial=0.0)), ZERO_SV_ATOL)
-    qualifying = np.count_nonzero((entries > cutoff) & (entries <= lam))
+    qualifying = np.count_nonzero(nonzero_mask(entries) & (entries <= lam))
     return float(qualifying) * f.source.normalization
 
 
@@ -215,13 +216,12 @@ class NsExponentFit:
         return self.flag == "ok"
 
 
-def ns_exponent_fit(F: SpectralDensityFunction, eps: float,
-                    flat_threshold: float = 0.05) -> NsExponentFit:
+def ns_exponent_fit(F: SpectralDensityFunction, eps: float) -> NsExponentFit:
     """Least-squares slope of log F against log lambda over (0, eps].
 
     Requires F(0) = 0 (pass a reduced density).  A spectral gap below eps
-    yields alpha = +inf; a near-flat density is flagged as not certifying
-    power-law domination.
+    yields alpha = +inf; a near-flat density (alpha <= FLAT_ALPHA) is
+    flagged as not certifying power-law domination.
     """
     if F.value_at_zero() != 0.0:
         raise ValueError("fit requires a reduced density with F(0) = 0")
@@ -238,5 +238,5 @@ def ns_exponent_fit(F: SpectralDensityFunction, eps: float,
     coef, *_ = np.linalg.lstsq(design, y, rcond=None)
     alpha = float(coef[0])
     resid = float(np.sqrt(np.mean((design @ coef - y) ** 2)))
-    flag = "ok" if alpha > flat_threshold else "flat-not-certifying"
+    flag = "ok" if alpha > FLAT_ALPHA else "flat-not-certifying"
     return NsExponentFit(alpha, resid, int(lams.size), flag)

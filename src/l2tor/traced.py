@@ -18,7 +18,14 @@ import numpy as np
 
 from .config import ADJOINT_ATOL, RANK_RTOL, ZERO_SV_ATOL
 
-__all__ = ["TracedSpace", "TracedMap"]
+__all__ = ["TracedSpace", "TracedMap", "nonzero_mask"]
+
+
+def nonzero_mask(sv: np.ndarray) -> np.ndarray:
+    """The rank rule, behind every rank, kernel and image decision: the
+    singular values sv (in any order) that exceed both RANK_RTOL times the
+    largest and ZERO_SV_ATOL count as nonzero."""
+    return sv > max(RANK_RTOL * sv.max(initial=0.0), ZERO_SV_ATOL)
 
 
 def _as_normalization(value) -> float:
@@ -145,11 +152,9 @@ class TracedMap:
             self._svals = sv
         return self._svals
 
-    def clamped_singular_values(self, rank_rtol: float = RANK_RTOL) -> np.ndarray:
+    def clamped_singular_values(self) -> np.ndarray:
         sv = self.singular_values().copy()
-        if sv.size:
-            cutoff = max(rank_rtol * sv.max(), ZERO_SV_ATOL)
-            sv[sv <= cutoff] = 0.0
+        sv[~nonzero_mask(sv)] = 0.0
         return sv
 
     @property
@@ -157,21 +162,21 @@ class TracedMap:
         sv = self.singular_values()
         return float(sv[0]) if sv.size else 0.0
 
-    def rank(self, rank_rtol: float = RANK_RTOL) -> int:
-        return int(np.count_nonzero(self.clamped_singular_values(rank_rtol)))
+    def rank(self) -> int:
+        return int(np.count_nonzero(nonzero_mask(self.singular_values())))
 
-    def kernel_dim(self, rank_rtol: float = RANK_RTOL) -> int:
-        return self.source.dim - self.rank(rank_rtol)
+    def kernel_dim(self) -> int:
+        return self.source.dim - self.rank()
 
-    def is_injective(self, rank_rtol: float = RANK_RTOL) -> bool:
-        return self.rank(rank_rtol) == self.source.dim
+    def is_injective(self) -> bool:
+        return self.rank() == self.source.dim
 
-    def is_surjective(self, rank_rtol: float = RANK_RTOL) -> bool:
-        return self.rank(rank_rtol) == self.target.dim
+    def is_surjective(self) -> bool:
+        return self.rank() == self.target.dim
 
-    def min_nonzero_singular_value(self, rank_rtol: float = RANK_RTOL) -> float:
-        sv = self.clamped_singular_values(rank_rtol)
-        nz = sv[sv > 0]
+    def min_nonzero_singular_value(self) -> float:
+        sv = self.singular_values()
+        nz = sv[nonzero_mask(sv)]
         if nz.size == 0:
             raise ValueError("map has no nonzero singular values")
         return float(nz.min())
@@ -192,13 +197,13 @@ class TracedMap:
         coeff = self.source.inverse_gram @ self.coefficients.T @ self.target.gram
         return TracedMap(self.target, self.source, coeff)
 
-    def check_adjoint_identity(self, atol: float = ADJOINT_ATOL) -> float:
+    def check_adjoint_identity(self) -> float:
         """Max defect of <f e_i, e_j>_t - <e_i, f* e_j>_s over basis vectors."""
         adj = self.adjoint()
         lhs = self.coefficients.T @ self.target.gram        # (i, j) = <f e_i, e_j>_t
         rhs = self.source.gram @ adj.coefficients           # (i, j) = <e_i, f* e_j>_s
         defect = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
-        if defect > atol * max(1.0, float(np.max(np.abs(lhs))) if lhs.size else 1.0):
+        if defect > ADJOINT_ATOL * max(1.0, float(np.max(np.abs(lhs))) if lhs.size else 1.0):
             raise AssertionError(f"adjoint identity defect {defect}")
         return defect
 

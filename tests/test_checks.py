@@ -38,6 +38,27 @@ def test_basic_square_identity_random():
         assert rep.ok
 
 
+def test_square_identity_takes_the_rank_of_f():
+    # f keeps 5e-4 (ratio 5e-6 to the largest); in f*f the ratio is 2.5e-11,
+    # below RANK_RTOL, yet ker(f*f) = ker f: item 6 must still see rank 2.
+    # The squared value 2.5e-7 is far past the tie slack at 0.
+    f = diag_map([100.0, 5e-4])
+    assert f.rank() == 2
+    assert (f.adjoint() @ f).rank() == 1
+    rep = check_basic_F(f)
+    assert rep.ok, rep.violations
+    # and a genuine kernel stays a kernel on both sides
+    assert check_basic_F(diag_map([1.0, 0.0])).ok
+
+
+def test_basic_square_identity_regression_seed():
+    # instance 0 of this seed draws f with singular values
+    # [8.32, 3.28, 1.11, 0.743, 6.12e-5]; basic.6 used to report lhs 1, rhs 0
+    rep = run_suite("basic", seed=799682287, instances=1, max_dim=6)
+    assert rep.violations == []
+    assert rep.probes == 350
+
+
 def test_basic_shape_mismatch_rejected():
     f = TracedMap.identity(TracedSpace(3))
     g = TracedMap.identity(TracedSpace(2))
@@ -184,3 +205,33 @@ def test_side_values_match_scalar_sum_bitwise(terms, constant, pts, tie_rtol):
     x = np.concatenate([np.asarray(pts, dtype=float), side.probe_points()])
     expected = np.array([constant + sum(t(v, tie_rtol) for t in terms) for v in x])
     assert side.values(x, tie_rtol).tobytes() == expected.tobytes()
+
+
+def test_no_tolerance_parameters():
+    # tolerances and flags are fixed constants, never parameters
+    import inspect
+    import pkgutil
+
+    import l2tor
+    from l2tor import checks, complexes, heattrace, traced
+
+    banned = {"rank_rtol", "reduced", "use_stated_range", "homotopy_atol",
+              "structure_atol", "validate", "identity_gram", "tries", "cond_threshold",
+              "flat_threshold", "closed_form_atol", "crosscheck_atol"}
+    seen = 0
+    for info in pkgutil.iter_modules(l2tor.__path__):
+        module = __import__(f"l2tor.{info.name}", fromlist=["_"])
+        for obj in vars(module).values():
+            if getattr(obj, "__module__", None) != module.__name__:
+                continue
+            members = vars(obj).values() if inspect.isclass(obj) else [obj]
+            for fn in members:
+                fn = getattr(fn, "__func__", getattr(fn, "func", fn))
+                if inspect.isfunction(fn):
+                    seen += 1
+                    assert not banned & set(inspect.signature(fn).parameters), fn
+    assert seen > 100
+    for fn in (checks._check_leq, checks._check_equal, complexes.ShortExactTriple.validate,
+               complexes.laplacian_sdf_decomposition, heattrace.large_time_dominating_bound,
+               traced.TracedMap.check_adjoint_identity):
+        assert not {"atol", "value_atol"} & set(inspect.signature(fn).parameters), fn

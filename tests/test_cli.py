@@ -258,15 +258,25 @@ def test_config_option_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("argv", [
-    ["zeta", "--op", "det"],
-    ["hyperbolic", "--op", "density", "--m", "5"],
-    ["hyperbolic", "--op", "constant", "--m", "5"],
-    ["anomaly", "--dim", "3", "--family", "preset:nope"],
-    ["anomaly", "--dim", "3", "--sweep", "a:b"],
+@pytest.mark.parametrize("argv, spectrum", [
+    (["zeta", "--op", "det"], None),
+    (["hyperbolic", "--op", "density", "--m", "5"], None),
+    (["hyperbolic", "--op", "constant", "--m", "5"], None),
+    (["anomaly", "--dim", "3", "--family", "preset:nope"], None),
+    (["anomaly", "--dim", "3", "--sweep", "a:b"], None),
+    # det = 1000^200 overflows a double, 0.001^200 underflows to 0
+    (["zeta", "--op", "det"], [[1000.0, 200.0]]),
+    (["zeta", "--op", "det"], [[0.001, 200.0]]),
+    (["hyperbolic", "--op", "density", "--t", "1e-300"], None),
+    (["hyperbolic", "--op", "cusp", "--height", "-1000"], None),
 ], ids=["zeta-no-spectrum", "density-wrong-dim", "constant-wrong-dim",
-        "anomaly-unknown-preset", "anomaly-bad-sweep"])
-def test_usage_errors_exit_2(capsys, argv):
+        "anomaly-unknown-preset", "anomaly-bad-sweep", "det-overflow",
+        "det-underflow", "density-overflow", "cusp-overflow"])
+def test_usage_errors_exit_2(capsys, tmp_path, argv, spectrum):
+    if spectrum is not None:
+        path = tmp_path / "spectrum.json"
+        path.write_text(json.dumps(spectrum))
+        argv = [*argv, "--spectrum", str(path)]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
@@ -281,3 +291,51 @@ def test_selftest_quick(capsys):
     names = {l.split()[1] for l in lines}
     assert {"C3", "anomaly-dim2", "short-exact"} <= names
     assert all(l.startswith("PASS") for l in lines)
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_reports_are_standard_json(capsys, tmp_path):
+    # every report parses under a parser that refuses NaN and Infinity
+    spec = tmp_path / "s.json"
+    spec.write_text(json.dumps([[1.0, 1.0], [4.0, 2.0]]))
+    degrees = tmp_path / "d.json"
+    degrees.write_text(json.dumps({"degrees": [
+        {"p": 0, "spectrum": [[1.0, 1.0]]}, {"p": 1, "spectrum": [[2.0, 1.0]]}]}))
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({
+        "name": "unit", "boundaryTori": 1,
+        "pieces": [{"kind": "hyperbolic", "volume": 3.0, "label": "u"}]}))
+    commands = [
+        ["sdf-check", "--suite", "gromov-shubin", "--instances", "3"],
+        ["zeta", "--spectrum", str(spec), "--op", "det"],
+        ["zeta", "--spectrum", str(spec), "--op", "trace"],
+        ["zeta", "--spectrum", str(spec), "--op", "dsmall"],
+        ["zeta", "--spectrum", str(degrees), "--op", "torsion"],
+        ["hyperbolic", "--m", "3", "--op", "constant"],
+        ["hyperbolic", "--m", "3", "--op", "density", "--p", "1", "--t", "0.5"],
+        ["hyperbolic", "--m", "3", "--op", "cusp", "--cross-section", "1.0"],
+        ["heatcmp", "--pair", "interval-halfline"],
+        ["anomaly", "--dim", "3", "--u", "0.5"],
+        ["jsj", "--input", str(manifest)],
+    ]
+    for argv in commands:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == "", argv
+        json.loads(out, parse_constant=_reject_constant)
+    report = tmp_path / "selftest.json"
+    code, _, _ = run_cli(capsys, "selftest", "--quick", "--output", str(report))
+    assert code == 0
+    assert json.loads(report.read_text(), parse_constant=_reject_constant)["ok"] is True
+
+
+def test_nonfinite_report_value_is_an_error(capsys, monkeypatch):
+    # a NaN that reaches the report is refused, not printed as NaN
+    import l2tor.cli as cli
+    monkeypatch.setattr(cli, "torsion_constant", lambda table, m: math.nan)
+    code, out, err = run_cli(capsys, "hyperbolic", "--m", "3", "--op", "constant")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ")

@@ -292,6 +292,17 @@ def test_zeta_det_multiplicative_on_unions():
         assert zeta_det(a.union(b)) == pytest.approx(prod, rel=1e-9)
 
 
+@pytest.mark.parametrize("eigenvalue", [1000.0, 0.001])
+def test_zeta_det_refuses_determinants_outside_double_range(eigenvalue):
+    # eigenvalue^200 overflows a double (1e600) or underflows to 0 (1e-600)
+    S = Spectrum.from_pairs([(eigenvalue, 200.0)])
+    with pytest.raises(ValueError, match="zeta'"):
+        zeta_det_with_error(S)
+    # just inside the range the determinant is still reported
+    S = Spectrum.from_pairs([(eigenvalue, 100.0)])
+    assert zeta_det(S) == pytest.approx(eigenvalue ** 100, rel=1e-9)
+
+
 def test_zeta_det_requires_positive_part():
     with pytest.raises(ValueError):
         zeta_det(Spectrum.from_pairs([(0.0, 1.0)]))

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from l2tor.config import RANK_RTOL, ZERO_SV_ATOL
 from l2tor.rand import random_map, random_space, rng_for
-from l2tor.traced import TracedMap, TracedSpace
+from l2tor.traced import TracedMap, TracedSpace, nonzero_mask
 
 
 def test_space_rejects_indefinite_gram():
@@ -95,6 +96,29 @@ def test_orthonormal_basis_is_gram_orthonormal():
     s = random_space(rng, 5)
     b = s.orthonormal_basis()
     assert np.allclose(b.T @ s.gram @ b, np.eye(5), atol=1e-10)
+
+
+def test_rank_rule_cutoff():
+    # relative cut at RANK_RTOL of the largest, absolute floor at ZERO_SV_ATOL
+    sv = np.array([2.0, 2.0 * RANK_RTOL, 2.0 * RANK_RTOL * 1.5, 0.0])
+    assert nonzero_mask(sv).tolist() == [True, False, True, False]
+    tiny = np.array([ZERO_SV_ATOL, 0.5 * ZERO_SV_ATOL, 2.0 * ZERO_SV_ATOL])
+    assert nonzero_mask(tiny).tolist() == [False, False, True]
+    assert nonzero_mask(np.zeros(0)).size == 0
+    # the order of the values does not matter
+    assert nonzero_mask(sv[::-1]).tolist() == [False, True, False, True]
+
+
+def test_rank_decisions_follow_the_rank_rule():
+    s = TracedSpace(4)
+    f = TracedMap(s, s, np.diag([3.0, 1.0, 0.5 * RANK_RTOL, 2.0 * ZERO_SV_ATOL]))
+    clamped = f.clamped_singular_values()
+    assert clamped[:2] == pytest.approx([3.0, 1.0])
+    assert clamped[2:].tolist() == [0.0, 0.0]
+    assert f.rank() == 2
+    assert f.kernel_dim() == 2
+    assert not f.is_injective() and not f.is_surjective()
+    assert f.min_nonzero_singular_value() == pytest.approx(1.0)
 
 
 def test_identity_norm_and_rank():
