@@ -46,6 +46,7 @@ PSI_3 = (1, 1, -1, -1)
 # one of each, recorded as 0 (its variation multiple vanishes anyway)
 PSI_2 = (1, 0, -1)
 _CROSSCHECK_ATOL = 1e-10  # v_operator's cross-check, relative to max(1, |value|)
+_X_PROBES = (0.0, 0.25, 0.5, 0.9)  # ConformalFamily.validate's positivity probes
 
 
 class Jet:
@@ -223,10 +224,9 @@ class ConformalFamily:
         out = self.f(Jet.var_x(x), Jet.var_u(u))
         return Jet.lift(out)
 
-    def validate(self, u_probes=(0.0, 0.25, 0.5, 1.0),
-                 x_probes=(0.0, 0.25, 0.5, 0.9)) -> None:
+    def validate(self, u_probes=(0.0, 0.25, 0.5, 1.0)) -> None:
         for u in u_probes:
-            for x in x_probes:
+            for x in _X_PROBES:
                 jet = self.jet(x, u)
                 if not jet.value > 0:
                     raise ValueError(f"conformal factor not positive at {(x, u)}")

@@ -1,11 +1,12 @@
 """Property checkers for the spectral-density inequalities.
 
-Each checker evaluates one family of step-function inequalities at every
-breakpoint of both sides (plus midpoints and the range endpoints), skipping
-items whose side conditions fail, and returns the violations found; the
-kernel-subtracted variants always run.  Ranks come from the rank rule
-(traced.nonzero_mask) and slacks are fixed: config.TIE_RTOL forgives
-breakpoints that differ only by eigensolve rounding.
+Each checker decides one family of step-function relations on
+sdf.probe_grid (every breakpoint of both sides, their midpoints and the
+range endpoints), skipping items whose side conditions fail, and returns
+the violations found; the kernel-subtracted variants always run.  Ranks
+come from the rank rule (traced.nonzero_mask) and slacks are fixed:
+config.TIE_RTOL forgives breakpoints that differ only by eigensolve
+rounding and config.VALUE_ATOL forgives value rounding.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .config import STRUCTURE_ATOL, TIE_RTOL, VALUE_ATOL
 from .rand import (random_complex, random_homotopy_pair, random_injective,
                    random_map, random_short_exact_triple, random_space,
                    random_surjective, rng_for)
-from .sdf import SpectralDensityFunction, sdf_of_map
+from .sdf import SpectralDensityFunction, probe_grid, sdf_of_map
 from .traced import TracedMap, TracedSpace, nonzero_mask
 
 __all__ = [
@@ -83,10 +84,6 @@ class _Side:
             total = total + t.values(lams, tie_rtol)
         return self.constant + total
 
-    def probe_points(self) -> np.ndarray:
-        pts = [t.probe_points() for t in self.terms] or [np.array([0.0])]
-        return np.unique(np.concatenate(pts))
-
 
 def _scaled(F: SpectralDensityFunction, c: float) -> SpectralDensityFunction:
     """F(c * lambda), tolerating c = 0 (constant at the kernel value)."""
@@ -101,7 +98,7 @@ def _scaled(F: SpectralDensityFunction, c: float) -> SpectralDensityFunction:
 def _check_leq(item: str, lhs: SpectralDensityFunction, rhs: _Side,
                report: CheckReport, upper: float = np.inf,
                margin_key: str | None = None) -> None:
-    probes = np.unique(np.concatenate([lhs.probe_points(), rhs.probe_points()]))
+    probes = probe_grid([lhs, *rhs.terms])
     probes = probes[probes < upper]
     if np.isfinite(upper):
         probes = np.append(probes, upper * (1.0 - 1e-12))
@@ -121,7 +118,7 @@ def _check_leq(item: str, lhs: SpectralDensityFunction, rhs: _Side,
 
 def _check_equal(item: str, lhs: SpectralDensityFunction, rhs: _Side,
                  report: CheckReport) -> None:
-    probes = np.unique(np.concatenate([lhs.probe_points(), rhs.probe_points()]))
+    probes = probe_grid([lhs, *rhs.terms])
     report.probes += probes.size
     lvals = lhs.values(probes, TIE_RTOL)
     rvals = rhs.values(probes, TIE_RTOL)
@@ -340,11 +337,6 @@ def check_block_matrix_F(phi: TracedMap, gamma: TracedMap, xi: TracedMap) -> Che
     return report
 
 
-def _power_scaled(F: SpectralDensityFunction, c: float, a: float) -> SpectralDensityFunction:
-    """lambda -> F(c * lambda^a) as an exact step function."""
-    return _scaled(F, c).power_argument(a) if c > 0 else _scaled(F, 0.0)
-
-
 def check_short_exact(T: ShortExactTriple, p: int) -> CheckReport:
     """Degree-p density inequality for a short exact triple of complexes.
 
@@ -383,9 +375,9 @@ def check_short_exact(T: ShortExactTriple, p: int) -> CheckReport:
     }
     lhs = complex_sdf(T.D, p).reduced()
     rhs = _Side([
-        _power_scaled(complex_sdf(T.E, p).reduced(), c_E, 0.5),
-        _power_scaled(sdf_of_map(delta).reduced(), c_delta, 0.25),
-        _power_scaled(complex_sdf(T.C, p).reduced(), c_C, 0.25),
+        _scaled(complex_sdf(T.E, p).reduced(), c_E).power_argument(0.5),
+        _scaled(sdf_of_map(delta).reduced(), c_delta).power_argument(0.25),
+        _scaled(complex_sdf(T.C, p).reduced(), c_C).power_argument(0.25),
     ])
     # observed slack is recorded, no conclusion drawn about optimality
     _check_leq(f"short-exact[p={p}]", lhs, rhs, report, upper=c1_stated,
@@ -570,13 +562,8 @@ def _laplacian_instance(rng: np.random.Generator, max_dim: int) -> CheckReport:
     C = random_complex(rng, dims, norm, log_sing_range=(-3.0, 1.0))
     report = CheckReport()
     for p in range(n_deg):
-        out = laplacian_sdf_decomposition(C, p)
-        report.probes += out.probes.size
-        if not out.ok:
-            worst = int(np.argmax(np.abs(out.residuals)))
-            report.violations.append(
-                Violation(f"laplacian[p={p}]", float(out.probes[worst]),
-                          out.max_residual, 0.0))
+        lhs, rhs = laplacian_sdf_decomposition(C, p)
+        _check_equal(f"laplacian[p={p}]", lhs, _Side([rhs]), report)
     return report
 
 

@@ -77,6 +77,7 @@ _EXP1_CUTOFF = 42.0
 _MAX_CIRCLE_TERMS = 1 << 16
 _ILL_CONDITIONED = 1e8  # asympt_fit flags a fit with a larger condition number
 _DOMINATION_ATOL = 1e-12  # slack of the large-time domination check
+_MONOTONE_TIMES = np.geomspace(1e-3, 10.0, 25)  # check_positive_decreasing's probes
 
 
 class ExactIntegral(NamedTuple):
@@ -162,7 +163,6 @@ class HeatTraceModel:
     tail_integral: Callable[[float], float] | None = None
     small_time_exact: ExactIntegral | None = None
     large_time_exact: ExactIntegral | None = None
-    label: str = ""
 
     def __post_init__(self):
         if self.m < 0:
@@ -176,7 +176,7 @@ class HeatTraceModel:
     # -- constructors ---------------------------------------------------------------
 
     @staticmethod
-    def from_spectrum(S: Spectrum, m: int = 0, label: str = "") -> "HeatTraceModel":
+    def from_spectrum(S: Spectrum, m: int = 0) -> "HeatTraceModel":
         """Kernel-free trace of a finite spectrum.
 
         All expansion coefficients vanish except the constant term, which is
@@ -195,7 +195,6 @@ class HeatTraceModel:
             spectral_gap=gap if gap is not None else math.inf,
             small_time_exact=_exact_sum(-pos.weights * _ein(pos.eigenvalues)),
             large_time_exact=_exact_sum(pos.weights * exp1(pos.eigenvalues)),
-            label=label or "finite spectrum",
         )
 
     @staticmethod
@@ -215,7 +214,6 @@ class HeatTraceModel:
             spectral_gap=(2.0 * math.pi / L) ** 2,
             small_time_exact=small,
             large_time_exact=large,
-            label=f"circle L={L:g}",
         )
 
     def expansion_value(self, t: float) -> float:
@@ -230,9 +228,8 @@ class HeatTraceModel:
             return self.residual(t)
         return self.evaluate(t) - self.expansion_value(t)
 
-    def check_positive_decreasing(self, t_grid=None) -> bool:
-        ts = np.geomspace(1e-3, 10.0, 25) if t_grid is None else np.asarray(t_grid)
-        vals = np.array([self.evaluate(t) for t in ts])
+    def check_positive_decreasing(self) -> bool:
+        vals = np.array([self.evaluate(t) for t in _MONOTONE_TIMES])
         return bool(np.all(vals >= -1e-12) and np.all(np.diff(vals) <= 1e-10))
 
 

@@ -33,6 +33,11 @@ CIRCLE = "circle"
 # images within 12 sqrt(t) + span keep the dropped Gaussian tail below 1e-14
 _IMAGE_REACH = 12.0
 _CLOSED_FORM_ATOL = 1e-12  # pointwise, for the half-line image-term identity
+# probe grids: times and decay constants of boundary_insensitivity_check,
+# points per axis of sup_bound_check
+_BOUNDARY_TIMES = np.geomspace(1e-4, 10.0, 33)
+_DECAY_CANDIDATES = (1.0, 2.0, 4.0)
+_SUP_POINTS = 24
 
 
 @dataclass(frozen=True)
@@ -150,8 +155,7 @@ class BoundaryReport:
 
 def boundary_insensitivity_check(V: Domain1D, N: Domain1D,
                                  K_values=(0.25, 0.5, 1.0, 1.5, 2.0),
-                                 t_grid=None, x_grid=None,
-                                 c2_candidates=(1.0, 2.0, 4.0)) -> BoundaryReport:
+                                 x_grid=None) -> BoundaryReport:
     """Gaussian-decay comparison of the kernels of V and N on the diagonal.
 
     For every candidate decay constant c2 and cutoff K, the smallest c1 with
@@ -164,8 +168,6 @@ def boundary_insensitivity_check(V: Domain1D, N: Domain1D,
     line the difference is exactly the image term exp(-x^2/t)/sqrt(4 pi t),
     which is verified pointwise to _CLOSED_FORM_ATOL.
     """
-    if t_grid is None:
-        t_grid = np.geomspace(1e-4, 10.0, 33)
     if x_grid is None:
         hi = V.length if V.kind == INTERVAL_NEUMANN else 4.0
         x_grid = np.linspace(0.0, hi, 64)
@@ -175,7 +177,7 @@ def boundary_insensitivity_check(V: Domain1D, N: Domain1D,
     probes = 0
     for x in x_grid:
         d = _distance_to_complement(V, N, x)
-        for t in t_grid:
+        for t in _BOUNDARY_TIMES:
             probes += 1
             diff = abs(kernel_1d(V, t, x, x) - kernel_1d(N, t, x, x))
             diffs.append((float(t), float(x), d, diff))
@@ -185,7 +187,7 @@ def boundary_insensitivity_check(V: Domain1D, N: Domain1D,
                     closed_violations.append({"t": float(t), "x": float(x),
                                               "diff": diff, "predicted": pred})
     fitted: dict[float, dict[float, float]] = {}
-    for c2 in c2_candidates:
+    for c2 in _DECAY_CANDIDATES:
         per_k = {}
         for K in K_values:
             worst = 0.0
@@ -201,7 +203,7 @@ def boundary_insensitivity_check(V: Domain1D, N: Domain1D,
     monotone = all(
         all(per_k[a] >= per_k[b] - 1e-15 for a, b in zip(K_values, K_values[1:]))
         for per_k in fitted.values())
-    best_c2 = min(c2_candidates, key=lambda c2: fitted[c2][K_values[0]])
+    best_c2 = min(_DECAY_CANDIDATES, key=lambda c2: fitted[c2][K_values[0]])
     best = (fitted[best_c2][K_values[0]], best_c2)
     rows = [(t, x, diff, best[0] * math.exp(-d * d / (best[1] * t)))
             for t, x, d, diff in diffs if math.isfinite(d)]
@@ -209,7 +211,7 @@ def boundary_insensitivity_check(V: Domain1D, N: Domain1D,
                           rows, probes)
 
 
-def sup_bound_check(domain: Domain1D, t0: float, n_grid: int = 24) -> dict:
+def sup_bound_check(domain: Domain1D, t0: float) -> dict:
     """Uniform bound for the kernel at times >= t0.
 
     Returns the grid supremum and asserts it is attained on the diagonal at
@@ -219,13 +221,13 @@ def sup_bound_check(domain: Domain1D, t0: float, n_grid: int = 24) -> dict:
     if t0 <= 0:
         raise ValueError("t0 must be positive")
     if domain.kind == LINE:
-        xs = np.linspace(-2.0, 2.0, n_grid)
+        xs = np.linspace(-2.0, 2.0, _SUP_POINTS)
     elif domain.kind in (HALF_NEUMANN, HALF_DIRICHLET):
-        xs = np.linspace(0.0, 4.0, n_grid)
+        xs = np.linspace(0.0, 4.0, _SUP_POINTS)
     elif domain.kind == INTERVAL_NEUMANN:
-        xs = np.linspace(0.0, domain.length, n_grid)
+        xs = np.linspace(0.0, domain.length, _SUP_POINTS)
     else:
-        xs = np.linspace(0.0, domain.length, n_grid, endpoint=False)
+        xs = np.linspace(0.0, domain.length, _SUP_POINTS, endpoint=False)
     ts = np.geomspace(t0, 10.0 * t0, 12)
     sup = 0.0
     arg = None

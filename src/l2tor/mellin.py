@@ -27,6 +27,8 @@ __all__ = [
 ]
 
 EULER_GAMMA = 0.57721566490153286
+_ORACLE_DPS = 40  # mpmath working precision of the oracles
+_MAX_GAP = 6  # resolve_dsmall_constant checks the power gaps 1..6
 
 
 def literal_candidate(i: int, m: int) -> float:
@@ -39,7 +41,7 @@ def reciprocal_candidate(i: int, m: int) -> float:
     return -2.0 / (m - i)
 
 
-def power_constant_oracle(a: float, dps: int = 40) -> float:
+def power_constant_oracle(a: float) -> float:
     """d/ds [ 1/Gamma(s) * 1/(s - a) ] at s = 0 for a > 0, high precision.
 
     This is the exact contribution of a pure t^{-a} term to the derivative
@@ -50,7 +52,7 @@ def power_constant_oracle(a: float, dps: int = 40) -> float:
 
     if not a > 0:
         raise ValueError("power must be positive")
-    with mpmath.workdps(dps):
+    with mpmath.workdps(_ORACLE_DPS):
         val = mpmath.diff(lambda s: 1 / mpmath.gamma(s) / (s - a), 0)
         return float(val)
 
@@ -74,10 +76,10 @@ class CimResolution:
 
 
 @lru_cache(maxsize=1)
-def resolve_dsmall_constant(max_gap: int = 6) -> CimResolution:
+def resolve_dsmall_constant() -> CimResolution:
     """Select the expansion constant by oracle and validate Euler's constant.
 
-    For every power gap m - i in 1..max_gap the oracle value is compared
+    For every power gap m - i in 1.._MAX_GAP the oracle value is compared
     against both closed-form candidates; the convention with the smaller
     worst-case residual wins.  The i = m constant -Gamma'(1) is checked to
     be Euler-Mascheroni by numerical differentiation of Gamma at 1.
@@ -86,7 +88,7 @@ def resolve_dsmall_constant(max_gap: int = 6) -> CimResolution:
 
     rows = []
     worst = {"literal": 0.0, "reciprocal": 0.0}
-    for gap in range(1, max_gap + 1):
+    for gap in range(1, _MAX_GAP + 1):
         a = gap / 2.0
         oracle = power_constant_oracle(a)
         lit = literal_candidate(0, gap)
@@ -104,7 +106,7 @@ def resolve_dsmall_constant(max_gap: int = 6) -> CimResolution:
             "reciprocal_residual": res_rec,
         })
     selected = "reciprocal" if worst["reciprocal"] <= worst["literal"] else "literal"
-    with mpmath.workdps(40):
+    with mpmath.workdps(_ORACLE_DPS):
         gamma_prime = float(mpmath.diff(mpmath.gamma, 1))
     return CimResolution(
         selected=selected,

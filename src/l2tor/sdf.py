@@ -13,13 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TIE_RTOL
+from .config import TIE_RTOL, VALUE_ATOL
 from .traced import TracedMap, nonzero_mask
 
 __all__ = [
     "SpectralDensityFunction",
     "sdf_of_map",
-    "reduced_sdf",
+    "probe_grid",
     "variational_sdf",
     "ns_exponent_fit",
     "NsExponentFit",
@@ -142,21 +142,26 @@ class SpectralDensityFunction:
     # -- probing grids ---------------------------------------------------------------
 
     def probe_points(self) -> np.ndarray:
-        """Breakpoints, midpoints between them, 0, and a point past the top."""
-        pts = [0.0]
+        """0, the breakpoints, the midpoints between them and a point past
+        the top, unsorted; probe_grid sorts and merges them."""
         lams = self.lams
-        pts.extend(lams)
-        if lams.size > 1:
-            pts.extend(0.5 * (lams[1:] + lams[:-1]))
-        top = self.max_breakpoint
-        pts.append(1.1 * top + 1.0)
-        return np.unique(np.asarray(pts, dtype=float))
+        return np.concatenate([[0.0], lams, 0.5 * (lams[1:] + lams[:-1]),
+                               [1.1 * self.max_breakpoint + 1.0]])
 
-    def equals(self, other: "SpectralDensityFunction", value_atol: float = 1e-8,
-               tie_rtol: float = TIE_RTOL) -> bool:
-        probes = np.unique(np.concatenate([self.probe_points(), other.probe_points()]))
-        diff = self.values(probes, tie_rtol) - other.values(probes, tie_rtol)
-        return not np.any(np.abs(diff) > value_atol)
+    def equals(self, other: "SpectralDensityFunction") -> bool:
+        """Equal at every probe of both, with the suite checker's slacks."""
+        probes = probe_grid([self, other])
+        diff = self.values(probes, TIE_RTOL) - other.values(probes, TIE_RTOL)
+        return not np.any(np.abs(diff) > VALUE_ATOL)
+
+
+def probe_grid(functions) -> np.ndarray:
+    """Sorted distinct probe points of all the functions.
+
+    Each function is constant from one grid point to the next and past the
+    last, so a relation between them is decided on this grid.
+    """
+    return np.unique(np.concatenate([F.probe_points() for F in functions]))
 
 
 def sdf_of_map(f: TracedMap) -> SpectralDensityFunction:
@@ -168,11 +173,6 @@ def sdf_of_map(f: TracedMap) -> SpectralDensityFunction:
     sv = f.clamped_singular_values()
     weights = np.full(sv.shape, f.source.normalization)
     return SpectralDensityFunction.from_jumps(sv, weights)
-
-
-def reduced_sdf(f: TracedMap) -> SpectralDensityFunction:
-    """Kernel-subtracted spectral density of f (vanishes at 0)."""
-    return sdf_of_map(f).reduced()
 
 
 def variational_sdf(f: TracedMap, lam: float) -> float:

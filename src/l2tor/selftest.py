@@ -88,6 +88,7 @@ _SUITE_SIZES = {
     "block": (400, 60),
     "short-exact": (400, 60),
     "gromov-shubin": (400, 60),
+    "laplacian": (1000, 150),
 }
 
 
@@ -101,14 +102,6 @@ def _make_suite_criterion(suite: str):
             "violations": rep.violations[:10],
             "n_violations": len(rep.violations)})
     return run
-
-
-def _laplacian(seed: int, quick: bool) -> CriterionResult:
-    rep = run_suite("laplacian", seed=seed, instances=150 if quick else 1000,
-                    max_dim=6)
-    return CriterionResult("laplacian", rep.ok, {
-        "probes": rep.probes, "instances": rep.instances,
-        "n_violations": len(rep.violations)})
 
 
 def _circle_det(seed: int, quick: bool) -> CriterionResult:
@@ -193,7 +186,7 @@ CRITERIA = [
     _make_suite_criterion("block"),
     _make_suite_criterion("short-exact"),
     _make_suite_criterion("gromov-shubin"),
-    _laplacian,
+    _make_suite_criterion("laplacian"),
     _circle_det,
     _cim_constant,
     _heat_boundary,

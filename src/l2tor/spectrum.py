@@ -121,10 +121,12 @@ def circle_spectrum(circumference: float, n_max: int) -> Spectrum:
     return Spectrum(np.asarray(eigs), np.asarray(weights))
 
 
-def _theta_dual_sum(L: float, t: float, terms: int = 64) -> float:
+_DUAL_KS = np.arange(1, 65, dtype=float)  # the dual series is summed to k = 64
+
+
+def _theta_dual_sum(L: float, t: float) -> float:
     """sum over k >= 1 of 2 exp(-k^2 L^2 / 4t)."""
-    ks = np.arange(1, terms + 1, dtype=float)
-    return float(2.0 * np.sum(np.exp(-(ks ** 2) * L * L / (4.0 * t))))
+    return float(2.0 * np.sum(np.exp(-(_DUAL_KS ** 2) * L * L / (4.0 * t))))
 
 
 def circle_heat_trace(circumference: float, t: float, include_zero: bool = True) -> float:

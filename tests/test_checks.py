@@ -9,7 +9,7 @@ from l2tor.config import TIE_RTOL
 from l2tor.complexes import FiniteCochainComplex
 from l2tor.rand import (random_homotopy_pair, random_short_exact_triple,
                         rng_for)
-from l2tor.sdf import SpectralDensityFunction
+from l2tor.sdf import SpectralDensityFunction, probe_grid
 from l2tor.traced import TracedMap, TracedSpace
 
 
@@ -202,9 +202,28 @@ _steps = st.lists(st.floats(min_value=0.0, max_value=50.0), max_size=6).map(
        st.sampled_from([0.0, TIE_RTOL]))
 def test_side_values_match_scalar_sum_bitwise(terms, constant, pts, tie_rtol):
     side = _Side(terms, constant)
-    x = np.concatenate([np.asarray(pts, dtype=float), side.probe_points()])
+    x = np.concatenate([np.asarray(pts, dtype=float), *(t.probe_points() for t in terms)])
     expected = np.array([constant + sum(t(v, tie_rtol) for t in terms) for v in x])
     assert side.values(x, tie_rtol).tobytes() == expected.tobytes()
+
+
+def _two_pass_grid(lhs, terms):
+    """The grid as it was built before probe_grid: each function's points
+    uniqued, the right side's terms uniqued together, then both sides."""
+    def points(F):
+        pts = [0.0, *F.lams]
+        if F.lams.size > 1:
+            pts.extend(0.5 * (F.lams[1:] + F.lams[:-1]))
+        pts.append(1.1 * F.max_breakpoint + 1.0)
+        return np.unique(np.asarray(pts, dtype=float))
+
+    rhs = np.unique(np.concatenate([points(t) for t in terms] or [np.array([0.0])]))
+    return np.unique(np.concatenate([points(lhs), rhs]))
+
+
+@given(_steps, st.lists(_steps, max_size=4))
+def test_probe_grid_matches_the_two_pass_grid_bitwise(lhs, terms):
+    assert probe_grid([lhs, *terms]).tobytes() == _two_pass_grid(lhs, terms).tobytes()
 
 
 def test_no_tolerance_parameters():
@@ -213,11 +232,13 @@ def test_no_tolerance_parameters():
     import pkgutil
 
     import l2tor
-    from l2tor import checks, complexes, heattrace, traced
+    from l2tor import (anomaly, checks, complexes, heattrace, hyperbolic, kernels1d,
+                       spectrum, traced)
 
     banned = {"rank_rtol", "reduced", "use_stated_range", "homotopy_atol",
               "structure_atol", "validate", "identity_gram", "tries", "cond_threshold",
-              "flat_threshold", "closed_form_atol", "crosscheck_atol"}
+              "flat_threshold", "closed_form_atol", "crosscheck_atol", "value_atol",
+              "n_grid", "c2_candidates", "max_gap", "dps", "x_probes"}
     seen = 0
     for info in pkgutil.iter_modules(l2tor.__path__):
         module = __import__(f"l2tor.{info.name}", fromlist=["_"])
@@ -235,3 +256,10 @@ def test_no_tolerance_parameters():
                complexes.laplacian_sdf_decomposition, heattrace.large_time_dominating_bound,
                traced.TracedMap.check_adjoint_identity):
         assert not {"atol", "value_atol"} & set(inspect.signature(fn).parameters), fn
+    # asympt_fit fits on the grid it is given and _exact_sum sums the terms it
+    # is given, so these two names are banned only where they were knobs
+    for fn in (kernels1d.boundary_insensitivity_check,
+               heattrace.HeatTraceModel.check_positive_decreasing,
+               hyperbolic.PlancherelTable.validate, spectrum._theta_dual_sum,
+               anomaly.ConformalFamily.validate):
+        assert not {"t_grid", "terms"} & set(inspect.signature(fn).parameters), fn

@@ -258,21 +258,23 @@ def test_config_option_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("argv, spectrum", [
-    (["zeta", "--op", "det"], None),
-    (["hyperbolic", "--op", "density", "--m", "5"], None),
-    (["hyperbolic", "--op", "constant", "--m", "5"], None),
-    (["anomaly", "--dim", "3", "--family", "preset:nope"], None),
-    (["anomaly", "--dim", "3", "--sweep", "a:b"], None),
+@pytest.mark.parametrize("argv, spectrum, message", [
+    (["zeta", "--op", "det"], None, None),
+    (["hyperbolic", "--op", "density", "--m", "5"], None, None),
+    (["hyperbolic", "--op", "constant", "--m", "5"], None, None),
+    (["anomaly", "--dim", "3", "--family", "preset:nope"], None, None),
+    (["anomaly", "--dim", "3", "--sweep", "a:b"], None, None),
     # det = 1000^200 overflows a double, 0.001^200 underflows to 0
-    (["zeta", "--op", "det"], [[1000.0, 200.0]]),
-    (["zeta", "--op", "det"], [[0.001, 200.0]]),
-    (["hyperbolic", "--op", "density", "--t", "1e-300"], None),
-    (["hyperbolic", "--op", "cusp", "--height", "-1000"], None),
+    (["zeta", "--op", "det"], [[1000.0, 200.0]], None),
+    (["zeta", "--op", "det"], [[0.001, 200.0]], None),
+    (["hyperbolic", "--op", "density", "--t", "1e-300"], None,
+     "error: heat density of degree 0 overflows a double at t = 1e-300\n"),
+    (["hyperbolic", "--op", "cusp", "--height", "-1000"], None,
+     "error: cusp volume overflows a double at height -1000\n"),
 ], ids=["zeta-no-spectrum", "density-wrong-dim", "constant-wrong-dim",
         "anomaly-unknown-preset", "anomaly-bad-sweep", "det-overflow",
         "det-underflow", "density-overflow", "cusp-overflow"])
-def test_usage_errors_exit_2(capsys, tmp_path, argv, spectrum):
+def test_usage_errors_exit_2(capsys, tmp_path, argv, spectrum, message):
     if spectrum is not None:
         path = tmp_path / "spectrum.json"
         path.write_text(json.dumps(spectrum))
@@ -282,6 +284,7 @@ def test_usage_errors_exit_2(capsys, tmp_path, argv, spectrum):
     assert out == ""
     assert err.startswith("error: ")
     assert len(err.splitlines()) == 1
+    assert message is None or err == message
 
 
 def test_selftest_quick(capsys):

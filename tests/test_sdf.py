@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from l2tor.config import TIE_RTOL
 from l2tor.rand import random_map, random_space, rng_for
-from l2tor.sdf import (SpectralDensityFunction, ns_exponent_fit, reduced_sdf,
+from l2tor.sdf import (SpectralDensityFunction, ns_exponent_fit, probe_grid,
                        sdf_of_map, variational_sdf)
 from l2tor.traced import TracedMap, TracedSpace
 
@@ -61,12 +61,12 @@ def test_total_equals_normalized_source_dim():
 
 
 def test_reduced_examples():
-    Fbar = reduced_sdf(diag_map([0.0, 2.0]))
+    Fbar = sdf_of_map(diag_map([0.0, 2.0])).reduced()
     assert Fbar(0.0) == 0.0
     assert Fbar(1.9) == 0.0
     assert Fbar(2.0) == 1.0
     zero = TracedMap.zero(TracedSpace(3), TracedSpace(2))
-    assert reduced_sdf(zero).total == 0.0
+    assert sdf_of_map(zero).reduced().total == 0.0
 
 
 def test_reduced_adjoint_symmetry():
@@ -75,16 +75,25 @@ def test_reduced_adjoint_symmetry():
     for k in range(25):
         f = random_map(rng, random_space(rng, int(rng.integers(1, 6))),
                        random_space(rng, int(rng.integers(1, 6))))
-        Fbar = reduced_sdf(f)
-        Gbar = reduced_sdf(f.adjoint())
-        assert Fbar.equals(Gbar, value_atol=1e-9)
+        Fbar = sdf_of_map(f).reduced()
+        Gbar = sdf_of_map(f.adjoint()).reduced()
+        assert Fbar.equals(Gbar)
+
+
+def test_equals_uses_the_checker_value_slack():
+    F = SpectralDensityFunction(np.array([1.0, 2.0]), np.array([0.5, 1.0]))
+    assert F.equals(SpectralDensityFunction(F.lams, F.vals + 5e-10))
+    assert not F.equals(SpectralDensityFunction(F.lams, F.vals + 2e-9))
+    # a breakpoint displaced by eigensolve rounding is a tie, a larger move is not
+    assert F.equals(SpectralDensityFunction(F.lams * (1.0 + 1e-12), F.vals))
+    assert not F.equals(SpectralDensityFunction(F.lams * (1.0 + 1e-6), F.vals))
 
 
 def test_monotone_right_continuous_bounded():
     rng = rng_for(2, 3)
     f = random_map(rng, random_space(rng, 5), random_space(rng, 4))
     F = sdf_of_map(f)
-    probes = F.probe_points()
+    probes = probe_grid([F])
     vals = [F(x) for x in probes]
     assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
     assert max(vals) <= f.source.normalized_dim + 1e-12
