@@ -6,7 +6,9 @@ range endpoints), skipping items whose side conditions fail, and returns
 the violations found; the kernel-subtracted variants always run.  Ranks
 come from the rank rule (traced.nonzero_mask) and slacks are fixed:
 config.TIE_RTOL forgives breakpoints that differ only by eigensolve
-rounding and config.VALUE_ATOL forgives value rounding.
+rounding (sdf.tie_shifted moves the right side's probes of an inequality
+and both sides' of an equality) and config.VALUE_ATOL forgives value
+rounding.
 """
 
 from __future__ import annotations
@@ -17,11 +19,12 @@ import numpy as np
 
 from .complexes import (FiniteCochainComplex, ShortExactTriple, complex_sdf,
                         connecting_map, laplacian_sdf_decomposition)
-from .config import STRUCTURE_ATOL, TIE_RTOL, VALUE_ATOL
+from .config import (CONTAINMENT_GAP, NONTRIVIAL_INTERSECTION_GAP, RANGE_END_RTOL,
+                     STRUCTURE_ATOL, TRIVIAL_INTERSECTION_GAP, VALUE_ATOL)
 from .rand import (random_complex, random_homotopy_pair, random_injective,
                    random_map, random_short_exact_triple, random_space,
                    random_surjective, rng_for)
-from .sdf import SpectralDensityFunction, probe_grid, sdf_of_map
+from .sdf import SpectralDensityFunction, probe_grid, sdf_of_map, tie_shifted
 from .traced import TracedMap, TracedSpace, nonzero_mask
 
 __all__ = [
@@ -68,60 +71,38 @@ class CheckReport:
         self.constants.update(other.constants)
 
 
-class _Side:
-    """Right-hand side of an inequality: sum of transformed step functions
-    plus a constant, evaluated with tie slack."""
-
-    def __init__(self, terms: list[SpectralDensityFunction], constant: float = 0.0):
-        self.terms = terms
-        self.constant = constant
-
-    def values(self, lams: np.ndarray, tie_rtol: float = TIE_RTOL) -> np.ndarray:
-        """constant + sum of the terms at every point of lams, the terms
-        added in order."""
-        total = np.zeros(lams.shape)
-        for t in self.terms:
-            total = total + t.values(lams, tie_rtol)
-        return self.constant + total
+def _sum_values(terms: list[SpectralDensityFunction], lams: np.ndarray) -> np.ndarray:
+    """Sum of the terms at every point of lams, added in order."""
+    return sum((t.values(lams) for t in terms), np.zeros(lams.shape))
 
 
-def _scaled(F: SpectralDensityFunction, c: float) -> SpectralDensityFunction:
-    """F(c * lambda), tolerating c = 0 (constant at the kernel value)."""
-    if c > 0:
-        return F.scaled_argument(c)
-    val = F(0.0)
-    if val == 0.0:
-        return SpectralDensityFunction.zero()
-    return SpectralDensityFunction(np.array([0.0]), np.array([val]))
-
-
-def _check_leq(item: str, lhs: SpectralDensityFunction, rhs: _Side,
+def _check_leq(item: str, lhs: SpectralDensityFunction, rhs: list[SpectralDensityFunction],
                report: CheckReport, upper: float = np.inf,
-               margin_key: str | None = None) -> None:
-    probes = probe_grid([lhs, *rhs.terms])
+               constant: float = 0.0) -> float | None:
+    """Check lhs <= constant + sum of rhs on [0, upper) and return the
+    smallest margin rhs - lhs where lhs > 0 (None if lhs vanishes there)."""
+    probes = probe_grid([lhs, *rhs])
     probes = probes[probes < upper]
     if np.isfinite(upper):
-        probes = np.append(probes, upper * (1.0 - 1e-12))
+        probes = np.append(probes, upper * (1.0 - RANGE_END_RTOL))
     report.probes += probes.size
-    # slack only widens the right side: forgives breakpoints displaced
-    # by eigensolve rounding without inflating the left side
-    lvals = lhs.values(probes, 0.0)
-    rvals = rhs.values(probes, TIE_RTOL)
+    # the tie shift widens only the right side, never inflating the left
+    lvals = lhs.values(probes)
+    rvals = constant + _sum_values(rhs, tie_shifted(probes))
     for k in np.flatnonzero(lvals > rvals + VALUE_ATOL):
         report.violations.append(
             Violation(item, float(probes[k]), float(lvals[k]), float(rvals[k])))
-    if margin_key is not None:
-        positive = lvals > 0.0
-        if positive.any():
-            report.constants[margin_key] = float(np.min((rvals - lvals)[positive]))
+    margins = (rvals - lvals)[lvals > 0.0]
+    return float(margins.min()) if margins.size else None
 
 
-def _check_equal(item: str, lhs: SpectralDensityFunction, rhs: _Side,
+def _check_equal(item: str, lhs: SpectralDensityFunction, rhs: list[SpectralDensityFunction],
                  report: CheckReport) -> None:
-    probes = probe_grid([lhs, *rhs.terms])
+    probes = probe_grid([lhs, *rhs])
     report.probes += probes.size
-    lvals = lhs.values(probes, TIE_RTOL)
-    rvals = rhs.values(probes, TIE_RTOL)
+    shifted = tie_shifted(probes)
+    lvals = lhs.values(shifted)
+    rvals = _sum_values(rhs, shifted)
     for k in np.flatnonzero(np.abs(lvals - rvals) > VALUE_ATOL):
         report.violations.append(
             Violation(item, float(probes[k]), float(lvals[k]), float(rvals[k])))
@@ -145,9 +126,9 @@ def _trivial_intersection(b1: np.ndarray, b2: np.ndarray) -> bool | None:
         return True
     s = np.linalg.svd(b1.T @ b2, compute_uv=False)
     top = s.max(initial=0.0)
-    if top < 1.0 - 1e-8:
+    if top < 1.0 - TRIVIAL_INTERSECTION_GAP:
         return True
-    if top > 1.0 - 1e-12:
+    if top > 1.0 - NONTRIVIAL_INTERSECTION_GAP:
         return False
     return None
 
@@ -159,7 +140,7 @@ def _contained(b_small: np.ndarray, b_big: np.ndarray) -> bool:
     if b_big.shape[1] == 0:
         return False
     s = np.linalg.svd(b_big.T @ b_small, compute_uv=False)
-    return bool(s.min(initial=1.0) > 1.0 - 1e-10)
+    return bool(s.min(initial=1.0) > 1.0 - CONTAINMENT_GAP)
 
 
 # -- composition-law inequalities ------------------------------------------------------
@@ -185,32 +166,32 @@ def check_basic_F(f: TracedMap, g: TracedMap | None = None,
             raise ValueError("g must be composable with f")
         gf = g @ f
         F_g, F_gf = sdf_of_map(g), sdf_of_map(gf)
-        _check_leq("basic.1", F_f, _Side([_scaled(F_gf, g.norm)]), report)
+        _check_leq("basic.1", F_f, [F_gf.scaled_argument(g.norm)], report)
         if f.is_surjective():
-            _check_leq("basic.2", F_g, _Side([_scaled(F_gf, f.norm)]), report)
+            _check_leq("basic.2", F_g, [F_gf.scaled_argument(f.norm)], report)
         else:
             report.skipped.append(("basic.2", "f not surjective"))
         for r in R_VALUES:
             _check_leq(f"basic.3[r={r}]", F_gf,
-                       _Side([F_g.power_argument(1 - r), F_f.power_argument(r)]), report)
+                       [F_g.power_argument(1 - r), F_f.power_argument(r)], report)
         ker_g = _kernel_basis_whitened(g)
         im_f = _image_basis_whitened(f)
         trivial = _trivial_intersection(ker_g, im_f)
         if trivial is True:
             _check_leq("reduced.1", F_f.reduced(),
-                       _Side([_scaled(F_gf.reduced(), g.norm)]), report)
+                       [F_gf.reduced().scaled_argument(g.norm)], report)
         else:
             report.skipped.append(("reduced.1", "ker g ∩ im f ambiguous or nontrivial"))
         if f.is_surjective():
             _check_leq("reduced.2", F_g.reduced(),
-                       _Side([_scaled(F_gf.reduced(), f.norm)]), report)
+                       [F_gf.reduced().scaled_argument(f.norm)], report)
         else:
             report.skipped.append(("reduced.2", "f not surjective"))
         if _contained(ker_g, im_f):
             for r in R_VALUES:
                 _check_leq(f"reduced.3[r={r}]", F_gf.reduced(),
-                           _Side([F_g.reduced().power_argument(1 - r),
-                                  F_f.reduced().power_argument(r)]), report)
+                           [F_g.reduced().power_argument(1 - r),
+                            F_f.reduced().power_argument(r)], report)
         else:
             report.skipped.append(("reduced.3", "ker g not contained in im f"))
 
@@ -222,9 +203,9 @@ def check_basic_F(f: TracedMap, g: TracedMap | None = None,
         else:
             inv_norm = i.inverse_norm
             F_if = sdf_of_map(i @ f)
-            _check_leq("basic.4", F_if, _Side([_scaled(F_f, inv_norm)]), report)
+            _check_leq("basic.4", F_if, [F_f.scaled_argument(inv_norm)], report)
             _check_leq("reduced.4", F_if.reduced(),
-                       _Side([_scaled(F_f.reduced(), inv_norm)]), report)
+                       [F_f.reduced().scaled_argument(inv_norm)], report)
 
     if p is not None:
         if p.target.dim != f.source.dim:
@@ -234,19 +215,19 @@ def check_basic_F(f: TracedMap, g: TracedMap | None = None,
         else:
             fp = f @ p
             F_fp = sdf_of_map(fp)
-            _check_leq("basic.5", F_f, _Side([_scaled(F_fp, p.norm)]), report)
+            _check_leq("basic.5", F_f, [F_fp.scaled_argument(p.norm)], report)
             inv_norm = p.inverse_norm
             _check_leq("reduced.5", F_fp.reduced(),
-                       _Side([_scaled(F_f.reduced(), inv_norm)]), report)
+                       [F_f.reduced().scaled_argument(inv_norm)], report)
             ker_p = p.kernel_dim() * p.source.normalization
             _check_leq("reduced.6", F_f.reduced(),
-                       _Side([_scaled(F_fp.reduced(), p.norm)], constant=ker_p), report)
+                       [F_fp.reduced().scaled_argument(p.norm)], report, constant=ker_p)
 
     # square identity: density of f*f at lambda equals density of f at sqrt(lambda)
     sv = (f.adjoint() @ f).singular_values().copy()
     sv[f.rank():] = 0.0
     F_ff = SpectralDensityFunction.from_jumps(sv, np.full(sv.shape, norm_unit))
-    _check_equal("basic.6", F_ff, _Side([F_f.power_argument(0.5)]), report)
+    _check_equal("basic.6", F_ff, [F_f.power_argument(0.5)], report)
     report.constants["norm_f"] = f.norm
     report.constants["normalization"] = norm_unit
     return report
@@ -289,49 +270,48 @@ def check_block_matrix_F(phi: TracedMap, gamma: TracedMap, xi: TracedMap) -> Che
     report.constants.update({"norm_phi": phi.norm, "norm_gamma": gnorm, "norm_xi": xi.norm})
 
     if gamma.norm == 0.0:
-        _check_equal("block.1", F_M, _Side([F_phi, F_xi]), report)
+        _check_equal("block.1", F_M, [F_phi, F_xi], report)
         _check_equal("block.r1", F_M.reduced(),
-                     _Side([F_phi.reduced(), F_xi.reduced()]), report)
+                     [F_phi.reduced(), F_xi.reduced()], report)
 
     phi_invertible = (phi.source.dim == phi.target.dim and phi.rank() == phi.source.dim)
     if phi_invertible:
         c = 4.0 + 2.0 * gnorm * phi.inverse_norm
-        _check_leq("block.2", F_M, _Side([_scaled(F_phi, c), _scaled(F_xi, c)]), report)
-        _check_leq("block.r2", F_M.reduced(),
-                   _Side([_scaled(F_phi.reduced(), c), _scaled(F_xi.reduced(), c)]), report)
+        _check_leq("block.2", F_M, [F_phi.scaled_argument(c), F_xi.scaled_argument(c)], report)
+        _check_leq("block.r2", F_M.reduced(), [F_phi.reduced().scaled_argument(c),
+                                               F_xi.reduced().scaled_argument(c)], report)
     else:
         report.skipped.append(("block.2", "phi not invertible"))
 
     xi_injective = xi.is_injective()
     phi_dense = phi.is_surjective()
+    c3 = 4.0 + 2.0 * gnorm
     for r in R_VALUES:
-        upper = (4.0 + 2.0 * gnorm) ** (1.0 / (r - 1.0))
+        upper = c3 ** (1.0 / (r - 1.0))
         _check_leq(f"block.3[r={r}]", F_M,
-                   _Side([F_phi.power_argument(r),
-                          _scaled(F_xi, 4.0 + 2.0 * gnorm).power_argument(1 - r)]),
+                   [F_phi.power_argument(r), F_xi.scaled_argument(c3).power_argument(1 - r)],
                    report, upper=upper)
         if xi_injective or phi_dense:
             _check_leq(f"block.r3[r={r}]", F_M.reduced(),
-                       _Side([F_phi.reduced().power_argument(r),
-                              _scaled(F_xi.reduced(), 4.0 + 2.0 * gnorm).power_argument(1 - r)]),
+                       [F_phi.reduced().power_argument(r),
+                        F_xi.reduced().scaled_argument(c3).power_argument(1 - r)],
                        report, upper=upper)
         else:
             report.skipped.append((f"block.r3[r={r}]", "xi not injective and phi not dense"))
 
     c4 = 2.0 * (1.0 + gnorm + xi.norm)
-    _check_leq("block.4", F_phi, _Side([_scaled(F_M, c4)]), report)
+    _check_leq("block.4", F_phi, [F_M.scaled_argument(c4)], report)
     if xi_injective:
-        _check_leq("block.r4", F_phi.reduced(), _Side([_scaled(F_M.reduced(), c4)]), report)
+        _check_leq("block.r4", F_phi.reduced(), [F_M.reduced().scaled_argument(c4)], report)
     else:
         report.skipped.append(("block.r4", "xi not injective"))
 
     if phi_dense:
         c5 = 2.0 * (1.0 + gnorm + phi.norm)
-        _check_leq("block.5", F_xi, _Side([_scaled(F_M, c5)]), report, upper=1.0)
+        _check_leq("block.5", F_xi, [F_M.scaled_argument(c5)], report, upper=1.0)
         ker_phi = phi.kernel_dim() * phi.source.normalization
-        _check_leq("block.r5", F_xi.reduced(),
-                   _Side([_scaled(F_M.reduced(), c5)], constant=ker_phi),
-                   report, upper=1.0)
+        _check_leq("block.r5", F_xi.reduced(), [F_M.reduced().scaled_argument(c5)],
+                   report, upper=1.0, constant=ker_phi)
     else:
         report.skipped.append(("block.5", "phi has no dense image"))
     return report
@@ -374,14 +354,15 @@ def check_short_exact(T: ShortExactTriple, p: int) -> CheckReport:
         "E^p": delta.source.dim, "C^{p+1}": delta.target.dim,
     }
     lhs = complex_sdf(T.D, p).reduced()
-    rhs = _Side([
-        _scaled(complex_sdf(T.E, p).reduced(), c_E).power_argument(0.5),
-        _scaled(sdf_of_map(delta).reduced(), c_delta).power_argument(0.25),
-        _scaled(complex_sdf(T.C, p).reduced(), c_C).power_argument(0.25),
-    ])
+    rhs = [
+        complex_sdf(T.E, p).reduced().scaled_argument(c_E).power_argument(0.5),
+        sdf_of_map(delta).reduced().scaled_argument(c_delta).power_argument(0.25),
+        complex_sdf(T.C, p).reduced().scaled_argument(c_C).power_argument(0.25),
+    ]
     # observed slack is recorded, no conclusion drawn about optimality
-    _check_leq(f"short-exact[p={p}]", lhs, rhs, report, upper=c1_stated,
-               margin_key="min_margin")
+    margin = _check_leq(f"short-exact[p={p}]", lhs, rhs, report, upper=c1_stated)
+    if margin is not None:
+        report.constants["min_margin"] = margin
     return report
 
 
@@ -392,7 +373,7 @@ def _moebius_argument(F: SpectralDensityFunction, c: float, t: float) -> Spectra
     s / (c + t s); for t = 0 this is plain argument scaling.
     """
     if c <= 0:
-        return _scaled(F, 0.0)
+        return F.scaled_argument(0.0)
     new_lams = F.lams / (c + t * F.lams)
     return SpectralDensityFunction(new_lams, F.vals)
 
@@ -445,7 +426,7 @@ def check_gromov_shubin(C: FiniteCochainComplex, D: FiniteCochainComplex,
         report.violations.append(Violation(f"gromov-shubin-harmonics[p={p}]",
                                            0.0, float(h_c), float(h_d)))
     lhs = complex_sdf(C, p).reduced()
-    rhs = _Side([_moebius_argument(complex_sdf(D, p).reduced(), scale, t_norm)])
+    rhs = [_moebius_argument(complex_sdf(D, p).reduced(), scale, t_norm)]
     _check_leq(f"gromov-shubin[p={p}]", lhs, rhs, report, upper=threshold)
     return report
 
@@ -563,7 +544,7 @@ def _laplacian_instance(rng: np.random.Generator, max_dim: int) -> CheckReport:
     report = CheckReport()
     for p in range(n_deg):
         lhs, rhs = laplacian_sdf_decomposition(C, p)
-        _check_equal(f"laplacian[p={p}]", lhs, _Side([rhs]), report)
+        _check_equal(f"laplacian[p={p}]", lhs, [rhs], report)
     return report
 
 

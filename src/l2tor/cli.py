@@ -28,9 +28,10 @@ from .anomaly import (PRESET_FAMILIES, ConformalFamily, Jet,
                       anomaly_coefficients)
 from .checks import SUITES, run_suite
 from .config import seed_from_env
-from .heattrace import HeatTraceModel, analytic_torsion, d_small, zeta_det_with_error
+from .heattrace import (HeatTraceModel, TorsionResult, analytic_torsion, d_small,
+                        zeta_det_with_error)
 from .hyperbolic import (CuspEnd, cusp_volume, heat_density,
-                         load_plancherel_table, torsion_constant)
+                         load_plancherel_table, torsion_constant_result)
 from .jsj import is_graph_manifold, load_manifest, torsion_3manifold
 from .kernels1d import Domain1D, boundary_insensitivity_check, sup_bound_check
 from .mellin import resolve_dsmall_constant
@@ -64,6 +65,11 @@ def _load_spectrum(path: str) -> tuple[Spectrum | None, dict[int, Spectrum] | No
         return None, degrees
     raise ValueError("spectrum file must be a JSON list of [eigenvalue, weight] "
                      "pairs or an object with a 'degrees' list")
+
+
+def _torsion_report(res: TorsionResult) -> dict:
+    return {"value": res.total, "errorEstimate": res.diagnostics["error"],
+            "perDegree": [{"p": p, "small": sm, "large": lg} for p, sm, lg in res.per_degree]}
 
 
 # -- subcommand handlers ---------------------------------------------------------------
@@ -110,11 +116,7 @@ def _cmd_zeta(args) -> int:
             degrees = {1: single}
         models = {p: HeatTraceModel.from_spectrum(s, m=args.m)
                   for p, s in degrees.items()}
-        res = analytic_torsion(models)
-        _emit({"op": "torsion", "value": res.total,
-               "perDegree": [{"p": p, "small": sm, "large": lg}
-                             for p, sm, lg in res.per_degree],
-               "errorEstimate": res.diagnostics["error"]}, args.output)
+        _emit({"op": "torsion", **_torsion_report(analytic_torsion(models))}, args.output)
         return 0
     raise ValueError(f"unknown zeta op {args.op!r}")
 
@@ -122,8 +124,8 @@ def _cmd_zeta(args) -> int:
 def _cmd_hyperbolic(args) -> int:
     if args.op == "constant":
         table = None if args.m % 2 == 0 else load_plancherel_table(args.table)
-        value = torsion_constant(table, m=args.m)
-        _emit({"op": "constant", "m": args.m, "value": value}, args.output)
+        res = torsion_constant_result(table, m=args.m)
+        _emit({"op": "constant", "m": args.m, **_torsion_report(res)}, args.output)
         return 0
     if args.op == "density":
         table = load_plancherel_table(args.table)

@@ -24,6 +24,18 @@ TIE_RTOL = 1e-9
 # Absolute slack on step-function *values* in inequality checks.
 VALUE_ATOL = 1e-9
 
+# The last probe of an inequality's range [0, upper) is upper * (1 - RANGE_END_RTOL).
+RANGE_END_RTOL = 1e-12
+
+# Two subspaces meet trivially when their largest principal cosine is below 1 - this.
+TRIVIAL_INTERSECTION_GAP = 1e-8
+
+# They meet nontrivially above 1 - this; in between the item is skipped as ambiguous.
+NONTRIVIAL_INTERSECTION_GAP = 1e-12
+
+# One span contains another when their smallest principal cosine exceeds 1 - this.
+CONTAINMENT_GAP = 1e-10
+
 # Residual tolerance for structural identities (complex property c∘c = 0,
 # chain-map commutation, homotopy relations).
 STRUCTURE_ATOL = 1e-10

@@ -427,6 +427,16 @@ class TorsionResult:
     diagnostics: dict = field(default_factory=dict)
 
 
+def _zeta_prime(model: HeatTraceModel, subject: str) -> tuple[float, float, float]:
+    """zeta'(0) as (small-time part, large-time part, sum of their errors);
+    refuses, naming `subject`, a model not certified determinant class."""
+    sm = d_small(model)
+    lg = large_time_integral(model)
+    if lg.determinant_class is not True:
+        raise ValueError(f"{subject}not certified determinant-class ({lg.method})")
+    return sm.value, lg.value, abs(sm.error) + abs(lg.error)
+
+
 def analytic_torsion(models: dict[int, HeatTraceModel]) -> TorsionResult:
     """Alternating degree-weighted sum of small- and large-time parts.
 
@@ -437,14 +447,10 @@ def analytic_torsion(models: dict[int, HeatTraceModel]) -> TorsionResult:
     total = 0.0
     err = 0.0
     for p, model in sorted(models.items()):
-        sm = d_small(model)
-        lg = large_time_integral(model)
-        if lg.determinant_class is not True:
-            raise ValueError(f"degree {p} is not certified determinant-class "
-                             f"({lg.method})")
-        per_degree.append((p, sm.value, lg.value))
-        total += (-1) ** p * p * (sm.value + lg.value)
-        err += abs(p) * (abs(sm.error) + abs(lg.error))
+        small, large, error = _zeta_prime(model, f"degree {p} is ")
+        per_degree.append((p, small, large))
+        total += (-1) ** p * p * (small + large)
+        err += abs(p) * error
     return TorsionResult(per_degree, total, {"error": err})
 
 
@@ -452,34 +458,28 @@ def zeta_det_with_error(source: Spectrum | HeatTraceModel, m: int = 0) -> tuple[
     """exp(-zeta'(0)) through the same small/large split as the torsion,
     with the error det * (small-part error + large-part error).
 
-    A finite spectrum must have a positive gap above zero; zero modes are
-    dropped (determinant of the restriction).  Refuses a model whose large
-    time part is not certified determinant class, and one whose determinant
+    A finite spectrum must have a positive part; zero modes are dropped
+    (determinant of the restriction).  Refuses a model whose large time
+    part is not certified determinant class, and one whose determinant
     overflows a double or underflows to 0.
     """
     if isinstance(source, Spectrum):
-        pos = source.positive_part()
-        if pos.eigenvalues.size == 0:
+        if source.positive_part().eigenvalues.size == 0:
             raise ValueError("spectrum has no positive part")
-        if pos.eigenvalues[0] <= 0:
-            raise ValueError("spectrum needs a positive gap")
         model = HeatTraceModel.from_spectrum(source, m=m)
     else:
         model = source
         if model.spectral_gap is None or model.spectral_gap <= 0:
             raise ValueError("determinant requires a positive spectral gap")
-    sm = d_small(model)
-    lg = large_time_integral(model)
-    if lg.determinant_class is not True:
-        raise ValueError(f"not certified determinant-class ({lg.method})")
-    zeta_prime = sm.value + lg.value
+    small, large, error = _zeta_prime(model, "")
+    zeta_prime = small + large
     try:
         det = math.exp(-zeta_prime)
     except OverflowError:
         det = 0.0  # refused below, as an underflow is
     if det == 0.0:
         raise ValueError(f"exp(-zeta'(0)) is outside double range: zeta'(0) = {zeta_prime}")
-    return det, det * (abs(sm.error) + abs(lg.error))
+    return det, det * error
 
 
 def zeta_det(source: Spectrum | HeatTraceModel, m: int = 0) -> float:
@@ -510,7 +510,7 @@ def large_time_dominating_bound(F: SpectralDensityFunction, eps: float,
     F(0) = 0.  The right side is evaluated exactly for the step function F.
     Returns per-probe margins and any violations (beyond _DOMINATION_ATOL).
     """
-    if F.value_at_zero() != 0.0:
+    if F(0.0) != 0.0:
         raise ValueError("domination bound requires F(0) = 0 (no kernel)")
     if eps <= 0:
         raise ValueError("eps must be positive")

@@ -20,7 +20,7 @@ from math import factorial
 import numpy as np
 from scipy.integrate import quad
 
-from .heattrace import HeatTraceModel, analytic_torsion
+from .heattrace import HeatTraceModel, TorsionResult, analytic_torsion
 
 __all__ = [
     "PlancherelComponent",
@@ -29,6 +29,7 @@ __all__ = [
     "heat_density",
     "plancherel_heat_model",
     "torsion_constant",
+    "torsion_constant_result",
     "CuspEnd",
     "cusp_volume",
     "truncated_volume",
@@ -230,21 +231,27 @@ def plancherel_heat_model(table: PlancherelTable, p: int) -> HeatTraceModel:
     )
 
 
-def torsion_constant(table: PlancherelTable | None = None, m: int = 3) -> float:
-    """Torsion per unit volume of the odd-dimensional hyperbolic space.
+def torsion_constant_result(table: PlancherelTable | None = None,
+                            m: int = 3) -> TorsionResult:
+    """Torsion per unit volume of the hyperbolic space, by degree.
 
-    Even dimensions return zero outright: the duality pairing of degrees p
-    and m - p flips the sign of the degree weight, cancelling the sum.
+    Even dimensions return zero outright, with no degrees: the duality
+    pairing of degrees p and m - p flips the sign of the degree weight.
     Odd dimensions run the full small/large-time pipeline over all degrees.
     """
     if m % 2 == 0:
-        return 0.0
+        return TorsionResult([], 0.0, {"error": 0.0})
     if table is None:
         table = load_plancherel_table()
     if table.m != m:
         raise ValueError(f"table is for dimension {table.m}, not {m}")
     models = {p: plancherel_heat_model(table, p) for p in range(m + 1)}
-    return analytic_torsion(models).total
+    return analytic_torsion(models)
+
+
+def torsion_constant(table: PlancherelTable | None = None, m: int = 3) -> float:
+    """Torsion per unit volume; see torsion_constant_result."""
+    return torsion_constant_result(table, m).total
 
 
 @dataclass(frozen=True)

@@ -46,16 +46,20 @@ class JsjPiece:
     label: str = ""
 
     def __post_init__(self):
-        if self.kind not in ALLOWED_KINDS:
-            raise ManifestError(
-                f"piece {self.label or '?'}",
-                f"unknown kind {self.kind!r}; allowed kinds: {', '.join(ALLOWED_KINDS)}")
-        if not math.isfinite(self.volume) or self.volume < 0:
-            raise ManifestError(f"piece {self.label or '?'}",
-                                "volume must be nonnegative")
-        if self.kind == "hyperbolic" and self.volume <= 0:
-            raise ManifestError(f"piece {self.label or '?'}",
-                                "hyperbolic pieces need positive volume")
+        _check_piece(self.kind, self.volume, f"piece {self.label or '?'}")
+
+
+def _check_piece(kind: str, volume: float, location: str) -> None:
+    """A known kind and a finite nonnegative volume, positive if hyperbolic."""
+    if kind not in ALLOWED_KINDS:
+        raise ManifestError(
+            location, f"unknown kind {kind!r}; allowed kinds: {', '.join(ALLOWED_KINDS)}")
+    if not math.isfinite(volume):
+        raise ManifestError(location, f"volume {volume} is not finite")
+    if volume < 0:
+        raise ManifestError(location, "volume must be nonnegative")
+    if kind == "hyperbolic" and volume == 0:
+        raise ManifestError(location, "hyperbolic pieces need positive volume")
 
 
 @dataclass(frozen=True)
@@ -85,6 +89,7 @@ def is_graph_manifold(manifest: JsjManifest) -> bool:
 
 
 def _piece_from_dict(raw: dict, location: str) -> JsjPiece:
+    """One piece of a JSON or CSV manifest; every error names `location`."""
     if not isinstance(raw, dict):
         raise ManifestError(location, "piece must be an object")
     kind = raw.get("kind")
@@ -93,10 +98,11 @@ def _piece_from_dict(raw: dict, location: str) -> JsjPiece:
     volume = raw.get("volume", 0.0)
     if not isinstance(volume, (int, float)) or isinstance(volume, bool):
         raise ManifestError(f"{location}.volume", "volume must be a number")
-    label = raw.get("label", "")
+    kind, volume = str(kind), float(volume)
+    _check_piece(kind, volume, location)
     if kind == "seifert":
         volume = 0.0  # ignored by convention
-    return JsjPiece(str(kind), float(volume), str(label))
+    return JsjPiece(kind, volume, str(raw.get("label", "")))
 
 
 def manifest_from_dict(raw: dict, source: str = "<dict>") -> JsjManifest:
@@ -124,24 +130,16 @@ def _load_csv(path: Path) -> JsjManifest:
         for lineno, row in enumerate(reader, start=1):
             if not row or row[0].lstrip().startswith("#"):
                 continue
+            loc = f"{path}:{lineno}"
             if len(row) < 2:
-                raise ManifestError(f"{path}:{lineno}",
-                                    "expected kind,volume[,label]")
-            kind = row[0].strip()
+                raise ManifestError(loc, "expected kind,volume[,label]")
             try:
                 volume = float(row[1])
             except ValueError:
-                raise ManifestError(f"{path}:{lineno}",
-                                    f"volume {row[1]!r} is not a number") from None
+                raise ManifestError(loc, f"volume {row[1]!r} is not a number") from None
             label = row[2].strip() if len(row) > 2 else ""
-            loc = f"{path}:{lineno}"
-            if kind not in ALLOWED_KINDS:
-                raise ManifestError(loc, f"unknown kind {kind!r}; allowed kinds: "
-                                    f"{', '.join(ALLOWED_KINDS)}")
-            if volume < 0:
-                raise ManifestError(loc, "volume must be nonnegative")
-            pieces.append(JsjPiece(kind, volume if kind == "hyperbolic" else 0.0,
-                                   label))
+            pieces.append(_piece_from_dict(
+                {"kind": row[0].strip(), "volume": volume, "label": label}, loc))
     return JsjManifest(path.stem, tuple(pieces), 0)
 
 

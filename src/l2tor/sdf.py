@@ -20,6 +20,7 @@ __all__ = [
     "SpectralDensityFunction",
     "sdf_of_map",
     "probe_grid",
+    "tie_shifted",
     "variational_sdf",
     "ns_exponent_fit",
     "NsExponentFit",
@@ -70,29 +71,21 @@ class SpectralDensityFunction:
 
     # -- evaluation ----------------------------------------------------------------
 
-    def __call__(self, lam: float, tie_rtol: float = 0.0) -> float:
-        """Value at lam; tie_rtol >= 0 forgives floating-point breakpoint ties."""
-        if self.lams.size == 0:
-            return 0.0
-        probe = lam + tie_rtol * max(1.0, abs(lam))
-        idx = np.searchsorted(self.lams, probe, side="right")
-        return 0.0 if idx == 0 else float(self.vals[idx - 1])
+    def __call__(self, lam: float) -> float:
+        """Value at lam, the scalar form of values."""
+        return float(self.values(lam))
 
-    def values(self, lams, tie_rtol: float = 0.0) -> np.ndarray:
-        """Values at every point of lams, each equal to self(lam, tie_rtol)."""
+    def values(self, lams) -> np.ndarray:
+        """Values at every point of lams."""
         lams = np.asarray(lams, dtype=float)
         if self.lams.size == 0:
             return np.zeros(lams.shape)
-        probes = lams + tie_rtol * np.maximum(1.0, np.abs(lams))
-        idx = np.searchsorted(self.lams, probes, side="right")
+        idx = np.searchsorted(self.lams, lams, side="right")
         return np.where(idx == 0, 0.0, self.vals[idx - 1])
 
     @property
     def total(self) -> float:
         return float(self.vals[-1]) if self.vals.size else 0.0
-
-    def value_at_zero(self) -> float:
-        return self(0.0)
 
     @property
     def max_breakpoint(self) -> float:
@@ -102,16 +95,19 @@ class SpectralDensityFunction:
 
     def reduced(self) -> "SpectralDensityFunction":
         """Subtract the value at 0 (kernel contribution)."""
-        f0 = self.value_at_zero()
+        f0 = self(0.0)
         if f0 == 0.0:
             return self
         keep = self.lams > 0
         return SpectralDensityFunction(self.lams[keep], self.vals[keep] - f0)
 
     def scaled_argument(self, c: float) -> "SpectralDensityFunction":
-        """Return lambda -> F(c * lambda) for c > 0."""
+        """Return lambda -> F(c * lambda) for c >= 0; c = 0 gives the
+        constant F(0)."""
+        if c == 0:
+            return SpectralDensityFunction.zero().plus_constant(self(0.0))
         if not c > 0:
-            raise ValueError("scale must be positive")
+            raise ValueError("scale must be nonnegative")
         return SpectralDensityFunction(self.lams / c, self.vals)
 
     def power_argument(self, a: float) -> "SpectralDensityFunction":
@@ -150,8 +146,8 @@ class SpectralDensityFunction:
 
     def equals(self, other: "SpectralDensityFunction") -> bool:
         """Equal at every probe of both, with the suite checker's slacks."""
-        probes = probe_grid([self, other])
-        diff = self.values(probes, TIE_RTOL) - other.values(probes, TIE_RTOL)
+        probes = tie_shifted(probe_grid([self, other]))
+        diff = self.values(probes) - other.values(probes)
         return not np.any(np.abs(diff) > VALUE_ATOL)
 
 
@@ -162,6 +158,13 @@ def probe_grid(functions) -> np.ndarray:
     last, so a relation between them is decided on this grid.
     """
     return np.unique(np.concatenate([F.probe_points() for F in functions]))
+
+
+def tie_shifted(lams) -> np.ndarray:
+    """lams moved right by TIE_RTOL * max(1, |lam|); evaluating there
+    forgives breakpoints that differ only by eigensolve rounding."""
+    lams = np.asarray(lams, dtype=float)
+    return lams + TIE_RTOL * np.maximum(1.0, np.abs(lams))
 
 
 def sdf_of_map(f: TracedMap) -> SpectralDensityFunction:
@@ -211,10 +214,6 @@ class NsExponentFit:
     n_points: int
     flag: str  # ok | insufficient-data | spectral-gap | flat-not-certifying
 
-    @property
-    def certifies_power_law(self) -> bool:
-        return self.flag == "ok"
-
 
 def ns_exponent_fit(F: SpectralDensityFunction, eps: float) -> NsExponentFit:
     """Least-squares slope of log F against log lambda over (0, eps].
@@ -223,7 +222,7 @@ def ns_exponent_fit(F: SpectralDensityFunction, eps: float) -> NsExponentFit:
     yields alpha = +inf; a near-flat density (alpha <= FLAT_ALPHA) is
     flagged as not certifying power-law domination.
     """
-    if F.value_at_zero() != 0.0:
+    if F(0.0) != 0.0:
         raise ValueError("fit requires a reduced density with F(0) = 0")
     mask = (F.lams > 0) & (F.lams <= eps)
     lams = F.lams[mask]

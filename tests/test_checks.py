@@ -1,15 +1,18 @@
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from l2tor.checks import (_Side, check_basic_F, check_block_matrix_F,
-                          check_gromov_shubin, check_short_exact, run_suite)
-from l2tor.config import TIE_RTOL
+from l2tor.checks import (CheckReport, _check_equal, _check_leq, _sum_values,
+                          check_basic_F, check_block_matrix_F, check_gromov_shubin,
+                          check_short_exact, run_suite)
+from l2tor.config import VALUE_ATOL
 from l2tor.complexes import FiniteCochainComplex
 from l2tor.rand import (random_homotopy_pair, random_short_exact_triple,
                         rng_for)
-from l2tor.sdf import SpectralDensityFunction, probe_grid
+from l2tor.sdf import SpectralDensityFunction, probe_grid, tie_shifted
 from l2tor.traced import TracedMap, TracedSpace
 
 
@@ -197,14 +200,50 @@ _steps = st.lists(st.floats(min_value=0.0, max_value=50.0), max_size=6).map(
     lambda pos: SpectralDensityFunction.from_jumps(pos, np.full(len(pos), 1.0 / 3.0)))
 
 
-@given(st.lists(_steps, max_size=4), st.sampled_from([0.0, 0.1, 2.0 / 3.0]),
-       st.lists(st.floats(min_value=0.0, max_value=60.0), max_size=10),
-       st.sampled_from([0.0, TIE_RTOL]))
-def test_side_values_match_scalar_sum_bitwise(terms, constant, pts, tie_rtol):
-    side = _Side(terms, constant)
+def _reference_value(F, x):
+    """F at x by a bisect count of the breakpoints <= x."""
+    count = bisect.bisect_right(F.lams.tolist(), x)
+    return float(F.vals[count - 1]) if count else 0.0
+
+
+@given(st.lists(_steps, min_size=1, max_size=4),
+       st.lists(st.floats(min_value=0.0, max_value=60.0), max_size=10))
+def test_side_values_match_scalar_sum_bitwise(terms, pts):
+    # the checkers' right side, at the probes and at their tie shifts
     x = np.concatenate([np.asarray(pts, dtype=float), *(t.probe_points() for t in terms)])
-    expected = np.array([constant + sum(t(v, tie_rtol) for t in terms) for v in x])
-    assert side.values(x, tie_rtol).tobytes() == expected.tobytes()
+    for probes in (x, tie_shifted(x)):
+        expected = np.array([sum(_reference_value(t, v) for t in terms) for v in probes])
+        assert _sum_values(terms, probes).tobytes() == expected.tobytes()
+
+
+@given(_steps, st.lists(_steps, min_size=1, max_size=3),
+       st.sampled_from([0.0, 0.1, 2.0 / 3.0]))
+def test_check_leq_shifts_only_the_right_side(lhs, terms, constant):
+    report = CheckReport()
+    margin = _check_leq("item", lhs, terms, report, constant=constant)
+    probes = probe_grid([lhs, *terms])
+    lvals = np.array([_reference_value(lhs, v) for v in probes])
+    rvals = np.array([constant + sum(_reference_value(t, v) for t in terms)
+                      for v in tie_shifted(probes)])
+    assert report.probes == probes.size
+    assert [(v.lam, v.lhs, v.rhs) for v in report.violations] == [
+        (probes[k], lvals[k], rvals[k]) for k in np.flatnonzero(lvals > rvals + VALUE_ATOL)]
+    positive = lvals > 0.0
+    assert margin == (float(np.min((rvals - lvals)[positive])) if positive.any() else None)
+
+
+def test_tie_slack_forgives_only_rounding_sized_moves():
+    # a right-side breakpoint displaced upward by rounding is a tie for both
+    # relations; one moved by more than the slack is a violation
+    early = SpectralDensityFunction([1.0], [1.0])
+    for late, ok in [(SpectralDensityFunction([1.0 + 5e-10], [1.0]), True),
+                     (SpectralDensityFunction([1.0 + 1e-6], [1.0]), False)]:
+        leq, equal = CheckReport(), CheckReport()
+        _check_leq("leq", early, [late], leq)
+        _check_equal("equal", early, [late], equal)
+        assert leq.ok == ok and equal.ok == ok
+        if not ok:
+            assert [(v.lam, v.lhs, v.rhs) for v in leq.violations] == [(1.0, 1.0, 0.0)]
 
 
 def _two_pass_grid(lhs, terms):
@@ -238,7 +277,8 @@ def test_no_tolerance_parameters():
     banned = {"rank_rtol", "reduced", "use_stated_range", "homotopy_atol",
               "structure_atol", "validate", "identity_gram", "tries", "cond_threshold",
               "flat_threshold", "closed_form_atol", "crosscheck_atol", "value_atol",
-              "n_grid", "c2_candidates", "max_gap", "dps", "x_probes"}
+              "n_grid", "c2_candidates", "max_gap", "dps", "x_probes", "tie_rtol",
+              "margin_key"}
     seen = 0
     for info in pkgutil.iter_modules(l2tor.__path__):
         module = __import__(f"l2tor.{info.name}", fromlist=["_"])

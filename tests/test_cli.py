@@ -1,10 +1,14 @@
 import json
 import math
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from l2tor.anomaly import anomaly_coefficients
-from l2tor.cli import main
+from l2tor.cli import build_parser, main
+from l2tor.heattrace import TorsionResult
 
 
 def run_cli(capsys, *argv):
@@ -115,7 +119,23 @@ def test_hyperbolic_constant(capsys):
 
 def test_hyperbolic_even_dimension(capsys):
     code, out, _ = run_cli(capsys, "hyperbolic", "--m", "4", "--op", "constant")
-    assert json.loads(out)["value"] == 0.0
+    payload = json.loads(out)
+    assert payload["value"] == 0.0
+    assert payload["perDegree"] == [] and payload["errorEstimate"] == 0.0
+
+
+def test_hyperbolic_constant_per_degree(capsys):
+    # the per-degree parts, shaped as in zeta --op torsion, sum to the constant
+    code, out, _ = run_cli(capsys, "hyperbolic", "--m", "3", "--op", "constant")
+    assert code == 0
+    payload = json.loads(out)
+    assert [d["p"] for d in payload["perDegree"]] == [0, 1, 2, 3]
+    total = 0.0
+    for d in payload["perDegree"]:
+        total += (-1) ** d["p"] * d["p"] * (d["small"] + d["large"])
+    assert total == payload["value"]
+    assert payload["value"] == pytest.approx(-1.0 / (3.0 * math.pi), abs=1e-9)
+    assert 0.0 < payload["errorEstimate"] < 1e-6
 
 
 def test_hyperbolic_density_and_cusp(capsys):
@@ -337,8 +357,27 @@ def test_reports_are_standard_json(capsys, tmp_path):
 def test_nonfinite_report_value_is_an_error(capsys, monkeypatch):
     # a NaN that reaches the report is refused, not printed as NaN
     import l2tor.cli as cli
-    monkeypatch.setattr(cli, "torsion_constant", lambda table, m: math.nan)
+    monkeypatch.setattr(cli, "torsion_constant_result",
+                        lambda table, m: TorsionResult([], math.nan, {"error": 0.0}))
     code, out, err = run_cli(capsys, "hyperbolic", "--m", "3", "--op", "constant")
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
+
+
+def test_readme_commands_parse_and_scripts_exist():
+    # every l2tor line of the README's code blocks parses, and every script
+    # it names is in the repository
+    root = Path(__file__).resolve().parents[1]
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", (root / "README.md").read_text(),
+                        re.MULTILINE | re.DOTALL)
+    lines = [line.split("#", 1)[0].strip() for block in blocks
+             for line in block.splitlines()]
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("l2tor ")]
+    scripts = re.findall(r"^python (scripts/\S+)", "\n".join(lines), re.MULTILINE)
+    assert len(commands) >= 10 and scripts
+    parser = build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).handler, argv
+    for script in scripts:
+        assert (root / script).is_file(), script

@@ -102,6 +102,17 @@ def test_error_reports_location(tmp_path):
         {"kind": "hyperbolic", "volume": 1.0}, {"volume": 2.0}]}))
     with pytest.raises(ManifestError, match=r"pieces\[1\]"):
         load_manifest(path)
+    path.write_text(json.dumps({"name": "x", "pieces": [
+        {"kind": "hyperbolic", "volume": 1.0}, {"kind": "hyperbolic", "volume": -2.0}]}))
+    with pytest.raises(ManifestError, match=r"bad\.json\.pieces\[1\]: volume must be "
+                                            r"nonnegative"):
+        load_manifest(path)
+    csv_path = tmp_path / "bad.csv"
+    for row, message in [("hyperbolic,0,h", "hyperbolic pieces need positive volume"),
+                         ("hyperbolic,nan,h", "volume nan is not finite")]:
+        csv_path.write_text(f"# kind,volume,label\n{row}\n")
+        with pytest.raises(ManifestError, match=rf"bad\.csv:2: {message}"):
+            load_manifest(csv_path)
 
 
 def test_malformed_json_reports_line(tmp_path):

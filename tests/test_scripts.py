@@ -1,5 +1,3 @@
-import math
-import re
 import subprocess
 import sys
 from pathlib import Path
@@ -18,13 +16,6 @@ def run_script(env, name, *args):
 
 @pytest.mark.parametrize("name, args", [
     ("short_exact_slack.py", ["--instances", "5"]),
-    ("anomaly_sweep.py", ["--steps", "3"]),
 ])
 def test_script_runs(src_env, name, args):
     run_script(src_env, name, *args)
-
-
-def test_torsion_constant_convergence_prints_constant(src_env):
-    out = run_script(src_env, "torsion_constant_convergence.py")
-    value = float(re.search(r"^constant: (\S+)$", out, re.MULTILINE).group(1))
-    assert value == pytest.approx(-1.0 / (3.0 * math.pi), abs=1e-9)

@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from l2tor.config import TIE_RTOL
 from l2tor.rand import random_map, random_space, rng_for
 from l2tor.sdf import (SpectralDensityFunction, ns_exponent_fit, probe_grid,
-                       sdf_of_map, variational_sdf)
+                       sdf_of_map, tie_shifted, variational_sdf)
 from l2tor.traced import TracedMap, TracedSpace
 
 
@@ -49,7 +50,7 @@ def test_random_map_against_generalized_eigensolve():
         svs = np.sqrt(np.clip(eigs, 0.0, None))
         for lam in np.concatenate([svs, [0.0], svs * 0.999, svs * 1.001, [100.0]]):
             expected = float(np.count_nonzero(svs <= lam + 1e-9 * max(1.0, lam)))
-            assert F(lam, 1e-9) == pytest.approx(expected * src.normalization)
+            assert F(tie_shifted(lam)) == pytest.approx(expected * src.normalization)
 
 
 def test_total_equals_normalized_source_dim():
@@ -190,16 +191,52 @@ def probes_for(draw, F):
     return np.concatenate([np.asarray(pts, dtype=float)] + [np.asarray(e) for e in extra])
 
 
-@given(st.data(), step_functions(), st.sampled_from([0.0, TIE_RTOL]))
-def test_values_match_scalar_evaluation_bitwise(data, F, tie_rtol):
-    x = data.draw(probes_for(F))
-    got = F.values(x, tie_rtol)
-    expected = np.array([F(v, tie_rtol) for v in x], dtype=float)
-    assert got.shape == x.shape
-    assert got.tobytes() == expected.tobytes()
+def reference_value(F, x):
+    """F at x by a bisect count of the breakpoints <= x."""
+    count = bisect.bisect_right(F.lams.tolist(), x)
+    return float(F.vals[count - 1]) if count else 0.0
+
+
+@given(st.data(), step_functions())
+def test_values_match_scalar_evaluation_bitwise(data, F):
+    # at the probes and at their tie shifts, the two slacks of the checkers
+    for x in (data.draw(probes_for(F)), tie_shifted(data.draw(probes_for(F)))):
+        got = F.values(x)
+        expected = np.array([reference_value(F, v) for v in x], dtype=float)
+        assert got.shape == x.shape
+        assert got.tobytes() == expected.tobytes()
+        assert np.array([F(v) for v in x]).tobytes() == expected.tobytes()
 
 
 def test_values_of_empty_function_are_zero():
     x = np.array([0.0, 1.0, 1e9])
-    assert np.array_equal(SpectralDensityFunction.zero().values(x, TIE_RTOL), np.zeros(3))
-    assert SpectralDensityFunction.zero().values(np.zeros(0)).shape == (0,)
+    zero = SpectralDensityFunction.zero()
+    assert np.array_equal(zero.values(x), np.zeros(3))
+    assert np.array_equal(zero.values(tie_shifted(x)), np.zeros(3))
+    assert zero.values(np.zeros(0)).shape == (0,)
+    assert zero(0.0) == 0.0
+
+
+def test_tie_shift_is_relative_above_one_and_absolute_below():
+    x = np.array([0.0, 0.5, 1.0, 1e6])
+    assert np.array_equal(tie_shifted(x), x + TIE_RTOL * np.array([1.0, 1.0, 1.0, 1e6]))
+
+
+@given(step_functions())
+def test_scaled_argument_at_zero_is_the_constant_f0(F):
+    G = F.scaled_argument(0.0)
+    f0 = reference_value(F, 0.0)
+    x = np.array([0.0, 1e-300, 1.0, 1e9])
+    assert np.array_equal(G.values(x), np.full(4, f0))
+    assert G.lams.size == (f0 != 0.0)
+
+
+def test_scaled_argument_at_zero_examples():
+    assert SpectralDensityFunction.zero().scaled_argument(0.0).lams.size == 0
+    F = SpectralDensityFunction(np.array([0.0, 2.0]), np.array([0.5, 1.5]))
+    G = F.scaled_argument(0.0)
+    assert G(0.0) == 0.5 and G(1e9) == 0.5
+    unreduced = SpectralDensityFunction(np.array([2.0]), np.array([1.0]))
+    assert unreduced.scaled_argument(0.0).total == 0.0
+    with pytest.raises(ValueError, match="nonnegative"):
+        F.scaled_argument(-1.0)
