@@ -159,13 +159,14 @@ def check_basic_F(f: TracedMap, g: TracedMap | None = None,
     """
     report = CheckReport()
     F_f = sdf_of_map(f)
+    rF_f = F_f.reduced()
     norm_unit = f.source.normalization
 
     if g is not None:
         if g.source.dim != f.target.dim:
             raise ValueError("g must be composable with f")
-        gf = g @ f
-        F_g, F_gf = sdf_of_map(g), sdf_of_map(gf)
+        F_g, F_gf = sdf_of_map(g), sdf_of_map(g @ f)
+        rF_g, rF_gf = F_g.reduced(), F_gf.reduced()
         _check_leq("basic.1", F_f, [F_gf.scaled_argument(g.norm)], report)
         if f.is_surjective():
             _check_leq("basic.2", F_g, [F_gf.scaled_argument(f.norm)], report)
@@ -176,22 +177,18 @@ def check_basic_F(f: TracedMap, g: TracedMap | None = None,
                        [F_g.power_argument(1 - r), F_f.power_argument(r)], report)
         ker_g = _kernel_basis_whitened(g)
         im_f = _image_basis_whitened(f)
-        trivial = _trivial_intersection(ker_g, im_f)
-        if trivial is True:
-            _check_leq("reduced.1", F_f.reduced(),
-                       [F_gf.reduced().scaled_argument(g.norm)], report)
+        if _trivial_intersection(ker_g, im_f) is True:
+            _check_leq("reduced.1", rF_f, [rF_gf.scaled_argument(g.norm)], report)
         else:
             report.skipped.append(("reduced.1", "ker g ∩ im f ambiguous or nontrivial"))
         if f.is_surjective():
-            _check_leq("reduced.2", F_g.reduced(),
-                       [F_gf.reduced().scaled_argument(f.norm)], report)
+            _check_leq("reduced.2", rF_g, [rF_gf.scaled_argument(f.norm)], report)
         else:
             report.skipped.append(("reduced.2", "f not surjective"))
         if _contained(ker_g, im_f):
             for r in R_VALUES:
-                _check_leq(f"reduced.3[r={r}]", F_gf.reduced(),
-                           [F_g.reduced().power_argument(1 - r),
-                            F_f.reduced().power_argument(r)], report)
+                _check_leq(f"reduced.3[r={r}]", rF_gf,
+                           [rF_g.power_argument(1 - r), rF_f.power_argument(r)], report)
         else:
             report.skipped.append(("reduced.3", "ker g not contained in im f"))
 
@@ -204,8 +201,7 @@ def check_basic_F(f: TracedMap, g: TracedMap | None = None,
             inv_norm = i.inverse_norm
             F_if = sdf_of_map(i @ f)
             _check_leq("basic.4", F_if, [F_f.scaled_argument(inv_norm)], report)
-            _check_leq("reduced.4", F_if.reduced(),
-                       [F_f.reduced().scaled_argument(inv_norm)], report)
+            _check_leq("reduced.4", F_if.reduced(), [rF_f.scaled_argument(inv_norm)], report)
 
     if p is not None:
         if p.target.dim != f.source.dim:
@@ -213,15 +209,13 @@ def check_basic_F(f: TracedMap, g: TracedMap | None = None,
         if not p.is_surjective():
             report.skipped.append(("basic.5", "p not surjective"))
         else:
-            fp = f @ p
-            F_fp = sdf_of_map(fp)
+            F_fp = sdf_of_map(f @ p)
+            rF_fp = F_fp.reduced()
             _check_leq("basic.5", F_f, [F_fp.scaled_argument(p.norm)], report)
-            inv_norm = p.inverse_norm
-            _check_leq("reduced.5", F_fp.reduced(),
-                       [F_f.reduced().scaled_argument(inv_norm)], report)
+            _check_leq("reduced.5", rF_fp, [rF_f.scaled_argument(p.inverse_norm)], report)
             ker_p = p.kernel_dim() * p.source.normalization
-            _check_leq("reduced.6", F_f.reduced(),
-                       [F_fp.reduced().scaled_argument(p.norm)], report, constant=ker_p)
+            _check_leq("reduced.6", rF_f, [rF_fp.scaled_argument(p.norm)], report,
+                       constant=ker_p)
 
     # square identity: density of f*f at lambda equals density of f at sqrt(lambda)
     sv = (f.adjoint() @ f).singular_values().copy()
@@ -266,35 +260,35 @@ def check_block_matrix_F(phi: TracedMap, gamma: TracedMap, xi: TracedMap) -> Che
     report = CheckReport()
     M = _block_map(phi, gamma, xi)
     F_M, F_phi, F_xi = sdf_of_map(M), sdf_of_map(phi), sdf_of_map(xi)
+    rF_M, rF_phi, rF_xi = F_M.reduced(), F_phi.reduced(), F_xi.reduced()
     gnorm = gamma.norm
     report.constants.update({"norm_phi": phi.norm, "norm_gamma": gnorm, "norm_xi": xi.norm})
 
     if gamma.norm == 0.0:
         _check_equal("block.1", F_M, [F_phi, F_xi], report)
-        _check_equal("block.r1", F_M.reduced(),
-                     [F_phi.reduced(), F_xi.reduced()], report)
+        _check_equal("block.r1", rF_M, [rF_phi, rF_xi], report)
 
     phi_invertible = (phi.source.dim == phi.target.dim and phi.rank() == phi.source.dim)
     if phi_invertible:
         c = 4.0 + 2.0 * gnorm * phi.inverse_norm
         _check_leq("block.2", F_M, [F_phi.scaled_argument(c), F_xi.scaled_argument(c)], report)
-        _check_leq("block.r2", F_M.reduced(), [F_phi.reduced().scaled_argument(c),
-                                               F_xi.reduced().scaled_argument(c)], report)
+        _check_leq("block.r2", rF_M, [rF_phi.scaled_argument(c), rF_xi.scaled_argument(c)],
+                   report)
     else:
         report.skipped.append(("block.2", "phi not invertible"))
 
     xi_injective = xi.is_injective()
     phi_dense = phi.is_surjective()
     c3 = 4.0 + 2.0 * gnorm
+    F_xi_c3, rF_xi_c3 = F_xi.scaled_argument(c3), rF_xi.scaled_argument(c3)
     for r in R_VALUES:
         upper = c3 ** (1.0 / (r - 1.0))
         _check_leq(f"block.3[r={r}]", F_M,
-                   [F_phi.power_argument(r), F_xi.scaled_argument(c3).power_argument(1 - r)],
+                   [F_phi.power_argument(r), F_xi_c3.power_argument(1 - r)],
                    report, upper=upper)
         if xi_injective or phi_dense:
-            _check_leq(f"block.r3[r={r}]", F_M.reduced(),
-                       [F_phi.reduced().power_argument(r),
-                        F_xi.reduced().scaled_argument(c3).power_argument(1 - r)],
+            _check_leq(f"block.r3[r={r}]", rF_M,
+                       [rF_phi.power_argument(r), rF_xi_c3.power_argument(1 - r)],
                        report, upper=upper)
         else:
             report.skipped.append((f"block.r3[r={r}]", "xi not injective and phi not dense"))
@@ -302,7 +296,7 @@ def check_block_matrix_F(phi: TracedMap, gamma: TracedMap, xi: TracedMap) -> Che
     c4 = 2.0 * (1.0 + gnorm + xi.norm)
     _check_leq("block.4", F_phi, [F_M.scaled_argument(c4)], report)
     if xi_injective:
-        _check_leq("block.r4", F_phi.reduced(), [F_M.reduced().scaled_argument(c4)], report)
+        _check_leq("block.r4", rF_phi, [rF_M.scaled_argument(c4)], report)
     else:
         report.skipped.append(("block.r4", "xi not injective"))
 
@@ -310,7 +304,7 @@ def check_block_matrix_F(phi: TracedMap, gamma: TracedMap, xi: TracedMap) -> Che
         c5 = 2.0 * (1.0 + gnorm + phi.norm)
         _check_leq("block.5", F_xi, [F_M.scaled_argument(c5)], report, upper=1.0)
         ker_phi = phi.kernel_dim() * phi.source.normalization
-        _check_leq("block.r5", F_xi.reduced(), [F_M.reduced().scaled_argument(c5)],
+        _check_leq("block.r5", rF_xi, [rF_M.scaled_argument(c5)],
                    report, upper=1.0, constant=ker_phi)
     else:
         report.skipped.append(("block.5", "phi has no dense image"))
@@ -374,8 +368,7 @@ def _moebius_argument(F: SpectralDensityFunction, c: float, t: float) -> Spectra
     """
     if c <= 0:
         return F.scaled_argument(0.0)
-    new_lams = F.lams / (c + t * F.lams)
-    return SpectralDensityFunction(new_lams, F.vals)
+    return SpectralDensityFunction._derived(F.lams / (c + t * F.lams), F.vals, moved=True)
 
 
 def check_gromov_shubin(C: FiniteCochainComplex, D: FiniteCochainComplex,

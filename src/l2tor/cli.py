@@ -30,7 +30,7 @@ from .checks import SUITES, run_suite
 from .config import seed_from_env
 from .heattrace import (HeatTraceModel, TorsionResult, analytic_torsion, d_small,
                         zeta_det_with_error)
-from .hyperbolic import (CuspEnd, cusp_volume, heat_density,
+from .hyperbolic import (CuspEnd, _field, cusp_volume, heat_density,
                          load_plancherel_table, torsion_constant_result)
 from .jsj import is_graph_manifold, load_manifest, torsion_3manifold
 from .kernels1d import Domain1D, boundary_insensitivity_check, sup_bound_check
@@ -53,15 +53,29 @@ def _emit(payload: dict, output: str | None) -> None:
         print(text)
 
 
+def _spectrum(pairs, location: str) -> Spectrum:
+    """A list of [eigenvalue, weight] pairs; a malformed entry is named."""
+    if not isinstance(pairs, list):
+        raise ValueError(f"{location}: expected a list of [eigenvalue, weight] pairs")
+    for k, pair in enumerate(pairs):
+        if not (isinstance(pair, list) and len(pair) == 2):
+            raise ValueError(f"{location}[{k}]: expected [eigenvalue, weight]")
+    return Spectrum.from_pairs(pairs)
+
+
 def _load_spectrum(path: str) -> tuple[Spectrum | None, dict[int, Spectrum] | None]:
     """Spectrum files: a JSON list of [eigenvalue, weight] pairs, or an
-    object {"degrees": [{"p": int, "spectrum": [[eig, w], ...]}, ...]}."""
+    object {"degrees": [{"p": int, "spectrum": [[eig, w], ...]}, ...]}.
+    A malformed file raises a ValueError naming the file and the field."""
     raw = json.loads(Path(path).read_text())
     if isinstance(raw, list):
-        return Spectrum.from_pairs(raw), None
+        return _spectrum(raw, path), None
     if isinstance(raw, dict) and "degrees" in raw:
-        degrees = {int(entry["p"]): Spectrum.from_pairs(entry["spectrum"])
-                   for entry in raw["degrees"]}
+        degrees = {}
+        for k, entry in enumerate(_field(raw, "degrees", path, list)):
+            loc = f"{path}.degrees[{k}]"
+            p = _field(entry, "p", loc, int)
+            degrees[p] = _spectrum(_field(entry, "spectrum", loc, list), f"{loc}.spectrum")
         return None, degrees
     raise ValueError("spectrum file must be a JSON list of [eigenvalue, weight] "
                      "pairs or an object with a 'degrees' list")

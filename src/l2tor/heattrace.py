@@ -163,6 +163,11 @@ class HeatTraceModel:
     tail_integral: Callable[[float], float] | None = None
     small_time_exact: ExactIntegral | None = None
     large_time_exact: ExactIntegral | None = None
+    # the unit of the residual check's probe times: set by from_spectrum
+    # (1 / largest eigenvalue) and from_circle (L^2, when its integrals are
+    # exact), so their expansions have taken hold at the probes; replace()
+    # and every other model keep 1
+    _time_scale: float = field(default=1.0, init=False, repr=False)
 
     def __post_init__(self):
         if self.m < 0:
@@ -186,16 +191,18 @@ class HeatTraceModel:
         pos = S.positive_part()
         coeff = np.zeros(m + 1)
         coeff[m] = pos.total_weight
-        gap = None if pos.eigenvalues.size == 0 else float(pos.eigenvalues[0])
-        return HeatTraceModel(
+        model = HeatTraceModel(
             evaluate=lambda t: pos.heat_trace(t, include_kernel=True),
             m=m,
             coefficients=coeff,
             residual=pos.heat_trace_residual,
-            spectral_gap=gap if gap is not None else math.inf,
+            spectral_gap=S.spectral_gap,
             small_time_exact=_exact_sum(-pos.weights * _ein(pos.eigenvalues)),
             large_time_exact=_exact_sum(pos.weights * exp1(pos.eigenvalues)),
         )
+        if pos.eigenvalues.size:
+            model._time_scale = 1.0 / float(pos.eigenvalues[-1])
+        return model
 
     @staticmethod
     def from_circle(circumference: float) -> "HeatTraceModel":
@@ -206,7 +213,7 @@ class HeatTraceModel:
             raise ValueError("circumference must be positive")
         coeff = np.array([L / math.sqrt(4.0 * math.pi), -1.0])
         small, large = _circle_integrals(L) or (None, None)
-        return HeatTraceModel(
+        model = HeatTraceModel(
             evaluate=lambda t: circle_heat_trace(L, t, include_zero=False),
             m=1,
             coefficients=coeff,
@@ -215,6 +222,9 @@ class HeatTraceModel:
             small_time_exact=small,
             large_time_exact=large,
         )
+        if small is not None:
+            model._time_scale = L * L
+        return model
 
     def expansion_value(self, t: float) -> float:
         coeff = self.coefficients
@@ -287,9 +297,11 @@ class DsmallResult:
 
 
 def _check_residual_integrable(model: HeatTraceModel) -> None:
-    """Reject when theta minus the expansion fails to vanish like sqrt(t)."""
+    """Reject when theta minus the expansion fails to vanish like sqrt(t),
+    probed at 1e-2, 1e-4 and 1e-6 times the model's time scale."""
     qs = []
     for t in (1e-2, 1e-4, 1e-6):
+        t *= model._time_scale
         qs.append(abs(model.residual_value(t)) / math.sqrt(t))
     if qs[-1] > 10.0 * qs[0] + 1e-9:
         raise ValueError(

@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from importlib import resources
 from math import factorial
+from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
@@ -100,16 +101,12 @@ class PlancherelComponent:
             if not c:
                 continue
             base = c * _gaussian_moment(k)
-            j_cut = -1
-            for j in range(0, (k + 1) // 2 + 1):
-                power = -(k + 1) / 2.0 + j
-                i_float = m + 2.0 * power
-                i = round(i_float)
-                if abs(i - i_float) > 1e-9 or i < 0 or i > m:
-                    continue
-                coeff[i] += base * (-self.shift) ** j / factorial(j)
-                j_cut = max(j_cut, j)
-            tail_terms.append((base, k, j_cut))
+            # the j-th Taylor term has power -(k+1)/2 + j, which is
+            # t^{-(m-i)/2} for i = m - k - 1 + 2j; keep 0 <= i <= m
+            j_lo, j_cut = max(0, (k + 2 - m) // 2), (k + 1) // 2
+            for j in range(j_lo, j_cut + 1):
+                coeff[m - k - 1 + 2 * j] += base * (-self.shift) ** j / factorial(j)
+            tail_terms.append((base, k, j_cut if j_lo <= j_cut else -1))
 
         def remainder(t: float) -> float:
             acc = 0.0
@@ -181,22 +178,46 @@ class PlancherelTable:
                 "leading_term_rel": leading}
 
 
+def _field(raw, key: str, location: str, convert: Callable):
+    """convert(raw[key]); a raw that is no object, a missing key or a value
+    that convert refuses raises a ValueError naming the location."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{location}: expected an object")
+    if key not in raw:
+        raise ValueError(f"{location}: missing field {key!r}")
+    try:
+        return convert(raw[key])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{location}.{key}: {exc}") from None
+
+
 def load_plancherel_table(path: str | None = None) -> PlancherelTable:
     """Load a density table from JSON (the packaged m = 3 table by default)
-    and validate it."""
+    and validate it; a malformed file raises a ValueError naming the file
+    and the field."""
     if path is None:
-        raw = json.loads(resources.files("l2tor.data").joinpath(
-            "plancherel_h3.json").read_text())
+        where = "plancherel_h3.json"
+        raw = json.loads(resources.files("l2tor.data").joinpath(where).read_text())
     else:
+        where = str(path)
         with open(path) as fh:
             raw = json.load(fh)
-    m = int(raw["m"])
+    m = _field(raw, "m", where, int)
     rows: list[tuple[PlancherelComponent, ...]] = [()] * (m + 1)
-    for row in raw["rows"]:
-        p = int(row["p"])
-        comps = tuple(PlancherelComponent(float(c["shift"]), tuple(c["poly"]))
-                      for c in row["components"])
-        rows[p] = comps
+    for i, row in enumerate(_field(raw, "rows", where, list)):
+        loc = f"{where}.rows[{i}]"
+        p = _field(row, "p", loc, int)
+        if not 0 <= p <= m:
+            raise ValueError(f"{loc}.p: degree {p} is outside 0..{m}")
+        comps = []
+        for j, c in enumerate(_field(row, "components", loc, list)):
+            cloc = f"{loc}.components[{j}]"
+            shift, poly = _field(c, "shift", cloc, float), _field(c, "poly", cloc, tuple)
+            try:
+                comps.append(PlancherelComponent(shift, poly))
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{cloc}: {exc}") from None
+        rows[p] = tuple(comps)
     table = PlancherelTable(m, tuple(rows))
     table.validate()
     return table

@@ -44,30 +44,37 @@ class SpectralDensityFunction:
         vals = np.asarray(vals, dtype=float)
         if lams.shape != vals.shape or lams.ndim != 1:
             raise ValueError("breakpoints and values must be 1-d arrays of equal length")
+        # each test is written so that NaN fails it; inf can only sit last
         if lams.size:
-            if np.any(np.diff(lams) <= 0):
+            if not np.all(np.diff(lams) > 0):
                 raise ValueError("breakpoint positions must be strictly increasing")
-            if lams[0] < 0:
-                raise ValueError("breakpoints must be nonnegative")
-            if np.any(np.diff(vals) < 0) or vals[0] < 0:
-                raise ValueError("values must be nonnegative and nondecreasing")
+            if not (lams[0] >= 0 and lams[-1] < np.inf):
+                raise ValueError("breakpoints must be finite and nonnegative")
+            if not (np.all(np.diff(vals) >= 0) and vals[0] >= 0 and vals[-1] < np.inf):
+                raise ValueError("values must be finite, nonnegative and nondecreasing")
         self.lams = lams
         self.vals = vals
+
+    @classmethod
+    def _derived(cls, lams: np.ndarray, vals: np.ndarray,
+                 moved: bool = False) -> "SpectralDensityFunction":
+        """A function derived from valid ones, which keeps the invariants by
+        construction and so skips __init__'s checks; only the rounding of an
+        argument change (moved=True) can merge or overflow breakpoints."""
+        if moved and lams.size and not (np.all(np.diff(lams) > 0) and lams[-1] < np.inf):
+            raise ValueError("the argument change merged or overflowed breakpoints")
+        F = object.__new__(cls)
+        F.lams, F.vals = lams, vals
+        return F
 
     @staticmethod
     def from_jumps(positions, weights) -> "SpectralDensityFunction":
         """Build from (position, jump-size) pairs; positions may repeat."""
-        positions = np.asarray(positions, dtype=float)
-        weights = np.asarray(weights, dtype=float)
-        order = np.argsort(positions, kind="stable")
-        positions, weights = positions[order], weights[order]
-        uniq, idx = np.unique(positions, return_index=True)
-        jump = np.add.reduceat(weights, idx) if weights.size else weights
-        return SpectralDensityFunction(uniq, np.cumsum(jump))
+        return SpectralDensityFunction(*_steps(positions, weights))
 
     @staticmethod
     def zero() -> "SpectralDensityFunction":
-        return SpectralDensityFunction(np.zeros(0), np.zeros(0))
+        return SpectralDensityFunction._derived(np.zeros(0), np.zeros(0))
 
     # -- evaluation ----------------------------------------------------------------
 
@@ -99,7 +106,7 @@ class SpectralDensityFunction:
         if f0 == 0.0:
             return self
         keep = self.lams > 0
-        return SpectralDensityFunction(self.lams[keep], self.vals[keep] - f0)
+        return SpectralDensityFunction._derived(self.lams[keep], self.vals[keep] - f0)
 
     def scaled_argument(self, c: float) -> "SpectralDensityFunction":
         """Return lambda -> F(c * lambda) for c >= 0; c = 0 gives the
@@ -108,32 +115,30 @@ class SpectralDensityFunction:
             return SpectralDensityFunction.zero().plus_constant(self(0.0))
         if not c > 0:
             raise ValueError("scale must be nonnegative")
-        return SpectralDensityFunction(self.lams / c, self.vals)
+        return SpectralDensityFunction._derived(self.lams / c, self.vals, moved=True)
 
     def power_argument(self, a: float) -> "SpectralDensityFunction":
         """Return lambda -> F(lambda ** a) for a > 0 (domain lambda >= 0)."""
         if not a > 0:
             raise ValueError("exponent must be positive")
-        return SpectralDensityFunction(self.lams ** (1.0 / a), self.vals)
+        return SpectralDensityFunction._derived(self.lams ** (1.0 / a), self.vals, moved=True)
 
     def plus(self, other: "SpectralDensityFunction") -> "SpectralDensityFunction":
         pos = np.concatenate([self.lams, other.lams])
         jumps_self = np.diff(self.vals, prepend=0.0)
         jumps_other = np.diff(other.vals, prepend=0.0)
-        return SpectralDensityFunction.from_jumps(
-            pos, np.concatenate([jumps_self, jumps_other])
-        )
+        return SpectralDensityFunction._derived(
+            *_steps(pos, np.concatenate([jumps_self, jumps_other])))
 
     def plus_constant(self, c: float) -> "SpectralDensityFunction":
         if c == 0.0:
             return self
-        if c < 0:
-            raise ValueError("constant shift must be nonnegative")
+        if not 0.0 < c < np.inf:
+            raise ValueError("constant shift must be finite and nonnegative")
         if self.lams.size and self.lams[0] == 0.0:
-            return SpectralDensityFunction(self.lams, self.vals + c)
-        return SpectralDensityFunction(
-            np.concatenate([[0.0], self.lams]), np.concatenate([[c], self.vals + c])
-        )
+            return SpectralDensityFunction._derived(self.lams, self.vals + c)
+        return SpectralDensityFunction._derived(
+            np.concatenate([[0.0], self.lams]), np.concatenate([[c], self.vals + c]))
 
     # -- probing grids ---------------------------------------------------------------
 
@@ -149,6 +154,17 @@ class SpectralDensityFunction:
         probes = tie_shifted(probe_grid([self, other]))
         diff = self.values(probes) - other.values(probes)
         return not np.any(np.abs(diff) > VALUE_ATOL)
+
+
+def _steps(positions, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct sorted positions and the cumulative weight at each."""
+    positions = np.asarray(positions, dtype=float)
+    weights = np.asarray(weights, dtype=float)
+    order = np.argsort(positions, kind="stable")
+    positions, weights = positions[order], weights[order]
+    uniq, idx = np.unique(positions, return_index=True)
+    jump = np.add.reduceat(weights, idx) if weights.size else weights
+    return uniq, np.cumsum(jump)
 
 
 def probe_grid(functions) -> np.ndarray:

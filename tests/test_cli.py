@@ -278,33 +278,50 @@ def test_config_option_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("argv, spectrum, message", [
+@pytest.mark.parametrize("argv, infile, message", [
     (["zeta", "--op", "det"], None, None),
     (["hyperbolic", "--op", "density", "--m", "5"], None, None),
     (["hyperbolic", "--op", "constant", "--m", "5"], None, None),
     (["anomaly", "--dim", "3", "--family", "preset:nope"], None, None),
     (["anomaly", "--dim", "3", "--sweep", "a:b"], None, None),
     # det = 1000^200 overflows a double, 0.001^200 underflows to 0
-    (["zeta", "--op", "det"], [[1000.0, 200.0]], None),
-    (["zeta", "--op", "det"], [[0.001, 200.0]], None),
+    (["zeta", "--op", "det"], ("--spectrum", [[1000.0, 200.0]]), None),
+    (["zeta", "--op", "det"], ("--spectrum", [[0.001, 200.0]]), None),
     (["hyperbolic", "--op", "density", "--t", "1e-300"], None,
      "error: heat density of degree 0 overflows a double at t = 1e-300\n"),
     (["hyperbolic", "--op", "cusp", "--height", "-1000"], None,
      "error: cusp volume overflows a double at height -1000\n"),
+    # malformed input files name the file and the field
+    (["hyperbolic", "--op", "density"], ("--table", {}),
+     "error: {path}: missing field 'm'\n"),
+    (["hyperbolic", "--op", "density"], ("--table", {"m": 3, "rows": [{"p": 0}]}),
+     "error: {path}.rows[0]: missing field 'components'\n"),
+    (["hyperbolic", "--op", "density"], ("--table", [{"m": 3}]),
+     "error: {path}: expected an object\n"),
+    (["hyperbolic", "--op", "density"],
+     ("--table", {"m": 3, "rows": [{"p": 7, "components": []}]}),
+     "error: {path}.rows[0].p: degree 7 is outside 0..3\n"),
+    (["zeta", "--op", "torsion"], ("--spectrum", {"degrees": [{"p": 1}]}),
+     "error: {path}.degrees[0]: missing field 'spectrum'\n"),
+    (["zeta", "--op", "det"], ("--spectrum", [[1.0]]),
+     "error: {path}[0]: expected [eigenvalue, weight]\n"),
 ], ids=["zeta-no-spectrum", "density-wrong-dim", "constant-wrong-dim",
         "anomaly-unknown-preset", "anomaly-bad-sweep", "det-overflow",
-        "det-underflow", "density-overflow", "cusp-overflow"])
-def test_usage_errors_exit_2(capsys, tmp_path, argv, spectrum, message):
-    if spectrum is not None:
-        path = tmp_path / "spectrum.json"
-        path.write_text(json.dumps(spectrum))
-        argv = [*argv, "--spectrum", str(path)]
+        "det-underflow", "density-overflow", "cusp-overflow", "table-no-m",
+        "table-row-no-components", "table-list", "table-degree-out-of-range",
+        "degrees-no-spectrum", "spectrum-short-pair"])
+def test_usage_errors_exit_2(capsys, tmp_path, argv, infile, message):
+    path = tmp_path / "input.json"
+    if infile is not None:
+        option, payload = infile
+        path.write_text(json.dumps(payload))
+        argv = [*argv, option, str(path)]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ")
     assert len(err.splitlines()) == 1
-    assert message is None or err == message
+    assert message is None or err == message.format(path=path)
 
 
 def test_selftest_quick(capsys):

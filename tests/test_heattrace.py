@@ -116,6 +116,11 @@ def test_very_short_circle_has_no_exact_pieces():
     assert model.small_time_exact is None and model.large_time_exact is None
     with pytest.raises(ValueError, match="positive"):
         HeatTraceModel.from_circle(0.0)
+    # below L = 13/65535 (about 2e-4) the circle sums need more than 65 536
+    # terms; such a circle keeps the fixed probe times and is refused there
+    for L in (1.9e-4, 1e-4, 1e-6):
+        with pytest.raises(ValueError, match="integrable"):
+            zeta_det(HeatTraceModel.from_circle(L))
 
 
 def test_exact_methods_carry_rounding_size_errors():
@@ -272,10 +277,19 @@ def test_exponentially_damped_power_closed_form():
     assert total == pytest.approx(-2.0 * math.sqrt(math.pi) * c, abs=1e-9)
 
 
-@pytest.mark.parametrize("L", [1.0, 2 * math.pi, 5.0])
+@pytest.mark.parametrize("L", [1.0, 2 * math.pi, 5.0, 0.003, 0.002, 1e-3, 5e-4])
 def test_circle_determinant_is_square_of_circumference(L):
+    # the short circles pass the residual check because it probes at times
+    # proportional to L^2, where their expansion has taken hold
     det = zeta_det(HeatTraceModel.from_circle(L))
-    assert det == pytest.approx(L * L, abs=1e-8 * max(1.0, L * L))
+    assert det == pytest.approx(L * L, rel=1e-8)
+
+
+@pytest.mark.parametrize("eigenvalue", [1e6, 1e8])
+def test_large_eigenvalue_determinant(eigenvalue):
+    # the residual check probes at times proportional to 1/eigenvalue
+    assert zeta_det(Spectrum.from_pairs([(eigenvalue, 1.0)])) == pytest.approx(
+        eigenvalue, rel=1e-12)
 
 
 def test_single_eigenvalue_determinant():

@@ -7,6 +7,7 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
+from l2tor.checks import _moebius_argument, check_block_matrix_F
 from l2tor.config import TIE_RTOL
 from l2tor.rand import random_map, random_space, rng_for
 from l2tor.sdf import (SpectralDensityFunction, ns_exponent_fit, probe_grid,
@@ -240,3 +241,85 @@ def test_scaled_argument_at_zero_examples():
     assert unreduced.scaled_argument(0.0).total == 0.0
     with pytest.raises(ValueError, match="nonnegative"):
         F.scaled_argument(-1.0)
+
+
+# -- validation at the entry points only ----------------------------------------------
+
+
+@pytest.mark.parametrize("build", [
+    lambda: SpectralDensityFunction([math.nan], [1.0]),
+    lambda: SpectralDensityFunction([1.0, 2.0], [1.0, math.nan]),
+    lambda: SpectralDensityFunction([1.0, math.inf], [1.0, 2.0]),
+    lambda: SpectralDensityFunction.from_jumps([0.5, math.nan], [1.0, 1.0]),
+], ids=["nan-breakpoint", "nan-value", "inf-breakpoint", "nan-jump-position"])
+def test_entry_points_refuse_nonfinite_input(build):
+    with pytest.raises(ValueError, match="finite|increasing"):
+        build()
+
+
+@st.composite
+def separated_step_functions(draw, max_size=6):
+    """Breakpoints on a quarter grid in [0, 1000], so every argument change
+    drawn below keeps them further apart than the tie shift."""
+    ticks = draw(st.lists(st.integers(0, 4000), min_size=1, max_size=max_size, unique=True))
+    jumps = draw(st.lists(st.floats(min_value=1e-3, max_value=10.0),
+                          min_size=len(ticks), max_size=len(ticks)))
+    return SpectralDensityFunction(0.25 * np.sort(ticks), np.cumsum(jumps))
+
+
+def _derived_cases(F, G, c, a, t):
+    """(name, derived function, its value at lambda as a composition with F)."""
+    return [
+        ("reduced", F.reduced(), lambda x: F.values(x) - F(0.0)),
+        ("scaled", F.scaled_argument(c), lambda x: F.values(c * x)),
+        ("scaled-0", F.scaled_argument(0.0), lambda x: F.values(0.0 * x)),
+        ("power", F.power_argument(a), lambda x: F.values(x ** a)),
+        ("plus", F.plus(G), lambda x: F.values(x) + G.values(x)),
+        ("plus-constant", F.plus_constant(c), lambda x: F.values(x) + c),
+        ("moebius", _moebius_argument(F, c, t), lambda x: F.values(c * x / (1.0 - t * x))),
+    ]
+
+
+@given(separated_step_functions(), separated_step_functions(),
+       st.floats(min_value=0.1, max_value=10.0), st.floats(min_value=0.25, max_value=4.0),
+       st.floats(min_value=0.0, max_value=2.0))
+def test_derived_functions_keep_the_invariants_and_compose(F, G, c, a, t):
+    for name, D, composed in _derived_cases(F, G, c, a, t):
+        rebuilt = SpectralDensityFunction(D.lams, D.vals)  # the public checks pass
+        assert rebuilt.lams.tobytes() == D.lams.tobytes(), name
+        assert rebuilt.vals.tobytes() == D.vals.tobytes(), name
+        # breakpoints pull back rounded, so both sides read just right of them
+        x = tie_shifted(probe_grid([D]))
+        if name == "moebius":
+            x = x[t * x < 1.0]  # the pullback lives on [0, 1/t)
+        got, want = D.values(x), composed(x)
+        assert np.allclose(got, want, rtol=0.0, atol=1e-9), name
+
+
+def test_derived_functions_skip_validation(monkeypatch):
+    calls = []
+    init = SpectralDensityFunction.__init__
+
+    def counted(self, lams, vals):
+        calls.append(1)
+        init(self, lams, vals)
+
+    F = SpectralDensityFunction([0.0, 1.0, 3.0], [1.0, 2.0, 4.0])
+    G = SpectralDensityFunction.from_jumps([0.5, 2.0], [1.0, 1.0])
+    monkeypatch.setattr(SpectralDensityFunction, "__init__", counted)
+    for _name, D, _composed in _derived_cases(F, G, 2.0, 0.5, 0.1):
+        assert D.lams.size
+    SpectralDensityFunction.zero()
+    assert calls == []
+    rng = rng_for(4, 1)
+    phi, xi, gamma = (random_map(rng, random_space(rng, dims[0]), random_space(rng, dims[1]))
+                      for dims in ((3, 3), (2, 4), (2, 3)))
+    check_block_matrix_F(phi, gamma, xi)
+    assert len(calls) == 3  # the sdf_of_map of M, phi and xi
+
+
+def test_argument_change_that_merges_breakpoints_raises():
+    F = SpectralDensityFunction([1.0, np.nextafter(1.0, 2.0)], [1.0, 2.0])
+    # rounding maps both breakpoints to 1.0; no invalid function is stored
+    with pytest.raises(ValueError):
+        F.power_argument(1e6)
