@@ -25,7 +25,7 @@ from .rand import (random_complex, random_homotopy_pair, random_injective,
                    random_map, random_short_exact_triple, random_space,
                    random_surjective, rng_for)
 from .sdf import SpectralDensityFunction, probe_grid, sdf_of_map, tie_shifted
-from .traced import TracedMap, TracedSpace, nonzero_mask
+from .traced import TracedMap, TracedSpace
 
 __all__ = [
     "Violation",
@@ -111,15 +111,6 @@ def _check_equal(item: str, lhs: SpectralDensityFunction, rhs: list[SpectralDens
 # -- subspace side conditions ----------------------------------------------------------
 
 
-def _image_basis_whitened(f: TracedMap) -> np.ndarray:
-    u, s, _ = np.linalg.svd(f.whitened, full_matrices=False)
-    return u[:, : np.count_nonzero(nonzero_mask(s))]
-
-def _kernel_basis_whitened(f: TracedMap) -> np.ndarray:
-    _, s, vt = np.linalg.svd(f.whitened, full_matrices=True)
-    return vt[np.count_nonzero(nonzero_mask(s)) :].T
-
-
 def _trivial_intersection(b1: np.ndarray, b2: np.ndarray) -> bool | None:
     """True/False for a clear answer, None when numerically ambiguous."""
     if b1.shape[1] == 0 or b2.shape[1] == 0:
@@ -175,8 +166,8 @@ def check_basic_F(f: TracedMap, g: TracedMap | None = None,
         for r in R_VALUES:
             _check_leq(f"basic.3[r={r}]", F_gf,
                        [F_g.power_argument(1 - r), F_f.power_argument(r)], report)
-        ker_g = _kernel_basis_whitened(g)
-        im_f = _image_basis_whitened(f)
+        ker_g = g.kernel_basis()
+        im_f = f.image_basis()
         if _trivial_intersection(ker_g, im_f) is True:
             _check_leq("reduced.1", rF_f, [rF_gf.scaled_argument(g.norm)], report)
         else:

@@ -30,7 +30,7 @@ from .checks import SUITES, run_suite
 from .config import seed_from_env
 from .heattrace import (HeatTraceModel, TorsionResult, analytic_torsion, d_small,
                         zeta_det_with_error)
-from .hyperbolic import (CuspEnd, _field, cusp_volume, heat_density,
+from .hyperbolic import (CuspEnd, _field, _integer, cusp_volume, heat_density,
                          load_plancherel_table, torsion_constant_result)
 from .jsj import is_graph_manifold, load_manifest, torsion_3manifold
 from .kernels1d import Domain1D, boundary_insensitivity_check, sup_bound_check
@@ -74,7 +74,9 @@ def _load_spectrum(path: str) -> tuple[Spectrum | None, dict[int, Spectrum] | No
         degrees = {}
         for k, entry in enumerate(_field(raw, "degrees", path, list)):
             loc = f"{path}.degrees[{k}]"
-            p = _field(entry, "p", loc, int)
+            p = _field(entry, "p", loc, _integer)
+            if p in degrees:
+                raise ValueError(f"{loc}.p: degree {p} appears twice")
             degrees[p] = _spectrum(_field(entry, "spectrum", loc, list), f"{loc}.spectrum")
         return None, degrees
     raise ValueError("spectrum file must be a JSON list of [eigenvalue, weight] "

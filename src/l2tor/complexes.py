@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import STRUCTURE_ATOL
 from .sdf import SpectralDensityFunction, sdf_of_map
-from .traced import TracedMap, TracedSpace, nonzero_mask
+from .traced import TracedMap, TracedSpace, _read_only, nonzero_mask
 
 __all__ = [
     "FiniteCochainComplex",
@@ -38,6 +38,8 @@ class FiniteCochainComplex:
                 raise ValueError(f"differential {p} has wrong target")
         self.spaces = list(spaces)
         self.differentials = list(differentials)
+        self._zero = TracedSpace(0, spaces[0].normalization if spaces else 1.0)
+        self._degrees: dict[int, tuple[np.ndarray, TracedMap]] = {}
         defect = self.square_zero_defect()
         if defect > STRUCTURE_ATOL:
             raise ValueError(f"c∘c is not zero: operator-norm defect {defect}")
@@ -51,15 +53,12 @@ class FiniteCochainComplex:
     def space(self, p: int) -> TracedSpace:
         if 0 <= p <= self.top_degree:
             return self.spaces[p]
-        return TracedSpace(0, self._normalization())
+        return self._zero
 
     def differential(self, p: int) -> TracedMap:
         if 0 <= p < len(self.differentials):
             return self.differentials[p]
         return TracedMap.zero(self.space(p), self.space(p + 1))
-
-    def _normalization(self) -> float:
-        return self.spaces[0].normalization if self.spaces else 1.0
 
     def square_zero_defect(self) -> float:
         worst = 0.0
@@ -70,27 +69,39 @@ class FiniteCochainComplex:
 
     # -- gram-aware subspace computations ---------------------------------------------
 
+    def _degree(self, p: int) -> tuple[np.ndarray, TracedMap]:
+        """The image-complement basis and restricted differential of degree p,
+        built on first use and kept."""
+        if p not in self._degrees:
+            space = self.space(p)
+            if space.dim == 0:
+                basis = np.zeros((0, 0))
+            else:
+                # Only the image of c^{p-1} matters, so whitening its source as
+                # well would span the same subspace; but that basis differs in
+                # the last bits, and the suites' probe grids, which merge only
+                # breakpoints that are exactly equal, change with it.
+                wt = space.whitener
+                prev = self.differential(p - 1)
+                if prev.source.dim == 0:
+                    u0 = np.eye(space.dim)
+                else:
+                    u, s, _ = np.linalg.svd(wt @ prev.coefficients, full_matrices=True)
+                    u0 = u[:, np.count_nonzero(nonzero_mask(s)):]
+                basis = _read_only(np.linalg.solve(wt, u0))
+            d = self.differential(p)
+            restricted = TracedMap(TracedSpace(basis.shape[1], space.normalization),
+                                   d.target, d.coefficients @ basis)
+            self._degrees[p] = (basis, restricted)
+        return self._degrees[p]
+
     def image_complement_basis(self, p: int) -> np.ndarray:
         """Gram-orthonormal basis (columns) of (im c^{p-1})^perp inside C^p."""
-        space = self.space(p)
-        if space.dim == 0:
-            return np.zeros((0, 0))
-        wt = space.whitener
-        prev = self.differential(p - 1)
-        if prev.source.dim == 0:
-            u0 = np.eye(space.dim)
-        else:
-            m = wt @ prev.coefficients
-            u, s, _ = np.linalg.svd(m, full_matrices=True)
-            u0 = u[:, np.count_nonzero(nonzero_mask(s)):]
-        return np.linalg.solve(wt, u0)
+        return self._degree(p)[0]
 
     def restricted_differential(self, p: int) -> TracedMap:
         """c^p restricted to (im c^{p-1})^perp, in a gram-orthonormal basis."""
-        basis = self.image_complement_basis(p)
-        src = TracedSpace(basis.shape[1], self.space(p).normalization)
-        d = self.differential(p)
-        return TracedMap(src, d.target, d.coefficients @ basis)
+        return self._degree(p)[1]
 
     def laplacian(self, p: int) -> TracedMap:
         """Delta_p = (c^p)* c^p + c^{p-1} (c^{p-1})* as a map C^p -> C^p."""
@@ -101,20 +112,14 @@ class FiniteCochainComplex:
         return TracedMap(self.space(p), self.space(p), up.coefficients + down.coefficients)
 
     def harmonic_basis(self, p: int) -> np.ndarray:
-        """Gram-orthonormal basis of ker(c^p) ∩ (im c^{p-1})^perp."""
-        space = self.space(p)
-        if space.dim == 0:
-            return np.zeros((0, 0))
-        basis = self.image_complement_basis(p)
-        d = self.differential(p)
-        if d.target.dim == 0:
-            return basis
-        m = d.target.whitener @ d.coefficients @ basis
-        _, s, vt = np.linalg.svd(m, full_matrices=True)
-        return basis @ vt[np.count_nonzero(nonzero_mask(s)):].T
+        """Gram-orthonormal basis of ker(c^p) ∩ (im c^{p-1})^perp: the
+        image-complement basis times the restricted differential's kernel
+        basis (whose source gram is the identity)."""
+        basis, restricted = self._degree(p)
+        return basis @ restricted.kernel_basis()
 
     def cohomology_dim(self, p: int) -> int:
-        return self.harmonic_basis(p).shape[1]
+        return self.restricted_differential(p).kernel_dim()
 
 
 def complex_sdf(C: FiniteCochainComplex, p: int) -> SpectralDensityFunction:
@@ -224,24 +229,10 @@ def connecting_map(T: ShortExactTriple, p: int) -> TracedMap:
     tgt = TracedSpace(h_c.shape[1], T.C.space(p + 1).normalization)
     if src.dim == 0 or tgt.dim == 0:
         return TracedMap.zero(src, tgt)
-    qp = T.q_at(p)
-    jp1 = T.j_at(p + 1)
-    # gram-aware pseudoinverses: minimal-norm lift through q, exact pullback by j
-    lifts = _gram_pinv_apply(qp, h_e)
+    # minimal-norm lift through q, exact pullback by j
+    lifts = T.q_at(p).least_norm_solve(h_e)
     dd = T.D.differential(p).coefficients @ lifts
-    pulled = _gram_pinv_apply(jp1, dd)
+    pulled = T.j_at(p + 1).least_norm_solve(dd)
     # coordinates of the harmonic projection in the orthonormal harmonic basis
     coords = h_c.T @ T.C.space(p + 1).gram @ pulled
     return TracedMap(src, tgt, coords)
-
-
-def _gram_pinv_apply(f: TracedMap, rhs: np.ndarray) -> np.ndarray:
-    """Minimal-gram-norm solutions x with f x = rhs (columns)."""
-    ws = f.source.whitener
-    wt = f.target.whitener
-    b = wt @ f.coefficients @ f.source.inverse_whitener
-    u, s, vt = np.linalg.svd(b, full_matrices=False)
-    nonzero = nonzero_mask(s)
-    inv = np.where(nonzero, 1.0 / np.where(nonzero, s, 1.0), 0.0)
-    x_white = vt.T @ (inv[:, None] * (u.T @ (wt @ rhs)))
-    return np.linalg.solve(ws, x_white)

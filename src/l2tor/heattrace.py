@@ -164,9 +164,8 @@ class HeatTraceModel:
     small_time_exact: ExactIntegral | None = None
     large_time_exact: ExactIntegral | None = None
     # the unit of the residual check's probe times: set by from_spectrum
-    # (1 / largest eigenvalue) and from_circle (L^2, when its integrals are
-    # exact), so their expansions have taken hold at the probes; replace()
-    # and every other model keep 1
+    # (1 / largest eigenvalue) and from_circle (L^2), so their expansions
+    # have taken hold at the probes; replace() and every other model keep 1
     _time_scale: float = field(default=1.0, init=False, repr=False)
 
     def __post_init__(self):
@@ -222,8 +221,7 @@ class HeatTraceModel:
             small_time_exact=small,
             large_time_exact=large,
         )
-        if small is not None:
-            model._time_scale = L * L
+        model._time_scale = L * L
         return model
 
     def expansion_value(self, t: float) -> float:

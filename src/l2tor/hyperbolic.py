@@ -191,6 +191,15 @@ def _field(raw, key: str, location: str, convert: Callable):
         raise ValueError(f"{location}.{key}: {exc}") from None
 
 
+def _integer(value) -> int:
+    """A JSON integer; 3.0 counts as 3, while 3.9, true and "3" are refused."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
 def load_plancherel_table(path: str | None = None) -> PlancherelTable:
     """Load a density table from JSON (the packaged m = 3 table by default)
     and validate it; a malformed file raises a ValueError naming the file
@@ -202,13 +211,15 @@ def load_plancherel_table(path: str | None = None) -> PlancherelTable:
         where = str(path)
         with open(path) as fh:
             raw = json.load(fh)
-    m = _field(raw, "m", where, int)
-    rows: list[tuple[PlancherelComponent, ...]] = [()] * (m + 1)
+    m = _field(raw, "m", where, _integer)
+    rows: list[tuple[PlancherelComponent, ...] | None] = [None] * (m + 1)
     for i, row in enumerate(_field(raw, "rows", where, list)):
         loc = f"{where}.rows[{i}]"
-        p = _field(row, "p", loc, int)
+        p = _field(row, "p", loc, _integer)
         if not 0 <= p <= m:
             raise ValueError(f"{loc}.p: degree {p} is outside 0..{m}")
+        if rows[p] is not None:
+            raise ValueError(f"{loc}.p: degree {p} appears twice")
         comps = []
         for j, c in enumerate(_field(row, "components", loc, list)):
             cloc = f"{loc}.components[{j}]"
@@ -218,7 +229,7 @@ def load_plancherel_table(path: str | None = None) -> PlancherelTable:
             except (TypeError, ValueError) as exc:
                 raise ValueError(f"{cloc}: {exc}") from None
         rows[p] = tuple(comps)
-    table = PlancherelTable(m, tuple(rows))
+    table = PlancherelTable(m, tuple(() if r is None else r for r in rows))
     table.validate()
     return table
 

@@ -210,21 +210,12 @@ def random_short_exact_triple(rng: np.random.Generator, dims_c: list[int],
 def _null_homotopic_perturbation(rng: np.random.Generator, X: FiniteCochainComplex,
                                  scale: float) -> list[np.ndarray]:
     """N_p = (d K + K d)_p for random K, returned as coordinate blocks."""
-    top = X.top_degree
-    ks = []
-    for p in range(top + 1):
-        ks.append(rng.standard_normal((X.space(p - 1).dim, X.space(p).dim))
-                  if p > 0 and X.space(p - 1).dim * X.space(p).dim else
-                  np.zeros((X.space(p - 1).dim if p > 0 else 0, X.space(p).dim)))
-    out = []
-    for p in range(top + 1):
-        n = np.zeros((X.space(p).dim, X.space(p).dim))
-        if p > 0 and ks[p].size:
-            n += X.differential(p - 1).coefficients @ ks[p]
-        if p < top and ks[p + 1].size:
-            n += ks[p + 1] @ X.differential(p).coefficients
-        out.append(scale * n)
-    return out
+    # K_p: X^p -> X^{p-1}; a draw of size zero leaves the generator as it was
+    ks = [rng.standard_normal((X.space(p - 1).dim, X.space(p).dim))
+          for p in range(X.top_degree + 2)]
+    return [scale * (X.differential(p - 1).coefficients @ ks[p]
+                     + ks[p + 1] @ X.differential(p).coefficients)
+            for p in range(X.top_degree + 1)]
 
 
 def random_homotopy_pair(rng: np.random.Generator, dims_c: list[int],
@@ -274,19 +265,11 @@ def random_homotopy_pair(rng: np.random.Generator, dims_c: list[int],
 
     f = [TracedMap(C.space(p), D.space(p), s_blocks[p] @ incl[p]) for p in range(top + 1)]
     ks = [rng.standard_normal((C.space(p - 1).dim, D.space(p).dim)) * 0.5
-          if p > 0 and C.space(p - 1).dim * D.space(p).dim else
-          np.zeros((C.space(p - 1).dim if p > 0 else 0, D.space(p).dim))
-          for p in range(top + 1)]
-    g = []
-    for p in range(top + 1):
-        gm = proj[p] @ s_inv[p]
-        if p > 0 and ks[p].size:
-            gm = gm + C.differential(p - 1).coefficients @ ks[p]
-        if p < top and ks[p + 1].size:
-            gm = gm + ks[p + 1] @ D.differential(p).coefficients
-        g.append(TracedMap(D.space(p), C.space(p), gm))
-    T = [TracedMap(C.space(p), C.space(p - 1) if p > 0 else TracedSpace(0, normalization),
-                   ks[p] @ f[p].coefficients if p > 0 and ks[p].size else
-                   np.zeros(((C.space(p - 1).dim if p > 0 else 0), C.space(p).dim)))
+          for p in range(top + 2)]
+    g = [TracedMap(D.space(p), C.space(p),
+                   proj[p] @ s_inv[p] + C.differential(p - 1).coefficients @ ks[p]
+                   + ks[p + 1] @ D.differential(p).coefficients)
+         for p in range(top + 1)]
+    T = [TracedMap(C.space(p), C.space(p - 1), ks[p] @ f[p].coefficients)
          for p in range(top + 1)]
     return C, D, f, g, T

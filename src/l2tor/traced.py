@@ -126,6 +126,7 @@ class TracedMap:
         self.coefficients = coeff
         self._whitened = None
         self._svals = None
+        self._svd = None
 
     # -- gram-aware linear algebra -------------------------------------------------
 
@@ -151,6 +152,34 @@ class TracedMap:
                     sv = np.concatenate([sv, np.zeros(self.source.dim - self.target.dim)])
             self._svals = sv
         return self._svals
+
+    def _full_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """u, s, vt of `whitened` with square u and vt, computed once per map
+        and shared, hence read-only.  The bases below cut it at rank(), so the
+        rank rule decides them as it decides rank()."""
+        if self._svd is None:
+            self._svd = tuple(_read_only(a) for a in
+                              np.linalg.svd(self.whitened, full_matrices=True))
+        return self._svd
+
+    def kernel_basis(self) -> np.ndarray:
+        """Orthonormal basis (columns) of the kernel, in whitened source
+        coordinates."""
+        return self._full_svd()[2][self.rank():].T
+
+    def image_basis(self) -> np.ndarray:
+        """Orthonormal basis (columns) of the image, in whitened target
+        coordinates."""
+        return self._full_svd()[0][:, :self.rank()]
+
+    def least_norm_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The x of least gram norm with f x = rhs (columns, in coordinates),
+        by the pseudoinverse of `whitened` cut at rank(); for rhs outside the
+        image, f x is the gram-orthogonal projection of rhs onto the image."""
+        u, s, vt = self._full_svd()
+        r = self.rank()
+        coords = (1.0 / s[:r])[:, None] * (u[:, :r].T @ (self.target.whitener @ rhs))
+        return np.linalg.solve(self.source.whitener, vt[:r].T @ coords)
 
     def clamped_singular_values(self) -> np.ndarray:
         sv = self.singular_values().copy()

@@ -305,11 +305,30 @@ def test_config_option_is_usage_error(capsys):
      "error: {path}.degrees[0]: missing field 'spectrum'\n"),
     (["zeta", "--op", "det"], ("--spectrum", [[1.0]]),
      "error: {path}[0]: expected [eigenvalue, weight]\n"),
+    # degrees are integers, each given once
+    (["zeta", "--op", "torsion"],
+     ("--spectrum", {"degrees": [{"p": 1.5, "spectrum": [[2.0, 1.0]]}]}),
+     "error: {path}.degrees[0].p: expected an integer, got 1.5\n"),
+    (["zeta", "--op", "torsion"],
+     ("--spectrum", {"degrees": [{"p": True, "spectrum": [[2.0, 1.0]]}]}),
+     "error: {path}.degrees[0].p: expected an integer, got True\n"),
+    (["zeta", "--op", "torsion"],
+     ("--spectrum", {"degrees": [{"p": 1, "spectrum": [[2.0, 1.0]]},
+                                 {"p": 1.0, "spectrum": [[3.0, 1.0]]}]}),
+     "error: {path}.degrees[1].p: degree 1 appears twice\n"),
+    (["hyperbolic", "--op", "constant", "--m", "3"], ("--table", {"m": 3.9, "rows": []}),
+     "error: {path}.m: expected an integer, got 3.9\n"),
+    (["hyperbolic", "--op", "density"],
+     ("--table", {"m": 3, "rows": [{"p": 0, "components": []},
+                                   {"p": 0, "components": []}]}),
+     "error: {path}.rows[1].p: degree 0 appears twice\n"),
 ], ids=["zeta-no-spectrum", "density-wrong-dim", "constant-wrong-dim",
         "anomaly-unknown-preset", "anomaly-bad-sweep", "det-overflow",
         "det-underflow", "density-overflow", "cusp-overflow", "table-no-m",
         "table-row-no-components", "table-list", "table-degree-out-of-range",
-        "degrees-no-spectrum", "spectrum-short-pair"])
+        "degrees-no-spectrum", "spectrum-short-pair", "degrees-fractional-p",
+        "degrees-boolean-p", "degrees-duplicate-p", "table-fractional-m",
+        "table-duplicate-row"])
 def test_usage_errors_exit_2(capsys, tmp_path, argv, infile, message):
     path = tmp_path / "input.json"
     if infile is not None:

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from l2tor.complexes import (FiniteCochainComplex, complex_sdf,
                              complex_sdf_via_projector, connecting_map,
                              laplacian_sdf_decomposition)
 from l2tor.rand import (random_complex, random_short_exact_triple, rng_for)
-from l2tor.traced import TracedMap, TracedSpace
+from l2tor.traced import TracedMap, TracedSpace, nonzero_mask
 
 
 def two_term(scalar, normalization=1.0):
@@ -89,6 +91,54 @@ def test_harmonic_dims_satisfy_euler_identity():
         euler_dims = sum((-1) ** p * dims[p] for p in range(n))
         euler_cohom = sum((-1) ** p * C.cohomology_dim(p) for p in range(n))
         assert euler_dims == euler_cohom
+
+
+def _harmonic_basis_oracle(C: FiniteCochainComplex, p: int) -> np.ndarray:
+    """Oracle: the harmonic basis from an SVD of the whitened differential
+    on the image-complement basis, cut by the rank rule on its own values."""
+    space = C.space(p)
+    if space.dim == 0:
+        return np.zeros((0, 0))
+    basis = C.image_complement_basis(p)
+    d = C.differential(p)
+    if d.target.dim == 0:
+        return basis
+    m = d.target.whitener @ d.coefficients @ basis
+    _, s, vt = np.linalg.svd(m, full_matrices=True)
+    return basis @ vt[np.count_nonzero(nonzero_mask(s)):].T
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 5), min_size=1, max_size=4))
+def test_harmonic_basis_matches_the_whitened_svd_route(seed, dims):
+    C = random_complex(rng_for(seed, 0), dims, normalization=0.5)
+    for p in range(-1, len(dims) + 1):
+        h, oracle = C.harmonic_basis(p), _harmonic_basis_oracle(C, p)
+        assert h.shape == oracle.shape == (C.space(p).dim, C.cohomology_dim(p))
+        # equal subspaces: equal gram projectors, compared in whitened coordinates
+        w = C.space(p).whitener
+        assert np.abs(w @ h @ h.T @ w.T - w @ oracle @ oracle.T @ w.T).max(
+            initial=0.0) <= 1e-12
+
+
+def test_each_degree_is_decomposed_once(monkeypatch):
+    C = random_complex(rng_for(3, 4), [3, 4, 4, 2], normalization=0.5)
+    assert C.space(-1) is C.space(C.top_degree + 1)
+    spaces, solves = [], []
+    post_init, solve = TracedSpace.__post_init__, np.linalg.solve
+    monkeypatch.setattr(TracedSpace, "__post_init__",
+                        lambda s: spaces.append(s.dim) or post_init(s))
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(1) or solve(a, b))
+    for _ in range(2):
+        for p in range(C.top_degree + 1):
+            complex_sdf(C, p)
+            C.cohomology_dim(p)
+            laplacian_sdf_decomposition(C, p)
+    # degrees -1..3 each build one restricted differential, whose source is
+    # the one new space; each nonempty degree solves for its basis once
+    assert len(spaces) == C.top_degree + 2
+    assert len(solves) == C.top_degree + 1
+    for p in range(-1, C.top_degree + 2):
+        assert C.restricted_differential(p) is C.restricted_differential(p)
 
 
 def test_triple_validation_and_connecting_map_rank():

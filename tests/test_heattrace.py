@@ -117,10 +117,12 @@ def test_very_short_circle_has_no_exact_pieces():
     with pytest.raises(ValueError, match="positive"):
         HeatTraceModel.from_circle(0.0)
     # below L = 13/65535 (about 2e-4) the circle sums need more than 65 536
-    # terms; such a circle keeps the fixed probe times and is refused there
-    for L in (1.9e-4, 1e-4, 1e-6):
-        with pytest.raises(ValueError, match="integrable"):
-            zeta_det(HeatTraceModel.from_circle(L))
+    # terms; such a circle is integrated by quadrature, probed at its own
+    # time scale L^2
+    for L in (1.96e-4, 1.9e-4, 1e-4, 1e-6, 1e-8):
+        det, err = zeta_det_with_error(HeatTraceModel.from_circle(L))
+        assert det == pytest.approx(L * L, rel=1e-12)
+        assert abs(det - L * L) <= err
 
 
 def test_exact_methods_carry_rounding_size_errors():

@@ -181,3 +181,48 @@ def test_rejects_nonfinite_coefficients():
     s = TracedSpace(2)
     with pytest.raises(ValueError):
         TracedMap(s, s, np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
+def _gram_pinv_apply(f: TracedMap, rhs: np.ndarray) -> np.ndarray:
+    """Oracle: minimal-gram-norm solutions x with f x = rhs from a thin SVD
+    of the whitened matrix, with the rank rule applied to its own values."""
+    ws = f.source.whitener
+    wt = f.target.whitener
+    b = wt @ f.coefficients @ f.source.inverse_whitener
+    u, s, vt = np.linalg.svd(b, full_matrices=False)
+    nonzero = nonzero_mask(s)
+    inv = np.where(nonzero, 1.0 / np.where(nonzero, s, 1.0), 0.0)
+    x_white = vt.T @ (inv[:, None] * (u.T @ (wt @ rhs)))
+    return np.linalg.solve(ws, x_white)
+
+
+def _amax(a: np.ndarray) -> float:
+    return float(np.abs(a).max(initial=0.0))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 5), st.integers(0, 5),
+       st.integers(0, 5))
+def test_kernel_image_bases_and_least_norm_solve(seed, n, m, r):
+    # a map U -> V of rank min(r, n, m) between random gram spaces
+    rng = rng_for(seed, 0)
+    r = min(r, n, m)
+    src, tgt = random_space(rng, n), random_space(rng, m)
+    f = TracedMap(src, tgt, rng.standard_normal((m, r)) @ rng.standard_normal((r, n)))
+    assert f.rank() == r
+    ker, im = f.kernel_basis(), f.image_basis()
+    assert ker.shape == (n, n - r) and im.shape == (m, r)
+    for basis in (ker, im):
+        assert np.allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12)
+    # ker spans the null space of the whitened map, im its column space
+    scale = max(1.0, f.norm)
+    assert _amax(f.whitened @ ker) <= 1e-12 * scale
+    assert _amax(f.whitened - im @ (im.T @ f.whitened)) <= 1e-12 * scale
+    rhs = rng.standard_normal((m, 3))
+    x, oracle = f.least_norm_solve(rhs), _gram_pinv_apply(f, rhs)
+    assert x.shape == (n, 3)
+    assert _amax(x - oracle) <= 1e-12 * max(1.0, _amax(oracle))
+    # x is gram-orthogonal to ker f, and f x is the gram projection of rhs
+    # onto the image
+    assert _amax(ker.T @ (src.whitener @ x)) <= 1e-12 * max(1.0, _amax(src.whitener @ x))
+    wrhs = tgt.whitener @ rhs
+    assert _amax(tgt.whitener @ f.apply(x) - im @ (im.T @ wrhs)) <= 1e-10 * max(1.0, _amax(wrhs))
