@@ -19,10 +19,20 @@ __all__ = [
     "FiniteCochainComplex",
     "ShortExactTriple",
     "complex_sdf",
-    "complex_sdf_via_projector",
     "laplacian_sdf_decomposition",
     "connecting_map",
 ]
+
+
+def _kept_zero(kept: dict[int, TracedMap], p: int, source: TracedSpace,
+               target: TracedSpace) -> TracedMap:
+    """The zero map source -> target kept under degree p, built on first use;
+    every caller shares it, so its coefficients are read-only."""
+    if p not in kept:
+        zero = TracedMap.zero(source, target)
+        _read_only(zero.coefficients)
+        kept[p] = zero
+    return kept[p]
 
 
 class FiniteCochainComplex:
@@ -40,6 +50,7 @@ class FiniteCochainComplex:
         self.differentials = list(differentials)
         self._zero = TracedSpace(0, spaces[0].normalization if spaces else 1.0)
         self._degrees: dict[int, tuple[np.ndarray, TracedMap]] = {}
+        self._zero_differentials: dict[int, TracedMap] = {}
         defect = self.square_zero_defect()
         if defect > STRUCTURE_ATOL:
             raise ValueError(f"c∘c is not zero: operator-norm defect {defect}")
@@ -58,7 +69,7 @@ class FiniteCochainComplex:
     def differential(self, p: int) -> TracedMap:
         if 0 <= p < len(self.differentials):
             return self.differentials[p]
-        return TracedMap.zero(self.space(p), self.space(p + 1))
+        return _kept_zero(self._zero_differentials, p, self.space(p), self.space(p + 1))
 
     def square_zero_defect(self) -> float:
         worst = 0.0
@@ -130,27 +141,6 @@ def complex_sdf(C: FiniteCochainComplex, p: int) -> SpectralDensityFunction:
     return sdf_of_map(C.restricted_differential(p))
 
 
-def complex_sdf_via_projector(C: FiniteCochainComplex, p: int) -> SpectralDensityFunction:
-    """Projector-route oracle for complex_sdf.
-
-    Applies c^p to the full space composed with the gram-orthogonal projector
-    onto (im c^{p-1})^perp, then removes the artificial kernel contributed by
-    the projected-away subspace.
-    """
-    space = C.space(p)
-    basis = C.image_complement_basis(p)
-    proj = basis @ basis.T @ space.gram if space.dim else np.zeros((0, 0))
-    d = C.differential(p)
-    full = TracedMap(space, d.target, d.coefficients @ proj)
-    extra = (space.dim - basis.shape[1]) * space.normalization
-    sdf = sdf_of_map(full)
-    if extra == 0:
-        return sdf
-    vals = sdf.vals - extra
-    keep = vals > -1e-12
-    return SpectralDensityFunction(sdf.lams[keep], np.maximum(vals[keep], 0.0))
-
-
 def laplacian_sdf_decomposition(C: FiniteCochainComplex, p: int
                                 ) -> tuple[SpectralDensityFunction, SpectralDensityFunction]:
     """The two sides of the eigenvalue-count identity for the Laplacian.
@@ -177,17 +167,19 @@ class ShortExactTriple:
         self.C, self.D, self.E = C, D, E
         self.j = list(j)
         self.q = list(q)
+        self._zero_j: dict[int, TracedMap] = {}
+        self._zero_q: dict[int, TracedMap] = {}
         self.validate()
 
     def j_at(self, p: int) -> TracedMap:
         if 0 <= p < len(self.j):
             return self.j[p]
-        return TracedMap.zero(self.C.space(p), self.D.space(p))
+        return _kept_zero(self._zero_j, p, self.C.space(p), self.D.space(p))
 
     def q_at(self, p: int) -> TracedMap:
         if 0 <= p < len(self.q):
             return self.q[p]
-        return TracedMap.zero(self.D.space(p), self.E.space(p))
+        return _kept_zero(self._zero_q, p, self.D.space(p), self.E.space(p))
 
     def validate(self) -> None:
         top = max(self.C.top_degree, self.D.top_degree, self.E.top_degree)

@@ -21,6 +21,11 @@ naively, so models carry a stable `residual` callable whenever the trace has
 a closed form.  The large-time integral needs a finiteness certificate: a
 spectral gap whose decay theta(t) <= theta(1) e^{-gap (t-1)} is checked at
 fixed times, an exact tail functional, or a dyadic probe of the decay.
+
+scipy is imported by the functions that call it, so importing this module
+loads none of it.  `quad` stays a module-level function, not a local import,
+because `bench/tracing.py` patches it by name to count and time the
+quadrature calls.
 """
 
 from __future__ import annotations
@@ -30,10 +35,6 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import erfc, exp1
-from scipy.special import gamma as gamma_fn
-from scipy.special import gammainc
 
 from .config import QUAD_ATOL
 from .mellin import EULER_GAMMA, dsmall_constant
@@ -80,6 +81,13 @@ _DOMINATION_ATOL = 1e-12  # slack of the large-time domination check
 _MONOTONE_TIMES = np.geomspace(1e-3, 10.0, 25)  # check_positive_decreasing's probes
 
 
+def quad(func, a, b, **kwargs):
+    """scipy.integrate.quad, imported on the first call."""
+    from scipy.integrate import quad
+
+    return quad(func, a, b, **kwargs)
+
+
 class ExactIntegral(NamedTuple):
     """A Mellin integral in closed form and a bound on its error."""
 
@@ -101,6 +109,8 @@ def _ein(x: np.ndarray) -> np.ndarray:
     """Ein(x), the integral of (1 - e^{-s})/s over [0, x], without
     cancellation: its alternating series below 1, E1(x) + log x + gamma
     (three positive terms) above."""
+    from scipy.special import exp1
+
     out = np.empty_like(x)
     low = x < 1.0
     out[low] = np.polynomial.polynomial.polyval(x[low], _EIN_SERIES)
@@ -121,6 +131,8 @@ def _circle_integrals(L: float) -> tuple[ExactIntegral, ExactIntegral] | None:
     E1(y + d) <= E1(y) e^{-d}.  None when a sum would need more than
     _MAX_CIRCLE_TERMS terms.
     """
+    from scipy.special import erfc, exp1
+
     half = 0.5 * L
     gap = (2.0 * math.pi / L) ** 2
     K = int(_ERFC_CUTOFF / half) + 1
@@ -187,6 +199,8 @@ class HeatTraceModel:
         the total positive weight; the residual sums w * expm1(-lam t).  The
         two Mellin integrals are -sum w Ein(lam) and sum w E1(lam).
         """
+        from scipy.special import exp1
+
         pos = S.positive_part()
         coeff = np.zeros(m + 1)
         coeff[m] = pos.total_weight
@@ -557,6 +571,7 @@ def power_weight_double_integral(eps: float, exponents=(0.5, 0.25)) -> dict:
     (swapping the order reduces each power to int_0^eps lam^{a-1} e^{-lam}),
     certifying finiteness.
     """
+    from scipy.special import gamma, gammainc
 
     def moment(a: float, upper: float) -> float:
         val, _ = quad(lambda v: math.exp(-v) * v ** a, 0.0, min(upper, 60.0),
@@ -577,7 +592,7 @@ def power_weight_double_integral(eps: float, exponents=(0.5, 0.25)) -> dict:
 
     outer, outer_err = quad(outer_integrand, 0.0, 1.0, limit=400,
                             epsabs=1e-11, epsrel=1e-11)
-    closed = float(sum(gamma_fn(a) * gammainc(a, eps) for a in exponents))
+    closed = float(sum(gamma(a) * gammainc(a, eps) for a in exponents))
     return {
         "quadrature": outer,
         "closed_form": closed,

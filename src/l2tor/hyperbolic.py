@@ -19,9 +19,8 @@ from math import factorial
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
-from .heattrace import HeatTraceModel, TorsionResult, analytic_torsion
+from .heattrace import HeatTraceModel, TorsionResult, analytic_torsion, quad
 
 __all__ = [
     "PlancherelComponent",

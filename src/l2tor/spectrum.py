@@ -1,10 +1,10 @@
-"""Explicit spectra with weights, their heat traces, and circle spectra.
+"""Explicit spectra with weights, their heat traces, and circle heat traces.
 
 A Spectrum is a finite weighted eigenvalue list; the weight of an eigenvalue
 is its multiplicity times the trace normalization.  Heat traces and the
 numerically stable variants needed by the small-time integrals live here,
-together with the circle spectra used as cross-checking fixtures (their heat
-traces have a fast dual-series form).
+together with the circle heat trace, summed in whichever of its eigenvalue
+and dual-series forms converges faster.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from .sdf import SpectralDensityFunction
 
 __all__ = [
     "Spectrum",
-    "circle_spectrum",
     "circle_heat_trace",
 ]
 
@@ -102,23 +101,6 @@ class Spectrum:
         """Step function lambda -> weighted count of eigenvalues <= lambda."""
         mask = slice(None) if include_kernel else self.eigenvalues > 0
         return SpectralDensityFunction.from_jumps(self.eigenvalues[mask], self.weights[mask])
-
-    def union(self, other: "Spectrum") -> "Spectrum":
-        return Spectrum(np.concatenate([self.eigenvalues, other.eigenvalues]),
-                        np.concatenate([self.weights, other.weights]))
-
-    def scaled_weights(self, c: float) -> "Spectrum":
-        return Spectrum(self.eigenvalues, c * self.weights)
-
-
-def circle_spectrum(circumference: float, n_max: int) -> Spectrum:
-    """Eigenvalues (2 pi n / L)^2 for |n| <= n_max, multiplicity two for n > 0."""
-    if circumference <= 0:
-        raise ValueError("circumference must be positive")
-    base = (2.0 * math.pi / circumference) ** 2
-    eigs = [0.0] + [base * n * n for n in range(1, n_max + 1)]
-    weights = [1.0] + [2.0] * n_max
-    return Spectrum(np.asarray(eigs), np.asarray(weights))
 
 
 _DUAL_KS = np.arange(1, 65, dtype=float)  # the dual series is summed to k = 64

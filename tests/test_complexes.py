@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from l2tor.complexes import (FiniteCochainComplex, complex_sdf,
-                             complex_sdf_via_projector, connecting_map,
+from l2tor.complexes import (FiniteCochainComplex, complex_sdf, connecting_map,
                              laplacian_sdf_decomposition)
 from l2tor.rand import (random_complex, random_short_exact_triple, rng_for)
+from l2tor.sdf import SpectralDensityFunction, sdf_of_map
 from l2tor.traced import TracedMap, TracedSpace, nonzero_mask
 
 
@@ -37,6 +37,27 @@ def test_square_zero_enforced():
     d = TracedMap(s, s, np.array([[1.0]]))
     with pytest.raises(ValueError):
         FiniteCochainComplex([s, s, s], [d, d])
+
+
+def complex_sdf_via_projector(C: FiniteCochainComplex, p: int) -> SpectralDensityFunction:
+    """Projector-route oracle for complex_sdf.
+
+    Applies c^p to the full space composed with the gram-orthogonal projector
+    onto (im c^{p-1})^perp, then removes the artificial kernel contributed by
+    the projected-away subspace.
+    """
+    space = C.space(p)
+    basis = C.image_complement_basis(p)
+    proj = basis @ basis.T @ space.gram if space.dim else np.zeros((0, 0))
+    d = C.differential(p)
+    full = TracedMap(space, d.target, d.coefficients @ proj)
+    extra = (space.dim - basis.shape[1]) * space.normalization
+    sdf = sdf_of_map(full)
+    if extra == 0:
+        return sdf
+    vals = sdf.vals - extra
+    keep = vals > -1e-12
+    return SpectralDensityFunction(sdf.lams[keep], np.maximum(vals[keep], 0.0))
 
 
 def test_complex_sdf_against_projector_oracle():
@@ -139,6 +160,20 @@ def test_each_degree_is_decomposed_once(monkeypatch):
     assert len(solves) == C.top_degree + 1
     for p in range(-1, C.top_degree + 2):
         assert C.restricted_differential(p) is C.restricted_differential(p)
+
+
+def test_out_of_range_zero_maps_are_built_once_and_read_only():
+    T = random_short_exact_triple(rng_for(3, 5), [1, 2], [2, 1])
+    top = T.D.top_degree
+    out_of_range = [(T.D.differential, p) for p in (-1, top, top + 1)]
+    out_of_range += [(getter, p) for getter in (T.j_at, T.q_at) for p in (-1, top + 1)]
+    for getter, p in out_of_range:
+        first = getter(p)
+        assert getter(p) is first
+        assert not first.coefficients.any()
+        assert not first.coefficients.flags.writeable
+    assert T.D.differential(-1).target is T.D.space(0)
+    assert T.D.differential(top).source is T.D.space(top)
 
 
 def test_triple_validation_and_connecting_map_rank():
