@@ -6,9 +6,10 @@ range endpoints), skipping items whose side conditions fail, and returns
 the violations found; the kernel-subtracted variants always run.  Ranks
 come from the rank rule (traced.nonzero_mask) and slacks are fixed:
 config.TIE_RTOL forgives breakpoints that differ only by eigensolve
-rounding (sdf.tie_shifted moves the right side's probes of an inequality
-and both sides' of an equality) and config.VALUE_ATOL forgives value
-rounding.
+rounding (sdf.tie_shifted moves the right side's positive probes of an
+inequality and both sides' of an equality, and never the probe at 0, so
+kernel dimensions are compared as they are) and config.VALUE_ATOL forgives
+value rounding.
 """
 
 from __future__ import annotations

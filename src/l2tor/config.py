@@ -16,9 +16,10 @@ RANK_RTOL = 1e-10
 # regardless of scale; catches maps that are zero up to accumulated rounding.
 ZERO_SV_ATOL = 1e-12
 
-# Relative slack applied to the probe position when evaluating the right-hand
-# side of a step-function inequality.  Forgives pure floating-point ties
-# between breakpoints computed through different eigensolves.
+# Relative slack applied to a positive probe position when evaluating the
+# right-hand side of a step-function inequality (sdf.tie_shifted; the probe
+# at 0 is not moved).  Forgives pure floating-point ties between breakpoints
+# computed through different eigensolves.
 TIE_RTOL = 1e-9
 
 # Absolute slack on step-function *values* in inequality checks.
@@ -40,7 +41,8 @@ CONTAINMENT_GAP = 1e-10
 # chain-map commutation, homotopy relations).
 STRUCTURE_ATOL = 1e-10
 
-# Adjoint defect tolerance checked on basis vectors at construction time.
+# Adjoint defect tolerance of TracedMap.check_adjoint_identity, which only
+# the tests call; no map is checked at construction time.
 ADJOINT_ATOL = 1e-12
 
 # Absolute quadrature target for the torsion/zeta integrals that have no

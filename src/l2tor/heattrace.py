@@ -7,20 +7,24 @@ into a small-time part (subtracted integral plus expansion constants) and the
 plain large-time integral; torsion alternates these over form degrees with
 weight (-1)^p p.
 
-Exact pieces: finite spectra and circles carry both Mellin integrals in
-closed form.  For a finite spectrum the subtracted integral over (0, 1] is
--sum w Ein(lam) and the integral of theta/t over [1, inf) is sum w E1(lam);
-for a circle of length L, Poisson summation gives sum_k (2/k) erfc(kL/2) and
-sum_n 2 E1((2 pi n / L)^2).  d_small and large_time_integral use these
-values (method "exact") with a bound on their rounding error.
+Exact pieces: a model hands the solvers a Mellin integral in closed form
+as an ExactIntegral (value and rounding bound), and d_small and
+large_time_integral then use it (method "exact").  For a finite spectrum
+the subtracted integral over (0, 1] is -sum w Ein(lam) and the integral of
+theta/t over [1, inf) is sum w E1(lam); for a circle of length L, Poisson
+summation gives sum_k (2/k) erfc(kL/2) and sum_n 2 E1((2 pi n / L)^2).  The
+hyperbolic Plancherel degrees (l2tor.hyperbolic) carry their large-time
+integral as a sum of c E_p(shift) over the terms c e^{-shift t}
+t^{-(k+1)/2} of their traces.
 
-Quadrature: every other model (the hyperbolic Plancherel degrees,
-hand-built models) is integrated with adaptive quadrature.  The subtracted
-integrand suffers catastrophic cancellation near t = 0 when computed
-naively, so models carry a stable `residual` callable whenever the trace has
-a closed form.  The large-time integral needs a finiteness certificate: a
-spectral gap whose decay theta(t) <= theta(1) e^{-gap (t-1)} is checked at
-fixed times, an exact tail functional, or a dyadic probe of the decay.
+Quadrature: every integral without a closed form (the small-time part of
+the hyperbolic degrees, hand-built models) is computed by adaptive
+quadrature.  The subtracted integrand suffers catastrophic cancellation
+near t = 0 when computed naively, so models carry a stable `residual`
+callable whenever the trace has a closed form.  A large-time integral by
+quadrature needs a finiteness certificate: a spectral gap whose decay
+theta(t) <= theta(1) e^{-gap (t-1)} is checked at fixed times, or a dyadic
+probe of the decay.
 
 scipy is imported by the functions that call it, so importing this module
 loads none of it.  `quad` stays a module-level function, not a local import,
@@ -96,12 +100,12 @@ class ExactIntegral(NamedTuple):
 
 
 def _exact_sum(terms: np.ndarray, ulps: float | np.ndarray = _TERM_ULPS,
-               dropped: float = 0.0) -> ExactIntegral:
+               extra: float = 0.0) -> ExactIntegral:
     """Sum of closed-form terms; each is good to `ulps` ulps or lost to
-    underflow, the sum adds at most n - 1 more, and `dropped` bounds a
-    truncated tail."""
+    underflow, the sum adds at most n - 1 more, and `extra` bounds any
+    further error (a truncated tail, the errors of inexact factors)."""
     error = (_EPS * float(np.sum(np.abs(terms) * (terms.size + ulps)))
-             + terms.size * _TINY + dropped)
+             + terms.size * _TINY + extra)
     return ExactIntegral(float(np.sum(terms)), error)
 
 
@@ -160,11 +164,10 @@ class HeatTraceModel:
     expansion is unknown and the small-time machinery refuses to run until
     an explicit fit supplies it.  residual(t), when present, evaluates
     theta(t) minus the full expansion without cancellation.  spectral_gap
-    certifies exponential large-time decay; tail_integral(T), when present,
-    returns the exact value of the integral of theta(t)/t over [T, inf).
-    small_time_exact and large_time_exact, when present, are the integral of
-    the residual against dt/t over (0, 1] and of theta(t)/t over [1, inf)
-    in closed form; the solvers then use them in place of quadrature.
+    certifies exponential large-time decay.  small_time_exact and
+    large_time_exact, when present, are the integral of the residual against
+    dt/t over (0, 1] and of theta(t)/t over [1, inf) in closed form; the
+    solvers then use them in place of quadrature.
     """
 
     evaluate: Callable[[float], float]
@@ -172,7 +175,6 @@ class HeatTraceModel:
     coefficients: np.ndarray | None = None
     residual: Callable[[float], float] | None = None
     spectral_gap: float | None = None
-    tail_integral: Callable[[float], float] | None = None
     small_time_exact: ExactIntegral | None = None
     large_time_exact: ExactIntegral | None = None
     # the unit of the residual check's probe times: set by from_spectrum
@@ -387,9 +389,8 @@ def large_time_integral(model: HeatTraceModel) -> LargeTimeResult:
     An exact value of the model is returned as it is.  A spectral gap
     certifies the tail once theta is seen to decay at that rate at fixed
     times, and a value is refused (method "gap-refuted") when it does not;
-    an exact tail functional is added analytically; otherwise dyadic probing
-    classifies the decay and refuses a value when divergence is detected or
-    the behaviour is ambiguous.
+    otherwise dyadic probing classifies the decay and refuses a value when
+    divergence is detected or the behaviour is ambiguous.
     """
     if model.large_time_exact is not None:
         value, err = model.large_time_exact
@@ -406,11 +407,6 @@ def large_time_integral(model: HeatTraceModel) -> LargeTimeResult:
         # the decay just checked bounds the tail over [2, inf)
         tail = _gap_tail_bound(theta1, gap, 2.0)
         return LargeTimeResult(val, True, tail, err, "gap")
-    if model.tail_integral is not None:
-        T = 64.0
-        val, err = quad(lambda t: model.evaluate(t) / t, 1.0, T,
-                        limit=400, epsabs=QUAD_ATOL * 1e-2, epsrel=1e-12)
-        return LargeTimeResult(val + model.tail_integral(T), True, None, err, "tail")
 
     # no certificate: dyadic comparison probe; geometric tails keep the
     # piece ratios bounded below one, harmonic-type tails push them to one

@@ -20,7 +20,9 @@ from typing import Callable
 
 import numpy as np
 
-from .heattrace import HeatTraceModel, TorsionResult, analytic_torsion, quad
+from .heattrace import (_EPS, _TERM_ULPS, ExactIntegral, HeatTraceModel, TorsionResult,
+                        _exact_sum, analytic_torsion)
+from .heattrace import quad  # unused here; bench/tracing.py looks up hyperbolic.quad by name
 
 __all__ = [
     "PlancherelComponent",
@@ -36,11 +38,46 @@ __all__ = [
 ]
 
 _VALIDATION_TIMES = np.geomspace(1e-3, 5.0, 12)  # PlancherelTable.validate's probes
+# scipy.special.expn(n, s) for n <= 8 is within 10 ulps of a 40-digit mpmath value
+_EXPN_ULPS = 16.0
 
 
 def _gaussian_moment(k: int) -> float:
     """int_0^inf s^k e^{-s^2} ds = Gamma((k+1)/2)/2."""
     return 0.5 * math.gamma((k + 1) / 2)
+
+
+def _exp_integrals(s: float, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """E_p(s) = int_1^inf e^{-st} t^{-p} dt for p = (k + 3)/2, k = 0..top,
+    and bounds on their errors.
+
+    Integer orders (odd k) come from scipy.special.expn.  Half-integer
+    orders start from E_{3/2}(s) = 2 e^{-s} - 2 sqrt(pi s) erfc(sqrt s) and
+    step up with E_{p+1} = (e^{-s} - s E_p) / p, which carries the error
+    of E_p, times s / p, into each step.  Both are exact at s = 0, where
+    E_p(0) = 1/(p - 1).  A rounding of sqrt(s) moves erfc by about s ulps.
+    """
+    values = np.zeros(top + 1)
+    errors = np.zeros(top + 1)
+    odd = np.arange(1, top + 1, 2)
+    if odd.size:
+        from scipy.special import expn
+
+        values[odd] = expn((odd + 3) // 2, s)
+        errors[odd] = _EPS * _EXPN_ULPS * values[odd]
+    e = math.exp(-s)
+    a = 2.0 * e
+    b = 2.0 * math.sqrt(math.pi * s) * math.erfc(math.sqrt(s))
+    E = a - b
+    err = _EPS * (_TERM_ULPS * a + (_TERM_ULPS + 2.0 * s) * b + abs(E))
+    p = 1.5
+    for k in range(0, top + 1, 2):
+        values[k], errors[k] = E, err
+        sE = s * E
+        E = (e - sE) / p
+        err = (s * err + _EPS * (_TERM_ULPS * e + sE + abs(e - sE))) / p + _EPS * abs(E)
+        p += 1.0
+    return values, errors
 
 
 def _exp_taylor_remainder(z: float, order: int) -> float:
@@ -116,18 +153,13 @@ class PlancherelComponent:
 
         return coeff, remainder
 
-    def tail_integral(self, T: float) -> float:
-        """Exact-or-certified integral of trace(t)/t over [T, inf)."""
-        if self.shift > 0:
-            val, _ = quad(lambda t: self.trace(t) / t, T, np.inf,
-                          limit=300, epsabs=1e-14, epsrel=1e-12)
-            return val
-        acc = 0.0
-        for k, c in enumerate(self.poly):
-            if c:
-                a = (k + 1) / 2.0
-                acc += c * _gaussian_moment(k) * T ** (-a) / a
-        return acc
+    def large_time_exact(self) -> ExactIntegral:
+        """The integral of trace(t)/t over [1, inf) in closed form,
+        sum_k c_k Gamma((k+1)/2)/2 E_{(k+3)/2}(shift), and a bound on its
+        error."""
+        values, errors = _exp_integrals(self.shift, len(self.poly) - 1)
+        weights = np.array([c * _gaussian_moment(k) for k, c in enumerate(self.poly)])
+        return _exact_sum(weights * values, extra=float(np.sum(np.abs(weights) * errors)))
 
 
 @dataclass(frozen=True)
@@ -245,8 +277,10 @@ def heat_density(table: PlancherelTable, p: int, t: float) -> float:
 
 
 def plancherel_heat_model(table: PlancherelTable, p: int) -> HeatTraceModel:
-    """HeatTraceModel for one degree, with analytic expansion and tail."""
+    """HeatTraceModel for one degree: the small-time expansion with its
+    stable remainder, and the large-time integral in closed form."""
     comps = table.rows[p]
+    large = [comp.large_time_exact() for comp in comps]
     coeff = np.zeros(table.m + 1)
     remainders = []
     for comp in comps:
@@ -258,7 +292,9 @@ def plancherel_heat_model(table: PlancherelTable, p: int) -> HeatTraceModel:
         m=table.m,
         coefficients=coeff,
         residual=lambda t: sum(r(t) for r in remainders),
-        tail_integral=lambda T: sum(comp.tail_integral(T) for comp in comps),
+        # the components' values add with no further rounding of their terms
+        large_time_exact=_exact_sum(np.array([v for v, _ in large]), 0.0,
+                                    sum(err for _, err in large)),
     )
 
 

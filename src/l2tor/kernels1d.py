@@ -21,7 +21,6 @@ __all__ = [
     "boundary_insensitivity_check",
     "BoundaryReport",
     "sup_bound_check",
-    "kernel_mass",
 ]
 
 LINE = "line"
@@ -113,20 +112,6 @@ def kernel_1d(domain: Domain1D, t: float, x: float, y: float) -> float:
     for n in range(-n_max, n_max + 1):
         acc += _gauss(x - y + 2.0 * n * L, t) + _gauss(x + y + 2.0 * n * L, t)
     return acc
-
-
-def kernel_mass(domain: Domain1D, t: float, x: float) -> float:
-    """Integral of the kernel in its second argument over the domain."""
-    from scipy.integrate import quad
-    if domain.kind == LINE:
-        lo, hi = x - 40.0 * math.sqrt(t) - 1.0, x + 40.0 * math.sqrt(t) + 1.0
-    elif domain.kind in (HALF_NEUMANN, HALF_DIRICHLET):
-        lo, hi = 0.0, x + 40.0 * math.sqrt(t) + 1.0
-    else:
-        lo, hi = 0.0, domain.length
-    val, _ = quad(lambda y: kernel_1d(domain, t, x, y), lo, hi,
-                  limit=300, epsabs=1e-12, epsrel=1e-11)
-    return val
 
 
 def _distance_to_complement(V: Domain1D, N: Domain1D, x: float) -> float:

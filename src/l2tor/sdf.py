@@ -177,10 +177,13 @@ def probe_grid(functions) -> np.ndarray:
 
 
 def tie_shifted(lams) -> np.ndarray:
-    """lams moved right by TIE_RTOL * max(1, |lam|); evaluating there
-    forgives breakpoints that differ only by eigensolve rounding."""
+    """Positive lams moved right by TIE_RTOL * max(1, lam); evaluating there
+    forgives breakpoints that differ only by eigensolve rounding.  Zero stays
+    where it is, so a kernel on one side that the other side places at a
+    small positive breakpoint is seen at any scale."""
     lams = np.asarray(lams, dtype=float)
-    return lams + TIE_RTOL * np.maximum(1.0, np.abs(lams))
+    # max(lam > 0, lam) is max(1, lam) for a positive lam and 0 otherwise
+    return lams + TIE_RTOL * np.maximum(lams > 0.0, lams)
 
 
 def sdf_of_map(f: TracedMap) -> SpectralDensityFunction:

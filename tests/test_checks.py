@@ -12,7 +12,7 @@ from l2tor.config import VALUE_ATOL
 from l2tor.complexes import FiniteCochainComplex
 from l2tor.rand import (random_homotopy_pair, random_short_exact_triple,
                         rng_for)
-from l2tor.sdf import SpectralDensityFunction, probe_grid, tie_shifted
+from l2tor.sdf import SpectralDensityFunction, probe_grid, sdf_of_map, tie_shifted
 from l2tor.traced import TracedMap, TracedSpace
 
 
@@ -52,6 +52,21 @@ def test_square_identity_takes_the_rank_of_f():
     assert rep.ok, rep.violations
     # and a genuine kernel stays a kernel on both sides
     assert check_basic_F(diag_map([1.0, 0.0])).ok
+
+
+def test_equality_sees_a_kernel_disagreement_below_the_tie_slack():
+    # f*f clamps the squared value 2.5e-11 into its kernel, while F_f at
+    # sqrt(lambda) keeps it as a breakpoint at 2.5e-11, below the 1e-9 tie
+    # slack; probing 0 unshifted shows the two disagree at 0
+    f = diag_map([1.0, 5e-6])
+    lhs = sdf_of_map(f.adjoint() @ f)
+    rhs = sdf_of_map(f).power_argument(0.5)
+    rep = CheckReport()
+    _check_equal("square", lhs, [rhs], rep)
+    assert [(v.lam, v.lhs, v.rhs) for v in rep.violations] == [(0.0, 1.0, 0.0)]
+    assert not lhs.equals(rhs)
+    # the suite's square identity takes the rank of f, so it still holds
+    assert check_basic_F(f).ok
 
 
 def test_basic_square_identity_regression_seed():

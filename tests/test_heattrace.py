@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import exp1
 
-from l2tor.heattrace import (HeatTraceModel, analytic_torsion, asympt_fit,
-                             cheeger_mueller_correction, d_small,
+from l2tor.heattrace import (ExactIntegral, HeatTraceModel, analytic_torsion,
+                             asympt_fit, cheeger_mueller_correction, d_small,
                              large_time_dominating_bound, large_time_integral,
                              power_weight_double_integral, zeta_det,
                              zeta_det_with_error)
@@ -224,13 +224,14 @@ def test_dsmall_single_eigenvalue_closed_form():
 
 def test_dsmall_pure_power_plus_tail_vanishes():
     # a pure power trace contributes nothing once the tail is added:
-    # the Mellin transform of t^{-a} has no content at s = 0
+    # the Mellin transform of t^{-a} has no content at s = 0; the integral
+    # of A t^{-5/2} over [1, inf) is A / 1.5
     A = 0.8
     model = HeatTraceModel(
         evaluate=lambda t: A * t ** -1.5, m=3,
         coefficients=np.array([A, 0.0, 0.0, 0.0]),
         residual=lambda t: 0.0,
-        tail_integral=lambda T: A * T ** -1.5 / 1.5)
+        large_time_exact=ExactIntegral(A / 1.5, 0.0))
     total = d_small(model).value + large_time_integral(model).value
     assert total == pytest.approx(0.0, abs=1e-10)
 

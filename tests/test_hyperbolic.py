@@ -1,7 +1,10 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
@@ -91,6 +94,28 @@ def test_per_degree_models_certify_determinant_class(table):
         model = plancherel_heat_model(table, p)
         res = large_time_integral(model)
         assert res.determinant_class is True
+        assert res.method == "exact"
+
+
+def test_empty_row_has_zero_large_time_integral():
+    empty = PlancherelTable(1, ((), ()))
+    assert tuple(plancherel_heat_model(empty, 0).large_time_exact) == (0.0, 0.0)
+
+
+@given(st.floats(0.0, 20.0),
+       st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=6))
+@example(0.0, [1.0, 1.0, 1.0, 1.0, 1.0, 1.0])
+@example(20.0, [1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+def test_component_large_time_integral_within_its_error_of_mpmath(shift, poly):
+    # integer orders E_2, E_3, E_4 (odd k) and half-integer orders
+    # E_{3/2}, E_{5/2}, E_{7/2} (even k) both occur
+    value, error = PlancherelComponent(shift, tuple(poly)).large_time_exact()
+    with mpmath.workdps(40):
+        s = mpmath.mpf(shift)
+        exact = sum(mpmath.mpf(c) * mpmath.gamma(mpmath.mpf(k + 1) / 2) / 2
+                    * mpmath.expint(mpmath.mpf(k + 3) / 2, s)
+                    for k, c in enumerate(poly))
+        assert abs(mpmath.mpf(value) - exact) <= error
 
 
 def test_degree_zero_contribution_closed_form(table):
@@ -110,7 +135,7 @@ def test_coexact_power_part_contributes_nothing(table):
     from l2tor.heattrace import HeatTraceModel
     model = HeatTraceModel(
         evaluate=lambda t: coexact.trace(t), m=3, coefficients=model_coeff,
-        residual=remainder, tail_integral=coexact.tail_integral)
+        residual=remainder, large_time_exact=coexact.large_time_exact())
     total = d_small(model).value + large_time_integral(model).value
     assert total == pytest.approx(0.0, abs=1e-10)
 

@@ -219,8 +219,9 @@ def test_values_of_empty_function_are_zero():
 
 
 def test_tie_shift_is_relative_above_one_and_absolute_below():
+    # zero is not shifted: a kernel is compared at 0 itself
     x = np.array([0.0, 0.5, 1.0, 1e6])
-    assert np.array_equal(tie_shifted(x), x + TIE_RTOL * np.array([1.0, 1.0, 1.0, 1e6]))
+    assert np.array_equal(tie_shifted(x), x + TIE_RTOL * np.array([0.0, 1.0, 1.0, 1e6]))
 
 
 @given(step_functions())
