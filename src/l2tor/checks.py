@@ -237,7 +237,7 @@ def _block_map(phi: TracedMap, gamma: TracedMap, xi: TracedMap) -> TracedMap:
     coeff[: v1.dim, : u1.dim] = phi.coefficients
     coeff[: v1.dim, u1.dim :] = gamma.coefficients
     coeff[v1.dim :, u1.dim :] = xi.coefficients
-    return TracedMap(src, tgt, coeff)
+    return TracedMap._derived(src, tgt, coeff)
 
 
 def check_block_matrix_F(phi: TracedMap, gamma: TracedMap, xi: TracedMap) -> CheckReport:
@@ -389,7 +389,7 @@ def check_gromov_shubin(C: FiniteCochainComplex, D: FiniteCochainComplex,
         resid = resid - (T[p + 1] @ C.differential(p)).coefficients
     if p > 0 and T[p].source.dim and C.space(p - 1).dim:
         resid = resid - (C.differential(p - 1) @ T[p]).coefficients
-    defect = TracedMap(C.space(p), C.space(p), resid).norm
+    defect = TracedMap._derived(C.space(p), C.space(p), resid).norm
     if defect > STRUCTURE_ATOL:
         raise ValueError(f"homotopy relation fails at degree {p}: defect {defect}")
 

@@ -30,8 +30,8 @@ from .checks import SUITES, run_suite
 from .config import seed_from_env
 from .heattrace import (HeatTraceModel, TorsionResult, analytic_torsion, d_small,
                         zeta_det_with_error)
-from .hyperbolic import (CuspEnd, _field, _integer, cusp_volume, heat_density,
-                         load_plancherel_table, torsion_constant_result)
+from .hyperbolic import (CuspEnd, _convert, _field, _integer, _number, cusp_volume,
+                         heat_density, load_plancherel_table, torsion_constant_result)
 from .jsj import is_graph_manifold, load_manifest, torsion_3manifold
 from .kernels1d import Domain1D, boundary_insensitivity_check, sup_bound_check
 from .mellin import resolve_dsmall_constant
@@ -53,14 +53,30 @@ def _emit(payload: dict, output: str | None) -> None:
         print(text)
 
 
+def _finite(text: str) -> float:
+    """The argparse type of every float option: NaN, ±inf and text that is
+    no number are refused, naming the option."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan  # refused below, with the same message
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _spectrum(pairs, location: str) -> Spectrum:
-    """A list of [eigenvalue, weight] pairs; a malformed entry is named."""
+    """A list of [eigenvalue, weight] pairs of numbers; a malformed entry is
+    named."""
     if not isinstance(pairs, list):
         raise ValueError(f"{location}: expected a list of [eigenvalue, weight] pairs")
+    numbers = []
     for k, pair in enumerate(pairs):
         if not (isinstance(pair, list) and len(pair) == 2):
             raise ValueError(f"{location}[{k}]: expected [eigenvalue, weight]")
-    return Spectrum.from_pairs(pairs)
+        numbers.append([_convert(v, f"{location}[{k}][{i}]", _number)
+                        for i, v in enumerate(pair)])
+    return Spectrum.from_pairs(numbers)
 
 
 def _load_spectrum(path: str) -> tuple[Spectrum | None, dict[int, Spectrum] | None]:
@@ -270,9 +286,9 @@ def _cmd_anomaly(args) -> int:
     if args.sweep:
         try:
             u0, u1, n = args.sweep.split(":")
-            us = np.linspace(float(u0), float(u1), int(n))
-        except ValueError:
-            raise ValueError("--sweep expects u0:u1:n") from None
+            us = np.linspace(_finite(u0), _finite(u1), int(n))
+        except (ValueError, argparse.ArgumentTypeError):
+            raise ValueError("--sweep expects u0:u1:n with finite bounds u0, u1") from None
         writer = csv.writer(sys.stdout)
         writer.writerow(["u", "sum"] + [f"d{p}" for p in range(family.dim + 1)])
         for u in us:
@@ -324,7 +340,7 @@ def _cmd_selftest(args) -> int:
     results = run_selftest(seed=args.seed, quick=args.quick)
     width = max(len(r.name) for r in results)
     for r in results:
-        print(f"{'PASS' if r.passed else 'FAIL'}  {r.name.ljust(width)}")
+        print(f"{'PASS' if r.passed else 'FAIL'}  {r.name.ljust(width)}  {r.seconds:.2f} s")
     ok = all(r.passed for r in results)
     if args.output:
         _emit({"results": [r.to_dict() for r in results], "ok": ok}, args.output)
@@ -362,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--spectrum", help="JSON spectrum file")
     p.add_argument("--op", choices=["det", "trace", "torsion", "dsmall"],
                    default="det")
-    p.add_argument("--t", type=float, default=1.0, help="time for --op trace")
+    p.add_argument("--t", type=_finite, default=1.0, help="time for --op trace")
     p.add_argument("--m", type=int, default=0, help="dimension parameter")
     p.add_argument("--include-kernel", action="store_true")
     _add_common(p)
@@ -372,16 +388,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, default=3)
     p.add_argument("--op", required=True, choices=["density", "constant", "cusp"])
     p.add_argument("--p", type=int, default=0, help="form degree for --op density")
-    p.add_argument("--t", type=float, default=1.0, help="time for --op density")
+    p.add_argument("--t", type=_finite, default=1.0, help="time for --op density")
     p.add_argument("--table", help="alternative density table (JSON)")
-    p.add_argument("--cross-section", type=float, default=1.0)
-    p.add_argument("--height", type=float, default=0.0)
+    p.add_argument("--cross-section", type=_finite, default=1.0)
+    p.add_argument("--height", type=_finite, default=0.0)
     _add_common(p)
     p.set_defaults(handler=_cmd_hyperbolic)
 
     p = sub.add_parser("heatcmp", help="one-dimensional kernel comparisons")
     p.add_argument("--pair", required=True, choices=sorted(HEATCMP_PAIRS))
-    p.add_argument("--K", type=float, default=1.0, help="distance cutoff")
+    p.add_argument("--K", type=_finite, default=1.0, help="distance cutoff")
     p.add_argument("--csv", help="write (t, x, diff, bound) rows here")
     _add_common(p)
     p.set_defaults(handler=_cmd_heatcmp)
@@ -390,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dim", type=int, choices=[2, 3], required=True)
     p.add_argument("--family", default="preset:default")
     p.add_argument("--f", help="conformal factor expression in x and u")
-    p.add_argument("--u", type=float, default=0.0)
+    p.add_argument("--u", type=_finite, default=0.0)
     p.add_argument("--sweep", help="u0:u1:n emits CSV over the parameter range")
     _add_common(p)
     p.set_defaults(handler=_cmd_anomaly)

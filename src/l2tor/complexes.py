@@ -101,8 +101,8 @@ class FiniteCochainComplex:
                     u0 = u[:, np.count_nonzero(nonzero_mask(s)):]
                 basis = _read_only(np.linalg.solve(wt, u0))
             d = self.differential(p)
-            restricted = TracedMap(TracedSpace(basis.shape[1], space.normalization),
-                                   d.target, d.coefficients @ basis)
+            restricted = TracedMap._derived(TracedSpace(basis.shape[1], space.normalization),
+                                            d.target, d.coefficients @ basis)
             self._degrees[p] = (basis, restricted)
         return self._degrees[p]
 
@@ -120,7 +120,8 @@ class FiniteCochainComplex:
         d_prev = self.differential(p - 1)
         up = d_p.adjoint() @ d_p
         down = d_prev @ d_prev.adjoint()
-        return TracedMap(self.space(p), self.space(p), up.coefficients + down.coefficients)
+        return TracedMap._derived(self.space(p), self.space(p),
+                                  up.coefficients + down.coefficients)
 
     def harmonic_basis(self, p: int) -> np.ndarray:
         """Gram-orthonormal basis of ker(c^p) ∩ (im c^{p-1})^perp: the
@@ -227,4 +228,4 @@ def connecting_map(T: ShortExactTriple, p: int) -> TracedMap:
     pulled = T.j_at(p + 1).least_norm_solve(dd)
     # coordinates of the harmonic projection in the orthonormal harmonic basis
     coords = h_c.T @ T.C.space(p + 1).gram @ pulled
-    return TracedMap(src, tgt, coords)
+    return TracedMap._derived(src, tgt, coords)

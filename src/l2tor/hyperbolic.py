@@ -108,8 +108,8 @@ class PlancherelComponent:
     poly: tuple[float, ...]
 
     def __post_init__(self):
-        if self.shift < 0:
-            raise ValueError("spectral shift must be nonnegative")
+        if not 0.0 <= self.shift < math.inf:  # NaN fails it
+            raise ValueError("spectral shift must be finite and nonnegative")
         if not self.poly or any(not np.isfinite(c) for c in self.poly):
             raise ValueError("density polynomial must be finite and nonempty")
 
@@ -209,6 +209,15 @@ class PlancherelTable:
                 "leading_term_rel": leading}
 
 
+def _convert(value, location: str, convert: Callable):
+    """convert(value); a value that convert refuses raises a ValueError
+    naming the location."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{location}: {exc}") from None
+
+
 def _field(raw, key: str, location: str, convert: Callable):
     """convert(raw[key]); a raw that is no object, a missing key or a value
     that convert refuses raises a ValueError naming the location."""
@@ -216,10 +225,7 @@ def _field(raw, key: str, location: str, convert: Callable):
         raise ValueError(f"{location}: expected an object")
     if key not in raw:
         raise ValueError(f"{location}: missing field {key!r}")
-    try:
-        return convert(raw[key])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{location}.{key}: {exc}") from None
+    return _convert(raw[key], f"{location}.{key}", convert)
 
 
 def _integer(value) -> int:
@@ -229,6 +235,19 @@ def _integer(value) -> int:
     if isinstance(value, int) and not isinstance(value, bool):
         return value
     raise ValueError(f"expected an integer, got {value!r}")
+
+
+def _number(value) -> float:
+    """A finite JSON number; true, "1", NaN, Infinity and integers beyond a
+    double are refused."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ValueError(f"expected a finite number, got {value!r}")
 
 
 def load_plancherel_table(path: str | None = None) -> PlancherelTable:
@@ -254,7 +273,9 @@ def load_plancherel_table(path: str | None = None) -> PlancherelTable:
         comps = []
         for j, c in enumerate(_field(row, "components", loc, list)):
             cloc = f"{loc}.components[{j}]"
-            shift, poly = _field(c, "shift", cloc, float), _field(c, "poly", cloc, tuple)
+            shift = _field(c, "shift", cloc, _number)
+            poly = tuple(_convert(v, f"{cloc}.poly[{k}]", _number)
+                         for k, v in enumerate(_field(c, "poly", cloc, list)))
             try:
                 comps.append(PlancherelComponent(shift, poly))
             except (TypeError, ValueError) as exc:

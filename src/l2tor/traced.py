@@ -6,13 +6,21 @@ is a linear map between two such spaces.  Singular values, operator norms
 and adjoints are always taken with respect to the gram forms, so a space
 with a non-identity gram behaves exactly like an abstract inner-product
 space expressed in a skew basis.
+
+Maps are validated once.  The public TracedMap constructor checks the shape
+and finiteness of the coefficients it is given; the maps the library derives
+from valid ones (compositions, adjoints, zero and identity maps, restricted
+differentials, Laplacians, block maps) skip those checks.  Overflow is caught
+where a map is decomposed: every singular value, rank, norm, kernel and image
+goes through `whitened`, which refuses a matrix that is not finite, so an
+overflowed product and an overflowed whitening both raise a ValueError.
+Identity-gram spaces of one dimension share one read-only identity matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -29,8 +37,6 @@ def nonzero_mask(sv: np.ndarray) -> np.ndarray:
 
 
 def _as_normalization(value) -> float:
-    if isinstance(value, Fraction):
-        value = float(value)
     value = float(value)
     if not value > 0 or not np.isfinite(value):
         raise ValueError(f"normalization must be positive and finite, got {value}")
@@ -40,6 +46,13 @@ def _as_normalization(value) -> float:
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+@lru_cache(maxsize=64)  # bounded: a kept identity outlives the spaces that use it
+def _identity(dim: int) -> np.ndarray:
+    """The dim x dim identity shared by the identity-gram spaces of that
+    dimension, hence read-only."""
+    return _read_only(np.eye(dim))
 
 
 @dataclass(frozen=True)
@@ -54,10 +67,11 @@ class TracedSpace:
         if self.dim < 0:
             raise ValueError("dim must be nonnegative")
         object.__setattr__(self, "normalization", _as_normalization(self.normalization))
-        object.__setattr__(self, "_identity", self.gram is None)
         if self.gram is None:
-            object.__setattr__(self, "gram", np.eye(self.dim))
-            object.__setattr__(self, "_chol", np.eye(self.dim))
+            # the gram, its Cholesky factor and both inverses are one identity
+            eye = _identity(self.dim)
+            for name in ("gram", "_chol", "inverse_whitener", "inverse_gram"):
+                object.__setattr__(self, name, eye)
             return
         gram = np.asarray(self.gram, dtype=float)
         if gram.shape != (self.dim, self.dim):
@@ -86,18 +100,14 @@ class TracedSpace:
 
     @cached_property
     def inverse_whitener(self) -> np.ndarray:
-        """W^{-1}, computed once per space and shared, hence read-only; the
-        identity of an identity-gram space is not inverted."""
-        if self._identity:
-            return _read_only(np.eye(self.dim))
+        """W^{-1}, computed once per space and shared, hence read-only; an
+        identity-gram space holds the shared identity from construction."""
         return _read_only(np.linalg.inv(self.whitener))
 
     @cached_property
     def inverse_gram(self) -> np.ndarray:
-        """gram^{-1}, computed once per space and shared, hence read-only; the
-        identity of an identity-gram space is not inverted."""
-        if self._identity:
-            return _read_only(np.eye(self.dim))
+        """gram^{-1}, computed once per space and shared, hence read-only; an
+        identity-gram space holds the shared identity from construction."""
         return _read_only(np.linalg.inv(self.gram))
 
     def inner(self, u, v) -> float:
@@ -113,32 +123,41 @@ class TracedSpace:
 class TracedMap:
     """Linear map between traced spaces, stored as a coordinate matrix."""
 
+    # per-map caches, set on first use
+    _whitened = _svals = _svd = None
+
     def __init__(self, source: TracedSpace, target: TracedSpace, coefficients):
         coeff = np.asarray(coefficients, dtype=float)
         if coeff.shape != (target.dim, source.dim):
             raise ValueError(
                 f"coefficient matrix must be {target.dim}x{source.dim}, got {coeff.shape}"
             )
-        if coeff.size and not np.all(np.isfinite(coeff)):
+        if not np.isfinite(coeff).all():
             raise ValueError("coefficients must be finite")
-        self.source = source
-        self.target = target
-        self.coefficients = coeff
-        self._whitened = None
-        self._svals = None
-        self._svd = None
+        self.source, self.target, self.coefficients = source, target, coeff
+
+    @classmethod
+    def _derived(cls, source: TracedSpace, target: TracedSpace,
+                 coefficients: np.ndarray) -> "TracedMap":
+        """A map derived from valid ones: a float matrix of the right shape by
+        construction, so __init__'s checks are skipped; an overflow in its
+        making is refused by `whitened`."""
+        f = object.__new__(cls)
+        f.source, f.target, f.coefficients = source, target, coefficients
+        return f
 
     # -- gram-aware linear algebra -------------------------------------------------
 
     @property
     def whitened(self) -> np.ndarray:
-        """Matrix of the map between the whitened (orthonormal) coordinates."""
+        """Matrix of the map between the whitened (orthonormal) coordinates;
+        a matrix that is not finite (an overflow in deriving or whitening the
+        map) raises a ValueError."""
         if self._whitened is None:
-            if self.source.dim == 0 or self.target.dim == 0:
-                self._whitened = np.zeros((self.target.dim, self.source.dim))
-            else:
-                wt = self.target.whitener
-                self._whitened = wt @ self.coefficients @ self.source.inverse_whitener
+            w = self.target.whitener @ self.coefficients @ self.source.inverse_whitener
+            if not np.isfinite(w).all():
+                raise ValueError("the map overflows a double in whitened coordinates")
+            self._whitened = w
         return self._whitened
 
     def singular_values(self) -> np.ndarray:
@@ -222,9 +241,9 @@ class TracedMap:
     def adjoint(self) -> "TracedMap":
         """f* with <f u, v>_target = <u, f* v>_source."""
         if self.source.dim == 0 or self.target.dim == 0:
-            return TracedMap(self.target, self.source, np.zeros((self.source.dim, self.target.dim)))
+            return TracedMap.zero(self.target, self.source)
         coeff = self.source.inverse_gram @ self.coefficients.T @ self.target.gram
-        return TracedMap(self.target, self.source, coeff)
+        return TracedMap._derived(self.target, self.source, coeff)
 
     def check_adjoint_identity(self) -> float:
         """Max defect of <f e_i, e_j>_t - <e_i, f* e_j>_s over basis vectors."""
@@ -242,7 +261,8 @@ class TracedMap:
         """self ∘ other (apply `other` first)."""
         if other.target.dim != self.source.dim:
             raise ValueError("shape mismatch in composition")
-        return TracedMap(other.source, self.target, self.coefficients @ other.coefficients)
+        return TracedMap._derived(other.source, self.target,
+                                  self.coefficients @ other.coefficients)
 
     def __matmul__(self, other: "TracedMap") -> "TracedMap":
         return self.compose(other)
@@ -252,11 +272,11 @@ class TracedMap:
 
     @staticmethod
     def identity(space: TracedSpace) -> "TracedMap":
-        return TracedMap(space, space, np.eye(space.dim))
+        return TracedMap._derived(space, space, np.eye(space.dim))
 
     @staticmethod
     def zero(source: TracedSpace, target: TracedSpace) -> "TracedMap":
-        return TracedMap(source, target, np.zeros((target.dim, source.dim)))
+        return TracedMap._derived(source, target, np.zeros((target.dim, source.dim)))
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"TracedMap({self.source.dim}->{self.target.dim}, norm={self.norm:.4g})"

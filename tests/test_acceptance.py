@@ -37,7 +37,7 @@ def test_c3_reproduction(results):
     row = results["C3"]
     _report(row)
     assert row.detail["abs_error"] < 1e-6
-    assert row.detail["seconds"] < 30.0
+    assert _TIMINGS["C3"] < 30.0
     assert row.passed
 
 

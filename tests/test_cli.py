@@ -278,12 +278,21 @@ def test_config_option_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def _table_component(shift, poly) -> dict:
+    """A density table whose one component has the given shift and poly."""
+    return {"m": 3, "rows": [{"p": 0, "components": [{"shift": shift, "poly": poly}]}]}
+
+
 @pytest.mark.parametrize("argv, infile, message", [
     (["zeta", "--op", "det"], None, None),
     (["hyperbolic", "--op", "density", "--m", "5"], None, None),
     (["hyperbolic", "--op", "constant", "--m", "5"], None, None),
     (["anomaly", "--dim", "3", "--family", "preset:nope"], None, None),
     (["anomaly", "--dim", "3", "--sweep", "a:b"], None, None),
+    (["anomaly", "--dim", "3", "--sweep", "nan:1:3"], None,
+     "error: --sweep expects u0:u1:n with finite bounds u0, u1\n"),
+    (["anomaly", "--dim", "3", "--sweep=-inf:0:3"], None,
+     "error: --sweep expects u0:u1:n with finite bounds u0, u1\n"),
     # det = 1000^200 overflows a double, 0.001^200 underflows to 0
     (["zeta", "--op", "det"], ("--spectrum", [[1000.0, 200.0]]), None),
     (["zeta", "--op", "det"], ("--spectrum", [[0.001, 200.0]]), None),
@@ -322,13 +331,39 @@ def test_config_option_is_usage_error(capsys):
      ("--table", {"m": 3, "rows": [{"p": 0, "components": []},
                                    {"p": 0, "components": []}]}),
      "error: {path}.rows[1].p: degree 0 appears twice\n"),
+    # numbers are finite JSON numbers: no booleans, strings, NaN or Infinity
+    (["hyperbolic", "--op", "density"], ("--table", _table_component(math.nan, [1.0])),
+     "error: {path}.rows[0].components[0].shift: expected a finite number, got nan\n"),
+    (["hyperbolic", "--op", "density"], ("--table", _table_component("nan", [1.0])),
+     "error: {path}.rows[0].components[0].shift: expected a finite number, got 'nan'\n"),
+    (["hyperbolic", "--op", "density"], ("--table", _table_component(True, [1.0])),
+     "error: {path}.rows[0].components[0].shift: expected a finite number, got True\n"),
+    (["hyperbolic", "--op", "density"], ("--table", _table_component(-1.0, [1.0])),
+     "error: {path}.rows[0].components[0]: spectral shift must be finite and nonnegative\n"),
+    (["hyperbolic", "--op", "density"], ("--table", _table_component(0.0, [1.0, "2"])),
+     "error: {path}.rows[0].components[0].poly[1]: expected a finite number, got '2'\n"),
+    (["hyperbolic", "--op", "density"], ("--table", _table_component(0.0, [math.inf])),
+     "error: {path}.rows[0].components[0].poly[0]: expected a finite number, got inf\n"),
+    (["zeta", "--op", "det"], ("--spectrum", [["1", 1.0]]),
+     "error: {path}[0][0]: expected a finite number, got '1'\n"),
+    (["zeta", "--op", "det"], ("--spectrum", [[True, 1.0]]),
+     "error: {path}[0][0]: expected a finite number, got True\n"),
+    (["zeta", "--op", "det"], ("--spectrum", [[1.0, 1.0], [2.0, math.nan]]),
+     "error: {path}[1][1]: expected a finite number, got nan\n"),
+    (["zeta", "--op", "torsion"],
+     ("--spectrum", {"degrees": [{"p": 1, "spectrum": [[2.0, None]]}]}),
+     "error: {path}.degrees[0].spectrum[0][1]: expected a finite number, got None\n"),
 ], ids=["zeta-no-spectrum", "density-wrong-dim", "constant-wrong-dim",
-        "anomaly-unknown-preset", "anomaly-bad-sweep", "det-overflow",
+        "anomaly-unknown-preset", "anomaly-bad-sweep", "anomaly-nan-sweep",
+        "anomaly-infinite-sweep", "det-overflow",
         "det-underflow", "density-overflow", "cusp-overflow", "table-no-m",
         "table-row-no-components", "table-list", "table-degree-out-of-range",
         "degrees-no-spectrum", "spectrum-short-pair", "degrees-fractional-p",
         "degrees-boolean-p", "degrees-duplicate-p", "table-fractional-m",
-        "table-duplicate-row"])
+        "table-duplicate-row", "table-nan-shift", "table-string-shift",
+        "table-boolean-shift", "table-negative-shift", "table-string-poly",
+        "table-infinite-poly", "spectrum-string-eigenvalue",
+        "spectrum-boolean-eigenvalue", "spectrum-nan-weight", "degrees-null-weight"])
 def test_usage_errors_exit_2(capsys, tmp_path, argv, infile, message):
     path = tmp_path / "input.json"
     if infile is not None:
@@ -343,13 +378,38 @@ def test_usage_errors_exit_2(capsys, tmp_path, argv, infile, message):
     assert message is None or err == message.format(path=path)
 
 
-def test_selftest_quick(capsys):
-    code, out, _ = run_cli(capsys, "selftest", "--quick")
-    assert code == 0
-    lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
-    names = {l.split()[1] for l in lines}
-    assert {"C3", "anomaly-dim2", "short-exact"} <= names
-    assert all(l.startswith("PASS") for l in lines)
+@pytest.mark.parametrize("argv", [
+    ["zeta", "--op", "trace", "--t"],
+    ["hyperbolic", "--op", "density", "--t"],
+    ["hyperbolic", "--op", "cusp", "--height"],
+    ["hyperbolic", "--op", "cusp", "--cross-section"],
+    ["heatcmp", "--pair", "halfline-line", "--K"],
+    ["anomaly", "--dim", "2", "--u"],
+], ids=lambda argv: argv[-1])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "NaN", "1e999"])
+def test_float_options_refuse_nonfinite_values(capsys, argv, value):
+    option = argv[-1]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv[:-1], f"{option}={value}"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {option}: expected a finite number, got {value!r}" in err
+
+
+def test_selftest_quick(capsys, tmp_path):
+    # each criterion's line carries its wall time; the report carries none,
+    # so two runs give the same bytes
+    reports = [tmp_path / "first.json", tmp_path / "second.json"]
+    for report in reports:
+        code, out, _ = run_cli(capsys, "selftest", "--quick", "--output", str(report))
+        assert code == 0
+        lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
+        names = {l.split()[1] for l in lines}
+        assert {"C3", "anomaly-dim2", "short-exact"} <= names
+        assert all(l.startswith("PASS") for l in lines)
+        assert all(re.fullmatch(r"PASS  \S+ *  \d+\.\d\d s", l) for l in lines)
+    assert reports[0].read_bytes() == reports[1].read_bytes()
+    assert "seconds" not in reports[0].read_text()
 
 
 def _reject_constant(name):

@@ -151,6 +151,12 @@ def test_table_validation_catches_broken_duality():
         broken.validate()
 
 
+@pytest.mark.parametrize("shift", [-1.0, math.nan, math.inf])
+def test_component_refuses_shift_outside_zero_to_infinity(shift):
+    with pytest.raises(ValueError, match="finite and nonnegative"):
+        PlancherelComponent(shift, (1.0,))
+
+
 def test_cusp_volume_examples():
     assert cusp_volume(CuspEnd(1.0), m=3, height=0.0) == pytest.approx(0.5)
     assert cusp_volume(CuspEnd(1.0), m=3, height=50.0) == pytest.approx(0.0, abs=1e-40)

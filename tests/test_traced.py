@@ -1,8 +1,13 @@
+import sys
+from collections import Counter
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from l2tor.checks import run_suite
 from l2tor.config import RANK_RTOL, ZERO_SV_ATOL
 from l2tor.rand import random_map, random_space, rng_for
 from l2tor.traced import TracedMap, TracedSpace, nonzero_mask
@@ -61,6 +66,13 @@ def test_identity_space_inverses_are_read_only_identities(n, monkeypatch):
         assert inv.tobytes() == np.eye(n).tobytes()
         assert not inv.flags.writeable
     assert s.inverse_gram is s.inverse_gram
+    # every identity-gram space of one dimension shares one identity for its
+    # gram, Cholesky factor and both inverses
+    other = TracedSpace(n, 0.5)
+    assert s.gram is other.inverse_gram is other.inverse_whitener is other._chol
+    assert not s.gram.flags.writeable and not s.whitener.flags.writeable
+    with pytest.raises(ValueError):
+        s.gram[...] = 0.0
 
 
 def test_orthonormal_basis_is_a_copy():
@@ -80,6 +92,9 @@ def test_space_rejects_nonpositive_normalization():
 def test_normalized_dim():
     s = TracedSpace(3, 0.5)
     assert s.normalized_dim == 1.5
+    third = TracedSpace(3, Fraction(1, 3))
+    assert type(third.normalization) is float and third.normalization == 1.0 / 3.0
+    assert third.normalized_dim == 1.0
 
 
 def test_whitener_reproduces_inner_product():
@@ -181,6 +196,53 @@ def test_rejects_nonfinite_coefficients():
     s = TracedSpace(2)
     with pytest.raises(ValueError):
         TracedMap(s, s, np.array([[np.inf, 0.0], [0.0, 1.0]]))
+
+
+def test_overflowed_composition_is_refused_when_decomposed():
+    s = TracedSpace(2)
+    g = TracedMap(s, s, np.full((2, 2), 1e200))
+    with np.errstate(over="ignore", invalid="ignore"):
+        gg = g @ g   # derived, so not checked until it is decomposed
+        for decide in (gg.rank, gg.singular_values, gg.kernel_basis, lambda: gg.norm):
+            with pytest.raises(ValueError, match="overflows"):
+                decide()
+
+
+def test_whitening_overflow_is_refused_not_read_as_rank_zero():
+    # finite coefficients whose whitened matrix overflows: its singular
+    # values would be NaN, read as rank 0 and an all-kernel density
+    f = TracedMap(TracedSpace(1), TracedSpace(1, 1.0, np.array([[1e300]])),
+                  np.array([[1e200]]))
+    with np.errstate(over="ignore"):
+        for decide in (f.rank, f.image_basis, lambda: f.norm):
+            with pytest.raises(ValueError, match="overflows"):
+                decide()
+
+
+@pytest.mark.parametrize("suite", ["short-exact", "gromov-shubin", "laplacian"])
+def test_only_generator_maps_run_the_validating_constructor(suite, monkeypatch):
+    # compositions, adjoints, zero maps, restricted differentials,
+    # Laplacians, connecting and homotopy-defect maps are derived: every
+    # validating construction comes from the random generators
+    callers = Counter()
+    init = TracedMap.__init__
+
+    def counted(self, *args):
+        callers[sys._getframe(1).f_globals["__name__"]] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(TracedMap, "__init__", counted)
+    derived = TracedMap._derived.__func__
+    made = Counter()
+
+    def counted_derived(cls, *args):
+        made["derived"] += 1
+        return derived(cls, *args)
+
+    monkeypatch.setattr(TracedMap, "_derived", classmethod(counted_derived))
+    assert run_suite(suite, 7, 1, max_dim=6).ok
+    assert set(callers) == {"l2tor.rand"}
+    assert made["derived"] > callers["l2tor.rand"] > 0
 
 
 def _gram_pinv_apply(f: TracedMap, rhs: np.ndarray) -> np.ndarray:
