@@ -1,9 +1,13 @@
 """Property checkers for the spectral-density inequalities.
 
-Each checker decides one family of step-function relations on
-sdf.probe_grid (every breakpoint of both sides, their midpoints and the
-range endpoints), skipping items whose side conditions fail, and returns
-the violations found; the kernel-subtracted variants always run.  Ranks
+Each checker records one family of step-function relations in a
+CheckReport, skipping items whose side conditions fail (the
+kernel-subtracted variants always run), and the report decides every
+relation it holds in one vectorized pass.  A suite instance records all
+its relations, over every degree, in one report and decides them once.
+Each relation is decided on the grid sdf.probe_grid builds from its
+functions (every breakpoint of both sides, their midpoints and the range
+endpoints), and the violations come in the order recorded.  Ranks
 come from the rank rule (traced.nonzero_mask) and slacks are fixed:
 config.TIE_RTOL forgives breakpoints that differ only by eigensolve
 rounding (sdf.tie_shifted moves the right side's positive probes of an
@@ -14,7 +18,9 @@ value rounding.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -25,7 +31,7 @@ from .config import (CONTAINMENT_GAP, NONTRIVIAL_INTERSECTION_GAP, RANGE_END_RTO
 from .rand import (random_complex, random_homotopy_pair, random_injective,
                    random_map, random_short_exact_triple, random_space,
                    random_surjective, rng_for)
-from .sdf import SpectralDensityFunction, probe_grid, sdf_of_map, tie_shifted
+from .sdf import SpectralDensityFunction, sdf_of_map, tie_shifted
 from .traced import TracedMap, TracedSpace
 
 __all__ = [
@@ -54,59 +60,154 @@ class Violation:
         return {"item": self.item, "lambda": self.lam, "lhs": self.lhs, "rhs": self.rhs}
 
 
+class _Relation(NamedTuple):
+    """lhs <= constant + sum of rhs on [0, upper), or lhs == sum of rhs."""
+    item: str
+    lhs: SpectralDensityFunction
+    rhs: list[SpectralDensityFunction]
+    upper: float
+    constant: float
+    equal: bool
+
+
 @dataclass
 class CheckReport:
     violations: list[Violation] = field(default_factory=list)
     skipped: list[tuple[str, str]] = field(default_factory=list)
     probes: int = 0
     constants: dict = field(default_factory=dict)
+    pending: list[_Relation] = field(default_factory=list)  # recorded, not yet decided
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
-    def merge(self, other: "CheckReport") -> None:
-        self.violations.extend(other.violations)
-        self.skipped.extend(other.skipped)
-        self.probes += other.probes
-        self.constants.update(other.constants)
+    def leq(self, item: str, lhs: SpectralDensityFunction, rhs: list[SpectralDensityFunction],
+            upper: float = np.inf, constant: float = 0.0) -> None:
+        """Record lhs <= constant + sum of rhs on [0, upper)."""
+        if math.isnan(upper):
+            raise ValueError(f"{item}: the range bound is NaN")
+        self.pending.append(_Relation(item, lhs, rhs, upper, constant, False))
+
+    def equal(self, item: str, lhs: SpectralDensityFunction,
+              rhs: list[SpectralDensityFunction]) -> None:
+        """Record lhs == sum of rhs on [0, inf)."""
+        self.pending.append(_Relation(item, lhs, rhs, np.inf, 0.0, True))
+
+    def fail(self, violation: Violation) -> None:
+        """Add a violation found without probing, after those of the
+        relations recorded before it."""
+        self.decide()
+        self.violations.append(violation)
+
+    def decide(self) -> list[float | None]:
+        """Decide every pending relation, in the order recorded, and return
+        each one's margin: the smallest rhs - lhs where lhs > 0 for an
+        inequality (None if lhs vanishes on the range), the largest
+        |lhs - rhs| for an equality."""
+        relations, self.pending = self.pending, []
+        if not relations:
+            return []
+        probes, violations, margins = _decide(relations)
+        self.probes += probes
+        self.violations.extend(violations)
+        return margins
 
 
-def _sum_values(terms: list[SpectralDensityFunction], lams: np.ndarray) -> np.ndarray:
-    """Sum of the terms at every point of lams, added in order."""
-    return sum((t.values(lams) for t in terms), np.zeros(lams.shape))
+_NO_STEP, _ZERO = np.array([-np.inf]), np.zeros(1)
 
 
-def _check_leq(item: str, lhs: SpectralDensityFunction, rhs: list[SpectralDensityFunction],
-               report: CheckReport, upper: float = np.inf,
-               constant: float = 0.0) -> float | None:
-    """Check lhs <= constant + sum of rhs on [0, upper) and return the
-    smallest margin rhs - lhs where lhs > 0 (None if lhs vanishes there)."""
-    probes = probe_grid([lhs, *rhs])
-    probes = probes[probes < upper]
-    if np.isfinite(upper):
-        probes = np.append(probes, upper * (1.0 - RANGE_END_RTOL))
-    report.probes += probes.size
-    # the tie shift widens only the right side, never inflating the left
-    lvals = lhs.values(probes)
-    rvals = constant + _sum_values(rhs, tie_shifted(probes))
-    for k in np.flatnonzero(lvals > rvals + VALUE_ATOL):
-        report.violations.append(
-            Violation(item, float(probes[k]), float(lvals[k]), float(rvals[k])))
-    margins = (rvals - lvals)[lvals > 0.0]
-    return float(margins.min()) if margins.size else None
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The index ranges [starts[k], starts[k] + counts[k]), concatenated."""
+    return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
 
 
-def _check_equal(item: str, lhs: SpectralDensityFunction, rhs: list[SpectralDensityFunction],
-                 report: CheckReport) -> None:
-    probes = probe_grid([lhs, *rhs])
-    report.probes += probes.size
-    shifted = tie_shifted(probes)
-    lvals = lhs.values(shifted)
-    rvals = _sum_values(rhs, shifted)
-    for k in np.flatnonzero(np.abs(lvals - rvals) > VALUE_ATOL):
-        report.violations.append(
-            Violation(item, float(probes[k]), float(lvals[k]), float(rvals[k])))
+def _lookup(funcs: list[SpectralDensityFunction], fun: np.ndarray,
+            lams: np.ndarray) -> np.ndarray:
+    """funcs[fun[k]] at lams[k] for every k, in one search.
+
+    Each function's breakpoints are replaced by their rank among all the
+    breakpoints (the count of those <= it), which orders the breakpoints
+    and the probes exactly as their positions do, and offset by the
+    function's number, so one sorted key array holds every function.  A
+    step of height 0 at -inf leads each function, so every probe finds its
+    value where SpectralDensityFunction.values finds it.
+    """
+    steps = np.concatenate([a for F in funcs for a in (_NO_STEP, F.lams)])
+    heights = np.concatenate([a for F in funcs for a in (_ZERO, F.vals)])
+    owner = np.repeat(np.arange(len(funcs)), [F.lams.size + 1 for F in funcs])
+    grid = np.sort(steps)
+    stride = grid.size + 1
+    keys = owner * stride + np.searchsorted(grid, steps, side="right")
+    wanted = fun * stride + np.searchsorted(grid, lams, side="right")
+    return heights[np.searchsorted(keys, wanted, side="right") - 1]
+
+
+def _decide(relations: list[_Relation]) -> tuple[int, list[Violation], list[float | None]]:
+    """Probe count, violations and margins of the relations, in one pass.
+
+    A relation is probed on the grid sdf.probe_grid builds from its
+    functions, cut to [0, upper) with the point upper * (1 - RANGE_END_RTOL)
+    appended for a finite upper.  An inequality compares lhs at the probes
+    with constant + sum of rhs at their tie shifts, an equality both sides
+    at the tie shifts; the right side is summed term by term, in order.
+    Violations come in relation order, then probe order.
+    """
+    funcs: list[SpectralDensityFunction] = []
+    number: dict[int, int] = {}
+
+    def index(F: SpectralDensityFunction) -> int:
+        k = number.setdefault(id(F), len(funcs))
+        if k == len(funcs):
+            funcs.append(F)
+        return k
+
+    lhs = np.array([index(rel.lhs) for rel in relations])
+    term_fun = np.array([index(F) for rel in relations for F in rel.rhs], dtype=int)
+    term_rel = np.array([r for r, rel in enumerate(relations) for _ in rel.rhs], dtype=int)
+    upper = np.array([rel.upper for rel in relations], dtype=float)
+    constant = np.array([rel.constant for rel in relations], dtype=float)
+    equal = np.array([rel.equal for rel in relations])
+
+    # each relation's probe points, then its range-end probe, sorted and merged
+    points = [F.probe_points() for F in funcs]
+    sizes = np.array([p.size for p in points])
+    member = np.concatenate([lhs, term_fun])
+    count = sizes[member]
+    lam = np.concatenate(points)[_ranges(np.cumsum(sizes)[member] - count, count)]
+    rel = np.repeat(np.concatenate([np.arange(len(relations)), term_rel]), count)
+    ends = np.flatnonzero(np.isfinite(upper) & ~equal)
+    is_end = np.repeat([False, True], [lam.size, ends.size])
+    lam = np.concatenate([lam, upper[ends] * (1.0 - RANGE_END_RTOL)])
+    rel = np.concatenate([rel, ends])
+    order = np.lexsort((lam, is_end, rel))
+    lam, rel, is_end = lam[order], rel[order], is_end[order]
+    keep = is_end | (lam < upper[rel]) | equal[rel]
+    keep[1:] &= is_end[1:] | (lam[1:] != lam[:-1]) | (rel[1:] != rel[:-1])
+    lam, rel = lam[keep], rel[keep]
+    per_rel = np.bincount(rel, minlength=len(relations))
+    first = np.cumsum(per_rel) - per_rel
+
+    # one lookup: every lhs at its probes, then every rhs term at its relation's
+    shifted = tie_shifted(lam)
+    eq = equal[rel]
+    term_count = per_rel[term_rel]
+    at = _ranges(first[term_rel], term_count)
+    found = _lookup(funcs, np.concatenate([lhs[rel], np.repeat(term_fun, term_count)]),
+                    np.concatenate([np.where(eq, shifted, lam), shifted[at]]))
+    lvals = found[:lam.size]
+    # bincount adds each probe's terms from 0 in the order given
+    rvals = constant[rel] + np.bincount(at, weights=found[lam.size:], minlength=lam.size)
+
+    bad = np.flatnonzero(np.where(eq, np.abs(lvals - rvals) > VALUE_ATOL,
+                                  lvals > rvals + VALUE_ATOL))
+    violations = [Violation(relations[r].item, x, lv, rv) for r, x, lv, rv in zip(
+        rel[bad].tolist(), lam[bad].tolist(), lvals[bad].tolist(), rvals[bad].tolist())]
+    # every relation has a probe: 0 below an upper > 0, else its range end
+    gap = np.where(eq, -np.abs(lvals - rvals), np.where(lvals > 0.0, rvals - lvals, np.inf))
+    margins = [-m if r.equal else (m if m < np.inf else None)
+               for m, r in zip(np.minimum.reduceat(gap, first).tolist(), relations)]
+    return lam.size, violations, margins
 
 
 # -- subspace side conditions ----------------------------------------------------------
@@ -159,28 +260,28 @@ def check_basic_F(f: TracedMap, g: TracedMap | None = None,
             raise ValueError("g must be composable with f")
         F_g, F_gf = sdf_of_map(g), sdf_of_map(g @ f)
         rF_g, rF_gf = F_g.reduced(), F_gf.reduced()
-        _check_leq("basic.1", F_f, [F_gf.scaled_argument(g.norm)], report)
+        report.leq("basic.1", F_f, [F_gf.scaled_argument(g.norm)])
         if f.is_surjective():
-            _check_leq("basic.2", F_g, [F_gf.scaled_argument(f.norm)], report)
+            report.leq("basic.2", F_g, [F_gf.scaled_argument(f.norm)])
         else:
             report.skipped.append(("basic.2", "f not surjective"))
         for r in R_VALUES:
-            _check_leq(f"basic.3[r={r}]", F_gf,
-                       [F_g.power_argument(1 - r), F_f.power_argument(r)], report)
+            report.leq(f"basic.3[r={r}]", F_gf,
+                       [F_g.power_argument(1 - r), F_f.power_argument(r)])
         ker_g = g.kernel_basis()
         im_f = f.image_basis()
         if _trivial_intersection(ker_g, im_f) is True:
-            _check_leq("reduced.1", rF_f, [rF_gf.scaled_argument(g.norm)], report)
+            report.leq("reduced.1", rF_f, [rF_gf.scaled_argument(g.norm)])
         else:
             report.skipped.append(("reduced.1", "ker g ∩ im f ambiguous or nontrivial"))
         if f.is_surjective():
-            _check_leq("reduced.2", rF_g, [rF_gf.scaled_argument(f.norm)], report)
+            report.leq("reduced.2", rF_g, [rF_gf.scaled_argument(f.norm)])
         else:
             report.skipped.append(("reduced.2", "f not surjective"))
         if _contained(ker_g, im_f):
             for r in R_VALUES:
-                _check_leq(f"reduced.3[r={r}]", rF_gf,
-                           [rF_g.power_argument(1 - r), rF_f.power_argument(r)], report)
+                report.leq(f"reduced.3[r={r}]", rF_gf,
+                           [rF_g.power_argument(1 - r), rF_f.power_argument(r)])
         else:
             report.skipped.append(("reduced.3", "ker g not contained in im f"))
 
@@ -192,8 +293,8 @@ def check_basic_F(f: TracedMap, g: TracedMap | None = None,
         else:
             inv_norm = i.inverse_norm
             F_if = sdf_of_map(i @ f)
-            _check_leq("basic.4", F_if, [F_f.scaled_argument(inv_norm)], report)
-            _check_leq("reduced.4", F_if.reduced(), [rF_f.scaled_argument(inv_norm)], report)
+            report.leq("basic.4", F_if, [F_f.scaled_argument(inv_norm)])
+            report.leq("reduced.4", F_if.reduced(), [rF_f.scaled_argument(inv_norm)])
 
     if p is not None:
         if p.target.dim != f.source.dim:
@@ -203,19 +304,19 @@ def check_basic_F(f: TracedMap, g: TracedMap | None = None,
         else:
             F_fp = sdf_of_map(f @ p)
             rF_fp = F_fp.reduced()
-            _check_leq("basic.5", F_f, [F_fp.scaled_argument(p.norm)], report)
-            _check_leq("reduced.5", rF_fp, [rF_f.scaled_argument(p.inverse_norm)], report)
+            report.leq("basic.5", F_f, [F_fp.scaled_argument(p.norm)])
+            report.leq("reduced.5", rF_fp, [rF_f.scaled_argument(p.inverse_norm)])
             ker_p = p.kernel_dim() * p.source.normalization
-            _check_leq("reduced.6", rF_f, [rF_fp.scaled_argument(p.norm)], report,
-                       constant=ker_p)
+            report.leq("reduced.6", rF_f, [rF_fp.scaled_argument(p.norm)], constant=ker_p)
 
     # square identity: density of f*f at lambda equals density of f at sqrt(lambda)
     sv = (f.adjoint() @ f).singular_values().copy()
     sv[f.rank():] = 0.0
     F_ff = SpectralDensityFunction.from_jumps(sv, np.full(sv.shape, norm_unit))
-    _check_equal("basic.6", F_ff, [F_f.power_argument(0.5)], report)
+    report.equal("basic.6", F_ff, [F_f.power_argument(0.5)])
     report.constants["norm_f"] = f.norm
     report.constants["normalization"] = norm_unit
+    report.decide()
     return report
 
 
@@ -257,15 +358,14 @@ def check_block_matrix_F(phi: TracedMap, gamma: TracedMap, xi: TracedMap) -> Che
     report.constants.update({"norm_phi": phi.norm, "norm_gamma": gnorm, "norm_xi": xi.norm})
 
     if gamma.norm == 0.0:
-        _check_equal("block.1", F_M, [F_phi, F_xi], report)
-        _check_equal("block.r1", rF_M, [rF_phi, rF_xi], report)
+        report.equal("block.1", F_M, [F_phi, F_xi])
+        report.equal("block.r1", rF_M, [rF_phi, rF_xi])
 
     phi_invertible = (phi.source.dim == phi.target.dim and phi.rank() == phi.source.dim)
     if phi_invertible:
         c = 4.0 + 2.0 * gnorm * phi.inverse_norm
-        _check_leq("block.2", F_M, [F_phi.scaled_argument(c), F_xi.scaled_argument(c)], report)
-        _check_leq("block.r2", rF_M, [rF_phi.scaled_argument(c), rF_xi.scaled_argument(c)],
-                   report)
+        report.leq("block.2", F_M, [F_phi.scaled_argument(c), F_xi.scaled_argument(c)])
+        report.leq("block.r2", rF_M, [rF_phi.scaled_argument(c), rF_xi.scaled_argument(c)])
     else:
         report.skipped.append(("block.2", "phi not invertible"))
 
@@ -275,31 +375,29 @@ def check_block_matrix_F(phi: TracedMap, gamma: TracedMap, xi: TracedMap) -> Che
     F_xi_c3, rF_xi_c3 = F_xi.scaled_argument(c3), rF_xi.scaled_argument(c3)
     for r in R_VALUES:
         upper = c3 ** (1.0 / (r - 1.0))
-        _check_leq(f"block.3[r={r}]", F_M,
-                   [F_phi.power_argument(r), F_xi_c3.power_argument(1 - r)],
-                   report, upper=upper)
+        report.leq(f"block.3[r={r}]", F_M,
+                   [F_phi.power_argument(r), F_xi_c3.power_argument(1 - r)], upper=upper)
         if xi_injective or phi_dense:
-            _check_leq(f"block.r3[r={r}]", rF_M,
-                       [rF_phi.power_argument(r), rF_xi_c3.power_argument(1 - r)],
-                       report, upper=upper)
+            report.leq(f"block.r3[r={r}]", rF_M,
+                       [rF_phi.power_argument(r), rF_xi_c3.power_argument(1 - r)], upper=upper)
         else:
             report.skipped.append((f"block.r3[r={r}]", "xi not injective and phi not dense"))
 
     c4 = 2.0 * (1.0 + gnorm + xi.norm)
-    _check_leq("block.4", F_phi, [F_M.scaled_argument(c4)], report)
+    report.leq("block.4", F_phi, [F_M.scaled_argument(c4)])
     if xi_injective:
-        _check_leq("block.r4", rF_phi, [rF_M.scaled_argument(c4)], report)
+        report.leq("block.r4", rF_phi, [rF_M.scaled_argument(c4)])
     else:
         report.skipped.append(("block.r4", "xi not injective"))
 
     if phi_dense:
         c5 = 2.0 * (1.0 + gnorm + phi.norm)
-        _check_leq("block.5", F_xi, [F_M.scaled_argument(c5)], report, upper=1.0)
+        report.leq("block.5", F_xi, [F_M.scaled_argument(c5)], upper=1.0)
         ker_phi = phi.kernel_dim() * phi.source.normalization
-        _check_leq("block.r5", rF_xi, [rF_M.scaled_argument(c5)],
-                   report, upper=1.0, constant=ker_phi)
+        report.leq("block.r5", rF_xi, [rF_M.scaled_argument(c5)], upper=1.0, constant=ker_phi)
     else:
         report.skipped.append(("block.5", "phi has no dense image"))
+    report.decide()
     return report
 
 
@@ -317,6 +415,16 @@ def check_short_exact(T: ShortExactTriple, p: int) -> CheckReport:
     implied by chaining the block inequalities is recorded as c1_chained.
     """
     report = CheckReport()
+    _record_short_exact(report, T, p)
+    # observed slack is recorded, no conclusion drawn about optimality
+    (margin,) = report.decide()
+    if margin is not None:
+        report.constants["min_margin"] = margin
+    return report
+
+
+def _record_short_exact(report: CheckReport, T: ShortExactTriple, p: int) -> None:
+    """Record check_short_exact's relation and constants in report."""
     d_p = T.D.differential(p)
     j_p, j_p1 = T.j_at(p), T.j_at(p + 1)
     q_p, q_p1 = T.q_at(p), T.q_at(p + 1)
@@ -345,11 +453,7 @@ def check_short_exact(T: ShortExactTriple, p: int) -> CheckReport:
         sdf_of_map(delta).reduced().scaled_argument(c_delta).power_argument(0.25),
         complex_sdf(T.C, p).reduced().scaled_argument(c_C).power_argument(0.25),
     ]
-    # observed slack is recorded, no conclusion drawn about optimality
-    margin = _check_leq(f"short-exact[p={p}]", lhs, rhs, report, upper=c1_stated)
-    if margin is not None:
-        report.constants["min_margin"] = margin
-    return report
+    report.leq(f"short-exact[p={p}]", lhs, rhs, upper=c1_stated)
 
 
 def _moebius_argument(F: SpectralDensityFunction, c: float, t: float) -> SpectralDensityFunction:
@@ -383,6 +487,15 @@ def check_gromov_shubin(C: FiniteCochainComplex, D: FiniteCochainComplex,
     equivalent; the equality of harmonic dimensions is asserted as well.
     """
     report = CheckReport()
+    _record_gromov_shubin(report, C, D, f, g, T, p)
+    report.decide()
+    return report
+
+
+def _record_gromov_shubin(report: CheckReport, C: FiniteCochainComplex,
+                          D: FiniteCochainComplex, f: list[TracedMap], g: list[TracedMap],
+                          T: list[TracedMap], p: int) -> None:
+    """Record check_gromov_shubin's relations and constants in report."""
     gf = g[p] @ f[p]
     resid = gf.coefficients - np.eye(C.space(p).dim)
     if p + 1 < len(T) and T[p + 1].source.dim:
@@ -408,12 +521,10 @@ def check_gromov_shubin(C: FiniteCochainComplex, D: FiniteCochainComplex,
     h_c = C.cohomology_dim(p)
     h_d = D.cohomology_dim(p)
     if h_c != h_d:
-        report.violations.append(Violation(f"gromov-shubin-harmonics[p={p}]",
-                                           0.0, float(h_c), float(h_d)))
+        report.fail(Violation(f"gromov-shubin-harmonics[p={p}]", 0.0, float(h_c), float(h_d)))
     lhs = complex_sdf(C, p).reduced()
     rhs = [_moebius_argument(complex_sdf(D, p).reduced(), scale, t_norm)]
-    _check_leq(f"gromov-shubin[p={p}]", lhs, rhs, report, upper=threshold)
-    return report
+    report.leq(f"gromov-shubin[p={p}]", lhs, rhs, upper=threshold)
 
 
 # -- randomized suites -----------------------------------------------------------------
@@ -500,7 +611,8 @@ def _short_exact_instance(rng: np.random.Generator, max_dim: int) -> CheckReport
                                        log_sing_range=(-3.5, 1.0))
     report = CheckReport()
     for p in range(n_deg):
-        report.merge(check_short_exact(triple, p))
+        _record_short_exact(report, triple, p)
+    report.decide()
     return report
 
 
@@ -513,7 +625,8 @@ def _gromov_shubin_instance(rng: np.random.Generator, max_dim: int) -> CheckRepo
                                          log_sing_range=(-3.5, 1.0))
     report = CheckReport()
     for p in range(n_deg):
-        report.merge(check_gromov_shubin(C, D, f, g, T, p))
+        _record_gromov_shubin(report, C, D, f, g, T, p)
+    report.decide()
     return report
 
 
@@ -529,7 +642,8 @@ def _laplacian_instance(rng: np.random.Generator, max_dim: int) -> CheckReport:
     report = CheckReport()
     for p in range(n_deg):
         lhs, rhs = laplacian_sdf_decomposition(C, p)
-        _check_equal(f"laplacian[p={p}]", lhs, [rhs], report)
+        report.equal(f"laplacian[p={p}]", lhs, [rhs])
+    report.decide()
     return report
 
 

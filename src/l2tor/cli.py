@@ -18,6 +18,7 @@ import csv
 import json
 import math
 import operator
+import os
 import sys
 from pathlib import Path
 from typing import Callable
@@ -177,9 +178,12 @@ def _cmd_hyperbolic(args) -> int:
 
 
 def _cmd_heatcmp(args) -> int:
+    ks = tuple(sorted({args.K, args.K * 2.0, args.K * 0.5}))
+    # every distance to the boundary is >= 0, so a cutoff <= 0 cuts nothing
+    if not (0.0 < ks[0] and ks[-1] < math.inf):
+        raise ValueError(f"--K must give positive, finite cutoffs K/2, K and 2K, got {args.K}")
     make_v, make_n = HEATCMP_PAIRS[args.pair]
     V, N = make_v(), make_n()
-    ks = tuple(sorted({args.K, args.K * 2.0, args.K * 0.5}))
     rep = boundary_insensitivity_check(V, N, K_values=ks)
     if args.csv:
         with open(args.csv, "w", newline="") as fh:
@@ -336,7 +340,19 @@ def _cmd_jsj(args) -> int:
     return 0
 
 
+def _environment(seed: int) -> str:
+    """Versions, seed and CPU count; the versions come from the installed
+    metadata, so scipy is not imported for them."""
+    import importlib.metadata
+    import platform
+
+    version = importlib.metadata.version
+    return (f"python {platform.python_version()}, numpy {version('numpy')}, "
+            f"scipy {version('scipy')}, seed {seed}, {os.cpu_count()} CPUs")
+
+
 def _cmd_selftest(args) -> int:
+    print(_environment(args.seed), file=sys.stderr)
     results = run_selftest(seed=args.seed, quick=args.quick)
     width = max(len(r.name) for r in results)
     for r in results:

@@ -46,11 +46,11 @@ class SpectralDensityFunction:
             raise ValueError("breakpoints and values must be 1-d arrays of equal length")
         # each test is written so that NaN fails it; inf can only sit last
         if lams.size:
-            if not np.all(np.diff(lams) > 0):
+            if not (lams[1:] > lams[:-1]).all():
                 raise ValueError("breakpoint positions must be strictly increasing")
             if not (lams[0] >= 0 and lams[-1] < np.inf):
                 raise ValueError("breakpoints must be finite and nonnegative")
-            if not (np.all(np.diff(vals) >= 0) and vals[0] >= 0 and vals[-1] < np.inf):
+            if not ((vals[1:] >= vals[:-1]).all() and vals[0] >= 0 and vals[-1] < np.inf):
                 raise ValueError("values must be finite, nonnegative and nondecreasing")
         self.lams = lams
         self.vals = vals
@@ -61,7 +61,7 @@ class SpectralDensityFunction:
         """A function derived from valid ones, which keeps the invariants by
         construction and so skips __init__'s checks; only the rounding of an
         argument change (moved=True) can merge or overflow breakpoints."""
-        if moved and lams.size and not (np.all(np.diff(lams) > 0) and lams[-1] < np.inf):
+        if moved and lams.size and not ((lams[1:] > lams[:-1]).all() and lams[-1] < np.inf):
             raise ValueError("the argument change merged or overflowed breakpoints")
         F = object.__new__(cls)
         F.lams, F.vals = lams, vals

@@ -1,14 +1,15 @@
 import bisect
+import functools
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from l2tor.checks import (CheckReport, _check_equal, _check_leq, _sum_values,
-                          check_basic_F, check_block_matrix_F, check_gromov_shubin,
-                          check_short_exact, run_suite)
-from l2tor.config import VALUE_ATOL
+from l2tor import checks
+from l2tor.checks import (CheckReport, Violation, check_basic_F, check_block_matrix_F,
+                          check_gromov_shubin, check_short_exact, run_suite)
+from l2tor.config import RANGE_END_RTOL, VALUE_ATOL
 from l2tor.complexes import FiniteCochainComplex
 from l2tor.rand import (random_homotopy_pair, random_short_exact_triple,
                         rng_for)
@@ -62,7 +63,8 @@ def test_equality_sees_a_kernel_disagreement_below_the_tie_slack():
     lhs = sdf_of_map(f.adjoint() @ f)
     rhs = sdf_of_map(f).power_argument(0.5)
     rep = CheckReport()
-    _check_equal("square", lhs, [rhs], rep)
+    rep.equal("square", lhs, [rhs])
+    rep.decide()
     assert [(v.lam, v.lhs, v.rhs) for v in rep.violations] == [(0.0, 1.0, 0.0)]
     assert not lhs.equals(rhs)
     # the suite's square identity takes the rank of f, so it still holds
@@ -221,21 +223,83 @@ def _reference_value(F, x):
     return float(F.vals[count - 1]) if count else 0.0
 
 
+# -- the per-relation checkers the decider replaced, kept as its oracle ---------------
+
+
+def _sum_values(terms, lams):
+    """Sum of the terms at every point of lams, added in order."""
+    return sum((t.values(lams) for t in terms), np.zeros(lams.shape))
+
+
+def _check_leq(item, lhs, rhs, report, upper=np.inf, constant=0.0):
+    """Check lhs <= constant + sum of rhs on [0, upper) and return the
+    smallest margin rhs - lhs where lhs > 0 (None if lhs vanishes there)."""
+    probes = probe_grid([lhs, *rhs])
+    probes = probes[probes < upper]
+    if np.isfinite(upper):
+        probes = np.append(probes, upper * (1.0 - RANGE_END_RTOL))
+    report.probes += probes.size
+    # the tie shift widens only the right side, never inflating the left
+    lvals = lhs.values(probes)
+    rvals = constant + _sum_values(rhs, tie_shifted(probes))
+    for k in np.flatnonzero(lvals > rvals + VALUE_ATOL):
+        report.violations.append(
+            Violation(item, float(probes[k]), float(lvals[k]), float(rvals[k])))
+    margins = (rvals - lvals)[lvals > 0.0]
+    return float(margins.min()) if margins.size else None
+
+
+def _check_equal(item, lhs, rhs, report):
+    probes = probe_grid([lhs, *rhs])
+    report.probes += probes.size
+    shifted = tie_shifted(probes)
+    lvals = lhs.values(shifted)
+    rvals = _sum_values(rhs, shifted)
+    for k in np.flatnonzero(np.abs(lvals - rvals) > VALUE_ATOL):
+        report.violations.append(
+            Violation(item, float(probes[k]), float(lvals[k]), float(rvals[k])))
+
+
+def _decided(relations):
+    """Record the relations (equal?, item, lhs, rhs, upper, constant) in one
+    report and decide them once; returns the report and the margins."""
+    report = CheckReport()
+    for equal, item, lhs, rhs, upper, constant in relations:
+        if equal:
+            report.equal(item, lhs, rhs)
+        else:
+            report.leq(item, lhs, rhs, upper=upper, constant=constant)
+    return report, report.decide()
+
+
+def _bits(x):
+    return None if x is None else float(x).hex()
+
+
+def _records(report):
+    return [(v.item, _bits(v.lam), _bits(v.lhs), _bits(v.rhs)) for v in report.violations]
+
+
 @given(st.lists(_steps, min_size=1, max_size=4),
        st.lists(st.floats(min_value=0.0, max_value=60.0), max_size=10))
 def test_side_values_match_scalar_sum_bitwise(terms, pts):
-    # the checkers' right side, at the probes and at their tie shifts
-    x = np.concatenate([np.asarray(pts, dtype=float), *(t.probe_points() for t in terms)])
-    for probes in (x, tie_shifted(x)):
-        expected = np.array([sum(_reference_value(t, v) for t in terms) for v in probes])
-        assert _sum_values(terms, probes).tobytes() == expected.tobytes()
+    # a left side above every right side makes each probe a violation, which
+    # shows the decider's values: the left side at the probe, the right side
+    # summed in order at its tie shift
+    lhs = SpectralDensityFunction.from_jumps([0.0, *pts], [100.0] + [1.0] * len(pts))
+    report, _ = _decided([(False, "item", lhs, terms, np.inf, 0.0)])
+    probes = probe_grid([lhs, *terms])
+    assert [v.lam for v in report.violations] == probes.tolist()
+    expected = [sum(_reference_value(t, v) for t in terms) for v in tie_shifted(probes)]
+    assert np.array([v.rhs for v in report.violations]).tobytes() == \
+        np.array(expected).tobytes()
+    assert [v.lhs for v in report.violations] == [_reference_value(lhs, v) for v in probes]
 
 
 @given(_steps, st.lists(_steps, min_size=1, max_size=3),
        st.sampled_from([0.0, 0.1, 2.0 / 3.0]))
 def test_check_leq_shifts_only_the_right_side(lhs, terms, constant):
-    report = CheckReport()
-    margin = _check_leq("item", lhs, terms, report, constant=constant)
+    report, (margin,) = _decided([(False, "item", lhs, terms, np.inf, constant)])
     probes = probe_grid([lhs, *terms])
     lvals = np.array([_reference_value(lhs, v) for v in probes])
     rvals = np.array([constant + sum(_reference_value(t, v) for t in terms)
@@ -253,12 +317,90 @@ def test_tie_slack_forgives_only_rounding_sized_moves():
     early = SpectralDensityFunction([1.0], [1.0])
     for late, ok in [(SpectralDensityFunction([1.0 + 5e-10], [1.0]), True),
                      (SpectralDensityFunction([1.0 + 1e-6], [1.0]), False)]:
-        leq, equal = CheckReport(), CheckReport()
-        _check_leq("leq", early, [late], leq)
-        _check_equal("equal", early, [late], equal)
+        leq, _ = _decided([(False, "leq", early, [late], np.inf, 0.0)])
+        equal, _ = _decided([(True, "equal", early, [late], np.inf, 0.0)])
         assert leq.ok == ok and equal.ok == ok
         if not ok:
             assert [(v.lam, v.lhs, v.rhs) for v in leq.violations] == [(1.0, 1.0, 0.0)]
+
+
+@st.composite
+def _relation_batches(draw):
+    """Relations over a shared pool of functions: inequalities and
+    equalities, with and without a range bound, some built to hold (the
+    left side is the sum of the right) and some with a step added on
+    purpose, so that the batch holds violations."""
+    pool = draw(st.lists(_steps, min_size=1, max_size=5))
+    relations = []
+    for k in range(draw(st.integers(1, 8))):
+        equal = draw(st.booleans())
+        rhs = [pool[j] for j in draw(st.lists(st.integers(0, len(pool) - 1), max_size=3))]
+        lhs = draw(st.sampled_from(["pool", "sum", "sum+step"]))
+        if lhs == "pool":
+            lhs = pool[draw(st.integers(0, len(pool) - 1))]
+        else:
+            step = (SpectralDensityFunction([draw(st.floats(0.0, 50.0))], [1.0])
+                    if lhs == "sum+step" else SpectralDensityFunction.zero())
+            lhs = functools.reduce(SpectralDensityFunction.plus, rhs, step)
+        # a range just past a breakpoint puts the range-end probe below it
+        past = [float(np.nextafter(x, np.inf)) for F in (lhs, *rhs) for x in F.lams]
+        upper = draw(st.sampled_from([np.inf, 0.0, 0.5, 7.0, 60.0, *past]))
+        constant = draw(st.sampled_from([0.0, 0.1, 2.0 / 3.0]))
+        relations.append((equal, f"r{k}", lhs, rhs, upper, constant))
+    return relations
+
+
+@given(_relation_batches())
+def test_decider_matches_the_per_relation_checkers_bitwise(relations):
+    report, margins = _decided(relations)
+    oracle = CheckReport()
+    expected = []
+    for equal, item, lhs, rhs, upper, constant in relations:
+        if equal:
+            _check_equal(item, lhs, rhs, oracle)
+            shifted = tie_shifted(probe_grid([lhs, *rhs]))
+            expected.append(float(np.max(np.abs(lhs.values(shifted)
+                                                - _sum_values(rhs, shifted)))))
+        else:
+            expected.append(_check_leq(item, lhs, rhs, oracle, upper, constant))
+    assert _records(report) == _records(oracle)
+    assert report.probes == oracle.probes
+    assert [_bits(m) for m in margins] == [_bits(m) for m in expected]
+
+
+def test_a_violation_found_without_probing_keeps_its_place():
+    # fail() decides what was recorded before it, so violations stay in the
+    # order their relations and findings were recorded
+    one, two = SpectralDensityFunction([1.0], [1.0]), SpectralDensityFunction([2.0], [1.0])
+    report = CheckReport()
+    report.leq("first", one, [two])
+    report.fail(Violation("found", 0.0, 1.0, 2.0))
+    report.leq("second", one, [two])
+    assert report.decide() == [-1.0]
+    assert [v.item for v in report.violations] == ["first", "found", "second"]
+    with pytest.raises(ValueError, match="NaN"):
+        report.leq("nan", one, [two], upper=float("nan"))
+
+
+@pytest.mark.parametrize("suite", ["basic", "block"])
+def test_an_instance_probes_each_function_once_and_decides_once(monkeypatch, suite):
+    probed, batches = [], []
+    probe_points, decide = SpectralDensityFunction.probe_points, checks._decide
+
+    def counted_probe_points(F):
+        probed.append(F)
+        return probe_points(F)
+
+    def counted_decide(relations):
+        batches.append(len(relations))
+        return decide(relations)
+
+    monkeypatch.setattr(SpectralDensityFunction, "probe_points", counted_probe_points)
+    monkeypatch.setattr(checks, "_decide", counted_decide)
+    report = run_suite(suite, seed=20240801, instances=1, max_dim=6)
+    assert report.probes > 0
+    assert len(batches) == 1 and batches[0] >= 8
+    assert len({id(F) for F in probed}) == len(probed)
 
 
 def _two_pass_grid(lhs, terms):
@@ -307,7 +449,8 @@ def test_no_tolerance_parameters():
                     seen += 1
                     assert not banned & set(inspect.signature(fn).parameters), fn
     assert seen > 100
-    for fn in (checks._check_leq, checks._check_equal, complexes.ShortExactTriple.validate,
+    for fn in (checks._decide, checks.CheckReport.leq, checks.CheckReport.equal,
+               complexes.ShortExactTriple.validate,
                complexes.laplacian_sdf_decomposition, heattrace.large_time_dominating_bound,
                traced.TracedMap.check_adjoint_identity):
         assert not {"atol", "value_atol"} & set(inspect.signature(fn).parameters), fn

@@ -293,6 +293,16 @@ def _table_component(shift, poly) -> dict:
      "error: --sweep expects u0:u1:n with finite bounds u0, u1\n"),
     (["anomaly", "--dim", "3", "--sweep=-inf:0:3"], None,
      "error: --sweep expects u0:u1:n with finite bounds u0, u1\n"),
+    # every distance to the boundary is >= 0: a cutoff <= 0 would compare
+    # nothing, and K/2 or 2K may round to 0 or overflow
+    (["heatcmp", "--pair", "halfline-line", "--K", "-1"], None,
+     "error: --K must give positive, finite cutoffs K/2, K and 2K, got -1.0\n"),
+    (["heatcmp", "--pair", "interval-halfline", "--K", "0"], None,
+     "error: --K must give positive, finite cutoffs K/2, K and 2K, got 0.0\n"),
+    (["heatcmp", "--pair", "halfline-line", "--K", "5e-324"], None,
+     "error: --K must give positive, finite cutoffs K/2, K and 2K, got 5e-324\n"),
+    (["heatcmp", "--pair", "halfline-line", "--K", "1e308"], None,
+     "error: --K must give positive, finite cutoffs K/2, K and 2K, got 1e+308\n"),
     # det = 1000^200 overflows a double, 0.001^200 underflows to 0
     (["zeta", "--op", "det"], ("--spectrum", [[1000.0, 200.0]]), None),
     (["zeta", "--op", "det"], ("--spectrum", [[0.001, 200.0]]), None),
@@ -355,7 +365,8 @@ def _table_component(shift, poly) -> dict:
      "error: {path}.degrees[0].spectrum[0][1]: expected a finite number, got None\n"),
 ], ids=["zeta-no-spectrum", "density-wrong-dim", "constant-wrong-dim",
         "anomaly-unknown-preset", "anomaly-bad-sweep", "anomaly-nan-sweep",
-        "anomaly-infinite-sweep", "det-overflow",
+        "anomaly-infinite-sweep", "heatcmp-negative-cutoff", "heatcmp-zero-cutoff",
+        "heatcmp-half-cutoff-underflows", "heatcmp-double-cutoff-overflows", "det-overflow",
         "det-underflow", "density-overflow", "cusp-overflow", "table-no-m",
         "table-row-no-components", "table-list", "table-degree-out-of-range",
         "degrees-no-spectrum", "spectrum-short-pair", "degrees-fractional-p",
@@ -397,12 +408,13 @@ def test_float_options_refuse_nonfinite_values(capsys, argv, value):
 
 
 def test_selftest_quick(capsys, tmp_path):
-    # each criterion's line carries its wall time; the report carries none,
-    # so two runs give the same bytes
+    # each criterion's line carries its wall time and stderr the environment;
+    # the report carries neither, so two runs give the same bytes
     reports = [tmp_path / "first.json", tmp_path / "second.json"]
     for report in reports:
-        code, out, _ = run_cli(capsys, "selftest", "--quick", "--output", str(report))
+        code, out, err = run_cli(capsys, "selftest", "--quick", "--output", str(report))
         assert code == 0
+        assert re.fullmatch(r"python \S+, numpy \S+, scipy \S+, seed \d+, \d+ CPUs\n", err)
         lines = [l for l in out.splitlines() if l.startswith(("PASS", "FAIL"))]
         names = {l.split()[1] for l in lines}
         assert {"C3", "anomaly-dim2", "short-exact"} <= names
