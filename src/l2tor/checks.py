@@ -5,10 +5,10 @@ CheckReport, skipping items whose side conditions fail (the
 kernel-subtracted variants always run), and the report decides every
 relation it holds in one vectorized pass.  A suite instance records all
 its relations, over every degree, in one report and decides them once.
-Each relation is decided on the grid sdf.probe_grid builds from its
-functions (every breakpoint of both sides, their midpoints and the range
-endpoints), and the violations come in the order recorded.  Ranks
-come from the rank rule (traced.nonzero_mask) and slacks are fixed:
+Each relation is decided on the probe points of its functions (every
+breakpoint of both sides, their midpoints and the range endpoints), merged
+for all relations in one sort, and the violations come in the order
+recorded.  Ranks come from the rank rule (traced.nonzero_mask); slacks are fixed:
 config.TIE_RTOL forgives breakpoints that differ only by eigensolve
 rounding (sdf.tie_shifted moves the right side's positive probes of an
 inequality and both sides' of an equality, and never the probe at 0, so
@@ -146,11 +146,12 @@ def _lookup(funcs: list[SpectralDensityFunction], fun: np.ndarray,
 def _decide(relations: list[_Relation]) -> tuple[int, list[Violation], list[float | None]]:
     """Probe count, violations and margins of the relations, in one pass.
 
-    A relation is probed on the grid sdf.probe_grid builds from its
-    functions, cut to [0, upper) with the point upper * (1 - RANGE_END_RTOL)
-    appended for a finite upper.  An inequality compares lhs at the probes
-    with constant + sum of rhs at their tie shifts, an equality both sides
-    at the tie shifts; the right side is summed term by term, in order.
+    A relation is probed on the sorted, distinct probe_points of its
+    functions, merged here for every relation in one sort, cut to
+    [0, upper) with the point upper * (1 - RANGE_END_RTOL) appended for a
+    finite upper.  An inequality compares lhs at the probes with constant +
+    sum of rhs at their tie shifts, an equality both sides at the tie
+    shifts; the right side is summed term by term, in order.
     Violations come in relation order, then probe order.
     """
     funcs: list[SpectralDensityFunction] = []

@@ -31,8 +31,9 @@ from .checks import SUITES, run_suite
 from .config import seed_from_env
 from .heattrace import (HeatTraceModel, TorsionResult, analytic_torsion, d_small,
                         zeta_det_with_error)
-from .hyperbolic import (CuspEnd, _convert, _field, _integer, _number, cusp_volume,
-                         heat_density, load_plancherel_table, torsion_constant_result)
+from .hyperbolic import (CuspEnd, cusp_volume, heat_density, load_plancherel_table,
+                         torsion_constant_result)
+from .inputs import ManifestError, convert, field, integer, items, number, read_json
 from .jsj import is_graph_manifold, load_manifest, torsion_3manifold
 from .kernels1d import Domain1D, boundary_insensitivity_check, sup_bound_check
 from .mellin import resolve_dsmall_constant
@@ -69,13 +70,11 @@ def _finite(text: str) -> float:
 def _spectrum(pairs, location: str) -> Spectrum:
     """A list of [eigenvalue, weight] pairs of numbers; a malformed entry is
     named."""
-    if not isinstance(pairs, list):
-        raise ValueError(f"{location}: expected a list of [eigenvalue, weight] pairs")
     numbers = []
     for k, pair in enumerate(pairs):
         if not (isinstance(pair, list) and len(pair) == 2):
-            raise ValueError(f"{location}[{k}]: expected [eigenvalue, weight]")
-        numbers.append([_convert(v, f"{location}[{k}][{i}]", _number)
+            raise ManifestError(f"{location}[{k}]", "expected [eigenvalue, weight]")
+        numbers.append([convert(v, f"{location}[{k}][{i}]", number)
                         for i, v in enumerate(pair)])
     return Spectrum.from_pairs(numbers)
 
@@ -83,21 +82,21 @@ def _spectrum(pairs, location: str) -> Spectrum:
 def _load_spectrum(path: str) -> tuple[Spectrum | None, dict[int, Spectrum] | None]:
     """Spectrum files: a JSON list of [eigenvalue, weight] pairs, or an
     object {"degrees": [{"p": int, "spectrum": [[eig, w], ...]}, ...]}.
-    A malformed file raises a ValueError naming the file and the field."""
-    raw = json.loads(Path(path).read_text())
+    A malformed file raises a ManifestError naming the file and the field."""
+    raw = read_json(path)
     if isinstance(raw, list):
         return _spectrum(raw, path), None
     if isinstance(raw, dict) and "degrees" in raw:
         degrees = {}
-        for k, entry in enumerate(_field(raw, "degrees", path, list)):
+        for k, entry in enumerate(field(raw, "degrees", path, items)):
             loc = f"{path}.degrees[{k}]"
-            p = _field(entry, "p", loc, _integer)
+            p = field(entry, "p", loc, integer)
             if p in degrees:
-                raise ValueError(f"{loc}.p: degree {p} appears twice")
-            degrees[p] = _spectrum(_field(entry, "spectrum", loc, list), f"{loc}.spectrum")
+                raise ManifestError(f"{loc}.p", f"degree {p} appears twice")
+            degrees[p] = _spectrum(field(entry, "spectrum", loc, items), f"{loc}.spectrum")
         return None, degrees
-    raise ValueError("spectrum file must be a JSON list of [eigenvalue, weight] "
-                     "pairs or an object with a 'degrees' list")
+    raise ManifestError(path, "expected a list of [eigenvalue, weight] pairs or an "
+                              "object with a 'degrees' list")
 
 
 def _torsion_report(res: TorsionResult) -> dict:
@@ -276,17 +275,9 @@ def _parse_factor(expr: str) -> Callable:
     return factor
 
 
-def _family_from_args(args) -> ConformalFamily:
-    if args.f:
-        return ConformalFamily(args.dim, _parse_factor(args.f), name=f"expr:{args.f}")
-    preset = args.family.split(":", 1)[-1] if args.family else "default"
-    if preset in ("default", "paper"):
-        return PRESET_FAMILIES[args.dim]
-    raise ValueError(f"unknown family preset {preset!r}")
-
-
 def _cmd_anomaly(args) -> int:
-    family = _family_from_args(args)
+    family = (ConformalFamily(args.dim, _parse_factor(args.f), name=f"expr:{args.f}")
+              if args.f else PRESET_FAMILIES[args.dim])
     if args.sweep:
         try:
             u0, u1, n = args.sweep.split(":")
@@ -309,10 +300,7 @@ def _cmd_anomaly(args) -> int:
 
 
 def _cmd_jsj(args) -> int:
-    try:
-        manifest = load_manifest(args.input)
-    except FileNotFoundError:
-        raise ValueError(f"no such manifest file: {args.input}") from None
+    manifest = load_manifest(args.input)
     torsion = torsion_3manifold(manifest)
     payload = {
         "name": manifest.name,
@@ -420,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("anomaly", help="boundary metric-anomaly coefficients")
     p.add_argument("--dim", type=int, choices=[2, 3], required=True)
-    p.add_argument("--family", default="preset:default")
     p.add_argument("--f", help="conformal factor expression in x and u")
     p.add_argument("--u", type=_finite, default=0.0)
     p.add_argument("--sweep", help="u0:u1:n emits CSV over the parameter range")

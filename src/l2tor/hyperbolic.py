@@ -11,18 +11,17 @@ to volume, which vanishes in even dimensions by duality.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from importlib import resources
 from math import factorial
-from typing import Callable
 
 import numpy as np
 
 from .heattrace import (_EPS, _TERM_ULPS, ExactIntegral, HeatTraceModel, TorsionResult,
                         _exact_sum, analytic_torsion)
 from .heattrace import quad  # unused here; bench/tracing.py looks up hyperbolic.quad by name
+from .inputs import ManifestError, convert, field, integer, items, number, read_json
 
 __all__ = [
     "PlancherelComponent",
@@ -209,79 +208,37 @@ class PlancherelTable:
                 "leading_term_rel": leading}
 
 
-def _convert(value, location: str, convert: Callable):
-    """convert(value); a value that convert refuses raises a ValueError
-    naming the location."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{location}: {exc}") from None
-
-
-def _field(raw, key: str, location: str, convert: Callable):
-    """convert(raw[key]); a raw that is no object, a missing key or a value
-    that convert refuses raises a ValueError naming the location."""
-    if not isinstance(raw, dict):
-        raise ValueError(f"{location}: expected an object")
-    if key not in raw:
-        raise ValueError(f"{location}: missing field {key!r}")
-    return _convert(raw[key], f"{location}.{key}", convert)
-
-
-def _integer(value) -> int:
-    """A JSON integer; 3.0 counts as 3, while 3.9, true and "3" are refused."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value
-    raise ValueError(f"expected an integer, got {value!r}")
-
-
-def _number(value) -> float:
-    """A finite JSON number; true, "1", NaN, Infinity and integers beyond a
-    double are refused."""
-    if isinstance(value, (int, float)) and not isinstance(value, bool):
-        try:
-            number = float(value)
-        except OverflowError:
-            number = math.inf
-        if math.isfinite(number):
-            return number
-    raise ValueError(f"expected a finite number, got {value!r}")
-
-
 def load_plancherel_table(path: str | None = None) -> PlancherelTable:
     """Load a density table from JSON (the packaged m = 3 table by default)
-    and validate it; a malformed file raises a ValueError naming the file
-    and the field."""
-    if path is None:
-        where = "plancherel_h3.json"
-        raw = json.loads(resources.files("l2tor.data").joinpath(where).read_text())
-    else:
-        where = str(path)
-        with open(path) as fh:
-            raw = json.load(fh)
-    m = _field(raw, "m", where, _integer)
-    rows: list[tuple[PlancherelComponent, ...] | None] = [None] * (m + 1)
-    for i, row in enumerate(_field(raw, "rows", where, list)):
+    and validate it; a malformed file raises a ManifestError naming the
+    file and the field."""
+    source = (resources.files("l2tor.data").joinpath("plancherel_h3.json")
+              if path is None else path)
+    where = str(source)
+    raw = read_json(source)
+    m = field(raw, "m", where, integer)
+    if m < 1 or m % 2 == 0:
+        raise ManifestError(f"{where}.m", f"expected an odd positive dimension, got {m}")
+    rows: dict[int, tuple[PlancherelComponent, ...]] = {}
+    for i, row in enumerate(field(raw, "rows", where, items)):
         loc = f"{where}.rows[{i}]"
-        p = _field(row, "p", loc, _integer)
+        p = field(row, "p", loc, integer)
         if not 0 <= p <= m:
-            raise ValueError(f"{loc}.p: degree {p} is outside 0..{m}")
-        if rows[p] is not None:
-            raise ValueError(f"{loc}.p: degree {p} appears twice")
+            raise ManifestError(f"{loc}.p", f"degree {p} is outside 0..{m}")
+        if p in rows:
+            raise ManifestError(f"{loc}.p", f"degree {p} appears twice")
         comps = []
-        for j, c in enumerate(_field(row, "components", loc, list)):
+        for j, c in enumerate(field(row, "components", loc, items)):
             cloc = f"{loc}.components[{j}]"
-            shift = _field(c, "shift", cloc, _number)
-            poly = tuple(_convert(v, f"{cloc}.poly[{k}]", _number)
-                         for k, v in enumerate(_field(c, "poly", cloc, list)))
-            try:
-                comps.append(PlancherelComponent(shift, poly))
-            except (TypeError, ValueError) as exc:
-                raise ValueError(f"{cloc}: {exc}") from None
+            shift = field(c, "shift", cloc, number)
+            poly = tuple(convert(v, f"{cloc}.poly[{k}]", number)
+                         for k, v in enumerate(field(c, "poly", cloc, items)))
+            comps.append(convert(poly, cloc, lambda poly: PlancherelComponent(shift, poly)))
         rows[p] = tuple(comps)
-    table = PlancherelTable(m, tuple(() if r is None else r for r in rows))
+    if len(rows) != m + 1:
+        raise ManifestError(f"{where}.rows",
+                            f"expected a row for each degree 0..{m}, got {len(rows)}")
+    table = PlancherelTable(m, tuple(rows[p] for p in range(m + 1)))
     table.validate()
     return table
 

@@ -1,0 +1,91 @@
+"""The rules of every input file: spectra, density tables and manifests.
+
+A reader parses its file with read_json and takes each field through
+field and a rule (integer, number, string, items, or a constructor).  A
+broken rule raises a ManifestError whose message is `location: message`,
+the location naming the file and the field.
+"""
+
+from __future__ import annotations
+
+import json
+import math
+from pathlib import Path
+from typing import Callable
+
+__all__ = ["ManifestError", "read_json", "convert", "field", "integer", "number",
+           "string", "items"]
+
+_REQUIRED = object()
+
+
+class ManifestError(ValueError):
+    """A malformed input file; the message is `location: message`."""
+
+    def __init__(self, location: str, message: str):
+        super().__init__(f"{location}: {message}")
+
+
+def read_json(path):
+    """The JSON value in `path`, a file name or a packaged resource.  Text
+    that is no JSON is refused at path:line; undecodable bytes, integers
+    too long to convert and nesting too deep to parse at path."""
+    path = Path(path) if isinstance(path, str) else path
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise ManifestError(f"{path}:{exc.lineno}", f"malformed JSON: {exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        raise ManifestError(str(path), f"malformed JSON: {exc}") from None
+
+
+def convert(value, location: str, rule: Callable):
+    """rule(value); a value the rule refuses is refused at `location`."""
+    try:
+        return rule(value)
+    except (TypeError, ValueError) as exc:
+        raise ManifestError(location, str(exc)) from None
+
+
+def field(raw, key: str, location: str, rule: Callable, default=_REQUIRED):
+    """rule(raw[key]), or rule(default) for a missing key; a raw that is no
+    object and a missing key without a default are refused too."""
+    if not isinstance(raw, dict):
+        raise ManifestError(location, "expected an object")
+    if key not in raw and default is _REQUIRED:
+        raise ManifestError(location, f"missing field {key!r}")
+    return convert(raw.get(key, default), f"{location}.{key}", rule)
+
+
+def integer(value) -> int:
+    """A JSON integer; 3.0 counts as 3, while 3.9, true and "3" are refused."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    raise ValueError(f"expected an integer, got {value!r}")
+
+
+def number(value) -> float:
+    """A finite JSON number; true, "1", NaN, Infinity and integers beyond a
+    double are refused."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            result = float(value)
+        except OverflowError:
+            result = math.inf
+        if math.isfinite(result):
+            return result
+    raise ValueError(f"expected a finite number, got {value!r}")
+
+
+def string(value) -> str:
+    if isinstance(value, str):
+        return value
+    raise ValueError(f"expected a string, got {value!r}")
+
+
+def items(value) -> list:
+    if isinstance(value, list):
+        return value
+    raise ValueError("expected a list")

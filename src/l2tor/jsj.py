@@ -9,11 +9,12 @@ graph manifolds and is additive over pieces.
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
+
+from .inputs import ManifestError, convert, field, integer, items, number, read_json, string
 
 __all__ = [
     "JsjPiece",
@@ -31,14 +32,6 @@ ALLOWED_KINDS = ("seifert", "hyperbolic")
 TORSION_PER_VOLUME = -1.0 / (3.0 * math.pi)
 
 
-class ManifestError(ValueError):
-    """Schema violation with a location string for the offending field."""
-
-    def __init__(self, location: str, message: str):
-        super().__init__(f"{location}: {message}")
-        self.location = location
-
-
 @dataclass(frozen=True)
 class JsjPiece:
     kind: str
@@ -46,20 +39,16 @@ class JsjPiece:
     label: str = ""
 
     def __post_init__(self):
-        _check_piece(self.kind, self.volume, f"piece {self.label or '?'}")
-
-
-def _check_piece(kind: str, volume: float, location: str) -> None:
-    """A known kind and a finite nonnegative volume, positive if hyperbolic."""
-    if kind not in ALLOWED_KINDS:
-        raise ManifestError(
-            location, f"unknown kind {kind!r}; allowed kinds: {', '.join(ALLOWED_KINDS)}")
-    if not math.isfinite(volume):
-        raise ManifestError(location, f"volume {volume} is not finite")
-    if volume < 0:
-        raise ManifestError(location, "volume must be nonnegative")
-    if kind == "hyperbolic" and volume == 0:
-        raise ManifestError(location, "hyperbolic pieces need positive volume")
+        """A known kind and a finite nonnegative volume, positive if hyperbolic."""
+        if self.kind not in ALLOWED_KINDS:
+            raise ValueError(f"unknown kind {self.kind!r}; allowed kinds: "
+                             f"{', '.join(ALLOWED_KINDS)}")
+        if not math.isfinite(self.volume):
+            raise ValueError(f"volume {self.volume} is not finite")
+        if self.volume < 0:
+            raise ValueError("volume must be nonnegative")
+        if self.kind == "hyperbolic" and self.volume == 0:
+            raise ValueError("hyperbolic pieces need positive volume")
 
 
 @dataclass(frozen=True)
@@ -88,79 +77,54 @@ def is_graph_manifold(manifest: JsjManifest) -> bool:
     return not any(p.kind == "hyperbolic" for p in manifest.pieces)
 
 
-def _piece_from_dict(raw: dict, location: str) -> JsjPiece:
-    """One piece of a JSON or CSV manifest; every error names `location`."""
-    if not isinstance(raw, dict):
-        raise ManifestError(location, "piece must be an object")
-    kind = raw.get("kind")
-    if kind is None:
-        raise ManifestError(location, "missing field 'kind'")
-    volume = raw.get("volume", 0.0)
-    if not isinstance(volume, (int, float)) or isinstance(volume, bool):
-        raise ManifestError(f"{location}.volume", "volume must be a number")
-    kind, volume = str(kind), float(volume)
-    _check_piece(kind, volume, location)
-    if kind == "seifert":
-        volume = 0.0  # ignored by convention
-    return JsjPiece(kind, volume, str(raw.get("label", "")))
+def _piece(kind: str, volume: float, label: str, location: str) -> JsjPiece:
+    """One piece of a JSON or CSV manifest, refused at `location`; the volume
+    of a seifert piece is checked, then ignored."""
+    piece = convert(volume, location, lambda volume: JsjPiece(kind, volume, label))
+    return replace(piece, volume=0.0) if kind == "seifert" else piece
 
 
 def manifest_from_dict(raw: dict, source: str = "<dict>") -> JsjManifest:
-    if not isinstance(raw, dict):
-        raise ManifestError(source, "manifest must be an object")
-    name = raw.get("name")
-    if not isinstance(name, str) or not name:
-        raise ManifestError(f"{source}.name", "missing or empty manifest name")
-    tori = raw.get("boundaryTori", 0)
-    if not isinstance(tori, int) or isinstance(tori, bool) or tori < 0:
+    name = field(raw, "name", source, string)
+    if not name:
+        raise ManifestError(f"{source}.name", "expected a nonempty string")
+    tori = field(raw, "boundaryTori", source, integer, 0)
+    if tori < 0:
         raise ManifestError(f"{source}.boundaryTori",
-                            "boundaryTori must be a nonnegative integer")
-    pieces_raw = raw.get("pieces", [])
-    if not isinstance(pieces_raw, list):
-        raise ManifestError(f"{source}.pieces", "pieces must be a list")
-    pieces = [_piece_from_dict(p, f"{source}.pieces[{i}]")
-              for i, p in enumerate(pieces_raw)]
+                            f"expected a nonnegative integer, got {tori}")
+    pieces = []
+    for i, piece in enumerate(field(raw, "pieces", source, items, [])):
+        loc = f"{source}.pieces[{i}]"
+        pieces.append(_piece(field(piece, "kind", loc, string),
+                             field(piece, "volume", loc, number, 0.0),
+                             field(piece, "label", loc, string, ""), loc))
     return JsjManifest(name, tuple(pieces), tori)
 
 
 def _load_csv(path: Path) -> JsjManifest:
     pieces = []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for lineno, row in enumerate(reader, start=1):
+        for lineno, row in enumerate(csv.reader(fh), start=1):
             if not row or row[0].lstrip().startswith("#"):
                 continue
             loc = f"{path}:{lineno}"
-            if len(row) < 2:
+            if not 2 <= len(row) <= 3:
                 raise ManifestError(loc, "expected kind,volume[,label]")
-            try:
-                volume = float(row[1])
-            except ValueError:
-                raise ManifestError(loc, f"volume {row[1]!r} is not a number") from None
             label = row[2].strip() if len(row) > 2 else ""
-            pieces.append(_piece_from_dict(
-                {"kind": row[0].strip(), "volume": volume, "label": label}, loc))
+            pieces.append(_piece(row[0].strip(), convert(row[1], loc, float), label, loc))
     return JsjManifest(path.stem, tuple(pieces), 0)
 
 
 def load_manifest(path: str | Path) -> JsjManifest:
     """Parse a manifest file; JSON is canonical, CSV rows are kind,volume,label."""
     path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(path)
     if path.suffix.lower() == ".csv":
         return _load_csv(path)
-    try:
-        with open(path) as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"{path}:{exc.lineno}", f"malformed JSON: {exc.msg}") from None
-    return manifest_from_dict(raw, str(path))
+    return manifest_from_dict(read_json(path), str(path))
 
 
 def load_census() -> list[JsjManifest]:
     """Built-in fixture manifests with published volumes."""
-    raw = json.loads(resources.files("l2tor.data").joinpath(
-        "census_cusped.json").read_text())
-    return [manifest_from_dict(entry, entry.get("name", "<census>"))
-            for entry in raw["manifests"]]
+    source = resources.files("l2tor.data").joinpath("census_cusped.json")
+    return [manifest_from_dict(entry, f"{source}.manifests[{i}]")
+            for i, entry in enumerate(field(read_json(source), "manifests", str(source), items))]

@@ -241,7 +241,20 @@ def test_jsj_json_and_text(capsys, tmp_path):
 def test_jsj_missing_file_exit_2(capsys):
     code, _, err = run_cli(capsys, "jsj", "--input", "/no/such/file.json")
     assert code == 2
-    assert "no such manifest" in err
+    assert err == "error: [Errno 2] No such file or directory: '/no/such/file.json'\n"
+
+
+@pytest.mark.parametrize("argv, option, name", [
+    (["zeta", "--op", "det"], "--spectrum", "spectrum.json"),
+    (["hyperbolic", "--op", "constant"], "--table", "table.json"),
+    (["jsj"], "--input", "manifest.json"),
+    (["jsj"], "--input", "manifest.csv"),
+], ids=["spectrum", "table", "json-manifest", "csv-manifest"])
+def test_missing_input_file_gives_one_message(capsys, tmp_path, argv, option, name):
+    path = tmp_path / name
+    code, out, err = run_cli(capsys, *argv, option, str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: [Errno 2] No such file or directory: '{path}'\n"
 
 
 def test_jsj_schema_error_exit_2(capsys, tmp_path):
@@ -278,6 +291,13 @@ def test_config_option_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
+def test_anomaly_family_option_is_gone():
+    # every accepted preset name selected the family of --dim; --f overrides it
+    with pytest.raises(SystemExit) as exc:
+        main(["anomaly", "--dim", "3", "--family", "paper"])
+    assert exc.value.code == 2
+
+
 def _table_component(shift, poly) -> dict:
     """A density table whose one component has the given shift and poly."""
     return {"m": 3, "rows": [{"p": 0, "components": [{"shift": shift, "poly": poly}]}]}
@@ -287,7 +307,6 @@ def _table_component(shift, poly) -> dict:
     (["zeta", "--op", "det"], None, None),
     (["hyperbolic", "--op", "density", "--m", "5"], None, None),
     (["hyperbolic", "--op", "constant", "--m", "5"], None, None),
-    (["anomaly", "--dim", "3", "--family", "preset:nope"], None, None),
     (["anomaly", "--dim", "3", "--sweep", "a:b"], None, None),
     (["anomaly", "--dim", "3", "--sweep", "nan:1:3"], None,
      "error: --sweep expects u0:u1:n with finite bounds u0, u1\n"),
@@ -363,8 +382,57 @@ def _table_component(shift, poly) -> dict:
     (["zeta", "--op", "torsion"],
      ("--spectrum", {"degrees": [{"p": 1, "spectrum": [[2.0, None]]}]}),
      "error: {path}.degrees[0].spectrum[0][1]: expected a finite number, got None\n"),
+    # every input file follows the same rules: a number beyond a double,
+    (["jsj"], ("--input", {"name": "x", "pieces": [{"kind": "hyperbolic", "volume": 10**400}]}),
+     "error: {path}.pieces[0].volume: expected a finite number, got %d\n" % 10**400),
+    # text that is no JSON, located at the file and line, or at the file,
+    (["zeta", "--op", "det"], ("--spectrum", "[[1.0, 1.0],\n"),
+     "error: {path}:2: malformed JSON: Expecting value\n"),
+    (["hyperbolic", "--op", "density"], ("--table", '{"m": 3,\n "rows": [}'),
+     "error: {path}:2: malformed JSON: Expecting value\n"),
+    (["zeta", "--op", "det"], ("--spectrum", "[" * 100000 + "]" * 100000),
+     "error: {path}: malformed JSON: maximum recursion depth exceeded while decoding a "
+     "JSON array from a unicode string\n"),
+    (["zeta", "--op", "det"], ("--spectrum", "[[1" + "0" * 5000 + ", 1]]"),
+     "error: {path}: malformed JSON: Exceeds the limit (4300 digits) for integer string "
+     "conversion: value has 5001 digits; use sys.set_int_max_str_digits() to increase "
+     "the limit\n"),
+    # a list field that is no list,
+    (["hyperbolic", "--op", "density"], ("--table", {"m": 3, "rows": "xyz"}),
+     "error: {path}.rows: expected a list\n"),
+    (["zeta", "--op", "torsion"],
+     ("--spectrum", {"degrees": {"p": 1, "spectrum": [[2.0, 1.0]]}}),
+     "error: {path}.degrees: expected a list\n"),
+    (["hyperbolic", "--op", "density"], ("--table", _table_component(0.0, 5)),
+     "error: {path}.rows[0].components[0].poly: expected a list\n"),
+    (["jsj"], ("--input", {"name": "x", "pieces": "xyz"}),
+     "error: {path}.pieces: expected a list\n"),
+    # an integer field that is no integer or out of range, a string field
+    # that is no string
+    (["jsj"], ("--input", {"name": "x", "boundaryTori": 2.5}),
+     "error: {path}.boundaryTori: expected an integer, got 2.5\n"),
+    (["jsj"], ("--input", {"name": "x", "boundaryTori": -1}),
+     "error: {path}.boundaryTori: expected a nonnegative integer, got -1\n"),
+    (["jsj"], ("--input", {"name": 5}),
+     "error: {path}.name: expected a string, got 5\n"),
+    (["jsj"], ("--input", {"name": "x", "pieces": [{"kind": 5}]}),
+     "error: {path}.pieces[0].kind: expected a string, got 5\n"),
+    (["jsj"], ("--input", {"name": "x", "pieces": [{"kind": "seifert", "label": {"x": 1}}]}),
+     "error: {path}.pieces[0].label: expected a string, got {{'x': 1}}\n"),
+    # a table's dimension and rows are checked before anything is built
+    (["hyperbolic", "--op", "density"], ("--table", {"m": 10**400, "rows": []}),
+     "error: {path}.m: expected an odd positive dimension, got %d\n" % 10**400),
+    (["hyperbolic", "--op", "density"], ("--table", {"m": 2, "rows": []}),
+     "error: {path}.m: expected an odd positive dimension, got 2\n"),
+    (["hyperbolic", "--op", "density"], ("--table", {"m": 3, "rows": []}),
+     "error: {path}.rows: expected a row for each degree 0..3, got 0\n"),
+    # a CSV manifest row has two or three fields, and a volume is a number
+    (["jsj"], ("--input", "hyperbolic,2,h,extra\n", "input.csv"),
+     "error: {path}:1: expected kind,volume[,label]\n"),
+    (["jsj"], ("--input", "# kind,volume\nhyperbolic,abc\n", "input.csv"),
+     "error: {path}:2: could not convert string to float: 'abc'\n"),
 ], ids=["zeta-no-spectrum", "density-wrong-dim", "constant-wrong-dim",
-        "anomaly-unknown-preset", "anomaly-bad-sweep", "anomaly-nan-sweep",
+        "anomaly-bad-sweep", "anomaly-nan-sweep",
         "anomaly-infinite-sweep", "heatcmp-negative-cutoff", "heatcmp-zero-cutoff",
         "heatcmp-half-cutoff-underflows", "heatcmp-double-cutoff-overflows", "det-overflow",
         "det-underflow", "density-overflow", "cusp-overflow", "table-no-m",
@@ -374,12 +442,20 @@ def _table_component(shift, poly) -> dict:
         "table-duplicate-row", "table-nan-shift", "table-string-shift",
         "table-boolean-shift", "table-negative-shift", "table-string-poly",
         "table-infinite-poly", "spectrum-string-eigenvalue",
-        "spectrum-boolean-eigenvalue", "spectrum-nan-weight", "degrees-null-weight"])
+        "spectrum-boolean-eigenvalue", "spectrum-nan-weight", "degrees-null-weight",
+        "manifest-huge-volume", "spectrum-malformed-json", "table-malformed-json",
+        "spectrum-deep-nesting", "spectrum-long-integer", "table-string-rows",
+        "degrees-object", "table-number-poly", "manifest-string-pieces",
+        "manifest-fractional-tori", "manifest-negative-tori", "manifest-number-name",
+        "manifest-number-kind", "manifest-object-label", "table-huge-m", "table-even-m",
+        "table-no-rows", "csv-four-fields", "csv-text-volume"])
 def test_usage_errors_exit_2(capsys, tmp_path, argv, infile, message):
     path = tmp_path / "input.json"
     if infile is not None:
-        option, payload = infile
-        path.write_text(json.dumps(payload))
+        # a text payload is the file as it is, named by an optional third item
+        option, payload, *name = infile
+        path = tmp_path.joinpath(*name) if name else path
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         argv = [*argv, option, str(path)]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2

@@ -109,10 +109,17 @@ def test_error_reports_location(tmp_path):
         load_manifest(path)
     csv_path = tmp_path / "bad.csv"
     for row, message in [("hyperbolic,0,h", "hyperbolic pieces need positive volume"),
-                         ("hyperbolic,nan,h", "volume nan is not finite")]:
+                         ("hyperbolic,nan,h", "volume nan is not finite"),
+                         ("hyperbolic,2,h,extra", r"expected kind,volume\[,label\]$")]:
         csv_path.write_text(f"# kind,volume,label\n{row}\n")
         with pytest.raises(ManifestError, match=rf"bad\.csv:2: {message}"):
             load_manifest(csv_path)
+
+
+def test_integral_float_boundary_tori_accepted():
+    # the integer rule of every input file: 2.0 counts as 2
+    m = manifest_from_dict({"name": "x", "boundaryTori": 2.0})
+    assert m.boundary_tori == 2 and type(m.boundary_tori) is int
 
 
 def test_malformed_json_reports_line(tmp_path):
