@@ -70,10 +70,9 @@ _TINY = float(np.finfo(float).smallest_subnormal)  # bounds a term lost to under
 # relative error, in ulps, of one closed-form term at an exactly known
 # argument (special function, logarithm, products)
 _TERM_ULPS = 8.0
-# series of Ein(x) = sum_k (-1)^{k+1} x^k / (k k!) for x < 1: the twentieth
-# term is below 3e-20
-_EIN_SERIES = np.array([0.0] + [(-1) ** (k + 1) / (k * math.factorial(k))
-                                for k in range(1, 21)])
+# series of Ein(x) = sum_k (-1)^{k+1} x^k / (k k!) for x < 1, lowest power
+# first: the twentieth term is below 3e-20
+_EIN_SERIES = (0.0, *((-1) ** (k + 1) / (k * math.factorial(k)) for k in range(1, 21)))
 # circle sums stop where erfc(kL/2) and E1((2 pi n / L)^2) fall below 1e-19;
 # the dropped tails are bounded and added to the error
 _ERFC_CUTOFF = 6.5
@@ -104,9 +103,9 @@ def _exact_sum(terms: np.ndarray, ulps: float | np.ndarray = _TERM_ULPS,
     """Sum of closed-form terms; each is good to `ulps` ulps or lost to
     underflow, the sum adds at most n - 1 more, and `extra` bounds any
     further error (a truncated tail, the errors of inexact factors)."""
-    error = (_EPS * float(np.sum(np.abs(terms) * (terms.size + ulps)))
+    error = (_EPS * float((np.abs(terms) * (terms.size + ulps)).sum())
              + terms.size * _TINY + extra)
-    return ExactIntegral(float(np.sum(terms)), error)
+    return ExactIntegral(float(terms.sum()), error)
 
 
 def _ein(x: np.ndarray) -> np.ndarray:
@@ -117,7 +116,12 @@ def _ein(x: np.ndarray) -> np.ndarray:
 
     out = np.empty_like(x)
     low = x < 1.0
-    out[low] = np.polynomial.polynomial.polyval(x[low], _EIN_SERIES)
+    # Horner's rule: the same IEEE operations as
+    # np.polynomial.polynomial.polyval(x, _EIN_SERIES), without its set-up
+    series, acc = x[low], _EIN_SERIES[-1]
+    for c in _EIN_SERIES[-2::-1]:
+        acc = c + acc * series
+    out[low] = acc
     high = x[~low]
     out[~low] = exp1(high) + np.log(high) + EULER_GAMMA
     return out
@@ -484,9 +488,10 @@ def zeta_det_with_error(source: Spectrum | HeatTraceModel, m: int = 0) -> tuple[
     overflows a double or underflows to 0.
     """
     if isinstance(source, Spectrum):
-        if source.positive_part().eigenvalues.size == 0:
+        pos = source.positive_part()
+        if pos.eigenvalues.size == 0:
             raise ValueError("spectrum has no positive part")
-        model = HeatTraceModel.from_spectrum(source, m=m)
+        model = HeatTraceModel.from_spectrum(pos, m=m)
     else:
         model = source
         if model.spectral_gap is None or model.spectral_gap <= 0:

@@ -211,7 +211,8 @@ class PlancherelTable:
 def load_plancherel_table(path: str | None = None) -> PlancherelTable:
     """Load a density table from JSON (the packaged m = 3 table by default)
     and validate it; a malformed file raises a ManifestError naming the
-    file and the field."""
+    file and the field, and a failed invariant one naming the file (each
+    invariant ties rows together: duality pairs degree p with m - p)."""
     source = (resources.files("l2tor.data").joinpath("plancherel_h3.json")
               if path is None else path)
     where = str(source)
@@ -239,7 +240,7 @@ def load_plancherel_table(path: str | None = None) -> PlancherelTable:
         raise ManifestError(f"{where}.rows",
                             f"expected a row for each degree 0..{m}, got {len(rows)}")
     table = PlancherelTable(m, tuple(rows[p] for p in range(m + 1)))
-    table.validate()
+    convert(table, where, PlancherelTable.validate)
     return table
 
 

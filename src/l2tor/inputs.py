@@ -1,9 +1,10 @@
 """The rules of every input file: spectra, density tables and manifests.
 
-A reader parses its file with read_json and takes each field through
-field and a rule (integer, number, string, items, or a constructor).  A
-broken rule raises a ManifestError whose message is `location: message`,
-the location naming the file and the field.
+A reader decodes its file with read_text, or parses it with read_json,
+and takes each field through field and a rule (integer, number, string,
+items, or a constructor).  A broken rule raises a ManifestError whose
+message is `location: message`, the location naming the file and the field
+(or the file and the line).
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import math
 from pathlib import Path
 from typing import Callable
 
-__all__ = ["ManifestError", "read_json", "convert", "field", "integer", "number",
-           "string", "items"]
+__all__ = ["ManifestError", "read_text", "read_json", "convert", "field", "integer",
+           "number", "string", "items"]
 
 _REQUIRED = object()
 
@@ -26,13 +27,26 @@ class ManifestError(ValueError):
         super().__init__(f"{location}: {message}")
 
 
-def read_json(path):
-    """The JSON value in `path`, a file name or a packaged resource.  Text
-    that is no JSON is refused at path:line; undecodable bytes, integers
-    too long to convert and nesting too deep to parse at path."""
+def read_text(path) -> str:
+    """The text of `path`, a file name or a packaged resource, read as
+    UTF-8; bytes that are no UTF-8 are refused at path:line."""
     path = Path(path) if isinstance(path, str) else path
+    data = path.read_bytes()
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ManifestError(f"{path}:{line}", f"not UTF-8: byte 0x{data[exc.start]:02x} "
+                                              f"({exc.reason})") from None
+
+
+def read_json(path):
+    """The JSON value in `path`, read by read_text.  Text that is no JSON is
+    refused at path:line; integers too long to convert and nesting too deep
+    to parse at path."""
+    text = read_text(path)
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ManifestError(f"{path}:{exc.lineno}", f"malformed JSON: {exc.msg}") from None
     except (ValueError, RecursionError) as exc:

@@ -9,12 +9,14 @@ graph manifolds and is additive over pieces.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
-from .inputs import ManifestError, convert, field, integer, items, number, read_json, string
+from .inputs import (ManifestError, convert, field, integer, items, number, read_json,
+                     read_text, string)
 
 __all__ = [
     "JsjPiece",
@@ -102,16 +104,21 @@ def manifest_from_dict(raw: dict, source: str = "<dict>") -> JsjManifest:
 
 
 def _load_csv(path: Path) -> JsjManifest:
+    """Rows kind,volume[,label] of a UTF-8 file; '#' starts a comment row.
+    A row the rules or the CSV reader refuse is refused at path:line."""
     pieces = []
-    with open(path, newline="") as fh:
-        for lineno, row in enumerate(csv.reader(fh), start=1):
+    reader = csv.reader(io.StringIO(read_text(path), newline=""))
+    try:
+        for row in reader:
             if not row or row[0].lstrip().startswith("#"):
                 continue
-            loc = f"{path}:{lineno}"
+            loc = f"{path}:{reader.line_num}"
             if not 2 <= len(row) <= 3:
                 raise ManifestError(loc, "expected kind,volume[,label]")
             label = row[2].strip() if len(row) > 2 else ""
             pieces.append(_piece(row[0].strip(), convert(row[1], loc, float), label, loc))
+    except csv.Error as exc:
+        raise ManifestError(f"{path}:{reader.line_num}", str(exc)) from None
     return JsjManifest(path.stem, tuple(pieces), 0)
 
 

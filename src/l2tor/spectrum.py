@@ -60,8 +60,16 @@ class Spectrum:
         return float(self.weights.sum())
 
     def positive_part(self) -> "Spectrum":
+        """The spectrum without its zero modes: itself when it has none.
+        A part of a checked and sorted spectrum is checked and sorted, so
+        the constructor's checks are skipped."""
         mask = self.eigenvalues > 0
-        return Spectrum(self.eigenvalues[mask], self.weights[mask])
+        if mask.all():
+            return self
+        part = object.__new__(Spectrum)
+        object.__setattr__(part, "eigenvalues", self.eigenvalues[mask])
+        object.__setattr__(part, "weights", self.weights[mask])
+        return part
 
     @property
     def spectral_gap(self) -> float:
@@ -95,7 +103,7 @@ class Spectrum:
         through expm1.
         """
         mask = self.eigenvalues > 0
-        return float(np.sum(self.weights[mask] * np.expm1(-t * self.eigenvalues[mask])))
+        return float((self.weights[mask] * np.expm1(-t * self.eigenvalues[mask])).sum())
 
     def counting_function(self, include_kernel: bool = False) -> SpectralDensityFunction:
         """Step function lambda -> weighted count of eigenvalues <= lambda."""

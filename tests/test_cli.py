@@ -2,6 +2,7 @@ import json
 import math
 import re
 import shlex
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -98,6 +99,85 @@ def test_zeta_torsion_multi_degree(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out)
     assert {d["p"] for d in payload["perDegree"]} == {1, 2}
+
+
+# stdout of `zeta` on two fixed files, pinned byte for byte: a flat
+# spectrum with a zero mode and eigenvalues on both sides of 1, and four
+# degrees, one with a zero mode
+_GOLDEN_FLAT = [[0.0, 2.0], [0.25, 1.0], [0.5, 0.5], [0.999, 1.0], [1.0, 2.0],
+                [3.5, 1.0 / 3.0], [17.0, 1.0]]
+_GOLDEN_DEGREES = {"degrees": [
+    {"p": 0, "spectrum": [[0.3, 1.0], [2.0, 2.0]]},
+    {"p": 1, "spectrum": [[0.0, 1.0], [0.05, 0.5], [0.7, 1.0], [4.0, 3.0], [12.0, 1.0]]},
+    {"p": 2, "spectrum": [[1.5, 1.0], [0.9, 2.0], [6.0, 0.5]]},
+    {"p": 3, "spectrum": [[0.01, 1.0]]}]}
+
+
+@pytest.mark.parametrize("spectrum, op, stdout", [
+    (_GOLDEN_FLAT, "det", """\
+{
+  "errorEstimate": 1.2546010588018184e-13,
+  "op": "det",
+  "value": 4.558221604701244
+}
+"""),
+    (_GOLDEN_FLAT, "dsmall", """\
+{
+  "errorEstimate": 2.135325584968514e-14,
+  "op": "dsmall",
+  "value": -3.501945413392645
+}
+"""),
+    (_GOLDEN_FLAT, "torsion", """\
+{
+  "errorEstimate": 2.7523915412709465e-14,
+  "op": "torsion",
+  "perDegree": [
+    {
+      "large": 1.9850128649047523,
+      "p": 1,
+      "small": -3.501945413392645
+    }
+  ],
+  "value": 1.5169325484878928
+}
+"""),
+    (_GOLDEN_DEGREES, "torsion", """\
+{
+  "errorEstimate": 7.537577269037237e-14,
+  "op": "torsion",
+  "perDegree": [
+    {
+      "large": 1.003477673091969,
+      "p": 0,
+      "small": -1.1857992298859235
+    },
+    {
+      "large": 1.6190566198262255,
+      "p": 1,
+      "small": -6.408305272258169
+    },
+    {
+      "large": 0.6205675022847132,
+      "p": 2,
+      "small": -1.7111913136912524
+    },
+    {
+      "large": 4.037929576538113,
+      "p": 3,
+      "small": 0.5672406094499776
+    }
+  ],
+  "value": -11.207509528345408
+}
+"""),
+], ids=["flat-det", "flat-dsmall", "flat-torsion", "degrees-torsion"])
+def test_zeta_stdout_is_pinned(capsys, tmp_path, spectrum, op, stdout):
+    spec = tmp_path / "spectrum.json"
+    spec.write_text(json.dumps(spectrum))
+    code, out, _ = run_cli(capsys, "zeta", "--spectrum", str(spec), "--op", op)
+    assert code == 0
+    assert out == stdout
 
 
 def test_zeta_selftest_cim(capsys):
@@ -303,6 +383,14 @@ def _table_component(shift, poly) -> dict:
     return {"m": 3, "rows": [{"p": 0, "components": [{"shift": shift, "poly": poly}]}]}
 
 
+def _packaged_table_with_scalar_poly(coefficient: float) -> dict:
+    """The packaged table with the r^2 coefficient of degree 0 replaced."""
+    table = json.loads(resources.files("l2tor.data").joinpath("plancherel_h3.json").read_text())
+    (row,) = [row for row in table["rows"] if row["p"] == 0]
+    row["components"][0]["poly"][2] = coefficient
+    return table
+
+
 @pytest.mark.parametrize("argv, infile, message", [
     (["zeta", "--op", "det"], None, None),
     (["hyperbolic", "--op", "density", "--m", "5"], None, None),
@@ -431,6 +519,15 @@ def _table_component(shift, poly) -> dict:
      "error: {path}:1: expected kind,volume[,label]\n"),
     (["jsj"], ("--input", "# kind,volume\nhyperbolic,abc\n", "input.csv"),
      "error: {path}:2: could not convert string to float: 'abc'\n"),
+    # a CSV manifest is UTF-8 text, and the CSV reader's refusals are located
+    (["jsj"], ("--input", "seifert,0\nhyperbolic,1.5,café\n".encode("latin-1"), "input.csv"),
+     "error: {path}:2: not UTF-8: byte 0xe9 (invalid continuation byte)\n"),
+    (["jsj"], ("--input", "hyperbolic,1.5," + "a" * 200000 + "\n", "input.csv"),
+     "error: {path}:1: field larger than field limit (131072)\n"),
+    # a table that breaks an invariant is refused at the file: each
+    # invariant ties rows together
+    (["hyperbolic", "--op", "constant"], ("--table", _packaged_table_with_scalar_poly(0.06)),
+     "error: {path}: duality defect 130.7374491820566\n"),
 ], ids=["zeta-no-spectrum", "density-wrong-dim", "constant-wrong-dim",
         "anomaly-bad-sweep", "anomaly-nan-sweep",
         "anomaly-infinite-sweep", "heatcmp-negative-cutoff", "heatcmp-zero-cutoff",
@@ -448,14 +545,19 @@ def _table_component(shift, poly) -> dict:
         "degrees-object", "table-number-poly", "manifest-string-pieces",
         "manifest-fractional-tori", "manifest-negative-tori", "manifest-number-name",
         "manifest-number-kind", "manifest-object-label", "table-huge-m", "table-even-m",
-        "table-no-rows", "csv-four-fields", "csv-text-volume"])
+        "table-no-rows", "csv-four-fields", "csv-text-volume", "csv-latin-1",
+        "csv-huge-field", "table-duality-defect"])
 def test_usage_errors_exit_2(capsys, tmp_path, argv, infile, message):
     path = tmp_path / "input.json"
     if infile is not None:
-        # a text payload is the file as it is, named by an optional third item
+        # a text or bytes payload is the file as it is, named by an optional
+        # third item; any other payload is written as JSON
         option, payload, *name = infile
         path = tmp_path.joinpath(*name) if name else path
-        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
+        if isinstance(payload, bytes):
+            path.write_bytes(payload)
+        else:
+            path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         argv = [*argv, option, str(path)]
     code, out, err = run_cli(capsys, *argv)
     assert code == 2

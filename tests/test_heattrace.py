@@ -7,7 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.special import exp1
 
-from l2tor.heattrace import (ExactIntegral, HeatTraceModel, analytic_torsion,
+from l2tor.heattrace import (_EIN_SERIES, _EPS, _TINY, ExactIntegral,
+                             HeatTraceModel, _ein, _exact_sum, analytic_torsion,
                              asympt_fit, cheeger_mueller_correction, d_small,
                              large_time_dominating_bound, large_time_integral,
                              power_weight_double_integral, zeta_det,
@@ -417,3 +418,35 @@ def test_double_integral_matches_incomplete_gamma():
     single = power_weight_double_integral(1.0, exponents=(0.25,))
     from scipy.special import gamma as G, gammainc
     assert single["closed_form"] == pytest.approx(float(G(0.25) * gammainc(0.25, 1.0)))
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=float).tobytes()
+
+
+_BELOW_ONE = st.floats(0.0, 1.0, exclude_max=True, allow_subnormal=True)
+
+
+# every float below 1, subnormals included
+@given(st.lists(_BELOW_ONE, max_size=100))
+def test_ein_series_is_polyval_bit_for_bit(xs):
+    x = np.asarray(xs, dtype=float)
+    want = np.polynomial.polynomial.polyval(x, np.asarray(_EIN_SERIES))
+    assert _bits(_ein(x)) == _bits(want)
+
+
+@given(st.lists(st.floats(1.0, 700.0), max_size=10))
+def test_ein_above_one_is_exp1_log_gamma(xs):
+    x = np.asarray(xs, dtype=float)
+    assert _bits(_ein(x)) == _bits(exp1(x) + np.log(x) + EULER_GAMMA)
+
+
+@given(st.lists(st.floats(-1e300, 1e300), max_size=300),
+       st.floats(0.0, 100.0), st.floats(0.0, 1e-3))
+def test_exact_sum_is_its_np_sum_form(values, ulps, extra):
+    terms = np.asarray(values, dtype=float)
+    want = ExactIntegral(
+        float(np.sum(terms)),
+        _EPS * float(np.sum(np.abs(terms) * (terms.size + ulps))) + terms.size * _TINY + extra)
+    got = _exact_sum(terms, ulps, extra)
+    assert _bits(got) == _bits(want)

@@ -1,5 +1,4 @@
 import ast
-import re
 from pathlib import Path
 
 import pytest
@@ -30,6 +29,7 @@ def test_only_the_input_module_parses_json(source):
 
 def test_undecodable_bytes_name_the_file(tmp_path):
     path = tmp_path / "latin1.json"
-    path.write_bytes(b'["\xe9"]')
-    with pytest.raises(ManifestError, match=rf"^{re.escape(str(path))}: malformed JSON: 'utf-8' codec"):
+    path.write_bytes(b'[\n"\xe9"]')
+    with pytest.raises(ManifestError) as exc:
         read_json(str(path))
+    assert str(exc.value) == f"{path}:2: not UTF-8: byte 0xe9 (invalid continuation byte)"

@@ -97,3 +97,40 @@ def test_union_weights_additive():
     u = Spectrum(np.concatenate([a.eigenvalues, b.eigenvalues]),
                  np.concatenate([a.weights, b.weights]))
     assert u.heat_trace(1.0) == pytest.approx(a.heat_trace(1.0) + b.heat_trace(1.0))
+
+
+def _same_arrays(a: Spectrum, b: Spectrum) -> bool:
+    """Equal dtypes, shapes and bytes of both arrays."""
+    return all(x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+               for x, y in ((a.eigenvalues, b.eigenvalues), (a.weights, b.weights)))
+
+
+@pytest.mark.parametrize("pairs", [
+    [(2.0, 1.0), (0.5, 0.5), (0.5, 2.0), (7.0, 1.0 / 3.0)],
+    [(0.0, 2.0), (3.0, 1.0), (0.0, 0.5), (1e-300, 1.0), (0.25, 1.0)],
+    [(0.0, 1.0), (0.0, 3.0)],
+    [],
+], ids=["no-kernel", "zero-modes", "only-zero-modes", "empty"])
+def test_positive_part_equals_the_constructed_part(pairs):
+    S = Spectrum.from_pairs(pairs)
+    mask = S.eigenvalues > 0
+    want = Spectrum(S.eigenvalues[mask], S.weights[mask])
+    part = S.positive_part()
+    assert _same_arrays(part, want)
+    assert part.positive_part() is part
+    assert (part is S) == bool(mask.all())
+
+
+@pytest.mark.parametrize("eigenvalues, weights", [
+    ([1.0, -1e-300], [1.0, 1.0]),
+    ([1.0, math.nan], [1.0, 1.0]),
+    ([math.inf], [1.0]),
+    ([1.0], [math.inf]),
+    ([1.0], [-0.5]),
+    ([1.0, 2.0], [1.0]),
+    ([[1.0]], [[1.0]]),
+], ids=["negative", "nan", "infinite", "infinite-weight", "negative-weight",
+        "mismatched", "two-dimensional"])
+def test_constructor_refuses_bad_input(eigenvalues, weights):
+    with pytest.raises(ValueError):
+        Spectrum(np.asarray(eigenvalues), np.asarray(weights))
