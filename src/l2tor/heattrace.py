@@ -21,7 +21,11 @@ Quadrature: every integral without a closed form (the small-time part of
 the hyperbolic degrees, hand-built models) is computed by adaptive
 quadrature.  The subtracted integrand suffers catastrophic cancellation
 near t = 0 when computed naively, so models carry a stable `residual`
-callable whenever the trace has a closed form.  A large-time integral by
+callable whenever the trace has a closed form, and the integrand calls it
+directly.  analytic_torsion solves a model object once, however many
+degrees share it: the H3 degrees p and 3 - p have equal rows and share
+their model, so the torsion constant takes two small-time quadratures, not
+four.  A large-time integral by
 quadrature needs a finiteness certificate: a spectral gap whose decay
 theta(t) <= theta(1) e^{-gap (t-1)} is checked at fixed times, or a dyadic
 probe of the decay.
@@ -208,19 +212,22 @@ class HeatTraceModel:
         from scipy.special import exp1
 
         pos = S.positive_part()
+        # every eigenvalue of the positive part is positive, so its residual
+        # needs no mask: the arrays are bound once, not gathered per call
+        lam, w = pos.eigenvalues, pos.weights
         coeff = np.zeros(m + 1)
         coeff[m] = pos.total_weight
         model = HeatTraceModel(
             evaluate=lambda t: pos.heat_trace(t, include_kernel=True),
             m=m,
             coefficients=coeff,
-            residual=pos.heat_trace_residual,
+            residual=lambda t: float((w * np.expm1(-t * lam)).sum()),
             spectral_gap=S.spectral_gap,
-            small_time_exact=_exact_sum(-pos.weights * _ein(pos.eigenvalues)),
-            large_time_exact=_exact_sum(pos.weights * exp1(pos.eigenvalues)),
+            small_time_exact=_exact_sum(-w * _ein(lam)),
+            large_time_exact=_exact_sum(w * exp1(lam)),
         )
-        if pos.eigenvalues.size:
-            model._time_scale = 1.0 / float(pos.eigenvalues[-1])
+        if lam.size:
+            model._time_scale = 1.0 / float(lam[-1])
         return model
 
     @staticmethod
@@ -343,7 +350,8 @@ def d_small(model: HeatTraceModel) -> DsmallResult:
     if model.small_time_exact is not None:
         (integral, err), method = model.small_time_exact, "exact"
     else:
-        integral, err = quad(lambda u: model.residual_value(math.exp(-u)),
+        residual = model.residual or model.residual_value
+        integral, err = quad(lambda u: residual(math.exp(-u)),
                              0.0, _LOG_CUTOFF, limit=400,
                              epsabs=QUAD_ATOL * 1e-2, epsrel=1e-12)
         method = "quad"
@@ -465,13 +473,17 @@ def analytic_torsion(models: dict[int, HeatTraceModel]) -> TorsionResult:
     """Alternating degree-weighted sum of small- and large-time parts.
 
     Every degree must certify determinant class; the total carries the
-    weight (-1)^p p per degree.
+    weight (-1)^p p per degree.  A model object shared by several degrees
+    is solved once, and refused naming the first of them.
     """
     per_degree = []
     total = 0.0
     err = 0.0
+    solved: dict[int, tuple[float, float, float]] = {}  # by id of the model
     for p, model in sorted(models.items()):
-        small, large, error = _zeta_prime(model, f"degree {p} is ")
+        if id(model) not in solved:
+            solved[id(model)] = _zeta_prime(model, f"degree {p} is ")
+        small, large, error = solved[id(model)]
         per_degree.append((p, small, large))
         total += (-1) ** p * p * (small + large)
         err += abs(p) * error

@@ -265,12 +265,16 @@ def plancherel_heat_model(table: PlancherelTable, p: int) -> HeatTraceModel:
     for comp in comps:
         c, rem = comp.expansion(table.m)
         coeff += c
-        remainders.append(rem)
+        # e^0 is its own Taylor polynomial: an unshifted component's
+        # remainder is exactly 0, and adding it changes no sum
+        if comp.shift:
+            remainders.append(rem)
     return HeatTraceModel(
         evaluate=lambda t: table.density(p, t),
         m=table.m,
         coefficients=coeff,
-        residual=lambda t: sum(r(t) for r in remainders),
+        residual=(remainders[0] if len(remainders) == 1
+                  else lambda t: sum(r(t) for r in remainders)),
         # the components' values add with no further rounding of their terms
         large_time_exact=_exact_sum(np.array([v for v, _ in large]), 0.0,
                                     sum(err for _, err in large)),
@@ -283,7 +287,9 @@ def torsion_constant_result(table: PlancherelTable | None = None,
 
     Even dimensions return zero outright, with no degrees: the duality
     pairing of degrees p and m - p flips the sign of the degree weight.
-    Odd dimensions run the full small/large-time pipeline over all degrees.
+    Odd dimensions run the full small/large-time pipeline over all degrees;
+    degrees with equal rows (p and m - p, by duality) share one model, which
+    analytic_torsion solves once.
     """
     if m % 2 == 0:
         return TorsionResult([], 0.0, {"error": 0.0})
@@ -291,8 +297,11 @@ def torsion_constant_result(table: PlancherelTable | None = None,
         table = load_plancherel_table()
     if table.m != m:
         raise ValueError(f"table is for dimension {table.m}, not {m}")
-    models = {p: plancherel_heat_model(table, p) for p in range(m + 1)}
-    return analytic_torsion(models)
+    by_row: dict[tuple[PlancherelComponent, ...], HeatTraceModel] = {}
+    for p, row in enumerate(table.rows):
+        if row not in by_row:
+            by_row[row] = plancherel_heat_model(table, p)
+    return analytic_torsion({p: by_row[row] for p, row in enumerate(table.rows)})
 
 
 def torsion_constant(table: PlancherelTable | None = None, m: int = 3) -> float:

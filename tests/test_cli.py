@@ -197,6 +197,41 @@ def test_hyperbolic_constant(capsys):
                                                      abs=1e-6)
 
 
+def test_hyperbolic_constant_stdout_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "hyperbolic", "--m", "3", "--op", "constant")
+    assert code == 0
+    assert out == """\
+{
+  "errorEstimate": 4.086311729408882e-12,
+  "m": 3,
+  "op": "constant",
+  "perDegree": [
+    {
+      "large": 0.002839447938079977,
+      "p": 0,
+      "small": 0.05021219975921848
+    },
+    {
+      "large": 0.21235775708410762,
+      "p": 1,
+      "small": -0.15930610938680917
+    },
+    {
+      "large": 0.21235775708410762,
+      "p": 2,
+      "small": -0.15930610938680917
+    },
+    {
+      "large": 0.002839447938079977,
+      "p": 3,
+      "small": 0.05021219975921848
+    }
+  ],
+  "value": -0.10610329539459692
+}
+"""
+
+
 def test_hyperbolic_even_dimension(capsys):
     code, out, _ = run_cli(capsys, "hyperbolic", "--m", "4", "--op", "constant")
     payload = json.loads(out)

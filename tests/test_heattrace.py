@@ -346,6 +346,46 @@ def test_torsion_single_degree_matches_parts():
                                           for p, sm, lg in res.per_degree))
 
 
+@given(st.lists(st.tuples(st.sampled_from([0.0, 0.3, 1.0]) | st.floats(0.0, 50.0),
+                          st.floats(0.01, 10.0)), max_size=8),
+       st.floats(1e-8, 10.0))
+def test_spectrum_model_residual_is_heat_trace_residual(pairs, t):
+    S = Spectrum.from_pairs(pairs)
+    residual = HeatTraceModel.from_spectrum(S).residual(t)
+    assert repr(residual) == repr(S.heat_trace_residual(t))
+
+
+def test_torsion_solves_a_shared_model_once(monkeypatch):
+    from l2tor import heattrace
+
+    S = Spectrum.from_pairs([(0.4, 1.0), (2.5, 3.0)])
+    T = Spectrum.from_pairs([(1.0, 2.0)])
+
+    def models(share: bool) -> dict:
+        twin = _quadrature_twin(HeatTraceModel.from_spectrum(S))
+        other = twin if share else _quadrature_twin(HeatTraceModel.from_spectrum(S))
+        return {1: HeatTraceModel.from_spectrum(T), 2: twin, 3: other}
+
+    real, calls = heattrace.quad, []
+    monkeypatch.setattr(heattrace, "quad",
+                        lambda *a, **k: calls.append(a[1:3]) or real(*a, **k))
+    shared = analytic_torsion(models(share=True))
+    # one small-time and one large-time quadrature for the shared model
+    assert len(calls) == 2
+    separate = analytic_torsion(models(share=False))
+    assert len(calls) == 2 + 4
+    # per_degree, total and error, each float to the bit
+    assert repr(shared) == repr(separate)
+
+
+def test_torsion_refuses_a_shared_model_at_its_first_degree():
+    refuted = _decaying(2.0)
+    good = HeatTraceModel.from_spectrum(Spectrum.from_pairs([(1.0, 1.0)]))
+    with pytest.raises(ValueError, match=r"^degree 2 is not certified "
+                                         r"determinant-class \(gap-refuted\)$"):
+        analytic_torsion({1: good, 2: refuted, 3: refuted})
+
+
 def test_torsion_linear_in_weights():
     rng = rng_for(7, 1)
     eigs = rng.uniform(0.3, 4.0, 4)

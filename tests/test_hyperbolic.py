@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import mpmath
 import numpy as np
@@ -8,11 +9,13 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
-from l2tor.heattrace import d_small, large_time_integral
+from l2tor import heattrace
+from l2tor.heattrace import analytic_torsion, d_small, large_time_integral
 from l2tor.hyperbolic import (CuspEnd, PlancherelComponent, PlancherelTable,
                               _gaussian_moment, cusp_volume, heat_density,
                               load_plancherel_table, plancherel_heat_model,
-                              torsion_constant, truncated_volume)
+                              torsion_constant, torsion_constant_result,
+                              truncated_volume)
 
 
 @pytest.fixture(scope="module")
@@ -87,6 +90,70 @@ def test_torsion_constant_sign_rule(table):
 def test_torsion_constant_even_dimension_zero():
     assert torsion_constant(m=2) == 0.0
     assert torsion_constant(m=4) == 0.0
+
+
+def _counting_quad(monkeypatch) -> list:
+    """Count the calls of heattrace.quad; returns the list the calls land in."""
+    calls = []
+    real = heattrace.quad
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(heattrace, "quad", counted)
+    return calls
+
+
+def _dual_free_table(table):
+    """The packaged table with degrees 2 and 3 scaled, so that no degree's
+    row equals its dual's (duality no longer holds; nothing validates it)."""
+    scaled = tuple(tuple(replace(c, poly=tuple(2.0 * v for v in c.poly)) for c in row)
+                   for row in table.rows[2:])
+    return PlancherelTable(3, table.rows[:2] + scaled)
+
+
+def test_constant_solves_each_distinct_row_once(table, monkeypatch):
+    separate = analytic_torsion({p: plancherel_heat_model(table, p) for p in range(4)})
+    calls = _counting_quad(monkeypatch)
+    # the repr of a float tells apart every two doubles
+    assert repr(torsion_constant_result()) == repr(separate)
+    # degrees 0/3 and 1/2 have equal rows: one small-time quadrature each
+    assert len(calls) == 2
+
+
+def test_constant_of_a_table_without_equal_rows_solves_every_degree(table, monkeypatch):
+    distinct = _dual_free_table(table)
+    assert len(set(distinct.rows)) == 4
+    separate = analytic_torsion({p: plancherel_heat_model(distinct, p) for p in range(4)})
+    calls = _counting_quad(monkeypatch)
+    result = torsion_constant_result(distinct)
+    assert len(calls) == 4
+    assert repr(result) == repr(separate)
+
+
+def _summed_remainders(row, m: int):
+    """The residual as the sum of every component's expansion remainder."""
+    remainders = [comp.expansion(m)[1] for comp in row]
+    return lambda t: sum(r(t) for r in remainders)
+
+
+_TWO_SHIFTS = (PlancherelComponent(1.0, (0.0, 0.0, 0.05)),
+               PlancherelComponent(0.0, (0.1, 0.0, 0.1)),
+               PlancherelComponent(2.5, (0.3, -0.2, 0.07)))
+
+
+# down to the smallest time of d_small's integrand, e^{-120}; below about
+# 3e-206 the powers t^{-3/2} overflow in either form
+@given(st.floats(1e-60, 1.0))
+@example(1.0)
+@example(math.exp(-120.0))
+def test_residual_leaves_out_exactly_the_unshifted_components(table, t):
+    rows = [(table, p) for p in range(4)]
+    rows.append((PlancherelTable(3, (_TWO_SHIFTS,) * 4), 0))
+    for tbl, p in rows:
+        residual = plancherel_heat_model(tbl, p).residual
+        assert repr(residual(t)) == repr(_summed_remainders(tbl.rows[p], 3)(t))
 
 
 def test_per_degree_models_certify_determinant_class(table):
