@@ -11,11 +11,14 @@ Exact pieces: a model hands the solvers a Mellin integral in closed form
 as an ExactIntegral (value and rounding bound), and d_small and
 large_time_integral then use it (method "exact").  For a finite spectrum
 the subtracted integral over (0, 1] is -sum w Ein(lam) and the integral of
-theta/t over [1, inf) is sum w E1(lam); for a circle of length L, Poisson
-summation gives sum_k (2/k) erfc(kL/2) and sum_n 2 E1((2 pi n / L)^2).  The
-hyperbolic Plancherel degrees (l2tor.hyperbolic) carry their large-time
-integral as a sum of c E_p(shift) over the terms c e^{-shift t}
-t^{-(k+1)/2} of their traces.
+theta/t over [1, inf) is sum w E1(lam); E1 is computed once per eigenvalue
+and serves both, since Ein(x) = E1(x) + log x + gamma from 1 on, and Ein's
+series below 1 runs on Python floats, which for the few eigenvalues of a
+typical spectrum costs less than numpy's per-call overhead.  For a circle
+of length L, Poisson summation gives sum_k (2/k) erfc(kL/2) and
+sum_n 2 E1((2 pi n / L)^2).  The hyperbolic Plancherel degrees
+(l2tor.hyperbolic) carry their large-time integral as a sum of
+c E_p(shift) over the terms c e^{-shift t} t^{-(k+1)/2} of their traces.
 
 Quadrature: every integral without a closed form (the small-time part of
 the hyperbolic degrees, hand-built models) is computed by adaptive
@@ -107,27 +110,36 @@ def _exact_sum(terms: np.ndarray, ulps: float | np.ndarray = _TERM_ULPS,
     """Sum of closed-form terms; each is good to `ulps` ulps or lost to
     underflow, the sum adds at most n - 1 more, and `extra` bounds any
     further error (a truncated tail, the errors of inexact factors)."""
-    error = (_EPS * float((np.abs(terms) * (terms.size + ulps)).sum())
+    error = (_EPS * float(np.add.reduce(np.abs(terms) * (terms.size + ulps)))
              + terms.size * _TINY + extra)
-    return ExactIntegral(float(terms.sum()), error)
+    return ExactIntegral(float(np.add.reduce(terms)), error)
 
 
-def _ein(x: np.ndarray) -> np.ndarray:
+def _ein(x: np.ndarray, exp1_x: np.ndarray) -> np.ndarray:
     """Ein(x), the integral of (1 - e^{-s})/s over [0, x], without
     cancellation: its alternating series below 1, E1(x) + log x + gamma
-    (three positive terms) above."""
-    from scipy.special import exp1
+    (three positive terms) above, given exp1_x = E1(x).
 
+    The series runs by Horner's rule on Python floats, with the same IEEE
+    operations in the same order as
+    np.polynomial.polynomial.polyval(x, _EIN_SERIES), so its values are
+    polyval's bit for bit.  On the handful of arguments of a typical
+    spectrum this costs less than the 40 ufunc calls of the array form; its
+    cost grows with the number of arguments below 1, and passes the array
+    form's at about a hundred of them.
+    """
     out = np.empty_like(x)
     low = x < 1.0
-    # Horner's rule: the same IEEE operations as
-    # np.polynomial.polynomial.polyval(x, _EIN_SERIES), without its set-up
-    series, acc = x[low], _EIN_SERIES[-1]
-    for c in _EIN_SERIES[-2::-1]:
-        acc = c + acc * series
-    out[low] = acc
-    high = x[~low]
-    out[~low] = exp1(high) + np.log(high) + EULER_GAMMA
+    top, rest = _EIN_SERIES[-1], _EIN_SERIES[-2::-1]
+    series = []
+    for v in x[low].tolist():
+        acc = top
+        for c in rest:
+            acc = c + acc * v
+        series.append(acc)
+    out[low] = series
+    high = ~low
+    out[high] = exp1_x[high] + np.log(x[high]) + EULER_GAMMA
     return out
 
 
@@ -217,14 +229,16 @@ class HeatTraceModel:
         lam, w = pos.eigenvalues, pos.weights
         coeff = np.zeros(m + 1)
         coeff[m] = pos.total_weight
+        e1 = exp1(lam)  # once, for both integrals
         model = HeatTraceModel(
             evaluate=lambda t: pos.heat_trace(t, include_kernel=True),
             m=m,
             coefficients=coeff,
             residual=lambda t: float((w * np.expm1(-t * lam)).sum()),
-            spectral_gap=S.spectral_gap,
-            small_time_exact=_exact_sum(-w * _ein(lam)),
-            large_time_exact=_exact_sum(w * exp1(lam)),
+            # the positive part is sorted: its first eigenvalue is the gap
+            spectral_gap=float(lam[0]) if lam.size else math.inf,
+            small_time_exact=_exact_sum(-w * _ein(lam, e1)),
+            large_time_exact=_exact_sum(w * e1),
         )
         if lam.size:
             model._time_scale = 1.0 / float(lam[-1])

@@ -79,24 +79,39 @@ def _exp_integrals(s: float, top: int) -> tuple[np.ndarray, np.ndarray]:
     return values, errors
 
 
+# 1e-20 * 1e-280 as rounded: the remainder loop's absolute floor
+_REMAINDER_FLOOR = 1e-20 * 1e-280
+
+
 def _exp_taylor_remainder(z: float, order: int) -> float:
     """e^{-z} minus its Taylor polynomial through degree `order`, stable.
 
     Summing the series from degree order + 1 avoids the catastrophic
-    cancellation of the direct subtraction for small z.
+    cancellation of the direct subtraction for small z.  The series stops
+    at the first term with |term| <= 1e-20 max(|total|, 1e-280); rounding is
+    monotone, so that bound is max(|1e-20 total|, _REMAINDER_FLOOR), and the
+    loop tests it with comparisons alone, which cost less per term than
+    calls to abs and max.
     """
     if z == 0.0:
         return 0.0
     if z > 0.5:
         return math.exp(-z) - sum((-z) ** j / factorial(j) for j in range(order + 1))
-    term = (-z) ** (order + 1) / factorial(order + 1)
-    total = 0.0
+    nz = -z
     j = order + 1
-    while abs(term) > 1e-20 * max(abs(total), 1e-280):
+    term = nz ** j / factorial(j)
+    total = 0.0
+    while True:
+        size = term if term > 0.0 else -term
+        bound = 1e-20 * total
+        if bound < 0.0:
+            bound = -bound
+        # not (a > b) rather than a <= b, so that a NaN ends the loop
+        if not (size > bound and size > _REMAINDER_FLOOR):
+            return total
         total += term
         j += 1
-        term *= (-z) / j
-    return total
+        term *= nz / j
 
 
 @dataclass(frozen=True)
@@ -141,13 +156,14 @@ class PlancherelComponent:
             j_lo, j_cut = max(0, (k + 2 - m) // 2), (k + 1) // 2
             for j in range(j_lo, j_cut + 1):
                 coeff[m - k - 1 + 2 * j] += base * (-self.shift) ** j / factorial(j)
-            tail_terms.append((base, k, j_cut if j_lo <= j_cut else -1))
+            tail_terms.append((base, -(k + 1) / 2.0, j_cut if j_lo <= j_cut else -1))
+        shift = self.shift
 
         def remainder(t: float) -> float:
+            z = shift * t
             acc = 0.0
-            for base, k, j_cut in tail_terms:
-                acc += base * t ** (-(k + 1) / 2.0) * _exp_taylor_remainder(
-                    self.shift * t, j_cut)
+            for base, power, j_cut in tail_terms:
+                acc += base * t ** power * _exp_taylor_remainder(z, j_cut)
             return acc
 
         return coeff, remainder

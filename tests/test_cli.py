@@ -101,9 +101,10 @@ def test_zeta_torsion_multi_degree(capsys, tmp_path):
     assert {d["p"] for d in payload["perDegree"]} == {1, 2}
 
 
-# stdout of `zeta` on two fixed files, pinned byte for byte: a flat
-# spectrum with a zero mode and eigenvalues on both sides of 1, and four
-# degrees, one with a zero mode
+# stdout of `zeta` on fixed files, pinned byte for byte: a flat spectrum
+# with a zero mode and eigenvalues on both sides of 1, four degrees, one with
+# a zero mode, and for each branch of Ein a spectrum that takes only it: all
+# eigenvalues below 1 (the series), and all at or above 1 (E1 + log + gamma)
 _GOLDEN_FLAT = [[0.0, 2.0], [0.25, 1.0], [0.5, 0.5], [0.999, 1.0], [1.0, 2.0],
                 [3.5, 1.0 / 3.0], [17.0, 1.0]]
 _GOLDEN_DEGREES = {"degrees": [
@@ -111,6 +112,8 @@ _GOLDEN_DEGREES = {"degrees": [
     {"p": 1, "spectrum": [[0.0, 1.0], [0.05, 0.5], [0.7, 1.0], [4.0, 3.0], [12.0, 1.0]]},
     {"p": 2, "spectrum": [[1.5, 1.0], [0.9, 2.0], [6.0, 0.5]]},
     {"p": 3, "spectrum": [[0.01, 1.0]]}]}
+_GOLDEN_BELOW_ONE = [[0.02, 1.0], [0.3, 2.0], [0.5, 0.5], [0.999, 1.0]]
+_GOLDEN_FROM_ONE = [[0.0, 1.0], [1.0, 1.0], [2.5, 2.0], [40.0, 0.5]]
 
 
 @pytest.mark.parametrize("spectrum, op, stdout", [
@@ -171,7 +174,22 @@ _GOLDEN_DEGREES = {"degrees": [
   "value": -11.207509528345408
 }
 """),
-], ids=["flat-det", "flat-dsmall", "flat-torsion", "degrees-torsion"])
+    (_GOLDEN_BELOW_ONE, "det", """\
+{
+  "errorEstimate": 2.4601439340525532e-17,
+  "op": "det",
+  "value": 0.0012715194139296514
+}
+"""),
+    (_GOLDEN_FROM_ONE, "det", """\
+{
+  "errorEstimate": 6.020442106900765e-13,
+  "op": "det",
+  "value": 39.52847075210475
+}
+"""),
+], ids=["flat-det", "flat-dsmall", "flat-torsion", "degrees-torsion", "below-one-det",
+        "from-one-det"])
 def test_zeta_stdout_is_pinned(capsys, tmp_path, spectrum, op, stdout):
     spec = tmp_path / "spectrum.json"
     spec.write_text(json.dumps(spectrum))

@@ -472,13 +472,59 @@ _BELOW_ONE = st.floats(0.0, 1.0, exclude_max=True, allow_subnormal=True)
 def test_ein_series_is_polyval_bit_for_bit(xs):
     x = np.asarray(xs, dtype=float)
     want = np.polynomial.polynomial.polyval(x, np.asarray(_EIN_SERIES))
-    assert _bits(_ein(x)) == _bits(want)
+    assert _bits(_ein(x, exp1(x))) == _bits(want)
 
 
 @given(st.lists(st.floats(1.0, 700.0), max_size=10))
 def test_ein_above_one_is_exp1_log_gamma(xs):
     x = np.asarray(xs, dtype=float)
-    assert _bits(_ein(x)) == _bits(exp1(x) + np.log(x) + EULER_GAMMA)
+    assert _bits(_ein(x, exp1(x))) == _bits(exp1(x) + np.log(x) + EULER_GAMMA)
+
+
+def _ein_reference(x: np.ndarray) -> np.ndarray:
+    """Each branch in its array form: polyval below 1, exp1 + log + gamma
+    from 1 on."""
+    low = x < 1.0
+    out = np.empty_like(x)
+    out[low] = np.polynomial.polynomial.polyval(x[low], np.asarray(_EIN_SERIES))
+    out[~low] = exp1(x[~low]) + np.log(x[~low]) + EULER_GAMMA
+    return out
+
+
+@pytest.mark.parametrize("xs", [
+    [],
+    [1.0],
+    [1.0, 1.5, 3.0, 40.0, 700.0],
+    [np.nextafter(1.0, 0.0), 1.0, np.nextafter(1.0, 2.0)],
+    [0.0, 5e-324, 0.02, 0.999, 1.0, 2.0, 0.5, 17.0],
+], ids=["empty", "one", "from-one", "around-one", "mixed"])
+def test_ein_branches_on_fixed_arguments(xs):
+    x = np.asarray(xs, dtype=float)
+    got = _ein(x, exp1(x))
+    assert got.shape == x.shape
+    assert _bits(got) == _bits(_ein_reference(x))
+
+
+def test_from_spectrum_computes_e1_once_for_both_integrals(monkeypatch):
+    import scipy.special
+
+    calls = []
+
+    def fake_exp1(x):
+        # E1 shifted by 1: a value only this call can have produced
+        calls.append(np.array(x, copy=True))
+        return exp1(x) + 1.0
+
+    monkeypatch.setattr(scipy.special, "exp1", fake_exp1)
+    lam, w = np.array([0.5, 1.0, 2.5, 9.0]), np.array([1.0, 2.0, 0.5, 1.5])
+    model = HeatTraceModel.from_spectrum(Spectrum(lam, w))
+    assert len(calls) == 1 and _bits(calls[0]) == _bits(lam)
+    e1 = exp1(lam) + 1.0
+    assert model.large_time_exact == _exact_sum(w * e1)
+    assert model.small_time_exact == _exact_sum(-w * _ein(lam, e1))
+    # the upper branch took the shifted values, not a fresh E1
+    high = lam >= 1.0
+    assert _bits(_ein(lam, e1)[high]) == _bits(e1[high] + np.log(lam[high]) + EULER_GAMMA)
 
 
 @given(st.lists(st.floats(-1e300, 1e300), max_size=300),

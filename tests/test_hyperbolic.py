@@ -11,7 +11,8 @@ from scipy.special import gamma as gamma_fn
 
 from l2tor import heattrace
 from l2tor.heattrace import analytic_torsion, d_small, large_time_integral
-from l2tor.hyperbolic import (CuspEnd, PlancherelComponent, PlancherelTable,
+from l2tor.hyperbolic import (_REMAINDER_FLOOR, CuspEnd, PlancherelComponent,
+                              PlancherelTable, _exp_taylor_remainder,
                               _gaussian_moment, cusp_volume, heat_density,
                               load_plancherel_table, plancherel_heat_model,
                               torsion_constant, torsion_constant_result,
@@ -154,6 +155,73 @@ def test_residual_leaves_out_exactly_the_unshifted_components(table, t):
     for tbl, p in rows:
         residual = plancherel_heat_model(tbl, p).residual
         assert repr(residual(t)) == repr(_summed_remainders(tbl.rows[p], 3)(t))
+
+
+def _abs_max_remainder(z: float, order: int) -> float:
+    """_exp_taylor_remainder's series with its stopping rule written with
+    abs and max: |term| <= 1e-20 max(|total|, 1e-280)."""
+    if z == 0.0:
+        return 0.0
+    if z > 0.5:
+        return math.exp(-z) - sum((-z) ** j / math.factorial(j) for j in range(order + 1))
+    term = (-z) ** (order + 1) / math.factorial(order + 1)
+    total = 0.0
+    j = order + 1
+    while abs(term) > 1e-20 * max(abs(total), 1e-280):
+        total += term
+        j += 1
+        term *= (-z) / j
+    return total
+
+
+# the first term is z^2/2 at order 1 and -z at order 0; at
+# z = 1.414213562373095e-150 and at z = _REMAINDER_FLOOR respectively its
+# size is exactly the floor, and the neighbouring z fall below and above it
+@given(st.floats(0.0, 0.5, allow_subnormal=True), st.integers(-1, 6))
+@example(0.0, 1)
+@example(1.4142135623730947e-150, 1)
+@example(1.414213562373095e-150, 1)
+@example(1.4142135623730952e-150, 1)
+@example(_REMAINDER_FLOOR, 0)
+@example(math.nextafter(_REMAINDER_FLOOR, 1.0), 0)
+@example(5e-324, -1)
+@example(0.5, -1)
+@example(0.5, 0)
+@example(0.5, 1)
+@example(0.5, 2)
+@example(0.5, 3)
+@example(0.5, 4)
+@example(0.5, 5)
+@example(0.5, 6)
+def test_exp_taylor_remainder_matches_its_abs_max_form(z, order):
+    assert repr(_exp_taylor_remainder(z, order)) == repr(_abs_max_remainder(z, order))
+
+
+def _power_form_remainder(comp: PlancherelComponent, m: int):
+    """The expansion remainder with each term's power and z = shift t
+    computed in place."""
+    tail = []
+    for k, c in enumerate(comp.poly):
+        if c:
+            j_lo, j_cut = max(0, (k + 2 - m) // 2), (k + 1) // 2
+            tail.append((c * _gaussian_moment(k), k, j_cut if j_lo <= j_cut else -1))
+
+    def remainder(t: float) -> float:
+        acc = 0.0
+        for base, k, j_cut in tail:
+            acc += base * t ** (-(k + 1) / 2.0) * _exp_taylor_remainder(comp.shift * t, j_cut)
+        return acc
+
+    return remainder
+
+
+@given(st.floats(1e-60, 1.0))
+@example(math.exp(-120.0))
+def test_expansion_remainder_matches_its_in_place_form(table, t):
+    comps = {c for row in table.rows for c in row} | set(_TWO_SHIFTS)
+    for comp in comps:
+        got = comp.expansion(3)[1](t)
+        assert repr(got) == repr(_power_form_remainder(comp, 3)(t))
 
 
 def test_per_degree_models_certify_determinant_class(table):
