@@ -41,10 +41,6 @@ CONTAINMENT_GAP = 1e-10
 # chain-map commutation, homotopy relations).
 STRUCTURE_ATOL = 1e-10
 
-# Adjoint defect tolerance of TracedMap.check_adjoint_identity, which only
-# the tests call; no map is checked at construction time.
-ADJOINT_ATOL = 1e-12
-
 # Absolute quadrature target for the torsion/zeta integrals that have no
 # closed form.
 QUAD_ATOL = 1e-10

@@ -16,22 +16,23 @@ and serves both, since Ein(x) = E1(x) + log x + gamma from 1 on, and Ein's
 series below 1 runs on Python floats, which for the few eigenvalues of a
 typical spectrum costs less than numpy's per-call overhead.  For a circle
 of length L, Poisson summation gives sum_k (2/k) erfc(kL/2) and
-sum_n 2 E1((2 pi n / L)^2).  The hyperbolic Plancherel degrees
-(l2tor.hyperbolic) carry their large-time integral as a sum of
-c E_p(shift) over the terms c e^{-shift t} t^{-(k+1)/2} of their traces.
+sum_n 2 E1((2 pi n / L)^2); at lengths where one sum would be too long, the
+scale relation theta_L(t) = theta_1(t / L^2) gives it from the other.  The
+hyperbolic Plancherel degrees (l2tor.hyperbolic) carry their large-time
+integral as a sum of c E_p(shift) over the terms c e^{-shift t} t^{-(k+1)/2}
+of their traces.
 
-Quadrature: every integral without a closed form (the small-time part of
-the hyperbolic degrees, hand-built models) is computed by adaptive
-quadrature.  The subtracted integrand suffers catastrophic cancellation
-near t = 0 when computed naively, so models carry a stable `residual`
-callable whenever the trace has a closed form, and the integrand calls it
-directly.  analytic_torsion solves a model object once, however many
-degrees share it: the H3 degrees p and 3 - p have equal rows and share
-their model, so the torsion constant takes two small-time quadratures, not
-four.  A large-time integral by
-quadrature needs a finiteness certificate: a spectral gap whose decay
-theta(t) <= theta(1) e^{-gap (t-1)} is checked at fixed times, or a dyadic
-probe of the decay.
+The large-time integral is exact or refused: large_time_integral returns
+the model's large_time_exact and refuses a model without one, since its
+finiteness is what makes the trace determinant class.  A small-time
+integral without a closed form (the hyperbolic degrees, hand-built models)
+is computed by adaptive quadrature.  The subtracted integrand suffers
+catastrophic cancellation near t = 0 when computed naively, so models carry
+a stable `residual` callable whenever the trace has a closed form, and the
+integrand calls it directly.  analytic_torsion solves a model object once,
+however many degrees share it: the H3 degrees p and 3 - p have equal rows
+and share their model, so the torsion constant takes two small-time
+quadratures, not four.
 
 scipy is imported by the functions that call it, so importing this module
 loads none of it.  `quad` stays a module-level function, not a local import,
@@ -67,7 +68,6 @@ __all__ = [
     "zeta_det_with_error",
     "cheeger_mueller_correction",
     "large_time_dominating_bound",
-    "power_weight_double_integral",
 ]
 
 _LOG_CUTOFF = 120.0  # u-range of the log-substituted small-time integral
@@ -84,7 +84,8 @@ _EIN_SERIES = (0.0, *((-1) ** (k + 1) / (k * math.factorial(k)) for k in range(1
 # the dropped tails are bounded and added to the error
 _ERFC_CUTOFF = 6.5
 _EXP1_CUTOFF = 42.0
-# at most this many terms per circle sum: shorter circles keep quadrature
+# at most this many terms per circle sum: a longer one comes from the
+# scale relation
 _MAX_CIRCLE_TERMS = 1 << 16
 _ILL_CONDITIONED = 1e8  # asympt_fit flags a fit with a larger condition number
 _DOMINATION_ATOL = 1e-12  # slack of the large-time domination check
@@ -143,17 +144,18 @@ def _ein(x: np.ndarray, exp1_x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _circle_integrals(L: float) -> tuple[ExactIntegral, ExactIntegral] | None:
-    """Both Mellin integrals of the kernel-free circle trace.
+def _circle_integrals(L: float) -> tuple[ExactIntegral, ExactIntegral]:
+    """Both Mellin integrals of the kernel-free circle trace, at every L.
 
     The residual is L (4 pi t)^{-1/2} sum_{k>=1} 2 e^{-k^2 L^2/4t}, whose
-    integral against dt/t over (0, 1] is sum_k (2/k) erfc(kL/2); the integral
-    of theta/t over [1, inf) is sum_{n>=1} 2 E1((2 pi n / L)^2).  A rounding
-    of the argument x moves erfc(x) by about 2 x^2 ulps, and each of the
-    four roundings in y moves E1(y) by about y ulps.  Dropped tails
+    integral against dt/t over (0, 1] is S(L) = sum_k (2/k) erfc(kL/2); the
+    integral of theta/t over [1, inf) is G(L) = sum_{n>=1} 2 E1((2 pi n / L)^2).
+    A rounding of the argument x moves erfc(x) by about 2 x^2 ulps, and each
+    of the four roundings in y moves E1(y) by about y ulps.  Dropped tails
     shrink at least geometrically: erfc(x + d) <= erfc(x) e^{-2xd} and
-    E1(y + d) <= E1(y) e^{-d}.  None when a sum would need more than
-    _MAX_CIRCLE_TERMS terms.
+    E1(y + d) <= E1(y) e^{-d}.  A sum that would need more than
+    _MAX_CIRCLE_TERMS terms (S below L = 2e-4, G above L = 6e4) comes from
+    the other one by the scale relation.
     """
     from scipy.special import erfc, exp1
 
@@ -161,19 +163,40 @@ def _circle_integrals(L: float) -> tuple[ExactIntegral, ExactIntegral] | None:
     gap = (2.0 * math.pi / L) ** 2
     K = int(_ERFC_CUTOFF / half) + 1
     N = int(math.sqrt(_EXP1_CUTOFF / gap)) + 1
-    if max(K, N) > _MAX_CIRCLE_TERMS:
-        return None
-    k = np.arange(1, K + 1, dtype=float)
-    x = k * half
-    x_next = (K + 1) * half
-    dropped = (2.0 / (K + 1)) * math.erfc(x_next) / -math.expm1(-2.0 * x_next * half)
-    small = _exact_sum(2.0 / k * erfc(x), _TERM_ULPS + 2.0 * x * x, dropped)
-    n = np.arange(1, N + 1, dtype=float)
-    y = gap * n * n
-    y_next = gap * (N + 1) ** 2
-    dropped = 2.0 * float(exp1(y_next)) / -math.expm1(-gap * (2 * N + 3))
-    large = _exact_sum(2.0 * exp1(y), _TERM_ULPS + 4.0 * y, dropped)
+    small = large = None
+    if K <= _MAX_CIRCLE_TERMS:
+        k = np.arange(1, K + 1, dtype=float)
+        x = k * half
+        x_next = (K + 1) * half
+        dropped = (2.0 / (K + 1)) * math.erfc(x_next) / -math.expm1(-2.0 * x_next * half)
+        small = _exact_sum(2.0 / k * erfc(x), _TERM_ULPS + 2.0 * x * x, dropped)
+    if N <= _MAX_CIRCLE_TERMS:
+        n = np.arange(1, N + 1, dtype=float)
+        y = gap * n * n
+        y_next = gap * (N + 1) ** 2
+        dropped = 2.0 * float(exp1(y_next)) / -math.expm1(-gap * (2 * N + 3))
+        large = _exact_sum(2.0 * exp1(y), _TERM_ULPS + 4.0 * y, dropped)
+    if small is None:
+        small = _circle_scale_relation(L, large)
+    if large is None:
+        large = _circle_scale_relation(L, small)
     return small, large
+
+
+def _circle_scale_relation(L: float, known: ExactIntegral) -> ExactIntegral:
+    """The circle integral that `known` (S(L) or G(L)) leaves out, from
+    S(L) + G(L) = S(1) + G(1) + 2 (L - 1) / sqrt(4 pi) - 2 log L, with the
+    bounds of the three sums carried.
+
+    The trace scales as theta_L(t) = theta_1(t / L^2), so zeta_L(s) =
+    L^{2s} zeta_1(s) and, as zeta_1(0) = -1, zeta_L'(0) = zeta_1'(0) - 2 log L;
+    the relation is this less the expansion constants -2L / sqrt(4 pi) - gamma.
+    """
+    small_1, large_1 = _circle_integrals(1.0)
+    terms = np.array([small_1.value, large_1.value,
+                      2.0 * (L - 1.0) / math.sqrt(4.0 * math.pi), -2.0 * math.log(L),
+                      -known.value])
+    return _exact_sum(terms, extra=small_1.error + large_1.error + known.error)
 
 
 @dataclass
@@ -184,10 +207,13 @@ class HeatTraceModel:
     expansion is unknown and the small-time machinery refuses to run until
     an explicit fit supplies it.  residual(t), when present, evaluates
     theta(t) minus the full expansion without cancellation.  spectral_gap
-    certifies exponential large-time decay.  small_time_exact and
-    large_time_exact, when present, are the integral of the residual against
-    dt/t over (0, 1] and of theta(t)/t over [1, inf) in closed form; the
-    solvers then use them in place of quadrature.
+    is the smallest positive eigenvalue; zeta_det requires it positive.
+    small_time_exact, when present, is the integral of the residual against
+    dt/t over (0, 1] in closed form, which d_small then uses in place of
+    quadrature.  large_time_exact is the integral of theta(t)/t over
+    [1, inf) in closed form; a model without it is refused by
+    large_time_integral, since only a finite integral makes the trace
+    determinant class.
     """
 
     evaluate: Callable[[float], float]
@@ -246,13 +272,13 @@ class HeatTraceModel:
 
     @staticmethod
     def from_circle(circumference: float) -> "HeatTraceModel":
-        """Kernel-free circle trace with its exact two-term expansion and,
-        unless the circle is very short, both Mellin integrals exactly."""
+        """Kernel-free circle trace with its exact two-term expansion and
+        both Mellin integrals in closed form, at every length."""
         L = circumference
         if not L > 0:
             raise ValueError("circumference must be positive")
         coeff = np.array([L / math.sqrt(4.0 * math.pi), -1.0])
-        small, large = _circle_integrals(L) or (None, None)
+        small, large = _circle_integrals(L)
         model = HeatTraceModel(
             evaluate=lambda t: circle_heat_trace(L, t, include_zero=False),
             m=1,
@@ -379,88 +405,23 @@ def d_small(model: HeatTraceModel) -> DsmallResult:
 
 @dataclass
 class LargeTimeResult:
-    value: float | None
-    determinant_class: bool | None
-    tail_bound: float | None
-    error: float  # quadrature estimate or rounding bound
-    method: str
-
-
-# times t > 1 at which the decay certificate of a spectral gap is checked,
-# and the relative slack that forgives rounding in theta(t) and the bound
-_GAP_PROBES = (1.5, 2.0, 4.0, 8.0)
-_GAP_RTOL = 1e-9
-
-
-def _gap_tail_bound(theta_at_1: float, gap: float, T: float) -> float:
-    """Upper bound for the integral of theta/t over [T, inf) from the decay
-    certificate theta(t) <= theta(1) e^{-gap (t-1)}."""
-    if math.isinf(gap):
-        return 0.0
-    return theta_at_1 * math.exp(gap) * math.exp(-gap * T) / (gap * T)
-
-
-def _gap_decay_holds(model: HeatTraceModel, theta_at_1: float, gap: float) -> bool:
-    """theta(t) <= theta(1) e^{-gap (t-1)} at the probe times, for a
-    positive gap."""
-    if not gap > 0:
-        return False
-    return all(model.evaluate(t) <= theta_at_1 * math.exp(-gap * (t - 1.0)) * (1.0 + _GAP_RTOL)
-               for t in _GAP_PROBES)
+    value: float
+    error: float  # rounding bound
+    method: str  # always "exact"
 
 
 def large_time_integral(model: HeatTraceModel) -> LargeTimeResult:
-    """Integral of theta(t)/t over [1, inf) with a finiteness certificate.
+    """Integral of theta(t)/t over [1, inf): the model's exact value.
 
-    An exact value of the model is returned as it is.  A spectral gap
-    certifies the tail once theta is seen to decay at that rate at fixed
-    times, and a value is refused (method "gap-refuted") when it does not;
-    otherwise dyadic probing classifies the decay and refuses a value when
-    divergence is detected or the behaviour is ambiguous.
+    A model without one (large_time_exact) is refused: nothing else
+    certifies that the integral is finite, which is what makes the trace
+    determinant class.
     """
-    if model.large_time_exact is not None:
-        value, err = model.large_time_exact
-        return LargeTimeResult(value, True, None, err, "exact")
-    if model.spectral_gap is not None:
-        gap = model.spectral_gap
-        theta1 = model.evaluate(1.0)
-        if not _gap_decay_holds(model, theta1, gap):
-            return LargeTimeResult(None, None, None, 0.0, "gap-refuted")
-        if theta1 == 0.0:
-            return LargeTimeResult(0.0, True, 0.0, 0.0, "empty")
-        val, err = quad(lambda t: model.evaluate(t) / t, 1.0, np.inf,
-                        limit=400, epsabs=QUAD_ATOL * 1e-2, epsrel=1e-12)
-        # the decay just checked bounds the tail over [2, inf)
-        tail = _gap_tail_bound(theta1, gap, 2.0)
-        return LargeTimeResult(val, True, tail, err, "gap")
-
-    # no certificate: dyadic comparison probe; geometric tails keep the
-    # piece ratios bounded below one, harmonic-type tails push them to one
-    total = 0.0
-    err_total = 0.0
-    pieces = []
-    for k in range(25):
-        lo, hi = 2.0 ** k, 2.0 ** (k + 1)
-        val, err = quad(lambda t: model.evaluate(t) / t, lo, hi,
-                        limit=200, epsabs=1e-13, epsrel=1e-11)
-        pieces.append(val)
-        total += val
-        err_total += err
-        if abs(val) < 1e-13:
-            return LargeTimeResult(total, True, abs(val), err_total + 1e-12, "dyadic")
-    ratios = np.array([pieces[j + 1] / pieces[j] for j in range(len(pieces) - 9,
-                                                                len(pieces) - 1)])
-    r = float(ratios.max())
-    if r <= 0.8:
-        tail = pieces[-1] * r / (1.0 - r)
-        return LargeTimeResult(total + tail, True, tail,
-                               err_total + abs(tail) * 0.5, "dyadic")
-    # power decay keeps the ratio constant; slower-than-power decay pushes
-    # it toward one, which forces divergence of the dt/t integral
-    trend = float(ratios[-1] - ratios[0])
-    if ratios.min() >= 0.97 or (r >= 0.9 and trend >= 0.005):
-        return LargeTimeResult(None, False, None, err_total, "dyadic-divergent")
-    return LargeTimeResult(None, None, None, err_total, "dyadic-ambiguous")
+    if model.large_time_exact is None:
+        raise ValueError("not certified determinant-class: the model has no "
+                         "large_time_exact, the integral of theta(t)/t over [1, inf)")
+    value, err = model.large_time_exact
+    return LargeTimeResult(value, err, "exact")
 
 
 # -- torsion -------------------------------------------------------------------------
@@ -477,16 +438,17 @@ def _zeta_prime(model: HeatTraceModel, subject: str) -> tuple[float, float, floa
     """zeta'(0) as (small-time part, large-time part, sum of their errors);
     refuses, naming `subject`, a model not certified determinant class."""
     sm = d_small(model)
-    lg = large_time_integral(model)
-    if lg.determinant_class is not True:
-        raise ValueError(f"{subject}not certified determinant-class ({lg.method})")
+    try:
+        lg = large_time_integral(model)
+    except ValueError as exc:
+        raise ValueError(f"{subject}{exc}") from None
     return sm.value, lg.value, abs(sm.error) + abs(lg.error)
 
 
 def analytic_torsion(models: dict[int, HeatTraceModel]) -> TorsionResult:
     """Alternating degree-weighted sum of small- and large-time parts.
 
-    Every degree must certify determinant class; the total carries the
+    Every degree must carry its large-time integral; the total carries the
     weight (-1)^p p per degree.  A model object shared by several degrees
     is solved once, and refused naming the first of them.
     """
@@ -509,9 +471,9 @@ def zeta_det_with_error(source: Spectrum | HeatTraceModel, m: int = 0) -> tuple[
     with the error det * (small-part error + large-part error).
 
     A finite spectrum must have a positive part; zero modes are dropped
-    (determinant of the restriction).  Refuses a model whose large time
-    part is not certified determinant class, and one whose determinant
-    overflows a double or underflows to 0.
+    (determinant of the restriction).  Refuses a model without its
+    large-time integral, and one whose determinant overflows a double or
+    underflows to 0.
     """
     if isinstance(source, Spectrum):
         pos = source.positive_part()
@@ -589,41 +551,3 @@ def large_time_dominating_bound(F: SpectralDensityFunction, eps: float,
         if lhs > rhs + _DOMINATION_ATOL:
             violations.append({"t": float(t), "lhs": lhs, "rhs": rhs})
     return {"violations": violations, "margins": margins, "theta_at_1": theta1}
-
-
-def power_weight_double_integral(eps: float, exponents=(0.5, 0.25)) -> dict:
-    """Iterated integral of e^{-t lam} (sum of lam^a) over [1, inf) x [0, eps].
-
-    Returns the 2-d quadrature value next to the incomplete-gamma closed form
-    (swapping the order reduces each power to int_0^eps lam^{a-1} e^{-lam}),
-    certifying finiteness.
-    """
-    from scipy.special import gamma, gammainc
-
-    def moment(a: float, upper: float) -> float:
-        val, _ = quad(lambda v: math.exp(-v) * v ** a, 0.0, min(upper, 60.0),
-                      limit=200, epsabs=1e-14, epsrel=1e-13)
-        return val
-
-    # two substitutions keep everything bounded: lam = v / t inside gives
-    # inner(t) = sum_a t^{-1-a} int_0^{t eps} e^{-v} v^a dv, and t = u^{-p}
-    # outside turns the algebraic tail into u^{p a - 1} factors with p a >= 1
-    p_sub = max(4, math.ceil(1.0 / min(exponents)))
-
-    def outer_integrand(u: float) -> float:
-        if u <= 0.0:
-            return 0.0
-        t = u ** -p_sub
-        return p_sub * sum(u ** (p_sub * a - 1.0) * moment(a, t * eps)
-                           for a in exponents)
-
-    outer, outer_err = quad(outer_integrand, 0.0, 1.0, limit=400,
-                            epsabs=1e-11, epsrel=1e-11)
-    closed = float(sum(gamma(a) * gammainc(a, eps) for a in exponents))
-    return {
-        "quadrature": outer,
-        "closed_form": closed,
-        "difference": abs(outer - closed),
-        "finite": True,
-        "quad_error": outer_err,
-    }

@@ -24,7 +24,7 @@ from functools import cached_property, lru_cache
 
 import numpy as np
 
-from .config import ADJOINT_ATOL, RANK_RTOL, ZERO_SV_ATOL
+from .config import RANK_RTOL, ZERO_SV_ATOL
 
 __all__ = ["TracedSpace", "TracedMap", "nonzero_mask"]
 
@@ -244,16 +244,6 @@ class TracedMap:
             return TracedMap.zero(self.target, self.source)
         coeff = self.source.inverse_gram @ self.coefficients.T @ self.target.gram
         return TracedMap._derived(self.target, self.source, coeff)
-
-    def check_adjoint_identity(self) -> float:
-        """Max defect of <f e_i, e_j>_t - <e_i, f* e_j>_s over basis vectors."""
-        adj = self.adjoint()
-        lhs = self.coefficients.T @ self.target.gram        # (i, j) = <f e_i, e_j>_t
-        rhs = self.source.gram @ adj.coefficients           # (i, j) = <e_i, f* e_j>_s
-        defect = float(np.max(np.abs(lhs - rhs))) if lhs.size else 0.0
-        if defect > ADJOINT_ATOL * max(1.0, float(np.max(np.abs(lhs))) if lhs.size else 1.0):
-            raise AssertionError(f"adjoint identity defect {defect}")
-        return defect
 
     # -- composition helpers -------------------------------------------------------
 

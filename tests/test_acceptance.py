@@ -132,7 +132,6 @@ def test_large_time_domination(results):
     _report(row)
     assert row.detail["probes"] >= 10_000
     assert row.detail["violations"] == 0
-    assert row.detail["double_integral_difference"] < 1e-8
     assert row.passed
 
 

@@ -429,7 +429,7 @@ def test_no_tolerance_parameters():
 
     import l2tor
     from l2tor import (anomaly, checks, complexes, heattrace, hyperbolic, kernels1d,
-                       spectrum, traced)
+                       spectrum)
 
     banned = {"rank_rtol", "reduced", "use_stated_range", "homotopy_atol",
               "structure_atol", "validate", "identity_gram", "tries", "cond_threshold",
@@ -451,8 +451,7 @@ def test_no_tolerance_parameters():
     assert seen > 100
     for fn in (checks._decide, checks.CheckReport.leq, checks.CheckReport.equal,
                complexes.ShortExactTriple.validate,
-               complexes.laplacian_sdf_decomposition, heattrace.large_time_dominating_bound,
-               traced.TracedMap.check_adjoint_identity):
+               complexes.laplacian_sdf_decomposition, heattrace.large_time_dominating_bound):
         assert not {"atol", "value_atol"} & set(inspect.signature(fn).parameters), fn
     # asympt_fit fits on the grid it is given and _exact_sum sums the terms it
     # is given, so these two names are banned only where they were knobs

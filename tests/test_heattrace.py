@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.integrate import quad
 from scipy.special import exp1
 
 from l2tor.heattrace import (_EIN_SERIES, _EPS, _TINY, ExactIntegral,
-                             HeatTraceModel, _ein, _exact_sum, analytic_torsion,
-                             asympt_fit, cheeger_mueller_correction, d_small,
+                             HeatTraceModel, _circle_integrals, _circle_scale_relation,
+                             _ein, _exact_sum, analytic_torsion, asympt_fit,
+                             cheeger_mueller_correction, d_small,
                              large_time_dominating_bound, large_time_integral,
-                             power_weight_double_integral, zeta_det,
-                             zeta_det_with_error)
+                             zeta_det, zeta_det_with_error)
 from l2tor.mellin import EULER_GAMMA
 from l2tor.rand import rng_for
 from l2tor.spectrum import Spectrum
@@ -21,34 +22,33 @@ from l2tor.spectrum import Spectrum
 def test_large_time_single_eigenvalue_exponential_integral():
     S = Spectrum.from_pairs([(1.0, 1.0)])
     res = large_time_integral(HeatTraceModel.from_spectrum(S))
-    assert res.determinant_class
+    assert res.method == "exact"
     assert res.value == pytest.approx(float(exp1(1.0)), abs=1e-10)
 
 
 def test_large_time_kernel_only_spectrum():
     S = Spectrum.from_pairs([(0.0, 5.0)])
     res = large_time_integral(HeatTraceModel.from_spectrum(S))
-    assert res.value == 0.0
-    assert res.determinant_class is True
+    assert (res.value, res.method) == (0.0, "exact")
+
+
+def _large_time_quad(theta) -> ExactIntegral:
+    """The integral of theta(t)/t over [1, inf) by quadrature: the oracle
+    for the closed forms, and the large-time value of hand-built models."""
+    return ExactIntegral(*quad(lambda t: theta(t) / t, 1.0, np.inf,
+                               limit=400, epsabs=1e-12, epsrel=1e-12))
 
 
 def _quadrature_twin(model: HeatTraceModel) -> HeatTraceModel:
-    """The same trace, residual, expansion and gap without the exact values,
-    so that the solvers integrate it numerically."""
-    return HeatTraceModel(evaluate=model.evaluate, m=model.m,
+    """The same trace, residual, expansion, gap and time scale without the
+    exact values: d_small integrates it numerically, and its large-time
+    integral comes from quadrature here."""
+    twin = HeatTraceModel(evaluate=model.evaluate, m=model.m,
                           coefficients=model.coefficients, residual=model.residual,
-                          spectral_gap=model.spectral_gap)
-
-
-def test_large_time_tail_bound_dominates_actual_tail():
-    from scipy.integrate import quad
-    S = Spectrum.from_pairs([(0.7, 2.0), (3.0, 1.0)])
-    model = HeatTraceModel(evaluate=lambda t: S.heat_trace(t), m=0,
-                           spectral_gap=S.spectral_gap)
-    res = large_time_integral(model)
-    assert res.method == "gap"
-    actual_tail, _ = quad(lambda t: model.evaluate(t) / t, 2.0, np.inf)
-    assert res.tail_bound >= actual_tail
+                          spectral_gap=model.spectral_gap,
+                          large_time_exact=_large_time_quad(model.evaluate))
+    twin._time_scale = model._time_scale
+    return twin
 
 
 def _close(a: float, b: float, tol: float = 1e-12) -> bool:
@@ -65,8 +65,7 @@ def test_exact_spectrum_pieces_match_quadrature(pairs, zero_mode):
     twin = _quadrature_twin(model)
     sm, sm_q = d_small(model), d_small(twin)
     lg, lg_q = large_time_integral(model), large_time_integral(twin)
-    assert (sm.method, lg.method) == ("exact", "exact")
-    assert (sm_q.method, lg_q.method) == ("quad", "gap")
+    assert (sm.method, lg.method, sm_q.method) == ("exact", "exact", "quad")
     assert _close(sm.integral, sm_q.integral)
     assert sm.constant_part == sm_q.constant_part
     assert _close(lg.value, lg_q.value)
@@ -78,8 +77,7 @@ def test_exact_circle_pieces_match_quadrature(log_L):
     twin = _quadrature_twin(model)
     sm, sm_q = d_small(model), d_small(twin)
     lg, lg_q = large_time_integral(model), large_time_integral(twin)
-    assert (sm.method, lg.method) == ("exact", "exact")
-    assert sm_q.method == "quad" and lg_q.method in ("gap", "empty")
+    assert (sm.method, lg.method, sm_q.method) == ("exact", "exact", "quad")
     assert _close(sm.integral, sm_q.integral)
     assert _close(lg.value, lg_q.value)
 
@@ -112,18 +110,33 @@ def test_exact_error_bounds_cover_high_precision_values():
             assert error <= 1e-12 * max(1.0, abs(value))
 
 
-def test_very_short_circle_has_no_exact_pieces():
-    model = HeatTraceModel.from_circle(1e-4)
-    assert model.small_time_exact is None and model.large_time_exact is None
+def test_circles_of_every_length_have_exact_pieces():
     with pytest.raises(ValueError, match="positive"):
         HeatTraceModel.from_circle(0.0)
-    # below L = 13/65535 (about 2e-4) the circle sums need more than 65 536
-    # terms; such a circle is integrated by quadrature, probed at its own
-    # time scale L^2
-    for L in (1.96e-4, 1.9e-4, 1e-4, 1e-6, 1e-8):
-        det, err = zeta_det_with_error(HeatTraceModel.from_circle(L))
-        assert det == pytest.approx(L * L, rel=1e-12)
+    # below L = 13/65535 (about 2e-4) the erfc sum, and above about 6.3e4 the
+    # E1 sum, would need more than 65 536 terms; the scale relation gives it
+    for L, rel in ((1.96e-4, 1e-12), (1.9e-4, 1e-12), (1e-4, 1e-12), (1e-6, 1e-12),
+                   (1e-8, 1e-12), (1e5, 1e-10), (1e6, 1e-10)):
+        model = HeatTraceModel.from_circle(L)
+        assert (d_small(model).method, large_time_integral(model).method) == ("exact", "exact")
+        det, err = zeta_det_with_error(model)
+        assert det == pytest.approx(L * L, rel=rel)
         assert abs(det - L * L) <= err
+    for L in (1e-4, 1e-6):
+        model = HeatTraceModel.from_circle(L)
+        sm, sm_q = d_small(model), d_small(_quadrature_twin(model))
+        assert sm_q.method == "quad"
+        assert _close(sm.integral, sm_q.integral)
+
+
+@pytest.mark.parametrize("L", [1e-3, 0.05, 10.0, 1e3, 5e4])
+def test_circle_scale_relation_matches_the_direct_sums(L):
+    # at these lengths both sums fit: each one the relation gives from the
+    # other lies within the two bounds of the direct value
+    small, large = _circle_integrals(L)
+    for direct, known in ((small, large), (large, small)):
+        value, error = _circle_scale_relation(L, known)
+        assert abs(value - direct.value) <= error + direct.error
 
 
 def test_exact_methods_carry_rounding_size_errors():
@@ -140,41 +153,26 @@ def test_exact_methods_carry_rounding_size_errors():
 # -- refusals ---------------------------------------------------------------------------
 
 
-def _decaying(gap: float) -> HeatTraceModel:
-    """theta = e^{-t} declared with the given spectral gap."""
+def _without_large_time() -> HeatTraceModel:
+    """theta = e^{-t} with its expansion and gap, but without its
+    large-time integral."""
     return HeatTraceModel(evaluate=lambda t: math.exp(-t), m=0,
                           coefficients=np.array([1.0]),
-                          residual=lambda t: math.expm1(-t), spectral_gap=gap)
+                          residual=lambda t: math.expm1(-t), spectral_gap=1.0)
 
 
-def test_gap_certificate_accepts_true_gap():
-    res = large_time_integral(_decaying(1.0))
-    assert (res.method, res.determinant_class) == ("gap", True)
-    assert res.value == pytest.approx(float(exp1(1.0)), abs=1e-12)
+_REFUSED = (r"not certified determinant-class: the model has no large_time_exact, "
+            r"the integral of theta\(t\)/t over \[1, inf\)$")
 
 
-@pytest.mark.parametrize("gap", [2.0, 0.0, -1.0, math.inf])
-def test_gap_certificate_refuses_overstated_gap(gap):
-    model = _decaying(gap)
-    res = large_time_integral(model)
-    assert (res.value, res.determinant_class, res.method) == (None, None, "gap-refuted")
-    with pytest.raises(ValueError, match="gap-refuted"):
+def test_model_without_large_time_exact_is_refused():
+    model = _without_large_time()
+    with pytest.raises(ValueError, match="^" + _REFUSED):
+        large_time_integral(model)
+    with pytest.raises(ValueError, match="^degree 1 is " + _REFUSED):
         analytic_torsion({1: model})
-    if gap > 0:
-        with pytest.raises(ValueError, match="gap-refuted"):
-            zeta_det(model)
-
-
-@pytest.mark.parametrize("theta, method, det_class", [
-    (lambda t: 1.0 / math.log(t + math.e), "dyadic-divergent", False),
-    (lambda t: (1.0 + t) ** -0.1, "dyadic-ambiguous", None),
-], ids=["divergent", "ambiguous"])
-def test_dyadic_refusals_stop_the_torsion(theta, method, det_class):
-    model = HeatTraceModel(evaluate=theta, m=0, coefficients=np.array([1.0]))
-    res = large_time_integral(model)
-    assert (res.value, res.determinant_class, res.method) == (None, det_class, method)
-    with pytest.raises(ValueError, match=method):
-        analytic_torsion({1: model})
+    with pytest.raises(ValueError, match="^" + _REFUSED):
+        zeta_det(model)
 
 
 def test_residual_check_still_guards_exact_models():
@@ -186,14 +184,6 @@ def test_residual_check_still_guards_exact_models():
     for run in (d_small, lambda m: analytic_torsion({1: m}), zeta_det):
         with pytest.raises(ValueError, match="integrable"):
             run(wrong)
-
-
-def test_large_time_divergence_detected():
-    slow = HeatTraceModel(evaluate=lambda t: 1.0 / math.log(t + math.e), m=0,
-                          coefficients=np.array([0.0]))
-    res = large_time_integral(slow)
-    assert res.determinant_class is False
-    assert res.value is None
 
 
 def test_dsmall_refuses_unknown_coefficients():
@@ -276,7 +266,7 @@ def test_exponentially_damped_power_closed_form():
         evaluate=lambda t: c * math.exp(-t) * t ** -0.5, m=1,
         coefficients=np.array([c, 0.0]),
         residual=lambda t: c * t ** -0.5 * math.expm1(-t),
-        spectral_gap=1.0)
+        large_time_exact=_large_time_quad(lambda t: c * math.exp(-t) * t ** -0.5))
     total = d_small(S_like).value + large_time_integral(S_like).value
     assert total == pytest.approx(-2.0 * math.sqrt(math.pi) * c, abs=1e-9)
 
@@ -370,20 +360,19 @@ def test_torsion_solves_a_shared_model_once(monkeypatch):
     monkeypatch.setattr(heattrace, "quad",
                         lambda *a, **k: calls.append(a[1:3]) or real(*a, **k))
     shared = analytic_torsion(models(share=True))
-    # one small-time and one large-time quadrature for the shared model
-    assert len(calls) == 2
+    # one small-time quadrature for the shared model
+    assert len(calls) == 1
     separate = analytic_torsion(models(share=False))
-    assert len(calls) == 2 + 4
+    assert len(calls) == 1 + 2
     # per_degree, total and error, each float to the bit
     assert repr(shared) == repr(separate)
 
 
 def test_torsion_refuses_a_shared_model_at_its_first_degree():
-    refuted = _decaying(2.0)
+    refused = _without_large_time()
     good = HeatTraceModel.from_spectrum(Spectrum.from_pairs([(1.0, 1.0)]))
-    with pytest.raises(ValueError, match=r"^degree 2 is not certified "
-                                         r"determinant-class \(gap-refuted\)$"):
-        analytic_torsion({1: good, 2: refuted, 3: refuted})
+    with pytest.raises(ValueError, match="^degree 2 is " + _REFUSED):
+        analytic_torsion({1: good, 2: refused, 3: refused})
 
 
 def test_torsion_linear_in_weights():
@@ -449,6 +438,33 @@ def test_domination_random_probes():
         ts = np.sort(rng.uniform(1.0, 30.0, 6))
         out = large_time_dominating_bound(F, eps, S, ts)
         assert not out["violations"], k
+
+
+def power_weight_double_integral(eps: float, exponents=(0.5, 0.25)) -> dict:
+    """Iterated integral of e^{-t lam} (sum of lam^a) over [1, inf) x [0, eps]
+    by nested quadrature, next to its incomplete-gamma closed form (swapping
+    the order reduces each power to int_0^eps lam^{a-1} e^{-lam})."""
+    from scipy.special import gamma, gammainc
+
+    def moment(a: float, upper: float) -> float:
+        return quad(lambda v: math.exp(-v) * v ** a, 0.0, min(upper, 60.0),
+                    limit=200, epsabs=1e-14, epsrel=1e-13)[0]
+
+    # two substitutions keep everything bounded: lam = v / t inside gives
+    # inner(t) = sum_a t^{-1-a} int_0^{t eps} e^{-v} v^a dv, and t = u^{-p}
+    # outside turns the algebraic tail into u^{p a - 1} factors with p a >= 1
+    p_sub = max(4, math.ceil(1.0 / min(exponents)))
+
+    def outer_integrand(u: float) -> float:
+        if u <= 0.0:
+            return 0.0
+        t = u ** -p_sub
+        return p_sub * sum(u ** (p_sub * a - 1.0) * moment(a, t * eps)
+                           for a in exponents)
+
+    outer, _ = quad(outer_integrand, 0.0, 1.0, limit=400, epsabs=1e-11, epsrel=1e-11)
+    closed = float(sum(gamma(a) * gammainc(a, eps) for a in exponents))
+    return {"quadrature": outer, "closed_form": closed, "difference": abs(outer - closed)}
 
 
 def test_double_integral_matches_incomplete_gamma():

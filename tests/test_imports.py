@@ -35,6 +35,20 @@ assert 'scipy.integrate' not in sys.modules
 """)
 
 
+def test_circle_determinants_of_every_length_load_no_quadrature(src_env):
+    run_fresh(src_env, """
+import math
+from l2tor import HeatTraceModel, Spectrum, analytic_torsion, zeta_det
+for L in (1e-8, 1.0, 1e6):
+    assert abs(zeta_det(HeatTraceModel.from_circle(L)) / L ** 2 - 1.0) < 1e-9
+models = {p: HeatTraceModel.from_spectrum(Spectrum.from_pairs([(0.5 + p, 1.0)]))
+          for p in range(3)}
+assert math.isfinite(analytic_torsion(models).total)
+assert 'scipy.special' in sys.modules
+assert 'scipy.integrate' not in sys.modules
+""")
+
+
 def test_torsion_constant_from_a_fresh_interpreter(src_env):
     run_fresh(src_env, """
 import math
