@@ -153,12 +153,12 @@ def test_exact_methods_carry_rounding_size_errors():
 # -- refusals ---------------------------------------------------------------------------
 
 
-def _without_large_time() -> HeatTraceModel:
-    """theta = e^{-t} with its expansion and gap, but without its
+def _without_large_time(gap: float = 1.0) -> HeatTraceModel:
+    """theta = e^{-t} with its expansion and the given gap, but without its
     large-time integral."""
     return HeatTraceModel(evaluate=lambda t: math.exp(-t), m=0,
                           coefficients=np.array([1.0]),
-                          residual=lambda t: math.expm1(-t), spectral_gap=1.0)
+                          residual=lambda t: math.expm1(-t), spectral_gap=gap)
 
 
 _REFUSED = (r"not certified determinant-class: the model has no large_time_exact, "
@@ -175,6 +175,33 @@ def test_model_without_large_time_exact_is_refused():
         zeta_det(model)
 
 
+@pytest.mark.parametrize("gap", [2.0, 0.0, -1.0, math.inf])
+def test_gap_certificate_refuses_overstated_gap(gap):
+    # a declared gap, true or not, certifies nothing without the integral
+    model = _without_large_time(gap)
+    with pytest.raises(ValueError, match="^" + _REFUSED):
+        large_time_integral(model)
+    with pytest.raises(ValueError, match="^degree 1 is " + _REFUSED):
+        analytic_torsion({1: model})
+    if gap > 0:
+        with pytest.raises(ValueError, match="^" + _REFUSED):
+            zeta_det(model)
+
+
+@pytest.mark.parametrize("theta", [
+    lambda t: 1.0 / math.log(t + math.e),
+    lambda t: (1.0 + t) ** -0.1,
+], ids=["divergent", "ambiguous"])
+def test_dyadic_refusals_stop_the_torsion(theta):
+    # traces whose large-time integral diverges, or decays too slowly to
+    # tell, are refused for want of large_time_exact
+    model = HeatTraceModel(evaluate=theta, m=0, coefficients=np.array([1.0]))
+    with pytest.raises(ValueError, match="^" + _REFUSED):
+        large_time_integral(model)
+    with pytest.raises(ValueError, match="^degree 1 is " + _REFUSED):
+        analytic_torsion({1: model})
+
+
 def test_residual_check_still_guards_exact_models():
     S = Spectrum.from_pairs([(1.0, 1.0)])
     # claiming no constant term leaves theta itself as the residual
@@ -184,6 +211,13 @@ def test_residual_check_still_guards_exact_models():
     for run in (d_small, lambda m: analytic_torsion({1: m}), zeta_det):
         with pytest.raises(ValueError, match="integrable"):
             run(wrong)
+
+
+def test_large_time_divergence_detected():
+    slow = HeatTraceModel(evaluate=lambda t: 1.0 / math.log(t + math.e), m=0,
+                          coefficients=np.array([0.0]))
+    with pytest.raises(ValueError, match="^" + _REFUSED):
+        large_time_integral(slow)
 
 
 def test_dsmall_refuses_unknown_coefficients():
