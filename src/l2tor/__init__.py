@@ -4,8 +4,7 @@ heat-trace verification tools."""
 __version__ = "0.1.0"
 
 from .traced import TracedMap, TracedSpace
-from .sdf import (SpectralDensityFunction, ns_exponent_fit, sdf_of_map,
-                  variational_sdf)
+from .sdf import SpectralDensityFunction, ns_exponent_fit, sdf_of_map
 from .complexes import (FiniteCochainComplex, ShortExactTriple, complex_sdf,
                         connecting_map, laplacian_sdf_decomposition)
 from .checks import (check_basic_F, check_block_matrix_F, check_gromov_shubin,
@@ -28,8 +27,7 @@ from .jsj import (JsjManifest, JsjPiece, is_graph_manifold, load_manifest,
 
 __all__ = [
     "TracedMap", "TracedSpace",
-    "SpectralDensityFunction", "sdf_of_map", "variational_sdf",
-    "ns_exponent_fit",
+    "SpectralDensityFunction", "sdf_of_map", "ns_exponent_fit",
     "FiniteCochainComplex", "ShortExactTriple", "complex_sdf",
     "connecting_map", "laplacian_sdf_decomposition",
     "check_basic_F", "check_block_matrix_F", "check_gromov_shubin",

@@ -8,9 +8,10 @@ its relations, over every degree, in one report and decides them once.
 Each relation is decided on the probe points of its functions (every
 breakpoint of both sides, their midpoints and the range endpoints), merged
 for all relations in one sort, and the violations come in the order
-recorded.  Ranks come from the rank rule (traced.nonzero_mask); slacks are fixed:
+recorded.  No other module decides a relation between step functions.
+Ranks come from the rank rule (traced.nonzero_mask); slacks are fixed:
 config.TIE_RTOL forgives breakpoints that differ only by eigensolve
-rounding (sdf.tie_shifted moves the right side's positive probes of an
+rounding (tie_shifted moves the right side's positive probes of an
 inequality and both sides' of an equality, and never the probe at 0, so
 kernel dimensions are compared as they are) and config.VALUE_ATOL forgives
 value rounding.
@@ -27,16 +28,17 @@ import numpy as np
 from .complexes import (FiniteCochainComplex, ShortExactTriple, complex_sdf,
                         connecting_map, laplacian_sdf_decomposition)
 from .config import (CONTAINMENT_GAP, NONTRIVIAL_INTERSECTION_GAP, RANGE_END_RTOL,
-                     STRUCTURE_ATOL, TRIVIAL_INTERSECTION_GAP, VALUE_ATOL)
+                     STRUCTURE_ATOL, TIE_RTOL, TRIVIAL_INTERSECTION_GAP, VALUE_ATOL)
 from .rand import (random_complex, random_homotopy_pair, random_injective,
                    random_map, random_short_exact_triple, random_space,
                    random_surjective, rng_for)
-from .sdf import SpectralDensityFunction, sdf_of_map, tie_shifted
+from .sdf import SpectralDensityFunction, sdf_of_map
 from .traced import TracedMap, TracedSpace
 
 __all__ = [
     "Violation",
     "CheckReport",
+    "tie_shifted",
     "check_basic_F",
     "check_block_matrix_F",
     "check_short_exact",
@@ -115,6 +117,16 @@ class CheckReport:
 
 
 _NO_STEP, _ZERO = np.array([-np.inf]), np.zeros(1)
+
+
+def tie_shifted(lams) -> np.ndarray:
+    """Positive lams moved right by TIE_RTOL * max(1, lam); evaluating there
+    forgives breakpoints that differ only by eigensolve rounding.  Zero stays
+    where it is, so a kernel on one side that the other side places at a
+    small positive breakpoint is seen at any scale."""
+    lams = np.asarray(lams, dtype=float)
+    # max(lam > 0, lam) is max(1, lam) for a positive lam and 0 otherwise
+    return lams + TIE_RTOL * np.maximum(lams > 0.0, lams)
 
 
 def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:

@@ -17,8 +17,9 @@ RANK_RTOL = 1e-10
 ZERO_SV_ATOL = 1e-12
 
 # Relative slack applied to a positive probe position when evaluating the
-# right-hand side of a step-function inequality (sdf.tie_shifted; the probe
-# at 0 is not moved).  Forgives pure floating-point ties between breakpoints
+# right-hand side of a step-function inequality and to both sides of an
+# equality (checks.tie_shifted, the one tie shift; the probe at 0 is not
+# moved).  Forgives pure floating-point ties between breakpoints
 # computed through different eigensolves.
 TIE_RTOL = 1e-9
 

@@ -330,28 +330,26 @@ class CuspEnd:
     """Warped end [R, inf) x F with cross-section volume vol(F) at u = 0."""
 
     cross_section_volume: float
-    base_height: float = 0.0
 
     def __post_init__(self):
         if self.cross_section_volume <= 0:
             raise ValueError("cross-section volume must be positive")
 
 
-def cusp_volume(end: CuspEnd, m: int, height: float | None = None) -> float:
-    """Volume of the end above `height`: vol(F) e^{-(m-1)R} / (m-1).
+def cusp_volume(end: CuspEnd, m: int, height: float = 0.0) -> float:
+    """Volume of the end above height R: vol(F) e^{-(m-1)R} / (m-1).
 
     The warped metric contracts the cross-section by e^{-u}, so the volume
     element carries e^{-(m-1)u}.
     """
     if m < 2:
         raise ValueError("end volume needs dimension at least 2")
-    R = end.base_height if height is None else height
     try:
-        value = end.cross_section_volume * math.exp(-(m - 1) * R) / (m - 1)
+        value = end.cross_section_volume * math.exp(-(m - 1) * height) / (m - 1)
     except OverflowError:
         value = math.inf
     if not math.isfinite(value):
-        raise ValueError(f"cusp volume overflows a double at height {R:g}")
+        raise ValueError(f"cusp volume overflows a double at height {height:g}")
     return value
 
 

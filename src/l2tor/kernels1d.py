@@ -32,9 +32,10 @@ CIRCLE = "circle"
 # images within 12 sqrt(t) + span keep the dropped Gaussian tail below 1e-14
 _IMAGE_REACH = 12.0
 _CLOSED_FORM_ATOL = 1e-12  # pointwise, for the half-line image-term identity
-# probe grids: times and decay constants of boundary_insensitivity_check,
-# points per axis of sup_bound_check
+# probe grids: times, points and decay constants of
+# boundary_insensitivity_check, points per axis of sup_bound_check
 _BOUNDARY_TIMES = np.geomspace(1e-4, 10.0, 33)
+_BOUNDARY_POINTS = 64
 _DECAY_CANDIDATES = (1.0, 2.0, 4.0)
 _SUP_POINTS = 24
 
@@ -139,8 +140,7 @@ class BoundaryReport:
 
 
 def boundary_insensitivity_check(V: Domain1D, N: Domain1D,
-                                 K_values=(0.25, 0.5, 1.0, 1.5, 2.0),
-                                 x_grid=None) -> BoundaryReport:
+                                 K_values=(0.25, 0.5, 1.0, 1.5, 2.0)) -> BoundaryReport:
     """Gaussian-decay comparison of the kernels of V and N on the diagonal.
 
     For every candidate decay constant c2 and cutoff K, the smallest c1 with
@@ -151,16 +151,20 @@ def boundary_insensitivity_check(V: Domain1D, N: Domain1D,
     the region where the domains differ, so c1(K) is non-increasing in K by
     construction (the defining sup shrinks).  For the half-line inside the
     line the difference is exactly the image term exp(-x^2/t)/sqrt(4 pi t),
-    which is verified pointwise to _CLOSED_FORM_ATOL.
+    which is verified pointwise to _CLOSED_FORM_ATOL.  The points x span
+    V: [0, L] for the interval, [0, L) for the circle and [0, 4] otherwise.
     """
-    if x_grid is None:
-        hi = V.length if V.kind == INTERVAL_NEUMANN else 4.0
-        x_grid = np.linspace(0.0, hi, 64)
+    if V.kind == INTERVAL_NEUMANN:
+        xs = np.linspace(0.0, V.length, _BOUNDARY_POINTS)
+    elif V.kind == CIRCLE:
+        xs = np.linspace(0.0, V.length, _BOUNDARY_POINTS, endpoint=False)
+    else:
+        xs = np.linspace(0.0, 4.0, _BOUNDARY_POINTS)
     pair = (V.kind, N.kind)
     diffs = []
     closed_violations = []
     probes = 0
-    for x in x_grid:
+    for x in xs:
         d = _distance_to_complement(V, N, x)
         for t in _BOUNDARY_TIMES:
             probes += 1

@@ -60,10 +60,10 @@ def _separated(make, predicate=None) -> TracedMap:
     raise RuntimeError("could not draw a well-separated map")
 
 
-def random_map(rng: np.random.Generator, source: TracedSpace, target: TracedSpace,
-               scale: float = 1.0) -> TracedMap:
+def random_map(rng: np.random.Generator, source: TracedSpace,
+               target: TracedSpace) -> TracedMap:
     return _separated(
-        lambda: TracedMap(source, target, scale * rng.standard_normal((target.dim, source.dim)))
+        lambda: TracedMap(source, target, rng.standard_normal((target.dim, source.dim)))
     )
 
 
@@ -207,14 +207,14 @@ def random_short_exact_triple(rng: np.random.Generator, dims_c: list[int],
     return ShortExactTriple(C, D, E, j, q)
 
 
-def _null_homotopic_perturbation(rng: np.random.Generator, X: FiniteCochainComplex,
-                                 scale: float) -> list[np.ndarray]:
+def _null_homotopic_perturbation(rng: np.random.Generator,
+                                 X: FiniteCochainComplex) -> list[np.ndarray]:
     """N_p = (d K + K d)_p for random K, returned as coordinate blocks."""
     # K_p: X^p -> X^{p-1}; a draw of size zero leaves the generator as it was
     ks = [rng.standard_normal((X.space(p - 1).dim, X.space(p).dim))
           for p in range(X.top_degree + 2)]
-    return [scale * (X.differential(p - 1).coefficients @ ks[p]
-                     + ks[p + 1] @ X.differential(p).coefficients)
+    return [X.differential(p - 1).coefficients @ ks[p]
+            + ks[p + 1] @ X.differential(p).coefficients
             for p in range(X.top_degree + 1)]
 
 
@@ -246,7 +246,7 @@ def random_homotopy_pair(rng: np.random.Generator, dims_c: list[int],
     D = FiniteCochainComplex(d_spaces, d_diffs)
 
     # chain automorphism S = 1 + (dK + Kd), contraction-scaled so S is invertible
-    raw = _null_homotopic_perturbation(rng, D, 1.0)
+    raw = _null_homotopic_perturbation(rng, D)
     biggest = max((np.abs(n).max(initial=0.0) for n in raw), default=0.0)
     scale = 0.4 / biggest if biggest > 0 else 0.0
     s_blocks = [np.eye(D.space(p).dim) + scale * raw[p] for p in range(top + 1)]

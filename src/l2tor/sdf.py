@@ -3,7 +3,8 @@
 The spectral density of a map f counts, weighted by the source trace
 normalization, the generalized singular values of f that are <= lambda.
 Everything here manipulates finite breakpoint lists exactly, so that
-"<= for all lambda" questions are decidable on finitely many probes.
+"<= for all lambda" questions are decidable on finitely many probes;
+l2tor.checks decides them.
 """
 
 from __future__ import annotations
@@ -13,15 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import TIE_RTOL, VALUE_ATOL
-from .traced import TracedMap, nonzero_mask
+from .traced import TracedMap
 
 __all__ = [
     "SpectralDensityFunction",
     "sdf_of_map",
-    "probe_grid",
-    "tie_shifted",
-    "variational_sdf",
     "ns_exponent_fit",
     "NsExponentFit",
 ]
@@ -144,16 +141,11 @@ class SpectralDensityFunction:
 
     def probe_points(self) -> np.ndarray:
         """0, the breakpoints, the midpoints between them and a point past
-        the top, unsorted; probe_grid sorts and merges them."""
+        the top, unsorted; l2tor.checks sorts and merges the points of the
+        functions in a relation and decides it on them."""
         lams = self.lams
         return np.concatenate([[0.0], lams, 0.5 * (lams[1:] + lams[:-1]),
                                [1.1 * self.max_breakpoint + 1.0]])
-
-    def equals(self, other: "SpectralDensityFunction") -> bool:
-        """Equal at every probe of both, with the suite checker's slacks."""
-        probes = tie_shifted(probe_grid([self, other]))
-        diff = self.values(probes) - other.values(probes)
-        return not np.any(np.abs(diff) > VALUE_ATOL)
 
 
 def _steps(positions, weights) -> tuple[np.ndarray, np.ndarray]:
@@ -167,25 +159,6 @@ def _steps(positions, weights) -> tuple[np.ndarray, np.ndarray]:
     return uniq, np.cumsum(jump)
 
 
-def probe_grid(functions) -> np.ndarray:
-    """Sorted distinct probe points of all the functions.
-
-    Each function is constant from one grid point to the next and past the
-    last, so a relation between them is decided on this grid.
-    """
-    return np.unique(np.concatenate([F.probe_points() for F in functions]))
-
-
-def tie_shifted(lams) -> np.ndarray:
-    """Positive lams moved right by TIE_RTOL * max(1, lam); evaluating there
-    forgives breakpoints that differ only by eigensolve rounding.  Zero stays
-    where it is, so a kernel on one side that the other side places at a
-    small positive breakpoint is seen at any scale."""
-    lams = np.asarray(lams, dtype=float)
-    # max(lam > 0, lam) is max(1, lam) for a positive lam and 0 otherwise
-    return lams + TIE_RTOL * np.maximum(lams > 0.0, lams)
-
-
 def sdf_of_map(f: TracedMap) -> SpectralDensityFunction:
     """Spectral density of f: counts generalized singular values <= lambda.
 
@@ -195,33 +168,6 @@ def sdf_of_map(f: TracedMap) -> SpectralDensityFunction:
     sv = f.clamped_singular_values()
     weights = np.full(sv.shape, f.source.normalization)
     return SpectralDensityFunction.from_jumps(sv, weights)
-
-
-def variational_sdf(f: TracedMap, lam: float) -> float:
-    """Largest normalized dimension of a coordinate subspace L of ker(f)^perp
-    with |f x| <= lam |x| on L.
-
-    Only defined for maps that are diagonal w.r.t. an orthonormal basis;
-    the restriction keeps the subspace search exact (enumeration over
-    coordinate subspaces collapses to counting qualifying diagonal entries).
-    """
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
-    if not np.allclose(f.source.gram, np.eye(f.source.dim), atol=1e-12):
-        raise ValueError("variational form requires an orthonormal source basis")
-    if not np.allclose(f.target.gram, np.eye(f.target.dim), atol=1e-12):
-        raise ValueError("variational form requires an orthonormal target basis")
-    coeff = f.coefficients
-    if coeff.size:
-        off = coeff.copy()
-        n = min(coeff.shape)
-        off[np.arange(n), np.arange(n)] = 0.0
-        if np.max(np.abs(off)) > 1e-12:
-            raise ValueError("variational form requires a diagonal map")
-    diag = np.abs(np.diag(coeff)) if coeff.size else np.zeros(0)
-    entries = np.concatenate([diag, np.zeros(f.source.dim - diag.size)])
-    qualifying = np.count_nonzero(nonzero_mask(entries) & (entries <= lam))
-    return float(qualifying) * f.source.normalization
 
 
 @dataclass

@@ -292,6 +292,100 @@ def test_heatcmp_csv_and_verdict(capsys, tmp_path):
     assert header == "t,x,diff,bound"
 
 
+@pytest.mark.parametrize("pair, stdout", [
+    ("halfline-line", """\
+{
+  "best": [
+    0.27502480534494167,
+    4.0
+  ],
+  "closed_form_violations": [],
+  "fitted_c1": {
+    "1.0": {
+      "0.5": 3.1071971630479682,
+      "1.0": 2.2206448077549723,
+      "2.0": 1.3431427944413332
+    },
+    "2.0": {
+      "0.5": 0.33655834060406065,
+      "1.0": 0.16791378333100335,
+      "2.0": 0.08367019259502265
+    },
+    "4.0": {
+      "0.5": 0.27502480534494167,
+      "1.0": 0.13736936852450704,
+      "2.0": 0.06852373928724337
+    }
+  },
+  "monotone_in_cutoff": true,
+  "ok": true,
+  "pair": [
+    "halfLineNeumann",
+    "line"
+  ],
+  "probes": 2112,
+  "sup_bound": {
+    "argmax": [
+      1.0,
+      0.0,
+      0.0
+    ],
+    "attained_on_initial_diagonal": true,
+    "diagonal_max_at_t0": 0.5641895835477563,
+    "sup": 0.5641895835477563
+  }
+}
+"""),
+    ("interval-halfline", """\
+{
+  "best": [
+    0.2665498696211344,
+    4.0
+  ],
+  "closed_form_violations": [],
+  "fitted_c1": {
+    "1.0": {
+      "0.5": 3.4493198875166655,
+      "1.0": 2.1668224429596994,
+      "2.0": 2.1668224429596994
+    },
+    "2.0": {
+      "0.5": 0.32664350237629536,
+      "1.0": 0.24298243146326276,
+      "2.0": 0.24298243146326276
+    },
+    "4.0": {
+      "0.5": 0.2665498696211344,
+      "1.0": 0.19402541239700408,
+      "2.0": 0.19402541239700408
+    }
+  },
+  "monotone_in_cutoff": true,
+  "ok": true,
+  "pair": [
+    "intervalNeumann",
+    "halfLineNeumann"
+  ],
+  "probes": 2112,
+  "sup_bound": {
+    "argmax": [
+      1.0,
+      0.0,
+      0.0
+    ],
+    "attained_on_initial_diagonal": true,
+    "diagonal_max_at_t0": 0.5643288365997033,
+    "sup": 0.5643288365997033
+  }
+}
+"""),
+])
+def test_heatcmp_stdout_is_pinned(capsys, pair, stdout):
+    code, out, _ = run_cli(capsys, "heatcmp", "--pair", pair)
+    assert code == 0
+    assert out == stdout
+
+
 def test_anomaly_json(capsys):
     code, out, _ = run_cli(capsys, "anomaly", "--dim", "3", "--u", "0.5")
     payload = json.loads(out)

@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import exp1
+from scipy.special import erfc, exp1
 
-from l2tor.heattrace import (_EIN_SERIES, _EPS, _TINY, ExactIntegral,
-                             HeatTraceModel, _circle_integrals, _circle_scale_relation,
+from l2tor.heattrace import (_EIN_SERIES, _EPS, _ERFC_CUTOFF, _EXP1_CUTOFF, _TERM_ULPS,
+                             _TINY, ExactIntegral, HeatTraceModel, _circle_scale_relation,
                              _ein, _exact_sum, analytic_torsion, asympt_fit,
                              cheeger_mueller_correction, d_small,
                              large_time_dominating_bound, large_time_integral,
@@ -113,8 +113,8 @@ def test_exact_error_bounds_cover_high_precision_values():
 def test_circles_of_every_length_have_exact_pieces():
     with pytest.raises(ValueError, match="positive"):
         HeatTraceModel.from_circle(0.0)
-    # below L = 13/65535 (about 2e-4) the erfc sum, and above about 6.3e4 the
-    # E1 sum, would need more than 65 536 terms; the scale relation gives it
+    # at L <= 13/64 the erfc sum, and above L = 62 the E1 sum, would need
+    # more than 64 terms; the scale relation gives it
     for L, rel in ((1.96e-4, 1e-12), (1.9e-4, 1e-12), (1e-4, 1e-12), (1e-6, 1e-12),
                    (1e-8, 1e-12), (1e5, 1e-10), (1e6, 1e-10)):
         model = HeatTraceModel.from_circle(L)
@@ -129,11 +129,27 @@ def test_circles_of_every_length_have_exact_pieces():
         assert _close(sm.integral, sm_q.integral)
 
 
+def _direct_circle_sums(L: float) -> tuple[ExactIntegral, ExactIntegral]:
+    """Both circle sums term by term, however many terms they take, with the
+    cut-offs and bounds of _circle_integrals."""
+    half, gap = 0.5 * L, (2.0 * math.pi / L) ** 2
+    K = int(_ERFC_CUTOFF / half) + 1
+    N = int(math.sqrt(_EXP1_CUTOFF / gap)) + 1
+    k, n = np.arange(1, K + 1, dtype=float), np.arange(1, N + 1, dtype=float)
+    x, x_next = k * half, (K + 1) * half
+    dropped = (2.0 / (K + 1)) * math.erfc(x_next) / -math.expm1(-2.0 * x_next * half)
+    small = _exact_sum(2.0 / k * erfc(x), _TERM_ULPS + 2.0 * x * x, dropped)
+    y, y_next = gap * n * n, gap * (N + 1) ** 2
+    dropped = 2.0 * float(exp1(y_next)) / -math.expm1(-gap * (2 * N + 3))
+    large = _exact_sum(2.0 * exp1(y), _TERM_ULPS + 4.0 * y, dropped)
+    return small, large
+
+
 @pytest.mark.parametrize("L", [1e-3, 0.05, 10.0, 1e3, 5e4])
 def test_circle_scale_relation_matches_the_direct_sums(L):
-    # at these lengths both sums fit: each one the relation gives from the
-    # other lies within the two bounds of the direct value
-    small, large = _circle_integrals(L)
+    # each sum the relation gives from the other lies within the two bounds
+    # of the direct value, summed here however long it is
+    small, large = _direct_circle_sums(L)
     for direct, known in ((small, large), (large, small)):
         value, error = _circle_scale_relation(L, known)
         assert abs(value - direct.value) <= error + direct.error
@@ -279,10 +295,16 @@ def test_dsmall_meromorphic_consistency_synthetic():
     assert got == pytest.approx(expected, abs=1e-9)
 
 
+def _positive_decreasing(model: HeatTraceModel) -> bool:
+    """The kernel-free trace is positive and decreasing on a log grid."""
+    vals = np.array([model.evaluate(t) for t in np.geomspace(1e-3, 10.0, 25)])
+    return bool(np.all(vals >= -1e-12) and np.all(np.diff(vals) <= 1e-10))
+
+
 def test_model_invariant_positive_decreasing():
     S = Spectrum.from_pairs([(0.5, 1.0), (2.0, 3.0)])
-    assert HeatTraceModel.from_spectrum(S).check_positive_decreasing()
-    assert HeatTraceModel.from_circle(2.0).check_positive_decreasing()
+    assert _positive_decreasing(HeatTraceModel.from_spectrum(S))
+    assert _positive_decreasing(HeatTraceModel.from_circle(2.0))
 
 
 def test_model_coefficients_reproduce_trace_to_sqrt_order():

@@ -56,3 +56,28 @@ from l2tor import load_plancherel_table, torsion_constant
 assert abs(torsion_constant(load_plancherel_table()) + 1 / (3 * math.pi)) < 1e-6
 assert 'scipy.integrate' in sys.modules
 """)
+
+
+def test_one_module_decides_step_function_relations():
+    # sdf holds the step-function algebra and takes no slack from config;
+    # the one tie shift is checks.tie_shifted, the only reader of TIE_RTOL
+    import ast
+    from pathlib import Path
+
+    import l2tor
+
+    package = Path(l2tor.__file__).parent
+    sdf = ast.parse((package / "sdf.py").read_text())
+    assert not [node.module for node in ast.walk(sdf)
+                if isinstance(node, ast.ImportFrom) and node.module in ("config", "l2tor.config")]
+    readers = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "config.py":
+            continue
+        tree = ast.parse(path.read_text())
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef):
+                names = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)}
+                if "TIE_RTOL" in names or fn.name == "tie_shifted":
+                    readers.append((path.stem, fn.name))
+    assert readers == [("checks", "tie_shifted")]

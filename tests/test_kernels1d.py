@@ -129,9 +129,10 @@ def test_boundary_insensitivity_interval_in_halfline():
 
 
 def test_boundary_insensitivity_same_domain_trivial():
-    rep = boundary_insensitivity_check(Domain1D.circle(1.0), Domain1D.circle(1.0),
-                                       x_grid=np.linspace(0.0, 0.99, 16))
+    # the default points span [0, L) on a circle: the kernel refuses x >= L
+    rep = boundary_insensitivity_check(Domain1D.circle(1.0), Domain1D.circle(1.0))
     assert all(v == 0.0 for per_k in rep.fitted_c1.values() for v in per_k.values())
+    assert rep.probes == 64 * 33
 
 
 def test_sup_bound_line():

@@ -7,12 +7,11 @@ import scipy.linalg
 from hypothesis import given
 from hypothesis import strategies as st
 
-from l2tor.checks import _moebius_argument, check_block_matrix_F
+from l2tor.checks import CheckReport, _moebius_argument, check_block_matrix_F, tie_shifted
 from l2tor.config import TIE_RTOL
 from l2tor.rand import random_map, random_space, rng_for
-from l2tor.sdf import (SpectralDensityFunction, ns_exponent_fit, probe_grid,
-                       sdf_of_map, tie_shifted, variational_sdf)
-from l2tor.traced import TracedMap, TracedSpace
+from l2tor.sdf import SpectralDensityFunction, ns_exponent_fit, sdf_of_map
+from l2tor.traced import TracedMap, TracedSpace, nonzero_mask
 
 
 def diag_map(entries, normalization=1.0):
@@ -74,31 +73,64 @@ def test_reduced_examples():
 def test_reduced_adjoint_symmetry():
     # kernel-subtracted densities of f and f* agree (transposed eigensolve)
     rng = rng_for(2, 2)
+    report = CheckReport()
     for k in range(25):
         f = random_map(rng, random_space(rng, int(rng.integers(1, 6))),
                        random_space(rng, int(rng.integers(1, 6))))
-        Fbar = sdf_of_map(f).reduced()
-        Gbar = sdf_of_map(f.adjoint()).reduced()
-        assert Fbar.equals(Gbar)
+        report.equal(str(k), sdf_of_map(f).reduced(), [sdf_of_map(f.adjoint()).reduced()])
+    report.decide()
+    assert report.violations == []
 
 
 def test_equals_uses_the_checker_value_slack():
+    # an equality recorded in a CheckReport forgives value rounding and a
+    # breakpoint displaced by eigensolve rounding, and nothing larger
     F = SpectralDensityFunction(np.array([1.0, 2.0]), np.array([0.5, 1.0]))
-    assert F.equals(SpectralDensityFunction(F.lams, F.vals + 5e-10))
-    assert not F.equals(SpectralDensityFunction(F.lams, F.vals + 2e-9))
-    # a breakpoint displaced by eigensolve rounding is a tie, a larger move is not
-    assert F.equals(SpectralDensityFunction(F.lams * (1.0 + 1e-12), F.vals))
-    assert not F.equals(SpectralDensityFunction(F.lams * (1.0 + 1e-6), F.vals))
+    report = CheckReport()
+    report.equal("value+5e-10", F, [SpectralDensityFunction(F.lams, F.vals + 5e-10)])
+    report.equal("value+2e-9", F, [SpectralDensityFunction(F.lams, F.vals + 2e-9)])
+    report.equal("moved-1e-12", F, [SpectralDensityFunction(F.lams * (1.0 + 1e-12), F.vals)])
+    report.equal("moved-1e-6", F, [SpectralDensityFunction(F.lams * (1.0 + 1e-6), F.vals)])
+    report.decide()
+    assert {v.item for v in report.violations} == {"value+2e-9", "moved-1e-6"}
 
 
 def test_monotone_right_continuous_bounded():
     rng = rng_for(2, 3)
     f = random_map(rng, random_space(rng, 5), random_space(rng, 4))
     F = sdf_of_map(f)
-    probes = probe_grid([F])
+    probes = np.unique(F.probe_points())
     vals = [F(x) for x in probes]
     assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
     assert max(vals) <= f.source.normalized_dim + 1e-12
+
+
+def variational_sdf(f: TracedMap, lam: float) -> float:
+    """Largest normalized dimension of a coordinate subspace L of ker(f)^perp
+    with |f x| <= lam |x| on L: the min-max oracle for the reduced
+    sdf_of_map(f).
+
+    Only defined for maps that are diagonal w.r.t. an orthonormal basis;
+    the restriction keeps the subspace search exact (enumeration over
+    coordinate subspaces collapses to counting qualifying diagonal entries).
+    """
+    if lam < 0:
+        raise ValueError("lambda must be nonnegative")
+    if not np.allclose(f.source.gram, np.eye(f.source.dim), atol=1e-12):
+        raise ValueError("variational form requires an orthonormal source basis")
+    if not np.allclose(f.target.gram, np.eye(f.target.dim), atol=1e-12):
+        raise ValueError("variational form requires an orthonormal target basis")
+    coeff = f.coefficients
+    if coeff.size:
+        off = coeff.copy()
+        n = min(coeff.shape)
+        off[np.arange(n), np.arange(n)] = 0.0
+        if np.max(np.abs(off)) > 1e-12:
+            raise ValueError("variational form requires a diagonal map")
+    diag = np.abs(np.diag(coeff)) if coeff.size else np.zeros(0)
+    entries = np.concatenate([diag, np.zeros(f.source.dim - diag.size)])
+    qualifying = np.count_nonzero(nonzero_mask(entries) & (entries <= lam))
+    return float(qualifying) * f.source.normalization
 
 
 def test_variational_examples():
@@ -118,6 +150,7 @@ def test_variational_matches_counting():
         lam = float(rng.uniform(0, 3.5))
         expected = 0.5 * np.count_nonzero((entries > 0) & (entries <= lam))
         assert variational_sdf(f, lam) == pytest.approx(expected)
+        assert variational_sdf(f, lam) == sdf_of_map(f).reduced()(lam)
 
 
 def test_variational_rejects_nondiagonal():
@@ -290,7 +323,7 @@ def test_derived_functions_keep_the_invariants_and_compose(F, G, c, a, t):
         assert rebuilt.lams.tobytes() == D.lams.tobytes(), name
         assert rebuilt.vals.tobytes() == D.vals.tobytes(), name
         # breakpoints pull back rounded, so both sides read just right of them
-        x = tie_shifted(probe_grid([D]))
+        x = tie_shifted(np.unique(D.probe_points()))
         if name == "moebius":
             x = x[t * x < 1.0]  # the pullback lives on [0, 1/t)
         got, want = D.values(x), composed(x)
