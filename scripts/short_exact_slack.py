@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from l2tor.checks import check_short_exact
+from l2tor.checks import CheckReport, check_short_exact
 from l2tor.config import seed_from_env
 from l2tor.rand import random_short_exact_triple, rng_for
 
@@ -36,9 +36,10 @@ def main() -> int:
         triple = random_short_exact_triple(rng, dims_c, dims_e,
                                            log_sing_range=(-3.5, 1.0))
         for p in range(n_deg):
-            rep = check_short_exact(triple, p)
+            rep = CheckReport()
+            check_short_exact(rep, triple, p)
+            (margin,) = rep.decide()
             violations += len(rep.violations)
-            margin = rep.constants.get("min_margin")
             if margin is not None and np.isfinite(margin):
                 margins.append(margin)
 

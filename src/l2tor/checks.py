@@ -1,20 +1,20 @@
 """Property checkers for the spectral-density inequalities.
 
-Each checker records one family of step-function relations in a
-CheckReport, skipping items whose side conditions fail (the
-kernel-subtracted variants always run), and the report decides every
-relation it holds in one vectorized pass.  A suite instance records all
-its relations, over every degree, in one report and decides them once.
-Each relation is decided on the probe points of its functions (every
-breakpoint of both sides, their midpoints and the range endpoints), merged
-for all relations in one sort, and the violations come in the order
-recorded.  No other module decides a relation between step functions.
-Ranks come from the rank rule (traced.nonzero_mask); slacks are fixed:
-config.TIE_RTOL forgives breakpoints that differ only by eigensolve
-rounding (tie_shifted moves the right side's positive probes of an
-inequality and both sides' of an equality, and never the probe at 0, so
-kernel dimensions are compared as they are) and config.VALUE_ATOL forgives
-value rounding.
+Each of the four checkers takes the CheckReport to record into as its
+first argument and records one family of step-function relations there,
+skipping items whose side conditions fail (the kernel-subtracted variants
+always run), with their constants; no checker decides.  A suite instance
+records all its relations, over every degree, in one report, and run_suite
+decides that report once, in one vectorized pass.  Each relation is
+decided on the probe points of its functions (every breakpoint of both
+sides, their midpoints and the range endpoints), merged for all relations
+in one sort, and the violations come in the order recorded.  No other
+module decides a relation between step functions.  Ranks come from the
+rank rule (traced.nonzero_mask); slacks are fixed: config.TIE_RTOL forgives
+breakpoints that differ only by eigensolve rounding (tie_shifted moves the
+right side's positive probes of an inequality and both sides' of an
+equality, and never the probe at 0, so kernel dimensions are compared as
+they are) and config.VALUE_ATOL forgives value rounding.
 """
 
 from __future__ import annotations
@@ -252,8 +252,8 @@ def _contained(b_small: np.ndarray, b_big: np.ndarray) -> bool:
 # -- composition-law inequalities ------------------------------------------------------
 
 
-def check_basic_F(f: TracedMap, g: TracedMap | None = None,
-                  i: TracedMap | None = None, p: TracedMap | None = None) -> CheckReport:
+def check_basic_F(report: CheckReport, f: TracedMap, g: TracedMap | None = None,
+                  i: TracedMap | None = None, p: TracedMap | None = None) -> None:
     """Composition inequalities for spectral densities, plain and kernel-subtracted.
 
     f: U -> V is always required; g: V -> W drives items 1-3, an injective
@@ -263,7 +263,6 @@ def check_basic_F(f: TracedMap, g: TracedMap | None = None,
     squaring also squares each value's ratio to the largest, so a value f
     keeps (ratio 7.4e-6) would fall below RANK_RTOL in f*f (5.4e-11).
     """
-    report = CheckReport()
     F_f = sdf_of_map(f)
     rF_f = F_f.reduced()
     norm_unit = f.source.normalization
@@ -329,8 +328,6 @@ def check_basic_F(f: TracedMap, g: TracedMap | None = None,
     report.equal("basic.6", F_ff, [F_f.power_argument(0.5)])
     report.constants["norm_f"] = f.norm
     report.constants["normalization"] = norm_unit
-    report.decide()
-    return report
 
 
 def _block_map(phi: TracedMap, gamma: TracedMap, xi: TracedMap) -> TracedMap:
@@ -354,7 +351,8 @@ def _block_map(phi: TracedMap, gamma: TracedMap, xi: TracedMap) -> TracedMap:
     return TracedMap._derived(src, tgt, coeff)
 
 
-def check_block_matrix_F(phi: TracedMap, gamma: TracedMap, xi: TracedMap) -> CheckReport:
+def check_block_matrix_F(report: CheckReport, phi: TracedMap, gamma: TracedMap,
+                         xi: TracedMap) -> None:
     """Upper-triangular block-map inequalities, plain and kernel-subtracted.
 
     gamma: U2 -> V1 couples the blocks; item validity ranges follow the
@@ -363,7 +361,6 @@ def check_block_matrix_F(phi: TracedMap, gamma: TracedMap, xi: TracedMap) -> Che
     """
     if gamma.source.dim != xi.source.dim or gamma.target.dim != phi.target.dim:
         raise ValueError("gamma must map source(xi) -> target(phi)")
-    report = CheckReport()
     M = _block_map(phi, gamma, xi)
     F_M, F_phi, F_xi = sdf_of_map(M), sdf_of_map(phi), sdf_of_map(xi)
     rF_M, rF_phi, rF_xi = F_M.reduced(), F_phi.reduced(), F_xi.reduced()
@@ -410,34 +407,23 @@ def check_block_matrix_F(phi: TracedMap, gamma: TracedMap, xi: TracedMap) -> Che
         report.leq("block.r5", rF_xi, [rF_M.scaled_argument(c5)], upper=1.0, constant=ker_phi)
     else:
         report.skipped.append(("block.5", "phi has no dense image"))
-    report.decide()
-    return report
 
 
-def check_short_exact(T: ShortExactTriple, p: int) -> CheckReport:
+def check_short_exact(report: CheckReport, T: ShortExactTriple, p: int) -> None:
     """Degree-p density inequality for a short exact triple of complexes.
 
     Computes the four constants from the norms of d^p, j and q (inverses
     taken image -> kernel-complement), builds the connecting map on
-    cohomology via harmonic representatives, and checks
+    cohomology via harmonic representatives, and records
 
         rF_p(D, lam) <= rF_p(E, c_E lam^1/2) + rF(delta, c_d lam^1/4)
                         + rF_p(C, c_C lam^1/4)
 
     on [0, c1) with the stated c1 formula.  The more conservative range
     implied by chaining the block inequalities is recorded as c1_chained.
+    The relation's observed slack is its margin from CheckReport.decide;
+    no conclusion is drawn about optimality.
     """
-    report = CheckReport()
-    _record_short_exact(report, T, p)
-    # observed slack is recorded, no conclusion drawn about optimality
-    (margin,) = report.decide()
-    if margin is not None:
-        report.constants["min_margin"] = margin
-    return report
-
-
-def _record_short_exact(report: CheckReport, T: ShortExactTriple, p: int) -> None:
-    """Record check_short_exact's relation and constants in report."""
     d_p = T.D.differential(p)
     j_p, j_p1 = T.j_at(p), T.j_at(p + 1)
     q_p, q_p1 = T.q_at(p), T.q_at(p + 1)
@@ -480,13 +466,13 @@ def _moebius_argument(F: SpectralDensityFunction, c: float, t: float) -> Spectra
     return SpectralDensityFunction._derived(F.lams / (c + t * F.lams), F.vals, moved=True)
 
 
-def check_gromov_shubin(C: FiniteCochainComplex, D: FiniteCochainComplex,
-                        f: list[TracedMap], g: list[TracedMap],
-                        T: list[TracedMap], p: int) -> CheckReport:
+def check_gromov_shubin(report: CheckReport, C: FiniteCochainComplex,
+                        D: FiniteCochainComplex, f: list[TracedMap], g: list[TracedMap],
+                        T: list[TracedMap], p: int) -> None:
     """Density comparison along a chain homotopy equivalence.
 
     Requires the homotopy relation g f = id + T c + c T at degree p to hold
-    within STRUCTURE_ATOL; then checks the kernel-subtracted comparison
+    within STRUCTURE_ATOL; then records the kernel-subtracted comparison
 
         rF_p(C, mu) <= rF_p(D, |f_{p+1}| |g_p| mu / (1 - |T_{p+1}| mu))
 
@@ -499,16 +485,6 @@ def check_gromov_shubin(C: FiniteCochainComplex, D: FiniteCochainComplex,
     equivalences preserve cohomology dimensions, the unreduced comparison is
     equivalent; the equality of harmonic dimensions is asserted as well.
     """
-    report = CheckReport()
-    _record_gromov_shubin(report, C, D, f, g, T, p)
-    report.decide()
-    return report
-
-
-def _record_gromov_shubin(report: CheckReport, C: FiniteCochainComplex,
-                          D: FiniteCochainComplex, f: list[TracedMap], g: list[TracedMap],
-                          T: list[TracedMap], p: int) -> None:
-    """Record check_gromov_shubin's relations and constants in report."""
     gf = g[p] @ f[p]
     resid = gf.coefficients - np.eye(C.space(p).dim)
     if p + 1 < len(T) and T[p + 1].source.dim:
@@ -575,7 +551,7 @@ def _dims(rng, max_dim, n):
     return [int(rng.integers(1, max_dim + 1)) for _ in range(n)]
 
 
-def _basic_instance(rng: np.random.Generator, max_dim: int) -> CheckReport:
+def _basic_instance(rng: np.random.Generator, max_dim: int, report: CheckReport) -> None:
     norm = float(rng.choice(_NORMALIZATIONS))
     du, dv, dw = _dims(rng, max_dim, 3)
     U = random_space(rng, du, norm)
@@ -587,10 +563,10 @@ def _basic_instance(rng: np.random.Generator, max_dim: int) -> CheckReport:
     g = random_map(rng, V, W)
     i = random_injective(rng, V, Vp)
     p = random_surjective(rng, U0, U)
-    return check_basic_F(f, g=g, i=i, p=p)
+    check_basic_F(report, f, g=g, i=i, p=p)
 
 
-def _block_instance(rng: np.random.Generator, max_dim: int) -> CheckReport:
+def _block_instance(rng: np.random.Generator, max_dim: int, report: CheckReport) -> None:
     norm = float(rng.choice(_NORMALIZATIONS))
     d1, d2 = _dims(rng, max_dim, 2)
     dv1 = d1 if rng.random() < 0.7 else int(rng.integers(1, max_dim + 1))
@@ -605,10 +581,10 @@ def _block_instance(rng: np.random.Generator, max_dim: int) -> CheckReport:
         gamma = TracedMap.zero(U2, V1)
     else:
         gamma = random_map(rng, U2, V1)
-    return check_block_matrix_F(phi, gamma, xi)
+    check_block_matrix_F(report, phi, gamma, xi)
 
 
-def _short_exact_instance(rng: np.random.Generator, max_dim: int) -> CheckReport:
+def _short_exact_instance(rng: np.random.Generator, max_dim: int, report: CheckReport) -> None:
     norm = float(rng.choice(_NORMALIZATIONS))
     n_deg = int(rng.integers(2, 5))
     cap = max(2, max_dim)
@@ -622,28 +598,23 @@ def _short_exact_instance(rng: np.random.Generator, max_dim: int) -> CheckReport
     triple = random_short_exact_triple(rng, dims_c, dims_e, norm,
                                        coupling_scale=scale,
                                        log_sing_range=(-3.5, 1.0))
-    report = CheckReport()
     for p in range(n_deg):
-        _record_short_exact(report, triple, p)
-    report.decide()
-    return report
+        check_short_exact(report, triple, p)
 
 
-def _gromov_shubin_instance(rng: np.random.Generator, max_dim: int) -> CheckReport:
+def _gromov_shubin_instance(rng: np.random.Generator, max_dim: int,
+                            report: CheckReport) -> None:
     norm = float(rng.choice(_NORMALIZATIONS))
     n_deg = int(rng.integers(2, 5))
     dims_c = [int(rng.integers(1, max_dim + 1)) for _ in range(n_deg)]
     C, D, f, g, T = random_homotopy_pair(rng, dims_c, acyclic_dim=int(rng.integers(1, 3)),
                                          normalization=norm,
                                          log_sing_range=(-3.5, 1.0))
-    report = CheckReport()
     for p in range(n_deg):
-        _record_gromov_shubin(report, C, D, f, g, T, p)
-    report.decide()
-    return report
+        check_gromov_shubin(report, C, D, f, g, T, p)
 
 
-def _laplacian_instance(rng: np.random.Generator, max_dim: int) -> CheckReport:
+def _laplacian_instance(rng: np.random.Generator, max_dim: int, report: CheckReport) -> None:
     norm = float(rng.choice(_NORMALIZATIONS))
     n_deg = int(rng.integers(2, 5))
     dims = [int(rng.integers(1, max_dim + 1)) for _ in range(n_deg)]
@@ -652,12 +623,9 @@ def _laplacian_instance(rng: np.random.Generator, max_dim: int) -> CheckReport:
     # instances at each of the default seed and seeds 7 and 11 the smallest
     # nonzero eigenvalue is 4.8e-5 of the largest, far above RANK_RTOL.
     C = random_complex(rng, dims, norm, log_sing_range=(-3.0, 1.0))
-    report = CheckReport()
     for p in range(n_deg):
         lhs, rhs = laplacian_sdf_decomposition(C, p)
         report.equal(f"laplacian[p={p}]", lhs, [rhs])
-    report.decide()
-    return report
 
 
 SUITES = {
@@ -670,16 +638,22 @@ SUITES = {
 
 
 def run_suite(suite: str, seed: int, instances: int, max_dim: int = 6) -> SuiteReport:
-    """Run `instances` randomized checks of the named suite."""
+    """Run `instances` randomized checks of the named suite: each instance
+    records into its own report, which is decided once."""
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
+    for name, value, least in (("seed", seed, 0), ("instances", instances, 1),
+                               ("max_dim", max_dim, 1)):
+        if value < least:
+            raise ValueError(f"{name} must be at least {least}, got {value}")
     builder = SUITES[suite]
     violations: list[dict] = []
     skipped: dict[str, int] = {}
     probes = 0
     for k in range(instances):
-        rng = rng_for(seed, k)
-        report = builder(rng, max_dim)
+        report = CheckReport()
+        builder(rng_for(seed, k), max_dim, report)
+        report.decide()
         probes += report.probes
         for v in report.violations:
             entry = v.to_dict()

@@ -107,8 +107,17 @@ def _torsion_report(res: TorsionResult) -> dict:
 # -- subcommand handlers ---------------------------------------------------------------
 
 
+def _seed(args) -> int:
+    """--seed, else L2TOR_SEED, else the default; only the commands that
+    take --seed read the variable, so a bad value stops no other command."""
+    seed = seed_from_env() if args.seed is None else args.seed
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
+    return seed
+
+
 def _cmd_sdf_check(args) -> int:
-    rep = run_suite(args.suite, seed=args.seed, instances=args.instances,
+    rep = run_suite(args.suite, seed=_seed(args), instances=args.instances,
                     max_dim=args.max_dim)
     _emit(rep.to_dict(), args.output)
     return 0 if rep.ok else 1
@@ -340,8 +349,9 @@ def _environment(seed: int) -> str:
 
 
 def _cmd_selftest(args) -> int:
-    print(_environment(args.seed), file=sys.stderr)
-    results = run_selftest(seed=args.seed, quick=args.quick)
+    seed = _seed(args)
+    print(_environment(seed), file=sys.stderr)
+    results = run_selftest(seed=seed, quick=args.quick)
     width = max(len(r.name) for r in results)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'}  {r.name.ljust(width)}  {r.seconds:.2f} s")
@@ -370,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sdf-check", help="randomized density-inequality suites")
     p.add_argument("--suite", required=True, choices=sorted(SUITES))
-    p.add_argument("--seed", type=int, default=seed_from_env())
+    p.add_argument("--seed", type=int)
     p.add_argument("--instances", type=int, default=200)
     p.add_argument("--max-dim", type=int, default=6)
     _add_common(p)
@@ -421,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_jsj)
 
     p = sub.add_parser("selftest", help="run the acceptance checks end to end")
-    p.add_argument("--seed", type=int, default=seed_from_env())
+    p.add_argument("--seed", type=int)
     p.add_argument("--quick", action="store_true",
                    help="smaller instance counts for a smoke run")
     _add_common(p)

@@ -52,9 +52,13 @@ SEED_ENV_VAR = "L2TOR_SEED"
 
 
 def seed_from_env(default: int = DEFAULT_SEED) -> int:
-    """Resolve the master seed, honouring the L2TOR_SEED variable."""
+    """Resolve the master seed, honouring the L2TOR_SEED variable; a value
+    that is no integer is a ValueError naming the variable."""
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None:
         return default
-    return int(raw)
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 

@@ -40,9 +40,9 @@ class CriterionResult:
 
 
 def _c3_constant(seed: int, quick: bool) -> CriterionResult:
-    start = time.time()
+    start = time.perf_counter()
     value = torsion_constant(load_plancherel_table())
-    elapsed = time.time() - start
+    elapsed = time.perf_counter() - start
     target = -1.0 / (3.0 * math.pi)
     ok = abs(value - target) < 1e-6 and elapsed < 30.0
     return CriterionResult("C3", ok, {

@@ -22,9 +22,9 @@ _RESULTS: dict[str, CriterionResult] = {}
 def results():
     if not _RESULTS:
         for criterion in CRITERIA:
-            start = time.time()
+            start = time.perf_counter()
             row = criterion(DEFAULT_SEED, False)
-            _TIMINGS[row.name] = time.time() - start
+            _TIMINGS[row.name] = time.perf_counter() - start
             _RESULTS[row.name] = row
     return _RESULTS
 
@@ -76,6 +76,23 @@ def test_inequality_suite_zero_violations(results, suite):
     _report(row)
     assert row.detail["n_violations"] == 0
     assert row.passed
+
+
+# probes and instances of every suite row at the default seed: a change that
+# moves one of them moves the suite's sdf-check and selftest bytes
+_SUITE_ROWS = {
+    "basic": (76_966, 400),
+    "block": (52_146, 400),
+    "short-exact": (5_446, 400),
+    "gromov-shubin": (3_670, 400),
+    "laplacian": (20_048, 1_000),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_SUITE_ROWS))
+def test_suite_probes_and_instances_are_pinned(results, suite):
+    detail = results[suite].detail
+    assert (detail["probes"], detail["instances"]) == _SUITE_ROWS[suite]
 
 
 def test_inequality_suites_probe_and_time_budget(results):

@@ -17,6 +17,14 @@ from l2tor.sdf import SpectralDensityFunction, sdf_of_map
 from l2tor.traced import TracedMap, TracedSpace
 
 
+def checked(check, *args, **kwargs):
+    """The report of one checker call, decided."""
+    report = CheckReport()
+    check(report, *args, **kwargs)
+    report.decide()
+    return report
+
+
 def diag_map(entries):
     n = len(entries)
     s = TracedSpace(n)
@@ -27,7 +35,7 @@ def test_basic_identity_and_doubling():
     # f = id, g = 2*id: the composition inequality is an equality throughout
     f = TracedMap.identity(TracedSpace(3))
     g = diag_map([2.0, 2.0, 2.0])
-    rep = check_basic_F(f, g=g)
+    rep = checked(check_basic_F, f, g=g)
     assert rep.ok
     assert rep.probes > 0
 
@@ -38,7 +46,7 @@ def test_basic_square_identity_random():
     for k in range(20):
         f = random_map(rng, random_space(rng, int(rng.integers(1, 6))),
                        random_space(rng, int(rng.integers(1, 6))))
-        rep = check_basic_F(f)
+        rep = checked(check_basic_F, f)
         assert rep.ok
 
 
@@ -49,10 +57,10 @@ def test_square_identity_takes_the_rank_of_f():
     f = diag_map([100.0, 5e-4])
     assert f.rank() == 2
     assert (f.adjoint() @ f).rank() == 1
-    rep = check_basic_F(f)
+    rep = checked(check_basic_F, f)
     assert rep.ok, rep.violations
     # and a genuine kernel stays a kernel on both sides
-    assert check_basic_F(diag_map([1.0, 0.0])).ok
+    assert checked(check_basic_F, diag_map([1.0, 0.0])).ok
 
 
 def test_equality_sees_a_kernel_disagreement_below_the_tie_slack():
@@ -67,7 +75,7 @@ def test_equality_sees_a_kernel_disagreement_below_the_tie_slack():
     rep.decide()
     assert [(v.lam, v.lhs, v.rhs) for v in rep.violations] == [(0.0, 1.0, 0.0)]
     # the suite's square identity takes the rank of f, so it still holds
-    assert check_basic_F(f).ok
+    assert checked(check_basic_F, f).ok
 
 
 def test_basic_square_identity_regression_seed():
@@ -82,14 +90,14 @@ def test_basic_shape_mismatch_rejected():
     f = TracedMap.identity(TracedSpace(3))
     g = TracedMap.identity(TracedSpace(2))
     with pytest.raises(ValueError):
-        check_basic_F(f, g=g)
+        check_basic_F(CheckReport(), f, g=g)
 
 
 def test_block_diagonal_additivity_exact():
     phi = diag_map([1.0, 3.0])
     xi = diag_map([2.0])
     gamma = TracedMap.zero(xi.source, phi.target)
-    rep = check_block_matrix_F(phi, gamma, xi)
+    rep = checked(check_block_matrix_F, phi, gamma, xi)
     assert rep.ok
     items = {v.item for v in rep.violations}
     assert "block.1" not in items
@@ -99,7 +107,8 @@ def test_block_item4_identity_example():
     # phi = xi = 1, gamma = 0: the block map steps at 1, the scaled argument
     # pushes the comparison point down to 1/4
     one = diag_map([1.0])
-    rep = check_block_matrix_F(one, TracedMap.zero(one.source, one.target), diag_map([1.0]))
+    rep = checked(check_block_matrix_F, one, TracedMap.zero(one.source, one.target),
+                  diag_map([1.0]))
     assert rep.ok
     assert rep.constants["norm_phi"] == pytest.approx(1.0)
 
@@ -121,7 +130,7 @@ def test_short_exact_split_zero_differentials():
     q = [TracedMap(d, z1, np.hstack([np.zeros((1, 2)), np.eye(1)]))] * 2
     from l2tor.complexes import ShortExactTriple
     T = ShortExactTriple(C, D, E, j, q)
-    rep = check_short_exact(T, 0)
+    rep = checked(check_short_exact, T, 0)
     assert rep.ok
     assert rep.constants["c_E"] >= 4.0
 
@@ -136,7 +145,7 @@ def test_short_exact_random_triples():
         T = random_short_exact_triple(rng, dims_c, dims_e,
                                       log_sing_range=(-3.0, 1.0))
         for p in range(3):
-            rep = check_short_exact(T, p)
+            rep = checked(check_short_exact, T, p)
             assert rep.ok, (k, p, rep.violations)
 
 
@@ -150,7 +159,7 @@ def test_gromov_shubin_identity_equality():
     T = [TracedMap.zero(C.space(p), C.space(p - 1) if p else TracedSpace(0))
          for p in range(n)]
     for p in range(n):
-        rep = check_gromov_shubin(C, C, f, f, T, p)
+        rep = checked(check_gromov_shubin, C, C, f, f, T, p)
         assert rep.ok
         assert rep.constants["threshold"] == np.inf
         if p < n - 1:
@@ -168,7 +177,7 @@ def test_gromov_shubin_homotopy_residual_rejected():
     T = [TracedMap.zero(C.space(p), C.space(p - 1) if p else TracedSpace(0))
          for p in range(n)]
     with pytest.raises(ValueError):
-        check_gromov_shubin(C, C, f, bad_g, T, 0)
+        check_gromov_shubin(CheckReport(), C, C, f, bad_g, T, 0)
 
 
 def test_gromov_shubin_cone_pairs():
@@ -177,7 +186,7 @@ def test_gromov_shubin_cone_pairs():
         dims = [int(rng.integers(1, 5)) for _ in range(int(rng.integers(2, 4)))]
         C, D, f, g, T = random_homotopy_pair(rng, dims)
         for p in range(len(dims)):
-            rep = check_gromov_shubin(C, D, f, g, T, p)
+            rep = checked(check_gromov_shubin, C, D, f, g, T, p)
             assert rep.ok, (k, p, rep.violations)
 
 
@@ -190,6 +199,52 @@ def test_suite_reports_are_deterministic():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("nope", seed=1, instances=1)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"instances": -3}, "instances must be at least 1, got -3"),
+    ({"instances": 0}, "instances must be at least 1, got 0"),
+    ({"max_dim": 0}, "max_dim must be at least 1, got 0"),
+    ({"seed": -1}, "seed must be at least 0, got -1"),
+])
+def test_run_suite_refuses_counts_that_check_nothing(kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        run_suite("basic", **{"seed": 1, "instances": 1, "max_dim": 3, **kwargs})
+
+
+_CHECKERS = ("check_basic_F", "check_block_matrix_F", "check_short_exact",
+             "check_gromov_shubin")
+
+
+@pytest.mark.parametrize("suite, checker, per_degree", [
+    ("basic", "check_basic_F", False),
+    ("block", "check_block_matrix_F", False),
+    ("short-exact", "check_short_exact", True),
+    ("gromov-shubin", "check_gromov_shubin", True),
+    ("laplacian", None, False),
+])
+def test_suites_call_the_public_checkers(monkeypatch, suite, checker, per_degree):
+    # a wrapper on the module attribute sees every call a suite makes, as a
+    # tracer does; each call records into the instance's one report
+    calls = {name: [] for name in _CHECKERS}
+
+    def counting(name, check):
+        def wrapper(report, *args, **kwargs):
+            calls[name].append((report, args[-1]))
+            return check(report, *args, **kwargs)
+        return wrapper
+
+    for name in _CHECKERS:
+        monkeypatch.setattr(checks, name, counting(name, getattr(checks, name)))
+    assert run_suite(suite, seed=20240801, instances=1, max_dim=6).ok
+    assert {name for name, seen in calls.items() if seen} == ({checker} if checker else set())
+    if checker:
+        reports, last_args = zip(*calls[checker])
+        assert len({id(r) for r in reports}) == 1
+        if per_degree:
+            assert 2 <= len(last_args) <= 4 and list(last_args) == list(range(len(last_args)))
+        else:
+            assert len(last_args) == 1
 
 
 # seed 20240801, 30 instances, max_dim 6: any change to a generator, a checker or

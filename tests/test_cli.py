@@ -50,6 +50,33 @@ def test_seed_env_override(capsys, monkeypatch):
     assert json.loads(out)["seed"] == 4242
 
 
+def test_bad_seed_env_stops_only_the_seeded_commands(capsys, monkeypatch):
+    monkeypatch.setenv("L2TOR_SEED", "abc")
+    code, out, err = run_cli(capsys, "hyperbolic", "--op", "constant")
+    assert code == 0 and err == ""
+    for argv in (["sdf-check", "--suite", "basic", "--instances", "1"], ["selftest", "--quick"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: L2TOR_SEED must be an integer, got 'abc'\n"
+
+
+_BASIC = ["sdf-check", "--suite", "basic"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ([*_BASIC, "--instances", "-3"], "instances must be at least 1, got -3"),
+    ([*_BASIC, "--instances", "0"], "instances must be at least 1, got 0"),
+    ([*_BASIC, "--max-dim", "0"], "max_dim must be at least 1, got 0"),
+    ([*_BASIC, "--seed", "-1"], "seed must be at least 0, got -1"),
+    (["selftest", "--quick", "--seed", "-1"], "seed must be at least 0, got -1"),
+], ids=["negative-instances", "zero-instances", "zero-max-dim", "negative-seed",
+        "selftest-negative-seed"])
+def test_counts_that_check_nothing_are_refused(capsys, argv, message):
+    # the selftest refuses before its environment line and its first criterion
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_zeta_det_trace_dsmall(capsys, tmp_path):
     spec = tmp_path / "s.json"
     spec.write_text(json.dumps([[1.0, 1.0], [4.0, 2.0]]))

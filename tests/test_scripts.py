@@ -19,3 +19,10 @@ def run_script(env, name, *args):
 ])
 def test_script_runs(src_env, name, args):
     run_script(src_env, name, *args)
+
+
+def test_short_exact_slack_reads_margins(src_env):
+    # the margins come from CheckReport.decide; a count of 0 would mean the
+    # margin path went unread
+    out = run_script(src_env, "short_exact_slack.py", "--instances", "5")
+    assert "instances: 5  degree checks with content: 3\n" in out

@@ -348,7 +348,7 @@ def test_derived_functions_skip_validation(monkeypatch):
     rng = rng_for(4, 1)
     phi, xi, gamma = (random_map(rng, random_space(rng, dims[0]), random_space(rng, dims[1]))
                       for dims in ((3, 3), (2, 4), (2, 3)))
-    check_block_matrix_F(phi, gamma, xi)
+    check_block_matrix_F(CheckReport(), phi, gamma, xi)
     assert len(calls) == 3  # the sdf_of_map of M, phi and xi
 
 
