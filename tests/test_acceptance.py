@@ -3,14 +3,19 @@
 One test per criterion; each prints a PASS/FAIL line (run with -s to watch
 them stream) and asserts the pinned tolerance.  The randomized suites run
 once in a module fixture so the wall-clock and probe-count budgets can be
-asserted over the whole block.
+asserted over the whole block.  The byte-identity gate rides on the same
+fixture: the sha256 of the selftest report, and the suites' counts at two
+more seeds.
 """
 
+import hashlib
 import math
 import time
 
 import pytest
 
+from l2tor.checks import run_suite
+from l2tor.cli import _emit, _environment
 from l2tor.config import DEFAULT_SEED
 from l2tor.selftest import CRITERIA, CriterionResult
 
@@ -93,6 +98,40 @@ _SUITE_ROWS = {
 def test_suite_probes_and_instances_are_pinned(results, suite):
     detail = results[suite].detail
     assert (detail["probes"], detail["instances"]) == _SUITE_ROWS[suite]
+
+
+# sha256 of `l2tor selftest --output` at the default seed, pinned with
+# python 3.11.7, numpy 2.4.6, scipy 1.17.1 on 2 CPUs
+_SELFTEST_SHA256 = "4fc513cb7331b0004441f86b90d4cc55c45b3258033bea3bec39c44e03460065"
+
+
+def test_selftest_report_bytes_are_pinned(results, tmp_path):
+    # the fixture's rows, written as `selftest --output` writes them
+    rows = list(results.values())
+    path = tmp_path / "selftest.json"
+    _emit({"results": [r.to_dict() for r in rows], "ok": all(r.passed for r in rows)},
+          str(path))
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == _SELFTEST_SHA256, (
+        f"selftest report sha256 {digest}; this run: {_environment(DEFAULT_SEED)}")
+
+
+# probes, violations and total skips of every suite at 200 instances and
+# max_dim 6, at seeds 7 and 11: the sdf-check counts beyond the default seed
+_OTHER_SEEDS = {
+    ("basic", 7): (36_294, 0, 288), ("basic", 11): (35_925, 0, 264),
+    ("block", 7): (25_124, 0, 192), ("block", 11): (25_580, 0, 184),
+    ("short-exact", 7): (2_579, 0, 0), ("short-exact", 11): (2_615, 0, 0),
+    ("gromov-shubin", 7): (1_773, 0, 0), ("gromov-shubin", 11): (1_707, 0, 0),
+    ("laplacian", 7): (3_869, 0, 0), ("laplacian", 11): (3_841, 0, 0),
+}
+
+
+@pytest.mark.parametrize("suite, seed", sorted(_OTHER_SEEDS))
+def test_suite_counts_at_other_seeds_are_pinned(suite, seed):
+    rep = run_suite(suite, seed=seed, instances=200, max_dim=6)
+    counts = (rep.probes, len(rep.violations), sum(rep.skipped.values()))
+    assert counts == _OTHER_SEEDS[suite, seed]
 
 
 def test_inequality_suites_probe_and_time_budget(results):
