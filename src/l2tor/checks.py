@@ -10,11 +10,11 @@ decided on the probe points of its functions (every breakpoint of both
 sides, their midpoints and the range endpoints), merged for all relations
 in one sort, and the violations come in the order recorded.  No other
 module decides a relation between step functions.  Ranks come from the
-rank rule (traced.nonzero_mask); slacks are fixed: config.TIE_RTOL forgives
-breakpoints that differ only by eigensolve rounding (tie_shifted moves the
-right side's positive probes of an inequality and both sides' of an
-equality, and never the probe at 0, so kernel dimensions are compared as
-they are) and config.VALUE_ATOL forgives value rounding.
+rank rule (traced.nonzero_mask).  Values are whole counts of one unit and
+are compared exactly; the one slack, config.TIE_RTOL, forgives breakpoints
+that differ only by eigensolve rounding (tie_shifted moves the right side's
+positive probes of an inequality and both sides' of an equality, and never
+the probe at 0, so kernel dimensions are compared as they are).
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .complexes import (FiniteCochainComplex, ShortExactTriple, complex_sdf,
                         connecting_map, laplacian_sdf_decomposition)
 from .config import (CONTAINMENT_GAP, NONTRIVIAL_INTERSECTION_GAP, RANGE_END_RTOL,
-                     STRUCTURE_ATOL, TIE_RTOL, TRIVIAL_INTERSECTION_GAP, VALUE_ATOL)
+                     STRUCTURE_ATOL, TIE_RTOL, TRIVIAL_INTERSECTION_GAP)
 from .rand import (random_complex, random_homotopy_pair, random_injective,
                    random_map, random_short_exact_triple, random_space,
                    random_surjective, rng_for)
@@ -63,7 +63,7 @@ class Violation:
 
 
 class _Relation(NamedTuple):
-    """lhs <= constant + sum of rhs on [0, upper), or lhs == sum of rhs."""
+    """lhs <= constant + sum of rhs on [0, upper), or lhs == sum of rhs, in counts."""
     item: str
     lhs: SpectralDensityFunction
     rhs: list[SpectralDensityFunction]
@@ -86,7 +86,7 @@ class CheckReport:
 
     def leq(self, item: str, lhs: SpectralDensityFunction, rhs: list[SpectralDensityFunction],
             upper: float = np.inf, constant: float = 0.0) -> None:
-        """Record lhs <= constant + sum of rhs on [0, upper)."""
+        """Record lhs <= constant + sum of rhs on [0, upper), in counts."""
         if math.isnan(upper):
             raise ValueError(f"{item}: the range bound is NaN")
         self.pending.append(_Relation(item, lhs, rhs, upper, constant, False))
@@ -106,7 +106,7 @@ class CheckReport:
         """Decide every pending relation, in the order recorded, and return
         each one's margin: the smallest rhs - lhs where lhs > 0 for an
         inequality (None if lhs vanishes on the range), the largest
-        |lhs - rhs| for an equality."""
+        |lhs - rhs| for an equality, as count * unit."""
         relations, self.pending = self.pending, []
         if not relations:
             return []
@@ -146,7 +146,7 @@ def _lookup(funcs: list[SpectralDensityFunction], fun: np.ndarray,
     value where SpectralDensityFunction.values finds it.
     """
     steps = np.concatenate([a for F in funcs for a in (_NO_STEP, F.lams)])
-    heights = np.concatenate([a for F in funcs for a in (_ZERO, F.vals)])
+    heights = np.concatenate([a for F in funcs for a in (_ZERO, F.counts)])
     owner = np.repeat(np.arange(len(funcs)), [F.lams.size + 1 for F in funcs])
     grid = np.sort(steps)
     stride = grid.size + 1
@@ -161,10 +161,11 @@ def _decide(relations: list[_Relation]) -> tuple[int, list[Violation], list[floa
     A relation is probed on the sorted, distinct probe_points of its
     functions, merged here for every relation in one sort, cut to
     [0, upper) with the point upper * (1 - RANGE_END_RTOL) appended for a
-    finite upper.  An inequality compares lhs at the probes with constant +
-    sum of rhs at their tie shifts, an equality both sides at the tie
-    shifts; the right side is summed term by term, in order.
-    Violations come in relation order, then probe order.
+    finite upper.  An inequality compares the counts of lhs at the probes
+    with constant + those of rhs at their tie shifts, an equality both sides
+    at the tie shifts, exactly; the right side is summed term by term, in
+    order.  Violations, in relation then probe order, and margins are
+    reported as count * unit.  A relation mixing units is refused by item.
     """
     funcs: list[SpectralDensityFunction] = []
     number: dict[int, int] = {}
@@ -181,6 +182,10 @@ def _decide(relations: list[_Relation]) -> tuple[int, list[Violation], list[floa
     upper = np.array([rel.upper for rel in relations], dtype=float)
     constant = np.array([rel.constant for rel in relations], dtype=float)
     equal = np.array([rel.equal for rel in relations])
+    unit = np.array([F.unit for F in funcs])
+    mixed = np.flatnonzero(unit[term_fun] != unit[lhs[term_rel]])
+    if mixed.size:
+        raise ValueError(f"{relations[term_rel[mixed[0]]].item}: the functions differ in units")
 
     # each relation's probe points, then its range-end probe, sorted and merged
     points = [F.probe_points() for F in funcs]
@@ -212,14 +217,15 @@ def _decide(relations: list[_Relation]) -> tuple[int, list[Violation], list[floa
     # bincount adds each probe's terms from 0 in the order given
     rvals = constant[rel] + np.bincount(at, weights=found[lam.size:], minlength=lam.size)
 
-    bad = np.flatnonzero(np.where(eq, np.abs(lvals - rvals) > VALUE_ATOL,
-                                  lvals > rvals + VALUE_ATOL))
+    bad = np.flatnonzero(np.where(eq, lvals != rvals, lvals > rvals))
+    worth = unit[lhs[rel[bad]]]
     violations = [Violation(relations[r].item, x, lv, rv) for r, x, lv, rv in zip(
-        rel[bad].tolist(), lam[bad].tolist(), lvals[bad].tolist(), rvals[bad].tolist())]
+        rel[bad].tolist(), lam[bad].tolist(), (lvals[bad] * worth).tolist(),
+        (rvals[bad] * worth).tolist())]
     # every relation has a probe: 0 below an upper > 0, else its range end
     gap = np.where(eq, -np.abs(lvals - rvals), np.where(lvals > 0.0, rvals - lvals, np.inf))
-    margins = [-m if r.equal else (m if m < np.inf else None)
-               for m, r in zip(np.minimum.reduceat(gap, first).tolist(), relations)]
+    margins = [-m if r.equal else (m if m < np.inf else None) for m, r in zip(
+        (np.minimum.reduceat(gap, first) * unit[lhs]).tolist(), relations)]
     return lam.size, violations, margins
 
 
@@ -265,7 +271,6 @@ def check_basic_F(report: CheckReport, f: TracedMap, g: TracedMap | None = None,
     """
     F_f = sdf_of_map(f)
     rF_f = F_f.reduced()
-    norm_unit = f.source.normalization
 
     if g is not None:
         if g.source.dim != f.target.dim:
@@ -318,16 +323,16 @@ def check_basic_F(report: CheckReport, f: TracedMap, g: TracedMap | None = None,
             rF_fp = F_fp.reduced()
             report.leq("basic.5", F_f, [F_fp.scaled_argument(p.norm)])
             report.leq("reduced.5", rF_fp, [rF_f.scaled_argument(p.inverse_norm)])
-            ker_p = p.kernel_dim() * p.source.normalization
-            report.leq("reduced.6", rF_f, [rF_fp.scaled_argument(p.norm)], constant=ker_p)
+            report.leq("reduced.6", rF_f, [rF_fp.scaled_argument(p.norm)],
+                       constant=p.kernel_dim())
 
     # square identity: density of f*f at lambda equals density of f at sqrt(lambda)
     sv = (f.adjoint() @ f).singular_values().copy()
     sv[f.rank():] = 0.0
-    F_ff = SpectralDensityFunction.from_jumps(sv, np.full(sv.shape, norm_unit))
+    F_ff = SpectralDensityFunction.from_jumps(sv, np.ones(sv.shape), F_f.unit)
     report.equal("basic.6", F_ff, [F_f.power_argument(0.5)])
     report.constants["norm_f"] = f.norm
-    report.constants["normalization"] = norm_unit
+    report.constants["normalization"] = F_f.unit
 
 
 def _block_map(phi: TracedMap, gamma: TracedMap, xi: TracedMap) -> TracedMap:
@@ -403,8 +408,8 @@ def check_block_matrix_F(report: CheckReport, phi: TracedMap, gamma: TracedMap,
     if phi_dense:
         c5 = 2.0 * (1.0 + gnorm + phi.norm)
         report.leq("block.5", F_xi, [F_M.scaled_argument(c5)], upper=1.0)
-        ker_phi = phi.kernel_dim() * phi.source.normalization
-        report.leq("block.r5", rF_xi, [rF_M.scaled_argument(c5)], upper=1.0, constant=ker_phi)
+        report.leq("block.r5", rF_xi, [rF_M.scaled_argument(c5)], upper=1.0,
+                   constant=phi.kernel_dim())
     else:
         report.skipped.append(("block.5", "phi has no dense image"))
 
@@ -463,7 +468,7 @@ def _moebius_argument(F: SpectralDensityFunction, c: float, t: float) -> Spectra
     """
     if c <= 0:
         return F.scaled_argument(0.0)
-    return SpectralDensityFunction._derived(F.lams / (c + t * F.lams), F.vals, moved=True)
+    return F._derived(F.lams / (c + t * F.lams), F.counts, F.unit, moved=True)
 
 
 def check_gromov_shubin(report: CheckReport, C: FiniteCochainComplex,

@@ -36,7 +36,6 @@ from .hyperbolic import (CuspEnd, cusp_volume, heat_density, load_plancherel_tab
 from .inputs import ManifestError, convert, field, integer, items, number, read_json
 from .jsj import is_graph_manifold, load_manifest, torsion_3manifold
 from .kernels1d import Domain1D, boundary_insensitivity_check, sup_bound_check
-from .mellin import resolve_dsmall_constant
 from .selftest import run_selftest
 from .spectrum import Spectrum
 
@@ -124,12 +123,8 @@ def _cmd_sdf_check(args) -> int:
 
 
 def _cmd_zeta(args) -> int:
-    if args.mode == "selftest-cim":
-        res = resolve_dsmall_constant()
-        _emit(res.to_dict(), args.output)
-        return 0 if res.max_selected_residual < 1e-10 else 1
     if not args.spectrum:
-        raise ValueError("zeta needs --spectrum (or the selftest-cim mode)")
+        raise ValueError("zeta needs --spectrum")
     single, degrees = _load_spectrum(args.spectrum)
     if args.op == "trace":
         if single is None:
@@ -387,8 +382,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_sdf_check)
 
     p = sub.add_parser("zeta", help="determinants and torsion from spectrum files")
-    p.add_argument("mode", nargs="?", choices=["selftest-cim"],
-                   help="run the expansion-constant self-test")
     p.add_argument("--spectrum", help="JSON spectrum file")
     p.add_argument("--op", choices=["det", "trace", "torsion", "dsmall"],
                    default="det")

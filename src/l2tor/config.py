@@ -1,7 +1,8 @@
 """Shared numerical tolerances and the master seed.
 
 All thresholds used by the checkers live here as fixed constants, so that a
-run can be reproduced from the seed alone.
+run can be reproduced from the seed alone.  Step-function values need none:
+they are whole counts of one unit and are compared exactly.
 """
 
 from __future__ import annotations
@@ -22,9 +23,6 @@ ZERO_SV_ATOL = 1e-12
 # moved).  Forgives pure floating-point ties between breakpoints
 # computed through different eigensolves.
 TIE_RTOL = 1e-9
-
-# Absolute slack on step-function *values* in inequality checks.
-VALUE_ATOL = 1e-9
 
 # The last probe of an inequality's range [0, upper) is upper * (1 - RANGE_END_RTOL).
 RANGE_END_RTOL = 1e-12

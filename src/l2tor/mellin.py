@@ -8,7 +8,7 @@ form `dsmall_constant` uses.  A second candidate circulates, -(m-i)/2; the
 two agree only at m-i = 2.  The self-test `resolve_dsmall_constant` decides
 between them by a high-precision derivative of the reciprocal-Gamma
 product and reports the residual of the losing candidate; it backs the
-`cim-constant` criterion and `l2tor zeta selftest-cim`.
+`cim-constant` criterion.
 """
 
 from __future__ import annotations

@@ -1,10 +1,10 @@
 """Spectral density functions as exact right-continuous step functions.
 
-The spectral density of a map f counts, weighted by the source trace
-normalization, the generalized singular values of f that are <= lambda.
-Everything here manipulates finite breakpoint lists exactly, so that
-"<= for all lambda" questions are decidable on finitely many probes;
-l2tor.checks decides them.
+The spectral density of a map f counts the generalized singular values of
+f that are <= lambda, in units of the source trace normalization.  A step
+function holds whole counts and one unit, so values that are equal
+multiples of the unit compare exactly, and "<= for all lambda" questions
+are decidable on finitely many probes; l2tor.checks decides them.
 """
 
 from __future__ import annotations
@@ -29,14 +29,15 @@ FLAT_ALPHA = 0.05  # fitted exponents at or below it certify no power law
 class SpectralDensityFunction:
     """Nondecreasing right-continuous step function on [0, inf).
 
-    Stored as sorted breakpoint positions with the cumulative value
-    attained at (and right of) each breakpoint.  The value left of the
-    first breakpoint is 0.
+    Stored as sorted breakpoint positions, the cumulative count attained at
+    (and right of) each breakpoint, and the unit one count is worth; the
+    value is count * unit, and 0 left of the first breakpoint.
     """
 
-    __slots__ = ("lams", "vals")
+    __slots__ = ("lams", "counts", "unit")
 
     def __init__(self, lams, vals):
+        """The public form: the values are counted in unit 1."""
         lams = np.asarray(lams, dtype=float)
         vals = np.asarray(vals, dtype=float)
         if lams.shape != vals.shape or lams.ndim != 1:
@@ -49,11 +50,10 @@ class SpectralDensityFunction:
                 raise ValueError("breakpoints must be finite and nonnegative")
             if not ((vals[1:] >= vals[:-1]).all() and vals[0] >= 0 and vals[-1] < np.inf):
                 raise ValueError("values must be finite, nonnegative and nondecreasing")
-        self.lams = lams
-        self.vals = vals
+        self.lams, self.counts, self.unit = lams, vals, 1.0
 
     @classmethod
-    def _derived(cls, lams: np.ndarray, vals: np.ndarray,
+    def _derived(cls, lams: np.ndarray, counts: np.ndarray, unit: float,
                  moved: bool = False) -> "SpectralDensityFunction":
         """A function derived from valid ones, which keeps the invariants by
         construction and so skips __init__'s checks; only the rounding of an
@@ -61,17 +61,22 @@ class SpectralDensityFunction:
         if moved and lams.size and not ((lams[1:] > lams[:-1]).all() and lams[-1] < np.inf):
             raise ValueError("the argument change merged or overflowed breakpoints")
         F = object.__new__(cls)
-        F.lams, F.vals = lams, vals
+        F.lams, F.counts, F.unit = lams, counts, unit
         return F
 
     @staticmethod
-    def from_jumps(positions, weights) -> "SpectralDensityFunction":
-        """Build from (position, jump-size) pairs; positions may repeat."""
-        return SpectralDensityFunction(*_steps(positions, weights))
+    def from_jumps(positions, counts, unit=1.0) -> "SpectralDensityFunction":
+        """From (position, jump count) pairs, one count worth unit; positions may repeat."""
+        if not 0.0 < unit < np.inf:
+            raise ValueError("the unit must be finite and positive")
+        F = SpectralDensityFunction(*_steps(positions, counts))
+        F.unit = float(unit)
+        return F
 
-    @staticmethod
-    def zero() -> "SpectralDensityFunction":
-        return SpectralDensityFunction._derived(np.zeros(0), np.zeros(0))
+    @property
+    def vals(self) -> np.ndarray:
+        """The value at each breakpoint, count * unit."""
+        return self.counts * self.unit
 
     # -- evaluation ----------------------------------------------------------------
 
@@ -85,57 +90,62 @@ class SpectralDensityFunction:
         if self.lams.size == 0:
             return np.zeros(lams.shape)
         idx = np.searchsorted(self.lams, lams, side="right")
-        return np.where(idx == 0, 0.0, self.vals[idx - 1])
+        return np.where(idx == 0, 0.0, self.counts[idx - 1]) * self.unit
 
     @property
     def total(self) -> float:
-        return float(self.vals[-1]) if self.vals.size else 0.0
+        return float(self.counts[-1] * self.unit) if self.counts.size else 0.0
 
     @property
     def max_breakpoint(self) -> float:
         return float(self.lams[-1]) if self.lams.size else 0.0
 
-    # -- exact step-function algebra -----------------------------------------------
+    # -- exact step-function algebra, in counts of the same unit -------------------
+
+    def _count_at_zero(self) -> float:
+        return float(self.counts[0]) if self.lams.size and self.lams[0] == 0.0 else 0.0
 
     def reduced(self) -> "SpectralDensityFunction":
-        """Subtract the value at 0 (kernel contribution)."""
-        f0 = self(0.0)
+        """Subtract the count at 0 (kernel contribution)."""
+        f0 = self._count_at_zero()
         if f0 == 0.0:
             return self
-        keep = self.lams > 0
-        return SpectralDensityFunction._derived(self.lams[keep], self.vals[keep] - f0)
+        return self._derived(self.lams[1:], self.counts[1:] - f0, self.unit)
 
     def scaled_argument(self, c: float) -> "SpectralDensityFunction":
         """Return lambda -> F(c * lambda) for c >= 0; c = 0 gives the
         constant F(0)."""
         if c == 0:
-            return SpectralDensityFunction.zero().plus_constant(self(0.0))
+            empty = self._derived(self.lams[:0], self.counts[:0], self.unit)
+            return empty.plus_constant(self._count_at_zero())
         if not c > 0:
             raise ValueError("scale must be nonnegative")
-        return SpectralDensityFunction._derived(self.lams / c, self.vals, moved=True)
+        return self._derived(self.lams / c, self.counts, self.unit, moved=True)
 
     def power_argument(self, a: float) -> "SpectralDensityFunction":
         """Return lambda -> F(lambda ** a) for a > 0 (domain lambda >= 0)."""
         if not a > 0:
             raise ValueError("exponent must be positive")
-        return SpectralDensityFunction._derived(self.lams ** (1.0 / a), self.vals, moved=True)
+        return self._derived(self.lams ** (1.0 / a), self.counts, self.unit, moved=True)
 
     def plus(self, other: "SpectralDensityFunction") -> "SpectralDensityFunction":
+        if other.unit != self.unit:
+            raise ValueError(f"cannot add step functions in units {self.unit} and {other.unit}")
         pos = np.concatenate([self.lams, other.lams])
-        jumps_self = np.diff(self.vals, prepend=0.0)
-        jumps_other = np.diff(other.vals, prepend=0.0)
-        return SpectralDensityFunction._derived(
-            *_steps(pos, np.concatenate([jumps_self, jumps_other])))
+        jumps_self = np.diff(self.counts, prepend=0.0)
+        jumps_other = np.diff(other.counts, prepend=0.0)
+        return self._derived(*_steps(pos, np.concatenate([jumps_self, jumps_other])), self.unit)
 
     def plus_constant(self, c: float) -> "SpectralDensityFunction":
+        """Add c counts everywhere."""
         if c == 0.0:
             return self
         if not 0.0 < c < np.inf:
             raise ValueError("constant shift must be finite and nonnegative")
         if self.lams.size and self.lams[0] == 0.0:
-            return SpectralDensityFunction._derived(self.lams, self.vals + c)
-        return SpectralDensityFunction._derived(
-            np.concatenate([[0.0], self.lams]), np.concatenate([[c], self.vals + c]))
+            return self._derived(self.lams, self.counts + c, self.unit)
+        return self._derived(np.concatenate([[0.0], self.lams]),
+                             np.concatenate([[c], self.counts + c]), self.unit)
 
     # -- probing grids ---------------------------------------------------------------
 
@@ -148,26 +158,26 @@ class SpectralDensityFunction:
                                [1.1 * self.max_breakpoint + 1.0]])
 
 
-def _steps(positions, weights) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct sorted positions and the cumulative weight at each."""
+def _steps(positions, counts) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct sorted positions and the cumulative count at each."""
     positions = np.asarray(positions, dtype=float)
-    weights = np.asarray(weights, dtype=float)
+    counts = np.asarray(counts, dtype=float)
     order = np.argsort(positions, kind="stable")
-    positions, weights = positions[order], weights[order]
+    positions, counts = positions[order], counts[order]
     uniq, idx = np.unique(positions, return_index=True)
-    jump = np.add.reduceat(weights, idx) if weights.size else weights
+    jump = np.add.reduceat(counts, idx) if counts.size else counts
     return uniq, np.cumsum(jump)
 
 
 def sdf_of_map(f: TracedMap) -> SpectralDensityFunction:
-    """Spectral density of f: counts generalized singular values <= lambda.
+    """Spectral density of f: counts generalized singular values <= lambda,
+    in units of the source normalization.
 
     Exact step function; eigenvalues are computed once, tiny singular
     values are clamped to zero by the rank rule (traced.nonzero_mask).
     """
     sv = f.clamped_singular_values()
-    weights = np.full(sv.shape, f.source.normalization)
-    return SpectralDensityFunction.from_jumps(sv, weights)
+    return SpectralDensityFunction.from_jumps(sv, np.ones(sv.shape), f.source.normalization)
 
 
 @dataclass

@@ -150,7 +150,7 @@ def _large_t_domination(seed: int, quick: bool) -> CriterionResult:
         S = Spectrum(np.sort(rng.uniform(0.005, 8.0, n)), rng.uniform(0.1, 3.0, n))
         eps = float(rng.uniform(0.05, 4.0))
         ts = 1.0 + np.sort(rng.uniform(0.0, 40.0, 8))
-        out = large_time_dominating_bound(S.counting_function(), eps, S, ts)
+        out = large_time_dominating_bound(S, eps, ts)
         probes += len(ts)
         violations += len(out["violations"])
     return CriterionResult("large-t-domination", violations == 0, {

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from l2tor import checks
 from l2tor.checks import (CheckReport, Violation, check_basic_F, check_block_matrix_F,
                           check_gromov_shubin, check_short_exact, run_suite, tie_shifted)
-from l2tor.config import RANGE_END_RTOL, VALUE_ATOL
+from l2tor.config import RANGE_END_RTOL
 from l2tor.complexes import FiniteCochainComplex
 from l2tor.rand import (random_homotopy_pair, random_short_exact_triple,
                         rng_for)
@@ -267,14 +267,16 @@ def test_suite_counts_are_pinned(suite):
     assert rep.skipped == skipped
 
 
+THIRD = 1.0 / 3.0  # a unit float sums miss: six thirds add up to 1.9999999999999998
+
 _steps = st.lists(st.floats(min_value=0.0, max_value=50.0), max_size=6).map(
-    lambda pos: SpectralDensityFunction.from_jumps(pos, np.full(len(pos), 1.0 / 3.0)))
+    lambda pos: SpectralDensityFunction.from_jumps(pos, np.ones(len(pos)), THIRD))
 
 
-def _reference_value(F, x):
-    """F at x by a bisect count of the breakpoints <= x."""
+def _reference_count(F, x):
+    """The count of F at x by a bisect count of the breakpoints <= x."""
     count = bisect.bisect_right(F.lams.tolist(), x)
-    return float(F.vals[count - 1]) if count else 0.0
+    return float(F.counts[count - 1]) if count else 0.0
 
 
 # -- the per-relation checkers the decider replaced, kept as its oracle ---------------
@@ -286,38 +288,44 @@ def probe_grid(functions):
     return np.unique(np.concatenate([F.probe_points() for F in functions]))
 
 
-def _sum_values(terms, lams):
-    """Sum of the terms at every point of lams, added in order."""
-    return sum((t.values(lams) for t in terms), np.zeros(lams.shape))
+def _counts(F, lams):
+    """The counts of F at every point of lams."""
+    return np.concatenate([[0.0], F.counts])[np.searchsorted(F.lams, lams, side="right")]
+
+
+def _sum_counts(terms, lams):
+    """Sum of the terms' counts at every point of lams, added in order."""
+    return sum((_counts(t, lams) for t in terms), np.zeros(lams.shape))
 
 
 def _check_leq(item, lhs, rhs, report, upper=np.inf, constant=0.0):
-    """Check lhs <= constant + sum of rhs on [0, upper) and return the
-    smallest margin rhs - lhs where lhs > 0 (None if lhs vanishes there)."""
+    """Check lhs <= constant + sum of rhs on [0, upper) in counts and return
+    the smallest margin rhs - lhs where lhs > 0 (None if lhs vanishes
+    there), as count * unit."""
     probes = probe_grid([lhs, *rhs])
     probes = probes[probes < upper]
     if np.isfinite(upper):
         probes = np.append(probes, upper * (1.0 - RANGE_END_RTOL))
     report.probes += probes.size
     # the tie shift widens only the right side, never inflating the left
-    lvals = lhs.values(probes)
-    rvals = constant + _sum_values(rhs, tie_shifted(probes))
-    for k in np.flatnonzero(lvals > rvals + VALUE_ATOL):
-        report.violations.append(
-            Violation(item, float(probes[k]), float(lvals[k]), float(rvals[k])))
+    lvals = _counts(lhs, probes)
+    rvals = constant + _sum_counts(rhs, tie_shifted(probes))
+    for k in np.flatnonzero(lvals > rvals):
+        report.violations.append(Violation(item, float(probes[k]), float(lvals[k] * lhs.unit),
+                                           float(rvals[k] * lhs.unit)))
     margins = (rvals - lvals)[lvals > 0.0]
-    return float(margins.min()) if margins.size else None
+    return float(margins.min() * lhs.unit) if margins.size else None
 
 
 def _check_equal(item, lhs, rhs, report):
     probes = probe_grid([lhs, *rhs])
     report.probes += probes.size
     shifted = tie_shifted(probes)
-    lvals = lhs.values(shifted)
-    rvals = _sum_values(rhs, shifted)
-    for k in np.flatnonzero(np.abs(lvals - rvals) > VALUE_ATOL):
-        report.violations.append(
-            Violation(item, float(probes[k]), float(lvals[k]), float(rvals[k])))
+    lvals = _counts(lhs, shifted)
+    rvals = _sum_counts(rhs, shifted)
+    for k in np.flatnonzero(lvals != rvals):
+        report.violations.append(Violation(item, float(probes[k]), float(lvals[k] * lhs.unit),
+                                           float(rvals[k] * lhs.unit)))
 
 
 def _decided(relations):
@@ -344,31 +352,33 @@ def _records(report):
        st.lists(st.floats(min_value=0.0, max_value=60.0), max_size=10))
 def test_side_values_match_scalar_sum_bitwise(terms, pts):
     # a left side above every right side makes each probe a violation, which
-    # shows the decider's values: the left side at the probe, the right side
-    # summed in order at its tie shift
-    lhs = SpectralDensityFunction.from_jumps([0.0, *pts], [100.0] + [1.0] * len(pts))
+    # shows the decider's values: the left side's count at the probe, the
+    # right side's counts summed in order at its tie shift, each times the unit
+    lhs = SpectralDensityFunction.from_jumps([0.0, *pts], [100.0] + [1.0] * len(pts), THIRD)
     report, _ = _decided([(False, "item", lhs, terms, np.inf, 0.0)])
     probes = probe_grid([lhs, *terms])
     assert [v.lam for v in report.violations] == probes.tolist()
-    expected = [sum(_reference_value(t, v) for t in terms) for v in tie_shifted(probes)]
+    expected = [sum(_reference_count(t, v) for t in terms) * THIRD
+                for v in tie_shifted(probes)]
     assert np.array([v.rhs for v in report.violations]).tobytes() == \
         np.array(expected).tobytes()
-    assert [v.lhs for v in report.violations] == [_reference_value(lhs, v) for v in probes]
+    assert [v.lhs for v in report.violations] == [
+        _reference_count(lhs, v) * THIRD for v in probes]
 
 
-@given(_steps, st.lists(_steps, min_size=1, max_size=3),
-       st.sampled_from([0.0, 0.1, 2.0 / 3.0]))
+@given(_steps, st.lists(_steps, min_size=1, max_size=3), st.sampled_from([0.0, 1.0, 2.0]))
 def test_check_leq_shifts_only_the_right_side(lhs, terms, constant):
     report, (margin,) = _decided([(False, "item", lhs, terms, np.inf, constant)])
     probes = probe_grid([lhs, *terms])
-    lvals = np.array([_reference_value(lhs, v) for v in probes])
-    rvals = np.array([constant + sum(_reference_value(t, v) for t in terms)
+    lvals = np.array([_reference_count(lhs, v) for v in probes])
+    rvals = np.array([constant + sum(_reference_count(t, v) for t in terms)
                       for v in tie_shifted(probes)])
     assert report.probes == probes.size
     assert [(v.lam, v.lhs, v.rhs) for v in report.violations] == [
-        (probes[k], lvals[k], rvals[k]) for k in np.flatnonzero(lvals > rvals + VALUE_ATOL)]
+        (probes[k], lvals[k] * THIRD, rvals[k] * THIRD) for k in np.flatnonzero(lvals > rvals)]
     positive = lvals > 0.0
-    assert margin == (float(np.min((rvals - lvals)[positive])) if positive.any() else None)
+    assert margin == (float(np.min((rvals - lvals)[positive])) * THIRD
+                      if positive.any() else None)
 
 
 def test_tie_slack_forgives_only_rounding_sized_moves():
@@ -399,13 +409,13 @@ def _relation_batches(draw):
         if lhs == "pool":
             lhs = pool[draw(st.integers(0, len(pool) - 1))]
         else:
-            step = (SpectralDensityFunction([draw(st.floats(0.0, 50.0))], [1.0])
-                    if lhs == "sum+step" else SpectralDensityFunction.zero())
+            at = [draw(st.floats(0.0, 50.0))] if lhs == "sum+step" else []
+            step = SpectralDensityFunction.from_jumps(at, np.ones(len(at)), THIRD)
             lhs = functools.reduce(SpectralDensityFunction.plus, rhs, step)
         # a range just past a breakpoint puts the range-end probe below it
         past = [float(np.nextafter(x, np.inf)) for F in (lhs, *rhs) for x in F.lams]
         upper = draw(st.sampled_from([np.inf, 0.0, 0.5, 7.0, 60.0, *past]))
-        constant = draw(st.sampled_from([0.0, 0.1, 2.0 / 3.0]))
+        constant = draw(st.sampled_from([0.0, 1.0, 2.0]))
         relations.append((equal, f"r{k}", lhs, rhs, upper, constant))
     return relations
 
@@ -419,13 +429,51 @@ def test_decider_matches_the_per_relation_checkers_bitwise(relations):
         if equal:
             _check_equal(item, lhs, rhs, oracle)
             shifted = tie_shifted(probe_grid([lhs, *rhs]))
-            expected.append(float(np.max(np.abs(lhs.values(shifted)
-                                                - _sum_values(rhs, shifted)))))
+            expected.append(float(np.max(np.abs(_counts(lhs, shifted)
+                                                - _sum_counts(rhs, shifted)))) * THIRD)
         else:
             expected.append(_check_leq(item, lhs, rhs, oracle, upper, constant))
     assert _records(report) == _records(oracle)
     assert report.probes == oracle.probes
     assert [_bits(m) for m in margins] == [_bits(m) for m in expected]
+
+
+def test_sides_one_count_apart_at_unit_third_are_a_violation():
+    # values are compared as whole counts, with no slack, and reported as
+    # count * unit
+    two = SpectralDensityFunction.from_jumps([1.0, 2.0], [1.0, 1.0], THIRD)
+    three = SpectralDensityFunction.from_jumps([1.0, 2.0], [1.0, 2.0], THIRD)
+    report = CheckReport()
+    report.leq("leq", three, [two])
+    report.equal("equal", two, [three])
+    assert report.decide() == [-THIRD, THIRD]
+    assert [(v.item, v.lam, v.lhs, v.rhs) for v in report.violations] == [
+        ("leq", 2.0, 3 * THIRD, 2 * THIRD), ("leq", 3.2, 3 * THIRD, 2 * THIRD),
+        ("equal", 2.0, 2 * THIRD, 3 * THIRD), ("equal", 3.2, 2 * THIRD, 3 * THIRD)]
+
+
+def test_three_one_count_functions_sum_to_three_counts_exactly():
+    one = SpectralDensityFunction.from_jumps([0.5], [1.0], THIRD)
+    three = SpectralDensityFunction.from_jumps([0.5], [3.0], THIRD)
+    total = one.plus(one).plus(one)
+    assert total.counts.tolist() == [3.0] and total.unit == THIRD
+    report = CheckReport()
+    report.equal("plus", three, [total])
+    report.equal("terms", three, [one, one, one])
+    assert report.decide() == [0.0, 0.0]
+    assert report.ok
+
+
+def test_functions_in_different_units_are_refused():
+    third = SpectralDensityFunction.from_jumps([0.5], [1.0], THIRD)
+    half = SpectralDensityFunction.from_jumps([0.5], [1.0], 0.5)
+    with pytest.raises(ValueError, match="units"):
+        third.plus(half)
+    report = CheckReport()
+    report.leq("same", third, [third])
+    report.leq("mixed", third, [third, half])
+    with pytest.raises(ValueError, match="^mixed: .*units"):
+        report.decide()
 
 
 def test_a_violation_found_without_probing_keeps_its_place():

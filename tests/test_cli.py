@@ -225,16 +225,6 @@ def test_zeta_stdout_is_pinned(capsys, tmp_path, spectrum, op, stdout):
     assert out == stdout
 
 
-def test_zeta_selftest_cim(capsys):
-    code, out, _ = run_cli(capsys, "zeta", "selftest-cim")
-    assert code == 0
-    payload = json.loads(out)
-    assert payload["selected"] == "reciprocal"
-    assert payload["max_selected_residual"] < 1e-10
-    # the rejected convention's residual is visible in the report
-    assert any(row["literal_residual"] > 0.1 for row in payload["rows"])
-
-
 def test_hyperbolic_constant(capsys):
     code, out, _ = run_cli(capsys, "hyperbolic", "--m", "3", "--op", "constant")
     assert code == 0

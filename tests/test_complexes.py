@@ -45,20 +45,21 @@ def complex_sdf_via_projector(C: FiniteCochainComplex, p: int) -> SpectralDensit
 
     Applies c^p to the full space composed with the gram-orthogonal projector
     onto (im c^{p-1})^perp, then removes the artificial kernel contributed by
-    the projected-away subspace.
+    the projected-away subspace: that many counts, in the same unit.
     """
     space = C.space(p)
     basis = C.image_complement_basis(p)
     proj = basis @ basis.T @ space.gram if space.dim else np.zeros((0, 0))
     d = C.differential(p)
     full = TracedMap(space, d.target, d.coefficients @ proj)
-    extra = (space.dim - basis.shape[1]) * space.normalization
+    extra = space.dim - basis.shape[1]
     sdf = sdf_of_map(full)
     if extra == 0:
         return sdf
-    vals = sdf.vals - extra
-    keep = vals > -1e-12
-    return SpectralDensityFunction(sdf.lams[keep], np.maximum(vals[keep], 0.0))
+    counts = sdf.counts - extra
+    keep = counts >= 0
+    return SpectralDensityFunction.from_jumps(
+        sdf.lams[keep], np.diff(counts[keep], prepend=0.0), sdf.unit)
 
 
 def test_complex_sdf_against_projector_oracle():

@@ -468,9 +468,7 @@ def test_cheeger_mueller_correction_values():
 
 def test_domination_single_eigenvalue_strict():
     S = Spectrum.from_pairs([(2.0, 1.0)])
-    F = S.counting_function()
-    out = large_time_dominating_bound(F, eps=1.0, spectrum=S,
-                                      t_values=[1.0, 2.0, 5.0, 10.0])
+    out = large_time_dominating_bound(S, eps=1.0, t_values=[1.0, 2.0, 5.0, 10.0])
     assert not out["violations"]
     # the tail estimate is tight exactly at t = 1, strict beyond
     assert out["margins"][0] == pytest.approx(0.0, abs=1e-15)
@@ -479,8 +477,7 @@ def test_domination_single_eigenvalue_strict():
 
 def test_domination_gap_above_eps():
     S = Spectrum.from_pairs([(5.0, 2.0)])
-    F = S.counting_function()
-    out = large_time_dominating_bound(F, eps=1.0, spectrum=S)
+    out = large_time_dominating_bound(S, eps=1.0)
     assert not out["violations"]
 
 
@@ -489,10 +486,9 @@ def test_domination_random_probes():
     for k in range(50):
         n = int(rng.integers(1, 8))
         S = Spectrum(np.sort(rng.uniform(0.01, 6.0, n)), rng.uniform(0.2, 2.0, n))
-        F = S.counting_function()
         eps = float(rng.uniform(0.05, 3.0))
         ts = np.sort(rng.uniform(1.0, 30.0, 6))
-        out = large_time_dominating_bound(F, eps, S, ts)
+        out = large_time_dominating_bound(S, eps, ts)
         assert not out["violations"], k
 
 

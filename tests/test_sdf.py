@@ -82,9 +82,9 @@ def test_reduced_adjoint_symmetry():
     assert report.violations == []
 
 
-def test_equals_uses_the_checker_value_slack():
-    # an equality recorded in a CheckReport forgives value rounding and a
-    # breakpoint displaced by eigensolve rounding, and nothing larger
+def test_equals_takes_no_value_slack_and_the_tie_slack_on_positions():
+    # an equality recorded in a CheckReport compares values exactly and
+    # forgives a breakpoint displaced by eigensolve rounding, and nothing larger
     F = SpectralDensityFunction(np.array([1.0, 2.0]), np.array([0.5, 1.0]))
     report = CheckReport()
     report.equal("value+5e-10", F, [SpectralDensityFunction(F.lams, F.vals + 5e-10)])
@@ -92,7 +92,7 @@ def test_equals_uses_the_checker_value_slack():
     report.equal("moved-1e-12", F, [SpectralDensityFunction(F.lams * (1.0 + 1e-12), F.vals)])
     report.equal("moved-1e-6", F, [SpectralDensityFunction(F.lams * (1.0 + 1e-6), F.vals)])
     report.decide()
-    assert {v.item for v in report.violations} == {"value+2e-9", "moved-1e-6"}
+    assert {v.item for v in report.violations} == {"value+5e-10", "value+2e-9", "moved-1e-6"}
 
 
 def test_monotone_right_continuous_bounded():
@@ -244,7 +244,7 @@ def test_values_match_scalar_evaluation_bitwise(data, F):
 
 def test_values_of_empty_function_are_zero():
     x = np.array([0.0, 1.0, 1e9])
-    zero = SpectralDensityFunction.zero()
+    zero = SpectralDensityFunction([], [])
     assert np.array_equal(zero.values(x), np.zeros(3))
     assert np.array_equal(zero.values(tie_shifted(x)), np.zeros(3))
     assert zero.values(np.zeros(0)).shape == (0,)
@@ -267,7 +267,7 @@ def test_scaled_argument_at_zero_is_the_constant_f0(F):
 
 
 def test_scaled_argument_at_zero_examples():
-    assert SpectralDensityFunction.zero().scaled_argument(0.0).lams.size == 0
+    assert SpectralDensityFunction([], []).scaled_argument(0.0).lams.size == 0
     F = SpectralDensityFunction(np.array([0.0, 2.0]), np.array([0.5, 1.5]))
     G = F.scaled_argument(0.0)
     assert G(0.0) == 0.5 and G(1e9) == 0.5
@@ -343,7 +343,6 @@ def test_derived_functions_skip_validation(monkeypatch):
     monkeypatch.setattr(SpectralDensityFunction, "__init__", counted)
     for _name, D, _composed in _derived_cases(F, G, 2.0, 0.5, 0.1):
         assert D.lams.size
-    SpectralDensityFunction.zero()
     assert calls == []
     rng = rng_for(4, 1)
     phi, xi, gamma = (random_map(rng, random_space(rng, dims[0]), random_space(rng, dims[1]))
