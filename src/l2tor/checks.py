@@ -5,16 +5,18 @@ first argument and records one family of step-function relations there,
 skipping items whose side conditions fail (the kernel-subtracted variants
 always run), with their constants; no checker decides.  A suite instance
 records all its relations, over every degree, in one report, and run_suite
-decides that report once, in one vectorized pass.  Each relation is
+decides that report once, in one vectorized pass over one table of the
+breakpoints and counts of its distinct functions.  Each relation is
 decided on the probe points of its functions (every breakpoint of both
-sides, their midpoints and the range endpoints), merged for all relations
-in one sort, and the violations come in the order recorded.  No other
-module decides a relation between step functions.  Ranks come from the
-rank rule (traced.nonzero_mask).  Values are whole counts of one unit and
-are compared exactly; the one slack, config.TIE_RTOL, forgives breakpoints
-that differ only by eigensolve rounding (tie_shifted moves the right side's
-positive probes of an inequality and both sides' of an equality, and never
-the probe at 0, so kernel dimensions are compared as they are).
+sides, their midpoints and the range endpoints), derived from the table
+and merged for all relations in one sort, and the violations come in the
+order recorded.  No other module decides a relation between step
+functions.  Ranks come from the rank rule (traced.nonzero_mask).  Values
+are whole counts of one unit and are compared exactly; the one slack,
+config.TIE_RTOL, forgives breakpoints that differ only by eigensolve
+rounding (tie_shifted moves the right side's positive probes of an
+inequality and both sides' of an equality, and never the probe at 0, so
+kernel dimensions are compared as they are).
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .config import (CONTAINMENT_GAP, NONTRIVIAL_INTERSECTION_GAP, RANGE_END_RTO
 from .rand import (random_complex, random_homotopy_pair, random_injective,
                    random_map, random_short_exact_triple, random_space,
                    random_surjective, rng_for)
-from .sdf import SpectralDensityFunction, sdf_of_map
+from .sdf import SpectralDensityFunction, _from_descending, _probe_table, sdf_of_map
 from .traced import TracedMap, TracedSpace
 
 __all__ = [
@@ -116,9 +118,6 @@ class CheckReport:
         return margins
 
 
-_NO_STEP, _ZERO = np.array([-np.inf]), np.zeros(1)
-
-
 def tie_shifted(lams) -> np.ndarray:
     """Positive lams moved right by TIE_RTOL * max(1, lam); evaluating there
     forgives breakpoints that differ only by eigensolve rounding.  Zero stays
@@ -134,32 +133,49 @@ def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return np.arange(counts.sum()) + np.repeat(starts - np.cumsum(counts) + counts, counts)
 
 
-def _lookup(funcs: list[SpectralDensityFunction], fun: np.ndarray,
-            lams: np.ndarray) -> np.ndarray:
-    """funcs[fun[k]] at lams[k] for every k, in one search.
+class _Table(NamedTuple):
+    """The breakpoints and counts of distinct functions, one after another,
+    with each breakpoint's owner (the function's number) and each
+    function's number of breakpoints."""
+    lams: np.ndarray
+    counts: np.ndarray
+    owner: np.ndarray
+    sizes: np.ndarray
 
-    Each function's breakpoints are replaced by their rank among all the
-    breakpoints (the count of those <= it), which orders the breakpoints
-    and the probes exactly as their positions do, and offset by the
-    function's number, so one sorted key array holds every function.  A
-    step of height 0 at -inf leads each function, so every probe finds its
-    value where SpectralDensityFunction.values finds it.
+
+def _table(funcs: list[SpectralDensityFunction]) -> _Table:
+    sizes = np.array([F.lams.size for F in funcs])
+    return _Table(np.concatenate([F.lams for F in funcs]),
+                  np.concatenate([F.counts for F in funcs]),
+                  np.repeat(np.arange(len(funcs)), sizes), sizes)
+
+
+def _lookup(table: _Table, fun: np.ndarray, lams: np.ndarray) -> np.ndarray:
+    """Function fun[k] of the table at lams[k] for every k, in one search.
+
+    Each breakpoint is replaced by its rank among all the breakpoints (the
+    count of those <= it), which orders the breakpoints and the probes
+    exactly as their positions do, and offset by its owner, so one sorted
+    key array holds every function.  A probe finds the last key of its
+    function at or left of it; below the function's first breakpoint it
+    finds another function's key, or none, and reads 0.
     """
-    steps = np.concatenate([a for F in funcs for a in (_NO_STEP, F.lams)])
-    heights = np.concatenate([a for F in funcs for a in (_ZERO, F.counts)])
-    owner = np.repeat(np.arange(len(funcs)), [F.lams.size + 1 for F in funcs])
-    grid = np.sort(steps)
+    grid = np.sort(table.lams)
     stride = grid.size + 1
-    keys = owner * stride + np.searchsorted(grid, steps, side="right")
+    keys = table.owner * stride + np.searchsorted(grid, table.lams, side="right")
     wanted = fun * stride + np.searchsorted(grid, lams, side="right")
-    return heights[np.searchsorted(keys, wanted, side="right") - 1]
+    # one past the key found, in the table led by a key of no function
+    at = np.searchsorted(keys, wanted, side="right")
+    owner = np.concatenate([[-1], table.owner])
+    return np.where(owner[at] == fun, np.concatenate([[0.0], table.counts])[at], 0.0)
 
 
 def _decide(relations: list[_Relation]) -> tuple[int, list[Violation], list[float | None]]:
     """Probe count, violations and margins of the relations, in one pass.
 
-    A relation is probed on the sorted, distinct probe_points of its
-    functions, merged here for every relation in one sort, cut to
+    The distinct functions enter one table, once each.  A relation is
+    probed on the sorted, distinct probe points of its functions, derived
+    from the table and merged here for every relation in one sort, cut to
     [0, upper) with the point upper * (1 - RANGE_END_RTOL) appended for a
     finite upper.  An inequality compares the counts of lhs at the probes
     with constant + those of rhs at their tie shifts, an equality both sides
@@ -188,11 +204,11 @@ def _decide(relations: list[_Relation]) -> tuple[int, list[Violation], list[floa
         raise ValueError(f"{relations[term_rel[mixed[0]]].item}: the functions differ in units")
 
     # each relation's probe points, then its range-end probe, sorted and merged
-    points = [F.probe_points() for F in funcs]
-    sizes = np.array([p.size for p in points])
+    table = _table(funcs)
+    points, sizes = _probe_table(table.lams, table.sizes)
     member = np.concatenate([lhs, term_fun])
     count = sizes[member]
-    lam = np.concatenate(points)[_ranges(np.cumsum(sizes)[member] - count, count)]
+    lam = points[_ranges(np.cumsum(sizes)[member] - count, count)]
     rel = np.repeat(np.concatenate([np.arange(len(relations)), term_rel]), count)
     ends = np.flatnonzero(np.isfinite(upper) & ~equal)
     is_end = np.repeat([False, True], [lam.size, ends.size])
@@ -211,7 +227,7 @@ def _decide(relations: list[_Relation]) -> tuple[int, list[Violation], list[floa
     eq = equal[rel]
     term_count = per_rel[term_rel]
     at = _ranges(first[term_rel], term_count)
-    found = _lookup(funcs, np.concatenate([lhs[rel], np.repeat(term_fun, term_count)]),
+    found = _lookup(table, np.concatenate([lhs[rel], np.repeat(term_fun, term_count)]),
                     np.concatenate([np.where(eq, shifted, lam), shifted[at]]))
     lvals = found[:lam.size]
     # bincount adds each probe's terms from 0 in the order given
@@ -329,7 +345,7 @@ def check_basic_F(report: CheckReport, f: TracedMap, g: TracedMap | None = None,
     # square identity: density of f*f at lambda equals density of f at sqrt(lambda)
     sv = (f.adjoint() @ f).singular_values().copy()
     sv[f.rank():] = 0.0
-    F_ff = SpectralDensityFunction.from_jumps(sv, np.ones(sv.shape), F_f.unit)
+    F_ff = _from_descending(sv, F_f.unit)
     report.equal("basic.6", F_ff, [F_f.power_argument(0.5)])
     report.constants["norm_f"] = f.norm
     report.constants["normalization"] = F_f.unit

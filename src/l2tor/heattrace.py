@@ -517,22 +517,25 @@ def large_time_dominating_bound(spectrum: Spectrum, eps: float, t_values=None) -
     where F is the eigenvalue-counting function of the spectrum's positive
     part, so F(0) = 0.  The right side is evaluated exactly for the step
     function F.  Returns per-probe margins and any violations (beyond
-    _DOMINATION_ATOL).
+    _DOMINATION_ATOL).  eps must be finite and positive, and each t finite
+    and at least 1.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    pos = spectrum.positive_part()
+    # each test is written so that NaN fails it
+    if not 0.0 < eps < np.inf:
+        raise ValueError("eps must be finite and positive")
     if t_values is None:
         t_values = np.geomspace(1.0, 50.0, 12)
+    t_values = np.asarray(t_values, dtype=float)
+    if not ((t_values >= 1.0) & (t_values < np.inf)).all():
+        raise ValueError("domination holds for finite t >= 1 only")
+    pos = spectrum.positive_part()
     theta1 = pos.heat_trace(1.0, include_kernel=True)
     f_eps = pos.counting_function()(eps)
     small = pos.eigenvalues[pos.eigenvalues <= eps]
     small_w = pos.weights[pos.eigenvalues <= eps]
     violations = []
     margins = []
-    for t in np.asarray(t_values, dtype=float):
-        if t < 1.0:
-            raise ValueError("domination holds for t >= 1 only")
+    for t in t_values:
         lhs = pos.heat_trace(t, include_kernel=True) / t
         term1 = float(np.sum(small_w * (np.exp(-t * small) - math.exp(-t * eps)))) / t
         term2 = math.exp(-t * eps) * f_eps / t

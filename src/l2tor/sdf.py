@@ -4,7 +4,9 @@ The spectral density of a map f counts the generalized singular values of
 f that are <= lambda, in units of the source trace normalization.  A step
 function holds whole counts and one unit, so values that are equal
 multiples of the unit compare exactly, and "<= for all lambda" questions
-are decidable on finitely many probes; l2tor.checks decides them.
+are decidable on finitely many probes; l2tor.checks decides them, on the
+probe points _probe_table derives for many functions at once.  The density
+of a map is built straight from its singular values, which come sorted.
 """
 
 from __future__ import annotations
@@ -69,6 +71,10 @@ class SpectralDensityFunction:
         """From (position, jump count) pairs, one count worth unit; positions may repeat."""
         if not 0.0 < unit < np.inf:
             raise ValueError("the unit must be finite and positive")
+        positions = np.asarray(positions, dtype=float)
+        counts = np.asarray(counts, dtype=float)
+        if positions.shape != counts.shape or positions.ndim != 1:
+            raise ValueError("positions and counts must be 1-d arrays of equal length")
         F = SpectralDensityFunction(*_steps(positions, counts))
         F.unit = float(unit)
         return F
@@ -153,9 +159,23 @@ class SpectralDensityFunction:
         """0, the breakpoints, the midpoints between them and a point past
         the top, unsorted; l2tor.checks sorts and merges the points of the
         functions in a relation and decides it on them."""
-        lams = self.lams
-        return np.concatenate([[0.0], lams, 0.5 * (lams[1:] + lams[:-1]),
-                               [1.1 * self.max_breakpoint + 1.0]])
+        return _probe_table(self.lams, np.array([self.lams.size]))[0]
+
+
+def _probe_table(lams: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The probe_points of functions whose breakpoints lams holds one after
+    another, sizes[k] of them for function k: the points of each function in
+    turn, and how many each has."""
+    n = sizes.size
+    owner = np.repeat(np.arange(n), sizes)
+    inner = owner[1:] == owner[:-1]
+    ends = np.cumsum(sizes)
+    top = np.where(sizes > 0, np.concatenate([[0.0], lams])[ends], 0.0)
+    points = np.concatenate([np.zeros(n), lams, 0.5 * (lams[1:] + lams[:-1])[inner],
+                             1.1 * top + 1.0])
+    point_owner = np.concatenate([np.arange(n), owner, owner[1:][inner], np.arange(n)])
+    # 0, n breakpoints, n - 1 midpoints and the top; 0 and the top for n = 0
+    return points[np.argsort(point_owner, kind="stable")], np.maximum(2 * sizes + 1, 2)
 
 
 def _steps(positions, counts) -> tuple[np.ndarray, np.ndarray]:
@@ -169,6 +189,21 @@ def _steps(positions, counts) -> tuple[np.ndarray, np.ndarray]:
     return uniq, np.cumsum(jump)
 
 
+def _from_descending(sv: np.ndarray, unit: float) -> SpectralDensityFunction:
+    """The function counting the values of sv <= lambda, one count worth
+    unit, for singular values sv in descending order (as LAPACK returns
+    them); equal to from_jumps(sv, ones, unit) without its sort.  A NaN, a
+    negative or infinite value or one out of order is refused."""
+    up = sv[::-1]
+    # written so that NaN fails it
+    if up.size and not (up[0] >= 0.0 and up[-1] < np.inf and (up[1:] >= up[:-1]).all()):
+        raise ValueError("singular values must be finite, nonnegative and descending")
+    last = np.ones(up.size, dtype=bool)  # the last of each run of equal values
+    last[:-1] = up[1:] != up[:-1]
+    last = np.flatnonzero(last)
+    return SpectralDensityFunction._derived(up[last], last + 1.0, float(unit))
+
+
 def sdf_of_map(f: TracedMap) -> SpectralDensityFunction:
     """Spectral density of f: counts generalized singular values <= lambda,
     in units of the source normalization.
@@ -176,8 +211,7 @@ def sdf_of_map(f: TracedMap) -> SpectralDensityFunction:
     Exact step function; eigenvalues are computed once, tiny singular
     values are clamped to zero by the rank rule (traced.nonzero_mask).
     """
-    sv = f.clamped_singular_values()
-    return SpectralDensityFunction.from_jumps(sv, np.ones(sv.shape), f.source.normalization)
+    return _from_descending(f.clamped_singular_values(), f.source.normalization)
 
 
 @dataclass

@@ -32,8 +32,12 @@ __all__ = ["TracedSpace", "TracedMap", "nonzero_mask"]
 def nonzero_mask(sv: np.ndarray) -> np.ndarray:
     """The rank rule, behind every rank, kernel and image decision: the
     singular values sv (in any order) that exceed both RANK_RTOL times the
-    largest and ZERO_SV_ATOL count as nonzero."""
-    return sv > max(RANK_RTOL * sv.max(initial=0.0), ZERO_SV_ATOL)
+    largest and ZERO_SV_ATOL count as nonzero.  A NaN or infinite value is
+    refused: it would turn the threshold into NaN and every value into a zero."""
+    top = sv.max(initial=0.0)
+    if not top < np.inf:
+        raise ValueError("singular values must be finite")
+    return sv > max(RANK_RTOL * top, ZERO_SV_ATOL)
 
 
 def _as_normalization(value) -> float:

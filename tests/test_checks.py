@@ -13,7 +13,7 @@ from l2tor.config import RANGE_END_RTOL
 from l2tor.complexes import FiniteCochainComplex
 from l2tor.rand import (random_homotopy_pair, random_short_exact_triple,
                         rng_for)
-from l2tor.sdf import SpectralDensityFunction, sdf_of_map
+from l2tor.sdf import SpectralDensityFunction, _probe_table, sdf_of_map
 from l2tor.traced import TracedMap, TracedSpace
 
 
@@ -492,23 +492,58 @@ def test_a_violation_found_without_probing_keeps_its_place():
 
 @pytest.mark.parametrize("suite", ["basic", "block"])
 def test_an_instance_probes_each_function_once_and_decides_once(monkeypatch, suite):
-    probed, batches = [], []
-    probe_points, decide = SpectralDensityFunction.probe_points, checks._decide
+    # every distinct function of the instance enters the decision's table
+    # once, and no function is asked for its probe points on its own
+    tabled, probed, batches = [], [], []
+    table, decide = checks._table, checks._decide
 
-    def counted_probe_points(F):
-        probed.append(F)
-        return probe_points(F)
+    def counted_table(funcs):
+        tabled.extend(funcs)
+        return table(funcs)
 
     def counted_decide(relations):
-        batches.append(len(relations))
+        batches.append(relations)
         return decide(relations)
 
-    monkeypatch.setattr(SpectralDensityFunction, "probe_points", counted_probe_points)
+    monkeypatch.setattr(checks, "_table", counted_table)
     monkeypatch.setattr(checks, "_decide", counted_decide)
+    monkeypatch.setattr(SpectralDensityFunction, "probe_points", lambda F: probed.append(F))
     report = run_suite(suite, seed=20240801, instances=1, max_dim=6)
     assert report.probes > 0
-    assert len(batches) == 1 and batches[0] >= 8
-    assert len({id(F) for F in probed}) == len(probed)
+    assert len(batches) == 1 and len(batches[0]) >= 8
+    assert len({id(F) for F in tabled}) == len(tabled)
+    assert {id(F) for rel in batches[0] for F in (rel.lhs, *rel.rhs)} == {id(F) for F in tabled}
+    assert probed == []
+
+
+def _points(F):
+    """The probe points of F as probe_points documents them."""
+    return np.concatenate([[0.0], F.lams, 0.5 * (F.lams[1:] + F.lams[:-1]),
+                           [1.1 * F.max_breakpoint + 1.0]])
+
+
+@given(st.lists(_steps, min_size=1, max_size=5))
+def test_the_table_gives_each_function_its_probe_points_bitwise(funcs):
+    # _steps draws empty and one-breakpoint functions too
+    table = checks._table(funcs)
+    points, sizes = _probe_table(table.lams, table.sizes)
+    assert sizes.sum() == points.size
+    for F, mine in zip(funcs, np.split(points, np.cumsum(sizes)[:-1])):
+        assert mine.tobytes() == _points(F).tobytes()
+        assert F.probe_points().tobytes() == _points(F).tobytes()
+
+
+def test_the_lookup_reads_zero_below_a_first_breakpoint_and_on_empty_functions():
+    empty, late = SpectralDensityFunction([], []), SpectralDensityFunction([2.0], [1.0])
+    report = CheckReport()
+    report.equal("empty", empty, [empty, empty])
+    assert report.decide() == [0.0]  # a table with no breakpoint at all
+    report.leq("late", late, [late])
+    report.equal("late-empty", late, [empty])
+    report.leq("empty-late", empty, [late])
+    assert report.decide() == [0.0, 1.0, None]
+    assert [(v.item, v.lam, v.lhs, v.rhs) for v in report.violations] == [
+        ("late-empty", 2.0, 1.0, 0.0), ("late-empty", 3.2, 1.0, 0.0)]
 
 
 def _two_pass_grid(lhs, terms):

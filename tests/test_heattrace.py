@@ -481,6 +481,17 @@ def test_domination_gap_above_eps():
     assert not out["violations"]
 
 
+@pytest.mark.parametrize("eps, t_values", [
+    (math.nan, None), (math.inf, None), (0.0, None), (-1.0, None),
+    (1.0, [math.nan]), (1.0, [2.0, math.inf]), (1.0, [0.5]), (1.0, [1.0, math.nan]),
+], ids=["nan-eps", "inf-eps", "zero-eps", "negative-eps",
+        "nan-t", "inf-t", "t-below-1", "nan-t-after-valid"])
+def test_domination_refuses_eps_or_t_out_of_range(eps, t_values):
+    S = Spectrum.from_pairs([(2.0, 1.0)])
+    with pytest.raises(ValueError, match="eps must be finite and positive|finite t >= 1"):
+        large_time_dominating_bound(S, eps, t_values)
+
+
 def test_domination_random_probes():
     rng = rng_for(7, 2)
     for k in range(50):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from l2tor.checks import CheckReport, _moebius_argument, check_block_matrix_F, tie_shifted
 from l2tor.config import TIE_RTOL
 from l2tor.rand import random_map, random_space, rng_for
-from l2tor.sdf import SpectralDensityFunction, ns_exponent_fit, sdf_of_map
+from l2tor.sdf import SpectralDensityFunction, _from_descending, ns_exponent_fit, sdf_of_map
 from l2tor.traced import TracedMap, TracedSpace, nonzero_mask
 
 
@@ -285,10 +285,62 @@ def test_scaled_argument_at_zero_examples():
     lambda: SpectralDensityFunction([1.0, 2.0], [1.0, math.nan]),
     lambda: SpectralDensityFunction([1.0, math.inf], [1.0, 2.0]),
     lambda: SpectralDensityFunction.from_jumps([0.5, math.nan], [1.0, 1.0]),
-], ids=["nan-breakpoint", "nan-value", "inf-breakpoint", "nan-jump-position"])
+    lambda: SpectralDensityFunction.from_jumps([1.0], [1.0, 5.0]),
+    lambda: SpectralDensityFunction.from_jumps([1.0, 2.0], [1.0]),
+    lambda: SpectralDensityFunction.from_jumps([[1.0, 2.0]], [[1.0, 1.0]]),
+], ids=["nan-breakpoint", "nan-value", "inf-breakpoint", "nan-jump-position",
+        "more-counts-than-positions", "more-positions-than-counts", "two-dimensional"])
 def test_entry_points_refuse_nonfinite_input(build):
-    with pytest.raises(ValueError, match="finite|increasing"):
+    with pytest.raises(ValueError, match="finite|increasing|1-d arrays of equal length"):
         build()
+
+
+@st.composite
+def counted_maps(draw):
+    """Maps whose singular values show each case of the sorted path: a
+    zero-dimensional source or target, a source larger than the target
+    (zeros appended), repeated values (a scaled identity) and values the
+    rank rule clamps to zero."""
+    ds, dt = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    norm = draw(st.sampled_from([1.0, 0.5, 0.25, 1.0 / 3.0]))
+    kind = draw(st.sampled_from(["random", "scaled-identity", "clamped"]))
+    rng = rng_for(draw(st.integers(0, 2 ** 16)), 0)
+    if kind == "random":
+        return random_map(rng, random_space(rng, ds, norm), random_space(rng, dt, norm))
+    if kind == "scaled-identity":
+        coeff = draw(st.floats(min_value=1e-3, max_value=1e3)) * np.eye(dt, ds)
+    else:
+        coeff = np.eye(dt, ds) * rng.choice([1.0, 2.0, 1e-13, 1e-17, 0.0], size=ds)
+    return TracedMap(TracedSpace(ds, norm), TracedSpace(dt, norm), coeff)
+
+
+@given(counted_maps())
+def test_sorted_singular_values_build_what_from_jumps_builds_bitwise(f):
+    unit = f.source.normalization
+    square = (f.adjoint() @ f).singular_values().copy()
+    square[f.rank():] = 0.0  # the f*f side of basic.6
+    for sv, got in ((f.clamped_singular_values(), sdf_of_map(f)),
+                    (square, _from_descending(square, unit))):
+        want = SpectralDensityFunction.from_jumps(sv, np.ones(sv.shape), unit)
+        assert got.lams.tobytes() == want.lams.tobytes()
+        assert got.counts.tobytes() == want.counts.tobytes()
+        assert got.unit == want.unit
+
+
+@pytest.mark.parametrize("sv", [[1.0, 2.0], [2.0, 1.0, 1.5], [math.nan], [2.0, math.nan, 1.0],
+                                [1.0, -1.0], [math.inf, 1.0]],
+                         ids=["ascending", "unsorted", "nan", "nan-inside", "negative", "inf"])
+def test_sorted_path_refuses_values_out_of_order_or_not_finite(sv):
+    with pytest.raises(ValueError, match="finite, nonnegative and descending"):
+        _from_descending(np.array(sv), 1.0)
+
+
+@pytest.mark.parametrize("sv", [[1.0, 2.0], [2.0, math.nan]], ids=["unsorted", "nan"])
+def test_sdf_of_map_refuses_unsorted_or_nan_singular_values(monkeypatch, sv):
+    f = diag_map([1.0, 2.0])
+    monkeypatch.setattr(TracedMap, "singular_values", lambda self: np.array(sv))
+    with pytest.raises(ValueError, match="finite|descending"):
+        sdf_of_map(f)
 
 
 @st.composite
@@ -348,7 +400,7 @@ def test_derived_functions_skip_validation(monkeypatch):
     phi, xi, gamma = (random_map(rng, random_space(rng, dims[0]), random_space(rng, dims[1]))
                       for dims in ((3, 3), (2, 4), (2, 3)))
     check_block_matrix_F(CheckReport(), phi, gamma, xi)
-    assert len(calls) == 3  # the sdf_of_map of M, phi and xi
+    assert calls == []  # sdf_of_map of M, phi and xi builds from sorted values
 
 
 def test_argument_change_that_merges_breakpoints_raises():

@@ -124,6 +124,14 @@ def test_rank_rule_cutoff():
     assert nonzero_mask(sv[::-1]).tolist() == [False, True, False, True]
 
 
+@pytest.mark.parametrize("sv", [[2.0, np.nan], [np.nan], [np.inf, 1.0]],
+                         ids=["nan", "only-nan", "inf"])
+def test_rank_rule_refuses_nonfinite_values(sv):
+    # a NaN top would make every comparison false, so every value a zero
+    with pytest.raises(ValueError, match="finite"):
+        nonzero_mask(np.array(sv))
+
+
 def test_rank_decisions_follow_the_rank_rule():
     s = TracedSpace(4)
     f = TracedMap(s, s, np.diag([3.0, 1.0, 0.5 * RANK_RTOL, 2.0 * ZERO_SV_ATOL]))
