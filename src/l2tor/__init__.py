@@ -10,7 +10,7 @@ from .complexes import (FiniteCochainComplex, ShortExactTriple, complex_sdf,
 from .checks import (check_basic_F, check_block_matrix_F, check_gromov_shubin,
                      check_short_exact, run_suite)
 from .spectrum import Spectrum
-from .heattrace import (HeatTraceModel, analytic_torsion, asympt_fit,
+from .heattrace import (HeatTraceModel, analytic_torsion,
                         cheeger_mueller_correction, d_small,
                         large_time_dominating_bound, large_time_integral,
                         zeta_det)
@@ -33,7 +33,7 @@ __all__ = [
     "check_basic_F", "check_block_matrix_F", "check_gromov_shubin",
     "check_short_exact", "run_suite",
     "Spectrum",
-    "HeatTraceModel", "analytic_torsion", "asympt_fit",
+    "HeatTraceModel", "analytic_torsion",
     "cheeger_mueller_correction", "d_small", "large_time_dominating_bound",
     "large_time_integral", "zeta_det",
     "CuspEnd", "PlancherelTable", "cusp_volume", "heat_density",

@@ -217,23 +217,22 @@ class ConformalFamily:
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise ValueError("only dimensions 2 and 3 are supported")
-        if self.cross_section_volume <= 0:
-            raise ValueError("cross-section volume must be positive")
+        if not 0.0 < self.cross_section_volume < math.inf:  # NaN fails it
+            raise ValueError("cross-section volume must be finite and positive")
 
     def jet(self, x: float, u: float) -> Jet:
         out = self.f(Jet.var_x(x), Jet.var_u(u))
         return Jet.lift(out)
 
-    def validate(self, u_probes=(0.0, 0.25, 0.5, 1.0)) -> None:
-        for u in u_probes:
-            for x in _X_PROBES:
-                jet = self.jet(x, u)
-                if not jet.value > 0:
-                    raise ValueError(f"conformal factor not positive at {(x, u)}")
-            if abs(self.jet(0.0, u).d_u) > 1e-12:
-                raise ValueError(
-                    "family is not stationary at the boundary (d_u f(0, u) != 0); "
-                    "the reduced boundary formula does not apply")
+    def validate(self, u: float) -> None:
+        for x in _X_PROBES:
+            jet = self.jet(x, u)
+            if not jet.value > 0:
+                raise ValueError(f"conformal factor not positive at {(x, u)}")
+        if abs(self.jet(0.0, u).d_u) > 1e-12:
+            raise ValueError(
+                "family is not stationary at the boundary (d_u f(0, u) != 0); "
+                "the reduced boundary formula does not apply")
 
     def variation_multiple(self, u: float) -> np.ndarray:
         """x-series (orders 0..2) of (d_u f)/f at the boundary."""
@@ -338,7 +337,7 @@ def anomaly_coefficients(family: ConformalFamily, u: float) -> AnomalyCoefficien
     the reduced formulas below are exact.  The boundary integral is the
     coefficient times the flat cross-section volume.
     """
-    family.validate(u_probes=(u,))
+    family.validate(u)
     vol = family.cross_section_volume
     series = family.variation_multiple(u)
     r1, r2 = float(series[1]), 2.0 * float(series[2])

@@ -90,6 +90,8 @@ def _load_spectrum(path: str) -> tuple[Spectrum | None, dict[int, Spectrum] | No
         for k, entry in enumerate(field(raw, "degrees", path, items)):
             loc = f"{path}.degrees[{k}]"
             p = field(entry, "p", loc, integer)
+            if p < 0:
+                raise ManifestError(f"{loc}.p", f"degree {p} is negative")
             if p in degrees:
                 raise ManifestError(f"{loc}.p", f"degree {p} appears twice")
             degrees[p] = _spectrum(field(entry, "spectrum", loc, items), f"{loc}.spectrum")
@@ -137,21 +139,20 @@ def _cmd_zeta(args) -> int:
     if args.op == "det":
         if single is None:
             raise ValueError("--op det expects a flat spectrum file")
-        value, error = zeta_det_with_error(single, m=args.m)
+        value, error = zeta_det_with_error(single)
         _emit({"op": "det", "value": value, "errorEstimate": error}, args.output)
         return 0
     if args.op == "dsmall":
         if single is None:
             raise ValueError("--op dsmall expects a flat spectrum file")
-        res = d_small(HeatTraceModel.from_spectrum(single, m=args.m))
+        res = d_small(HeatTraceModel.from_spectrum(single))
         _emit({"op": "dsmall", "value": res.value,
                "errorEstimate": res.error}, args.output)
         return 0
     if args.op == "torsion":
         if degrees is None:
             degrees = {1: single}
-        models = {p: HeatTraceModel.from_spectrum(s, m=args.m)
-                  for p, s in degrees.items()}
+        models = {p: HeatTraceModel.from_spectrum(s) for p, s in degrees.items()}
         _emit({"op": "torsion", **_torsion_report(analytic_torsion(models))}, args.output)
         return 0
     raise ValueError(f"unknown zeta op {args.op!r}")
@@ -386,7 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--op", choices=["det", "trace", "torsion", "dsmall"],
                    default="det")
     p.add_argument("--t", type=_finite, default=1.0, help="time for --op trace")
-    p.add_argument("--m", type=int, default=0, help="dimension parameter")
     p.add_argument("--include-kernel", action="store_true")
     _add_common(p)
     p.set_defaults(handler=_cmd_zeta)

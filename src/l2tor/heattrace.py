@@ -2,10 +2,13 @@
 
 A HeatTraceModel wraps an evaluable kernel-free trace theta(t) together with
 its dimension parameter m and the coefficients of the t^{-(m-i)/2} expansion
-at small time.  The derivative at zero of the Mellin-regularized trace splits
-into a small-time part (subtracted integral plus expansion constants) and the
-plain large-time integral; torsion alternates these over form degrees with
-weight (-1)^p p.
+at small time.  A finite spectrum's expansion is its constant term alone, so
+from_spectrum sets m = 0 and takes no dimension parameter; from_circle sets
+m = 1, the hyperbolic degrees set the dimension of their table, and a
+hand-built model gives its own m and coefficients.  The derivative at zero
+of the Mellin-regularized trace splits into a small-time part (subtracted
+integral plus expansion constants) and the plain large-time integral;
+torsion alternates these over form degrees with weight (-1)^p p.
 
 Exact pieces: a model hands the solvers a Mellin integral in closed form
 as an ExactIntegral (value and rounding bound), and d_small and
@@ -50,13 +53,11 @@ import numpy as np
 
 from .config import QUAD_ATOL
 from .mellin import EULER_GAMMA, dsmall_constant
-from .spectrum import (Spectrum, circle_heat_trace, circle_heat_trace_residual)
+from .spectrum import (Spectrum, circle_heat_trace, circle_trace_residual)
 
 __all__ = [
     "HeatTraceModel",
     "ExactIntegral",
-    "asympt_fit",
-    "AsymptoticFit",
     "d_small",
     "DsmallResult",
     "large_time_integral",
@@ -86,7 +87,6 @@ _EXP1_CUTOFF = 42.0
 # at most this many terms per circle sum: a longer one comes from the
 # scale relation
 _MAX_CIRCLE_TERMS = 64
-_ILL_CONDITIONED = 1e8  # asympt_fit flags a fit with a larger condition number
 _DOMINATION_ATOL = 1e-12  # slack of the large-time domination check
 
 
@@ -205,9 +205,9 @@ class HeatTraceModel:
 
     coefficients[i] multiplies t^{-(m-i)/2} for i = 0..m; None means the
     expansion is unknown and the small-time machinery refuses to run until
-    an explicit fit supplies it.  residual(t), when present, evaluates
-    theta(t) minus the full expansion without cancellation.  spectral_gap
-    is the smallest positive eigenvalue; zeta_det requires it positive.
+    they are set.  residual(t), when present, evaluates theta(t) minus the
+    full expansion without cancellation.  spectral_gap is the smallest
+    positive eigenvalue; zeta_det requires it positive.
     small_time_exact, when present, is the integral of the residual against
     dt/t over (0, 1] in closed form, which d_small then uses in place of
     quadrature.  large_time_exact is the integral of theta(t)/t over
@@ -240,12 +240,12 @@ class HeatTraceModel:
     # -- constructors ---------------------------------------------------------------
 
     @staticmethod
-    def from_spectrum(S: Spectrum, m: int = 0) -> "HeatTraceModel":
+    def from_spectrum(S: Spectrum) -> "HeatTraceModel":
         """Kernel-free trace of a finite spectrum.
 
-        All expansion coefficients vanish except the constant term, which is
-        the total positive weight; the residual sums w * expm1(-lam t).  The
-        two Mellin integrals are -sum w Ein(lam) and sum w E1(lam).
+        Its expansion is the constant term alone (m = 0), the total positive
+        weight; the residual sums w * expm1(-lam t).  The two Mellin
+        integrals are -sum w Ein(lam) and sum w E1(lam).
         """
         from scipy.special import exp1
 
@@ -253,12 +253,12 @@ class HeatTraceModel:
         # every eigenvalue of the positive part is positive, so its residual
         # needs no mask: the arrays are bound once, not gathered per call
         lam, w = pos.eigenvalues, pos.weights
-        coeff = np.zeros(m + 1)
-        coeff[m] = pos.total_weight
+        coeff = np.zeros(1)
+        coeff[0] = pos.total_weight
         e1 = exp1(lam)  # once, for both integrals
         model = HeatTraceModel(
             evaluate=lambda t: pos.heat_trace(t, include_kernel=True),
-            m=m,
+            m=0,
             coefficients=coeff,
             residual=lambda t: float((w * np.expm1(-t * lam)).sum()),
             # the positive part is sorted: its first eigenvalue is the gap
@@ -275,16 +275,20 @@ class HeatTraceModel:
         """Kernel-free circle trace with its exact two-term expansion and
         both Mellin integrals in closed form, at every length."""
         L = circumference
-        if not L > 0:
-            raise ValueError("circumference must be positive")
+        if not 0.0 < L < math.inf:  # NaN fails it
+            raise ValueError("circumference must be finite and positive")
+        gap = (2.0 * math.pi / L) ** 2
+        if gap < np.finfo(float).tiny:
+            raise ValueError(f"circumference {L:g} is too long: its spectral gap "
+                             "(2 pi / L)^2 underflows")
         coeff = np.array([L / math.sqrt(4.0 * math.pi), -1.0])
         small, large = _circle_integrals(L)
         model = HeatTraceModel(
             evaluate=lambda t: circle_heat_trace(L, t, include_zero=False),
             m=1,
             coefficients=coeff,
-            residual=lambda t: circle_heat_trace_residual(L, t),
-            spectral_gap=(2.0 * math.pi / L) ** 2,
+            residual=lambda t: circle_trace_residual(L, t),
+            spectral_gap=gap,
             small_time_exact=small,
             large_time_exact=large,
         )
@@ -302,47 +306,6 @@ class HeatTraceModel:
         if self.residual is not None:
             return self.residual(t)
         return self.evaluate(t) - self.expansion_value(t)
-
-
-# -- asymptotic fitting --------------------------------------------------------------
-
-
-@dataclass
-class AsymptoticFit:
-    coefficients: np.ndarray
-    condition_number: float
-    max_residual: float
-    ill_conditioned: bool
-
-
-def asympt_fit(theta: Callable[[float], float] | HeatTraceModel,
-               t_grid, m: int | None = None) -> AsymptoticFit:
-    """Weighted least squares of theta against the powers t^{-(m-i)/2}.
-
-    Each row is weighted by t^{m/2} so all basis columns have comparable
-    scale; the condition number of the weighted design is reported and a fit
-    whose condition number exceeds _ILL_CONDITIONED is flagged, not rejected.
-    """
-    if isinstance(theta, HeatTraceModel):
-        if m is None:
-            m = theta.m
-        theta = theta.evaluate
-    if m is None:
-        raise ValueError("dimension parameter m required")
-    ts = np.asarray(t_grid, dtype=float)
-    if ts.size < m + 1:
-        raise ValueError("grid must have at least m + 1 points")
-    if ts.min() <= 0 or ts.max() > 0.1 + 1e-12:
-        raise ValueError("grid must lie in (0, 0.1]")
-    design = np.column_stack([ts ** (-(m - i) / 2.0) for i in range(m + 1)])
-    w = ts ** (m / 2.0)
-    values = np.array([theta(t) for t in ts])
-    wd = design * w[:, None]
-    coeff, *_ = np.linalg.lstsq(wd, values * w, rcond=None)
-    sv = np.linalg.svd(wd, compute_uv=False)
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0 else math.inf
-    resid = float(np.max(np.abs(design @ coeff - values)))
-    return AsymptoticFit(coeff, cond, resid, cond > _ILL_CONDITIONED)
 
 
 # -- small-time part -----------------------------------------------------------------
@@ -374,14 +337,12 @@ def d_small(model: HeatTraceModel) -> DsmallResult:
     """Small-time part: subtracted dt/t integral on (0, 1] plus constants.
 
     The integral is the model's exact value when it has one, else
-    quadrature.  Refuses when expansion coefficients are unknown (run
-    asympt_fit and set them explicitly) or when the subtracted integrand is
-    not integrable.
+    quadrature.  Refuses when expansion coefficients are unknown or when
+    the subtracted integrand is not integrable.
     """
     if model.coefficients is None:
-        raise ValueError(
-            "expansion coefficients unknown; fit them explicitly (asympt_fit) "
-            "and set model.coefficients before computing the small-time part")
+        raise ValueError("expansion coefficients unknown; set model.coefficients "
+                         "before computing the small-time part")
     _check_residual_integrable(model)
     if model.small_time_exact is not None:
         (integral, err), method = model.small_time_exact, "exact"
@@ -444,25 +405,28 @@ def _zeta_prime(model: HeatTraceModel, subject: str) -> tuple[float, float, floa
 def analytic_torsion(models: dict[int, HeatTraceModel]) -> TorsionResult:
     """Alternating degree-weighted sum of small- and large-time parts.
 
-    Every degree must carry its large-time integral; the total carries the
-    weight (-1)^p p per degree.  A model object shared by several degrees
-    is solved once, and refused naming the first of them.
+    Degrees are nonnegative, and every degree must carry its large-time
+    integral; the total carries the weight (-1)^p p per degree.  A model
+    object shared by several degrees is solved once, and refused naming
+    the first of them.
     """
     per_degree = []
     total = 0.0
     err = 0.0
     solved: dict[int, tuple[float, float, float]] = {}  # by id of the model
     for p, model in sorted(models.items()):
+        if p < 0:
+            raise ValueError(f"form degree {p} is negative")
         if id(model) not in solved:
             solved[id(model)] = _zeta_prime(model, f"degree {p} is ")
         small, large, error = solved[id(model)]
         per_degree.append((p, small, large))
         total += (-1) ** p * p * (small + large)
-        err += abs(p) * error
+        err += p * error
     return TorsionResult(per_degree, total, {"error": err})
 
 
-def zeta_det_with_error(source: Spectrum | HeatTraceModel, m: int = 0) -> tuple[float, float]:
+def zeta_det_with_error(source: Spectrum | HeatTraceModel) -> tuple[float, float]:
     """exp(-zeta'(0)) through the same small/large split as the torsion,
     with the error det * (small-part error + large-part error).
 
@@ -475,10 +439,10 @@ def zeta_det_with_error(source: Spectrum | HeatTraceModel, m: int = 0) -> tuple[
         pos = source.positive_part()
         if pos.eigenvalues.size == 0:
             raise ValueError("spectrum has no positive part")
-        model = HeatTraceModel.from_spectrum(pos, m=m)
+        model = HeatTraceModel.from_spectrum(pos)
     else:
         model = source
-        if model.spectral_gap is None or model.spectral_gap <= 0:
+        if model.spectral_gap is None or not model.spectral_gap > 0:  # NaN fails it
             raise ValueError("determinant requires a positive spectral gap")
     small, large, error = _zeta_prime(model, "")
     zeta_prime = small + large
@@ -491,9 +455,9 @@ def zeta_det_with_error(source: Spectrum | HeatTraceModel, m: int = 0) -> tuple[
     return det, det * error
 
 
-def zeta_det(source: Spectrum | HeatTraceModel, m: int = 0) -> float:
+def zeta_det(source: Spectrum | HeatTraceModel) -> float:
     """exp(-zeta'(0)); see zeta_det_with_error."""
-    return zeta_det_with_error(source, m)[0]
+    return zeta_det_with_error(source)[0]
 
 
 def cheeger_mueller_correction(chi_boundary: int) -> float:

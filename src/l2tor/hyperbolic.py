@@ -129,7 +129,7 @@ class PlancherelComponent:
 
     def trace(self, t: float) -> float:
         """int_0^inf e^{-t(r^2 + shift)} poly(r) dr via r = s / sqrt(t)."""
-        if t <= 0:
+        if not t > 0:  # NaN fails it
             raise ValueError("time must be positive")
         acc = 0.0
         for k, c in enumerate(self.poly):
@@ -332,8 +332,8 @@ class CuspEnd:
     cross_section_volume: float
 
     def __post_init__(self):
-        if self.cross_section_volume <= 0:
-            raise ValueError("cross-section volume must be positive")
+        if not 0.0 < self.cross_section_volume < math.inf:  # NaN fails it
+            raise ValueError("cross-section volume must be finite and positive")
 
 
 def cusp_volume(end: CuspEnd, m: int, height: float = 0.0) -> float:

@@ -47,8 +47,8 @@ class Domain1D:
 
     def __post_init__(self):
         if self.kind in (INTERVAL_NEUMANN, CIRCLE):
-            if self.length is None or self.length <= 0:
-                raise ValueError(f"{self.kind} needs a positive length")
+            if self.length is None or not 0.0 < self.length < math.inf:  # NaN fails it
+                raise ValueError(f"{self.kind} needs a finite positive length")
         elif self.kind in (LINE, HALF_NEUMANN, HALF_DIRICHLET):
             if self.length is not None:
                 raise ValueError(f"{self.kind} takes no length")
@@ -91,8 +91,10 @@ def _gauss(z: float, t: float) -> float:
 
 def kernel_1d(domain: Domain1D, t: float, x: float, y: float) -> float:
     """Heat kernel of the domain at (t, x, y), exact up to tails < 1e-14."""
-    if t <= 0:
+    if not t > 0:  # NaN fails it
         raise ValueError("time must be positive")
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"points ({x}, {y}) must be finite")
     if not domain.contains(x) or not domain.contains(y):
         raise ValueError(f"points ({x}, {y}) outside domain {domain.kind}")
     kind = domain.kind
@@ -207,7 +209,7 @@ def sup_bound_check(domain: Domain1D, t0: float) -> dict:
     t = t0: the kernel is dominated by its diagonal (Cauchy-Schwarz for the
     semigroup) and the diagonal decreases in time.
     """
-    if t0 <= 0:
+    if not t0 > 0:  # NaN fails it
         raise ValueError("t0 must be positive")
     if domain.kind == LINE:
         xs = np.linspace(-2.0, 2.0, _SUP_POINTS)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .complexes import FiniteCochainComplex, ShortExactTriple
-from .traced import TracedMap, TracedSpace
+from .traced import TracedMap, TracedSpace, nonzero_mask
 
 __all__ = [
     "rng_for",
@@ -157,8 +157,7 @@ def _coupling_nullspace(C: FiniteCochainComplex, E: FiniteCochainComplex,
     if rows:
         constraint = np.vstack(rows)
         _, s, vt = np.linalg.svd(constraint, full_matrices=True)
-        cutoff = 1e-10 * (s.max() if s.size else 0.0)
-        null = vt[int(np.count_nonzero(s > cutoff)) :].T
+        null = vt[int(np.count_nonzero(nonzero_mask(s))) :].T
     else:
         null = np.eye(total)
     vec = null @ rng.standard_normal(null.shape[1]) if null.shape[1] else np.zeros(total)

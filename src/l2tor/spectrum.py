@@ -1,10 +1,11 @@
 """Explicit spectra with weights, their heat traces, and circle heat traces.
 
 A Spectrum is a finite weighted eigenvalue list; the weight of an eigenvalue
-is its multiplicity times the trace normalization.  Heat traces and the
-numerically stable variants needed by the small-time integrals live here,
-together with the circle heat trace, summed in whichever of its eigenvalue
-and dual-series forms converges faster.
+is its multiplicity times the trace normalization.  Its heat trace lives
+here, together with the circle heat trace, summed in whichever of its
+eigenvalue and dual-series forms converges faster, and the circle trace's
+numerically stable residual.  A finite spectrum's residual is summed by
+its heat-trace model (HeatTraceModel.from_spectrum).
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ class Spectrum:
         return float(pos[0]) if pos.size else math.inf
 
     def heat_trace(self, t: float, include_kernel: bool = False) -> float:
-        if t <= 0:
+        if not t > 0:  # NaN fails it
             raise ValueError("time must be positive")
         mask = slice(None) if include_kernel else self.eigenvalues > 0
         return float(np.sum(self.weights[mask] * np.exp(-t * self.eigenvalues[mask])))
@@ -88,22 +89,13 @@ class Spectrum:
         w e^{-t lam} is good to 2 + t lam ulps (the rounding of t lam is
         amplified by the exponential), and the sum of n terms adds at most
         n - 1 more."""
-        if t <= 0:
+        if not t > 0:  # NaN fails it
             raise ValueError("time must be positive")
         mask = slice(None) if include_kernel else self.eigenvalues > 0
         lam = self.eigenvalues[mask]
         terms = self.weights[mask] * np.exp(-t * lam)
         eps = float(np.finfo(float).eps)
         return float(eps * np.sum(terms * (terms.size + 2.0 + t * lam)))
-
-    def heat_trace_residual(self, t: float) -> float:
-        """Kernel-free trace minus its t -> 0 limit, without cancellation.
-
-        Equals sum of w (e^{-t lam} - 1) over positive eigenvalues, computed
-        through expm1.
-        """
-        mask = self.eigenvalues > 0
-        return float((self.weights[mask] * np.expm1(-t * self.eigenvalues[mask])).sum())
 
     def counting_function(self, include_kernel: bool = False) -> SpectralDensityFunction:
         """Step function lambda -> weighted count of eigenvalues <= lambda."""
@@ -125,9 +117,11 @@ def circle_heat_trace(circumference: float, t: float, include_zero: bool = True)
     faster-converging form is always used.  Without the zero mode the
     eigenvalue series is summed on its own, so small traces keep their
     relative accuracy."""
-    if t <= 0:
+    if not t > 0:  # NaN fails it
         raise ValueError("time must be positive")
     L = circumference
+    if not 0.0 < L < math.inf:
+        raise ValueError("circumference must be finite and positive")
     t_star = L * L / (4.0 * math.pi)
     if t < t_star:
         value = L / math.sqrt(4.0 * math.pi * t) * (1.0 + _theta_dual_sum(L, t))
@@ -139,7 +133,7 @@ def circle_heat_trace(circumference: float, t: float, include_zero: bool = True)
     return 1.0 + nonzero if include_zero else nonzero
 
 
-def circle_heat_trace_residual(circumference: float, t: float) -> float:
+def circle_trace_residual(circumference: float, t: float) -> float:
     """Kernel-free circle trace minus its expansion L (4 pi t)^{-1/2} - 1,
     exact and stable for all t (the difference is the dual-series tail)."""
     L = circumference

@@ -578,7 +578,7 @@ def test_no_tolerance_parameters():
               "structure_atol", "validate", "identity_gram", "tries", "cond_threshold",
               "flat_threshold", "closed_form_atol", "crosscheck_atol", "value_atol",
               "n_grid", "c2_candidates", "max_gap", "dps", "x_probes", "tie_rtol",
-              "margin_key", "x_grid"}
+              "margin_key", "x_grid", "t_grid", "u_probes"}
     seen = 0
     for info in pkgutil.iter_modules(l2tor.__path__):
         module = __import__(f"l2tor.{info.name}", fromlist=["_"])
@@ -596,9 +596,14 @@ def test_no_tolerance_parameters():
                complexes.ShortExactTriple.validate,
                complexes.laplacian_sdf_decomposition, heattrace.large_time_dominating_bound):
         assert not {"atol", "value_atol"} & set(inspect.signature(fn).parameters), fn
-    # asympt_fit fits on the grid it is given and _exact_sum sums the terms it
-    # is given, so these two names are banned only where they were knobs
+    # _exact_sum sums the terms it is given, so `terms` is banned only where
+    # it was a knob
     for fn in (kernels1d.boundary_insensitivity_check,
                hyperbolic.PlancherelTable.validate, spectrum._theta_dual_sum,
                anomaly.ConformalFamily.validate):
-        assert not {"t_grid", "terms"} & set(inspect.signature(fn).parameters), fn
+        assert "terms" not in inspect.signature(fn).parameters, fn
+    # a finite spectrum's expansion is its constant term at every m, so the
+    # analytic functions of a spectrum take no dimension parameter
+    for fn in (heattrace.HeatTraceModel.from_spectrum, heattrace.zeta_det,
+               heattrace.zeta_det_with_error):
+        assert "m" not in inspect.signature(fn).parameters, fn

@@ -542,6 +542,13 @@ def test_anomaly_family_option_is_gone():
     assert exc.value.code == 2
 
 
+def test_zeta_m_option_is_gone():
+    # a finite spectrum's expansion is its constant term at every m
+    with pytest.raises(SystemExit) as exc:
+        main(["zeta", "--spectrum", "s.json", "--m", "0"])
+    assert exc.value.code == 2
+
+
 def _table_component(shift, poly) -> dict:
     """A density table whose one component has the given shift and poly."""
     return {"m": 3, "rows": [{"p": 0, "components": [{"shift": shift, "poly": poly}]}]}
@@ -606,6 +613,10 @@ def _packaged_table_with_scalar_poly(coefficient: float) -> dict:
      ("--spectrum", {"degrees": [{"p": 1, "spectrum": [[2.0, 1.0]]},
                                  {"p": 1.0, "spectrum": [[3.0, 1.0]]}]}),
      "error: {path}.degrees[1].p: degree 1 appears twice\n"),
+    (["zeta", "--op", "torsion"],
+     ("--spectrum", {"degrees": [{"p": 1, "spectrum": [[2.0, 1.0]]},
+                                 {"p": -1, "spectrum": [[3.0, 1.0]]}]}),
+     "error: {path}.degrees[1].p: degree -1 is negative\n"),
     (["hyperbolic", "--op", "constant", "--m", "3"], ("--table", {"m": 3.9, "rows": []}),
      "error: {path}.m: expected an integer, got 3.9\n"),
     (["hyperbolic", "--op", "density"],
@@ -699,7 +710,8 @@ def _packaged_table_with_scalar_poly(coefficient: float) -> dict:
         "det-underflow", "density-overflow", "cusp-overflow", "table-no-m",
         "table-row-no-components", "table-list", "table-degree-out-of-range",
         "degrees-no-spectrum", "spectrum-short-pair", "degrees-fractional-p",
-        "degrees-boolean-p", "degrees-duplicate-p", "table-fractional-m",
+        "degrees-boolean-p", "degrees-duplicate-p", "degrees-negative-p",
+        "table-fractional-m",
         "table-duplicate-row", "table-nan-shift", "table-string-shift",
         "table-boolean-shift", "table-negative-shift", "table-string-poly",
         "table-infinite-poly", "spectrum-string-eigenvalue",

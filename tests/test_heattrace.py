@@ -10,13 +10,16 @@ from scipy.special import erfc, exp1
 
 from l2tor.heattrace import (_EIN_SERIES, _EPS, _ERFC_CUTOFF, _EXP1_CUTOFF, _TERM_ULPS,
                              _TINY, ExactIntegral, HeatTraceModel, _circle_scale_relation,
-                             _ein, _exact_sum, analytic_torsion, asympt_fit,
+                             _ein, _exact_sum, analytic_torsion,
                              cheeger_mueller_correction, d_small,
                              large_time_dominating_bound, large_time_integral,
                              zeta_det, zeta_det_with_error)
+from l2tor.anomaly import ConformalFamily
+from l2tor.hyperbolic import CuspEnd, PlancherelComponent
+from l2tor.kernels1d import Domain1D, kernel_1d, sup_bound_check
 from l2tor.mellin import EULER_GAMMA
 from l2tor.rand import rng_for
-from l2tor.spectrum import Spectrum
+from l2tor.spectrum import Spectrum, circle_heat_trace
 
 
 def test_large_time_single_eigenvalue_exponential_integral():
@@ -238,7 +241,8 @@ def test_large_time_divergence_detected():
 
 def test_dsmall_refuses_unknown_coefficients():
     model = HeatTraceModel(evaluate=lambda t: math.exp(-t), m=1)
-    with pytest.raises(ValueError, match="asympt_fit"):
+    with pytest.raises(ValueError, match="^expansion coefficients unknown; set "
+                                         "model.coefficients"):
         d_small(model)
 
 
@@ -396,9 +400,12 @@ def test_torsion_single_degree_matches_parts():
                           st.floats(0.01, 10.0)), max_size=8),
        st.floats(1e-8, 10.0))
 def test_spectrum_model_residual_is_heat_trace_residual(pairs, t):
+    # the residual is sum over positive eigenvalues of w (e^{-t lam} - 1),
+    # summed through expm1 without cancellation
     S = Spectrum.from_pairs(pairs)
     residual = HeatTraceModel.from_spectrum(S).residual(t)
-    assert repr(residual) == repr(S.heat_trace_residual(t))
+    expected = math.fsum(w * math.expm1(-t * lam) for lam, w in pairs if lam > 0)
+    assert residual == pytest.approx(expected, rel=1e-12, abs=1e-300)
 
 
 def test_torsion_solves_a_shared_model_once(monkeypatch):
@@ -424,6 +431,12 @@ def test_torsion_solves_a_shared_model_once(monkeypatch):
     assert repr(shared) == repr(separate)
 
 
+def test_torsion_refuses_a_negative_degree():
+    model = HeatTraceModel.from_spectrum(Spectrum.from_pairs([(1.0, 1.0)]))
+    with pytest.raises(ValueError, match="^form degree -1 is negative$"):
+        analytic_torsion({-1: model, 1: model})
+
+
 def test_torsion_refuses_a_shared_model_at_its_first_degree():
     refused = _without_large_time()
     good = HeatTraceModel.from_spectrum(Spectrum.from_pairs([(1.0, 1.0)]))
@@ -439,25 +452,6 @@ def test_torsion_linear_in_weights():
     t1 = analytic_torsion({1: HeatTraceModel.from_spectrum(base)}).total
     t2 = analytic_torsion({1: HeatTraceModel.from_spectrum(doubled)}).total
     assert t2 == pytest.approx(2.0 * t1, rel=1e-9)
-
-
-def test_asympt_fit_circle():
-    model = HeatTraceModel.from_circle(2 * math.pi)
-    # full trace (kernel included) has no constant term
-    theta_full = lambda t: model.evaluate(t) + 1.0
-    fit = asympt_fit(theta_full, np.geomspace(1e-4, 0.1, 30), m=1)
-    assert fit.coefficients[0] == pytest.approx(math.sqrt(math.pi), abs=1e-6)
-    assert fit.coefficients[1] == pytest.approx(0.0, abs=1e-6)
-
-
-def test_asympt_fit_synthetic():
-    fit = asympt_fit(lambda t: t ** -0.5 + 3.0, np.geomspace(1e-3, 0.1, 20), m=1)
-    assert fit.coefficients == pytest.approx(np.array([1.0, 3.0]), abs=1e-9)
-
-
-def test_asympt_fit_zero_trace():
-    fit = asympt_fit(lambda t: 0.0, np.geomspace(1e-3, 0.1, 20), m=2)
-    assert np.allclose(fit.coefficients, 0.0, atol=1e-12)
 
 
 def test_cheeger_mueller_correction_values():
@@ -615,3 +609,41 @@ def test_exact_sum_is_its_np_sum_form(values, ulps, extra):
         _EPS * float(np.sum(np.abs(terms) * (terms.size + ulps))) + terms.size * _TINY + extra)
     got = _exact_sum(terms, ulps, extra)
     assert _bits(got) == _bits(want)
+
+
+_NAN, _INF = math.nan, math.inf
+_ONE = Spectrum.from_pairs([(1.0, 1.0)])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: _ONE.heat_trace(_NAN), "time must be positive"),
+    (lambda: _ONE.heat_trace_rounding_bound(_NAN), "time must be positive"),
+    (lambda: circle_heat_trace(1.0, _NAN), "time must be positive"),
+    (lambda: circle_heat_trace(_NAN, 1.0), "circumference must be finite"),
+    (lambda: circle_heat_trace(-1.0, 1.0), "circumference must be finite"),
+    (lambda: kernel_1d(Domain1D.line(), _NAN, 0.0, 0.0), "time must be positive"),
+    (lambda: kernel_1d(Domain1D.line(), 1.0, _NAN, 0.0), "must be finite"),
+    (lambda: kernel_1d(Domain1D.line(), 1.0, 0.0, _INF), "must be finite"),
+    (lambda: sup_bound_check(Domain1D.line(), _NAN), "t0 must be positive"),
+    (lambda: Domain1D.circle(_INF), "finite positive length"),
+    (lambda: Domain1D.interval_neumann(_NAN), "finite positive length"),
+    (lambda: PlancherelComponent(0.0, (1.0,)).trace(_NAN), "time must be positive"),
+    (lambda: CuspEnd(_NAN), "cross-section volume must be finite"),
+    (lambda: ConformalFamily(3, lambda x, u: 1 + x, cross_section_volume=_NAN),
+     "cross-section volume must be finite"),
+    (lambda: HeatTraceModel.from_circle(_NAN), "circumference must be finite"),
+    (lambda: HeatTraceModel.from_circle(_INF), "circumference must be finite"),
+    (lambda: HeatTraceModel.from_circle(1e308), "underflows"),
+    # (2 pi / L)^2 is subnormal: the gap has lost precision
+    (lambda: HeatTraceModel.from_circle(1e155), "underflows"),
+    (lambda: zeta_det(replace(HeatTraceModel.from_spectrum(_ONE), spectral_gap=_NAN)),
+     "positive spectral gap"),
+], ids=["heat-trace", "heat-trace-bound", "circle-trace", "circle-trace-nan-length",
+        "circle-trace-negative-length", "kernel-time", "kernel-x",
+        "kernel-y", "sup-bound", "circle-length", "interval-length", "plancherel-trace",
+        "cusp-volume", "conformal-volume", "circle-model-nan", "circle-model-inf",
+        "circle-model-gap-zero", "circle-model-gap-subnormal", "det-gap"])
+def test_range_checks_refuse_nan_and_infinity(call, message):
+    # each guard is written so that NaN fails it
+    with pytest.raises(ValueError, match=message):
+        call()
