@@ -21,6 +21,8 @@ from typing import Callable
 
 import numpy as np
 
+from .inputs import check_range
+
 __all__ = [
     "Jet",
     "ConformalFamily",
@@ -217,10 +219,11 @@ class ConformalFamily:
     def __post_init__(self):
         if self.dim not in (2, 3):
             raise ValueError("only dimensions 2 and 3 are supported")
-        if not 0.0 < self.cross_section_volume < math.inf:  # NaN fails it
-            raise ValueError("cross-section volume must be finite and positive")
+        check_range("cross_section_volume", self.cross_section_volume, 0, math.inf)
 
     def jet(self, x: float, u: float) -> Jet:
+        check_range("x", x, -math.inf, math.inf)
+        check_range("u", u, -math.inf, math.inf)
         out = self.f(Jet.var_x(x), Jet.var_u(u))
         return Jet.lift(out)
 
@@ -290,8 +293,7 @@ def v_operator(family: ConformalFamily, p: int, point) -> float:
     _CROSSCHECK_ATOL relative to max(1, |value|).
     """
     m = family.dim
-    if not 0 <= p <= m:
-        raise ValueError(f"degree {p} out of range")
+    check_range("p", p, 0, m, "[]", integer=True)
     x, u = point
     jet = family.jet(x, u)
     ratio = jet.d_u / jet.value
@@ -316,7 +318,7 @@ def mean_curvature(family: ConformalFamily, u: float) -> float:
     if family.dim != 3:
         raise ValueError("mean curvature term is used in dimension 3 only")
     jet = family.jet(0.0, u)
-    return 2.0 * jet.value * jet.d_x
+    return check_range("mean curvature 2 f d_x f", 2.0 * jet.value * jet.d_x, -math.inf, math.inf)
 
 
 @dataclass
@@ -376,4 +378,4 @@ def anomaly_coefficients(family: ConformalFamily, u: float) -> AnomalyCoefficien
 
 def product_lift(base_sum: float) -> float:
     """Anomaly after crossing with an even sphere: the Euler factor 2."""
-    return 2.0 * base_sum
+    return check_range("2 base_sum", 2.0 * base_sum, -math.inf, math.inf)

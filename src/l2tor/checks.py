@@ -21,7 +21,6 @@ kernel dimensions are compared as they are).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -31,6 +30,7 @@ from .complexes import (FiniteCochainComplex, ShortExactTriple, complex_sdf,
                         connecting_map, laplacian_sdf_decomposition)
 from .config import (CONTAINMENT_GAP, NONTRIVIAL_INTERSECTION_GAP, RANGE_END_RTOL,
                      STRUCTURE_ATOL, TIE_RTOL, TRIVIAL_INTERSECTION_GAP)
+from .inputs import check_range
 from .rand import (random_complex, random_homotopy_pair, random_injective,
                    random_map, random_short_exact_triple, random_space,
                    random_surjective, rng_for)
@@ -89,8 +89,7 @@ class CheckReport:
     def leq(self, item: str, lhs: SpectralDensityFunction, rhs: list[SpectralDensityFunction],
             upper: float = np.inf, constant: float = 0.0) -> None:
         """Record lhs <= constant + sum of rhs on [0, upper), in counts."""
-        if math.isnan(upper):
-            raise ValueError(f"{item}: the range bound is NaN")
+        check_range("upper", upper, -np.inf, np.inf, "[]")
         self.pending.append(_Relation(item, lhs, rhs, upper, constant, False))
 
     def equal(self, item: str, lhs: SpectralDensityFunction,
@@ -506,6 +505,7 @@ def check_gromov_shubin(report: CheckReport, C: FiniteCochainComplex,
     equivalences preserve cohomology dimensions, the unreduced comparison is
     equivalent; the equality of harmonic dimensions is asserted as well.
     """
+    check_range("p", p, 0, len(g) - 1, "[]", integer=True)
     gf = g[p] @ f[p]
     resid = gf.coefficients - np.eye(C.space(p).dim)
     if p + 1 < len(T) and T[p + 1].source.dim:
@@ -665,8 +665,7 @@ def run_suite(suite: str, seed: int, instances: int, max_dim: int = 6) -> SuiteR
         raise ValueError(f"unknown suite {suite!r}; choose from {sorted(SUITES)}")
     for name, value, least in (("seed", seed, 0), ("instances", instances, 1),
                                ("max_dim", max_dim, 1)):
-        if value < least:
-            raise ValueError(f"{name} must be at least {least}, got {value}")
+        check_range(name, value, least, np.inf, "[)", integer=True)
     builder = SUITES[suite]
     violations: list[dict] = []
     skipped: dict[str, int] = {}

@@ -33,7 +33,7 @@ from .heattrace import (HeatTraceModel, TorsionResult, analytic_torsion, d_small
                         zeta_det_with_error)
 from .hyperbolic import (CuspEnd, cusp_volume, heat_density, load_plancherel_table,
                          torsion_constant_result)
-from .inputs import ManifestError, convert, field, integer, items, number, read_json
+from .inputs import ManifestError, check_range, convert, field, integer, items, number, read_json
 from .jsj import is_graph_manifold, load_manifest, torsion_3manifold
 from .kernels1d import Domain1D, boundary_insensitivity_check, sup_bound_check
 from .selftest import run_selftest
@@ -112,9 +112,7 @@ def _seed(args) -> int:
     """--seed, else L2TOR_SEED, else the default; only the commands that
     take --seed read the variable, so a bad value stops no other command."""
     seed = seed_from_env() if args.seed is None else args.seed
-    if seed < 0:
-        raise ValueError(f"seed must be at least 0, got {seed}")
-    return seed
+    return check_range("seed", seed, 0, math.inf, "[)", integer=True)
 
 
 def _cmd_sdf_check(args) -> int:
@@ -184,8 +182,8 @@ def _cmd_hyperbolic(args) -> int:
 def _cmd_heatcmp(args) -> int:
     ks = tuple(sorted({args.K, args.K * 2.0, args.K * 0.5}))
     # every distance to the boundary is >= 0, so a cutoff <= 0 cuts nothing
-    if not (0.0 < ks[0] and ks[-1] < math.inf):
-        raise ValueError(f"--K must give positive, finite cutoffs K/2, K and 2K, got {args.K}")
+    for k in ks:
+        check_range("the cutoff K/2, K or 2K of --K", k, 0, math.inf)
     make_v, make_n = HEATCMP_PAIRS[args.pair]
     V, N = make_v(), make_n()
     rep = boundary_insensitivity_check(V, N, K_values=ks)

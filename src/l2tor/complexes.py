@@ -26,13 +26,12 @@ __all__ = [
 
 def _kept_zero(kept: dict[int, TracedMap], p: int, source: TracedSpace,
                target: TracedSpace) -> TracedMap:
-    """The zero map source -> target kept under degree p, built on first use;
+    """The zero map source -> target, kept under degree p for later calls;
     every caller shares it, so its coefficients are read-only."""
-    if p not in kept:
-        zero = TracedMap.zero(source, target)
-        _read_only(zero.coefficients)
-        kept[p] = zero
-    return kept[p]
+    zero = TracedMap.zero(source, target)
+    _read_only(zero.coefficients)
+    kept[p] = zero
+    return zero
 
 
 class FiniteCochainComplex:
@@ -48,9 +47,11 @@ class FiniteCochainComplex:
                 raise ValueError(f"differential {p} has wrong target")
         self.spaces = list(spaces)
         self.differentials = list(differentials)
+        # by degree; any other key, whatever its type, names a zero space or map
+        self._spaces = dict(enumerate(self.spaces))
+        self._differentials: dict[int, TracedMap] = dict(enumerate(self.differentials))
         self._zero = TracedSpace(0, spaces[0].normalization if spaces else 1.0)
         self._degrees: dict[int, tuple[np.ndarray, TracedMap]] = {}
-        self._zero_differentials: dict[int, TracedMap] = {}
         defect = self.square_zero_defect()
         if defect > STRUCTURE_ATOL:
             raise ValueError(f"c∘c is not zero: operator-norm defect {defect}")
@@ -62,14 +63,12 @@ class FiniteCochainComplex:
         return len(self.spaces) - 1
 
     def space(self, p: int) -> TracedSpace:
-        if 0 <= p <= self.top_degree:
-            return self.spaces[p]
-        return self._zero
+        return self._spaces.get(p, self._zero)
 
     def differential(self, p: int) -> TracedMap:
-        if 0 <= p < len(self.differentials):
-            return self.differentials[p]
-        return _kept_zero(self._zero_differentials, p, self.space(p), self.space(p + 1))
+        if p in self._differentials:
+            return self._differentials[p]
+        return _kept_zero(self._differentials, p, self.space(p), self.space(p + 1))
 
     def square_zero_defect(self) -> float:
         worst = 0.0
@@ -168,19 +167,20 @@ class ShortExactTriple:
         self.C, self.D, self.E = C, D, E
         self.j = list(j)
         self.q = list(q)
-        self._zero_j: dict[int, TracedMap] = {}
-        self._zero_q: dict[int, TracedMap] = {}
+        # by degree, as in FiniteCochainComplex: any other key names a zero map
+        self._j: dict[int, TracedMap] = dict(enumerate(self.j))
+        self._q: dict[int, TracedMap] = dict(enumerate(self.q))
         self.validate()
 
     def j_at(self, p: int) -> TracedMap:
-        if 0 <= p < len(self.j):
-            return self.j[p]
-        return _kept_zero(self._zero_j, p, self.C.space(p), self.D.space(p))
+        if p in self._j:
+            return self._j[p]
+        return _kept_zero(self._j, p, self.C.space(p), self.D.space(p))
 
     def q_at(self, p: int) -> TracedMap:
-        if 0 <= p < len(self.q):
-            return self.q[p]
-        return _kept_zero(self._zero_q, p, self.D.space(p), self.E.space(p))
+        if p in self._q:
+            return self._q[p]
+        return _kept_zero(self._q, p, self.D.space(p), self.E.space(p))
 
     def validate(self) -> None:
         top = max(self.C.top_degree, self.D.top_degree, self.E.top_degree)

@@ -52,6 +52,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .config import QUAD_ATOL
+from .inputs import check_range
 from .mellin import EULER_GAMMA, dsmall_constant
 from .spectrum import (Spectrum, circle_heat_trace, circle_trace_residual)
 
@@ -223,14 +224,14 @@ class HeatTraceModel:
     spectral_gap: float | None = None
     small_time_exact: ExactIntegral | None = None
     large_time_exact: ExactIntegral | None = None
-    # the unit of the residual check's probe times: set by from_spectrum
-    # (1 / largest eigenvalue) and from_circle (L^2), so their expansions
-    # have taken hold at the probes; replace() and every other model keep 1
-    _time_scale: float = field(default=1.0, init=False, repr=False)
+    # the unit of the residual check's probe times, set by from_spectrum
+    # (1 / largest eigenvalue), from_circle (L^2) and plancherel_heat_model
+    # (1); None, as replace() and hand-built models leave it, probes at unit
+    # 1 and first has the residual compared with evaluate - expansion
+    _time_scale: float | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
-        if self.m < 0:
-            raise ValueError("dimension parameter must be nonnegative")
+        check_range("m", self.m, 0, math.inf, "[)", integer=True)
         if self.coefficients is not None:
             coeff = np.asarray(self.coefficients, dtype=float)
             if coeff.shape != (self.m + 1,):
@@ -266,21 +267,16 @@ class HeatTraceModel:
             small_time_exact=_exact_sum(-w * _ein(lam, e1)),
             large_time_exact=_exact_sum(w * e1),
         )
-        if lam.size:
-            model._time_scale = 1.0 / float(lam[-1])
+        model._time_scale = 1.0 / float(lam[-1]) if lam.size else 1.0
         return model
 
     @staticmethod
     def from_circle(circumference: float) -> "HeatTraceModel":
         """Kernel-free circle trace with its exact two-term expansion and
-        both Mellin integrals in closed form, at every length."""
-        L = circumference
-        if not 0.0 < L < math.inf:  # NaN fails it
-            raise ValueError("circumference must be finite and positive")
+        both Mellin integrals in closed form, at every length L in [1e-153,
+        1e154], where (2 pi / L)^2 and the sums' cutoffs are normal doubles."""
+        L = check_range("circumference", circumference, 1e-153, 1e154, "[]")
         gap = (2.0 * math.pi / L) ** 2
-        if gap < np.finfo(float).tiny:
-            raise ValueError(f"circumference {L:g} is too long: its spectral gap "
-                             "(2 pi / L)^2 underflows")
         coeff = np.array([L / math.sqrt(4.0 * math.pi), -1.0])
         small, large = _circle_integrals(L)
         model = HeatTraceModel(
@@ -296,6 +292,7 @@ class HeatTraceModel:
         return model
 
     def expansion_value(self, t: float) -> float:
+        check_range("t", t, 0, math.inf)
         coeff = self.coefficients
         if coeff is None:
             raise ValueError("expansion coefficients unknown")
@@ -303,6 +300,7 @@ class HeatTraceModel:
         return float(coeff @ powers)
 
     def residual_value(self, t: float) -> float:
+        check_range("t", t, 0, math.inf)
         if self.residual is not None:
             return self.residual(t)
         return self.evaluate(t) - self.expansion_value(t)
@@ -322,11 +320,19 @@ class DsmallResult:
 
 def _check_residual_integrable(model: HeatTraceModel) -> None:
     """Reject when theta minus the expansion fails to vanish like sqrt(t),
-    probed at 1e-2, 1e-4 and 1e-6 times the model's time scale."""
+    probed at 1e-2, 1e-4 and 1e-6 times the model's time scale.  A model no
+    library constructor returned must first have a residual that agrees with
+    evaluate - expansion at 1e-2, which one ignoring the coefficients does not."""
+    residual = model.residual or model.residual_value
+    if model._time_scale is None and model.residual is not None:
+        r, e, x = residual(1e-2), model.evaluate(1e-2), model.expansion_value(1e-2)
+        if not abs(r - (e - x)) <= 1e-9 * (abs(r) + abs(e) + abs(x)):
+            raise ValueError(f"the residual {r:.6g} at t = 0.01 contradicts evaluate - "
+                             f"expansion = {e - x:.6g}; expansion coefficients look wrong")
     qs = []
     for t in (1e-2, 1e-4, 1e-6):
-        t *= model._time_scale
-        qs.append(abs(model.residual_value(t)) / math.sqrt(t))
+        t *= model._time_scale or 1.0
+        qs.append(abs(residual(t)) / math.sqrt(t))
     if qs[-1] > 10.0 * qs[0] + 1e-9:
         raise ValueError(
             "subtracted integrand is not o(1)/t-integrable near 0: residual/sqrt(t) "
@@ -415,8 +421,7 @@ def analytic_torsion(models: dict[int, HeatTraceModel]) -> TorsionResult:
     err = 0.0
     solved: dict[int, tuple[float, float, float]] = {}  # by id of the model
     for p, model in sorted(models.items()):
-        if p < 0:
-            raise ValueError(f"form degree {p} is negative")
+        check_range("p", p, 0, math.inf, "[)")
         if id(model) not in solved:
             solved[id(model)] = _zeta_prime(model, f"degree {p} is ")
         small, large, error = solved[id(model)]
@@ -442,8 +447,9 @@ def zeta_det_with_error(source: Spectrum | HeatTraceModel) -> tuple[float, float
         model = HeatTraceModel.from_spectrum(pos)
     else:
         model = source
-        if model.spectral_gap is None or not model.spectral_gap > 0:  # NaN fails it
-            raise ValueError("determinant requires a positive spectral gap")
+        if model.spectral_gap is None:
+            raise ValueError("determinant requires a spectral gap")
+        check_range("spectral_gap", model.spectral_gap, 0, math.inf, "(]")
     small, large, error = _zeta_prime(model, "")
     zeta_prime = small + large
     try:
@@ -463,6 +469,7 @@ def zeta_det(source: Spectrum | HeatTraceModel) -> float:
 def cheeger_mueller_correction(chi_boundary: int) -> float:
     """Offset (ln 2)/2 times the boundary Euler characteristic between the
     analytic and topological quantities for product metrics."""
+    check_range("chi_boundary", chi_boundary, -math.inf, math.inf, integer=True)
     return 0.5 * math.log(2.0) * chi_boundary
 
 
@@ -481,12 +488,10 @@ def large_time_dominating_bound(spectrum: Spectrum, eps: float, t_values=None) -
     where F is the eigenvalue-counting function of the spectrum's positive
     part, so F(0) = 0.  The right side is evaluated exactly for the step
     function F.  Returns per-probe margins and any violations (beyond
-    _DOMINATION_ATOL).  eps must be finite and positive, and each t finite
-    and at least 1.
+    _DOMINATION_ATOL).  eps must be positive and at most 709, where e^eps
+    stays finite, and each t finite and at least 1.
     """
-    # each test is written so that NaN fails it
-    if not 0.0 < eps < np.inf:
-        raise ValueError("eps must be finite and positive")
+    check_range("eps", eps, 0, 709.0, "(]")
     if t_values is None:
         t_values = np.geomspace(1.0, 50.0, 12)
     t_values = np.asarray(t_values, dtype=float)

@@ -21,7 +21,7 @@ import numpy as np
 from .heattrace import (_EPS, _TERM_ULPS, ExactIntegral, HeatTraceModel, TorsionResult,
                         _exact_sum, analytic_torsion)
 from .heattrace import quad  # unused here; bench/tracing.py looks up hyperbolic.quad by name
-from .inputs import ManifestError, convert, field, integer, items, number, read_json
+from .inputs import ManifestError, check_range, convert, field, integer, items, number, read_json
 
 __all__ = [
     "PlancherelComponent",
@@ -122,15 +122,13 @@ class PlancherelComponent:
     poly: tuple[float, ...]
 
     def __post_init__(self):
-        if not 0.0 <= self.shift < math.inf:  # NaN fails it
-            raise ValueError("spectral shift must be finite and nonnegative")
+        check_range("shift", self.shift, 0, math.inf, "[)")
         if not self.poly or any(not np.isfinite(c) for c in self.poly):
             raise ValueError("density polynomial must be finite and nonempty")
 
     def trace(self, t: float) -> float:
         """int_0^inf e^{-t(r^2 + shift)} poly(r) dr via r = s / sqrt(t)."""
-        if not t > 0:  # NaN fails it
-            raise ValueError("time must be positive")
+        check_range("t", t, 0, math.inf)
         acc = 0.0
         for k, c in enumerate(self.poly):
             if c:
@@ -189,9 +187,15 @@ class PlancherelTable:
             raise ValueError(f"need rows for every degree 0..{self.m}")
 
     def density(self, p: int, t: float) -> float:
-        if not 0 <= p <= self.m:
-            raise ValueError(f"no density row for degree {p}")
-        return sum(comp.trace(t) for comp in self.rows[p])
+        """Per-unit-volume p-form heat trace at time t."""
+        check_range("p", p, 0, self.m, "[]", integer=True)
+        try:
+            value = sum(comp.trace(t) for comp in self.rows[p])
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"heat density of degree {p} overflows a double at t = {t:g}")
+        return value
 
     # -- structural invariants ----------------------------------------------------
 
@@ -240,8 +244,7 @@ def load_plancherel_table(path: str | None = None) -> PlancherelTable:
     for i, row in enumerate(field(raw, "rows", where, items)):
         loc = f"{where}.rows[{i}]"
         p = field(row, "p", loc, integer)
-        if not 0 <= p <= m:
-            raise ManifestError(f"{loc}.p", f"degree {p} is outside 0..{m}")
+        convert(p, f"{loc}.p", lambda p: check_range("p", p, 0, m, "[]"))
         if p in rows:
             raise ManifestError(f"{loc}.p", f"degree {p} appears twice")
         comps = []
@@ -261,14 +264,8 @@ def load_plancherel_table(path: str | None = None) -> PlancherelTable:
 
 
 def heat_density(table: PlancherelTable, p: int, t: float) -> float:
-    """Per-unit-volume p-form heat trace at time t."""
-    try:
-        value = table.density(p, t)
-    except OverflowError:
-        value = math.inf
-    if not math.isfinite(value):
-        raise ValueError(f"heat density of degree {p} overflows a double at t = {t:g}")
-    return value
+    """Per-unit-volume p-form heat trace at time t; see PlancherelTable.density."""
+    return table.density(p, t)
 
 
 def plancherel_heat_model(table: PlancherelTable, p: int) -> HeatTraceModel:
@@ -285,7 +282,7 @@ def plancherel_heat_model(table: PlancherelTable, p: int) -> HeatTraceModel:
         # remainder is exactly 0, and adding it changes no sum
         if comp.shift:
             remainders.append(rem)
-    return HeatTraceModel(
+    model = HeatTraceModel(
         evaluate=lambda t: table.density(p, t),
         m=table.m,
         coefficients=coeff,
@@ -295,6 +292,8 @@ def plancherel_heat_model(table: PlancherelTable, p: int) -> HeatTraceModel:
         large_time_exact=_exact_sum(np.array([v for v, _ in large]), 0.0,
                                     sum(err for _, err in large)),
     )
+    model._time_scale = 1.0
+    return model
 
 
 def torsion_constant_result(table: PlancherelTable | None = None,
@@ -332,8 +331,7 @@ class CuspEnd:
     cross_section_volume: float
 
     def __post_init__(self):
-        if not 0.0 < self.cross_section_volume < math.inf:  # NaN fails it
-            raise ValueError("cross-section volume must be finite and positive")
+        check_range("cross_section_volume", self.cross_section_volume, 0, math.inf)
 
 
 def cusp_volume(end: CuspEnd, m: int, height: float = 0.0) -> float:
@@ -342,8 +340,7 @@ def cusp_volume(end: CuspEnd, m: int, height: float = 0.0) -> float:
     The warped metric contracts the cross-section by e^{-u}, so the volume
     element carries e^{-(m-1)u}.
     """
-    if m < 2:
-        raise ValueError("end volume needs dimension at least 2")
+    check_range("m", m, 2, math.inf, "[)")
     try:
         value = end.cross_section_volume * math.exp(-(m - 1) * height) / (m - 1)
     except OverflowError:
@@ -356,6 +353,7 @@ def cusp_volume(end: CuspEnd, m: int, height: float = 0.0) -> float:
 def truncated_volume(total_volume: float, ends: list[CuspEnd], R: float,
                      m: int) -> float:
     """Volume of the compact part once every end is cut at height R."""
+    check_range("total_volume", total_volume, 0, math.inf, "[)")
     cusps = sum(cusp_volume(e, m, height=R) for e in ends)
     if total_volume < cusps - 1e-12 * max(1.0, abs(total_volume)):
         raise ValueError(

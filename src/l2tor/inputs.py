@@ -1,4 +1,9 @@
-"""The rules of every input file: spectra, density tables and manifests.
+"""The rules of every input: numeric arguments, and the files of spectra,
+density tables and manifests.
+
+check_range holds every numeric argument to one interval, open or closed at
+each end; NaN lies outside every interval, and a value outside raises the
+ValueError `<argument> must be in <interval>, got <value>`.
 
 A reader decodes its file with read_text, or parses it with read_json,
 and takes each field through field and a rule (integer, number, string,
@@ -11,13 +16,27 @@ from __future__ import annotations
 
 import json
 import math
+from numbers import Integral
 from pathlib import Path
 from typing import Callable
 
-__all__ = ["ManifestError", "read_text", "read_json", "convert", "field", "integer",
-           "number", "string", "items"]
+__all__ = ["check_range", "ManifestError", "read_text", "read_json", "convert", "field",
+           "integer", "number", "string", "items"]
 
 _REQUIRED = object()
+
+
+def check_range(name: str, value, low, high, closed: str = "()", integer: bool = False):
+    """value, if it lies between low and high with the brackets `closed`
+    ("()", "[]", "[)" or "(]") and, when `integer` is set, is an integer.
+    Every comparison with NaN is false, so NaN lies outside."""
+    if ((value >= low if closed[0] == "[" else value > low)
+            and (value <= high if closed[1] == "]" else value < high)
+            and (not integer or type(value) is int or isinstance(value, Integral))):
+        return value
+    kind = "an integer in" if integer else "in"
+    raise ValueError(f"{name} must be {kind} {closed[0]}{low:g}, {high:g}{closed[1]}, "
+                     f"got {value}")
 
 
 class ManifestError(ValueError):

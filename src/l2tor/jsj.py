@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
-from .inputs import (ManifestError, convert, field, integer, items, number, read_json,
-                     read_text, string)
+from .inputs import (ManifestError, check_range, convert, field, integer, items, number,
+                     read_json, read_text, string)
 
 __all__ = [
     "JsjPiece",
@@ -45,10 +45,7 @@ class JsjPiece:
         if self.kind not in ALLOWED_KINDS:
             raise ValueError(f"unknown kind {self.kind!r}; allowed kinds: "
                              f"{', '.join(ALLOWED_KINDS)}")
-        if not math.isfinite(self.volume):
-            raise ValueError(f"volume {self.volume} is not finite")
-        if self.volume < 0:
-            raise ValueError("volume must be nonnegative")
+        check_range("volume", self.volume, 0, math.inf, "[)")
         if self.kind == "hyperbolic" and self.volume == 0:
             raise ValueError("hyperbolic pieces need positive volume")
 
@@ -60,8 +57,7 @@ class JsjManifest:
     boundary_tori: int = 0
 
     def __post_init__(self):
-        if self.boundary_tori < 0:
-            raise ManifestError(self.name, "boundaryTori must be nonnegative")
+        check_range("boundary_tori", self.boundary_tori, 0, math.inf, "[)", integer=True)
         object.__setattr__(self, "pieces", tuple(self.pieces))
 
     @property
@@ -90,10 +86,8 @@ def manifest_from_dict(raw: dict, source: str = "<dict>") -> JsjManifest:
     name = field(raw, "name", source, string)
     if not name:
         raise ManifestError(f"{source}.name", "expected a nonempty string")
-    tori = field(raw, "boundaryTori", source, integer, 0)
-    if tori < 0:
-        raise ManifestError(f"{source}.boundaryTori",
-                            f"expected a nonnegative integer, got {tori}")
+    tori = field(raw, "boundaryTori", source,
+                 lambda v: check_range("boundaryTori", integer(v), 0, math.inf, "[)"), 0)
     pieces = []
     for i, piece in enumerate(field(raw, "pieces", source, items, [])):
         loc = f"{source}.pieces[{i}]"

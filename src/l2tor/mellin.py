@@ -13,8 +13,11 @@ product and reports the residual of the losing candidate; it backs the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+from .inputs import check_range
 
 __all__ = [
     "EULER_GAMMA",
@@ -50,8 +53,7 @@ def power_constant_oracle(a: float) -> float:
     """
     import mpmath
 
-    if not a > 0:
-        raise ValueError("power must be positive")
+    check_range("a", a, 0, math.inf)
     with mpmath.workdps(_ORACLE_DPS):
         val = mpmath.diff(lambda s: 1 / mpmath.gamma(s) / (s - a), 0)
         return float(val)
@@ -65,14 +67,6 @@ class CimResolution:
     rows: list[dict]                   # per power gap: oracle and residuals
     max_selected_residual: float
     euler_gamma_residual: float
-
-    def to_dict(self) -> dict:
-        return {
-            "selected": self.selected,
-            "rows": self.rows,
-            "max_selected_residual": self.max_selected_residual,
-            "euler_gamma_residual": self.euler_gamma_residual,
-        }
 
 
 @lru_cache(maxsize=1)
@@ -119,8 +113,6 @@ def resolve_dsmall_constant() -> CimResolution:
 def dsmall_constant(i: int, m: int) -> float:
     """Expansion constant c(i, m): Euler-Mascheroni at i = m, otherwise
     -2/(m - i) for the power gap m - i."""
-    if i == m:
+    if check_range("i", i, -math.inf, m, "(]") == m:
         return EULER_GAMMA
-    if i > m:
-        raise ValueError("index exceeds dimension parameter")
     return reciprocal_candidate(i, m)

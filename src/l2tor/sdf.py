@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .inputs import check_range
 from .traced import TracedMap
 
 __all__ = [
@@ -69,8 +70,7 @@ class SpectralDensityFunction:
     @staticmethod
     def from_jumps(positions, counts, unit=1.0) -> "SpectralDensityFunction":
         """From (position, jump count) pairs, one count worth unit; positions may repeat."""
-        if not 0.0 < unit < np.inf:
-            raise ValueError("the unit must be finite and positive")
+        check_range("unit", unit, 0, np.inf)
         positions = np.asarray(positions, dtype=float)
         counts = np.asarray(counts, dtype=float)
         if positions.shape != counts.shape or positions.ndim != 1:
@@ -121,17 +121,14 @@ class SpectralDensityFunction:
     def scaled_argument(self, c: float) -> "SpectralDensityFunction":
         """Return lambda -> F(c * lambda) for c >= 0; c = 0 gives the
         constant F(0)."""
-        if c == 0:
+        if check_range("c", c, 0, np.inf, "[)") == 0:
             empty = self._derived(self.lams[:0], self.counts[:0], self.unit)
             return empty.plus_constant(self._count_at_zero())
-        if not c > 0:
-            raise ValueError("scale must be nonnegative")
         return self._derived(self.lams / c, self.counts, self.unit, moved=True)
 
     def power_argument(self, a: float) -> "SpectralDensityFunction":
         """Return lambda -> F(lambda ** a) for a > 0 (domain lambda >= 0)."""
-        if not a > 0:
-            raise ValueError("exponent must be positive")
+        check_range("a", a, 0, np.inf)
         return self._derived(self.lams ** (1.0 / a), self.counts, self.unit, moved=True)
 
     def plus(self, other: "SpectralDensityFunction") -> "SpectralDensityFunction":
@@ -143,11 +140,9 @@ class SpectralDensityFunction:
         return self._derived(*_steps(pos, np.concatenate([jumps_self, jumps_other])), self.unit)
 
     def plus_constant(self, c: float) -> "SpectralDensityFunction":
-        """Add c counts everywhere."""
-        if c == 0.0:
+        """Add c >= 0 counts everywhere."""
+        if check_range("c", c, 0, np.inf, "[)") == 0:
             return self
-        if not 0.0 < c < np.inf:
-            raise ValueError("constant shift must be finite and nonnegative")
         if self.lams.size and self.lams[0] == 0.0:
             return self._derived(self.lams, self.counts + c, self.unit)
         return self._derived(np.concatenate([[0.0], self.lams]),
@@ -231,6 +226,7 @@ def ns_exponent_fit(F: SpectralDensityFunction, eps: float) -> NsExponentFit:
     yields alpha = +inf; a near-flat density (alpha <= FLAT_ALPHA) is
     flagged as not certifying power-law domination.
     """
+    check_range("eps", eps, 0, np.inf, "(]")
     if F(0.0) != 0.0:
         raise ValueError("fit requires a reduced density with F(0) = 0")
     mask = (F.lams > 0) & (F.lams <= eps)

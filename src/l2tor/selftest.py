@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -123,7 +123,7 @@ def _cim_constant(seed: int, quick: bool) -> CriterionResult:
     ok = (res.selected == "reciprocal"
           and res.max_selected_residual < 1e-10
           and literal_worst > 0.1)  # the disagreement is reported, not hidden
-    return CriterionResult("cim-constant", ok, res.to_dict())
+    return CriterionResult("cim-constant", ok, asdict(res))
 
 
 def _heat_boundary(seed: int, quick: bool) -> CriterionResult:

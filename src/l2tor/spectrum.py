@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .inputs import check_range
 from .sdf import SpectralDensityFunction
 
 __all__ = [
@@ -79,8 +80,7 @@ class Spectrum:
         return float(pos[0]) if pos.size else math.inf
 
     def heat_trace(self, t: float, include_kernel: bool = False) -> float:
-        if not t > 0:  # NaN fails it
-            raise ValueError("time must be positive")
+        check_range("t", t, 0, math.inf)
         mask = slice(None) if include_kernel else self.eigenvalues > 0
         return float(np.sum(self.weights[mask] * np.exp(-t * self.eigenvalues[mask])))
 
@@ -89,13 +89,13 @@ class Spectrum:
         w e^{-t lam} is good to 2 + t lam ulps (the rounding of t lam is
         amplified by the exponential), and the sum of n terms adds at most
         n - 1 more."""
-        if not t > 0:  # NaN fails it
-            raise ValueError("time must be positive")
+        check_range("t", t, 0, math.inf)
         mask = slice(None) if include_kernel else self.eigenvalues > 0
         lam = self.eigenvalues[mask]
         terms = self.weights[mask] * np.exp(-t * lam)
         eps = float(np.finfo(float).eps)
-        return float(eps * np.sum(terms * (terms.size + 2.0 + t * lam)))
+        # t lam overflows only where its term has underflowed to 0
+        return float(eps * np.sum(terms * (terms.size + 2.0 + np.minimum(t * lam, 1e308))))
 
     def counting_function(self, include_kernel: bool = False) -> SpectralDensityFunction:
         """Step function lambda -> weighted count of eigenvalues <= lambda."""
@@ -117,11 +117,8 @@ def circle_heat_trace(circumference: float, t: float, include_zero: bool = True)
     faster-converging form is always used.  Without the zero mode the
     eigenvalue series is summed on its own, so small traces keep their
     relative accuracy."""
-    if not t > 0:  # NaN fails it
-        raise ValueError("time must be positive")
-    L = circumference
-    if not 0.0 < L < math.inf:
-        raise ValueError("circumference must be finite and positive")
+    check_range("t", t, 0, math.inf)
+    L = check_range("circumference", circumference, 0, math.inf)
     t_star = L * L / (4.0 * math.pi)
     if t < t_star:
         value = L / math.sqrt(4.0 * math.pi * t) * (1.0 + _theta_dual_sum(L, t))

@@ -25,6 +25,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .config import RANK_RTOL, ZERO_SV_ATOL
+from .inputs import check_range
 
 __all__ = ["TracedSpace", "TracedMap", "nonzero_mask"]
 
@@ -38,13 +39,6 @@ def nonzero_mask(sv: np.ndarray) -> np.ndarray:
     if not top < np.inf:
         raise ValueError("singular values must be finite")
     return sv > max(RANK_RTOL * top, ZERO_SV_ATOL)
-
-
-def _as_normalization(value) -> float:
-    value = float(value)
-    if not value > 0 or not np.isfinite(value):
-        raise ValueError(f"normalization must be positive and finite, got {value}")
-    return value
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -68,9 +62,9 @@ class TracedSpace:
     gram: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.dim < 0:
-            raise ValueError("dim must be nonnegative")
-        object.__setattr__(self, "normalization", _as_normalization(self.normalization))
+        check_range("dim", self.dim, 0, np.inf, "[)", integer=True)
+        object.__setattr__(self, "normalization",
+                           check_range("normalization", float(self.normalization), 0, np.inf))
         if self.gram is None:
             # the gram, its Cholesky factor and both inverses are one identity
             eye = _identity(self.dim)

@@ -1,5 +1,6 @@
 import bisect
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -202,13 +203,15 @@ def test_unknown_suite_rejected():
 
 
 @pytest.mark.parametrize("kwargs, message", [
-    ({"instances": -3}, "instances must be at least 1, got -3"),
-    ({"instances": 0}, "instances must be at least 1, got 0"),
-    ({"max_dim": 0}, "max_dim must be at least 1, got 0"),
-    ({"seed": -1}, "seed must be at least 0, got -1"),
-])
+    ({"instances": -3}, "instances must be an integer in [1, inf), got -3"),
+    ({"instances": 0}, "instances must be an integer in [1, inf), got 0"),
+    ({"max_dim": 0}, "max_dim must be an integer in [1, inf), got 0"),
+    ({"seed": -1}, "seed must be an integer in [0, inf), got -1"),
+], ids=["kwargs0-instances must be at least 1, got -3",  # ids recorded under the old wording
+        "kwargs1-instances must be at least 1, got 0", "kwargs2-max_dim must be at least 1, got 0",
+        "kwargs3-seed must be at least 0, got -1"])
 def test_run_suite_refuses_counts_that_check_nothing(kwargs, message):
-    with pytest.raises(ValueError, match=f"^{message}$"):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run_suite("basic", **{"seed": 1, "instances": 1, "max_dim": 3, **kwargs})
 
 
@@ -486,7 +489,7 @@ def test_a_violation_found_without_probing_keeps_its_place():
     report.leq("second", one, [two])
     assert report.decide() == [-1.0]
     assert [v.item for v in report.violations] == ["first", "found", "second"]
-    with pytest.raises(ValueError, match="NaN"):
+    with pytest.raises(ValueError, match=r"^upper must be in \[-inf, inf\], got nan$"):
         report.leq("nan", one, [two], upper=float("nan"))
 
 

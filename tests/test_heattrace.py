@@ -114,7 +114,7 @@ def test_exact_error_bounds_cover_high_precision_values():
 
 
 def test_circles_of_every_length_have_exact_pieces():
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match=_CIRCLE_MODEL + "0.0$"):
         HeatTraceModel.from_circle(0.0)
     # at L <= 13/64 the erfc sum, and above L = 62 the E1 sum, would need
     # more than 64 terms; the scale relation gives it
@@ -230,6 +230,18 @@ def test_residual_check_still_guards_exact_models():
     for run in (d_small, lambda m: analytic_torsion({1: m}), zeta_det):
         with pytest.raises(ValueError, match="integrable"):
             run(wrong)
+
+
+def test_residual_check_refuses_a_residual_that_contradicts_the_coefficients():
+    # replace() keeps the closed-form residual, which ignores the coefficients,
+    # so without the comparison this determinant came out 50.85, not 3^2 = 9
+    S = Spectrum.from_pairs([(1.0, 1.0), (3.0, 2.0)])
+    wrong = replace(HeatTraceModel.from_spectrum(S), coefficients=np.array([0.0]))
+    for run in (d_small, lambda m: analytic_torsion({1: m}), zeta_det):
+        with pytest.raises(ValueError, match="^the residual .* contradicts evaluate - expansion"):
+            run(wrong)
+    # a copy that agrees with its residual is solved as before
+    assert zeta_det(replace(HeatTraceModel.from_spectrum(S))) == pytest.approx(9.0, rel=1e-12)
 
 
 def test_large_time_divergence_detected():
@@ -433,7 +445,7 @@ def test_torsion_solves_a_shared_model_once(monkeypatch):
 
 def test_torsion_refuses_a_negative_degree():
     model = HeatTraceModel.from_spectrum(Spectrum.from_pairs([(1.0, 1.0)]))
-    with pytest.raises(ValueError, match="^form degree -1 is negative$"):
+    with pytest.raises(ValueError, match=r"^p must be in \[0, inf\), got -1$"):
         analytic_torsion({-1: model, 1: model})
 
 
@@ -482,7 +494,7 @@ def test_domination_gap_above_eps():
         "nan-t", "inf-t", "t-below-1", "nan-t-after-valid"])
 def test_domination_refuses_eps_or_t_out_of_range(eps, t_values):
     S = Spectrum.from_pairs([(2.0, 1.0)])
-    with pytest.raises(ValueError, match="eps must be finite and positive|finite t >= 1"):
+    with pytest.raises(ValueError, match=r"eps must be in \(0, 709\]|finite t >= 1"):
         large_time_dominating_bound(S, eps, t_values)
 
 
@@ -615,35 +627,68 @@ _NAN, _INF = math.nan, math.inf
 _ONE = Spectrum.from_pairs([(1.0, 1.0)])
 
 
+_TIME = r"^t must be in \(0, inf\), got "
+_CIRCUMFERENCE = r"^circumference must be in \(0, inf\), got "
+_CIRCLE_MODEL = r"^circumference must be in \[1e-153, 1e\+154\], got "
+_WITH_KERNEL = Spectrum.from_pairs([(0.0, 1.0), (1.0, 1.0)])
+
+
 @pytest.mark.parametrize("call, message", [
-    (lambda: _ONE.heat_trace(_NAN), "time must be positive"),
-    (lambda: _ONE.heat_trace_rounding_bound(_NAN), "time must be positive"),
-    (lambda: circle_heat_trace(1.0, _NAN), "time must be positive"),
-    (lambda: circle_heat_trace(_NAN, 1.0), "circumference must be finite"),
-    (lambda: circle_heat_trace(-1.0, 1.0), "circumference must be finite"),
-    (lambda: kernel_1d(Domain1D.line(), _NAN, 0.0, 0.0), "time must be positive"),
-    (lambda: kernel_1d(Domain1D.line(), 1.0, _NAN, 0.0), "must be finite"),
-    (lambda: kernel_1d(Domain1D.line(), 1.0, 0.0, _INF), "must be finite"),
-    (lambda: sup_bound_check(Domain1D.line(), _NAN), "t0 must be positive"),
-    (lambda: Domain1D.circle(_INF), "finite positive length"),
-    (lambda: Domain1D.interval_neumann(_NAN), "finite positive length"),
-    (lambda: PlancherelComponent(0.0, (1.0,)).trace(_NAN), "time must be positive"),
-    (lambda: CuspEnd(_NAN), "cross-section volume must be finite"),
+    (lambda: _ONE.heat_trace(_NAN), _TIME + "nan$"),
+    (lambda: _ONE.heat_trace_rounding_bound(_NAN), _TIME + "nan$"),
+    (lambda: circle_heat_trace(1.0, _NAN), _TIME + "nan$"),
+    (lambda: circle_heat_trace(_NAN, 1.0), _CIRCUMFERENCE + "nan$"),
+    (lambda: circle_heat_trace(-1.0, 1.0), _CIRCUMFERENCE + "-1.0$"),
+    (lambda: kernel_1d(Domain1D.line(), _NAN, 0.0, 0.0), _TIME + "nan$"),
+    (lambda: kernel_1d(Domain1D.line(), 1.0, _NAN, 0.0), r"^x must be in \(-inf, inf\)"),
+    (lambda: kernel_1d(Domain1D.line(), 1.0, 0.0, _INF), r"^y must be in \(-inf, inf\)"),
+    (lambda: sup_bound_check(Domain1D.line(), _NAN), r"^t0 must be in \(0, inf\), got nan$"),
+    (lambda: Domain1D.circle(_INF), r"^length must be in \(0, inf\), got inf$"),
+    (lambda: Domain1D.interval_neumann(_NAN), r"^length must be in \(0, inf\), got nan$"),
+    (lambda: PlancherelComponent(0.0, (1.0,)).trace(_NAN), _TIME + "nan$"),
+    (lambda: CuspEnd(_NAN), r"^cross_section_volume must be in \(0, inf\), got nan$"),
     (lambda: ConformalFamily(3, lambda x, u: 1 + x, cross_section_volume=_NAN),
-     "cross-section volume must be finite"),
-    (lambda: HeatTraceModel.from_circle(_NAN), "circumference must be finite"),
-    (lambda: HeatTraceModel.from_circle(_INF), "circumference must be finite"),
-    (lambda: HeatTraceModel.from_circle(1e308), "underflows"),
+     r"^cross_section_volume must be in \(0, inf\), got nan$"),
+    (lambda: HeatTraceModel.from_circle(_NAN), _CIRCLE_MODEL + "nan$"),
+    (lambda: HeatTraceModel.from_circle(_INF), _CIRCLE_MODEL + "inf$"),
+    (lambda: HeatTraceModel.from_circle(1e308), _CIRCLE_MODEL + "1e"),
     # (2 pi / L)^2 is subnormal: the gap has lost precision
-    (lambda: HeatTraceModel.from_circle(1e155), "underflows"),
+    (lambda: HeatTraceModel.from_circle(1e155), _CIRCLE_MODEL + "1e"),
     (lambda: zeta_det(replace(HeatTraceModel.from_spectrum(_ONE), spectral_gap=_NAN)),
-     "positive spectral gap"),
+     r"^spectral_gap must be in \(0, inf\], got nan$"),
+    # (2 pi / L)^2 overflows
+    (lambda: HeatTraceModel.from_circle(1e-154), _CIRCLE_MODEL + "1e-154$"),
+    # L / 2 rounds to 0, so the cutoff 6.5 / (L / 2) divides by zero
+    (lambda: HeatTraceModel.from_circle(5e-324), _CIRCLE_MODEL + "5e-324$"),
+    # 42 / (2 pi / L)^2, the square of the E1 sum's cutoff, overflows
+    (lambda: HeatTraceModel.from_circle(4e154), _CIRCLE_MODEL + "4e"),
+    # -inf * 0 at the zero mode
+    (lambda: _WITH_KERNEL.heat_trace(_INF, include_kernel=True), _TIME + "inf$"),
+    (lambda: _WITH_KERNEL.heat_trace_rounding_bound(_INF, include_kernel=True),
+     _TIME + "inf$"),
+    (lambda: circle_heat_trace(1.0, _INF), _TIME + "inf$"),
+    # the image count of an infinite time overflows
+    (lambda: kernel_1d(Domain1D.circle(1.0), _INF, 0.0, 0.0), _TIME + "inf$"),
+    (lambda: kernel_1d(Domain1D.line(), _INF, 0.0, 0.0), _TIME + "inf$"),
+    # a finite time far past the kernel's convergence asks for 1e154 images
+    (lambda: kernel_1d(Domain1D.circle(1.0), 1e308, 0.0, 0.0),
+     r"^t must be in \(0, 1e\+06\], got 1e\+308$"),
+    (lambda: kernel_1d(Domain1D.interval_neumann(1.0), 1e308, 0.0, 0.0),
+     r"^t must be in \(0, 1e\+06\], got 1e\+308$"),
+    (lambda: sup_bound_check(Domain1D.line(), _INF), r"^t0 must be in \(0, inf\), got inf$"),
+    (lambda: PlancherelComponent(0.0, (1.0,)).trace(_INF), _TIME + "inf$"),
 ], ids=["heat-trace", "heat-trace-bound", "circle-trace", "circle-trace-nan-length",
         "circle-trace-negative-length", "kernel-time", "kernel-x",
         "kernel-y", "sup-bound", "circle-length", "interval-length", "plancherel-trace",
         "cusp-volume", "conformal-volume", "circle-model-nan", "circle-model-inf",
-        "circle-model-gap-zero", "circle-model-gap-subnormal", "det-gap"])
+        "circle-model-gap-zero", "circle-model-gap-subnormal", "det-gap",
+        "circle-model-gap-overflow", "circle-model-half-length-zero",
+        "circle-model-cutoff-overflow", "heat-trace-inf", "heat-trace-bound-inf",
+        "circle-trace-inf", "kernel-circle-time-inf", "kernel-line-time-inf",
+        "kernel-circle-images", "kernel-interval-images", "sup-bound-inf",
+        "plancherel-trace-inf"])
 def test_range_checks_refuse_nan_and_infinity(call, message):
-    # each guard is written so that NaN fails it
+    # every range check goes through inputs.check_range, outside whose
+    # intervals NaN lies
     with pytest.raises(ValueError, match=message):
         call()

@@ -287,7 +287,7 @@ def test_table_validation_catches_broken_duality():
 
 @pytest.mark.parametrize("shift", [-1.0, math.nan, math.inf])
 def test_component_refuses_shift_outside_zero_to_infinity(shift):
-    with pytest.raises(ValueError, match="finite and nonnegative"):
+    with pytest.raises(ValueError, match=rf"^shift must be in \[0, inf\), got {shift}$"):
         PlancherelComponent(shift, (1.0,))
 
 

@@ -85,7 +85,7 @@ def test_load_manifest_csv(tmp_path):
 
 
 def test_negative_volume_rejected():
-    with pytest.raises(ManifestError, match="volume must be nonnegative"):
+    with pytest.raises(ManifestError, match=r"volume must be in \[0, inf\), got -1.0$"):
         manifest_from_dict({"name": "bad", "pieces": [
             {"kind": "hyperbolic", "volume": -1.0}]})
 
@@ -105,11 +105,11 @@ def test_error_reports_location(tmp_path):
     path.write_text(json.dumps({"name": "x", "pieces": [
         {"kind": "hyperbolic", "volume": 1.0}, {"kind": "hyperbolic", "volume": -2.0}]}))
     with pytest.raises(ManifestError, match=r"bad\.json\.pieces\[1\]: volume must be "
-                                            r"nonnegative"):
+                                            r"in \[0, inf\), got -2.0$"):
         load_manifest(path)
     csv_path = tmp_path / "bad.csv"
     for row, message in [("hyperbolic,0,h", "hyperbolic pieces need positive volume"),
-                         ("hyperbolic,nan,h", "volume nan is not finite"),
+                         ("hyperbolic,nan,h", r"volume must be in \[0, inf\), got nan$"),
                          ("hyperbolic,2,h,extra", r"expected kind,volume\[,label\]$")]:
         csv_path.write_text(f"# kind,volume,label\n{row}\n")
         with pytest.raises(ManifestError, match=rf"bad\.csv:2: {message}"):

@@ -273,7 +273,7 @@ def test_scaled_argument_at_zero_examples():
     assert G(0.0) == 0.5 and G(1e9) == 0.5
     unreduced = SpectralDensityFunction(np.array([2.0]), np.array([1.0]))
     assert unreduced.scaled_argument(0.0).total == 0.0
-    with pytest.raises(ValueError, match="nonnegative"):
+    with pytest.raises(ValueError, match=r"^c must be in \[0, inf\), got -1.0$"):
         F.scaled_argument(-1.0)
 
 
