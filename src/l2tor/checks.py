@@ -3,7 +3,7 @@
 Each of the four checkers takes the CheckReport to record into as its
 first argument and records one family of step-function relations there,
 skipping items whose side conditions fail (the kernel-subtracted variants
-always run), with their constants; no checker decides.  A suite instance
+always run); no checker decides.  A suite instance
 records all its relations, over every degree, in one report, and run_suite
 decides that report once, in one vectorized pass over one table of the
 breakpoints and counts of its distinct functions.  Each relation is
@@ -28,8 +28,8 @@ import numpy as np
 
 from .complexes import (FiniteCochainComplex, ShortExactTriple, complex_sdf,
                         connecting_map, laplacian_sdf_decomposition)
-from .config import (CONTAINMENT_GAP, NONTRIVIAL_INTERSECTION_GAP, RANGE_END_RTOL,
-                     STRUCTURE_ATOL, TIE_RTOL, TRIVIAL_INTERSECTION_GAP)
+from .config import (CONTAINMENT_GAP, RANGE_END_RTOL, STRUCTURE_ATOL, TIE_RTOL,
+                     TRIVIAL_INTERSECTION_GAP)
 from .inputs import check_range
 from .rand import (random_complex, random_homotopy_pair, random_injective,
                    random_map, random_short_exact_triple, random_space,
@@ -79,7 +79,6 @@ class CheckReport:
     violations: list[Violation] = field(default_factory=list)
     skipped: list[tuple[str, str]] = field(default_factory=list)
     probes: int = 0
-    constants: dict = field(default_factory=dict)
     pending: list[_Relation] = field(default_factory=list)  # recorded, not yet decided
 
     @property
@@ -247,17 +246,13 @@ def _decide(relations: list[_Relation]) -> tuple[int, list[Violation], list[floa
 # -- subspace side conditions ----------------------------------------------------------
 
 
-def _trivial_intersection(b1: np.ndarray, b2: np.ndarray) -> bool | None:
-    """True/False for a clear answer, None when numerically ambiguous."""
+def _trivial_intersection(b1: np.ndarray, b2: np.ndarray) -> bool:
+    """span(b1) ∩ span(b2) = 0 for orthonormal column bases: their largest
+    principal cosine is below 1 - TRIVIAL_INTERSECTION_GAP."""
     if b1.shape[1] == 0 or b2.shape[1] == 0:
         return True
     s = np.linalg.svd(b1.T @ b2, compute_uv=False)
-    top = s.max(initial=0.0)
-    if top < 1.0 - TRIVIAL_INTERSECTION_GAP:
-        return True
-    if top > 1.0 - NONTRIVIAL_INTERSECTION_GAP:
-        return False
-    return None
+    return bool(s.max(initial=0.0) < 1.0 - TRIVIAL_INTERSECTION_GAP)
 
 
 def _contained(b_small: np.ndarray, b_big: np.ndarray) -> bool:
@@ -302,7 +297,7 @@ def check_basic_F(report: CheckReport, f: TracedMap, g: TracedMap | None = None,
                        [F_g.power_argument(1 - r), F_f.power_argument(r)])
         ker_g = g.kernel_basis()
         im_f = f.image_basis()
-        if _trivial_intersection(ker_g, im_f) is True:
+        if _trivial_intersection(ker_g, im_f):
             report.leq("reduced.1", rF_f, [rF_gf.scaled_argument(g.norm)])
         else:
             report.skipped.append(("reduced.1", "ker g ∩ im f ambiguous or nontrivial"))
@@ -346,8 +341,6 @@ def check_basic_F(report: CheckReport, f: TracedMap, g: TracedMap | None = None,
     sv[f.rank():] = 0.0
     F_ff = _from_descending(sv, F_f.unit)
     report.equal("basic.6", F_ff, [F_f.power_argument(0.5)])
-    report.constants["norm_f"] = f.norm
-    report.constants["normalization"] = F_f.unit
 
 
 def _block_map(phi: TracedMap, gamma: TracedMap, xi: TracedMap) -> TracedMap:
@@ -385,7 +378,6 @@ def check_block_matrix_F(report: CheckReport, phi: TracedMap, gamma: TracedMap,
     F_M, F_phi, F_xi = sdf_of_map(M), sdf_of_map(phi), sdf_of_map(xi)
     rF_M, rF_phi, rF_xi = F_M.reduced(), F_phi.reduced(), F_xi.reduced()
     gnorm = gamma.norm
-    report.constants.update({"norm_phi": phi.norm, "norm_gamma": gnorm, "norm_xi": xi.norm})
 
     if gamma.norm == 0.0:
         report.equal("block.1", F_M, [F_phi, F_xi])
@@ -439,10 +431,9 @@ def check_short_exact(report: CheckReport, T: ShortExactTriple, p: int) -> None:
         rF_p(D, lam) <= rF_p(E, c_E lam^1/2) + rF(delta, c_d lam^1/4)
                         + rF_p(C, c_C lam^1/4)
 
-    on [0, c1) with the stated c1 formula.  The more conservative range
-    implied by chaining the block inequalities is recorded as c1_chained.
-    The relation's observed slack is its margin from CheckReport.decide;
-    no conclusion is drawn about optimality.
+    on [0, c1) with the stated c1 formula.  The relation's observed slack
+    is its margin from CheckReport.decide; no conclusion is drawn about
+    optimality.
     """
     d_p = T.D.differential(p)
     j_p, j_p1 = T.j_at(p), T.j_at(p + 1)
@@ -454,18 +445,8 @@ def check_short_exact(report: CheckReport, T: ShortExactTriple, p: int) -> None:
     c_C = np.sqrt(j1_inv) * j_p.norm
     c_delta = np.sqrt(j1_inv) * (4.0 + 2.0 * j1_inv * nd) * q_inv
     c1_stated = min((4.0 + 2.0 * nd) ** -0.5, (4.0 + 2.0 * j1_inv * nd) ** -0.5)
-    c1_chained = min((4.0 + 2.0 * nd) ** -2.0,
-                     j1_inv ** -2.0 * (4.0 + 2.0 * j1_inv * nd) ** -4.0)
-    report.constants.update({
-        "c_E": c_E, "c_C": c_C, "c_delta": c_delta,
-        "c1_stated": c1_stated, "c1_chained": c1_chained,
-        "norm_dp": nd, "inv_norm_j_p1": j1_inv, "inv_norm_q_p": q_inv,
-    })
 
     delta = connecting_map(T, p)
-    report.constants["cohomology_dims"] = {
-        "E^p": delta.source.dim, "C^{p+1}": delta.target.dim,
-    }
     lhs = complex_sdf(T.D, p).reduced()
     rhs = [
         complex_sdf(T.E, p).reduced().scaled_argument(c_E).power_argument(0.5),
@@ -501,7 +482,7 @@ def check_gromov_shubin(report: CheckReport, C: FiniteCochainComplex,
     pairing the relation against x in ker(c^p)^perp bounds |f x| from below
     by (1 - |T| mu)|x| / |g|.  The quadratic norm product stated with the
     theorem is falsified by explicit small instances (see the suite), so the
-    checker pins the provable constants and records both.  Since homotopy
+    checker uses the provable constants.  Since homotopy
     equivalences preserve cohomology dimensions, the unreduced comparison is
     equivalent; the equality of harmonic dimensions is asserted as well.
     """
@@ -523,11 +504,6 @@ def check_gromov_shubin(report: CheckReport, C: FiniteCochainComplex,
         threshold = np.inf
     else:
         threshold = min((2.0 * t_norm) ** -2.0, (2.0 * t_norm) ** -1.0)
-    report.constants.update({
-        "scale": scale, "threshold": threshold, "homotopy_defect": defect,
-        "stated_scale": f_norm ** 2 * g[p].norm ** 2,
-        "stated_threshold": np.inf if t_norm == 0.0 else (2.0 * t_norm) ** -2.0,
-    })
     h_c = C.cohomology_dim(p)
     h_d = D.cohomology_dim(p)
     if h_c != h_d:

@@ -27,11 +27,9 @@ TIE_RTOL = 1e-9
 # The last probe of an inequality's range [0, upper) is upper * (1 - RANGE_END_RTOL).
 RANGE_END_RTOL = 1e-12
 
-# Two subspaces meet trivially when their largest principal cosine is below 1 - this.
+# Two subspaces meet trivially when their largest principal cosine is below
+# 1 - this; otherwise the item that needs it is skipped.
 TRIVIAL_INTERSECTION_GAP = 1e-8
-
-# They meet nontrivially above 1 - this; in between the item is skipped as ambiguous.
-NONTRIVIAL_INTERSECTION_GAP = 1e-12
 
 # One span contains another when their smallest principal cosine exceeds 1 - this.
 CONTAINMENT_GAP = 1e-10

@@ -32,7 +32,10 @@ integral without a closed form (the hyperbolic degrees, hand-built models)
 is computed by adaptive quadrature.  The subtracted integrand suffers
 catastrophic cancellation near t = 0 when computed naively, so models carry
 a stable `residual` callable whenever the trace has a closed form, and the
-integrand calls it directly.  analytic_torsion solves a model object once,
+integrand calls it directly.  d_small probes that residual only on a
+model built by hand or by replace(), where a wrong expansion can enter: the
+tests check the library constructors' models (from_spectrum, from_circle,
+hyperbolic.plancherel_heat_model).  analytic_torsion solves a model once,
 however many degrees share it: the H3 degrees p and 3 - p have equal rows
 and share their model, so the torsion constant takes two small-time
 quadratures, not four.
@@ -204,11 +207,10 @@ def _circle_scale_relation(L: float, known: ExactIntegral) -> ExactIntegral:
 class HeatTraceModel:
     """Evaluable kernel-free heat trace with expansion metadata.
 
-    coefficients[i] multiplies t^{-(m-i)/2} for i = 0..m; None means the
-    expansion is unknown and the small-time machinery refuses to run until
-    they are set.  residual(t), when present, evaluates theta(t) minus the
-    full expansion without cancellation.  spectral_gap is the smallest
-    positive eigenvalue; zeta_det requires it positive.
+    coefficients[i] multiplies t^{-(m-i)/2} for i = 0..m; every model has
+    them.  residual(t), when present, evaluates theta(t) minus the full
+    expansion without cancellation.  spectral_gap is the smallest positive
+    eigenvalue; zeta_det requires it positive.
     small_time_exact, when present, is the integral of the residual against
     dt/t over (0, 1] in closed form, which d_small then uses in place of
     quadrature.  large_time_exact is the integral of theta(t)/t over
@@ -219,24 +221,22 @@ class HeatTraceModel:
 
     evaluate: Callable[[float], float]
     m: int
-    coefficients: np.ndarray | None = None
+    coefficients: np.ndarray
     residual: Callable[[float], float] | None = None
     spectral_gap: float | None = None
     small_time_exact: ExactIntegral | None = None
     large_time_exact: ExactIntegral | None = None
-    # the unit of the residual check's probe times, set by from_spectrum
-    # (1 / largest eigenvalue), from_circle (L^2) and plancherel_heat_model
-    # (1); None, as replace() and hand-built models leave it, probes at unit
-    # 1 and first has the residual compared with evaluate - expansion
-    _time_scale: float | None = field(default=None, init=False, repr=False)
+    # set by from_spectrum, from_circle and plancherel_heat_model, whose
+    # expansion and residual the library derives; a hand-built model and
+    # every replace() copy leave it False, and d_small probes their residual
+    _from_library: bool = field(default=False, init=False, repr=False)
 
     def __post_init__(self):
         check_range("m", self.m, 0, math.inf, "[)", integer=True)
-        if self.coefficients is not None:
-            coeff = np.asarray(self.coefficients, dtype=float)
-            if coeff.shape != (self.m + 1,):
-                raise ValueError(f"need {self.m + 1} expansion coefficients")
-            self.coefficients = coeff
+        coeff = np.asarray(self.coefficients, dtype=float)
+        if coeff.shape != (self.m + 1,):
+            raise ValueError(f"need {self.m + 1} expansion coefficients")
+        self.coefficients = coeff
 
     # -- constructors ---------------------------------------------------------------
 
@@ -267,7 +267,7 @@ class HeatTraceModel:
             small_time_exact=_exact_sum(-w * _ein(lam, e1)),
             large_time_exact=_exact_sum(w * e1),
         )
-        model._time_scale = 1.0 / float(lam[-1]) if lam.size else 1.0
+        model._from_library = True
         return model
 
     @staticmethod
@@ -288,22 +288,30 @@ class HeatTraceModel:
             small_time_exact=small,
             large_time_exact=large,
         )
-        model._time_scale = L * L
+        model._from_library = True
         return model
 
     def expansion_value(self, t: float) -> float:
         check_range("t", t, 0, math.inf)
-        coeff = self.coefficients
-        if coeff is None:
-            raise ValueError("expansion coefficients unknown")
-        powers = np.array([t ** (-(self.m - i) / 2.0) for i in range(self.m + 1)])
-        return float(coeff @ powers)
+        try:
+            powers = np.array([t ** (-(self.m - i) / 2.0) for i in range(self.m + 1)])
+            value = float(self.coefficients @ powers)
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"expansion overflows a double at t = {t:g}")
+        return value
 
     def residual_value(self, t: float) -> float:
         check_range("t", t, 0, math.inf)
-        if self.residual is not None:
-            return self.residual(t)
-        return self.evaluate(t) - self.expansion_value(t)
+        try:
+            value = (self.residual(t) if self.residual is not None
+                     else self.evaluate(t) - self.expansion_value(t))
+        except OverflowError:
+            value = math.inf
+        if not math.isfinite(value):
+            raise ValueError(f"residual overflows a double at t = {t:g}")
+        return value
 
 
 # -- small-time part -----------------------------------------------------------------
@@ -319,20 +327,16 @@ class DsmallResult:
 
 
 def _check_residual_integrable(model: HeatTraceModel) -> None:
-    """Reject when theta minus the expansion fails to vanish like sqrt(t),
-    probed at 1e-2, 1e-4 and 1e-6 times the model's time scale.  A model no
-    library constructor returned must first have a residual that agrees with
-    evaluate - expansion at 1e-2, which one ignoring the coefficients does not."""
+    """Reject a model whose residual contradicts evaluate - expansion at
+    t = 0.01, as one that ignores the coefficients does, or fails to vanish
+    like sqrt(t), probed at 1e-2, 1e-4 and 1e-6."""
     residual = model.residual or model.residual_value
-    if model._time_scale is None and model.residual is not None:
+    if model.residual is not None:
         r, e, x = residual(1e-2), model.evaluate(1e-2), model.expansion_value(1e-2)
         if not abs(r - (e - x)) <= 1e-9 * (abs(r) + abs(e) + abs(x)):
             raise ValueError(f"the residual {r:.6g} at t = 0.01 contradicts evaluate - "
                              f"expansion = {e - x:.6g}; expansion coefficients look wrong")
-    qs = []
-    for t in (1e-2, 1e-4, 1e-6):
-        t *= model._time_scale or 1.0
-        qs.append(abs(residual(t)) / math.sqrt(t))
+    qs = [abs(residual(t)) / math.sqrt(t) for t in (1e-2, 1e-4, 1e-6)]
     if qs[-1] > 10.0 * qs[0] + 1e-9:
         raise ValueError(
             "subtracted integrand is not o(1)/t-integrable near 0: residual/sqrt(t) "
@@ -343,13 +347,12 @@ def d_small(model: HeatTraceModel) -> DsmallResult:
     """Small-time part: subtracted dt/t integral on (0, 1] plus constants.
 
     The integral is the model's exact value when it has one, else
-    quadrature.  Refuses when expansion coefficients are unknown or when
-    the subtracted integrand is not integrable.
+    quadrature.  A model that no library constructor returned is refused
+    when its residual contradicts its coefficients or its subtracted
+    integrand is not integrable.
     """
-    if model.coefficients is None:
-        raise ValueError("expansion coefficients unknown; set model.coefficients "
-                         "before computing the small-time part")
-    _check_residual_integrable(model)
+    if not model._from_library:
+        _check_residual_integrable(model)
     if model.small_time_exact is not None:
         (integral, err), method = model.small_time_exact, "exact"
     else:

@@ -4,7 +4,9 @@ The per-unit-volume p-form heat traces of hyperbolic space are integrals of
 polynomial spectral densities against a Gaussian; the shipped table for
 dimension three is validated at load time by structural invariants (Hodge
 duality of the traces, the short-time leading term, and the vanishing
-alternating sum) rather than by quoted numbers.  Feeding the densities into
+alternating sum) rather than by quoted numbers; a table of dimension m
+refuses a density term r^k with k >= m, more singular than the t^{-m/2}
+expansion of its heat models holds.  Feeding the densities into
 the torsion machinery yields the proportionality constant relating torsion
 to volume, which vanishes in even dimensions by duality.
 """
@@ -175,6 +177,15 @@ class PlancherelComponent:
         return _exact_sum(weights * values, extra=float(np.sum(np.abs(weights) * errors)))
 
 
+def _below_degree(poly: tuple[float, ...], m: int) -> tuple[float, ...]:
+    """poly, if no nonzero r^k with k >= m gives a t^{-(k+1)/2} beyond t^{-m/2}."""
+    k = max((k for k, c in enumerate(poly) if c), default=0)
+    if k >= m:
+        raise ValueError(f"the r^{k} term gives t^(-{k + 1}/2), more singular than "
+                         f"the expansion's t^(-{m}/2); need degree below {m}")
+    return poly
+
+
 @dataclass(frozen=True)
 class PlancherelTable:
     m: int
@@ -185,6 +196,10 @@ class PlancherelTable:
             raise ValueError("table dimension must be odd and positive")
         if len(self.rows) != self.m + 1:
             raise ValueError(f"need rows for every degree 0..{self.m}")
+        for p, row in enumerate(self.rows):
+            for j, comp in enumerate(row):
+                convert(comp.poly, f"rows[{p}].components[{j}].poly",
+                        lambda poly: _below_degree(poly, self.m))
 
     def density(self, p: int, t: float) -> float:
         """Per-unit-volume p-form heat trace at time t."""
@@ -230,9 +245,10 @@ class PlancherelTable:
 
 def load_plancherel_table(path: str | None = None) -> PlancherelTable:
     """Load a density table from JSON (the packaged m = 3 table by default)
-    and validate it; a malformed file raises a ManifestError naming the
-    file and the field, and a failed invariant one naming the file (each
-    invariant ties rows together: duality pairs degree p with m - p)."""
+    and validate it; a malformed file (or term of degree m or more) raises
+    a ManifestError naming the file and the field, and a failed invariant
+    one naming the file (each invariant ties rows together: duality pairs
+    degree p with m - p)."""
     source = (resources.files("l2tor.data").joinpath("plancherel_h3.json")
               if path is None else path)
     where = str(source)
@@ -253,6 +269,7 @@ def load_plancherel_table(path: str | None = None) -> PlancherelTable:
             shift = field(c, "shift", cloc, number)
             poly = tuple(convert(v, f"{cloc}.poly[{k}]", number)
                          for k, v in enumerate(field(c, "poly", cloc, items)))
+            convert(poly, f"{cloc}.poly", lambda poly: _below_degree(poly, m))
             comps.append(convert(poly, cloc, lambda poly: PlancherelComponent(shift, poly)))
         rows[p] = tuple(comps)
     if len(rows) != m + 1:
@@ -270,7 +287,8 @@ def heat_density(table: PlancherelTable, p: int, t: float) -> float:
 
 def plancherel_heat_model(table: PlancherelTable, p: int) -> HeatTraceModel:
     """HeatTraceModel for one degree: the small-time expansion with its
-    stable remainder, and the large-time integral in closed form."""
+    stable remainder, which the table's degree bound makes vanish at t = 0,
+    and the large-time integral in closed form."""
     comps = table.rows[p]
     large = [comp.large_time_exact() for comp in comps]
     coeff = np.zeros(table.m + 1)
@@ -292,7 +310,7 @@ def plancherel_heat_model(table: PlancherelTable, p: int) -> HeatTraceModel:
         large_time_exact=_exact_sum(np.array([v for v, _ in large]), 0.0,
                                     sum(err for _, err in large)),
     )
-    model._time_scale = 1.0
+    model._from_library = True
     return model
 
 

@@ -116,12 +116,15 @@ def circle_heat_trace(circumference: float, t: float, include_zero: bool = True)
     eigenvalue series and the image (dual) series at t = L^2 / (4 pi) so the
     faster-converging form is always used.  Without the zero mode the
     eigenvalue series is summed on its own, so small traces keep their
-    relative accuracy."""
+    relative accuracy.  L lies in from_circle's [1e-153, 1e154], and a
+    trace beyond a double is refused."""
     check_range("t", t, 0, math.inf)
-    L = check_range("circumference", circumference, 0, math.inf)
+    L = check_range("circumference", circumference, 1e-153, 1e154, "[]")
     t_star = L * L / (4.0 * math.pi)
     if t < t_star:
         value = L / math.sqrt(4.0 * math.pi * t) * (1.0 + _theta_dual_sum(L, t))
+        if not math.isfinite(value):
+            raise ValueError(f"circle heat trace overflows a double at t = {t:g}")
         return value if include_zero else value - 1.0
     base = (2.0 * math.pi / L) ** 2
     n_max = int(math.ceil(math.sqrt(40.0 / (base * t)))) + 2

@@ -26,6 +26,16 @@ def checked(check, *args, **kwargs):
     return report
 
 
+def recorded(check, *args):
+    """The decided report of one checker call and the relations it
+    recorded, by item."""
+    report = CheckReport()
+    check(report, *args)
+    relations = {rel.item: rel for rel in report.pending}
+    report.decide()
+    return report, relations
+
+
 def diag_map(entries):
     n = len(entries)
     s = TracedSpace(n)
@@ -108,10 +118,12 @@ def test_block_item4_identity_example():
     # phi = xi = 1, gamma = 0: the block map steps at 1, the scaled argument
     # pushes the comparison point down to 1/4
     one = diag_map([1.0])
-    rep = checked(check_block_matrix_F, one, TracedMap.zero(one.source, one.target),
-                  diag_map([1.0]))
+    rep, relations = recorded(check_block_matrix_F, one,
+                              TracedMap.zero(one.source, one.target), diag_map([1.0]))
     assert rep.ok
-    assert rep.constants["norm_phi"] == pytest.approx(1.0)
+    # c4 = 2 (1 + |gamma| + |xi|) and c5 = 2 (1 + |gamma| + |phi|) are both 4
+    for item in ("block.4", "block.5"):
+        assert relations[item].rhs[0].lams.tolist() == [0.25]
 
 
 def test_block_random_suite_small():
@@ -131,9 +143,10 @@ def test_short_exact_split_zero_differentials():
     q = [TracedMap(d, z1, np.hstack([np.zeros((1, 2)), np.eye(1)]))] * 2
     from l2tor.complexes import ShortExactTriple
     T = ShortExactTriple(C, D, E, j, q)
-    rep = checked(check_short_exact, T, 0)
+    rep, relations = recorded(check_short_exact, T, 0)
     assert rep.ok
-    assert rep.constants["c_E"] >= 4.0
+    # with |d^0| = 0 the stated range ends at c1 = 4^{-1/2}
+    assert relations["short-exact[p=0]"].upper == 0.5
 
 
 def test_short_exact_random_triples():
@@ -160,11 +173,13 @@ def test_gromov_shubin_identity_equality():
     T = [TracedMap.zero(C.space(p), C.space(p - 1) if p else TracedSpace(0))
          for p in range(n)]
     for p in range(n):
-        rep = checked(check_gromov_shubin, C, C, f, f, T, p)
+        rep, relations = recorded(check_gromov_shubin, C, C, f, f, T, p)
         assert rep.ok
-        assert rep.constants["threshold"] == np.inf
+        relation = relations[f"gromov-shubin[p={p}]"]
+        assert relation.upper == np.inf
         if p < n - 1:
-            assert rep.constants["scale"] == pytest.approx(1.0)
+            # scale one: the right side steps where the left side does
+            assert relation.rhs[0].lams == pytest.approx(relation.lhs.lams)
 
 
 def test_gromov_shubin_homotopy_residual_rejected():

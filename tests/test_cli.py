@@ -636,6 +636,11 @@ def _packaged_table_with_scalar_poly(coefficient: float) -> dict:
      "error: {path}.rows[0].components[0].poly[1]: expected a finite number, got '2'\n"),
     (["hyperbolic", "--op", "density"], ("--table", _table_component(0.0, [math.inf])),
      "error: {path}.rows[0].components[0].poly[0]: expected a finite number, got inf\n"),
+    # a density term r^k with k >= m is more singular than the expansion holds
+    (["hyperbolic", "--op", "constant"],
+     ("--table", _table_component(1.0, [0.0, 0.0, 0.0, 0.0, 1e-3])),
+     "error: {path}.rows[0].components[0].poly: the r^4 term gives t^(-5/2), more "
+     "singular than the expansion's t^(-3/2); need degree below 3\n"),
     (["zeta", "--op", "det"], ("--spectrum", [["1", 1.0]]),
      "error: {path}[0][0]: expected a finite number, got '1'\n"),
     (["zeta", "--op", "det"], ("--spectrum", [[True, 1.0]]),
@@ -714,7 +719,7 @@ def _packaged_table_with_scalar_poly(coefficient: float) -> dict:
         "table-fractional-m",
         "table-duplicate-row", "table-nan-shift", "table-string-shift",
         "table-boolean-shift", "table-negative-shift", "table-string-poly",
-        "table-infinite-poly", "spectrum-string-eigenvalue",
+        "table-infinite-poly", "table-over-singular-poly", "spectrum-string-eigenvalue",
         "spectrum-boolean-eigenvalue", "spectrum-nan-weight", "degrees-null-weight",
         "manifest-huge-volume", "spectrum-malformed-json", "table-malformed-json",
         "spectrum-deep-nesting", "spectrum-long-integer", "table-string-rows",

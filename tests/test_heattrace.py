@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import erfc, exp1
@@ -15,7 +15,8 @@ from l2tor.heattrace import (_EIN_SERIES, _EPS, _ERFC_CUTOFF, _EXP1_CUTOFF, _TER
                              large_time_dominating_bound, large_time_integral,
                              zeta_det, zeta_det_with_error)
 from l2tor.anomaly import ConformalFamily
-from l2tor.hyperbolic import CuspEnd, PlancherelComponent
+from l2tor.hyperbolic import (CuspEnd, PlancherelComponent, load_plancherel_table,
+                              plancherel_heat_model)
 from l2tor.kernels1d import Domain1D, kernel_1d, sup_bound_check
 from l2tor.mellin import EULER_GAMMA
 from l2tor.rand import rng_for
@@ -43,14 +44,14 @@ def _large_time_quad(theta) -> ExactIntegral:
 
 
 def _quadrature_twin(model: HeatTraceModel) -> HeatTraceModel:
-    """The same trace, residual, expansion, gap and time scale without the
+    """The same trace, residual, expansion, gap and library mark without the
     exact values: d_small integrates it numerically, and its large-time
     integral comes from quadrature here."""
     twin = HeatTraceModel(evaluate=model.evaluate, m=model.m,
                           coefficients=model.coefficients, residual=model.residual,
                           spectral_gap=model.spectral_gap,
                           large_time_exact=_large_time_quad(model.evaluate))
-    twin._time_scale = model._time_scale
+    twin._from_library = model._from_library
     return twin
 
 
@@ -244,18 +245,92 @@ def test_residual_check_refuses_a_residual_that_contradicts_the_coefficients():
     assert zeta_det(replace(HeatTraceModel.from_spectrum(S))) == pytest.approx(9.0, rel=1e-12)
 
 
+def test_dsmall_probes_only_models_from_outside_the_library(monkeypatch):
+    # library models are not probed: d_small evaluates neither their trace
+    # nor their residual outside its quadrature; a hand-built model and a
+    # replace() copy of a library model are
+    from l2tor import heattrace
+
+    real, inside = heattrace.quad, []
+
+    def quad(*args, **kwargs):
+        inside.append(True)
+        try:
+            return real(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(heattrace, "quad", quad)
+
+    def probes(model: HeatTraceModel) -> int:
+        calls = []
+
+        def counted(f):
+            def call(t):
+                if not inside:
+                    calls.append(t)
+                return f(t)
+            return call
+
+        model.evaluate, model.residual = counted(model.evaluate), counted(model.residual)
+        d_small(model)
+        return len(calls)
+
+    S = Spectrum.from_pairs([(1.0, 1.0), (3.0, 2.0)])
+    table = load_plancherel_table()
+    assert probes(HeatTraceModel.from_spectrum(S)) == 0
+    assert probes(HeatTraceModel.from_circle(1.5)) == 0
+    assert probes(plancherel_heat_model(table, 1)) == 0
+    assert probes(replace(HeatTraceModel.from_spectrum(S))) > 0
+    assert probes(replace(plancherel_heat_model(table, 1))) > 0
+    assert probes(_without_large_time()) > 0
+
+
+def _residual_holds(model: HeatTraceModel, scale: float) -> None:
+    """The probe d_small runs on models from outside the library, at times
+    1e-2, 1e-4 and 1e-6 of `scale`: the residual agrees with evaluate -
+    expansion to 1e-9 of their sizes, and residual / sqrt(t) does not grow
+    more than tenfold."""
+    qs = []
+    for t in (1e-2 * scale, 1e-4 * scale, 1e-6 * scale):
+        r, e, x = model.residual_value(t), model.evaluate(t), model.expansion_value(t)
+        assert abs(r - (e - x)) <= 1e-9 * (abs(r) + abs(e) + abs(x)), (t, r, e - x)
+        qs.append(abs(r) / math.sqrt(t))
+    assert qs[-1] <= 10.0 * qs[0] + 1e-9, qs
+
+
+@given(st.lists(st.tuples(st.floats(-8.0, 3.0), st.sampled_from([1 / 3, 0.5, 1.0, 2.0])),
+                min_size=1, max_size=8),
+       st.booleans())
+@example([(-8.0, 1.0)], False)
+@example([(3.0, 1.0), (-8.0, 2.0)], True)
+def test_spectrum_model_residual_vanishes_like_sqrt_t(pairs, zero_mode):
+    # at the spectrum's own time scale, 1 / largest eigenvalue
+    S = Spectrum.from_pairs([(10.0 ** e, w) for e, w in pairs]
+                            + ([(0.0, 1.0)] if zero_mode else []))
+    _residual_holds(HeatTraceModel.from_spectrum(S), 1.0 / float(S.eigenvalues[-1]))
+
+
+@given(st.floats(-153.0, 154.0))
+@example(-153.0)
+@example(154.0)
+def test_circle_model_residual_vanishes_like_sqrt_t(exponent):
+    # every length from_circle accepts, at its own time scale L^2
+    L = min(max(10.0 ** exponent, 1e-153), 1e154)
+    _residual_holds(HeatTraceModel.from_circle(L), L * L)
+
+
+@pytest.mark.parametrize("p", range(4))
+def test_plancherel_model_residual_vanishes_like_sqrt_t(p):
+    # every row of the packaged table, at time scale 1
+    _residual_holds(plancherel_heat_model(load_plancherel_table(), p), 1.0)
+
+
 def test_large_time_divergence_detected():
     slow = HeatTraceModel(evaluate=lambda t: 1.0 / math.log(t + math.e), m=0,
                           coefficients=np.array([0.0]))
     with pytest.raises(ValueError, match="^" + _REFUSED):
         large_time_integral(slow)
-
-
-def test_dsmall_refuses_unknown_coefficients():
-    model = HeatTraceModel(evaluate=lambda t: math.exp(-t), m=1)
-    with pytest.raises(ValueError, match="^expansion coefficients unknown; set "
-                                         "model.coefficients"):
-        d_small(model)
 
 
 def test_dsmall_rejects_wrong_coefficients():
@@ -345,15 +420,13 @@ def test_exponentially_damped_power_closed_form():
 
 @pytest.mark.parametrize("L", [1.0, 2 * math.pi, 5.0, 0.003, 0.002, 1e-3, 5e-4])
 def test_circle_determinant_is_square_of_circumference(L):
-    # the short circles pass the residual check because it probes at times
-    # proportional to L^2, where their expansion has taken hold
+    # a short circle's expansion takes hold only at times of order L^2
     det = zeta_det(HeatTraceModel.from_circle(L))
     assert det == pytest.approx(L * L, rel=1e-8)
 
 
 @pytest.mark.parametrize("eigenvalue", [1e6, 1e8])
 def test_large_eigenvalue_determinant(eigenvalue):
-    # the residual check probes at times proportional to 1/eigenvalue
     assert zeta_det(Spectrum.from_pairs([(eigenvalue, 1.0)])) == pytest.approx(
         eigenvalue, rel=1e-12)
 
@@ -628,7 +701,6 @@ _ONE = Spectrum.from_pairs([(1.0, 1.0)])
 
 
 _TIME = r"^t must be in \(0, inf\), got "
-_CIRCUMFERENCE = r"^circumference must be in \(0, inf\), got "
 _CIRCLE_MODEL = r"^circumference must be in \[1e-153, 1e\+154\], got "
 _WITH_KERNEL = Spectrum.from_pairs([(0.0, 1.0), (1.0, 1.0)])
 
@@ -637,8 +709,8 @@ _WITH_KERNEL = Spectrum.from_pairs([(0.0, 1.0), (1.0, 1.0)])
     (lambda: _ONE.heat_trace(_NAN), _TIME + "nan$"),
     (lambda: _ONE.heat_trace_rounding_bound(_NAN), _TIME + "nan$"),
     (lambda: circle_heat_trace(1.0, _NAN), _TIME + "nan$"),
-    (lambda: circle_heat_trace(_NAN, 1.0), _CIRCUMFERENCE + "nan$"),
-    (lambda: circle_heat_trace(-1.0, 1.0), _CIRCUMFERENCE + "-1.0$"),
+    (lambda: circle_heat_trace(_NAN, 1.0), _CIRCLE_MODEL + "nan$"),
+    (lambda: circle_heat_trace(-1.0, 1.0), _CIRCLE_MODEL + "-1.0$"),
     (lambda: kernel_1d(Domain1D.line(), _NAN, 0.0, 0.0), _TIME + "nan$"),
     (lambda: kernel_1d(Domain1D.line(), 1.0, _NAN, 0.0), r"^x must be in \(-inf, inf\)"),
     (lambda: kernel_1d(Domain1D.line(), 1.0, 0.0, _INF), r"^y must be in \(-inf, inf\)"),
@@ -677,6 +749,11 @@ _WITH_KERNEL = Spectrum.from_pairs([(0.0, 1.0), (1.0, 1.0)])
      r"^t must be in \(0, 1e\+06\], got 1e\+308$"),
     (lambda: sup_bound_check(Domain1D.line(), _INF), r"^t0 must be in \(0, inf\), got inf$"),
     (lambda: PlancherelComponent(0.0, (1.0,)).trace(_INF), _TIME + "inf$"),
+    # (2 pi / L)^2 overflows in the eigenvalue series
+    (lambda: circle_heat_trace(1e-200, 1.0), _CIRCLE_MODEL + "1e-200$"),
+    # L / sqrt(4 pi t) is beyond a double
+    (lambda: circle_heat_trace(1e154, 5e-324),
+     r"^circle heat trace overflows a double at t = 4.94066e-324$"),
 ], ids=["heat-trace", "heat-trace-bound", "circle-trace", "circle-trace-nan-length",
         "circle-trace-negative-length", "kernel-time", "kernel-x",
         "kernel-y", "sup-bound", "circle-length", "interval-length", "plancherel-trace",
@@ -686,7 +763,7 @@ _WITH_KERNEL = Spectrum.from_pairs([(0.0, 1.0), (1.0, 1.0)])
         "circle-model-cutoff-overflow", "heat-trace-inf", "heat-trace-bound-inf",
         "circle-trace-inf", "kernel-circle-time-inf", "kernel-line-time-inf",
         "kernel-circle-images", "kernel-interval-images", "sup-bound-inf",
-        "plancherel-trace-inf"])
+        "plancherel-trace-inf", "circle-trace-gap-overflow", "circle-trace-overflow"])
 def test_range_checks_refuse_nan_and_infinity(call, message):
     # every range check goes through inputs.check_range, outside whose
     # intervals NaN lies

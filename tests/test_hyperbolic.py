@@ -285,6 +285,23 @@ def test_table_validation_catches_broken_duality():
         broken.validate()
 
 
+def test_table_refuses_a_term_more_singular_than_its_expansion(table):
+    # an r^4 density gives t^{-5/2}, which the m = 3 expansion cannot hold:
+    # without the refusal this table's constant came out -0.10502, not the
+    # packaged table's -0.10610, since its residual kept the t^{-5/2} term
+    extra = PlancherelComponent(1.0, (0.0, 0.0, 0.0, 0.0, 1e-3))
+    rows = list(table.rows)
+    rows[0] += (extra,)
+    rows[3] += (extra,)
+    with pytest.raises(ValueError, match=(
+            r"^rows\[0\]\.components\[1\]\.poly: the r\^4 term gives t\^\(-5/2\), more "
+            r"singular than the expansion's t\^\(-3/2\); need degree below 3$")):
+        PlancherelTable(3, tuple(rows))
+    # zero coefficients past the bound are no term
+    padded = PlancherelComponent(1.0, (0.0, 0.0, 0.05, 0.0, 0.0))
+    assert PlancherelTable(3, ((padded,),) * 4).rows[0] == (padded,)
+
+
 @pytest.mark.parametrize("shift", [-1.0, math.nan, math.inf])
 def test_component_refuses_shift_outside_zero_to_infinity(shift):
     with pytest.raises(ValueError, match=rf"^shift must be in \[0, inf\), got {shift}$"):

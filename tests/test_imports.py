@@ -81,3 +81,26 @@ def test_one_module_decides_step_function_relations():
                 if "TIE_RTOL" in names or fn.name == "tie_shifted":
                     readers.append((path.stem, fn.name))
     assert readers == [("checks", "tie_shifted")]
+
+
+def test_every_config_constant_has_a_reader():
+    # a constant that no function in the package reads (config's own
+    # functions count) is configuration that nothing reads: delete it
+    import ast
+    from pathlib import Path
+
+    import l2tor
+
+    package = Path(l2tor.__file__).parent
+    config = ast.parse((package / "config.py").read_text())
+    constants = {target.id for node in config.body if isinstance(node, ast.Assign)
+                 for target in node.targets
+                 if isinstance(target, ast.Name) and target.id.isupper()}
+    read = set()
+    for path in package.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                read |= {node.id for node in ast.walk(fn)
+                         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+                read |= {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)}
+    assert constants and not sorted(constants - read)

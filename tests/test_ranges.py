@@ -29,6 +29,7 @@ from l2tor import (ConformalFamily, CuspEnd, Domain1D, HeatTraceModel, JsjManife
                    v_operator, zeta_det)
 from l2tor.anomaly import PRESET_FAMILIES
 from l2tor.checks import CheckReport
+from l2tor.hyperbolic import plancherel_heat_model
 from l2tor.rand import random_complex, random_homotopy_pair, random_short_exact_triple
 
 BOUNDARY = [math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e308]
@@ -43,6 +44,7 @@ _TRIPLE = random_short_exact_triple(_RNG, [1, 2], [2, 1])
 _HOMOTOPY = random_homotopy_pair(_RNG, [2, 2], acyclic_dim=1)
 _SPECTRUM = Spectrum.from_pairs([(0.0, 1.0), (1.0, 1.0), (3.0, 2.0)])
 _TABLE = load_plancherel_table()
+_H3_MODEL = plancherel_heat_model(_TABLE, 1)
 _FAMILY2, _FAMILY3 = PRESET_FAMILIES[2], PRESET_FAMILIES[3]
 
 
@@ -88,6 +90,9 @@ SWEEP = [
      {"t": 0.5}),
     ("HeatTraceModel.residual_value", HeatTraceModel.from_circle(2.0).residual_value,
      {"t": 0.5}),
+    # the t^{-3/2} of an m = 3 expansion overflows at the smallest subnormal
+    ("HeatTraceModel.expansion_value[m=3]", _H3_MODEL.expansion_value, {"t": 0.5}),
+    ("HeatTraceModel.residual_value[m=3]", _H3_MODEL.residual_value, {"t": 0.5}),
     ("cheeger_mueller_correction", cheeger_mueller_correction, {"chi_boundary": 2}),
     ("large_time_dominating_bound",
      lambda eps: large_time_dominating_bound(_SPECTRUM, eps), {"eps": 2.0}),
