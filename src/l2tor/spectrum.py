@@ -82,7 +82,7 @@ class Spectrum:
     def heat_trace(self, t: float, include_kernel: bool = False) -> float:
         check_range("t", t, 0, math.inf)
         mask = slice(None) if include_kernel else self.eigenvalues > 0
-        return float(np.sum(self.weights[mask] * np.exp(-t * self.eigenvalues[mask])))
+        return float(np.sum(self.weights[mask] * np.exp(-_t_lam(t, self.eigenvalues[mask]))))
 
     def heat_trace_rounding_bound(self, t: float, include_kernel: bool = False) -> float:
         """Bound on the floating-point error of heat_trace(t): each term
@@ -91,11 +91,10 @@ class Spectrum:
         n - 1 more."""
         check_range("t", t, 0, math.inf)
         mask = slice(None) if include_kernel else self.eigenvalues > 0
-        lam = self.eigenvalues[mask]
-        terms = self.weights[mask] * np.exp(-t * lam)
+        t_lam = _t_lam(t, self.eigenvalues[mask])
+        terms = self.weights[mask] * np.exp(-t_lam)
         eps = float(np.finfo(float).eps)
-        # t lam overflows only where its term has underflowed to 0
-        return float(eps * np.sum(terms * (terms.size + 2.0 + np.minimum(t * lam, 1e308))))
+        return float(eps * np.sum(terms * (terms.size + 2.0 + t_lam)))
 
     def counting_function(self, include_kernel: bool = False) -> SpectralDensityFunction:
         """Step function lambda -> weighted count of eigenvalues <= lambda."""
@@ -103,12 +102,31 @@ class Spectrum:
         return SpectralDensityFunction.from_jumps(self.eigenvalues[mask], self.weights[mask])
 
 
-_DUAL_KS = np.arange(1, 65, dtype=float)  # the dual series is summed to k = 64
+def _t_lam(t: float, lam: np.ndarray) -> np.ndarray:
+    """t lam for sorted lam, with every product beyond 1e308 held near 1e308
+    rather than overflowing: the term e^{-t lam} is 0 either way."""
+    if lam.size and t * float(lam[-1]) > 1e308:
+        lam = np.minimum(lam, 1e308 / t)
+    return t * lam
+
+
+# -k^2 for k = 1..64: the dual series is summed to k = 64
+_DUAL_EXPONENTS = -np.arange(1, 65, dtype=float) ** 2
 
 
 def _theta_dual_sum(L: float, t: float) -> float:
-    """sum over k >= 1 of 2 exp(-k^2 L^2 / 4t)."""
-    return float(2.0 * np.sum(np.exp(-(_DUAL_KS ** 2) * L * L / (4.0 * t))))
+    """sum over k >= 1 of 2 exp(-k^2 L^2 / 4t).
+
+    Each exponent is -(k^2 L) L / 4t.  Where that overflows a double, as it
+    can for L near 1e154 or t near 5e-324, the exponent is taken as
+    -k^2 ((L / 4t) L) instead, which overflows only where the term is 0."""
+    if 4096.0 * L * L / (4.0 * t) < math.inf:  # the largest exponent, k = 64
+        return float(2.0 * np.sum(np.exp(_DUAL_EXPONENTS * L * L / (4.0 * t))))
+    with np.errstate(over="ignore"):
+        exponent = _DUAL_EXPONENTS * L * L / (4.0 * t)
+        over = np.isinf(exponent)
+        exponent[over] = _DUAL_EXPONENTS[over] * (L / (4.0 * t) * L)
+    return float(2.0 * np.sum(np.exp(exponent)))
 
 
 def circle_heat_trace(circumference: float, t: float, include_zero: bool = True) -> float:

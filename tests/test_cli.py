@@ -237,7 +237,7 @@ def test_hyperbolic_constant_stdout_is_pinned(capsys):
     assert code == 0
     assert out == """\
 {
-  "errorEstimate": 4.086311729408882e-12,
+  "errorEstimate": 4.790573857642657e-15,
   "m": 3,
   "op": "constant",
   "perDegree": [

@@ -94,13 +94,19 @@ def test_torsion_constant_even_dimension_zero():
 
 
 def _counting_quad(monkeypatch) -> list:
-    """Count the calls of heattrace.quad; returns the list the calls land in."""
+    """Count the calls of heattrace.quad; returns the list the calls land
+    in, one entry per call: the number of times it evaluated its integrand."""
     calls = []
     real = heattrace.quad
 
-    def counted(*args, **kwargs):
-        calls.append(args[1:3])
-        return real(*args, **kwargs)
+    def counted(func, *args, **kwargs):
+        calls.append(0)
+
+        def integrand(x):
+            calls[-1] += 1
+            return func(x)
+
+        return real(integrand, *args, **kwargs)
 
     monkeypatch.setattr(heattrace, "quad", counted)
     return calls
@@ -119,8 +125,24 @@ def test_constant_solves_each_distinct_row_once(table, monkeypatch):
     calls = _counting_quad(monkeypatch)
     # the repr of a float tells apart every two doubles
     assert repr(torsion_constant_result()) == repr(separate)
-    # degrees 0/3 and 1/2 have equal rows: one small-time quadrature each
+    # degrees 0/3 and 1/2 have equal rows, and all four the same shifted
+    # component: one small-time quadrature in all
+    assert len(calls) == 1
+
+
+def test_no_quadrature_outlives_its_constant(table, monkeypatch):
+    calls = _counting_quad(monkeypatch)
+    first = torsion_constant(table)
+    assert torsion_constant(table) == first
     assert len(calls) == 2
+
+
+def test_h3_quadrature_takes_one_21_point_interval(table, monkeypatch):
+    # in s = sqrt(t) the integrand is smooth, and the first Gauss-Kronrod
+    # interval over the whole range meets the tolerance
+    calls = _counting_quad(monkeypatch)
+    torsion_constant_result(table)
+    assert len(calls) == 1 and calls[0] <= 21
 
 
 def test_constant_of_a_table_without_equal_rows_solves_every_degree(table, monkeypatch):
@@ -129,8 +151,37 @@ def test_constant_of_a_table_without_equal_rows_solves_every_degree(table, monke
     separate = analytic_torsion({p: plancherel_heat_model(distinct, p) for p in range(4)})
     calls = _counting_quad(monkeypatch)
     result = torsion_constant_result(distinct)
-    assert len(calls) == 4
+    # rows 0/1 share the shifted component S, rows 2/3 carry 2 S
+    assert len(calls) == 2
     assert repr(result) == repr(separate)
+
+
+def _series_integral(component: PlancherelComponent) -> mpmath.mpf:
+    """The integral of the remainder of c r^2 at shift 1 against dt/t over
+    (0, 1]: the remainder is base t^{-3/2} (e^{-t} - 1 + t) with
+    base = c Gamma(3/2)/2, so the integral is
+    base sum_{j>=2} (-1)^j / (j! (j - 3/2))."""
+    assert component.shift == 1.0 and component.poly[:2] == (0.0, 0.0)
+    base = mpmath.mpf(component.poly[2]) * mpmath.gamma(mpmath.mpf(3) / 2) / 2
+    return base * mpmath.nsum(
+        lambda j: (-1) ** j / (mpmath.factorial(j) * (j - mpmath.mpf(3) / 2)),
+        [2, mpmath.inf])
+
+
+def test_h3_small_time_integrals_lie_within_their_error_of_the_series(table):
+    seen = set()
+    for tbl in (table, _dual_free_table(table)):
+        for p, row in enumerate(tbl.rows):
+            shifted = tuple(c for c in row if c.shift)
+            if shifted in seen:
+                continue
+            seen.add(shifted)
+            res = d_small(plancherel_heat_model(tbl, p))
+            assert res.method == "quad" and len(shifted) == 1
+            with mpmath.workdps(40):
+                exact = _series_integral(shifted[0])
+                assert abs(mpmath.mpf(res.integral) - exact) <= res.error
+    assert len(seen) == 2
 
 
 def _summed_remainders(row, m: int):
@@ -144,11 +195,13 @@ _TWO_SHIFTS = (PlancherelComponent(1.0, (0.0, 0.0, 0.05)),
                PlancherelComponent(2.5, (0.3, -0.2, 0.07)))
 
 
-# down to the smallest time of d_small's integrand, e^{-120}; below about
-# 3e-206 the powers t^{-3/2} overflow in either form
+# down to the smallest time at which d_small's integrand evaluates the
+# residual, (e^{-60})^2 = e^{-120}; below about 3e-206 the powers t^{-3/2}
+# overflow in either form
 @given(st.floats(1e-60, 1.0))
 @example(1.0)
 @example(math.exp(-120.0))
+@example(math.exp(-60.0) ** 2)
 def test_residual_leaves_out_exactly_the_unshifted_components(table, t):
     rows = [(table, p) for p in range(4)]
     rows.append((PlancherelTable(3, (_TWO_SHIFTS,) * 4), 0))

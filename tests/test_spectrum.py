@@ -1,12 +1,14 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from l2tor.heattrace import HeatTraceModel
-from l2tor.spectrum import Spectrum, circle_heat_trace
+from l2tor.spectrum import Spectrum, _theta_dual_sum, circle_heat_trace
 
 
 def circle_spectrum(circumference: float, n_max: int) -> Spectrum:
@@ -136,3 +138,32 @@ def test_positive_part_equals_the_constructed_part(pairs):
 def test_constructor_refuses_bad_input(eigenvalues, weights):
     with pytest.raises(ValueError):
         Spectrum(np.asarray(eigenvalues), np.asarray(weights))
+
+
+def test_extreme_lengths_and_times_raise_no_overflow_warning():
+    spectrum = Spectrum.from_pairs([(0.0, 1.0), (1.0, 2.0), (3.0, 1.0), (1e300, 1.0)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for t in (5e-324, 1e-300, 1.0, 7.9e306):
+            assert _theta_dual_sum(1e154, t) >= 0.0
+        assert _theta_dual_sum(2.0, 5e-324) == 0.0
+        for kernel in (False, True):
+            assert spectrum.heat_trace(1e308, include_kernel=kernel) == float(kernel)
+            assert 0.0 <= spectrum.heat_trace_rounding_bound(1e308, kernel) < 1e-14
+
+
+@pytest.mark.parametrize("L, t", [(1e154, 7.9e306), (1e154, 7e306), (5e153, 1e306)])
+def test_dual_sum_keeps_the_terms_whose_product_overflows(L, t):
+    # k^2 L^2 passes the largest double for k >= 2 at L = 1e154, where the
+    # k = 2 term is still 4e-5 of the sum near t = L^2 / (4 pi)
+    with mpmath.workdps(40):
+        exact = 2 * mpmath.nsum(lambda k: mpmath.exp(-k ** 2 * mpmath.mpf(L) ** 2
+                                                     / (4 * mpmath.mpf(t))), [1, mpmath.inf])
+        assert abs(_theta_dual_sum(L, t) - exact) <= 1e-15 * exact
+
+
+@given(st.floats(1e-3, 1e3), st.floats(1e-6, 1e3))
+@example(1e150, 1e290)
+def test_dual_sum_without_overflow_keeps_its_direct_form(L, t):
+    direct = float(2.0 * np.sum(np.exp(-(np.arange(1, 65.0) ** 2) * L * L / (4.0 * t))))
+    assert repr(_theta_dual_sum(L, t)) == repr(direct)
