@@ -39,10 +39,9 @@ has a closed form, and the integrand calls it directly.  d_small probes
 that residual only on a model built by hand or by replace(), where a wrong
 expansion can enter: the tests check the library constructors' models
 (from_spectrum, from_circle, hyperbolic.plancherel_heat_model).
-analytic_torsion solves a model once, however many degrees share it, and
-integrates a residual callable once, however many models share it: the H3
-degrees p and 3 - p share their model, and all four degrees share their
-residual, so the torsion constant takes one small-time quadrature.
+analytic_torsion solves a model once, however many degrees share it: the H3
+degrees p and 3 - p have equal rows and share their model, so the torsion
+constant takes two small-time quadratures, not four.
 
 scipy is imported by the functions that call it, so importing this module
 loads none of it.  `quad` stays a module-level function, not a local import,
@@ -355,28 +354,16 @@ def d_small(model: HeatTraceModel) -> DsmallResult:
     when its residual contradicts its coefficients or its subtracted
     integrand is not integrable.
     """
-    return _d_small(model, {})
-
-
-def _d_small(model: HeatTraceModel, quadratures: dict) -> DsmallResult:
-    """d_small, integrating a residual callable once: `quadratures` holds
-    (value, error) by the id of each residual it has integrated, and its
-    holder keeps the models, and so their residuals, alive.  The integral
-    of residual(t)/t over [e^{-120}, 1] is taken as that of 2 residual(s^2)/s
-    over s = sqrt(t) in [e^{-60}, 1]."""
     if not model._from_library:
         _check_residual_integrable(model)
     if model.small_time_exact is not None:
         (integral, err), method = model.small_time_exact, "exact"
     else:
-        # residual_value is a new bound method on each access, whose id may
-        # be reused: a model without a residual callable is keyed by itself
-        key = id(model if model.residual is None else model.residual)
-        if key not in quadratures:
-            residual = model.residual or model.residual_value
-            quadratures[key] = quad(lambda s: 2.0 * residual(s * s) / s, _S_LOW, 1.0,
-                                    limit=400, epsabs=QUAD_ATOL * 1e-2, epsrel=1e-12)
-        (integral, err), method = quadratures[key], "quad"
+        # the integral of residual(t)/t over [e^{-120}, 1], in s = sqrt(t)
+        residual = model.residual or model.residual_value
+        integral, err = quad(lambda s: 2.0 * residual(s * s) / s, _S_LOW, 1.0,
+                             limit=400, epsabs=QUAD_ATOL * 1e-2, epsrel=1e-12)
+        method = "quad"
     constant = float(sum(dsmall_constant(i, model.m) * model.coefficients[i]
                          for i in range(model.m + 1)))
     return DsmallResult(integral + constant, integral, constant, err, method)
@@ -416,12 +403,10 @@ class TorsionResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _zeta_prime(model: HeatTraceModel, subject: str,
-                quadratures: dict) -> tuple[float, float, float]:
+def _zeta_prime(model: HeatTraceModel, subject: str) -> tuple[float, float, float]:
     """zeta'(0) as (small-time part, large-time part, sum of their errors);
-    refuses, naming `subject`, a model not certified determinant class.
-    `quadratures` is _d_small's."""
-    sm = _d_small(model, quadratures)
+    refuses, naming `subject`, a model not certified determinant class."""
+    sm = d_small(model)
     try:
         lg = large_time_integral(model)
     except ValueError as exc:
@@ -435,18 +420,16 @@ def analytic_torsion(models: dict[int, HeatTraceModel]) -> TorsionResult:
     Degrees are nonnegative, and every degree must carry its large-time
     integral; the total carries the weight (-1)^p p per degree.  A model
     object shared by several degrees is solved once, and refused naming
-    the first of them; a residual callable shared by several models is
-    integrated once.
+    the first of them.
     """
     per_degree = []
     total = 0.0
     err = 0.0
     solved: dict[int, tuple[float, float, float]] = {}  # by id of the model
-    quadratures: dict = {}
     for p, model in sorted(models.items()):
         check_range("p", p, 0, math.inf, "[)")
         if id(model) not in solved:
-            solved[id(model)] = _zeta_prime(model, f"degree {p} is ", quadratures)
+            solved[id(model)] = _zeta_prime(model, f"degree {p} is ")
         small, large, error = solved[id(model)]
         per_degree.append((p, small, large))
         total += (-1) ** p * p * (small + large)
@@ -472,7 +455,7 @@ def zeta_det_with_error(source: Spectrum | HeatTraceModel) -> tuple[float, float
         if model.spectral_gap is None:
             raise ValueError("determinant requires a spectral gap")
         check_range("spectral_gap", model.spectral_gap, 0, math.inf, "(]")
-    small, large, error = _zeta_prime(model, "", {})
+    small, large, error = _zeta_prime(model, "")
     zeta_prime = small + large
     try:
         det = math.exp(-zeta_prime)

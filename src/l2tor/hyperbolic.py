@@ -322,11 +322,7 @@ def torsion_constant_result(table: PlancherelTable | None = None,
     pairing of degrees p and m - p flips the sign of the degree weight.
     Odd dimensions run the full small/large-time pipeline over all degrees;
     degrees with equal rows (p and m - p, by duality) share one model, which
-    analytic_torsion solves once.  An unshifted component leaves no
-    remainder, so rows with equal shifted components have equal residuals;
-    their models share one residual callable, which analytic_torsion
-    integrates once.  All four rows of the packaged H3 table carry the same
-    shifted component, so its constant takes one small-time quadrature.
+    analytic_torsion solves once.
     """
     if m % 2 == 0:
         return TorsionResult([], 0.0, {"error": 0.0})
@@ -335,14 +331,9 @@ def torsion_constant_result(table: PlancherelTable | None = None,
     if table.m != m:
         raise ValueError(f"table is for dimension {table.m}, not {m}")
     by_row: dict[tuple[PlancherelComponent, ...], HeatTraceModel] = {}
-    residuals: dict = {}  # by the row's shifted components
     for p, row in enumerate(table.rows):
         if row not in by_row:
-            model = by_row[row] = plancherel_heat_model(table, p)
-            # equal shifted components sum their remainders the same way,
-            # so the first such row's residual serves them all bit for bit
-            model.residual = residuals.setdefault(tuple(c for c in row if c.shift),
-                                                  model.residual)
+            by_row[row] = plancherel_heat_model(table, p)
     return analytic_torsion({p: by_row[row] for p, row in enumerate(table.rows)})
 
 

@@ -516,29 +516,6 @@ def test_torsion_solves_a_shared_model_once(monkeypatch):
     assert repr(shared) == repr(separate)
 
 
-def test_torsion_integrates_a_shared_residual_once(monkeypatch):
-    from l2tor import heattrace
-
-    S = Spectrum.from_pairs([(0.4, 1.0), (2.5, 3.0)])
-    T = Spectrum.from_pairs([(1.0, 2.0)])
-    twin = _quadrature_twin(HeatTraceModel.from_spectrum(S))
-    other = _quadrature_twin(HeatTraceModel.from_spectrum(S))
-    other.residual = twin.residual
-    # without a residual callable each model integrates its own residual_value
-    bare = [HeatTraceModel(evaluate=m.evaluate, m=0, coefficients=m.coefficients,
-                           large_time_exact=m.large_time_exact)
-            for m in (HeatTraceModel.from_spectrum(S), HeatTraceModel.from_spectrum(T))]
-    real, calls = heattrace.quad, []
-    monkeypatch.setattr(heattrace, "quad",
-                        lambda *a, **k: calls.append(a[1:3]) or real(*a, **k))
-    shared = analytic_torsion({2: twin, 3: other})
-    assert len(calls) == 1
-    assert shared.per_degree[0][1] == shared.per_degree[1][1] == d_small(twin).value
-    apart = analytic_torsion({1: bare[0], 2: bare[1]})
-    assert len(calls) == 1 + 1 + 2
-    assert [small for _, small, _ in apart.per_degree] == [d_small(m).value for m in bare]
-
-
 def test_torsion_refuses_a_negative_degree():
     model = HeatTraceModel.from_spectrum(Spectrum.from_pairs([(1.0, 1.0)]))
     with pytest.raises(ValueError, match=r"^p must be in \[0, inf\), got -1$"):
