@@ -27,13 +27,6 @@ TIE_RTOL = 1e-9
 # The last probe of an inequality's range [0, upper) is upper * (1 - RANGE_END_RTOL).
 RANGE_END_RTOL = 1e-12
 
-# Two subspaces meet trivially when their largest principal cosine is below
-# 1 - this; otherwise the item that needs it is skipped.
-TRIVIAL_INTERSECTION_GAP = 1e-8
-
-# One span contains another when their smallest principal cosine exceeds 1 - this.
-CONTAINMENT_GAP = 1e-10
-
 # Residual tolerance for structural identities (complex property c∘c = 0,
 # chain-map commutation, homotopy relations).
 STRUCTURE_ATOL = 1e-10

@@ -89,6 +89,10 @@ class Domain1D:
 
 
 def _gauss(z: float, t: float) -> float:
+    # beyond |z| = 55 sqrt(t) the exponent is below -756 and exp gives 0.0;
+    # returning it there keeps z * z / (4 t) from overflowing at tiny t
+    if abs(z) > 55.0 * math.sqrt(t):
+        return 0.0
     return math.exp(-z * z / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
 
 
@@ -212,9 +216,10 @@ def sup_bound_check(domain: Domain1D, t0: float) -> dict:
 
     Returns the grid supremum and asserts it is attained on the diagonal at
     t = t0: the kernel is dominated by its diagonal (Cauchy-Schwarz for the
-    semigroup) and the diagonal decreases in time.
+    semigroup) and the diagonal decreases in time.  The time grid runs to
+    10 t0, so t0 is held to (0, 1e306], where 4 pi t stays finite.
     """
-    check_range("t0", t0, 0, math.inf)
+    check_range("t0", t0, 0, 1e306, "(]")
     if domain.kind == LINE:
         xs = np.linspace(-2.0, 2.0, _SUP_POINTS)
     elif domain.kind in (HALF_NEUMANN, HALF_DIRICHLET):

@@ -5,8 +5,8 @@ f that are <= lambda, in units of the source trace normalization.  A step
 function holds whole counts and one unit, so values that are equal
 multiples of the unit compare exactly, and "<= for all lambda" questions
 are decidable on finitely many probes; l2tor.checks decides them, on the
-probe points _probe_table derives for many functions at once.  The density
-of a map is built straight from its singular values, which come sorted.
+probe points of _probe_points.  The density of a map is built straight
+from its singular values, which come sorted.
 """
 
 from __future__ import annotations
@@ -124,6 +124,9 @@ class SpectralDensityFunction:
         if check_range("c", c, 0, np.inf, "[)") == 0:
             empty = self._derived(self.lams[:0], self.counts[:0], self.unit)
             return empty.plus_constant(self._count_at_zero())
+        # the top breakpoint is the first to overflow; refused before dividing
+        if self.max_breakpoint / float(c) == math.inf:
+            raise ValueError(f"c = {c} moves the breakpoints past the largest double")
         return self._derived(self.lams / c, self.counts, self.unit, moved=True)
 
     def power_argument(self, a: float) -> "SpectralDensityFunction":
@@ -154,23 +157,14 @@ class SpectralDensityFunction:
         """0, the breakpoints, the midpoints between them and a point past
         the top, unsorted; l2tor.checks sorts and merges the points of the
         functions in a relation and decides it on them."""
-        return _probe_table(self.lams, np.array([self.lams.size]))[0]
+        return np.array(_probe_points(self.lams.tolist()))
 
 
-def _probe_table(lams: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The probe_points of functions whose breakpoints lams holds one after
-    another, sizes[k] of them for function k: the points of each function in
-    turn, and how many each has."""
-    n = sizes.size
-    owner = np.repeat(np.arange(n), sizes)
-    inner = owner[1:] == owner[:-1]
-    ends = np.cumsum(sizes)
-    top = np.where(sizes > 0, np.concatenate([[0.0], lams])[ends], 0.0)
-    points = np.concatenate([np.zeros(n), lams, 0.5 * (lams[1:] + lams[:-1])[inner],
-                             1.1 * top + 1.0])
-    point_owner = np.concatenate([np.arange(n), owner, owner[1:][inner], np.arange(n)])
-    # 0, n breakpoints, n - 1 midpoints and the top; 0 and the top for n = 0
-    return points[np.argsort(point_owner, kind="stable")], np.maximum(2 * sizes + 1, 2)
+def _probe_points(lams: list[float]) -> list[float]:
+    """The probe_points of a function whose breakpoints are lams, as a list:
+    the form l2tor.checks decides on."""
+    mids = [0.5 * (a + b) for a, b in zip(lams, lams[1:])]
+    return [0.0, *lams, *mids, 1.1 * (lams[-1] if lams else 0.0) + 1.0]
 
 
 def _steps(positions, counts) -> tuple[np.ndarray, np.ndarray]:

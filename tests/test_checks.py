@@ -1,6 +1,7 @@
 import bisect
 import functools
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from l2tor.config import RANGE_END_RTOL
 from l2tor.complexes import FiniteCochainComplex
 from l2tor.rand import (random_homotopy_pair, random_short_exact_triple,
                         rng_for)
-from l2tor.sdf import SpectralDensityFunction, _probe_table, sdf_of_map
+from l2tor.sdf import SpectralDensityFunction, sdf_of_map
 from l2tor.traced import TracedMap, TracedSpace
 
 
@@ -95,6 +96,33 @@ def test_basic_square_identity_regression_seed():
     rep = run_suite("basic", seed=799682287, instances=1, max_dim=6)
     assert rep.violations == []
     assert rep.probes == 350
+
+
+def test_basic_subspace_conditions_regression_seed():
+    # instance 0 of this seed draws ker g at 8.0e-6 rad from im f; principal
+    # angles once called ker g contained in im f (1 - cos = 3.2e-11) and the
+    # intersection nontrivial, and reduced.3 reported 4 violations at
+    # lambda = 1.674e-5.  The ranks of f and g f see the angle, as the
+    # densities do: reduced.1 is recorded and reduced.3 skipped
+    rep = run_suite("basic", seed=4010320131, instances=1, max_dim=6)
+    assert rep.violations == []
+    assert rep.skipped == {"basic.2": 1, "reduced.2": 1, "reduced.3": 1}
+    assert rep.probes == 115
+
+
+@pytest.mark.parametrize("theta", [0.0, 1e-12, 8e-6, 1e-3])
+def test_basic_kernel_of_g_at_an_angle_to_the_image_of_f(theta):
+    # im f = span(e1, e2) in R^3 and ker g = span(cos t e2 + sin t e3): the
+    # rank rule counts the meet of the two as g f does, so neither item can
+    # be decided on densities that disagree with its side condition
+    f = TracedMap(TracedSpace(2), TracedSpace(3), [[1.0, 0.0], [0.0, 0.7], [0.0, 0.0]])
+    g = TracedMap(TracedSpace(3), TracedSpace(2),
+                  [[1.3, 0.0, 0.0], [0.0, -0.9 * np.sin(theta), 0.9 * np.cos(theta)]])
+    rep = checked(check_basic_F, f, g=g)
+    assert rep.violations == []
+    meets = theta * 0.7 <= 1e-10 * 1.3  # g f's small value is clamped
+    skipped = {item for item, _ in rep.skipped} & {"reduced.1", "reduced.3"}
+    assert skipped == ({"reduced.1"} if meets else {"reduced.3"})
 
 
 def test_basic_shape_mismatch_rejected():
@@ -430,9 +458,10 @@ def _relation_batches(draw):
             at = [draw(st.floats(0.0, 50.0))] if lhs == "sum+step" else []
             step = SpectralDensityFunction.from_jumps(at, np.ones(len(at)), THIRD)
             lhs = functools.reduce(SpectralDensityFunction.plus, rhs, step)
-        # a range just past a breakpoint puts the range-end probe below it
+        # a range just past a breakpoint puts the range-end probe below it;
+        # a negative upper leaves the range-end probe alone, or no probe
         past = [float(np.nextafter(x, np.inf)) for F in (lhs, *rhs) for x in F.lams]
-        upper = draw(st.sampled_from([np.inf, 0.0, 0.5, 7.0, 60.0, *past]))
+        upper = draw(st.sampled_from([np.inf, -np.inf, -1.0, 0.0, 0.5, 7.0, 60.0, *past]))
         constant = draw(st.sampled_from([0.0, 1.0, 2.0]))
         relations.append((equal, f"r{k}", lhs, rhs, upper, constant))
     return relations
@@ -510,27 +539,28 @@ def test_a_violation_found_without_probing_keeps_its_place():
 
 @pytest.mark.parametrize("suite", ["basic", "block"])
 def test_an_instance_probes_each_function_once_and_decides_once(monkeypatch, suite):
-    # every distinct function of the instance enters the decision's table
-    # once, and no function is asked for its probe points on its own
-    tabled, probed, batches = [], [], []
-    table, decide = checks._table, checks._decide
+    # the probe points of every distinct function of the instance are
+    # derived once in its one decision, and no function is asked for its
+    # probe points on its own
+    derived, probed, batches = [], [], []
+    points, decide = checks._probe_points, checks._decide
 
-    def counted_table(funcs):
-        tabled.extend(funcs)
-        return table(funcs)
+    def counted_points(lams):
+        derived.append(tuple(lams))
+        return points(lams)
 
     def counted_decide(relations):
         batches.append(relations)
         return decide(relations)
 
-    monkeypatch.setattr(checks, "_table", counted_table)
+    monkeypatch.setattr(checks, "_probe_points", counted_points)
     monkeypatch.setattr(checks, "_decide", counted_decide)
     monkeypatch.setattr(SpectralDensityFunction, "probe_points", lambda F: probed.append(F))
     report = run_suite(suite, seed=20240801, instances=1, max_dim=6)
     assert report.probes > 0
     assert len(batches) == 1 and len(batches[0]) >= 8
-    assert len({id(F) for F in tabled}) == len(tabled)
-    assert {id(F) for rel in batches[0] for F in (rel.lhs, *rel.rhs)} == {id(F) for F in tabled}
+    functions = {id(F): F for rel in batches[0] for F in (rel.lhs, *rel.rhs)}.values()
+    assert sorted(derived) == sorted(tuple(F.lams.tolist()) for F in functions)
     assert probed == []
 
 
@@ -541,21 +571,34 @@ def _points(F):
 
 
 @given(st.lists(_steps, min_size=1, max_size=5))
-def test_the_table_gives_each_function_its_probe_points_bitwise(funcs):
-    # _steps draws empty and one-breakpoint functions too
-    table = checks._table(funcs)
-    points, sizes = _probe_table(table.lams, table.sizes)
-    assert sizes.sum() == points.size
-    for F, mine in zip(funcs, np.split(points, np.cumsum(sizes)[:-1])):
-        assert mine.tobytes() == _points(F).tobytes()
+def test_the_decider_gives_each_function_its_probe_points_bitwise(funcs):
+    # _steps draws empty and one-breakpoint functions too; each function is
+    # decided against itself, so the decision derives the points of each
+    derived = []
+    rule = checks._probe_points
+
+    def recorded(lams):
+        derived.append(rule(lams))
+        return derived[-1]
+
+    report = CheckReport()
+    for k, F in enumerate(funcs):
+        report.equal(f"f{k}", F, [F])
+    with mock.patch.object(checks, "_probe_points", recorded):
+        assert report.decide() == [0.0] * len(funcs)
+    distinct = list({id(F): F for F in funcs}.values())
+    assert len(derived) == len(distinct)
+    for F, mine in zip(distinct, derived):
+        assert np.array(mine).tobytes() == _points(F).tobytes()
         assert F.probe_points().tobytes() == _points(F).tobytes()
+    assert report.probes == sum(np.unique(_points(F)).size for F in funcs)
 
 
 def test_the_lookup_reads_zero_below_a_first_breakpoint_and_on_empty_functions():
     empty, late = SpectralDensityFunction([], []), SpectralDensityFunction([2.0], [1.0])
     report = CheckReport()
     report.equal("empty", empty, [empty, empty])
-    assert report.decide() == [0.0]  # a table with no breakpoint at all
+    assert report.decide() == [0.0]  # a decision with no breakpoint at all
     report.leq("late", late, [late])
     report.equal("late-empty", late, [empty])
     report.leq("empty-late", empty, [late])

@@ -179,6 +179,20 @@ def test_boundary_value_is_refused_or_gives_finite_floats(name, call, kwargs):
     assert _floats_finite(result, allow_inf=name in _INFINITE_VALUES), result
 
 
+# cases whose arithmetic overflowed, with a RuntimeWarning, before the value
+# was refused or returned
+_ONCE_OVERFLOWED = ("SpectralDensityFunction.scaled_argument-c-subnormal",
+                    "sup_bound_check-t0-subnormal", "sup_bound_check-t0-1e308")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name, call, kwargs",
+                         [case for case in _cases() if case.id in _ONCE_OVERFLOWED],
+                         ids=_ONCE_OVERFLOWED)
+def test_boundary_value_is_handled_without_a_warning(name, call, kwargs):
+    test_boundary_value_is_refused_or_gives_finite_floats(name, call, kwargs)
+
+
 @pytest.mark.parametrize("name, call, valid", SWEEP, ids=[entry[0] for entry in SWEEP])
 def test_valid_arguments_give_finite_floats(name, call, valid):
     assert _floats_finite(call(**valid))
