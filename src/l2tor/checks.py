@@ -143,10 +143,11 @@ def _decide(relations: list[_Relation]) -> tuple[int, list[Violation], list[floa
     The loop pays a bisect per function and probe, where the vectorized
     pass over one table that it replaced paid numpy's overhead on about 90
     array calls; the loop is the cheaper one at the sizes the suites run.
-    On recorded seed-7 decisions a basic instance takes 0.74 of that pass's
-    time at max_dim 6 (180 probes), 0.86 at 12, 1.03 at 24 (520 probes,
-    about the crossover) and 1.44 at 48; laplacian takes 0.21 to 0.49 of it
-    up to max_dim 48.  Every caller runs at max_dim 6.
+    On recorded seed-7 decisions (two runs, BENCH_3.json) a basic instance
+    takes 0.74-0.79 of that pass's time at max_dim 6 (180 probes),
+    0.86-0.88 at 12, 1.02-1.03 at 24 (520 probes, about the crossover) and
+    1.30-1.44 at 48; laplacian takes 0.21-0.49 of it up to max_dim 48.
+    Every caller runs at max_dim 6.
     """
     listed: dict[int, tuple[list[float], list[float], list[float]]] = {}
     sides, grids = [], []
