@@ -32,7 +32,9 @@ integral without a closed form (the hyperbolic degrees, hand-built models)
 is computed by adaptive quadrature in s = sqrt(t): the integral of
 2 residual(s^2) / s over [e^{-60}, 1].  Heat-trace residuals expand in powers
 of t^{1/2}, so this integrand is smooth, and QUADPACK meets its tolerance
-on the first 21-point interval for the H3 degrees.  The subtracted
+on the first 21-point interval for the H3 degrees.  `quad` runs that first
+interval itself, as QUADPACK does, and hands an integrand that needs
+subdivision to scipy's quad.  The subtracted
 integrand suffers catastrophic cancellation near t = 0 when computed
 naively, so models carry a stable `residual` callable whenever the trace
 has a closed form, and the integrand calls it directly.  d_small probes
@@ -43,15 +45,19 @@ analytic_torsion solves a model once, however many degrees share it: the H3
 degrees p and 3 - p have equal rows and share their model, so the torsion
 constant takes two small-time quadratures, not four.
 
-scipy is imported by the functions that call it, so importing this module
-loads none of it.  `quad` stays a module-level function, not a local import,
-because `bench/tracing.py` patches it by name to count and time the
-quadrature calls.
+scipy is imported on first use, so importing this module loads none of it:
+scipy.special by the first closed form that needs a special function, and
+scipy's quad only for an integrand that QUADPACK would subdivide.  The H3
+torsion constant loads no scipy at all.  `quad` stays a module-level
+function because `bench/tracing.py` patches it by name to count and time
+the quadrature calls.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
@@ -97,11 +103,110 @@ _MAX_CIRCLE_TERMS = 64
 _DOMINATION_ATOL = 1e-12  # slack of the large-time domination check
 
 
+# QUADPACK's dqk21.f: the nonnegative nodes of the 21-point Kronrod rule,
+# largest first and the centre last (indices 1, 3, .., 9 are the 10-point
+# Gauss nodes), their Kronrod weights, and the Gauss weights of indices
+# 1, 3, .., 9
+_XGK = (0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+        0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+        0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+        0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+        0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+        0.0)
+_WGK = (0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+        0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+        0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+        0.123491976262065851077958109831074, 0.134709217311473325928054001771707,
+        0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+        0.149445554002916905664936468389821)
+_WG = (0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+       0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+       0.295524224714752870173892994651338)
+
+
+def _qk21(func, a: float, b: float) -> tuple[float, float, float, float]:
+    """QUADPACK's dqk21 on [a, b], operation for operation: the 21-point
+    Kronrod value, its error estimate, and the integrals of |f| and of
+    |f - mean| (resabs and resasc).  The integrand is evaluated in
+    QUADPACK's order: the centre, the Gauss pairs, the Kronrod-only pairs."""
+    centr = 0.5 * (a + b)
+    hlgth = 0.5 * (b - a)
+    dhlgth = abs(hlgth)
+    resg = 0.0
+    fc = float(func(centr))
+    resk = _WGK[10] * fc
+    resabs = abs(resk)
+    fv1, fv2 = [0.0] * 10, [0.0] * 10
+    for j in range(5):
+        jtw = 2 * j + 1
+        absc = hlgth * _XGK[jtw]
+        fval1 = fv1[jtw] = float(func(centr - absc))
+        fval2 = fv2[jtw] = float(func(centr + absc))
+        fsum = fval1 + fval2
+        resg = resg + _WG[j] * fsum
+        resk = resk + _WGK[jtw] * fsum
+        resabs = resabs + _WGK[jtw] * (abs(fval1) + abs(fval2))
+    for j in range(5):
+        jtwm1 = 2 * j
+        absc = hlgth * _XGK[jtwm1]
+        fval1 = fv1[jtwm1] = float(func(centr - absc))
+        fval2 = fv2[jtwm1] = float(func(centr + absc))
+        fsum = fval1 + fval2
+        resk = resk + _WGK[jtwm1] * fsum
+        resabs = resabs + _WGK[jtwm1] * (abs(fval1) + abs(fval2))
+    reskh = resk * 0.5
+    resasc = _WGK[10] * abs(fc - reskh)
+    for j in range(10):
+        resasc = resasc + _WGK[j] * (abs(fv1[j] - reskh) + abs(fv2[j] - reskh))
+    result = resk * hlgth
+    resabs = resabs * dhlgth
+    resasc = resasc * dhlgth
+    abserr = abs((resk - resg) * hlgth)
+    if resasc != 0.0 and abserr != 0.0:
+        ratio = 200.0 * abserr / resasc
+        # min(1, ratio^1.5), without the OverflowError of a huge ratio's power
+        abserr = resasc * (ratio ** 1.5 if ratio < 1.0 else 1.0)
+    if resabs > sys.float_info.min / (50.0 * _EPS):  # QUADPACK's uflow, d1mach(1)
+        abserr = max(_EPS * 50.0 * resabs, abserr)
+    return result, abserr, resabs, resasc
+
+
 def quad(func, a, b, **kwargs):
-    """scipy.integrate.quad, imported on the first call."""
+    """scipy's adaptive `quad`, with its first step run here.
+
+    With d_small's arguments (finite a < b, and epsabs, epsrel and a limit
+    of at least 2), QUADPACK's dqagse starts with one dqk21 rule on [a, b]
+    and returns it when its error meets the tolerance.  That step runs here
+    in Python floats, with the same operations in the same order, so its
+    (value, error) are scipy's bit for bit.  Every other case (a rule that
+    misses the tolerance or detects round-off, a NaN, other arguments)
+    imports scipy and returns its quad, which recomputes from the start.
+    """
+    if (kwargs.keys() == {"epsabs", "epsrel", "limit"} and kwargs["limit"] >= 2
+            and -math.inf < a < b < math.inf):
+        epsabs, epsrel = kwargs["epsabs"], kwargs["epsrel"]
+        # tolerances that dqagse refuses as invalid input (ier = 6) go to scipy
+        if not (epsabs <= 0.0 and epsrel < max(50.0 * _EPS, 0.5e-28)):
+            result, abserr, resabs, resasc = _qk21(func, a, b)
+            errbnd = max(epsabs, epsrel * abs(result))
+            # dqagse's first accuracy test: return unless round-off (ier = 2)
+            # or a missed tolerance asks for subdivision
+            roundoff = abserr <= 100.0 * _EPS * resabs and abserr > errbnd
+            if not roundoff and ((abserr <= errbnd and abserr != resasc) or abserr == 0.0):
+                return result, abserr
     from scipy.integrate import quad
 
     return quad(func, a, b, **kwargs)
+
+
+@functools.cache
+def _special():
+    """scipy.special, imported on the first call and bound once, so that
+    importing this module loads no scipy and a hot constructor runs no
+    import statement per call."""
+    import scipy.special
+
+    return scipy.special
 
 
 class ExactIntegral(NamedTuple):
@@ -164,8 +269,7 @@ def _circle_integrals(L: float) -> tuple[ExactIntegral, ExactIntegral]:
     and whose cost is fixed: a long sum's bound grows with its length
     (1.3e-10 at L = 1000, against 1.7e-12 by the relation).
     """
-    from scipy.special import erfc, exp1
-
+    special = _special()
     half = 0.5 * L
     gap = (2.0 * math.pi / L) ** 2
     K = int(_ERFC_CUTOFF / half) + 1
@@ -176,13 +280,13 @@ def _circle_integrals(L: float) -> tuple[ExactIntegral, ExactIntegral]:
         x = k * half
         x_next = (K + 1) * half
         dropped = (2.0 / (K + 1)) * math.erfc(x_next) / -math.expm1(-2.0 * x_next * half)
-        small = _exact_sum(2.0 / k * erfc(x), _TERM_ULPS + 2.0 * x * x, dropped)
+        small = _exact_sum(2.0 / k * special.erfc(x), _TERM_ULPS + 2.0 * x * x, dropped)
     if N <= _MAX_CIRCLE_TERMS:
         n = np.arange(1, N + 1, dtype=float)
         y = gap * n * n
         y_next = gap * (N + 1) ** 2
-        dropped = 2.0 * float(exp1(y_next)) / -math.expm1(-gap * (2 * N + 3))
-        large = _exact_sum(2.0 * exp1(y), _TERM_ULPS + 4.0 * y, dropped)
+        dropped = 2.0 * float(special.exp1(y_next)) / -math.expm1(-gap * (2 * N + 3))
+        large = _exact_sum(2.0 * special.exp1(y), _TERM_ULPS + 4.0 * y, dropped)
     if small is None:
         small = _circle_scale_relation(L, large)
     if large is None:
@@ -251,15 +355,13 @@ class HeatTraceModel:
         weight; the residual sums w * expm1(-lam t).  The two Mellin
         integrals are -sum w Ein(lam) and sum w E1(lam).
         """
-        from scipy.special import exp1
-
         pos = S.positive_part()
         # every eigenvalue of the positive part is positive, so its residual
         # needs no mask: the arrays are bound once, not gathered per call
         lam, w = pos.eigenvalues, pos.weights
         coeff = np.zeros(1)
         coeff[0] = pos.total_weight
-        e1 = exp1(lam)  # once, for both integrals
+        e1 = _special().exp1(lam)  # once, for both integrals
         model = HeatTraceModel(
             evaluate=lambda t: pos.heat_trace(t, include_kernel=True),
             m=0,

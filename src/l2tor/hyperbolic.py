@@ -21,7 +21,7 @@ from math import factorial
 import numpy as np
 
 from .heattrace import (_EPS, _TERM_ULPS, ExactIntegral, HeatTraceModel, TorsionResult,
-                        _exact_sum, analytic_torsion)
+                        _exact_sum, _special, analytic_torsion)
 from .heattrace import quad  # unused here; bench/tracing.py looks up hyperbolic.quad by name
 from .inputs import ManifestError, check_range, convert, field, integer, items, number, read_json
 
@@ -48,23 +48,26 @@ def _gaussian_moment(k: int) -> float:
     return 0.5 * math.gamma((k + 1) / 2)
 
 
-def _exp_integrals(s: float, top: int) -> tuple[np.ndarray, np.ndarray]:
-    """E_p(s) = int_1^inf e^{-st} t^{-p} dt for p = (k + 3)/2, k = 0..top,
-    and bounds on their errors.
+def _exp_integrals(s: float, coefficients: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """E_p(s) = int_1^inf e^{-st} t^{-p} dt for p = (k + 3)/2, one per
+    coefficient c_k of a density polynomial, and bounds on their errors.
 
-    Integer orders (odd k) come from scipy.special.expn.  Half-integer
+    Integer orders (odd k) come from scipy.special.expn, for the nonzero
+    coefficients only: a zero c_k keeps E_p and its bound at 0, since its
+    term c_k E_p and that term's error are 0 either way.  The packaged
+    table's odd coefficients are all 0, so its degrees load no scipy.
+    Half-integer
     orders start from E_{3/2}(s) = 2 e^{-s} - 2 sqrt(pi s) erfc(sqrt s) and
     step up with E_{p+1} = (e^{-s} - s E_p) / p, which carries the error
     of E_p, times s / p, into each step.  Both are exact at s = 0, where
     E_p(0) = 1/(p - 1).  A rounding of sqrt(s) moves erfc by about s ulps.
     """
+    top = len(coefficients) - 1
     values = np.zeros(top + 1)
     errors = np.zeros(top + 1)
-    odd = np.arange(1, top + 1, 2)
-    if odd.size:
-        from scipy.special import expn
-
-        values[odd] = expn((odd + 3) // 2, s)
+    odd = [k for k in range(1, top + 1, 2) if coefficients[k]]
+    if odd:
+        values[odd] = _special().expn((np.array(odd) + 3) // 2, s)
         errors[odd] = _EPS * _EXPN_ULPS * values[odd]
     e = math.exp(-s)
     a = 2.0 * e
@@ -172,7 +175,7 @@ class PlancherelComponent:
         """The integral of trace(t)/t over [1, inf) in closed form,
         sum_k c_k Gamma((k+1)/2)/2 E_{(k+3)/2}(shift), and a bound on its
         error."""
-        values, errors = _exp_integrals(self.shift, len(self.poly) - 1)
+        values, errors = _exp_integrals(self.shift, self.poly)
         weights = np.array([c * _gaussian_moment(k) for k, c in enumerate(self.poly)])
         return _exact_sum(weights * values, extra=float(np.sum(np.abs(weights) * errors)))
 

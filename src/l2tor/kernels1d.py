@@ -96,10 +96,17 @@ def _gauss(z: float, t: float) -> float:
     return math.exp(-z * z / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
 
 
+def _image_time_limit(length: float) -> float:
+    """The largest time kernel_1d takes on a circle or Neumann interval of
+    this length: t <= 1e6 L^2 keeps the image sum below about 12 000 terms,
+    and there the kernel has long been 1/L."""
+    return 1e6 * length * length
+
+
 def kernel_1d(domain: Domain1D, t: float, x: float, y: float) -> float:
-    """Heat kernel of the domain at (t, x, y), exact up to tails < 1e-14.
-    On the circle and the Neumann interval t <= 1e6 L^2 keeps the image sum
-    below about 12 000 terms; there the kernel has long been 1/L."""
+    """Heat kernel of the domain at (t, x, y), exact up to tails < 1e-14;
+    on the circle and the Neumann interval t is held to
+    _image_time_limit(L)."""
     check_range("t", t, 0, math.inf)
     check_range("x", x, -math.inf, math.inf)
     check_range("y", y, -math.inf, math.inf)
@@ -113,7 +120,7 @@ def kernel_1d(domain: Domain1D, t: float, x: float, y: float) -> float:
     if kind == HALF_DIRICHLET:
         return _gauss(x - y, t) - _gauss(x + y, t)
     L = domain.length
-    check_range("t", t, 0, 1e6 * L * L, "(]")
+    check_range("t", t, 0, _image_time_limit(L), "(]")
     reach = _IMAGE_REACH * math.sqrt(t) + abs(x) + abs(y) + L
     if kind == CIRCLE:
         n_max = int(math.ceil(reach / L))
@@ -217,9 +224,21 @@ def sup_bound_check(domain: Domain1D, t0: float) -> dict:
     Returns the grid supremum and asserts it is attained on the diagonal at
     t = t0: the kernel is dominated by its diagonal (Cauchy-Schwarz for the
     semigroup) and the diagonal decreases in time.  The time grid runs to
-    10 t0, so t0 is held to (0, 1e306], where 4 pi t stays finite.
+    10 t0, so t0 is held to (0, 1e306], where 4 pi t stays finite, and on
+    the circle and the Neumann interval further to the largest t0 whose
+    10 t0 kernel_1d takes; a t0 beyond is refused before any kernel runs.
     """
-    check_range("t0", t0, 0, 1e306, "(]")
+    high = 1e306
+    limit = (_image_time_limit(domain.length)
+             if domain.kind in (INTERVAL_NEUMANN, CIRCLE) else math.inf)
+    if limit < 10.0 * high:
+        # the largest double whose product with 10 rounds to at most limit
+        high = limit / 10.0
+        while 10.0 * high > limit:
+            high = math.nextafter(high, 0.0)
+        while 10.0 * math.nextafter(high, math.inf) <= limit:
+            high = math.nextafter(high, math.inf)
+    check_range("t0", t0, 0, high, "(]")
     if domain.kind == LINE:
         xs = np.linspace(-2.0, 2.0, _SUP_POINTS)
     elif domain.kind in (HALF_NEUMANN, HALF_DIRICHLET):

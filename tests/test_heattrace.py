@@ -1,3 +1,4 @@
+import collections
 import math
 from dataclasses import replace
 
@@ -5,12 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 from scipy.special import erfc, exp1
 
+from l2tor import heattrace
 from l2tor.heattrace import (_EIN_SERIES, _EPS, _ERFC_CUTOFF, _EXP1_CUTOFF, _TERM_ULPS,
-                             _TINY, ExactIntegral, HeatTraceModel, _circle_scale_relation,
-                             _ein, _exact_sum, analytic_torsion,
+                             _TINY, _WG, _WGK, _XGK, ExactIntegral, HeatTraceModel,
+                             _circle_scale_relation, _ein, _exact_sum, analytic_torsion,
                              cheeger_mueller_correction, d_small,
                              large_time_dominating_bound, large_time_integral,
                              zeta_det, zeta_det_with_error)
@@ -84,6 +86,103 @@ def test_exact_circle_pieces_match_quadrature(log_L):
     assert (sm.method, lg.method, sm_q.method) == ("exact", "exact", "quad")
     assert _close(sm.integral, sm_q.integral)
     assert _close(lg.value, lg_q.value)
+
+
+def _d_small_quad_paths(model: HeatTraceModel) -> list[str]:
+    """Run d_small(model), check each heattrace.quad call it makes against
+    scipy's quad on the same arguments, repr for repr, and return the path
+    of each call: "first interval" where heattrace.quad returned QUADPACK's
+    first 21-point rule itself, "fallback" where it called scipy."""
+    import scipy.integrate
+
+    ours, paths = heattrace.quad, []
+
+    def scipy_quad(*args, **kwargs):
+        paths[-1] = "fallback"
+        return quad(*args, **kwargs)
+
+    def checked(func, a, b, **kwargs):
+        paths.append("first interval")
+        got = ours(func, a, b, **kwargs)
+        assert repr(got) == repr(quad(func, a, b, **kwargs))
+        return got
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scipy.integrate, "quad", scipy_quad)
+        mp.setattr(heattrace, "quad", checked)
+        d_small(model)
+    return paths
+
+
+def test_quad_is_scipys_quad_bit_for_bit():
+    # on d_small's arguments, both paths of heattrace.quad give scipy's
+    # (value, error) to the last bit, and each path is taken
+    paths = collections.Counter()
+
+    @given(st.lists(st.tuples(st.floats(-8.0, 3.0), st.sampled_from([1 / 3, 0.5, 1.0, 2.0])),
+                    min_size=1, max_size=8))
+    def spectra(pairs):
+        S = Spectrum.from_pairs([(10.0 ** e, w) for e, w in pairs])
+        paths.update(_d_small_quad_paths(_quadrature_twin(HeatTraceModel.from_spectrum(S))))
+
+    @given(st.floats(math.log(1e-6), math.log(50.0)))
+    def circles(log_L):
+        model = HeatTraceModel.from_circle(math.exp(log_L))
+        paths.update(_d_small_quad_paths(_quadrature_twin(model)))
+
+    spectra()
+    circles()
+    table = load_plancherel_table()
+    for p in range(4):
+        # the H3 integrands meet the tolerance on the first interval
+        assert _d_small_quad_paths(plancherel_heat_model(table, p)) == ["first interval"]
+    assert paths["first interval"] > 0 and paths["fallback"] > 0, paths
+
+
+def test_quad_hands_a_nan_integrand_to_scipy():
+    import scipy.integrate
+
+    calls = []
+    monkeypatch = pytest.MonkeyPatch()
+    monkeypatch.setattr(heattrace, "quad",
+                        lambda *args, **kwargs: calls.append(kwargs) or (0.0, 0.0))
+    try:
+        d_small(plancherel_heat_model(load_plancherel_table(), 0))
+    finally:
+        monkeypatch.undo()
+    [kwargs] = calls  # d_small's tolerances and limit
+
+    def nan(s):
+        return math.nan
+
+    fallbacks = []
+    monkeypatch.setattr(scipy.integrate, "quad",
+                        lambda *args, **kw: fallbacks.append(0) or quad(*args, **kw))
+    try:
+        with pytest.warns(IntegrationWarning) as ours:
+            got = heattrace.quad(nan, 0.0, 1.0, **kwargs)
+    finally:
+        monkeypatch.undo()
+    with pytest.warns(IntegrationWarning) as theirs:
+        want = quad(nan, 0.0, 1.0, **kwargs)
+    assert fallbacks == [0]
+    assert repr(got) == repr(want) == "(nan, nan)"
+    assert [str(w.message) for w in ours] == [str(w.message) for w in theirs]
+
+
+def test_kronrod_rule_constants_are_quadpacks():
+    # the 10-point Gauss-Legendre rule at 40 digits rounds to the Gauss
+    # nodes and weights quoted from dqk21.f, and the 21 Kronrod weights sum
+    # to the length 2 of [-1, 1]
+    mpmath = pytest.importorskip("mpmath")
+    mp = mpmath.mp
+    with mpmath.workdps(40):
+        for j, x in enumerate(_XGK[1:10:2]):
+            node = mp.findroot(lambda z: mp.legendre(10, z), mp.mpf(x))
+            slope = 10 * (node * mp.legendre(10, node) - mp.legendre(9, node)) / (node ** 2 - 1)
+            assert x == float(node)
+            assert _WG[j] == float(2 / ((1 - node ** 2) * slope ** 2))
+        assert abs(2 * mp.fsum(_WGK[:10]) + _WGK[10] - 2) < 4 * _EPS
 
 
 def test_exact_error_bounds_cover_high_precision_values():
@@ -748,6 +847,9 @@ _WITH_KERNEL = Spectrum.from_pairs([(0.0, 1.0), (1.0, 1.0)])
     (lambda: kernel_1d(Domain1D.interval_neumann(1.0), 1e308, 0.0, 0.0),
      r"^t must be in \(0, 1e\+06\], got 1e\+308$"),
     (lambda: sup_bound_check(Domain1D.line(), _INF), r"^t0 must be in \(0, 1e\+306\], got inf$"),
+    # the grid's top time 10 t0 would pass kernel_1d's 1e6 L^2
+    (lambda: sup_bound_check(Domain1D.circle(2.0), 1e6),
+     r"^t0 must be in \(0, 400000\], got 1000000.0$"),
     (lambda: PlancherelComponent(0.0, (1.0,)).trace(_INF), _TIME + "inf$"),
     # (2 pi / L)^2 overflows in the eigenvalue series
     (lambda: circle_heat_trace(1e-200, 1.0), _CIRCLE_MODEL + "1e-200$"),
@@ -762,7 +864,7 @@ _WITH_KERNEL = Spectrum.from_pairs([(0.0, 1.0), (1.0, 1.0)])
         "circle-model-gap-overflow", "circle-model-half-length-zero",
         "circle-model-cutoff-overflow", "heat-trace-inf", "heat-trace-bound-inf",
         "circle-trace-inf", "kernel-circle-time-inf", "kernel-line-time-inf",
-        "kernel-circle-images", "kernel-interval-images", "sup-bound-inf",
+        "kernel-circle-images", "kernel-interval-images", "sup-bound-inf", "sup-bound-images",
         "plancherel-trace-inf", "circle-trace-gap-overflow", "circle-trace-overflow"])
 def test_range_checks_refuse_nan_and_infinity(call, message):
     # every range check goes through inputs.check_range, outside whose

@@ -1,6 +1,7 @@
-"""The import boundary: the spectral-density side needs only numpy, and scipy
-loads on the first analytic call.  Each check runs in a fresh interpreter,
-since this test process has scipy loaded already."""
+"""The import boundary: the spectral-density side and the H3 torsion constant
+need only numpy, and scipy.special loads on the first determinant of a
+finite spectrum or a circle.  Each check runs in a fresh interpreter, since
+this test process has scipy loaded already."""
 
 import subprocess
 import sys
@@ -50,11 +51,27 @@ assert 'scipy.integrate' not in sys.modules
 
 
 def test_torsion_constant_from_a_fresh_interpreter(src_env):
-    run_fresh(src_env, """
+    # the H3 quadratures end after QUADPACK's first 21-point rule, which
+    # heattrace.quad runs itself, and the table's odd terms, whose E_n would
+    # come from scipy.special, are all 0
+    run_fresh(src_env, f"""
 import math
 from l2tor import load_plancherel_table, torsion_constant
 assert abs(torsion_constant(load_plancherel_table()) + 1 / (3 * math.pi)) < 1e-6
-assert 'scipy.integrate' in sys.modules
+assert 'scipy.integrate' not in sys.modules and 'scipy.special' not in sys.modules
+assert not {SCIPY_LOADED}, {SCIPY_LOADED}
+""")
+
+
+def test_hyperbolic_constant_command_loads_no_scipy(src_env):
+    run_fresh(src_env, f"""
+import contextlib, io, json, math
+from l2tor.cli import main
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    assert main(["hyperbolic", "--op", "constant"]) == 0
+assert abs(json.loads(out.getvalue())["value"] + 1 / (3 * math.pi)) < 1e-6
+assert not {SCIPY_LOADED}, {SCIPY_LOADED}
 """)
 
 

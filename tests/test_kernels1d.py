@@ -1,9 +1,12 @@
 import math
+import re
+import struct
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from l2tor import kernels1d
 from l2tor.kernels1d import (HALF_DIRICHLET, HALF_NEUMANN, LINE, Domain1D,
                              boundary_insensitivity_check, kernel_1d, sup_bound_check)
 from l2tor.spectrum import circle_heat_trace
@@ -145,6 +148,54 @@ def test_sup_bound_half_line_neumann():
     out = sup_bound_check(Domain1D.half_line_neumann(), 1.0)
     assert out["sup"] == pytest.approx(2.0 / math.sqrt(4 * math.pi), rel=1e-12)
     assert out["argmax"][1] == 0.0 and out["argmax"][2] == 0.0
+
+
+def _largest_grid_start(limit: float) -> float:
+    """The largest double t0 with 10 t0 <= limit in floating point, by
+    bisection over the bit patterns of the nonnegative doubles."""
+    lo, hi = 0, struct.unpack("<q", struct.pack("<d", limit))[0]
+
+    def start(bits):
+        return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if 10.0 * start(mid) <= limit else (lo, mid)
+    return start(lo)
+
+
+# at L = 2 the bound is limit / 10 itself; at the other two lengths
+# limit / 10 rounds to the double below the bound and to the one above it
+@pytest.mark.parametrize("length", [2.0, 49.54855435832317, 65.16278134254907])
+@pytest.mark.parametrize("kind", ["circle", "intervalNeumann"])
+def test_sup_bound_refuses_a_grid_past_the_image_limit_before_any_kernel(
+        kind, length, monkeypatch):
+    domain = Domain1D(kind, length)
+    limit = 1e6 * length * length  # the largest time kernel_1d takes
+    t0 = _largest_grid_start(limit)
+    times = []
+
+    def kernel(domain, t, x, y):
+        times.append(t)
+        return 1.0
+
+    monkeypatch.setattr(kernels1d, "kernel_1d", kernel)
+    sup_bound_check(domain, t0)
+    assert max(times) == 10.0 * t0
+    monkeypatch.undo()
+    # the top of the grid passes kernel_1d
+    assert kernel_1d(domain, max(times), 0.0, 0.0) > 0.0
+    times.clear()
+    monkeypatch.setattr(kernels1d, "kernel_1d", kernel)
+    above = math.nextafter(t0, math.inf)
+    message = re.escape(f"t0 must be in (0, {t0:g}], got {above}")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        sup_bound_check(domain, above)
+    assert times == []
+    monkeypatch.undo()
+    # whose grid would end at a time kernel_1d refuses
+    with pytest.raises(ValueError, match=r"^t must be in \(0, "):
+        kernel_1d(domain, 10.0 * above, 0.0, 0.0)
 
 
 def test_sup_bound_circle_finite():
