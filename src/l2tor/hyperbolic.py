@@ -56,10 +56,10 @@ def _exp_integrals(s: float, coefficients: tuple[float, ...]) -> tuple[np.ndarra
     coefficients only: a zero c_k keeps E_p and its bound at 0, since its
     term c_k E_p and that term's error are 0 either way.  The packaged
     table's odd coefficients are all 0, so its degrees load no scipy.
-    Half-integer
-    orders start from E_{3/2}(s) = 2 e^{-s} - 2 sqrt(pi s) erfc(sqrt s) and
-    step up with E_{p+1} = (e^{-s} - s E_p) / p, which carries the error
-    of E_p, times s / p, into each step.  Both are exact at s = 0, where
+    Half-integer orders start from
+    E_{3/2}(s) = 2 e^{-s} - 2 sqrt(pi s) erfc(sqrt s) and step up with
+    E_{p+1} = (e^{-s} - s E_p) / p, which carries the error of E_p, times
+    s / p, into each step.  Both are exact at s = 0, where
     E_p(0) = 1/(p - 1).  A rounding of sqrt(s) moves erfc by about s ulps.
     """
     top = len(coefficients) - 1

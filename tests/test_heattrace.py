@@ -139,30 +139,24 @@ def test_quad_is_scipys_quad_bit_for_bit():
     assert paths["first interval"] > 0 and paths["fallback"] > 0, paths
 
 
-def test_quad_hands_a_nan_integrand_to_scipy():
+def test_quad_hands_a_nan_integrand_to_scipy(monkeypatch):
     import scipy.integrate
 
-    calls = []
-    monkeypatch = pytest.MonkeyPatch()
-    monkeypatch.setattr(heattrace, "quad",
-                        lambda *args, **kwargs: calls.append(kwargs) or (0.0, 0.0))
-    try:
+    calls, fallbacks = [], []
+    with monkeypatch.context() as mp:
+        mp.setattr(heattrace, "quad",
+                   lambda *args, **kwargs: calls.append(kwargs) or (0.0, 0.0))
         d_small(plancherel_heat_model(load_plancherel_table(), 0))
-    finally:
-        monkeypatch.undo()
     [kwargs] = calls  # d_small's tolerances and limit
 
     def nan(s):
         return math.nan
 
-    fallbacks = []
-    monkeypatch.setattr(scipy.integrate, "quad",
-                        lambda *args, **kw: fallbacks.append(0) or quad(*args, **kw))
-    try:
+    with monkeypatch.context() as mp:
+        mp.setattr(scipy.integrate, "quad",
+                   lambda *args, **kw: fallbacks.append(0) or quad(*args, **kw))
         with pytest.warns(IntegrationWarning) as ours:
             got = heattrace.quad(nan, 0.0, 1.0, **kwargs)
-    finally:
-        monkeypatch.undo()
     with pytest.warns(IntegrationWarning) as theirs:
         want = quad(nan, 0.0, 1.0, **kwargs)
     assert fallbacks == [0]

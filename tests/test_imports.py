@@ -51,14 +51,14 @@ assert 'scipy.integrate' not in sys.modules
 
 
 def test_torsion_constant_from_a_fresh_interpreter(src_env):
-    # the H3 quadratures end after QUADPACK's first 21-point rule, which
-    # heattrace.quad runs itself, and the table's odd terms, whose E_n would
-    # come from scipy.special, are all 0
+    # neither scipy.integrate nor scipy.special: the H3 quadratures end
+    # after QUADPACK's first 21-point rule, which heattrace.quad runs
+    # itself, and the table's odd terms, whose E_n would come from
+    # scipy.special, are all 0
     run_fresh(src_env, f"""
 import math
 from l2tor import load_plancherel_table, torsion_constant
 assert abs(torsion_constant(load_plancherel_table()) + 1 / (3 * math.pi)) < 1e-6
-assert 'scipy.integrate' not in sys.modules and 'scipy.special' not in sys.modules
 assert not {SCIPY_LOADED}, {SCIPY_LOADED}
 """)
 
