@@ -6,21 +6,22 @@ skipping items whose side conditions fail (the kernel-subtracted variants
 always run); no checker decides.  A suite instance records all its
 relations, over every degree, in one report, and run_suite decides that
 report once, in Python floats, one relation at a time.  Each relation is
-decided on the probe points of its functions (every breakpoint of both
-sides, their midpoints and the range endpoints), taken once per function
-and decision, and the violations come in the order recorded.  No other
-module decides a relation between step functions.  Ranks come from the
-rank rule (traced.nonzero_mask).  Values are whole counts of one unit and
-are compared exactly; the one slack, config.TIE_RTOL, forgives breakpoints
-that differ only by eigensolve rounding (tie_shifted moves the right
-side's positive probes of an inequality and both sides' of an equality,
-and never the probe at 0, so kernel dimensions are compared as they are).
+decided at 0 and once per cluster of the breakpoints of its functions in
+its range, the breakpoints listed once per function and decision, and the
+violations come in the order recorded.  No other module decides a relation
+between step functions.  Ranks come from the rank rule
+(traced.nonzero_mask).  Values are whole counts of one unit and are
+compared exactly; the one slack, config.TIE_RTOL, forgives breakpoints that
+differ only by eigensolve rounding: tie_shifted sets how far a cluster
+reaches and moves the right side's positive probes of an inequality and
+both sides' of an equality, and never the probe at 0, so kernel dimensions
+are compared as they are.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -28,12 +29,12 @@ import numpy as np
 
 from .complexes import (FiniteCochainComplex, ShortExactTriple, complex_sdf,
                         connecting_map, laplacian_sdf_decomposition)
-from .config import RANGE_END_RTOL, STRUCTURE_ATOL, TIE_RTOL
+from .config import STRUCTURE_ATOL, TIE_RTOL
 from .inputs import check_range
 from .rand import (random_complex, random_homotopy_pair, random_injective,
                    random_map, random_short_exact_triple, random_space,
                    random_surjective, rng_for)
-from .sdf import SpectralDensityFunction, _from_descending, _probe_points, sdf_of_map
+from .sdf import SpectralDensityFunction, _from_descending, sdf_of_map
 from .traced import TracedMap, TracedSpace
 
 __all__ = [
@@ -128,63 +129,63 @@ def tie_shifted(lams) -> np.ndarray:
 def _decide(relations: list[_Relation]) -> tuple[int, list[Violation], list[float | None]]:
     """Probe count, violations and margins of the relations, in Python floats.
 
-    Each distinct function's breakpoints, counts and probe points
-    (sdf._probe_points) are taken once, as lists.  A relation is probed on
-    the sorted, distinct probe points of its functions, cut to [0, upper)
-    with the point upper * (1 - RANGE_END_RTOL) appended for a finite
-    upper.  Every probe of the decision is tie-shifted in one call.  A count
-    is read by bisect_right; an inequality compares the count of lhs at a
-    probe with constant + those of rhs at its tie shift, an equality both
-    sides at the tie shift, exactly, the right side summed term by term in
-    order before the constant is added.  Violations, in relation then probe
-    order, and margins are reported as count * unit.  A relation mixing
-    units is refused by item.
+    Each distinct function's breakpoints and counts are listed once.  A
+    relation's points are 0 and the distinct breakpoints of its functions
+    below upper, sorted, and every point of the decision is tie-shifted in
+    one call.  The points are probed by clusters: a cluster starts at a
+    point b, takes every later point up to tie_shifted(b), and is probed
+    once, at its last point, so breakpoints that differ only by rounding
+    are one jump.  The shift leaves 0 where it is, which makes 0 a cluster
+    of its own, and an empty range has no probe.  Every function is
+    constant from one cluster to the next, so for an inequality a point
+    between two clusters reads the left side no higher and the right side
+    no lower than the probe below it.  A count is read by bisect_right; an
+    inequality compares the count of lhs at a probe with constant + those
+    of rhs at its tie shift, an equality both sides at the tie shift,
+    exactly, the right side summed term by term in order before the
+    constant is added.  Violations, in relation then probe order, and
+    margins are reported as count * unit.  A relation mixing units is
+    refused by item.
 
-    The loop pays a bisect per function and probe, where the vectorized
-    pass over one table that it replaced paid numpy's overhead on about 90
-    array calls; the loop is the cheaper one at the sizes the suites run.
-    On recorded seed-7 decisions (two runs, BENCH_3.json) a basic instance
-    takes 0.74-0.79 of that pass's time at max_dim 6 (180 probes),
-    0.86-0.88 at 12, 1.02-1.03 at 24 (520 probes, about the crossover) and
-    1.30-1.44 at 48; laplacian takes 0.21-0.49 of it up to max_dim 48.
-    Every caller runs at max_dim 6.
+    The loop pays a bisect per function and probe; at the sizes the suites
+    run that is cheaper than a vectorized pass over one table (BENCH_3).
     """
-    listed: dict[int, tuple[list[float], list[float], list[float]]] = {}
+    listed: dict[int, tuple[list[float], list[float]]] = {}
     sides, grids = [], []
     for rel in relations:
-        side, unit = [], rel.lhs.unit
+        side, unit, distinct = [], rel.lhs.unit, {0.0}
         for F in (rel.lhs, *rel.rhs):
             if F.unit != unit:
                 raise ValueError(f"{rel.item}: the functions differ in units")
-            # breakpoints, counts led by the 0 left of the first breakpoint,
-            # probe points
+            # breakpoints, counts led by the 0 left of the first breakpoint
             entry = listed.get(id(F))
             if entry is None:
-                lams = F.lams.tolist()
-                entry = listed[id(F)] = (lams, [0.0, *F.counts.tolist()], _probe_points(lams))
+                entry = listed[id(F)] = (F.lams.tolist(), [0.0, *F.counts.tolist()])
             side.append(entry)
-        points = set(side[0][2])
-        points.update(*[entry[2] for entry in side[1:]])
-        grid = sorted(points)
-        if not rel.equal:
-            upper = float(rel.upper)
-            del grid[bisect_left(grid, upper):]
-            if math.isfinite(upper):
-                grid.append(upper * (1.0 - RANGE_END_RTOL))
+            distinct.update(entry[0])
+        upper = float(rel.upper)
         sides.append(side)
-        grids.append(grid)
-    shifted = tie_shifted([x for grid in grids for x in grid]).tolist()
+        grids.append(sorted(x for x in distinct if x < upper))
+    flat = [x for grid in grids for x in grid]
+    shifted = tie_shifted(flat).tolist()
 
-    probes = 0
+    probes, start = 0, 0
     violations: list[Violation] = []
     margins: list[float | None] = []
-    for rel, ((lams, counts, _), *rhs), grid in zip(relations, sides, grids):
+    for rel, ((lams, counts), *rhs), grid in zip(relations, sides, grids):
         constant, unit, equal = float(rel.constant), rel.lhs.unit, rel.equal
         # the largest |lhs - rhs|, or the smallest rhs - lhs where lhs > 0
         worst = 0.0 if equal else math.inf
-        for x, y in zip(grid, shifted[probes:probes + len(grid)]):
+        k, stop = start, start + len(grid)
+        while k < stop:
+            end = shifted[k]
+            while k + 1 < stop and flat[k + 1] <= end:
+                k += 1
+            x, y = flat[k], shifted[k]
+            k += 1
+            probes += 1
             rv = 0.0
-            for term_lams, term_counts, _ in rhs:
+            for term_lams, term_counts in rhs:
                 rv += term_counts[bisect_right(term_lams, y)]
             rv = constant + rv
             if equal:
@@ -199,7 +200,7 @@ def _decide(relations: list[_Relation]) -> tuple[int, list[Violation], list[floa
                     violations.append(Violation(rel.item, x, lv * unit, rv * unit))
                 if lv > 0.0 and rv - lv < worst:
                     worst = rv - lv
-        probes += len(grid)
+        start = stop
         margins.append(worst * unit if worst < math.inf else None)
     return probes, violations, margins
 

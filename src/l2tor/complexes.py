@@ -88,9 +88,9 @@ class FiniteCochainComplex:
                 basis = np.zeros((0, 0))
             else:
                 # Only the image of c^{p-1} matters, so whitening its source as
-                # well would span the same subspace; but that basis differs in
-                # the last bits, and the suites' probe grids, which merge only
-                # breakpoints that are exactly equal, change with it.
+                # well would span the same subspace, in a basis that differs in
+                # the last bits; the decider probes breakpoints by cluster, so
+                # that alone would move no probe count.
                 wt = space.whitener
                 prev = self.differential(p - 1)
                 if prev.source.dim == 0:

@@ -21,11 +21,9 @@ ZERO_SV_ATOL = 1e-12
 # right-hand side of a step-function inequality and to both sides of an
 # equality (checks.tie_shifted, the one tie shift; the probe at 0 is not
 # moved).  Forgives pure floating-point ties between breakpoints
-# computed through different eigensolves.
+# computed through different eigensolves; the same shift sets how far a
+# cluster of breakpoints, probed once, reaches.
 TIE_RTOL = 1e-9
-
-# The last probe of an inequality's range [0, upper) is upper * (1 - RANGE_END_RTOL).
-RANGE_END_RTOL = 1e-12
 
 # Residual tolerance for structural identities (complex property c∘c = 0,
 # chain-map commutation, homotopy relations).

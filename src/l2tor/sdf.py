@@ -4,9 +4,10 @@ The spectral density of a map f counts the generalized singular values of
 f that are <= lambda, in units of the source trace normalization.  A step
 function holds whole counts and one unit, so values that are equal
 multiples of the unit compare exactly, and "<= for all lambda" questions
-are decidable on finitely many probes; l2tor.checks decides them, on the
-probe points of _probe_points.  The density of a map is built straight
-from its singular values, which come sorted.
+are decidable on finitely many probes: the value is constant from one
+breakpoint to the next, so l2tor.checks decides them at 0 and at the
+breakpoints.  The density of a map is built straight from its singular
+values, which come sorted.
 """
 
 from __future__ import annotations
@@ -154,17 +155,10 @@ class SpectralDensityFunction:
     # -- probing grids ---------------------------------------------------------------
 
     def probe_points(self) -> np.ndarray:
-        """0, the breakpoints, the midpoints between them and a point past
-        the top, unsorted; l2tor.checks sorts and merges the points of the
-        functions in a relation and decides it on them."""
-        return np.array(_probe_points(self.lams.tolist()))
-
-
-def _probe_points(lams: list[float]) -> list[float]:
-    """The probe_points of a function whose breakpoints are lams, as a list:
-    the form l2tor.checks decides on."""
-    mids = [0.5 * (a + b) for a, b in zip(lams, lams[1:])]
-    return [0.0, *lams, *mids, 1.1 * (lams[-1] if lams else 0.0) + 1.0]
+        """0 and the breakpoints: the function is constant from each to the
+        next and past the last.  l2tor.checks merges the points of the
+        functions in a relation and probes them once per cluster."""
+        return np.concatenate([[0.0], self.lams])
 
 
 def _steps(positions, counts) -> tuple[np.ndarray, np.ndarray]:

@@ -5,13 +5,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from l2tor import checks
 from l2tor.checks import (CheckReport, Violation, check_basic_F, check_block_matrix_F,
                           check_gromov_shubin, check_short_exact, run_suite, tie_shifted)
-from l2tor.config import RANGE_END_RTOL
 from l2tor.complexes import FiniteCochainComplex
 from l2tor.rand import (random_homotopy_pair, random_short_exact_triple,
                         rng_for)
@@ -95,7 +94,7 @@ def test_basic_square_identity_regression_seed():
     # [8.32, 3.28, 1.11, 0.743, 6.12e-5]; basic.6 used to report lhs 1, rhs 0
     rep = run_suite("basic", seed=799682287, instances=1, max_dim=6)
     assert rep.violations == []
-    assert rep.probes == 350
+    assert rep.probes == 173
 
 
 def test_basic_subspace_conditions_regression_seed():
@@ -107,7 +106,7 @@ def test_basic_subspace_conditions_regression_seed():
     rep = run_suite("basic", seed=4010320131, instances=1, max_dim=6)
     assert rep.violations == []
     assert rep.skipped == {"basic.2": 1, "reduced.2": 1, "reduced.3": 1}
-    assert rep.probes == 115
+    assert rep.probes == 59
 
 
 @pytest.mark.parametrize("theta", [0.0, 1e-12, 8e-6, 1e-3])
@@ -296,11 +295,11 @@ def test_suites_call_the_public_checkers(monkeypatch, suite, checker, per_degree
 # seed 20240801, 30 instances, max_dim 6: any change to a generator, a checker or
 # the evaluation of step functions that moves a probe or a skip shows here
 _SUITE_COUNTS = {
-    "basic": (5318, {"reduced.1": 7, "basic.2": 12, "reduced.2": 12, "reduced.3": 11}),
-    "block": (3677, {"block.r4": 15, "block.2": 4, "block.5": 1}),
-    "short-exact": (355, {}),
-    "gromov-shubin": (256, {}),
-    "laplacian": (466, {}),
+    "basic": (2633, {"reduced.1": 7, "basic.2": 12, "reduced.2": 12, "reduced.3": 11}),
+    "block": (1947, {"block.r4": 15, "block.2": 4, "block.5": 1}),
+    "short-exact": (209, {}),
+    "gromov-shubin": (136, {}),
+    "laplacian": (189, {}),
 }
 
 
@@ -325,13 +324,40 @@ def _reference_count(F, x):
     return float(F.counts[count - 1]) if count else 0.0
 
 
-# -- the per-relation checkers the decider replaced, kept as its oracle ---------------
+# -- the decider's probes, by the rule as documented -----------------------------------
+
+
+def cluster_probes(functions, upper=np.inf):
+    """0 and the distinct breakpoints of the functions below upper, grouped
+    into clusters (a point and every later point up to its tie shift), and
+    each cluster given by its last point: where the decider probes."""
+    points = np.unique(np.concatenate([F.probe_points() for F in functions]))
+    probes, reach = [], -np.inf
+    for x in points[points < upper].tolist():
+        if x > reach:
+            probes.append(x)
+            reach = float(tie_shifted(x))
+        else:
+            probes[-1] = x
+    return np.array(probes)
+
+
+# -- the per-relation checkers of the grid before clusters, kept as an oracle ---------
+
+RANGE_END_RTOL = 1e-12  # the oracle's last probe of [0, upper) is upper * (1 - RANGE_END_RTOL)
+
+
+def _old_points(F):
+    """0, the breakpoints, their midpoints and a point past the top: the
+    probe points of F before clusters."""
+    return np.concatenate([[0.0], F.lams, 0.5 * (F.lams[1:] + F.lams[:-1]),
+                           [1.1 * F.max_breakpoint + 1.0]])
 
 
 def probe_grid(functions):
-    """Sorted distinct probe points of all the functions: each function is
-    constant from one point to the next and past the last."""
-    return np.unique(np.concatenate([F.probe_points() for F in functions]))
+    """Sorted distinct probe points of all the functions before clusters:
+    each function is constant from one point to the next and past the last."""
+    return np.unique(np.concatenate([_old_points(F) for F in functions]))
 
 
 def _counts(F, lams):
@@ -372,6 +398,7 @@ def _check_equal(item, lhs, rhs, report):
     for k in np.flatnonzero(lvals != rvals):
         report.violations.append(Violation(item, float(probes[k]), float(lvals[k] * lhs.unit),
                                            float(rvals[k] * lhs.unit)))
+    return float(np.max(np.abs(lvals - rvals))) * lhs.unit
 
 
 def _decided(relations):
@@ -402,7 +429,7 @@ def test_side_values_match_scalar_sum_bitwise(terms, pts):
     # right side's counts summed in order at its tie shift, each times the unit
     lhs = SpectralDensityFunction.from_jumps([0.0, *pts], [100.0] + [1.0] * len(pts), THIRD)
     report, _ = _decided([(False, "item", lhs, terms, np.inf, 0.0)])
-    probes = probe_grid([lhs, *terms])
+    probes = cluster_probes([lhs, *terms])
     assert [v.lam for v in report.violations] == probes.tolist()
     expected = [sum(_reference_count(t, v) for t in terms) * THIRD
                 for v in tie_shifted(probes)]
@@ -415,7 +442,7 @@ def test_side_values_match_scalar_sum_bitwise(terms, pts):
 @given(_steps, st.lists(_steps, min_size=1, max_size=3), st.sampled_from([0.0, 1.0, 2.0]))
 def test_check_leq_shifts_only_the_right_side(lhs, terms, constant):
     report, (margin,) = _decided([(False, "item", lhs, terms, np.inf, constant)])
-    probes = probe_grid([lhs, *terms])
+    probes = cluster_probes([lhs, *terms])
     lvals = np.array([_reference_count(lhs, v) for v in probes])
     rvals = np.array([constant + sum(_reference_count(t, v) for t in terms)
                       for v in tie_shifted(probes)])
@@ -429,10 +456,11 @@ def test_check_leq_shifts_only_the_right_side(lhs, terms, constant):
 
 def test_tie_slack_forgives_only_rounding_sized_moves():
     # a right-side breakpoint displaced upward by rounding is a tie for both
-    # relations; one moved by more than the slack is a violation
+    # relations; one moved by more than the slack is a violation: a cluster
+    # reaches 1e-9 past its first breakpoint
     early = SpectralDensityFunction([1.0], [1.0])
-    for late, ok in [(SpectralDensityFunction([1.0 + 5e-10], [1.0]), True),
-                     (SpectralDensityFunction([1.0 + 1e-6], [1.0]), False)]:
+    for gap, ok in [(5e-10, True), (1e-9, True), (2e-9, False), (1e-8, False), (1e-6, False)]:
+        late = SpectralDensityFunction([1.0 + gap], [1.0])
         leq, _ = _decided([(False, "leq", early, [late], np.inf, 0.0)])
         equal, _ = _decided([(True, "equal", early, [late], np.inf, 0.0)])
         assert leq.ok == ok and equal.ok == ok
@@ -440,12 +468,23 @@ def test_tie_slack_forgives_only_rounding_sized_moves():
             assert [(v.lam, v.lhs, v.rhs) for v in leq.violations] == [(1.0, 1.0, 0.0)]
 
 
+@pytest.mark.parametrize("upper", [0.0, -1.0, -np.inf])
+def test_an_empty_range_has_no_probe(upper):
+    # [0, upper) is empty: a left side above the right at 0 is not probed
+    kernel, empty = SpectralDensityFunction([0.0], [2.0]), SpectralDensityFunction([], [])
+    report = CheckReport()
+    report.leq("empty-range", kernel, [empty], upper=upper)
+    assert report.decide() == [None]
+    assert report.violations == [] and report.probes == 0
+
+
 @st.composite
-def _relation_batches(draw):
+def _relation_batches(draw, near_breakpoints=True):
     """Relations over a shared pool of functions: inequalities and
     equalities, with and without a range bound, some built to hold (the
     left side is the sum of the right) and some with a step added on
-    purpose, so that the batch holds violations."""
+    purpose, so that the batch holds violations.  A range may end just
+    past a breakpoint (near_breakpoints) or be empty."""
     pool = draw(st.lists(_steps, min_size=1, max_size=5))
     relations = []
     for k in range(draw(st.integers(1, 8))):
@@ -458,9 +497,8 @@ def _relation_batches(draw):
             at = [draw(st.floats(0.0, 50.0))] if lhs == "sum+step" else []
             step = SpectralDensityFunction.from_jumps(at, np.ones(len(at)), THIRD)
             lhs = functools.reduce(SpectralDensityFunction.plus, rhs, step)
-        # a range just past a breakpoint puts the range-end probe below it;
-        # a negative upper leaves the range-end probe alone, or no probe
-        past = [float(np.nextafter(x, np.inf)) for F in (lhs, *rhs) for x in F.lams]
+        past = [float(np.nextafter(x, np.inf)) for F in (lhs, *rhs)
+                for x in F.lams] if near_breakpoints else []
         upper = draw(st.sampled_from([np.inf, -np.inf, -1.0, 0.0, 0.5, 7.0, 60.0, *past]))
         constant = draw(st.sampled_from([0.0, 1.0, 2.0]))
         relations.append((equal, f"r{k}", lhs, rhs, upper, constant))
@@ -469,20 +507,107 @@ def _relation_batches(draw):
 
 @given(_relation_batches())
 def test_decider_matches_the_per_relation_checkers_bitwise(relations):
+    # where the grid before clusters probed only inside the range, the
+    # clusters give its every margin and verdict and report only violations
+    # it reported; an empty range has no probe.  Below about 1e-304 the
+    # range-end probe upper * (1 - RANGE_END_RTOL) rounds to upper itself,
+    # outside the range
     report, margins = _decided(relations)
+    assert report.probes == sum(
+        cluster_probes([lhs, *rhs], np.inf if equal else upper).size
+        for equal, _, lhs, rhs, upper, _ in relations)
     oracle = CheckReport()
-    expected = []
-    for equal, item, lhs, rhs, upper, constant in relations:
+    for (equal, item, lhs, rhs, upper, constant), margin in zip(relations, margins):
+        before = len(oracle.violations)
         if equal:
-            _check_equal(item, lhs, rhs, oracle)
-            shifted = tie_shifted(probe_grid([lhs, *rhs]))
-            expected.append(float(np.max(np.abs(_counts(lhs, shifted)
-                                                - _sum_counts(rhs, shifted)))) * THIRD)
+            expected = _check_equal(item, lhs, rhs, oracle)
+        elif 0.0 < upper * (1.0 - RANGE_END_RTOL) < upper:
+            expected = _check_leq(item, lhs, rhs, oracle, upper, constant)
         else:
-            expected.append(_check_leq(item, lhs, rhs, oracle, upper, constant))
-    assert _records(report) == _records(oracle)
-    assert report.probes == oracle.probes
-    assert [_bits(m) for m in margins] == [_bits(m) for m in expected]
+            assert upper > 0.0 or margin is None
+            continue
+        assert _bits(margin) == _bits(expected)
+        found = [r for r in _records(report) if r[0] == item]
+        assert set(found) <= set(_records(oracle)[before:])
+        assert bool(found) == (len(oracle.violations) > before)
+
+
+def _moved(relations, rng):
+    """The relations with every positive breakpoint of their functions moved
+    by up to 4 ulps either way and kept positive, one moved copy per
+    function; a breakpoint at 0 is a kernel and stays.  The bits of a
+    positive double count its ulps."""
+    moved = {}
+
+    def move(F):
+        if id(F) not in moved:
+            bits = F.lams.view(np.int64)
+            shifted = bits + rng.integers(-4, 5, bits.size) * (bits > 0)
+            lams = np.where(shifted > 0, shifted, bits).view(float)
+            moved[id(F)] = SpectralDensityFunction.from_jumps(
+                lams, np.diff(F.counts, prepend=0.0), F.unit)
+        return moved[id(F)]
+
+    return [rel._replace(lhs=move(rel.lhs), rhs=[move(F) for F in rel.rhs])
+            for rel in relations]
+
+
+def _probe_counts(relations):
+    """The probes of each relation, decided alone."""
+    return [checks._decide([rel])[0] for rel in relations]
+
+
+def _on_an_edge(functions, upper):
+    """Whether a positive breakpoint lies within rounding of the reach of a
+    cluster or of the range end upper: there a move of a few ulps moves it
+    into or out of a cluster or the range, and so moves the count."""
+    points = np.unique(np.concatenate([F.lams for F in functions]))
+    reach = -np.inf
+    for x in points[points > 0.0].tolist():
+        if min(abs(x - reach), abs(x - upper)) <= 1e-12 * max(1.0, x):
+            return True
+        if x > reach:
+            reach = float(tie_shifted(x))
+    return False
+
+
+@given(_relation_batches(near_breakpoints=False), st.integers(0, 2**32 - 1))
+def test_probe_counts_ignore_the_last_bits_of_breakpoints(relations, seed):
+    # the sum and its terms, moved apart by rounding, are probed as before
+    report = CheckReport()
+    for equal, item, lhs, rhs, upper, constant in relations:
+        edge = upper if not equal and upper > 0.0 else np.inf
+        assume(not _on_an_edge([lhs, *rhs], edge))
+        if equal:
+            report.equal(item, lhs, rhs)
+        else:
+            report.leq(item, lhs, rhs, upper=upper, constant=constant)
+    moved = _moved(report.pending, np.random.default_rng(seed))
+    assert _probe_counts(moved) == _probe_counts(report.pending)
+
+
+@functools.cache
+def _seed_7_decisions(suite):
+    """The relations of every decision of the suite at seed 7, 200
+    instances, max_dim 6."""
+    decisions, decide = [], checks._decide
+
+    def recorded(relations):
+        decisions.append(relations)
+        return decide(relations)
+
+    with mock.patch.object(checks, "_decide", recorded):
+        run_suite(suite, seed=7, instances=200, max_dim=6)
+    return decisions
+
+
+@pytest.mark.parametrize("suite", ["basic", "block", "laplacian"])
+def test_suite_probe_counts_ignore_the_last_bits_of_breakpoints(suite):
+    # the suites whose relations hold rounding twins (breakpoints within
+    # 1e-12 of each other); every decision, each moved at random
+    rng = np.random.default_rng(7)
+    for relations in _seed_7_decisions(suite):
+        assert _probe_counts(_moved(relations, rng)) == _probe_counts(relations)
 
 
 def test_sides_one_count_apart_at_unit_third_are_a_violation():
@@ -495,8 +620,7 @@ def test_sides_one_count_apart_at_unit_third_are_a_violation():
     report.equal("equal", two, [three])
     assert report.decide() == [-THIRD, THIRD]
     assert [(v.item, v.lam, v.lhs, v.rhs) for v in report.violations] == [
-        ("leq", 2.0, 3 * THIRD, 2 * THIRD), ("leq", 3.2, 3 * THIRD, 2 * THIRD),
-        ("equal", 2.0, 2 * THIRD, 3 * THIRD), ("equal", 3.2, 2 * THIRD, 3 * THIRD)]
+        ("leq", 2.0, 3 * THIRD, 2 * THIRD), ("equal", 2.0, 2 * THIRD, 3 * THIRD)]
 
 
 def test_three_one_count_functions_sum_to_three_counts_exactly():
@@ -539,59 +663,48 @@ def test_a_violation_found_without_probing_keeps_its_place():
 
 @pytest.mark.parametrize("suite", ["basic", "block"])
 def test_an_instance_probes_each_function_once_and_decides_once(monkeypatch, suite):
-    # the probe points of every distinct function of the instance are
-    # derived once in its one decision, and no function is asked for its
-    # probe points on its own
-    derived, probed, batches = [], [], []
-    points, decide = checks._probe_points, checks._decide
+    # the breakpoints of every distinct function of the instance are listed
+    # once in its one decision, and no function is asked for its probe
+    # points on its own
+    listed, views, probed, batches = [], [], [], []
+    decide = checks._decide
 
-    def counted_points(lams):
-        derived.append(tuple(lams))
-        return points(lams)
+    class Listed(np.ndarray):
+        def tolist(self):
+            listed.append(id(self))
+            return super().tolist()
 
     def counted_decide(relations):
         batches.append(relations)
+        for F in {id(F): F for rel in relations for F in (rel.lhs, *rel.rhs)}.values():
+            F.lams = F.lams.view(Listed)
+            views.append(id(F.lams))
         return decide(relations)
 
-    monkeypatch.setattr(checks, "_probe_points", counted_points)
     monkeypatch.setattr(checks, "_decide", counted_decide)
     monkeypatch.setattr(SpectralDensityFunction, "probe_points", lambda F: probed.append(F))
     report = run_suite(suite, seed=20240801, instances=1, max_dim=6)
     assert report.probes > 0
     assert len(batches) == 1 and len(batches[0]) >= 8
-    functions = {id(F): F for rel in batches[0] for F in (rel.lhs, *rel.rhs)}.values()
-    assert sorted(derived) == sorted(tuple(F.lams.tolist()) for F in functions)
+    assert sorted(listed) == sorted(views)
     assert probed == []
-
-
-def _points(F):
-    """The probe points of F as probe_points documents them."""
-    return np.concatenate([[0.0], F.lams, 0.5 * (F.lams[1:] + F.lams[:-1]),
-                           [1.1 * F.max_breakpoint + 1.0]])
 
 
 @given(st.lists(_steps, min_size=1, max_size=5))
 def test_the_decider_gives_each_function_its_probe_points_bitwise(funcs):
     # _steps draws empty and one-breakpoint functions too; each function is
-    # decided against itself, so the decision derives the points of each
-    derived = []
-    rule = checks._probe_points
-
-    def recorded(lams):
-        derived.append(rule(lams))
-        return derived[-1]
-
+    # decided against itself, and against itself plus one count, which
+    # fails at every probe and so shows where the decision probes
     report = CheckReport()
     for k, F in enumerate(funcs):
         report.equal(f"f{k}", F, [F])
-    with mock.patch.object(checks, "_probe_points", recorded):
-        assert report.decide() == [0.0] * len(funcs)
-    distinct = list({id(F): F for F in funcs}.values())
-    assert len(derived) == len(distinct)
-    for F, mine in zip(distinct, derived):
-        assert np.array(mine).tobytes() == _points(F).tobytes()
-        assert F.probe_points().tobytes() == _points(F).tobytes()
-    assert report.probes == sum(np.unique(_points(F)).size for F in funcs)
+        report.equal(f"g{k}", F.plus_constant(1.0), [F])
+    assert report.decide() == [0.0, THIRD] * len(funcs)
+    for k, F in enumerate(funcs):
+        assert F.probe_points().tobytes() == np.concatenate([[0.0], F.lams]).tobytes()
+        lams = [v.lam for v in report.violations if v.item == f"g{k}"]
+        assert np.array(lams).tobytes() == cluster_probes([F]).tobytes()
+    assert report.probes == 2 * sum(cluster_probes([F]).size for F in funcs)
 
 
 def test_the_lookup_reads_zero_below_a_first_breakpoint_and_on_empty_functions():
@@ -604,7 +717,7 @@ def test_the_lookup_reads_zero_below_a_first_breakpoint_and_on_empty_functions()
     report.leq("empty-late", empty, [late])
     assert report.decide() == [0.0, 1.0, None]
     assert [(v.item, v.lam, v.lhs, v.rhs) for v in report.violations] == [
-        ("late-empty", 2.0, 1.0, 0.0), ("late-empty", 3.2, 1.0, 0.0)]
+        ("late-empty", 2.0, 1.0, 0.0)]
 
 
 def _two_pass_grid(lhs, terms):

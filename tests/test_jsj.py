@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from l2tor.jsj import (JsjManifest, JsjPiece, ManifestError, is_graph_manifold,
-                       load_census, load_manifest, manifest_from_dict,
+from l2tor.hyperbolic import torsion_constant_result
+from l2tor.jsj import (TORSION_PER_VOLUME, JsjManifest, JsjPiece, ManifestError,
+                       is_graph_manifold, load_census, load_manifest, manifest_from_dict,
                        torsion_3manifold)
 
 
@@ -20,6 +21,14 @@ def test_graph_manifold_zero_torsion():
 def test_three_pi_volume_gives_minus_one():
     m = JsjManifest("unit", (JsjPiece("hyperbolic", 3.0 * math.pi, "x"),))
     assert torsion_3manifold(m) == pytest.approx(-1.0, abs=1e-15)
+
+
+def test_torsion_per_volume_is_the_computed_constant():
+    # the paper's torsion per unit volume of H^3; torsion_3manifold keeps the
+    # literal -1/(3 pi) so that it loads no table, and the literal lies within
+    # the computed constant's error estimate (2.8e-17 against 4.79e-15)
+    res = torsion_constant_result()
+    assert abs(TORSION_PER_VOLUME - res.total) <= res.diagnostics["error"]
 
 
 def test_mixed_manifest_not_graph():
