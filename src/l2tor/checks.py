@@ -6,16 +6,16 @@ skipping items whose side conditions fail (the kernel-subtracted variants
 always run); no checker decides.  A suite instance records all its
 relations, over every degree, in one report, and run_suite decides that
 report once, in Python floats, one relation at a time.  Each relation is
-decided at 0 and once per cluster of the breakpoints of its functions in
-its range, the breakpoints listed once per function and decision, and the
-violations come in the order recorded.  No other module decides a relation
-between step functions.  Ranks come from the rank rule
-(traced.nonzero_mask).  Values are whole counts of one unit and are
-compared exactly; the one slack, config.TIE_RTOL, forgives breakpoints that
-differ only by eigensolve rounding: tie_shifted sets how far a cluster
-reaches and moves the right side's positive probes of an inequality and
-both sides' of an equality, and never the probe at 0, so kernel dimensions
-are compared as they are.
+decided at 0 and at every breakpoint of its functions in its range, the
+breakpoints listed once per function and decision, and the violations come
+in the order recorded; its probes are counted once per cluster of
+breakpoints.  No other module decides a relation between step functions.
+Ranks come from the rank rule (traced.nonzero_mask).  Values are whole
+counts of one unit and are compared exactly; the one slack,
+config.TIE_RTOL, forgives breakpoints that differ only by eigensolve
+rounding: tie_shifted sets how far a cluster reaches and moves the right
+side's positive points of an inequality and both sides' of an equality,
+and never the point 0, so kernel dimensions are compared as they are.
 """
 
 from __future__ import annotations
@@ -130,24 +130,23 @@ def _decide(relations: list[_Relation]) -> tuple[int, list[Violation], list[floa
     """Probe count, violations and margins of the relations, in Python floats.
 
     Each distinct function's breakpoints and counts are listed once.  A
-    relation's points are 0 and the distinct breakpoints of its functions
-    below upper, sorted, and every point of the decision is tie-shifted in
-    one call.  The points are probed by clusters: a cluster starts at a
-    point b, takes every later point up to tie_shifted(b), and is probed
-    once, at its last point, so breakpoints that differ only by rounding
-    are one jump.  The shift leaves 0 where it is, which makes 0 a cluster
-    of its own, and an empty range has no probe.  Every function is
-    constant from one cluster to the next, so for an inequality a point
-    between two clusters reads the left side no higher and the right side
-    no lower than the probe below it.  A count is read by bisect_right; an
-    inequality compares the count of lhs at a probe with constant + those
-    of rhs at its tie shift, an equality both sides at the tie shift,
-    exactly, the right side summed term by term in order before the
-    constant is added.  Violations, in relation then probe order, and
-    margins are reported as count * unit.  A relation mixing units is
-    refused by item.
+    relation is evaluated at 0 and at every distinct breakpoint of its
+    functions below upper, sorted, and every point of the decision is
+    tie-shifted in one call.  Every function is constant from one point to
+    the next and past the last, so for an inequality any other point reads
+    the left side no higher and the right side no lower than the point
+    below it.  The points are counted as probes by clusters: a cluster
+    starts at a point b and takes every later point up to tie_shifted(b),
+    so breakpoints that differ only by rounding are one probe.  The shift
+    leaves 0 where it is, which makes 0 a cluster of its own, and an empty
+    range has no probe.  A count is read by bisect_right; an inequality
+    compares the count of lhs at a point with constant + those of rhs at
+    its tie shift, an equality both sides at the tie shift, exactly, the
+    right side summed term by term in order before the constant is added.
+    Violations, in relation then point order, and margins are reported as
+    count * unit.  A relation mixing units is refused by item.
 
-    The loop pays a bisect per function and probe; at the sizes the suites
+    The loop pays a bisect per function and point; at the sizes the suites
     run that is cheaper than a vectorized pass over one table (BENCH_3).
     """
     listed: dict[int, tuple[list[float], list[float]]] = {}
@@ -166,8 +165,7 @@ def _decide(relations: list[_Relation]) -> tuple[int, list[Violation], list[floa
         upper = float(rel.upper)
         sides.append(side)
         grids.append(sorted(x for x in distinct if x < upper))
-    flat = [x for grid in grids for x in grid]
-    shifted = tie_shifted(flat).tolist()
+    shifted = tie_shifted([x for grid in grids for x in grid]).tolist()
 
     probes, start = 0, 0
     violations: list[Violation] = []
@@ -176,14 +174,12 @@ def _decide(relations: list[_Relation]) -> tuple[int, list[Violation], list[floa
         constant, unit, equal = float(rel.constant), rel.lhs.unit, rel.equal
         # the largest |lhs - rhs|, or the smallest rhs - lhs where lhs > 0
         worst = 0.0 if equal else math.inf
-        k, stop = start, start + len(grid)
-        while k < stop:
-            end = shifted[k]
-            while k + 1 < stop and flat[k + 1] <= end:
-                k += 1
-            x, y = flat[k], shifted[k]
-            k += 1
-            probes += 1
+        # the tie shift of the first point of the current cluster
+        reach = -math.inf
+        for x, y in zip(grid, shifted[start:start + len(grid)]):
+            if x > reach:
+                probes += 1
+                reach = y
             rv = 0.0
             for term_lams, term_counts in rhs:
                 rv += term_counts[bisect_right(term_lams, y)]
@@ -200,7 +196,7 @@ def _decide(relations: list[_Relation]) -> tuple[int, list[Violation], list[floa
                     violations.append(Violation(rel.item, x, lv * unit, rv * unit))
                 if lv > 0.0 and rv - lv < worst:
                     worst = rv - lv
-        start = stop
+        start += len(grid)
         margins.append(worst * unit if worst < math.inf else None)
     return probes, violations, margins
 

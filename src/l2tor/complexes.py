@@ -89,8 +89,9 @@ class FiniteCochainComplex:
             else:
                 # Only the image of c^{p-1} matters, so whitening its source as
                 # well would span the same subspace, in a basis that differs in
-                # the last bits; the decider probes breakpoints by cluster, so
-                # that alone would move no probe count.
+                # the last bits; the decider counts probes by cluster of
+                # breakpoints, so that would move a probe count only at a
+                # cluster or range edge (not checked for this basis).
                 wt = space.whitener
                 prev = self.differential(p - 1)
                 if prev.source.dim == 0:

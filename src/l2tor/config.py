@@ -22,7 +22,7 @@ ZERO_SV_ATOL = 1e-12
 # equality (checks.tie_shifted, the one tie shift; the probe at 0 is not
 # moved).  Forgives pure floating-point ties between breakpoints
 # computed through different eigensolves; the same shift sets how far a
-# cluster of breakpoints, probed once, reaches.
+# cluster of breakpoints, counted as one probe, reaches.
 TIE_RTOL = 1e-9
 
 # Residual tolerance for structural identities (complex property c∘c = 0,

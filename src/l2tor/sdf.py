@@ -157,7 +157,8 @@ class SpectralDensityFunction:
     def probe_points(self) -> np.ndarray:
         """0 and the breakpoints: the function is constant from each to the
         next and past the last.  l2tor.checks merges the points of the
-        functions in a relation and probes them once per cluster."""
+        functions in a relation, decides it at each and counts them as
+        probes once per cluster."""
         return np.concatenate([[0.0], self.lams])
 
 

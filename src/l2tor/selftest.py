@@ -84,9 +84,11 @@ def _anomaly_dim3(seed: int, quick: bool) -> CriterionResult:
     return CriterionResult("anomaly-dim3", ok, {"rows": rows})
 
 
+# full and quick instance counts; basic and block give most of the probes
+# that tests/test_acceptance.py asks of the inequality suites (100 000)
 _SUITE_SIZES = {
-    "basic": (400, 60),
-    "block": (400, 60),
+    "basic": (800, 60),
+    "block": (800, 60),
     "short-exact": (400, 60),
     "gromov-shubin": (400, 60),
     "laplacian": (1000, 150),
