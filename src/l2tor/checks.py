@@ -35,7 +35,7 @@ from .rand import (random_complex, random_homotopy_pair, random_injective,
                    random_map, random_short_exact_triple, random_space,
                    random_surjective, rng_for)
 from .sdf import SpectralDensityFunction, _from_descending, sdf_of_map
-from .traced import TracedMap, TracedSpace
+from .traced import TracedMap, _orthonormal_space
 
 __all__ = [
     "Violation",
@@ -284,24 +284,16 @@ def check_basic_F(report: CheckReport, f: TracedMap, g: TracedMap | None = None,
 
 
 def _block_map(phi: TracedMap, gamma: TracedMap, xi: TracedMap) -> TracedMap:
-    """Upper-triangular [[phi, gamma], [0, xi]] on orthogonal direct sums."""
-    u1, u2 = phi.source, xi.source
-    v1, v2 = phi.target, xi.target
-    src_gram = np.block([
-        [u1.gram, np.zeros((u1.dim, u2.dim))],
-        [np.zeros((u2.dim, u1.dim)), u2.gram],
-    ])
-    tgt_gram = np.block([
-        [v1.gram, np.zeros((v1.dim, v2.dim))],
-        [np.zeros((v2.dim, v1.dim)), v2.gram],
-    ])
-    src = TracedSpace(u1.dim + u2.dim, u1.normalization, src_gram)
-    tgt = TracedSpace(v1.dim + v2.dim, v1.normalization, tgt_gram)
-    coeff = np.zeros((tgt.dim, src.dim))
-    coeff[: v1.dim, : u1.dim] = phi.coefficients
-    coeff[: v1.dim, u1.dim :] = gamma.coefficients
-    coeff[v1.dim :, u1.dim :] = xi.coefficients
-    return TracedMap._derived(src, tgt, coeff)
+    """Upper-triangular [[phi, gamma], [0, xi]] on orthogonal direct sums: in
+    whitened coordinates, the block matrix of the blocks' whitened matrices
+    between identity-gram spaces."""
+    u1, u2, v1, v2 = phi.source, xi.source, phi.target, xi.target
+    whitened = np.zeros((v1.dim + v2.dim, u1.dim + u2.dim))
+    whitened[: v1.dim, : u1.dim] = phi.whitened
+    whitened[: v1.dim, u1.dim :] = gamma.whitened
+    whitened[v1.dim :, u1.dim :] = xi.whitened
+    return TracedMap._derived(_orthonormal_space(u1.dim + u2.dim, u1.normalization),
+                              _orthonormal_space(v1.dim + v2.dim, v1.normalization), whitened)
 
 
 def check_block_matrix_F(report: CheckReport, phi: TracedMap, gamma: TracedMap,
@@ -427,13 +419,14 @@ def check_gromov_shubin(report: CheckReport, C: FiniteCochainComplex,
     equivalent; the equality of harmonic dimensions is asserted as well.
     """
     check_range("p", p, 0, len(g) - 1, "[]", integer=True)
-    gf = g[p] @ f[p]
-    resid = gf.coefficients - np.eye(C.space(p).dim)
+    space = C.space(p)
+    resid = g[p].coefficients @ f[p].coefficients - np.eye(space.dim)
     if p + 1 < len(T) and T[p + 1].source.dim:
-        resid = resid - (T[p + 1] @ C.differential(p)).coefficients
+        resid = resid - T[p + 1].coefficients @ C.differential(p).coefficients
     if p > 0 and T[p].source.dim and C.space(p - 1).dim:
-        resid = resid - (C.differential(p - 1) @ T[p]).coefficients
-    defect = TracedMap._derived(C.space(p), C.space(p), resid).norm
+        resid = resid - C.differential(p - 1).coefficients @ T[p].coefficients
+    defect = TracedMap._derived(space, space,
+                                space.whitener @ resid @ space.inverse_whitener).norm
     if defect > STRUCTURE_ATOL:
         raise ValueError(f"homotopy relation fails at degree {p}: defect {defect}")
 

@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import STRUCTURE_ATOL
 from .sdf import SpectralDensityFunction, sdf_of_map
-from .traced import TracedMap, TracedSpace, _read_only, nonzero_mask
+from .traced import TracedMap, TracedSpace, _orthonormal_space
 
 __all__ = [
     "FiniteCochainComplex",
@@ -24,14 +24,13 @@ __all__ = [
 ]
 
 
-def _kept_zero(kept: dict[int, TracedMap], p: int, source: TracedSpace,
-               target: TracedSpace) -> TracedMap:
-    """The zero map source -> target, kept under degree p for later calls;
-    every caller shares it, so its coefficients are read-only."""
-    zero = TracedMap.zero(source, target)
-    _read_only(zero.coefficients)
-    kept[p] = zero
-    return zero
+def _check_spaces(name: str, f: TracedMap, source: TracedSpace, target: TracedSpace) -> None:
+    """Refuse a map whose source or target is not the given space: the same
+    object, or one of equal dim, normalization and gram."""
+    for end, have, want in (("source", f.source, source), ("target", f.target, target)):
+        if have is not want and ((have.dim, have.normalization) != (want.dim, want.normalization)
+                                 or not np.array_equal(have.gram, want.gram)):
+            raise ValueError(f"{name} has wrong {end}")
 
 
 class FiniteCochainComplex:
@@ -41,10 +40,7 @@ class FiniteCochainComplex:
         if len(differentials) != max(len(spaces) - 1, 0):
             raise ValueError("need exactly len(spaces) - 1 differentials")
         for p, d in enumerate(differentials):
-            if d.source is not spaces[p] and d.source.dim != spaces[p].dim:
-                raise ValueError(f"differential {p} has wrong source")
-            if d.target is not spaces[p + 1] and d.target.dim != spaces[p + 1].dim:
-                raise ValueError(f"differential {p} has wrong target")
+            _check_spaces(f"differential {p}", d, spaces[p], spaces[p + 1])
         self.spaces = list(spaces)
         self.differentials = list(differentials)
         # by degree; any other key, whatever its type, names a zero space or map
@@ -66,9 +62,9 @@ class FiniteCochainComplex:
         return self._spaces.get(p, self._zero)
 
     def differential(self, p: int) -> TracedMap:
-        if p in self._differentials:
-            return self._differentials[p]
-        return _kept_zero(self._differentials, p, self.space(p), self.space(p + 1))
+        if p not in self._differentials:
+            self._differentials[p] = TracedMap.zero(self.space(p), self.space(p + 1))
+        return self._differentials[p]
 
     def square_zero_defect(self) -> float:
         worst = 0.0
@@ -80,35 +76,19 @@ class FiniteCochainComplex:
     # -- gram-aware subspace computations ---------------------------------------------
 
     def _degree(self, p: int) -> tuple[np.ndarray, TracedMap]:
-        """The image-complement basis and restricted differential of degree p,
-        built on first use and kept."""
+        """The image-complement basis in whitened coordinates, cut at its rank
+        from c^{p-1}'s own decomposition, and the restricted differential of
+        degree p, built on first use and kept."""
         if p not in self._degrees:
-            space = self.space(p)
-            if space.dim == 0:
-                basis = np.zeros((0, 0))
-            else:
-                # Only the image of c^{p-1} matters, so whitening its source as
-                # well would span the same subspace, in a basis that differs in
-                # the last bits; the decider counts probes by cluster of
-                # breakpoints, so that would move a probe count only at a
-                # cluster or range edge (not checked for this basis).
-                wt = space.whitener
-                prev = self.differential(p - 1)
-                if prev.source.dim == 0:
-                    u0 = np.eye(space.dim)
-                else:
-                    u, s, _ = np.linalg.svd(wt @ prev.coefficients, full_matrices=True)
-                    u0 = u[:, np.count_nonzero(nonzero_mask(s)):]
-                basis = _read_only(np.linalg.solve(wt, u0))
-            d = self.differential(p)
-            restricted = TracedMap._derived(TracedSpace(basis.shape[1], space.normalization),
-                                            d.target, d.coefficients @ basis)
-            self._degrees[p] = (basis, restricted)
+            prev, d = self.differential(p - 1), self.differential(p)
+            basis = prev._full_svd()[0][:, prev.rank():]
+            source = _orthonormal_space(basis.shape[1], self.space(p).normalization)
+            self._degrees[p] = (basis, TracedMap._derived(source, d.target, d.whitened @ basis))
         return self._degrees[p]
 
     def image_complement_basis(self, p: int) -> np.ndarray:
         """Gram-orthonormal basis (columns) of (im c^{p-1})^perp inside C^p."""
-        return self._degree(p)[0]
+        return self.space(p).inverse_whitener @ self._degree(p)[0]
 
     def restricted_differential(self, p: int) -> TracedMap:
         """c^p restricted to (im c^{p-1})^perp, in a gram-orthonormal basis."""
@@ -116,19 +96,19 @@ class FiniteCochainComplex:
 
     def laplacian(self, p: int) -> TracedMap:
         """Delta_p = (c^p)* c^p + c^{p-1} (c^{p-1})* as a map C^p -> C^p."""
-        d_p = self.differential(p)
-        d_prev = self.differential(p - 1)
-        up = d_p.adjoint() @ d_p
-        down = d_prev @ d_prev.adjoint()
-        return TracedMap._derived(self.space(p), self.space(p),
-                                  up.coefficients + down.coefficients)
+        up, down = self.differential(p).whitened, self.differential(p - 1).whitened
+        return TracedMap._derived(self.space(p), self.space(p), up.T @ up + down @ down.T)
 
-    def harmonic_basis(self, p: int) -> np.ndarray:
-        """Gram-orthonormal basis of ker(c^p) ∩ (im c^{p-1})^perp: the
-        image-complement basis times the restricted differential's kernel
-        basis (whose source gram is the identity)."""
+    def _harmonic(self, p: int) -> np.ndarray:
+        """Orthonormal basis of ker(c^p) ∩ (im c^{p-1})^perp in whitened
+        coordinates: the image-complement basis times the restricted
+        differential's kernel basis (whose source gram is the identity)."""
         basis, restricted = self._degree(p)
         return basis @ restricted.kernel_basis()
+
+    def harmonic_basis(self, p: int) -> np.ndarray:
+        """Gram-orthonormal basis of ker(c^p) ∩ (im c^{p-1})^perp."""
+        return self.space(p).inverse_whitener @ self._harmonic(p)
 
     def cohomology_dim(self, p: int) -> int:
         return self.restricted_differential(p).kernel_dim()
@@ -166,22 +146,24 @@ class ShortExactTriple:
     def __init__(self, C: FiniteCochainComplex, D: FiniteCochainComplex,
                  E: FiniteCochainComplex, j: list[TracedMap], q: list[TracedMap]):
         self.C, self.D, self.E = C, D, E
-        self.j = list(j)
-        self.q = list(q)
+        self.j, self.q = list(j), list(q)
+        for name, maps, source, target in (("j", self.j, C, D), ("q", self.q, D, E)):
+            for p, f in enumerate(maps):
+                _check_spaces(f"{name}_{p}", f, source.space(p), target.space(p))
         # by degree, as in FiniteCochainComplex: any other key names a zero map
         self._j: dict[int, TracedMap] = dict(enumerate(self.j))
         self._q: dict[int, TracedMap] = dict(enumerate(self.q))
         self.validate()
 
     def j_at(self, p: int) -> TracedMap:
-        if p in self._j:
-            return self._j[p]
-        return _kept_zero(self._j, p, self.C.space(p), self.D.space(p))
+        if p not in self._j:
+            self._j[p] = TracedMap.zero(self.C.space(p), self.D.space(p))
+        return self._j[p]
 
     def q_at(self, p: int) -> TracedMap:
-        if p in self._q:
-            return self._q[p]
-        return _kept_zero(self._q, p, self.D.space(p), self.E.space(p))
+        if p not in self._q:
+            self._q[p] = TracedMap.zero(self.D.space(p), self.E.space(p))
+        return self._q[p]
 
     def validate(self) -> None:
         top = max(self.C.top_degree, self.D.top_degree, self.E.top_degree)
@@ -197,14 +179,14 @@ class ShortExactTriple:
             # exactness: rank j_p + rank q_p = dim D^p pins ker q = im j
             if jp.rank() + qp.rank() != self.D.space(p).dim:
                 raise ValueError(f"ker q_{p} != im j_{p} (rank defect)")
-            # commutation with differentials
-            dj = self.D.differential(p) @ jp
-            jd = self.j_at(p + 1) @ self.C.differential(p)
-            if np.max(np.abs(dj.coefficients - jd.coefficients), initial=0.0) > STRUCTURE_ATOL:
+            # commutation with differentials, in the spaces' coordinates
+            dj = self.D.differential(p).coefficients @ jp.coefficients
+            jd = self.j_at(p + 1).coefficients @ self.C.differential(p).coefficients
+            if np.max(np.abs(dj - jd), initial=0.0) > STRUCTURE_ATOL:
                 raise ValueError(f"j does not commute with d at degree {p}")
-            dq = self.E.differential(p) @ qp
-            qd = self.q_at(p + 1) @ self.D.differential(p)
-            if np.max(np.abs(dq.coefficients - qd.coefficients), initial=0.0) > STRUCTURE_ATOL:
+            dq = self.E.differential(p).coefficients @ qp.coefficients
+            qd = self.q_at(p + 1).coefficients @ self.D.differential(p).coefficients
+            if np.max(np.abs(dq - qd), initial=0.0) > STRUCTURE_ATOL:
                 raise ValueError(f"q does not commute with d at degree {p}")
 
 
@@ -216,17 +198,14 @@ def connecting_map(T: ShortExactTriple, p: int) -> TracedMap:
     project onto the harmonic space of C^{p+1}.  Both cohomology spaces carry
     the subspace inner product induced by their harmonic embeddings.
     """
-    h_e = T.E.harmonic_basis(p)
-    h_c = T.C.harmonic_basis(p + 1)
-    norm = T.E.space(p).normalization
-    src = TracedSpace(h_e.shape[1], norm)
-    tgt = TracedSpace(h_c.shape[1], T.C.space(p + 1).normalization)
+    h_e = T.E._harmonic(p)
+    h_c = T.C._harmonic(p + 1)
+    src = _orthonormal_space(h_e.shape[1], T.E.space(p).normalization)
+    tgt = _orthonormal_space(h_c.shape[1], T.C.space(p + 1).normalization)
     if src.dim == 0 or tgt.dim == 0:
         return TracedMap.zero(src, tgt)
-    # minimal-norm lift through q, exact pullback by j
-    lifts = T.q_at(p).least_norm_solve(h_e)
-    dd = T.D.differential(p).coefficients @ lifts
-    pulled = T.j_at(p + 1).least_norm_solve(dd)
-    # coordinates of the harmonic projection in the orthonormal harmonic basis
-    coords = h_c.T @ T.C.space(p + 1).gram @ pulled
-    return TracedMap._derived(src, tgt, coords)
+    # in whitened coordinates: minimal-norm lift through q, exact pullback by
+    # j, coordinates of the harmonic projection in the orthonormal basis
+    lifts = T.q_at(p)._pinv(h_e)
+    pulled = T.j_at(p + 1)._pinv(T.D.differential(p).whitened @ lifts)
+    return TracedMap._derived(src, tgt, h_c.T @ pulled)

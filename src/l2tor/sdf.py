@@ -176,16 +176,20 @@ def _steps(positions, counts) -> tuple[np.ndarray, np.ndarray]:
 def _from_descending(sv: np.ndarray, unit: float) -> SpectralDensityFunction:
     """The function counting the values of sv <= lambda, one count worth
     unit, for singular values sv in descending order (as LAPACK returns
-    them); equal to from_jumps(sv, ones, unit) without its sort.  A NaN, a
-    negative or infinite value or one out of order is refused."""
-    up = sv[::-1]
-    # written so that NaN fails it
-    if up.size and not (up[0] >= 0.0 and up[-1] < np.inf and (up[1:] >= up[:-1]).all()):
-        raise ValueError("singular values must be finite, nonnegative and descending")
-    last = np.ones(up.size, dtype=bool)  # the last of each run of equal values
-    last[:-1] = up[1:] != up[:-1]
-    last = np.flatnonzero(last)
-    return SpectralDensityFunction._derived(up[last], last + 1.0, float(unit))
+    them); equal to from_jumps(sv, ones, unit) in one walk over Python
+    floats, without its sort.  A NaN, a negative or infinite value or one
+    out of order is refused."""
+    values = sv.tolist()
+    lams, counts, last = [], [], math.inf
+    for k, value in enumerate(values):
+        if value != last or not k:  # the first of a run of equal values
+            if not 0.0 <= value < last:  # written so that NaN fails it
+                raise ValueError("singular values must be finite, nonnegative and descending")
+            lams.append(value)
+            counts.append(len(values) - k)
+            last = value
+    return SpectralDensityFunction._derived(np.array(lams[::-1]),
+                                            np.array(counts[::-1], dtype=float), float(unit))
 
 
 def sdf_of_map(f: TracedMap) -> SpectralDensityFunction:

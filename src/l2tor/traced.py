@@ -8,13 +8,13 @@ with a non-identity gram behaves exactly like an abstract inner-product
 space expressed in a skew basis.
 
 Maps are validated once.  The public TracedMap constructor checks the shape
-and finiteness of the coefficients it is given; the maps the library derives
-from valid ones (compositions, adjoints, zero and identity maps, restricted
-differentials, Laplacians, block maps) skip those checks.  Overflow is caught
-where a map is decomposed: every singular value, rank, norm, kernel and image
-goes through `whitened`, which refuses a matrix that is not finite, so an
-overflowed product and an overflowed whitening both raise a ValueError.
-Identity-gram spaces of one dimension share one read-only identity matrix.
+and finiteness of the coordinate matrix it is given.  Derived maps
+(compositions, adjoints, zero and identity maps, restricted differentials,
+Laplacians, connecting and block maps) are born whitened: they keep the
+matrix between orthonormal coordinates, refuse one that is not finite (an
+overflow in their making) and compute coordinates only when read.  Every
+singular value, rank, norm, kernel and image goes through `whitened`, and
+each map is decomposed and ranked once.
 """
 
 from __future__ import annotations
@@ -53,6 +53,19 @@ def _identity(dim: int) -> np.ndarray:
     return _read_only(np.eye(dim))
 
 
+@lru_cache(maxsize=64)
+def _orthonormal_space(dim: int, normalization: float) -> "TracedSpace":
+    """The identity-gram space shared by the derived maps whose source or
+    target is an orthonormal basis (restricted differentials, connecting maps)."""
+    return TracedSpace(dim, normalization)
+
+
+def _finite(whitened: np.ndarray) -> np.ndarray:
+    if not np.isfinite(whitened).all():
+        raise ValueError("the map overflows a double in whitened coordinates")
+    return whitened
+
+
 @dataclass(frozen=True)
 class TracedSpace:
     """R^dim with gram form `gram` and trace normalization `normalization`."""
@@ -66,9 +79,9 @@ class TracedSpace:
         object.__setattr__(self, "normalization",
                            check_range("normalization", float(self.normalization), 0, np.inf))
         if self.gram is None:
-            # the gram, its Cholesky factor and both inverses are one identity
+            # the gram, its Cholesky factor and its inverse are one identity
             eye = _identity(self.dim)
-            for name in ("gram", "_chol", "inverse_whitener", "inverse_gram"):
+            for name in ("gram", "_chol", "inverse_whitener"):
                 object.__setattr__(self, name, eye)
             return
         gram = np.asarray(self.gram, dtype=float)
@@ -102,12 +115,6 @@ class TracedSpace:
         identity-gram space holds the shared identity from construction."""
         return _read_only(np.linalg.inv(self.whitener))
 
-    @cached_property
-    def inverse_gram(self) -> np.ndarray:
-        """gram^{-1}, computed once per space and shared, hence read-only; an
-        identity-gram space holds the shared identity from construction."""
-        return _read_only(np.linalg.inv(self.gram))
-
     def inner(self, u, v) -> float:
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
@@ -119,88 +126,99 @@ class TracedSpace:
 
 
 class TracedMap:
-    """Linear map between traced spaces, stored as a coordinate matrix."""
+    """Linear map between traced spaces: a coordinate matrix, or for a
+    derived map the matrix between whitened coordinates."""
 
     # per-map caches, set on first use
-    _whitened = _svals = _svd = None
+    _coefficients = _whitened = _svals = _svd = _rank = None
 
     def __init__(self, source: TracedSpace, target: TracedSpace, coefficients):
         coeff = np.asarray(coefficients, dtype=float)
         if coeff.shape != (target.dim, source.dim):
-            raise ValueError(
-                f"coefficient matrix must be {target.dim}x{source.dim}, got {coeff.shape}"
-            )
+            raise ValueError(f"coefficient matrix must be {target.dim}x{source.dim}, "
+                             f"got {coeff.shape}")
         if not np.isfinite(coeff).all():
             raise ValueError("coefficients must be finite")
-        self.source, self.target, self.coefficients = source, target, coeff
+        self.source, self.target, self._coefficients = source, target, coeff
 
     @classmethod
     def _derived(cls, source: TracedSpace, target: TracedSpace,
-                 coefficients: np.ndarray) -> "TracedMap":
-        """A map derived from valid ones: a float matrix of the right shape by
-        construction, so __init__'s checks are skipped; an overflow in its
-        making is refused by `whitened`."""
+                 whitened: np.ndarray) -> "TracedMap":
+        """A map derived from valid ones, born whitened: a float matrix of the
+        right shape by construction, so __init__'s checks are skipped; one
+        that is not finite (an overflow in its making) is refused."""
         f = object.__new__(cls)
-        f.source, f.target, f.coefficients = source, target, coefficients
+        f.source, f.target, f._whitened = source, target, _finite(whitened)
         return f
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        """The matrix in the spaces' coordinates; a derived map computes it
+        from its whitened matrix on first read."""
+        if self._coefficients is None:
+            self._coefficients = (self.target.inverse_whitener @ self._whitened
+                                  @ self.source.whitener)
+        return self._coefficients
 
     # -- gram-aware linear algebra -------------------------------------------------
 
     @property
     def whitened(self) -> np.ndarray:
         """Matrix of the map between the whitened (orthonormal) coordinates;
-        a matrix that is not finite (an overflow in deriving or whitening the
-        map) raises a ValueError."""
+        one that is not finite (an overflowed whitening) is refused."""
         if self._whitened is None:
-            w = self.target.whitener @ self.coefficients @ self.source.inverse_whitener
-            if not np.isfinite(w).all():
-                raise ValueError("the map overflows a double in whitened coordinates")
-            self._whitened = w
+            self._whitened = _finite(self.target.whitener @ self._coefficients
+                                     @ self.source.inverse_whitener)
         return self._whitened
 
     def singular_values(self) -> np.ndarray:
-        """Generalized singular values w.r.t. the gram forms, descending."""
+        """Generalized singular values w.r.t. the gram forms, descending; read
+        from the full decomposition when the map has one."""
         if self._svals is None:
-            if min(self.source.dim, self.target.dim) == 0:
-                sv = np.zeros(self.source.dim)
-            else:
-                sv = np.linalg.svd(self.whitened, compute_uv=False)
-                if self.source.dim > self.target.dim:
-                    sv = np.concatenate([sv, np.zeros(self.source.dim - self.target.dim)])
-            self._svals = sv
+            full = self._svd is not None or not min(self.source.dim, self.target.dim)
+            sv = self._full_svd()[1] if full else np.linalg.svd(self.whitened, compute_uv=False)
+            pad = self.source.dim - sv.size
+            self._svals = np.concatenate([sv, np.zeros(pad)]) if pad else sv
         return self._svals
 
     def _full_svd(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """u, s, vt of `whitened` with square u and vt, computed once per map
         and shared, hence read-only.  The bases below cut it at rank(), so the
-        rank rule decides them as it decides rank()."""
+        rank rule decides them as it decides rank(); a map from or to a zero
+        space has identities for u and vt."""
         if self._svd is None:
-            self._svd = tuple(_read_only(a) for a in
-                              np.linalg.svd(self.whitened, full_matrices=True))
+            m, n = self.whitened.shape
+            if min(m, n) == 0:
+                self._svd = (_identity(m), _read_only(np.zeros(0)), _identity(n))
+            else:
+                self._svd = tuple(_read_only(a) for a in
+                                  np.linalg.svd(self.whitened, full_matrices=True))
         return self._svd
 
     def kernel_basis(self) -> np.ndarray:
-        """Orthonormal basis (columns) of the kernel, in whitened source
-        coordinates."""
+        """Orthonormal kernel basis (columns), in whitened source coordinates."""
         return self._full_svd()[2][self.rank():].T
 
     def image_basis(self) -> np.ndarray:
-        """Orthonormal basis (columns) of the image, in whitened target
-        coordinates."""
+        """Orthonormal image basis (columns), in whitened target coordinates."""
         return self._full_svd()[0][:, :self.rank()]
 
-    def least_norm_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The x of least gram norm with f x = rhs (columns, in coordinates),
-        by the pseudoinverse of `whitened` cut at rank(); for rhs outside the
-        image, f x is the gram-orthogonal projection of rhs onto the image."""
+    def _pinv(self, rhs: np.ndarray) -> np.ndarray:
+        """The pseudoinverse of `whitened`, cut at rank(), applied to rhs
+        (columns, in whitened target coordinates)."""
         u, s, vt = self._full_svd()
         r = self.rank()
-        coords = (1.0 / s[:r])[:, None] * (u[:, :r].T @ (self.target.whitener @ rhs))
-        return np.linalg.solve(self.source.whitener, vt[:r].T @ coords)
+        return vt[:r].T @ ((1.0 / s[:r])[:, None] * (u[:, :r].T @ rhs))
+
+    def least_norm_solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The x of least gram norm with f x = rhs (columns, in coordinates);
+        for rhs outside the image, f x is the gram-orthogonal projection of
+        rhs onto the image."""
+        return self.source.inverse_whitener @ self._pinv(self.target.whitener @ rhs)
 
     def clamped_singular_values(self) -> np.ndarray:
         sv = self.singular_values().copy()
-        sv[~nonzero_mask(sv)] = 0.0
+        sv[self.rank():] = 0.0
         return sv
 
     @property
@@ -209,7 +227,11 @@ class TracedMap:
         return float(sv[0]) if sv.size else 0.0
 
     def rank(self) -> int:
-        return int(np.count_nonzero(nonzero_mask(self.singular_values())))
+        """The rank rule applied once per map; since the singular values
+        descend, the ones it keeps are the first rank() of them."""
+        if self._rank is None:
+            self._rank = int(np.count_nonzero(nonzero_mask(self.singular_values())))
+        return self._rank
 
     def kernel_dim(self) -> int:
         return self.source.dim - self.rank()
@@ -221,11 +243,9 @@ class TracedMap:
         return self.rank() == self.target.dim
 
     def min_nonzero_singular_value(self) -> float:
-        sv = self.singular_values()
-        nz = sv[nonzero_mask(sv)]
-        if nz.size == 0:
+        if self.rank() == 0:
             raise ValueError("map has no nonzero singular values")
-        return float(nz.min())
+        return float(self.singular_values()[self.rank() - 1])
 
     @property
     def inverse_norm(self) -> float:
@@ -237,11 +257,9 @@ class TracedMap:
         return 1.0 / self.min_nonzero_singular_value()
 
     def adjoint(self) -> "TracedMap":
-        """f* with <f u, v>_target = <u, f* v>_source."""
-        if self.source.dim == 0 or self.target.dim == 0:
-            return TracedMap.zero(self.target, self.source)
-        coeff = self.source.inverse_gram @ self.coefficients.T @ self.target.gram
-        return TracedMap._derived(self.target, self.source, coeff)
+        """f* with <f u, v>_target = <u, f* v>_source: the transpose in
+        whitened coordinates."""
+        return TracedMap._derived(self.target, self.source, self.whitened.T)
 
     # -- composition helpers -------------------------------------------------------
 
@@ -249,8 +267,7 @@ class TracedMap:
         """self ∘ other (apply `other` first)."""
         if other.target.dim != self.source.dim:
             raise ValueError("shape mismatch in composition")
-        return TracedMap._derived(other.source, self.target,
-                                  self.coefficients @ other.coefficients)
+        return TracedMap._derived(other.source, self.target, self.whitened @ other.whitened)
 
     def __matmul__(self, other: "TracedMap") -> "TracedMap":
         return self.compose(other)
@@ -260,11 +277,18 @@ class TracedMap:
 
     @staticmethod
     def identity(space: TracedSpace) -> "TracedMap":
-        return TracedMap._derived(space, space, np.eye(space.dim))
+        return TracedMap._exact(space, space, np.eye(space.dim))
 
     @staticmethod
     def zero(source: TracedSpace, target: TracedSpace) -> "TracedMap":
-        return TracedMap._derived(source, target, np.zeros((target.dim, source.dim)))
+        return TracedMap._exact(source, target, np.zeros((target.dim, source.dim)))
+
+    @staticmethod
+    def _exact(source: TracedSpace, target: TracedSpace, matrix: np.ndarray) -> "TracedMap":
+        """A zero or identity map: one matrix in all coordinates, read-only."""
+        f = TracedMap._derived(source, target, _read_only(matrix))
+        f._coefficients = matrix
+        return f
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"TracedMap({self.source.dim}->{self.target.dim}, norm={self.norm:.4g})"

@@ -1,14 +1,18 @@
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from l2tor.checks import CheckReport
-from l2tor.complexes import (FiniteCochainComplex, complex_sdf, connecting_map,
-                             laplacian_sdf_decomposition)
-from l2tor.rand import (random_complex, random_short_exact_triple, rng_for)
+from l2tor.complexes import (FiniteCochainComplex, ShortExactTriple, complex_sdf,
+                             connecting_map, laplacian_sdf_decomposition)
+from l2tor.rand import (random_complex, random_map, random_short_exact_triple,
+                        random_space, rng_for)
 from l2tor.sdf import SpectralDensityFunction, sdf_of_map
-from l2tor.traced import TracedMap, TracedSpace, nonzero_mask
+from l2tor.traced import TracedMap, TracedSpace, _orthonormal_space, nonzero_mask
 
 
 def two_term(scalar, normalization=1.0):
@@ -153,22 +157,42 @@ def test_harmonic_basis_matches_the_whitened_svd_route(seed, dims):
 def test_each_degree_is_decomposed_once(monkeypatch):
     C = random_complex(rng_for(3, 4), [3, 4, 4, 2], normalization=0.5)
     assert C.space(-1) is C.space(C.top_degree + 1)
-    spaces, solves = [], []
-    post_init, solve = TracedSpace.__post_init__, np.linalg.solve
+    svds, solves, spaces = Counter(), [], []
+    svd, solve, post_init = np.linalg.svd, np.linalg.solve, TracedSpace.__post_init__
+
+    def counted_svd(a, *args, **kwargs):
+        svds[sys._getframe(1).f_code.co_name] += 1
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counted_svd)
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(1) or solve(a, b))
     monkeypatch.setattr(TracedSpace, "__post_init__",
                         lambda s: spaces.append(s.dim) or post_init(s))
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(1) or solve(a, b))
-    for _ in range(2):
+    _orthonormal_space.cache_clear()
+    first = None
+    for _ in range(3):
         for p in range(C.top_degree + 1):
             complex_sdf(C, p)
             C.cohomology_dim(p)
-            laplacian_sdf_decomposition(C, p)
-    # degrees -1..3 each build one restricted differential, whose source is
-    # the one new space; each nonempty degree solves for its basis once
-    assert len(spaces) == C.top_degree + 2
-    assert len(solves) == C.top_degree + 1
+            C.harmonic_basis(p)
+            C.image_complement_basis(p)
+        first = first or (Counter(svds), list(spaces))
+    # every SVD is a map's own, taken once: _degree decomposes and solves
+    # nothing of its own, and a degree built once is not decomposed again
+    assert set(svds) <= {"singular_values", "_full_svd"}
+    assert not solves
+    assert (svds, spaces) == first
+    # the restricted differentials' sources are shared identity-gram spaces,
+    # one per dimension
+    dims = {C.restricted_differential(p).source.dim for p in range(-1, C.top_degree + 2)}
+    assert sorted(spaces) == sorted(dims)
     for p in range(-1, C.top_degree + 2):
-        assert C.restricted_differential(p) is C.restricted_differential(p)
+        restricted = C.restricted_differential(p)
+        assert restricted is C.restricted_differential(p)
+        assert restricted.source is _orthonormal_space(restricted.source.dim, 0.5)
+        # the image-complement basis is cut from c^{p-1}'s own decomposition
+        basis = C._degree(p)[0]
+        assert np.shares_memory(basis, C.differential(p - 1)._full_svd()[0]) or basis.size == 0
 
 
 def test_out_of_range_zero_maps_are_built_once_and_read_only():
@@ -183,6 +207,57 @@ def test_out_of_range_zero_maps_are_built_once_and_read_only():
         assert not first.coefficients.flags.writeable
     assert T.D.differential(-1).target is T.D.space(0)
     assert T.D.differential(top).source is T.D.space(top)
+
+
+def _one_degree_triple(j0=None, q0=None):
+    """0 -> R -> R^2 -> R -> 0 in one degree, with j and q the inclusion and
+    projection; j0 or q0 replaces j_0 or q_0."""
+    c, d, e = TracedSpace(1), TracedSpace(2), TracedSpace(1)
+    C, D, E = (FiniteCochainComplex([s], []) for s in (c, d, e))
+    j0 = j0 or TracedMap(c, d, np.array([[1.0], [0.0]]))
+    q0 = q0 or TracedMap(d, e, np.array([[0.0, 1.0]]))
+    return ShortExactTriple(C, D, E, [j0], [q0])
+
+
+_OTHER_SPACES = {
+    "normalization": TracedSpace(1, 0.5),
+    "gram": TracedSpace(1, 1.0, 3.0 * np.eye(1)),
+}
+
+
+@pytest.mark.parametrize("other", sorted(_OTHER_SPACES))
+@pytest.mark.parametrize("end", ["source", "target"])
+def test_complex_refuses_a_differential_between_other_spaces(other, end):
+    s0, s1 = TracedSpace(1), TracedSpace(1)
+    ends = {"source": s0, "target": s1, end: _OTHER_SPACES[other]}
+    d = TracedMap(ends["source"], ends["target"], np.array([[2.0]]))
+    with pytest.raises(ValueError, match=f"differential 0 has wrong {end}"):
+        FiniteCochainComplex([s0, s1], [d])
+
+
+@pytest.mark.parametrize("other", sorted(_OTHER_SPACES))
+@pytest.mark.parametrize("which", ["j_0 source", "q_0 target"])
+def test_triple_refuses_maps_between_other_spaces(other, which):
+    space = _OTHER_SPACES[other]
+    d = TracedSpace(2)
+    if which == "j_0 source":
+        bad = {"j0": TracedMap(space, d, np.array([[1.0], [0.0]]))}
+    else:
+        bad = {"q0": TracedMap(d, space, np.array([[0.0, 1.0]]))}
+    with pytest.raises(ValueError, match=f"{which.replace(' ', ' has wrong ')}"):
+        _one_degree_triple(**bad)
+
+
+def test_maps_between_equal_spaces_are_accepted():
+    # another object of equal dim, normalization and gram is the same space
+    gram = np.array([[2.0, 0.5], [0.5, 1.0]])
+    s0, s1 = TracedSpace(2, 0.5, gram), TracedSpace(1, 0.5)
+    d = TracedMap(TracedSpace(2, 0.5, gram.copy()), TracedSpace(1, 0.5), np.array([[1.0, 2.0]]))
+    assert FiniteCochainComplex([s0, s1], [d]).cohomology_dim(0) == 1
+    T = _one_degree_triple(j0=TracedMap(TracedSpace(1), TracedSpace(2),
+                                        np.array([[1.0], [0.0]])))
+    delta = connecting_map(T, 0)
+    assert (delta.source.dim, delta.target.dim) == (1, 0)
 
 
 def test_triple_validation_and_connecting_map_rank():
@@ -212,10 +287,143 @@ def test_connecting_map_explicit_nontrivial():
     d0 = TracedSpace(1)
     d1 = TracedSpace(1)
     D = FiniteCochainComplex([d0, d1], [TracedMap(d0, d1, np.array([[1.0]]))])
-    from l2tor.complexes import ShortExactTriple
     j = [TracedMap.zero(z, d0), TracedMap(r, d1, np.array([[1.0]]))]
     q = [TracedMap(d0, r, np.array([[1.0]])), TracedMap.zero(d1, z)]
     T = ShortExactTriple(C, D, E, j, q)
     delta = connecting_map(T, 0)
     assert delta.source.dim == 1 and delta.target.dim == 1
     assert abs(delta.coefficients[0, 0]) == pytest.approx(1.0)
+
+
+# -- the whitened route against today's gram-coordinate formulas -------------------
+#
+# Derived maps are born whitened, image complements are cut from the previous
+# differential's own decomposition and connecting maps are pseudoinverse
+# applies in whitened coordinates.  The oracles below are the gram-coordinate
+# formulas they replace: an adjoint G_s^-1 C^T G_t, compositions and
+# Laplacians as coefficient products, the image complement from an SVD of
+# W_t C_prev followed by a solve, and the connecting map through gram-
+# coordinate least-norm solves.
+
+def _gram_whitened(source: TracedSpace, target: TracedSpace, coeff: np.ndarray) -> np.ndarray:
+    return target.whitener @ coeff @ np.linalg.inv(source.whitener)
+
+
+def _gram_svals(source: TracedSpace, target: TracedSpace, coeff: np.ndarray) -> np.ndarray:
+    if min(source.dim, target.dim) == 0:
+        return np.zeros(source.dim)
+    sv = np.linalg.svd(_gram_whitened(source, target, coeff), compute_uv=False)
+    return np.concatenate([sv, np.zeros(max(source.dim - target.dim, 0))])
+
+
+def _gram_adjoint(f: TracedMap) -> np.ndarray:
+    return np.linalg.inv(f.source.gram) @ f.coefficients.T @ f.target.gram
+
+
+def _assert_same_map(f: TracedMap, coeff: np.ndarray) -> None:
+    """f against the gram-coordinate matrix coeff of the same map: singular
+    values to 1e-12 of the largest, equal ranks, coefficients to 1e-12
+    relative."""
+    want = _gram_svals(f.source, f.target, coeff)
+    got = f.singular_values()
+    assert got.shape == want.shape
+    assert np.abs(got - want).max(initial=0.0) <= 1e-12 * want.max(initial=0.0)
+    assert f.rank() == np.count_nonzero(nonzero_mask(want))
+    assert np.abs(f.coefficients - coeff).max(initial=0.0) <= 1e-12 * np.abs(coeff).max(
+        initial=0.0)
+
+
+def _gram_image_complement(C: FiniteCochainComplex, p: int) -> np.ndarray:
+    """The image-complement basis by the gram-coordinate route: an SVD of
+    W_t C_{p-1}, cut by the rank rule on its own values, then a solve."""
+    space = C.space(p)
+    if space.dim == 0:
+        return np.zeros((0, 0))
+    wt, prev = space.whitener, C.differential(p - 1)
+    if prev.source.dim == 0:
+        return np.linalg.solve(wt, np.eye(space.dim))
+    u, s, _ = np.linalg.svd(wt @ prev.coefficients, full_matrices=True)
+    return np.linalg.solve(wt, u[:, np.count_nonzero(nonzero_mask(s)):])
+
+
+def _gram_least_norm_solve(f: TracedMap, rhs: np.ndarray) -> np.ndarray:
+    u, s, vt = np.linalg.svd(_gram_whitened(f.source, f.target, f.coefficients),
+                             full_matrices=True)
+    r = np.count_nonzero(nonzero_mask(s))
+    coords = (1.0 / s[:r])[:, None] * (u[:, :r].T @ (f.target.whitener @ rhs))
+    return np.linalg.solve(f.source.whitener, vt[:r].T @ coords)
+
+
+def _gram_harmonic(C: FiniteCochainComplex, p: int) -> np.ndarray:
+    basis = _gram_image_complement(C, p)
+    d = C.differential(p)
+    if basis.shape[1] == 0 or d.target.dim == 0:
+        return basis
+    _, s, vt = np.linalg.svd(d.target.whitener @ d.coefficients @ basis, full_matrices=True)
+    return basis @ vt[np.count_nonzero(nonzero_mask(s)):].T
+
+
+def _projector(space: TracedSpace, basis: np.ndarray) -> np.ndarray:
+    """The gram-orthogonal projector onto the span of a gram-orthonormal basis,
+    in whitened coordinates."""
+    w = space.whitener
+    return w @ basis @ basis.T @ w.T
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 5), st.integers(0, 5), st.integers(0, 5))
+def test_compositions_match_coefficient_products(seed, du, dv, dw):
+    rng = rng_for(seed, 0)
+    U, V, W = (random_space(rng, n, 0.5) for n in (du, dv, dw))
+    f, g = random_map(rng, U, V), random_map(rng, V, W)
+    _assert_same_map(g @ f, g.coefficients @ f.coefficients)
+    _assert_same_map(f.adjoint() @ g.adjoint(), _gram_adjoint(f) @ _gram_adjoint(g))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 5), min_size=2, max_size=4))
+def test_whitened_maps_match_the_gram_coordinate_formulas(seed, dims):
+    C = random_complex(rng_for(seed, 0), dims, normalization=0.5)
+    for p in range(-1, len(dims) + 1):
+        d, prev = C.differential(p), C.differential(p - 1)
+        _assert_same_map(d.adjoint(), _gram_adjoint(d))
+        _assert_same_map(d.adjoint() @ d, _gram_adjoint(d) @ d.coefficients)
+        _assert_same_map(prev @ prev.adjoint(), prev.coefficients @ _gram_adjoint(prev))
+        _assert_same_map(C.laplacian(p), _gram_adjoint(d) @ d.coefficients
+                         + prev.coefficients @ _gram_adjoint(prev))
+        # the image complement spans the same subspace, and the restricted
+        # differential has the same singular values and rank
+        space, basis = C.space(p), _gram_image_complement(C, p)
+        got = C.image_complement_basis(p)
+        assert got.shape == basis.shape
+        assert np.abs(_projector(space, got) - _projector(space, basis)).max(
+            initial=0.0) <= 1e-12
+        restricted = C.restricted_differential(p)
+        want = _gram_svals(TracedSpace(basis.shape[1]), d.target, d.coefficients @ basis)
+        got = restricted.singular_values()
+        assert np.abs(got - want).max(initial=0.0) <= 1e-12 * want.max(initial=0.0)
+        assert restricted.rank() == np.count_nonzero(nonzero_mask(want))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 3), min_size=2, max_size=4),
+       st.lists(st.integers(0, 3), min_size=2, max_size=4))
+def test_connecting_map_matches_the_gram_coordinate_route(seed, dims_c, dims_e):
+    dims_c[0], dims_e[0] = max(dims_c[0], 1), max(dims_e[0], 1)
+    T = random_short_exact_triple(rng_for(seed, 0), dims_c, dims_e, normalization=0.5,
+                                  log_sing_range=(-3.5, 1.0))
+    for p in range(T.D.top_degree + 1):
+        delta = connecting_map(T, p)
+        h_e, h_c = _gram_harmonic(T.E, p), _gram_harmonic(T.C, p + 1)
+        assert (delta.source.dim, delta.target.dim) == (h_e.shape[1], h_c.shape[1])
+        if delta.source.dim == 0 or delta.target.dim == 0:
+            continue
+        lifts = _gram_least_norm_solve(T.q_at(p), h_e)
+        pulled = _gram_least_norm_solve(T.j_at(p + 1), T.D.differential(p).coefficients @ lifts)
+        coords = h_c.T @ T.C.space(p + 1).gram @ pulled
+        want = _gram_svals(delta.source, delta.target, coords)
+        assert np.abs(delta.singular_values() - want).max() <= 1e-12 * max(want.max(), 1.0)
+        assert delta.rank() == np.count_nonzero(nonzero_mask(want))
+        # the same operator E^p -> C^{p+1} through the harmonic embeddings,
+        # whichever orthonormal bases of the harmonic spaces each route took
+        e_gram = T.E.space(p).gram
+        new = T.C.harmonic_basis(p + 1) @ delta.coefficients @ T.E.harmonic_basis(p).T @ e_gram
+        old = h_c @ coords @ h_e.T @ e_gram
+        assert np.abs(new - old).max() <= 1e-12 * max(np.abs(old).max(), 1.0)

@@ -327,6 +327,20 @@ def test_sorted_singular_values_build_what_from_jumps_builds_bitwise(f):
         assert got.unit == want.unit
 
 
+@given(st.lists(st.one_of(st.sampled_from([0.0, 0.5, 2.0]),
+                          st.floats(0.0, 1e300, allow_nan=False)), max_size=8),
+       st.sampled_from([1.0, 0.5, 0.25, 1.0 / 3.0]))
+def test_sorted_path_equals_from_jumps_bitwise(values, unit):
+    # ties and zeros included: the walk over Python floats gives the same
+    # breakpoints and counts as the sorting construction
+    sv = np.array(sorted(values, reverse=True), dtype=float)
+    got = _from_descending(sv, unit)
+    want = SpectralDensityFunction.from_jumps(sv, np.ones(sv.shape), unit)
+    assert got.lams.tobytes() == want.lams.tobytes()
+    assert got.counts.tobytes() == want.counts.tobytes()
+    assert got.lams.dtype == got.counts.dtype == float and got.unit == want.unit
+
+
 @pytest.mark.parametrize("sv", [[1.0, 2.0], [2.0, 1.0, 1.5], [math.nan], [2.0, math.nan, 1.0],
                                 [1.0, -1.0], [math.inf, 1.0]],
                          ids=["ascending", "unsorted", "nan", "nan-inside", "negative", "inf"])

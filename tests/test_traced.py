@@ -43,15 +43,16 @@ def test_identity_space_is_exactly_the_identity(n):
         assert np.array_equal(m, np.eye(n))
 
 
-def test_cached_inverses_equal_direct_inverses_bitwise():
+def test_cached_inverse_equals_direct_inverse_bitwise():
     rng = rng_for(1, 5)
     s = random_space(rng, 5)
     assert s.inverse_whitener.tobytes() == np.linalg.inv(s.whitener).tobytes()
-    assert s.inverse_gram.tobytes() == np.linalg.inv(s.gram).tobytes()
     assert s.inverse_whitener is s.inverse_whitener
     assert s.orthonormal_basis().tobytes() == s.inverse_whitener.tobytes()
     with pytest.raises(ValueError):
-        s.inverse_gram[0, 0] = 0.0
+        s.inverse_whitener[0, 0] = 0.0
+    # the gram inverse is gone: derived maps are whitened, so no map needs it
+    assert not hasattr(s, "inverse_gram")
 
 
 @pytest.mark.parametrize("n", [0, 1, 4])
@@ -61,15 +62,15 @@ def test_identity_space_inverses_are_read_only_identities(n, monkeypatch):
 
     monkeypatch.setattr(np.linalg, "inv", no_inverse)
     s = TracedSpace(n)
-    for inv in (s.inverse_whitener, s.inverse_gram):
-        assert inv.dtype == float and inv.shape == (n, n)
-        assert inv.tobytes() == np.eye(n).tobytes()
-        assert not inv.flags.writeable
-    assert s.inverse_gram is s.inverse_gram
+    inv = s.inverse_whitener
+    assert inv.dtype == float and inv.shape == (n, n)
+    assert inv.tobytes() == np.eye(n).tobytes()
+    assert not inv.flags.writeable
+    assert s.inverse_whitener is inv
     # every identity-gram space of one dimension shares one identity for its
-    # gram, Cholesky factor and both inverses
+    # gram, Cholesky factor and inverse whitener
     other = TracedSpace(n, 0.5)
-    assert s.gram is other.inverse_gram is other.inverse_whitener is other._chol
+    assert s.gram is other.inverse_whitener is other._chol
     assert not s.gram.flags.writeable and not s.whitener.flags.writeable
     with pytest.raises(ValueError):
         s.gram[...] = 0.0
@@ -220,14 +221,15 @@ def test_rejects_nonfinite_coefficients():
         TracedMap(s, s, np.array([[np.inf, 0.0], [0.0, 1.0]]))
 
 
-def test_overflowed_composition_is_refused_when_decomposed():
+def test_overflowed_composition_is_refused_where_it_is_made():
+    # a derived map is born whitened and refuses a product that is not
+    # finite, so no overflowed map reaches a rank, norm or basis decision
     s = TracedSpace(2)
     g = TracedMap(s, s, np.full((2, 2), 1e200))
     with np.errstate(over="ignore", invalid="ignore"):
-        gg = g @ g   # derived, so not checked until it is decomposed
-        for decide in (gg.rank, gg.singular_values, gg.kernel_basis, lambda: gg.norm):
+        for make in (lambda: g @ g, lambda: g.adjoint() @ g, lambda: g @ g.adjoint()):
             with pytest.raises(ValueError, match="overflows"):
-                decide()
+                make()
 
 
 def test_whitening_overflow_is_refused_not_read_as_rank_zero():
@@ -244,8 +246,11 @@ def test_whitening_overflow_is_refused_not_read_as_rank_zero():
 @pytest.mark.parametrize("suite", ["short-exact", "gromov-shubin", "laplacian"])
 def test_only_generator_maps_run_the_validating_constructor(suite, monkeypatch):
     # compositions, adjoints, zero maps, restricted differentials,
-    # Laplacians, connecting and homotopy-defect maps are derived: every
-    # validating construction comes from the random generators
+    # Laplacians, connecting and homotopy-defect maps are derived, born
+    # whitened: every validating construction comes from the random
+    # generators, and no derived map has its coordinates recomputed from
+    # its whitened matrix (the structure checks read generator and zero
+    # maps' coordinates only)
     callers = Counter()
     init = TracedMap.__init__
 
@@ -259,12 +264,22 @@ def test_only_generator_maps_run_the_validating_constructor(suite, monkeypatch):
 
     def counted_derived(cls, *args):
         made["derived"] += 1
-        return derived(cls, *args)
+        f = derived(cls, *args)
+        assert f._whitened is args[2] and f._coefficients is None
+        return f
 
     monkeypatch.setattr(TracedMap, "_derived", classmethod(counted_derived))
+    coefficients = TracedMap.coefficients.fget
+
+    def counted_coefficients(self):
+        made["converted"] += self._coefficients is None
+        return coefficients(self)
+
+    monkeypatch.setattr(TracedMap, "coefficients", property(counted_coefficients))
     assert run_suite(suite, 7, 1, max_dim=6).ok
     assert set(callers) == {"l2tor.rand"}
     assert made["derived"] > callers["l2tor.rand"] > 0
+    assert made["converted"] == 0
 
 
 def _gram_pinv_apply(f: TracedMap, rhs: np.ndarray) -> np.ndarray:
