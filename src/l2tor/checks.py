@@ -35,7 +35,7 @@ from .rand import (random_complex, random_homotopy_pair, random_injective,
                    random_map, random_short_exact_triple, random_space,
                    random_surjective, rng_for)
 from .sdf import SpectralDensityFunction, _from_descending, sdf_of_map
-from .traced import TracedMap, _orthonormal_space
+from .traced import TracedMap, _orthonormal_space, same_space
 
 __all__ = [
     "Violation",
@@ -222,7 +222,7 @@ def check_basic_F(report: CheckReport, f: TracedMap, g: TracedMap | None = None,
     rF_f = F_f.reduced()
 
     if g is not None:
-        if g.source.dim != f.target.dim:
+        if not same_space(g.source, f.target):
             raise ValueError("g must be composable with f")
         gf = g @ f
         F_g, F_gf = sdf_of_map(g), sdf_of_map(gf)
@@ -253,7 +253,7 @@ def check_basic_F(report: CheckReport, f: TracedMap, g: TracedMap | None = None,
             report.skipped.append(("reduced.3", "ker g not contained in im f"))
 
     if i is not None:
-        if i.source.dim != f.target.dim:
+        if not same_space(i.source, f.target):
             raise ValueError("i must be composable with f")
         if not i.is_injective():
             report.skipped.append(("basic.4", "i not injective"))
@@ -264,7 +264,7 @@ def check_basic_F(report: CheckReport, f: TracedMap, g: TracedMap | None = None,
             report.leq("reduced.4", F_if.reduced(), [rF_f.scaled_argument(inv_norm)])
 
     if p is not None:
-        if p.target.dim != f.source.dim:
+        if not same_space(p.target, f.source):
             raise ValueError("p must land in the source of f")
         if not p.is_surjective():
             report.skipped.append(("basic.5", "p not surjective"))

@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import STRUCTURE_ATOL
 from .sdf import SpectralDensityFunction, sdf_of_map
-from .traced import TracedMap, TracedSpace, _orthonormal_space
+from .traced import TracedMap, TracedSpace, _orthonormal_space, same_space
 
 __all__ = [
     "FiniteCochainComplex",
@@ -25,11 +25,9 @@ __all__ = [
 
 
 def _check_spaces(name: str, f: TracedMap, source: TracedSpace, target: TracedSpace) -> None:
-    """Refuse a map whose source or target is not the given space: the same
-    object, or one of equal dim, normalization and gram."""
+    """Refuse a map whose source or target is not the given space."""
     for end, have, want in (("source", f.source, source), ("target", f.target, target)):
-        if have is not want and ((have.dim, have.normalization) != (want.dim, want.normalization)
-                                 or not np.array_equal(have.gram, want.gram)):
+        if not same_space(have, want):
             raise ValueError(f"{name} has wrong {end}")
 
 
@@ -69,8 +67,7 @@ class FiniteCochainComplex:
     def square_zero_defect(self) -> float:
         worst = 0.0
         for p in range(len(self.differentials) - 1):
-            comp = self.differentials[p + 1] @ self.differentials[p]
-            worst = max(worst, comp.norm)
+            worst = max(worst, (self.differentials[p + 1] @ self.differentials[p]).norm)
         return worst
 
     # -- gram-aware subspace computations ---------------------------------------------
@@ -173,21 +170,18 @@ class ShortExactTriple:
                 raise ValueError(f"j_{p} is not injective")
             if self.E.space(p).dim and not qp.is_surjective():
                 raise ValueError(f"q_{p} is not surjective")
-            comp = qp @ jp
-            if comp.norm > STRUCTURE_ATOL * max(1.0, qp.norm * jp.norm):
+            if (qp @ jp).norm > STRUCTURE_ATOL * max(1.0, qp.norm * jp.norm):
                 raise ValueError(f"q_{p} j_{p} != 0")
             # exactness: rank j_p + rank q_p = dim D^p pins ker q = im j
             if jp.rank() + qp.rank() != self.D.space(p).dim:
                 raise ValueError(f"ker q_{p} != im j_{p} (rank defect)")
             # commutation with differentials, in the spaces' coordinates
-            dj = self.D.differential(p).coefficients @ jp.coefficients
-            jd = self.j_at(p + 1).coefficients @ self.C.differential(p).coefficients
-            if np.max(np.abs(dj - jd), initial=0.0) > STRUCTURE_ATOL:
-                raise ValueError(f"j does not commute with d at degree {p}")
-            dq = self.E.differential(p).coefficients @ qp.coefficients
-            qd = self.q_at(p + 1).coefficients @ self.D.differential(p).coefficients
-            if np.max(np.abs(dq - qd), initial=0.0) > STRUCTURE_ATOL:
-                raise ValueError(f"q does not commute with d at degree {p}")
+            for name, at, A, B in (("j", self.j_at, self.C, self.D),
+                                   ("q", self.q_at, self.D, self.E)):
+                da = B.differential(p).coefficients @ at(p).coefficients
+                ad = at(p + 1).coefficients @ A.differential(p).coefficients
+                if np.max(np.abs(da - ad), initial=0.0) > STRUCTURE_ATOL:
+                    raise ValueError(f"{name} does not commute with d at degree {p}")
 
 
 def connecting_map(T: ShortExactTriple, p: int) -> TracedMap:
@@ -198,8 +192,7 @@ def connecting_map(T: ShortExactTriple, p: int) -> TracedMap:
     project onto the harmonic space of C^{p+1}.  Both cohomology spaces carry
     the subspace inner product induced by their harmonic embeddings.
     """
-    h_e = T.E._harmonic(p)
-    h_c = T.C._harmonic(p + 1)
+    h_e, h_c = T.E._harmonic(p), T.C._harmonic(p + 1)
     src = _orthonormal_space(h_e.shape[1], T.E.space(p).normalization)
     tgt = _orthonormal_space(h_c.shape[1], T.C.space(p + 1).normalization)
     if src.dim == 0 or tgt.dim == 0:

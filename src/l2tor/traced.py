@@ -27,7 +27,7 @@ import numpy as np
 from .config import RANK_RTOL, ZERO_SV_ATOL
 from .inputs import check_range
 
-__all__ = ["TracedSpace", "TracedMap", "nonzero_mask"]
+__all__ = ["TracedSpace", "TracedMap", "nonzero_mask", "same_space"]
 
 
 def nonzero_mask(sv: np.ndarray) -> np.ndarray:
@@ -53,10 +53,9 @@ def _identity(dim: int) -> np.ndarray:
     return _read_only(np.eye(dim))
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64)  # bounded, as _identity: a kept space outlives the maps that use it
 def _orthonormal_space(dim: int, normalization: float) -> "TracedSpace":
-    """The identity-gram space shared by the derived maps whose source or
-    target is an orthonormal basis (restricted differentials, connecting maps)."""
+    """The identity-gram space shared by restricted differentials, connecting and block maps."""
     return TracedSpace(dim, normalization)
 
 
@@ -64,6 +63,13 @@ def _finite(whitened: np.ndarray) -> np.ndarray:
     if not np.isfinite(whitened).all():
         raise ValueError("the map overflows a double in whitened coordinates")
     return whitened
+
+
+def same_space(a: "TracedSpace", b: "TracedSpace") -> bool:
+    """Whether a and b are one space (the same object, or equal dim, normalization
+    and gram), as a product of whitened matrices between them needs."""
+    return a is b or ((a.dim, a.normalization) == (b.dim, b.normalization)
+                      and np.array_equal(a.gram, b.gram))
 
 
 @dataclass(frozen=True)
@@ -264,9 +270,10 @@ class TracedMap:
     # -- composition helpers -------------------------------------------------------
 
     def compose(self, other: "TracedMap") -> "TracedMap":
-        """self ∘ other (apply `other` first)."""
-        if other.target.dim != self.source.dim:
-            raise ValueError("shape mismatch in composition")
+        """self ∘ other (apply `other` first), refused unless other's target
+        is self's source."""
+        if not same_space(other.target, self.source):
+            raise ValueError("composition through different spaces")
         return TracedMap._derived(other.source, self.target, self.whitened @ other.whitened)
 
     def __matmul__(self, other: "TracedMap") -> "TracedMap":

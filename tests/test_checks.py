@@ -131,6 +131,16 @@ def test_basic_shape_mismatch_rejected():
         check_basic_F(CheckReport(), f, g=g)
 
 
+@pytest.mark.parametrize("role", ["g", "i", "p"])
+def test_basic_maps_through_other_spaces_rejected(role):
+    # equal dimensions, another gram: g f, i f and f p would not compose
+    f = TracedMap.identity(TracedSpace(1))
+    other = TracedMap.identity(TracedSpace(1, 1.0, 3.0 * np.eye(1)))
+    message = "p must land in the source of f" if role == "p" else f"{role} must be composable"
+    with pytest.raises(ValueError, match=message):
+        check_basic_F(CheckReport(), f, **{role: other})
+
+
 def test_block_diagonal_additivity_exact():
     phi = diag_map([1.0, 3.0])
     xi = diag_map([2.0])

@@ -157,31 +157,45 @@ def test_harmonic_basis_matches_the_whitened_svd_route(seed, dims):
 def test_each_degree_is_decomposed_once(monkeypatch):
     C = random_complex(rng_for(3, 4), [3, 4, 4, 2], normalization=0.5)
     assert C.space(-1) is C.space(C.top_degree + 1)
-    svds, solves, spaces = Counter(), [], []
+    svds, solves, spaces, laplacians = [], [], [], []
     svd, solve, post_init = np.linalg.svd, np.linalg.solve, TracedSpace.__post_init__
+    laplacian = FiniteCochainComplex.laplacian
 
     def counted_svd(a, *args, **kwargs):
-        svds[sys._getframe(1).f_code.co_name] += 1
+        # the calling method and its map (kept, so no id is reused)
+        frame = sys._getframe(1)
+        svds.append((frame.f_code.co_name, frame.f_locals.get("self")))
         return svd(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "svd", counted_svd)
     monkeypatch.setattr(np.linalg, "solve", lambda a, b: solves.append(1) or solve(a, b))
     monkeypatch.setattr(TracedSpace, "__post_init__",
                         lambda s: spaces.append(s.dim) or post_init(s))
+    monkeypatch.setattr(FiniteCochainComplex, "laplacian",
+                        lambda self, p: laplacians.append(laplacian(self, p)) or laplacians[-1])
     _orthonormal_space.cache_clear()
-    first = None
+    passes = []
     for _ in range(3):
         for p in range(C.top_degree + 1):
             complex_sdf(C, p)
             C.cohomology_dim(p)
             C.harmonic_basis(p)
             C.image_complement_basis(p)
-        first = first or (Counter(svds), list(spaces))
-    # every SVD is a map's own, taken once: _degree decomposes and solves
-    # nothing of its own, and a degree built once is not decomposed again
-    assert set(svds) <= {"singular_values", "_full_svd"}
+            laplacian_sdf_decomposition(C, p)
+        passes.append((len(svds), len(spaces)))
+    # every SVD is a map's own, taken once per map and kind: _degree and the
+    # Laplacian decomposition run no SVD and no solve of their own
+    assert {name for name, _ in svds} <= {"singular_values", "_full_svd"}
     assert not solves
-    assert (svds, spaces) == first
+    assert set(Counter((name, id(f)) for name, f in svds).values()) == {1}
+    # a repeated pass builds no space and decomposes no map again: its only
+    # SVDs are those of its own new Laplacians, one values-only SVD each
+    fresh = {id(f) for f in laplacians}
+    assert len(fresh) == len(laplacians) == 3 * (C.top_degree + 1)
+    assert all(id(f) in fresh for _, f in svds[passes[0][0]:])
+    assert sorted((name, id(f)) for name, f in svds if id(f) in fresh) == sorted(
+        ("singular_values", i) for i in fresh)
+    assert passes[0][1] == len(spaces)
     # the restricted differentials' sources are shared identity-gram spaces,
     # one per dimension
     dims = {C.restricted_differential(p).source.dim for p in range(-1, C.top_degree + 2)}

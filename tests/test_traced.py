@@ -232,6 +232,28 @@ def test_overflowed_composition_is_refused_where_it_is_made():
                 make()
 
 
+@pytest.mark.parametrize("other", [TracedSpace(1, 0.5), TracedSpace(1, 1.0, 3.0 * np.eye(1))])
+def test_composition_through_different_spaces_is_refused(other):
+    # whitened matrices pair the target's and the source's orthonormal
+    # coordinates, so a product through spaces of one dimension but another
+    # normalization or gram would be a different map than the coefficients'
+    f = TracedMap(TracedSpace(1), TracedSpace(1), [[1.0]])
+    g = TracedMap(other, TracedSpace(1), [[1.0]])
+    with pytest.raises(ValueError, match="different spaces"):
+        g @ f
+    with pytest.raises(ValueError, match="different spaces"):
+        f.adjoint() @ g.adjoint()
+
+
+def test_composition_through_equal_spaces_is_the_coefficient_product():
+    gram = np.array([[2.0, 0.5], [0.5, 1.0]])
+    a, b = TracedSpace(2, 0.5, gram), TracedSpace(2, 0.5, gram.copy())
+    f = TracedMap(TracedSpace(2), a, [[1.0, 2.0], [0.0, 3.0]])
+    g = TracedMap(b, TracedSpace(1), [[4.0, -1.0]])
+    assert np.allclose((g @ f).coefficients, g.coefficients @ f.coefficients,
+                       rtol=1e-12, atol=0.0)
+
+
 def test_whitening_overflow_is_refused_not_read_as_rank_zero():
     # finite coefficients whose whitened matrix overflows: its singular
     # values would be NaN, read as rank 0 and an all-kernel density
