@@ -35,19 +35,15 @@ __all__ = [
     "PRESET_FAMILIES",
 ]
 
-# star coefficient is f^STAR_POWER[dim][q] on degree q forms
+# star coefficient is f^STAR_POWER[dim][q] on degree q forms; the star
+# variation acts on degree p by STAR_POWER[dim][dim - p] times (d_u f)/f
 STAR_POWER = {2: (1, 0, -1), 3: (3, 1, -1, -3)}
-# multiple of (d_u f)/f by which the star variation acts on degree p
-V_WEIGHT = {2: (-1.0, 0.0, 1.0), 3: (-3.0, -1.0, 1.0, 3.0)}
-# traces of the boundary-condition projections per degree (dim 3) and the
-# Neumann-minus-Dirichlet signs
+# traces of the boundary-condition projections per degree (dim 3)
 PSI_N = (1, 2, 1, 0)
 PSI_D = (0, 1, 2, 1)
-PSI_3 = (1, 1, -1, -1)
 # dim 2: degree 0 is Neumann, degree 2 Dirichlet; the middle degree carries
 # one of each, recorded as 0 (its variation multiple vanishes anyway)
 PSI_2 = (1, 0, -1)
-_CROSSCHECK_ATOL = 1e-10  # v_operator's cross-check, relative to max(1, |value|)
 _X_PROBES = (0.0, 0.25, 0.5, 0.9)  # ConformalFamily.validate's positivity probes
 
 
@@ -184,20 +180,6 @@ class Jet:
     def d_u(self) -> float:
         return float(self.c[0, 1])
 
-    def x_series(self, du: bool = False):
-        """Coefficients (order 0..2) of the x-expansion of f or d_u f."""
-        return self.c[:, 1 if du else 0].copy()
-
-
-def _series_divide(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """Quotient of two order-2 polynomials as a truncated power series."""
-    if den[0] == 0.0:
-        raise ZeroDivisionError("series division by vanishing value part")
-    q0 = num[0] / den[0]
-    q1 = (num[1] - q0 * den[1]) / den[0]
-    q2 = (num[2] - q0 * den[2] - q1 * den[1]) / den[0]
-    return np.array([q0, q1, q2])
-
 
 @dataclass(frozen=True)
 class ConformalFamily:
@@ -238,9 +220,16 @@ class ConformalFamily:
                 "the reduced boundary formula does not apply")
 
     def variation_multiple(self, u: float) -> np.ndarray:
-        """x-series (orders 0..2) of (d_u f)/f at the boundary."""
+        """x-series (orders 0..2) of (d_u f)/f at the boundary: the u-column
+        of log f, since d_u log f = (d_u f)/f.  The log squares f's
+        x-coefficients relative to f(0, u); where one passes about 1e154 the
+        square overflows a double, and the multiple is refused."""
         jet = self.jet(0.0, u)
-        return _series_divide(jet.x_series(du=True), jet.x_series())
+        with np.errstate(over="ignore", invalid="ignore"):
+            series = jet.log().c[:, 1].copy()
+        if not np.isfinite(series).all():
+            raise ValueError(f"the variation multiple overflows a double at u = {u}")
+        return series
 
 
 PRESET_FAMILIES = {
@@ -287,25 +276,15 @@ def hodge_star_conformal(family: ConformalFamily, p: int, point) -> list[dict]:
 def v_operator(family: ConformalFamily, p: int, point) -> float:
     """Scalar by which the star variation acts on degree-p forms at (x, u).
 
-    Computed from the closed-form multiple of (d_u f)/f and cross-checked
-    against the u-derivative of the star coefficient on the complementary
-    degree (the operator is (d_u star) composed with the star inverse), to
-    _CROSSCHECK_ATOL relative to max(1, |value|).
+    The operator is (d_u star) composed with the star inverse, and the star
+    on the complementary degree is f^k with k = STAR_POWER[dim][dim - p], so
+    it is k (d_u f)/f.
     """
     m = family.dim
     check_range("p", p, 0, m, "[]", integer=True)
     x, u = point
     jet = family.jet(x, u)
-    ratio = jet.d_u / jet.value
-    closed = V_WEIGHT[m][p] * ratio
-    power = STAR_POWER[m][m - p]
-    star = jet ** power
-    from_star = star.d_u / star.value
-    if abs(closed - from_star) > _CROSSCHECK_ATOL * max(1.0, abs(closed)):
-        raise AssertionError(
-            f"variation operator cross-check failed at {(x, u)}: "
-            f"{closed} vs {from_star}")
-    return closed
+    return STAR_POWER[m][m - p] * (jet.d_u / jet.value)
 
 
 def mean_curvature(family: ConformalFamily, u: float) -> float:
@@ -344,7 +323,7 @@ def anomaly_coefficients(family: ConformalFamily, u: float) -> AnomalyCoefficien
     series = family.variation_multiple(u)
     r1, r2 = float(series[1]), 2.0 * float(series[2])
     m = family.dim
-    w = V_WEIGHT[m]
+    w = STAR_POWER[m][::-1]
     if m == 2:
         d = [vol * PSI_2[p] * w[p] * r1 / (8.0 * math.pi) for p in range(3)]
         alternating = sum((-1) ** p * d[p] for p in range(3))
@@ -357,7 +336,7 @@ def anomaly_coefficients(family: ConformalFamily, u: float) -> AnomalyCoefficien
     second_alt = 0.0
     curvature_alt = 0.0
     for p in range(4):
-        second = 4.0 * PSI_3[p] * w[p] * r2
+        second = 4.0 * (PSI_N[p] - PSI_D[p]) * w[p] * r2
         curved = w[p] * r1 * ((PSI_N[p] + 5.0 * PSI_D[p]) * k + 16.0 * S[p])
         d.append(vol * (second + curved) / (256.0 * math.pi))
         second_alt += (-1) ** p * second / (256.0 * math.pi)
@@ -366,7 +345,7 @@ def anomaly_coefficients(family: ConformalFamily, u: float) -> AnomalyCoefficien
     alternating = sum((-1) ** p * d[p] for p in range(4))
     return AnomalyCoefficients(
         d, alternating,
-        {"psi": PSI_3, "psi_N": PSI_N, "psi_D": PSI_D},
+        {"psi": tuple(PSI_N[p] - PSI_D[p] for p in range(4)), "psi_N": PSI_N, "psi_D": PSI_D},
         diagnostics={
             "mean_curvature": k,
             "normal_derivative": r1,

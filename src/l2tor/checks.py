@@ -35,7 +35,7 @@ from .rand import (random_complex, random_homotopy_pair, random_injective,
                    random_map, random_short_exact_triple, random_space,
                    random_surjective, rng_for)
 from .sdf import SpectralDensityFunction, _from_descending, sdf_of_map
-from .traced import TracedMap, _orthonormal_space, same_space
+from .traced import TracedMap, _orthonormal_space, check_spaces, same_space
 
 __all__ = [
     "Violation",
@@ -300,12 +300,16 @@ def check_block_matrix_F(report: CheckReport, phi: TracedMap, gamma: TracedMap,
                          xi: TracedMap) -> None:
     """Upper-triangular block-map inequalities, plain and kernel-subtracted.
 
-    gamma: U2 -> V1 couples the blocks; item validity ranges follow the
+    gamma: U2 -> V1 couples the blocks, from xi's source to phi's target,
+    and U1, U2 and V1, V2 must share a normalization, so that each direct
+    sum is one traced space; item validity ranges follow the
     stated side conditions (phi invertible for item 2, the power-range bound
     for item 3, phi dense image and lambda < 1 for item 5).
     """
-    if gamma.source.dim != xi.source.dim or gamma.target.dim != phi.target.dim:
-        raise ValueError("gamma must map source(xi) -> target(phi)")
+    check_spaces("gamma", gamma, xi.source, phi.target)
+    if (phi.source.normalization != xi.source.normalization
+            or phi.target.normalization != xi.target.normalization):
+        raise ValueError("phi and xi act between spaces of different normalizations")
     M = _block_map(phi, gamma, xi)
     F_M, F_phi, F_xi = sdf_of_map(M), sdf_of_map(phi), sdf_of_map(xi)
     rF_M, rF_phi, rF_xi = F_M.reduced(), F_phi.reduced(), F_xi.reduced()
@@ -404,8 +408,10 @@ def check_gromov_shubin(report: CheckReport, C: FiniteCochainComplex,
                         T: list[TracedMap], p: int) -> None:
     """Density comparison along a chain homotopy equivalence.
 
-    Requires the homotopy relation g f = id + T c + c T at degree p to hold
-    within STRUCTURE_ATOL; then records the kernel-subtracted comparison
+    Requires f_q: C^q -> D^q, g_p: D^p -> C^p and T_q: C^q -> C^{q-1} for
+    the degrees q = p, p + 1 it reads, and the homotopy relation
+    g f = id + T c + c T at degree p to hold within STRUCTURE_ATOL; then
+    records the kernel-subtracted comparison
 
         rF_p(C, mu) <= rF_p(D, |f_{p+1}| |g_p| mu / (1 - |T_{p+1}| mu))
 
@@ -419,6 +425,12 @@ def check_gromov_shubin(report: CheckReport, C: FiniteCochainComplex,
     equivalent; the equality of harmonic dimensions is asserted as well.
     """
     check_range("p", p, 0, len(g) - 1, "[]", integer=True)
+    check_spaces(f"g_{p}", g[p], D.space(p), C.space(p))
+    for q in (p, p + 1):
+        if q < len(f):
+            check_spaces(f"f_{q}", f[q], C.space(q), D.space(q))
+        if q < len(T):
+            check_spaces(f"T_{q}", T[q], C.space(q), C.space(q - 1))
     space = C.space(p)
     resid = g[p].coefficients @ f[p].coefficients - np.eye(space.dim)
     if p + 1 < len(T) and T[p + 1].source.dim:

@@ -287,12 +287,16 @@ def _cmd_anomaly(args) -> int:
             us = np.linspace(_finite(u0), _finite(u1), int(n))
         except (ValueError, argparse.ArgumentTypeError):
             raise ValueError("--sweep expects u0:u1:n with finite bounds u0, u1") from None
-        writer = csv.writer(sys.stdout)
-        writer.writerow(["u", "sum"] + [f"d{p}" for p in range(family.dim + 1)])
+        rows = [["u", "sum"] + [f"d{p}" for p in range(family.dim + 1)]]
         for u in us:
             out = anomaly_coefficients(family, float(u))
-            writer.writerow([f"{u:.6g}", f"{out.alternating_sum:.12g}"]
-                            + [f"{d:.12g}" for d in out.d_per_degree])
+            rows.append([f"{u:.6g}", f"{out.alternating_sum:.12g}"]
+                        + [f"{d:.12g}" for d in out.d_per_degree])
+        if args.output:
+            with open(args.output, "w", newline="") as fh:
+                csv.writer(fh).writerows(rows)
+        else:
+            csv.writer(sys.stdout).writerows(rows)
         return 0
     out = anomaly_coefficients(family, args.u)
     _emit({"dim": family.dim, "family": family.name, "u": args.u,

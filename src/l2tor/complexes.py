@@ -13,7 +13,7 @@ import numpy as np
 
 from .config import STRUCTURE_ATOL
 from .sdf import SpectralDensityFunction, sdf_of_map
-from .traced import TracedMap, TracedSpace, _orthonormal_space, same_space
+from .traced import TracedMap, TracedSpace, _orthonormal_space, check_spaces
 
 __all__ = [
     "FiniteCochainComplex",
@@ -24,13 +24,6 @@ __all__ = [
 ]
 
 
-def _check_spaces(name: str, f: TracedMap, source: TracedSpace, target: TracedSpace) -> None:
-    """Refuse a map whose source or target is not the given space."""
-    for end, have, want in (("source", f.source, source), ("target", f.target, target)):
-        if not same_space(have, want):
-            raise ValueError(f"{name} has wrong {end}")
-
-
 class FiniteCochainComplex:
     """Graded traced spaces C^0 -> C^1 -> ... with c^{p+1} c^p = 0."""
 
@@ -38,7 +31,7 @@ class FiniteCochainComplex:
         if len(differentials) != max(len(spaces) - 1, 0):
             raise ValueError("need exactly len(spaces) - 1 differentials")
         for p, d in enumerate(differentials):
-            _check_spaces(f"differential {p}", d, spaces[p], spaces[p + 1])
+            check_spaces(f"differential {p}", d, spaces[p], spaces[p + 1])
         self.spaces = list(spaces)
         self.differentials = list(differentials)
         # by degree; any other key, whatever its type, names a zero space or map
@@ -146,7 +139,7 @@ class ShortExactTriple:
         self.j, self.q = list(j), list(q)
         for name, maps, source, target in (("j", self.j, C, D), ("q", self.q, D, E)):
             for p, f in enumerate(maps):
-                _check_spaces(f"{name}_{p}", f, source.space(p), target.space(p))
+                check_spaces(f"{name}_{p}", f, source.space(p), target.space(p))
         # by degree, as in FiniteCochainComplex: any other key names a zero map
         self._j: dict[int, TracedMap] = dict(enumerate(self.j))
         self._q: dict[int, TracedMap] = dict(enumerate(self.q))

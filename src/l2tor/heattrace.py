@@ -606,9 +606,9 @@ def large_time_dominating_bound(spectrum: Spectrum, eps: float, t_values=None) -
         raise ValueError("domination holds for finite t >= 1 only")
     pos = spectrum.positive_part()
     theta1 = pos.heat_trace(1.0, include_kernel=True)
-    f_eps = pos.counting_function()(eps)
     small = pos.eigenvalues[pos.eigenvalues <= eps]
     small_w = pos.weights[pos.eigenvalues <= eps]
+    f_eps = float(small_w.sum())
     violations = []
     margins = []
     for t in t_values:

@@ -27,7 +27,7 @@ import numpy as np
 from .config import RANK_RTOL, ZERO_SV_ATOL
 from .inputs import check_range
 
-__all__ = ["TracedSpace", "TracedMap", "nonzero_mask", "same_space"]
+__all__ = ["TracedSpace", "TracedMap", "check_spaces", "nonzero_mask", "same_space"]
 
 
 def nonzero_mask(sv: np.ndarray) -> np.ndarray:
@@ -70,6 +70,13 @@ def same_space(a: "TracedSpace", b: "TracedSpace") -> bool:
     and gram), as a product of whitened matrices between them needs."""
     return a is b or ((a.dim, a.normalization) == (b.dim, b.normalization)
                       and np.array_equal(a.gram, b.gram))
+
+
+def check_spaces(name: str, f: "TracedMap", source: "TracedSpace", target: "TracedSpace") -> None:
+    """Refuse a map whose source or target is not the given space."""
+    for end, have, want in (("source", f.source, source), ("target", f.target, target)):
+        if not same_space(have, want):
+            raise ValueError(f"{name} has wrong {end}")
 
 
 @dataclass(frozen=True)

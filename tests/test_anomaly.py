@@ -2,10 +2,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from l2tor.anomaly import (PRESET_FAMILIES, ConformalFamily, Jet,
+from l2tor.anomaly import (PRESET_FAMILIES, STAR_POWER, ConformalFamily, Jet,
                            anomaly_coefficients, hodge_star_conformal,
                            mean_curvature, product_lift, v_operator)
+
+
+def _series_divide(num, den):
+    """Quotient num/den of two order-2 x-series by long division: the
+    oracle for variation_multiple, which reads the u-column of log f."""
+    q0 = num[0] / den[0]
+    q1 = (num[1] - q0 * den[1]) / den[0]
+    q2 = (num[2] - q0 * den[2] - q1 * den[1]) / den[0]
+    return np.array([q0, q1, q2])
 
 
 def test_jet_arithmetic_against_finite_differences():
@@ -93,13 +104,65 @@ def test_v_operator_antisymmetry_dim3():
 
 
 def test_v_operator_crosscheck_random_families():
+    # the operator is (d_u star) star^-1, and the star on the complementary
+    # degree is f^k: v_operator equals d_u(f^k)/f^k, taken through jets
     rng = np.random.default_rng(12)
-    for _ in range(10):
-        a, b, c = rng.uniform(0.1, 0.8, 3)
-        fam = ConformalFamily(3, lambda x, u, a=a, b=b, c=c:
-                              1 + a * x + u * x * (b + c * x))
-        for p in range(4):
-            v_operator(fam, p, (float(rng.uniform(0, 1)), float(rng.uniform(0, 1))))
+    for dim in (2, 3):
+        for _ in range(10):
+            a, b, c = rng.uniform(0.1, 0.8, 3)
+            fam = ConformalFamily(dim, lambda x, u, a=a, b=b, c=c:
+                                  1 + a * x + u * x * (b + c * x))
+            for p in range(dim + 1):
+                point = (float(rng.uniform(0, 1)), float(rng.uniform(0, 1)))
+                value = v_operator(fam, p, point)
+                star = fam.jet(*point) ** STAR_POWER[dim][dim - p]
+                assert abs(value - star.d_u / star.value) <= 1e-10 * max(1.0, abs(value))
+
+
+@given(st.lists(st.floats(-2.0, 2.0), min_size=12, max_size=12),
+       st.lists(st.floats(0.25, 4.0), min_size=2, max_size=2),
+       st.lists(st.floats(-0.2, 0.2), min_size=2, max_size=2),
+       st.floats(0.0, 1.0))
+def test_variation_multiple_is_the_series_quotient(coefficients, constants, slopes, u):
+    # f = (P0 + u P1) / (Q0 + u Q1) with P, Q quadratics in x, positive at x = 0
+    a = np.array(coefficients).reshape(2, 2, 3)
+    a[:, 0, 0], a[:, 1, 0] = constants, slopes
+
+    def f(x, u):
+        P0, P1, Q0, Q1 = (sum(a[k, j, i] * x ** i for i in range(3))
+                          for k in range(2) for j in range(2))
+        return (P0 + u * P1) / (Q0 + u * Q1)
+
+    family = ConformalFamily(3, f)
+    jet = family.jet(0.0, u)
+    expected = _series_divide(jet.c[:, 1], jet.c[:, 0])
+    got = family.variation_multiple(u)
+    assert np.abs(got - expected).max() <= 1e-13 * max(1.0, np.abs(expected).max())
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("u", [0.0, 0.1, 0.5, 1.0])
+def test_variation_multiple_of_the_presets_is_the_series_quotient_bitwise(dim, u):
+    family = PRESET_FAMILIES[dim]
+    jet = family.jet(0.0, u)
+    expected = _series_divide(jet.c[:, 1], jet.c[:, 0])
+    assert family.variation_multiple(u).tobytes() == expected.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dim", [2, 3])
+def test_variation_multiple_refuses_an_overflowed_log_without_a_warning(dim):
+    # log f = log(1 + e) squares e's x-coefficient u (or 1 + u)
+    family = PRESET_FAMILIES[dim]
+    assert family.variation_multiple(1e150).tolist() == [0.0, 1.0, -1e150]
+    with pytest.raises(ValueError, match="variation multiple overflows a double"):
+        family.variation_multiple(1e200)
+
+
+def test_variation_multiple_refuses_a_factor_not_positive_at_the_boundary():
+    for f in (lambda x, u: x - 1 + 0 * u, lambda x, u: x + u * x):
+        with pytest.raises(ValueError, match="positive"):
+            ConformalFamily(3, f).variation_multiple(0.5)
 
 
 def test_mean_curvature_values():

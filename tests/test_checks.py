@@ -163,6 +163,42 @@ def test_block_item4_identity_example():
         assert relations[item].rhs[0].lams.tolist() == [0.25]
 
 
+def _regrammed(space, scale):
+    """A space of the same dimension and normalization whose gram is scale
+    times that of space."""
+    return TracedSpace(space.dim, space.normalization, scale * space.gram)
+
+
+@pytest.mark.parametrize("end", ["source", "target"])
+def test_block_refuses_gamma_between_other_spaces(end):
+    # equal dimensions, a 9·I gram: the block map would mix coordinates
+    phi, xi = diag_map([1.0, 3.0]), diag_map([2.0, 0.5])
+    source = _regrammed(xi.source, 9.0) if end == "source" else xi.source
+    target = _regrammed(phi.target, 9.0) if end == "target" else phi.target
+    gamma = TracedMap(source, target, np.ones((2, 2)))
+    with pytest.raises(ValueError, match=f"gamma has wrong {end}"):
+        check_block_matrix_F(CheckReport(), phi, gamma, xi)
+
+
+@pytest.mark.parametrize("ends", ["sources", "targets"])
+def test_block_refuses_summands_of_different_normalizations(ends):
+    # U1 + U2 and V1 + V2 are traced spaces only with one normalization each
+    phi = diag_map([1.0, 3.0])
+    one, half = TracedSpace(1), TracedSpace(1, 0.5)
+    xi = TracedMap(half, one, [[2.0]]) if ends == "sources" else TracedMap(one, half, [[2.0]])
+    gamma = TracedMap.zero(xi.source, phi.target)
+    with pytest.raises(ValueError, match="phi and xi act between spaces of different normalizations"):
+        check_block_matrix_F(CheckReport(), phi, gamma, xi)
+
+
+def test_block_accepts_gamma_between_equal_spaces():
+    phi, xi = diag_map([1.0, 3.0]), diag_map([2.0, 0.5])
+    gamma = TracedMap(_regrammed(xi.source, 1.0), _regrammed(phi.target, 1.0), np.ones((2, 2)))
+    same = TracedMap(xi.source, phi.target, np.ones((2, 2)))
+    assert checked(check_block_matrix_F, phi, gamma, xi) == checked(check_block_matrix_F,
+                                                                     phi, same, xi)
+
+
 def test_block_random_suite_small():
     rep = run_suite("block", seed=11, instances=60, max_dim=4)
     assert rep.ok
@@ -231,6 +267,35 @@ def test_gromov_shubin_homotopy_residual_rejected():
          for p in range(n)]
     with pytest.raises(ValueError):
         check_gromov_shubin(CheckReport(), C, C, f, bad_g, T, 0)
+
+
+def _rebuilt(maps, degree, end, scale):
+    """The lists f, g, T with one map's source or target regrammed by scale."""
+    h = maps[degree]
+    source = _regrammed(h.source, scale) if end == "source" else h.source
+    target = _regrammed(h.target, scale) if end == "target" else h.target
+    return [*maps[:degree], TracedMap(source, target, h.coefficients), *maps[degree + 1:]]
+
+
+@pytest.mark.parametrize("name, degree, end", [
+    ("f", 0, "source"), ("f", 1, "target"), ("g", 0, "source"), ("g", 0, "target"),
+    ("T", 1, "source"), ("T", 1, "target"),
+])
+def test_gromov_shubin_refuses_maps_between_other_spaces(name, degree, end):
+    # each map degree 0 reads, rebuilt into a 25·I-gram copy of its space:
+    # the homotopy residual reads coefficients only, so only the spaces tell
+    C, D, f, g, T = random_homotopy_pair(rng_for(4, 5), [2, 3, 2])
+    maps = {"f": f, "g": g, "T": T}
+    maps[name] = _rebuilt(maps[name], degree, end, 25.0)
+    with pytest.raises(ValueError, match=f"{name}_{degree} has wrong {end}"):
+        check_gromov_shubin(CheckReport(), C, D, maps["f"], maps["g"], maps["T"], 0)
+
+
+def test_gromov_shubin_accepts_maps_between_equal_spaces():
+    C, D, f, g, T = random_homotopy_pair(rng_for(4, 5), [2, 3, 2])
+    copied = _rebuilt(_rebuilt(f, 1, "target", 1.0), 1, "source", 1.0)
+    assert checked(check_gromov_shubin, C, D, copied, g, T, 0) == checked(
+        check_gromov_shubin, C, D, f, g, T, 0)
 
 
 def test_gromov_shubin_cone_pairs():

@@ -468,6 +468,19 @@ def test_anomaly_sweep_csv(capsys):
     assert len(lines) == 4
 
 
+@pytest.mark.parametrize("placement", ["subcommand", "top-level"])
+def test_anomaly_sweep_writes_its_csv_to_output(capsys, tmp_path, placement):
+    sweep = ["anomaly", "--dim", "3", "--sweep", "0:1:4"]
+    _, stdout, _ = run_cli(capsys, *sweep)
+    path = tmp_path / "sweep.csv"
+    argv = ([*sweep, "--output", str(path)] if placement == "subcommand"
+            else ["--output", str(path), *sweep])
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert out == ""
+    assert path.read_bytes() == stdout.encode()
+
+
 def test_jsj_json_and_text(capsys, tmp_path):
     manifest = tmp_path / "m.json"
     manifest.write_text(json.dumps({

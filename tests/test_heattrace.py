@@ -647,6 +647,17 @@ def test_domination_single_eigenvalue_strict():
     assert all(m > 0 for m in out["margins"][1:])
 
 
+def test_domination_counts_an_eigenvalue_at_eps_with_its_weight():
+    # F(eps) counts the eigenvalues <= eps, weighted: here the weight 2 at 1
+    S = Spectrum.from_pairs([(1.0, 2.0), (3.0, 0.5)])
+    theta1 = 2.0 * math.exp(-1.0) + 0.5 * math.exp(-3.0)
+    out = large_time_dominating_bound(S, eps=1.0, t_values=[1.0, 4.0])
+    for t, margin in zip([1.0, 4.0], out["margins"]):
+        lhs = (2.0 * math.exp(-t) + 0.5 * math.exp(-3.0 * t)) / t
+        rhs = (math.exp(-t) * 2.0 + math.exp(-t) * math.exp(1.0) * theta1) / t
+        assert margin == pytest.approx(rhs - lhs, rel=1e-13)
+
+
 def test_domination_gap_above_eps():
     S = Spectrum.from_pairs([(5.0, 2.0)])
     out = large_time_dominating_bound(S, eps=1.0)

@@ -411,8 +411,9 @@ def test_derived_functions_skip_validation(monkeypatch):
         assert D.lams.size
     assert calls == []
     rng = rng_for(4, 1)
-    phi, xi, gamma = (random_map(rng, random_space(rng, dims[0]), random_space(rng, dims[1]))
-                      for dims in ((3, 3), (2, 4), (2, 3)))
+    phi, xi = (random_map(rng, random_space(rng, dims[0]), random_space(rng, dims[1]))
+               for dims in ((3, 3), (2, 4)))
+    gamma = random_map(rng, xi.source, phi.target)
     check_block_matrix_F(CheckReport(), phi, gamma, xi)
     assert calls == []  # sdf_of_map of M, phi and xi builds from sorted values
 
