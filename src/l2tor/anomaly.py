@@ -109,7 +109,9 @@ class Jet:
                     continue
                 for i2 in range(3 - i1):
                     for j2 in range(2 - j1):
-                        out[i1 + i2, j1 + j2] += v * o[i2, j2]
+                        w = o[i2, j2]
+                        if w != 0.0:  # a structural zero times an overflow is 0, not NaN
+                            out[i1 + i2, j1 + j2] += v * w
         return Jet(out)
 
     __rmul__ = __mul__
@@ -222,8 +224,9 @@ class ConformalFamily:
     def variation_multiple(self, u: float) -> np.ndarray:
         """x-series (orders 0..2) of (d_u f)/f at the boundary: the u-column
         of log f, since d_u log f = (d_u f)/f.  The log squares f's
-        x-coefficients relative to f(0, u); where one passes about 1e154 the
-        square overflows a double, and the multiple is refused."""
+        x-coefficients relative to f(0, u); an overflow in the pure-x column
+        stays there, but one that reaches the u-column (past u ≈ 9e307 for
+        the presets) refuses the multiple."""
         jet = self.jet(0.0, u)
         with np.errstate(over="ignore", invalid="ignore"):
             series = jet.log().c[:, 1].copy()

@@ -9,9 +9,10 @@ report once, in Python floats, one relation at a time.  Each relation is
 decided at 0 and at every breakpoint of its functions in its range, the
 breakpoints listed once per function and decision, and the violations come
 in the order recorded; its probes are counted once per cluster of
-breakpoints.  No other module decides a relation between step functions.
-Ranks come from the rank rule (traced.nonzero_mask).  Values are whole
-counts of one unit and are compared exactly; the one slack,
+breakpoints.  No other module decides a relation between step functions,
+and the decision reads the functions' lists of floats as they are, with no
+array built.  Ranks come from the rank rule (TracedMap.rank).  Values are
+whole counts of one unit and are compared exactly; the one slack,
 config.TIE_RTOL, forgives breakpoints that differ only by eigensolve
 rounding: tie_shifted sets how far a cluster reaches and moves the right
 side's positive points of an inequality and both sides' of an equality,
@@ -116,11 +117,15 @@ class CheckReport:
         return margins
 
 
-def tie_shifted(lams) -> np.ndarray:
+def tie_shifted(lams):
     """Positive lams moved right by TIE_RTOL * max(1, lam); evaluating there
     forgives breakpoints that differ only by eigensolve rounding.  Zero stays
     where it is, so a kernel on one side that the other side places at a
-    small positive breakpoint is seen at any scale."""
+    small positive breakpoint is seen at any scale.  A list of floats (the
+    decider's points) is shifted into a list, anything else into a float
+    array, by the same operations."""
+    if isinstance(lams, list):
+        return [x + TIE_RTOL * (x if x > 1.0 else 1.0) if x > 0.0 else x for x in lams]
     lams = np.asarray(lams, dtype=float)
     # max(lam > 0, lam) is max(1, lam) for a positive lam and 0 otherwise
     return lams + TIE_RTOL * np.maximum(lams > 0.0, lams)
@@ -129,13 +134,13 @@ def tie_shifted(lams) -> np.ndarray:
 def _decide(relations: list[_Relation]) -> tuple[int, list[Violation], list[float | None]]:
     """Probe count, violations and margins of the relations, in Python floats.
 
-    Each distinct function's breakpoints and counts are listed once.  A
-    relation is evaluated at 0 and at every distinct breakpoint of its
-    functions below upper, sorted, and every point of the decision is
-    tie-shifted in one call.  Every function is constant from one point to
-    the next and past the last, so for an inequality any other point reads
-    the left side no higher and the right side no lower than the point
-    below it.  The points are counted as probes by clusters: a cluster
+    Each distinct function's lists of breakpoints and counts are read once,
+    as the function keeps them, with no array between.  A relation is
+    evaluated at 0 and at every distinct breakpoint of its functions below
+    upper, sorted, and every point of the decision is tie-shifted in one
+    call.  Every function is constant from one point to the next and past
+    the last, so for an inequality any other point reads the left side no
+    higher and the right side no lower than the point below it.  The points are counted as probes by clusters: a cluster
     starts at a point b and takes every later point up to tie_shifted(b),
     so breakpoints that differ only by rounding are one probe.  The shift
     leaves 0 where it is, which makes 0 a cluster of its own, and an empty
@@ -159,13 +164,13 @@ def _decide(relations: list[_Relation]) -> tuple[int, list[Violation], list[floa
             # breakpoints, counts led by the 0 left of the first breakpoint
             entry = listed.get(id(F))
             if entry is None:
-                entry = listed[id(F)] = (F.lams.tolist(), [0.0, *F.counts.tolist()])
+                entry = listed[id(F)] = (F._lams, [0.0, *F._counts])
             side.append(entry)
             distinct.update(entry[0])
         upper = float(rel.upper)
         sides.append(side)
         grids.append(sorted(x for x in distinct if x < upper))
-    shifted = tie_shifted([x for grid in grids for x in grid]).tolist()
+    shifted = tie_shifted([x for grid in grids for x in grid])
 
     probes, start = 0, 0
     violations: list[Violation] = []
@@ -277,9 +282,7 @@ def check_basic_F(report: CheckReport, f: TracedMap, g: TracedMap | None = None,
                        constant=p.kernel_dim())
 
     # square identity: density of f*f at lambda equals density of f at sqrt(lambda)
-    sv = (f.adjoint() @ f).singular_values().copy()
-    sv[f.rank():] = 0.0
-    F_ff = _from_descending(sv, F_f.unit)
+    F_ff = _from_descending((f.adjoint() @ f).singular_values(), f.rank(), F_f.unit)
     report.equal("basic.6", F_ff, [F_f.power_argument(0.5)])
 
 
@@ -400,7 +403,8 @@ def _moebius_argument(F: SpectralDensityFunction, c: float, t: float) -> Spectra
     """
     if c <= 0:
         return F.scaled_argument(0.0)
-    return F._derived(F.lams / (c + t * F.lams), F.counts, F.unit, moved=True)
+    c, t = float(c), float(t)
+    return F._derived([s / (c + t * s) for s in F._lams], F._counts, F.unit, moved=True)
 
 
 def check_gromov_shubin(report: CheckReport, C: FiniteCochainComplex,

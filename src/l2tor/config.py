@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import os
 
-# The rank rule, applied only by traced.nonzero_mask: singular values at or
-# below RANK_RTOL times the largest are zero.
+# The rank rule, whose threshold only traced._rank_threshold computes:
+# singular values at or below RANK_RTOL times the largest are zero.
 RANK_RTOL = 1e-10
 
 # Absolute floor of the rank rule, below which singular values are zero

@@ -19,6 +19,7 @@ each map is decomposed and ranked once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -30,15 +31,21 @@ from .inputs import check_range
 __all__ = ["TracedSpace", "TracedMap", "check_spaces", "nonzero_mask", "same_space"]
 
 
-def nonzero_mask(sv: np.ndarray) -> np.ndarray:
-    """The rank rule, behind every rank, kernel and image decision: the
-    singular values sv (in any order) that exceed both RANK_RTOL times the
-    largest and ZERO_SV_ATOL count as nonzero.  A NaN or infinite value is
-    refused: it would turn the threshold into NaN and every value into a zero."""
-    top = sv.max(initial=0.0)
-    if not top < np.inf:
+def _rank_threshold(values: list[float]) -> float:
+    """The rank rule's threshold for the singular values `values` (Python
+    floats, in any order): RANK_RTOL times the largest, and at least
+    ZERO_SV_ATOL.  A NaN or infinite value at any position is refused: it
+    would turn the threshold into NaN or inf and every value into a zero."""
+    if not all(map(math.isfinite, values)):
         raise ValueError("singular values must be finite")
-    return sv > max(RANK_RTOL * top, ZERO_SV_ATOL)
+    return max(RANK_RTOL * max(values, default=0.0), ZERO_SV_ATOL)
+
+
+def nonzero_mask(sv: np.ndarray) -> np.ndarray:
+    """The rank rule on an array, behind the kernels that rand draws: the
+    singular values sv (in any order) above _rank_threshold count as
+    nonzero.  TracedMap.rank() applies the same threshold to its values."""
+    return sv > _rank_threshold(sv.tolist())
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -229,21 +236,18 @@ class TracedMap:
         rhs onto the image."""
         return self.source.inverse_whitener @ self._pinv(self.target.whitener @ rhs)
 
-    def clamped_singular_values(self) -> np.ndarray:
-        sv = self.singular_values().copy()
-        sv[self.rank():] = 0.0
-        return sv
-
     @property
     def norm(self) -> float:
         sv = self.singular_values()
         return float(sv[0]) if sv.size else 0.0
 
     def rank(self) -> int:
-        """The rank rule applied once per map; since the singular values
-        descend, the ones it keeps are the first rank() of them."""
+        """The rank rule applied once per map, in Python floats: the count of
+        singular values above _rank_threshold.  Since they descend, the ones
+        it keeps are the first rank() of them."""
         if self._rank is None:
-            self._rank = int(np.count_nonzero(nonzero_mask(self.singular_values())))
+            values = self.singular_values().tolist()
+            self._rank = sum(map(_rank_threshold(values).__lt__, values))
         return self._rank
 
     def kernel_dim(self) -> int:

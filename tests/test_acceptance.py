@@ -5,7 +5,8 @@ them stream) and asserts the pinned tolerance.  The randomized suites run
 once in a module fixture so the wall-clock and probe-count budgets can be
 asserted over the whole block.  The byte-identity gate rides on the same
 fixture: the sha256 of the selftest report, and the suites' counts at two
-more seeds.
+more seeds; the suites' decide() margins at seed 7 are pinned on their own
+smaller run.
 """
 
 import hashlib
@@ -14,7 +15,8 @@ import time
 
 import pytest
 
-from l2tor.checks import run_suite
+from l2tor import checks
+from l2tor.checks import SUITES, run_suite
 from l2tor.cli import _emit, _environment
 from l2tor.config import DEFAULT_SEED
 from l2tor.selftest import CRITERIA, CriterionResult
@@ -132,6 +134,30 @@ def test_suite_counts_at_other_seeds_are_pinned(suite, seed):
     rep = run_suite(suite, seed=seed, instances=200, max_dim=6)
     counts = (rep.probes, len(rep.violations), sum(rep.skipped.values()))
     assert counts == _OTHER_SEEDS[suite, seed]
+
+
+# sha256 of every decide() margin of the five suites at seed 7, 50 instances
+# each and max_dim 6, in suite-name order: float.hex, or None where a left
+# side vanishes on its range; a last-bit change in the step-function algebra
+# or in a rank moves it even where no probe, violation or skip moves
+_MARGINS_SHA256 = "7164915d0d441b6f21a9f59977579417e52766c841f520ddfb5ded251dd957e9"
+
+
+def test_suite_margins_at_seed_7_are_pinned(monkeypatch):
+    margins = []
+    decide = checks._decide
+
+    def collected(relations):
+        probes, violations, found = decide(relations)
+        margins.extend(found)
+        return probes, violations, found
+
+    monkeypatch.setattr(checks, "_decide", collected)
+    for suite in sorted(SUITES):
+        run_suite(suite, seed=7, instances=50, max_dim=6)
+    assert len(margins) == 1_708
+    text = "\n".join("None" if m is None else m.hex() for m in margins)
+    assert hashlib.sha256(text.encode()).hexdigest() == _MARGINS_SHA256
 
 
 def test_inequality_suites_probe_and_time_budget(results):

@@ -152,11 +152,15 @@ def test_variation_multiple_of_the_presets_is_the_series_quotient_bitwise(dim, u
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("dim", [2, 3])
 def test_variation_multiple_refuses_an_overflowed_log_without_a_warning(dim):
-    # log f = log(1 + e) squares e's x-coefficient u (or 1 + u)
+    # log f = log(1 + e) squares e's x-coefficient u (or 1 + u): past 1.3e154
+    # that square overflows in the pure-x column, which a structural zero of
+    # the u-column meets without making NaN; the u-column's own x^2 entry
+    # 2u overflows past 9e307
     family = PRESET_FAMILIES[dim]
-    assert family.variation_multiple(1e150).tolist() == [0.0, 1.0, -1e150]
+    for u in (1e150, 1e200, 1e300):
+        assert family.variation_multiple(u).tolist() == [0.0, 1.0, -u]
     with pytest.raises(ValueError, match="variation multiple overflows a double"):
-        family.variation_multiple(1e200)
+        family.variation_multiple(1e308)
 
 
 def test_variation_multiple_refuses_a_factor_not_positive_at_the_boundary():

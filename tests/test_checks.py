@@ -808,31 +808,43 @@ def test_a_violation_found_without_probing_keeps_its_place():
 
 @pytest.mark.parametrize("suite", ["basic", "block"])
 def test_an_instance_probes_each_function_once_and_decides_once(monkeypatch, suite):
-    # the breakpoints of every distinct function of the instance are listed
-    # once in its one decision, and no function is asked for its probe
-    # points on its own
-    listed, views, probed, batches = [], [], [], []
+    # the breakpoints of every distinct function of the instance are read
+    # once in its one decision, no function is asked for its probe points
+    # on its own, and no breakpoint or count array is built while the
+    # instance runs: the algebra and the decision work on the lists the
+    # functions keep
+    reads, built, probed, batches, deciding = [], [], [], [], []
     decide = checks._decide
+    slot = SpectralDensityFunction.__dict__["_lams"]
 
-    class Listed(np.ndarray):
-        def tolist(self):
-            listed.append(id(self))
-            return super().tolist()
+    def read_lams(F):
+        if deciding:
+            reads.append(id(F))
+        return slot.__get__(F)
 
     def counted_decide(relations):
         batches.append(relations)
-        for F in {id(F): F for rel in relations for F in (rel.lhs, *rel.rhs)}.values():
-            F.lams = F.lams.view(Listed)
-            views.append(id(F.lams))
-        return decide(relations)
+        deciding.append(True)
+        try:
+            return decide(relations)
+        finally:
+            deciding.pop()
+
+    def counted_array(name):
+        get = SpectralDensityFunction.__dict__[name].fget
+        return property(lambda F: built.append(name) or get(F))
 
     monkeypatch.setattr(checks, "_decide", counted_decide)
+    monkeypatch.setattr(SpectralDensityFunction, "_lams", property(read_lams, slot.__set__))
+    for name in ("lams", "counts"):
+        monkeypatch.setattr(SpectralDensityFunction, name, counted_array(name))
     monkeypatch.setattr(SpectralDensityFunction, "probe_points", lambda F: probed.append(F))
     report = run_suite(suite, seed=20240801, instances=1, max_dim=6)
     assert report.probes > 0
     assert len(batches) == 1 and len(batches[0]) >= 8
-    assert sorted(listed) == sorted(views)
-    assert probed == []
+    distinct = {id(F) for rel in batches[0] for F in (rel.lhs, *rel.rhs)}
+    assert sorted(reads) == sorted(distinct)
+    assert probed == [] and built == []
 
 
 @given(st.lists(_steps, min_size=1, max_size=5))

@@ -1,5 +1,6 @@
 import bisect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -314,13 +315,19 @@ def counted_maps(draw):
     return TracedMap(TracedSpace(ds, norm), TracedSpace(dt, norm), coeff)
 
 
+def clamped(sv, rank):
+    """sv with the values past rank set to zero, as an array."""
+    sv = sv.copy()
+    sv[rank:] = 0.0
+    return sv
+
+
 @given(counted_maps())
 def test_sorted_singular_values_build_what_from_jumps_builds_bitwise(f):
     unit = f.source.normalization
-    square = (f.adjoint() @ f).singular_values().copy()
-    square[f.rank():] = 0.0  # the f*f side of basic.6
-    for sv, got in ((f.clamped_singular_values(), sdf_of_map(f)),
-                    (square, _from_descending(square, unit))):
+    square = (f.adjoint() @ f).singular_values()  # the f*f side of basic.6
+    for sv, got in ((clamped(f.singular_values(), f.rank()), sdf_of_map(f)),
+                    (clamped(square, f.rank()), _from_descending(square, f.rank(), unit))):
         want = SpectralDensityFunction.from_jumps(sv, np.ones(sv.shape), unit)
         assert got.lams.tobytes() == want.lams.tobytes()
         assert got.counts.tobytes() == want.counts.tobytes()
@@ -334,7 +341,7 @@ def test_sorted_path_equals_from_jumps_bitwise(values, unit):
     # ties and zeros included: the walk over Python floats gives the same
     # breakpoints and counts as the sorting construction
     sv = np.array(sorted(values, reverse=True), dtype=float)
-    got = _from_descending(sv, unit)
+    got = _from_descending(sv, sv.size, unit)
     want = SpectralDensityFunction.from_jumps(sv, np.ones(sv.shape), unit)
     assert got.lams.tobytes() == want.lams.tobytes()
     assert got.counts.tobytes() == want.counts.tobytes()
@@ -346,7 +353,7 @@ def test_sorted_path_equals_from_jumps_bitwise(values, unit):
                          ids=["ascending", "unsorted", "nan", "nan-inside", "negative", "inf"])
 def test_sorted_path_refuses_values_out_of_order_or_not_finite(sv):
     with pytest.raises(ValueError, match="finite, nonnegative and descending"):
-        _from_descending(np.array(sv), 1.0)
+        _from_descending(np.array(sv), len(sv), 1.0)
 
 
 @pytest.mark.parametrize("sv", [[1.0, 2.0], [2.0, math.nan]], ids=["unsorted", "nan"])
@@ -423,3 +430,114 @@ def test_argument_change_that_merges_breakpoints_raises():
     # rounding maps both breakpoints to 1.0; no invalid function is stored
     with pytest.raises(ValueError):
         F.power_argument(1e6)
+
+
+# -- the list algebra against the array formulas it replaced ---------------------------
+
+_UNITS = (1.0, 0.5, 0.25, 1.0 / 3.0)
+_POINTS = st.one_of(st.sampled_from([0.0, 1e-300, 1.0, math.nextafter(1.0, 2.0), 1e300]),
+                    st.floats(0.0, 1e3), st.floats(0.0, 1e308))
+
+
+@st.composite
+def whole_step_functions(draw, max_size=8):
+    """Whole counts of a unit, as the suites' functions hold; breakpoints
+    from 0 to the largest doubles, neighbours included, so argument
+    changes merge and overflow them."""
+    lams = sorted(set(draw(st.lists(_POINTS, max_size=max_size))))
+    jumps = draw(st.lists(st.integers(1, 4), min_size=len(lams), max_size=len(lams)))
+    return SpectralDensityFunction.from_jumps(lams, jumps, draw(st.sampled_from(_UNITS)))
+
+
+def _merged_or_overflowed(lams):
+    """Whether the array form refused an argument change's breakpoints."""
+    return bool(lams.size) and not ((lams[1:] > lams[:-1]).all() and lams[-1] < np.inf)
+
+
+def _array_reduced(F):
+    lams, counts = F.lams, F.counts
+    f0 = float(counts[0]) if lams.size and lams[0] == 0.0 else 0.0
+    return (lams, counts) if f0 == 0.0 else (lams[1:], counts[1:] - f0)
+
+
+def _array_plus(F, G):
+    pos = np.concatenate([F.lams, G.lams])
+    jumps = np.concatenate([np.diff(F.counts, prepend=0.0), np.diff(G.counts, prepend=0.0)])
+    order = np.argsort(pos, kind="stable")
+    uniq, idx = np.unique(pos[order], return_index=True)
+    jump = np.add.reduceat(jumps[order], idx) if jumps.size else jumps
+    return uniq, np.cumsum(jump)
+
+
+def _array_plus_constant(F, c):
+    if c == 0:
+        return F.lams, F.counts
+    if F.lams.size and F.lams[0] == 0.0:
+        return F.lams, F.counts + c
+    return np.concatenate([[0.0], F.lams]), np.concatenate([[c], F.counts + c])
+
+
+def _same(G, lams, counts, unit):
+    assert G.lams.tobytes() == np.asarray(lams, dtype=float).tobytes()
+    assert G.counts.tobytes() == np.asarray(counts, dtype=float).tobytes()
+    assert G.unit == unit
+    # Python floats throughout: a numpy scalar would slow every later step
+    assert all(type(x) is float for x in (*G._lams, *G._counts))
+
+
+@given(whole_step_functions(), whole_step_functions(),
+       st.floats(1e-310, 1e10), st.floats(1e-3, 1e6), st.floats(0.0, 1e10),
+       st.floats(0.0, 10.0))
+def test_list_algebra_equals_the_array_formulas_bitwise(F, G, c, a, t, k):
+    unit = F.unit
+    R = F.reduced()
+    _same(R, *_array_reduced(F), unit)
+
+    with np.errstate(all="ignore"):
+        scaled = F.lams / c
+        moebius = F.lams / (c + t * F.lams)
+    if F.max_breakpoint / c == math.inf:
+        with pytest.raises(ValueError, match="^" + re.escape(f"c = {c} moves the breakpoints")):
+            F.scaled_argument(c)
+    elif _merged_or_overflowed(scaled):
+        with pytest.raises(ValueError, match="merged or overflowed"):
+            F.scaled_argument(c)
+    else:
+        _same(F.scaled_argument(c), scaled, F.counts, unit)
+    if _merged_or_overflowed(moebius):
+        with pytest.raises(ValueError, match="merged or overflowed"):
+            _moebius_argument(F, c, t)
+    else:
+        _same(_moebius_argument(F, c, t), moebius, F.counts, unit)
+
+    # Python's ** (libm's pow) raises where numpy's power gave inf, which
+    # the array form refused as overflowed
+    try:
+        powered = np.array([x ** (1 / a) for x in F._lams])
+    except OverflowError:
+        powered = np.array([math.inf])
+    if _merged_or_overflowed(powered):
+        with pytest.raises(ValueError, match="merged or overflowed"):
+            F.power_argument(a)
+    else:
+        _same(F.power_argument(a), powered, F.counts, unit)
+
+    _same(F.plus_constant(k), *_array_plus_constant(F, k), unit)
+    with pytest.raises(ValueError, match=r"^c must be in \[0, inf\), got inf$"):
+        F.plus_constant(math.inf)
+    with pytest.raises(ValueError, match=r"^c must be in \[0, inf\), got inf$"):
+        F.scaled_argument(math.inf)
+
+    if G.unit != unit:
+        with pytest.raises(ValueError, match="cannot add step functions in units"):
+            F.plus(G)
+    else:
+        _same(F.plus(G), *_array_plus(F, G), unit)
+        _same(F.plus(R), *_array_plus(F, R), unit)
+
+
+@given(st.lists(_POINTS, max_size=12))
+def test_the_tie_shift_of_a_list_equals_that_of_an_array_bitwise(points):
+    shifted = tie_shifted(points)
+    assert all(type(y) is float for y in shifted)
+    assert np.array(shifted, dtype=float).tobytes() == tie_shifted(np.array(points)).tobytes()

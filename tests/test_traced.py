@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from l2tor.checks import run_suite
 from l2tor.config import RANK_RTOL, ZERO_SV_ATOL
 from l2tor.rand import random_map, random_space, rng_for
+from l2tor.sdf import sdf_of_map
 from l2tor.traced import TracedMap, TracedSpace, nonzero_mask
 
 
@@ -133,13 +134,56 @@ def test_rank_rule_refuses_nonfinite_values(sv):
         nonzero_mask(np.array(sv))
 
 
+_RANK_EDGES = (0.0, 1e-17, 0.5 * ZERO_SV_ATOL, ZERO_SV_ATOL, 2.0 * ZERO_SV_ATOL,
+               0.5 * RANK_RTOL, RANK_RTOL, 2.0 * RANK_RTOL, 0.5, 1.0, 1.0, 2.0)
+
+
+@st.composite
+def ranked_maps(draw):
+    """A map drawn as the suites draw them, or a scaled diagonal one whose
+    singular values hold zeros, ties and values at and around both
+    thresholds of the rank rule."""
+    n, m = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        rng = rng_for(draw(st.integers(0, 2 ** 16)), 0)
+        return random_map(rng, random_space(rng, n), random_space(rng, m))
+    entries = draw(st.lists(st.sampled_from(_RANK_EDGES), min_size=min(n, m),
+                            max_size=min(n, m)))
+    scale = draw(st.sampled_from([1.0, 1e-3, 3.0, 1e3]))
+    coeff = np.eye(m, n)
+    coeff[np.diag_indices(min(n, m))] = scale * np.array(entries)
+    return TracedMap(TracedSpace(n), TracedSpace(m), coeff)
+
+
+@given(ranked_maps())
+def test_rank_counts_what_the_nonzero_mask_keeps(f):
+    # rank() in Python floats and nonzero_mask over the array share one threshold
+    rank = f.rank()
+    assert type(rank) is int
+    assert rank == np.count_nonzero(nonzero_mask(f.singular_values()))
+
+
+@given(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=5),
+       st.sampled_from([np.nan, np.inf]), st.data())
+def test_rank_refuses_a_nan_or_inf_past_the_leading_value(values, bad, data):
+    sv = sorted(values, reverse=True)
+    sv.insert(data.draw(st.integers(1, len(sv))), bad)
+    space = TracedSpace(len(sv))
+    f = TracedMap(space, space, np.eye(len(sv)))
+    f._svals = np.array(sv)  # as if the decomposition had returned them
+    with pytest.raises(ValueError, match="finite"):
+        f.rank()
+    with pytest.raises(ValueError, match="finite"):
+        nonzero_mask(np.array(sv))
+
+
 def test_rank_decisions_follow_the_rank_rule():
     s = TracedSpace(4)
     f = TracedMap(s, s, np.diag([3.0, 1.0, 0.5 * RANK_RTOL, 2.0 * ZERO_SV_ATOL]))
-    clamped = f.clamped_singular_values()
-    assert clamped[:2] == pytest.approx([3.0, 1.0])
-    assert clamped[2:].tolist() == [0.0, 0.0]
+    assert f.singular_values()[:2] == pytest.approx([3.0, 1.0])
     assert f.rank() == 2
+    # the density clamps the values past the rank to zero
+    assert sdf_of_map(f).lams.tolist() == [0.0, 1.0, 3.0]
     assert f.kernel_dim() == 2
     assert not f.is_injective() and not f.is_surjective()
     assert f.min_nonzero_singular_value() == pytest.approx(1.0)
