@@ -15,10 +15,11 @@ as an ExactIntegral (value and rounding bound), and d_small and
 large_time_integral then use it (method "exact").  For a finite spectrum
 the subtracted integral over (0, 1] is -sum w Ein(lam) and the integral of
 theta/t over [1, inf) is sum w E1(lam); E1 is computed once per eigenvalue
-and serves both, since Ein(x) = E1(x) + log x + gamma from 1 on, and Ein's
-series below 1 runs on Python floats, which for the few eigenvalues of a
-typical spectrum costs less than numpy's per-call overhead.  For a circle
-of length L, Poisson summation gives sum_k (2/k) erfc(kL/2) and
+and serves both, since Ein(x) = E1(x) + log x + gamma from 1 on; the rest
+runs in one pass over the eigenvalues in Python floats, which for the few
+eigenvalues of a typical spectrum costs less than numpy's per-call
+overhead.  For a circle of length L, Poisson summation gives
+sum_k (2/k) erfc(kL/2) and
 sum_n 2 E1((2 pi n / L)^2); at lengths where one sum would be too long, the
 scale relation theta_L(t) = theta_1(t / L^2) gives it from the other.  The
 hyperbolic Plancherel degrees (l2tor.hyperbolic) carry their large-time
@@ -93,6 +94,7 @@ _TERM_ULPS = 8.0
 # series of Ein(x) = sum_k (-1)^{k+1} x^k / (k k!) for x < 1, lowest power
 # first: the twentieth term is below 3e-20
 _EIN_SERIES = (0.0, *((-1) ** (k + 1) / (k * math.factorial(k)) for k in range(1, 21)))
+_EIN_HORNER = _EIN_SERIES[-2::-1]  # Horner's order after the top coefficient
 # circle sums stop where erfc(kL/2) and E1((2 pi n / L)^2) fall below 1e-19;
 # the dropped tails are bounded and added to the error
 _ERFC_CUTOFF = 6.5
@@ -216,42 +218,41 @@ class ExactIntegral(NamedTuple):
     error: float
 
 
+def _exact_integral(value: float, scaled_abs: float, n: int,
+                    extra: float = 0.0) -> ExactIntegral:
+    """A sum of n closed-form terms t and its rounding bound
+    _EPS * scaled_abs + n * _TINY + extra, given scaled_abs, the sum of
+    |t| (n + ulps) for terms each good to `ulps` ulps: each is that good or
+    lost to underflow, the sum adds at most n - 1 ulps more, and `extra`
+    bounds any further error (a truncated tail, the errors of inexact
+    factors)."""
+    return ExactIntegral(value, _EPS * scaled_abs + n * _TINY + extra)
+
+
 def _exact_sum(terms: np.ndarray, ulps: float | np.ndarray = _TERM_ULPS,
                extra: float = 0.0) -> ExactIntegral:
-    """Sum of closed-form terms; each is good to `ulps` ulps or lost to
-    underflow, the sum adds at most n - 1 more, and `extra` bounds any
-    further error (a truncated tail, the errors of inexact factors)."""
-    error = (_EPS * float(np.add.reduce(np.abs(terms) * (terms.size + ulps)))
-             + terms.size * _TINY + extra)
-    return ExactIntegral(float(np.add.reduce(terms)), error)
+    """_exact_integral of an array of terms, each good to `ulps` ulps."""
+    scaled_abs = float(np.add.reduce(np.abs(terms) * (terms.size + ulps)))
+    return _exact_integral(float(np.add.reduce(terms)), scaled_abs, terms.size, extra)
 
 
-def _ein(x: np.ndarray, exp1_x: np.ndarray) -> np.ndarray:
+def _ein(x: float, e1_x: float) -> float:
     """Ein(x), the integral of (1 - e^{-s})/s over [0, x], without
     cancellation: its alternating series below 1, E1(x) + log x + gamma
-    (three positive terms) above, given exp1_x = E1(x).
+    (three positive terms) from 1 on, given e1_x = E1(x).
 
-    The series runs by Horner's rule on Python floats, with the same IEEE
-    operations in the same order as
-    np.polynomial.polynomial.polyval(x, _EIN_SERIES), so its values are
-    polyval's bit for bit.  On the handful of arguments of a typical
-    spectrum this costs less than the 40 ufunc calls of the array form; its
-    cost grows with the number of arguments below 1, and passes the array
-    form's at about a hundred of them.
+    The series runs by Horner's rule with the same IEEE operations in the
+    same order as np.polynomial.polynomial.polyval(x, _EIN_SERIES), so its
+    value is polyval's bit for bit.  From 1 on the logarithm is libm's
+    (math.log), which differs from numpy's np.log by one ulp on about one
+    argument in a thousand.
     """
-    out = np.empty_like(x)
-    low = x < 1.0
-    top, rest = _EIN_SERIES[-1], _EIN_SERIES[-2::-1]
-    series = []
-    for v in x[low].tolist():
-        acc = top
-        for c in rest:
-            acc = c + acc * v
-        series.append(acc)
-    out[low] = series
-    high = ~low
-    out[high] = exp1_x[high] + np.log(x[high]) + EULER_GAMMA
-    return out
+    if x < 1.0:
+        acc = _EIN_SERIES[-1]
+        for c in _EIN_HORNER:
+            acc = c + acc * x
+        return acc
+    return e1_x + math.log(x) + EULER_GAMMA
 
 
 def _circle_integrals(L: float) -> tuple[ExactIntegral, ExactIntegral]:
@@ -354,23 +355,44 @@ class HeatTraceModel:
         Its expansion is the constant term alone (m = 0), the total positive
         weight; the residual sums w * expm1(-lam t).  The two Mellin
         integrals are -sum w Ein(lam) and sum w E1(lam).
+
+        E1 is computed once, on the array of positive eigenvalues.  One pass
+        over them in Python floats then builds the total weight, both sums
+        and their rounding bounds, each summed left to right: below 8
+        terms that is numpy's order, so only a spectrum with 8 or more
+        positive eigenvalues, or with a logarithm where libm and numpy
+        differ (_ein), gets other last bits than numpy's reductions would
+        give.  The pass costs less than numpy's per-call overhead up to
+        about 50 positive eigenvalues, and more beyond (12 against 8 ms at
+        10 000).
         """
         pos = S.positive_part()
         # every eigenvalue of the positive part is positive, so its residual
         # needs no mask: the arrays are bound once, not gathered per call
         lam, w = pos.eigenvalues, pos.weights
-        coeff = np.zeros(1)
-        coeff[0] = pos.total_weight
         e1 = _special().exp1(lam)  # once, for both integrals
+        lams = lam.tolist()
+        n = len(lams)
+        scale = n + _TERM_ULPS
+        total = small = small_abs = large = large_abs = 0.0
+        # an explicit loop: sum() compensates from Python 3.12 on, as fsum does
+        for x, wx, e1_x in zip(lams, w.tolist(), e1.tolist()):
+            total += wx
+            term = -wx * _ein(x, e1_x)
+            small += term
+            small_abs += abs(term) * scale
+            term = wx * e1_x
+            large += term
+            large_abs += abs(term) * scale
         model = HeatTraceModel(
             evaluate=lambda t: pos.heat_trace(t, include_kernel=True),
             m=0,
-            coefficients=coeff,
+            coefficients=np.array([total]),
             residual=lambda t: float((w * np.expm1(-t * lam)).sum()),
             # the positive part is sorted: its first eigenvalue is the gap
-            spectral_gap=float(lam[0]) if lam.size else math.inf,
-            small_time_exact=_exact_sum(-w * _ein(lam, e1)),
-            large_time_exact=_exact_sum(w * e1),
+            spectral_gap=lams[0] if n else math.inf,
+            small_time_exact=_exact_integral(small, small_abs, n),
+            large_time_exact=_exact_integral(large, large_abs, n),
         )
         model._from_library = True
         return model

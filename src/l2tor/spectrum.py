@@ -54,10 +54,6 @@ class Spectrum:
         return Spectrum(np.asarray(eig, dtype=float), np.asarray(w, dtype=float))
 
     @property
-    def kernel_weight(self) -> float:
-        return float(self.weights[self.eigenvalues == 0.0].sum())
-
-    @property
     def total_weight(self) -> float:
         return float(self.weights.sum())
 

@@ -729,28 +729,58 @@ def _bits(a) -> bytes:
 _BELOW_ONE = st.floats(0.0, 1.0, exclude_max=True, allow_subnormal=True)
 
 
-# every float below 1, subnormals included
-@given(st.lists(_BELOW_ONE, max_size=100))
-def test_ein_series_is_polyval_bit_for_bit(xs):
+def _ein_each(xs) -> list[float]:
+    """_ein at each of xs, given E1 from one array call, as from_spectrum
+    calls it."""
     x = np.asarray(xs, dtype=float)
-    want = np.polynomial.polynomial.polyval(x, np.asarray(_EIN_SERIES))
-    assert _bits(_ein(x, exp1(x))) == _bits(want)
+    return [_ein(v, e1_v) for v, e1_v in zip(x.tolist(), exp1(x).tolist())]
 
 
-@given(st.lists(st.floats(1.0, 700.0), max_size=10))
-def test_ein_above_one_is_exp1_log_gamma(xs):
-    x = np.asarray(xs, dtype=float)
-    assert _bits(_ein(x, exp1(x))) == _bits(exp1(x) + np.log(x) + EULER_GAMMA)
+def _polyval_ein(x: np.ndarray) -> np.ndarray:
+    return np.polynomial.polynomial.polyval(x, np.asarray(_EIN_SERIES))
 
 
-def _ein_reference(x: np.ndarray) -> np.ndarray:
-    """Each branch in its array form: polyval below 1, exp1 + log + gamma
+def _ein_array_form(x: np.ndarray, e1_x: np.ndarray, log=np.log) -> np.ndarray:
+    """Each branch in its array form: polyval below 1, E1 + log + gamma
     from 1 on."""
     low = x < 1.0
     out = np.empty_like(x)
-    out[low] = np.polynomial.polynomial.polyval(x[low], np.asarray(_EIN_SERIES))
-    out[~low] = exp1(x[~low]) + np.log(x[~low]) + EULER_GAMMA
+    out[low] = _polyval_ein(x[low])
+    out[~low] = e1_x[~low] + log(x[~low]) + EULER_GAMMA
     return out
+
+
+def _libm_log(x: np.ndarray) -> np.ndarray:
+    return np.array([math.log(v) for v in x.tolist()])
+
+
+# every float below 1, subnormals included
+@given(st.lists(_BELOW_ONE, max_size=100))
+def test_ein_series_is_polyval_bit_for_bit(xs):
+    assert _bits(_ein_each(xs)) == _bits(_polyval_ein(np.asarray(xs, dtype=float)))
+
+
+# an argument where libm's log and numpy's differ in the last bit
+_LOGS_DIFFER = float.fromhex("0x1.0c5f1beeb03fap+3")
+
+
+@given(st.lists(st.floats(1.0, 700.0), max_size=10))
+@example([_LOGS_DIFFER, 1.0, 700.0])
+def test_ein_above_one_is_exp1_log_gamma(xs):
+    x = np.asarray(xs, dtype=float)
+    got = _ein_each(xs)
+    want = [e1_v + math.log(v) + EULER_GAMMA for v, e1_v in zip(xs, exp1(x).tolist())]
+    assert _bits(got) == _bits(want)
+    # numpy's log: at most one ulp away, as Ein is the sum of three positive
+    # terms, of which log x is one
+    with_np_log = _ein_array_form(x, exp1(x))
+    ulps = np.asarray(got, dtype=float).view(np.int64) - with_np_log.view(np.int64)
+    assert np.all(np.abs(ulps) <= 1)
+
+
+def test_the_logs_differ_at_the_pinned_argument():
+    x = np.array([_LOGS_DIFFER])
+    assert _ein_each(x) != _ein_array_form(x, exp1(x)).tolist()
 
 
 @pytest.mark.parametrize("xs", [
@@ -762,9 +792,9 @@ def _ein_reference(x: np.ndarray) -> np.ndarray:
 ], ids=["empty", "one", "from-one", "around-one", "mixed"])
 def test_ein_branches_on_fixed_arguments(xs):
     x = np.asarray(xs, dtype=float)
-    got = _ein(x, exp1(x))
-    assert got.shape == x.shape
-    assert _bits(got) == _bits(_ein_reference(x))
+    got = _ein_each(x)
+    assert all(type(v) is float for v in got)
+    assert _bits(got) == _bits(_ein_array_form(x, exp1(x), _libm_log))
 
 
 def test_from_spectrum_computes_e1_once_for_both_integrals(monkeypatch):
@@ -782,11 +812,93 @@ def test_from_spectrum_computes_e1_once_for_both_integrals(monkeypatch):
     model = HeatTraceModel.from_spectrum(Spectrum(lam, w))
     assert len(calls) == 1 and _bits(calls[0]) == _bits(lam)
     e1 = exp1(lam) + 1.0
+    # four terms: the left-to-right sums are numpy's
     assert model.large_time_exact == _exact_sum(w * e1)
-    assert model.small_time_exact == _exact_sum(-w * _ein(lam, e1))
+    ein = np.array([_ein(x, e1_x) for x, e1_x in zip(lam.tolist(), e1.tolist())])
+    assert model.small_time_exact == _exact_sum(-w * ein)
     # the upper branch took the shifted values, not a fresh E1
     high = lam >= 1.0
-    assert _bits(_ein(lam, e1)[high]) == _bits(e1[high] + np.log(lam[high]) + EULER_GAMMA)
+    assert _bits(ein[high]) == _bits(
+        [e1_x + math.log(x) + EULER_GAMMA for x, e1_x in zip(lam[high], e1[high])])
+
+
+def test_from_spectrum_sums_left_to_right(monkeypatch):
+    """A compensated sum (builtin sum() from Python 3.12 on, or math.fsum)
+    gives 2 and -2 (1 + gamma) here; left to right, as numpy sums fewer
+    than 8 terms, both integrals are 0."""
+    import scipy.special
+
+    monkeypatch.setattr(scipy.special, "exp1",
+                        lambda x: np.array([1.0, 1e100, 1.0, -1e100]))
+    # at lam = 1, Ein = E1 + 0 + gamma
+    model = HeatTraceModel.from_spectrum(Spectrum(np.ones(4), np.ones(4)))
+    assert model.large_time_exact.value == 0.0
+    assert model.small_time_exact.value == 0.0
+
+
+def _array_exact_sum(terms: np.ndarray) -> ExactIntegral:
+    return ExactIntegral(
+        float(np.add.reduce(terms)),
+        _EPS * float(np.add.reduce(np.abs(terms) * (terms.size + _TERM_ULPS)))
+        + terms.size * _TINY)
+
+
+def _array_form(S: Spectrum):
+    """from_spectrum's total weight, gap and two integrals as numpy
+    reductions and ufuncs, with numpy's log: the form that the pass in
+    Python floats replaced."""
+    pos = S.positive_part()
+    lam, w = pos.eigenvalues, pos.weights
+    e1 = exp1(lam)
+    ein = _ein_array_form(lam, e1)
+    gap = float(lam[0]) if lam.size else math.inf
+    return (pos.total_weight, gap, _array_exact_sum(-w * ein), _array_exact_sum(w * e1))
+
+
+_POSITIVE_EIGENVALUE = st.one_of(
+    st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    st.floats(1.0, 1e3))
+_SPECTRUM_WEIGHT = st.floats(1e-3, 1e3)
+
+
+@st.composite
+def _spectra(draw, eigenvalues=_POSITIVE_EIGENVALUE,
+             sizes=st.one_of(st.integers(1, 12), st.integers(100, 300))):
+    """1-12 drawn eigenvalues or 100-300 log-uniform ones on [1e-3, 1e3],
+    and up to two zero modes."""
+    n = draw(sizes)
+    if n < 100:
+        eig = draw(st.lists(eigenvalues, min_size=n, max_size=n))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+        eig = np.exp(rng.uniform(math.log(1e-3), math.log(1e3), n)).tolist()
+    eig += [0.0] * draw(st.integers(0, 2))
+    w = draw(st.lists(_SPECTRUM_WEIGHT, min_size=len(eig), max_size=len(eig)))
+    return Spectrum(np.array(eig), np.array(w))
+
+
+@given(_spectra())
+def test_from_spectrum_agrees_with_the_array_form(S):
+    model = HeatTraceModel.from_spectrum(S)
+    total, gap, small, large = _array_form(S)
+    assert model.spectral_gap == gap
+    n = int((S.eigenvalues > 0).sum())
+    assert abs(model.coefficients[0] - total) <= n * _EPS * total
+    for new, old in ((model.small_time_exact, small), (model.large_time_exact, large)):
+        assert abs(new.value - old.value) <= min(new.error, old.error)
+        assert abs(new.error - old.error) <= n * _EPS * old.error
+    if n < 8 and S.eigenvalues.max() < 1.0:
+        # Horner's rule and sequential sums only: the same operations
+        assert model.coefficients[0] == total
+        assert (model.small_time_exact, model.large_time_exact) == (small, large)
+
+
+@given(_spectra(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True), st.integers(1, 7)))
+def test_from_spectrum_below_one_is_the_array_form_bitwise(S):
+    model = HeatTraceModel.from_spectrum(S)
+    total, gap, small, large = _array_form(S)
+    assert _bits([model.coefficients[0], model.spectral_gap, *model.small_time_exact,
+                  *model.large_time_exact]) == _bits([total, gap, *small, *large])
 
 
 @given(st.lists(st.floats(-1e300, 1e300), max_size=300),
