@@ -19,12 +19,11 @@ and serves both, since Ein(x) = E1(x) + log x + gamma from 1 on; the rest
 runs in one pass over the eigenvalues in Python floats, which for the few
 eigenvalues of a typical spectrum costs less than numpy's per-call
 overhead.  For a circle of length L, Poisson summation gives
-sum_k (2/k) erfc(kL/2) and
-sum_n 2 E1((2 pi n / L)^2); at lengths where one sum would be too long, the
-scale relation theta_L(t) = theta_1(t / L^2) gives it from the other.  The
-hyperbolic Plancherel degrees (l2tor.hyperbolic) carry their large-time
-integral as a sum of c E_p(shift) over the terms c e^{-shift t} t^{-(k+1)/2}
-of their traces.
+sum_k (2/k) erfc(kL/2) and sum_n 2 E1((2 pi n / L)^2); at lengths where one
+sum would be too long, the scale relation theta_L(t) = theta_1(t / L^2)
+gives it from the other.  The hyperbolic Plancherel degrees
+(l2tor.hyperbolic) carry their large-time integral as a sum of c E_p(shift)
+over the terms c e^{-shift t} t^{-(k+1)/2} of their traces.
 
 The large-time integral is exact or refused: large_time_integral returns
 the model's large_time_exact and refuses a model without one, since its
@@ -244,8 +243,9 @@ def _ein(x: float, e1_x: float) -> float:
     The series runs by Horner's rule with the same IEEE operations in the
     same order as np.polynomial.polynomial.polyval(x, _EIN_SERIES), so its
     value is polyval's bit for bit.  From 1 on the logarithm is libm's
-    (math.log), which differs from numpy's np.log by one ulp on about one
-    argument in a thousand.
+    (math.log), which differs from numpy's np.log by one ulp on at most
+    about one argument in a thousand (202 of 200 000 drawn log-uniformly
+    on [1, 20], 19 of 200 000 uniformly on [1, 700]).
     """
     if x < 1.0:
         acc = _EIN_SERIES[-1]
@@ -363,8 +363,8 @@ class HeatTraceModel:
         positive eigenvalues, or with a logarithm where libm and numpy
         differ (_ein), gets other last bits than numpy's reductions would
         give.  The pass costs less than numpy's per-call overhead up to
-        about 50 positive eigenvalues, and more beyond (12 against 8 ms at
-        10 000).
+        about 50 positive eigenvalues, and more beyond (about 1.5 times as
+        much at 10 000).
         """
         pos = S.positive_part()
         # every eigenvalue of the positive part is positive, so its residual
