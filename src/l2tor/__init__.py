@@ -14,9 +14,8 @@ from .heattrace import (HeatTraceModel, analytic_torsion,
                         cheeger_mueller_correction, d_small,
                         large_time_dominating_bound, large_time_integral,
                         zeta_det)
-from .hyperbolic import (CuspEnd, PlancherelTable, cusp_volume, heat_density,
-                         load_plancherel_table, torsion_constant,
-                         truncated_volume)
+from .hyperbolic import (CuspEnd, PlancherelTable, cusp_volume, load_plancherel_table,
+                         torsion_constant, truncated_volume)
 from .kernels1d import (Domain1D, boundary_insensitivity_check, kernel_1d,
                         sup_bound_check)
 from .anomaly import (ConformalFamily, anomaly_coefficients,
@@ -36,8 +35,8 @@ __all__ = [
     "HeatTraceModel", "analytic_torsion",
     "cheeger_mueller_correction", "d_small", "large_time_dominating_bound",
     "large_time_integral", "zeta_det",
-    "CuspEnd", "PlancherelTable", "cusp_volume", "heat_density",
-    "load_plancherel_table", "torsion_constant", "truncated_volume",
+    "CuspEnd", "PlancherelTable", "cusp_volume", "load_plancherel_table",
+    "torsion_constant", "truncated_volume",
     "Domain1D", "boundary_insensitivity_check", "kernel_1d", "sup_bound_check",
     "ConformalFamily", "anomaly_coefficients", "hodge_star_conformal",
     "mean_curvature", "product_lift", "v_operator",

@@ -175,10 +175,6 @@ class Jet:
         return float(self.c[1, 0])
 
     @property
-    def d_xx(self) -> float:
-        return 2.0 * float(self.c[2, 0])
-
-    @property
     def d_u(self) -> float:
         return float(self.c[0, 1])
 

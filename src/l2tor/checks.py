@@ -117,18 +117,12 @@ class CheckReport:
         return margins
 
 
-def tie_shifted(lams):
+def tie_shifted(lams: list[float]) -> list[float]:
     """Positive lams moved right by TIE_RTOL * max(1, lam); evaluating there
     forgives breakpoints that differ only by eigensolve rounding.  Zero stays
     where it is, so a kernel on one side that the other side places at a
-    small positive breakpoint is seen at any scale.  A list of floats (the
-    decider's points) is shifted into a list, anything else into a float
-    array, by the same operations."""
-    if isinstance(lams, list):
-        return [x + TIE_RTOL * (x if x > 1.0 else 1.0) if x > 0.0 else x for x in lams]
-    lams = np.asarray(lams, dtype=float)
-    # max(lam > 0, lam) is max(1, lam) for a positive lam and 0 otherwise
-    return lams + TIE_RTOL * np.maximum(lams > 0.0, lams)
+    small positive breakpoint is seen at any scale."""
+    return [x + TIE_RTOL * (x if x > 1.0 else 1.0) if x > 0.0 else x for x in lams]
 
 
 def _decide(relations: list[_Relation]) -> tuple[int, list[Violation], list[float | None]]:

@@ -31,13 +31,15 @@ from .checks import SUITES, run_suite
 from .config import seed_from_env
 from .heattrace import (HeatTraceModel, TorsionResult, analytic_torsion, d_small,
                         zeta_det_with_error)
-from .hyperbolic import (CuspEnd, cusp_volume, heat_density, load_plancherel_table,
+from .hyperbolic import (CuspEnd, cusp_volume, load_plancherel_table,
                          torsion_constant_result)
 from .inputs import ManifestError, check_range, convert, field, integer, items, number, read_json
 from .jsj import is_graph_manifold, load_manifest, torsion_3manifold
 from .kernels1d import Domain1D, boundary_insensitivity_check, sup_bound_check
 from .selftest import run_selftest
 from .spectrum import Spectrum
+
+SWEEP_MAX_POINTS = 100_000  # the largest point count n of anomaly --sweep u0:u1:n
 
 HEATCMP_PAIRS = {
     "halfline-line": (Domain1D.half_line_neumann, Domain1D.line),
@@ -166,7 +168,7 @@ def _cmd_hyperbolic(args) -> int:
         table = load_plancherel_table(args.table)
         if args.m != table.m:
             raise ValueError(f"table is for dimension {table.m}")
-        value = heat_density(table, args.p, args.t)
+        value = table.density(args.p, args.t)
         _emit({"op": "density", "m": args.m, "p": args.p, "t": args.t,
                "value": value}, args.output)
         return 0
@@ -284,9 +286,12 @@ def _cmd_anomaly(args) -> int:
     if args.sweep:
         try:
             u0, u1, n = args.sweep.split(":")
-            us = np.linspace(_finite(u0), _finite(u1), int(n))
+            u0, u1, n = _finite(u0), _finite(u1), int(n)
         except (ValueError, argparse.ArgumentTypeError):
             raise ValueError("--sweep expects u0:u1:n with finite bounds u0, u1") from None
+        # checked before linspace builds an array of n points
+        check_range("the point count n of --sweep", n, 1, SWEEP_MAX_POINTS, "[]", integer=True)
+        us = np.linspace(u0, u1, n)
         rows = [["u", "sum"] + [f"d{p}" for p in range(family.dim + 1)]]
         for u in us:
             out = anomaly_coefficients(family, float(u))

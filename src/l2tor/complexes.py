@@ -76,10 +76,6 @@ class FiniteCochainComplex:
             self._degrees[p] = (basis, TracedMap._derived(source, d.target, d.whitened @ basis))
         return self._degrees[p]
 
-    def image_complement_basis(self, p: int) -> np.ndarray:
-        """Gram-orthonormal basis (columns) of (im c^{p-1})^perp inside C^p."""
-        return self.space(p).inverse_whitener @ self._degree(p)[0]
-
     def restricted_differential(self, p: int) -> TracedMap:
         """c^p restricted to (im c^{p-1})^perp, in a gram-orthonormal basis."""
         return self._degree(p)[1]

@@ -29,9 +29,9 @@ TIE_RTOL = 1e-9
 # chain-map commutation, homotopy relations).
 STRUCTURE_ATOL = 1e-10
 
-# Absolute quadrature target for the torsion/zeta integrals that have no
-# closed form.
-QUAD_ATOL = 1e-10
+# Absolute quadrature target (epsabs) of the small-time integrals that have
+# no closed form (heattrace.d_small).
+QUAD_ATOL = 1e-12
 
 DEFAULT_SEED = 20240801
 

@@ -486,7 +486,7 @@ def d_small(model: HeatTraceModel) -> DsmallResult:
         # the integral of residual(t)/t over [e^{-120}, 1], in s = sqrt(t)
         residual = model.residual or model.residual_value
         integral, err = quad(lambda s: 2.0 * residual(s * s) / s, _S_LOW, 1.0,
-                             limit=400, epsabs=QUAD_ATOL * 1e-2, epsrel=1e-12)
+                             limit=400, epsabs=QUAD_ATOL, epsrel=1e-12)
         method = "quad"
     constant = float(sum(dsmall_constant(i, model.m) * model.coefficients[i]
                          for i in range(model.m + 1)))

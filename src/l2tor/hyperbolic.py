@@ -29,7 +29,6 @@ __all__ = [
     "PlancherelComponent",
     "PlancherelTable",
     "load_plancherel_table",
-    "heat_density",
     "plancherel_heat_model",
     "torsion_constant",
     "torsion_constant_result",
@@ -281,11 +280,6 @@ def load_plancherel_table(path: str | None = None) -> PlancherelTable:
     table = PlancherelTable(m, tuple(rows[p] for p in range(m + 1)))
     convert(table, where, PlancherelTable.validate)
     return table
-
-
-def heat_density(table: PlancherelTable, p: int, t: float) -> float:
-    """Per-unit-volume p-form heat trace at time t; see PlancherelTable.density."""
-    return table.density(p, t)
 
 
 def plancherel_heat_model(table: PlancherelTable, p: int) -> HeatTraceModel:

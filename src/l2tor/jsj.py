@@ -12,7 +12,6 @@ import csv
 import io
 import math
 from dataclasses import dataclass, replace
-from importlib import resources
 from pathlib import Path
 
 from .inputs import (ManifestError, check_range, convert, field, integer, items, number,
@@ -25,7 +24,6 @@ __all__ = [
     "torsion_3manifold",
     "is_graph_manifold",
     "load_manifest",
-    "load_census",
     "TORSION_PER_VOLUME",
 ]
 
@@ -122,10 +120,3 @@ def load_manifest(path: str | Path) -> JsjManifest:
     if path.suffix.lower() == ".csv":
         return _load_csv(path)
     return manifest_from_dict(read_json(path), str(path))
-
-
-def load_census() -> list[JsjManifest]:
-    """Built-in fixture manifests with published volumes."""
-    source = resources.files("l2tor.data").joinpath("census_cusped.json")
-    return [manifest_from_dict(entry, f"{source}.manifests[{i}]")
-            for i, entry in enumerate(field(read_json(source), "manifests", str(source), items))]

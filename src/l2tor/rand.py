@@ -3,7 +3,7 @@
 Entries are standard normal and gram forms are A A^T + I.  Maps from
 random_map, random_injective and random_surjective are redrawn until no
 singular value lies in (1e-12, SEPARATION] times the largest, so the rank
-rule (traced.nonzero_mask) decides their kernels with room to spare.  All
+rule (TracedMap.rank) decides their kernels with room to spare.  All
 randomness flows through an explicit numpy Generator; instance seeds are
 spawned deterministically from a master seed.
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .complexes import FiniteCochainComplex, ShortExactTriple
-from .traced import TracedMap, TracedSpace, nonzero_mask
+from .traced import TracedMap, TracedSpace, _orthonormal_space
 
 __all__ = [
     "rng_for",
@@ -154,12 +154,11 @@ def _coupling_nullspace(C: FiniteCochainComplex, E: FiniteCochainComplex,
             b = E.differential(p).coefficients
             block[:, offset1 : offset1 + sizes[p + 1]] = np.kron(b.T, np.eye(out_shape[0]))
         rows.append(block)
-    if rows:
-        constraint = np.vstack(rows)
-        _, s, vt = np.linalg.svd(constraint, full_matrices=True)
-        null = vt[int(np.count_nonzero(nonzero_mask(s))) :].T
-    else:
-        null = np.eye(total)
+    # the null space of the constraints, cut by the rank rule of one map
+    constraint = np.vstack(rows) if rows else np.zeros((0, total))
+    null = TracedMap._derived(_orthonormal_space(total, 1.0),
+                              _orthonormal_space(len(constraint), 1.0),
+                              constraint).kernel_basis()
     vec = null @ rng.standard_normal(null.shape[1]) if null.shape[1] else np.zeros(total)
     if vec.size:
         vec[np.abs(vec) < 1e-13 * max(np.abs(vec).max(), 1.0)] = 0.0

@@ -122,10 +122,6 @@ class SpectralDensityFunction:
         return np.where(idx == 0, 0.0, self.counts[idx - 1]) * self.unit
 
     @property
-    def total(self) -> float:
-        return self._counts[-1] * self.unit if self._counts else 0.0
-
-    @property
     def max_breakpoint(self) -> float:
         return self._lams[-1] if self._lams else 0.0
 

@@ -53,10 +53,6 @@ class Spectrum:
         eig, w = zip(*pairs)
         return Spectrum(np.asarray(eig, dtype=float), np.asarray(w, dtype=float))
 
-    @property
-    def total_weight(self) -> float:
-        return float(self.weights.sum())
-
     def positive_part(self) -> "Spectrum":
         """The spectrum without its zero modes: itself when it has none.
         A part of a checked and sorted spectrum is checked and sorted, so
@@ -68,12 +64,6 @@ class Spectrum:
         object.__setattr__(part, "eigenvalues", self.eigenvalues[mask])
         object.__setattr__(part, "weights", self.weights[mask])
         return part
-
-    @property
-    def spectral_gap(self) -> float:
-        """Smallest positive eigenvalue; inf for a kernel-only spectrum."""
-        pos = self.eigenvalues[self.eigenvalues > 0]
-        return float(pos[0]) if pos.size else math.inf
 
     def heat_trace(self, t: float, include_kernel: bool = False) -> float:
         check_range("t", t, 0, math.inf)

@@ -28,7 +28,7 @@ import numpy as np
 from .config import RANK_RTOL, ZERO_SV_ATOL
 from .inputs import check_range
 
-__all__ = ["TracedSpace", "TracedMap", "check_spaces", "nonzero_mask", "same_space"]
+__all__ = ["TracedSpace", "TracedMap", "check_spaces", "same_space"]
 
 
 def _rank_threshold(values: list[float]) -> float:
@@ -39,13 +39,6 @@ def _rank_threshold(values: list[float]) -> float:
     if not all(map(math.isfinite, values)):
         raise ValueError("singular values must be finite")
     return max(RANK_RTOL * max(values, default=0.0), ZERO_SV_ATOL)
-
-
-def nonzero_mask(sv: np.ndarray) -> np.ndarray:
-    """The rank rule on an array, behind the kernels that rand draws: the
-    singular values sv (in any order) above _rank_threshold count as
-    nonzero.  TracedMap.rank() applies the same threshold to its values."""
-    return sv > _rank_threshold(sv.tolist())
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -121,10 +114,6 @@ class TracedSpace:
         object.__setattr__(self, "_chol", chol)
 
     @property
-    def normalized_dim(self) -> float:
-        return self.normalization * self.dim
-
-    @property
     def whitener(self) -> np.ndarray:
         """Matrix W with <u, v>_gram = (W u) . (W v); here W = L^T."""
         return self._chol.T
@@ -134,15 +123,6 @@ class TracedSpace:
         """W^{-1}, computed once per space and shared, hence read-only; an
         identity-gram space holds the shared identity from construction."""
         return _read_only(np.linalg.inv(self.whitener))
-
-    def inner(self, u, v) -> float:
-        u = np.asarray(u, dtype=float)
-        v = np.asarray(v, dtype=float)
-        return float(u @ self.gram @ v)
-
-    def orthonormal_basis(self) -> np.ndarray:
-        """Columns form a gram-orthonormal basis (inverse whitener)."""
-        return self.inverse_whitener.copy()
 
 
 class TracedMap:
@@ -219,22 +199,12 @@ class TracedMap:
         """Orthonormal kernel basis (columns), in whitened source coordinates."""
         return self._full_svd()[2][self.rank():].T
 
-    def image_basis(self) -> np.ndarray:
-        """Orthonormal image basis (columns), in whitened target coordinates."""
-        return self._full_svd()[0][:, :self.rank()]
-
     def _pinv(self, rhs: np.ndarray) -> np.ndarray:
         """The pseudoinverse of `whitened`, cut at rank(), applied to rhs
         (columns, in whitened target coordinates)."""
         u, s, vt = self._full_svd()
         r = self.rank()
         return vt[:r].T @ ((1.0 / s[:r])[:, None] * (u[:, :r].T @ rhs))
-
-    def least_norm_solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The x of least gram norm with f x = rhs (columns, in coordinates);
-        for rhs outside the image, f x is the gram-orthogonal projection of
-        rhs onto the image."""
-        return self.source.inverse_whitener @ self._pinv(self.target.whitener @ rhs)
 
     @property
     def norm(self) -> float:
@@ -289,9 +259,6 @@ class TracedMap:
 
     def __matmul__(self, other: "TracedMap") -> "TracedMap":
         return self.compose(other)
-
-    def apply(self, vec: np.ndarray) -> np.ndarray:
-        return self.coefficients @ np.asarray(vec, dtype=float)
 
     @staticmethod
     def identity(space: TracedSpace) -> "TracedMap":

@@ -421,7 +421,7 @@ def cluster_count(points):
     count, reach = 0, -np.inf
     for x in points.tolist():
         if x > reach:
-            count, reach = count + 1, float(tie_shifted(x))
+            count, reach = count + 1, tie_shifted([x])[0]
     return count
 
 
@@ -464,7 +464,7 @@ def _check_leq(item, lhs, rhs, report, upper=np.inf, constant=0.0):
     report.probes += probes.size
     # the tie shift widens only the right side, never inflating the left
     lvals = _counts(lhs, probes)
-    rvals = constant + _sum_counts(rhs, tie_shifted(probes))
+    rvals = constant + _sum_counts(rhs, np.array(tie_shifted(probes.tolist())))
     for k in np.flatnonzero(lvals > rvals):
         report.violations.append(Violation(item, float(probes[k]), float(lvals[k] * lhs.unit),
                                            float(rvals[k] * lhs.unit)))
@@ -475,7 +475,7 @@ def _check_leq(item, lhs, rhs, report, upper=np.inf, constant=0.0):
 def _check_equal(item, lhs, rhs, report):
     probes = probe_grid([lhs, *rhs])
     report.probes += probes.size
-    shifted = tie_shifted(probes)
+    shifted = np.array(tie_shifted(probes.tolist()))
     lvals = _counts(lhs, shifted)
     rvals = _sum_counts(rhs, shifted)
     for k in np.flatnonzero(lvals != rvals):
@@ -515,7 +515,7 @@ def test_side_values_match_scalar_sum_bitwise(terms, pts):
     probes = decided_points([lhs, *terms])
     assert [v.lam for v in report.violations] == probes.tolist()
     expected = [sum(_reference_count(t, v) for t in terms) * THIRD
-                for v in tie_shifted(probes)]
+                for v in tie_shifted(probes.tolist())]
     assert np.array([v.rhs for v in report.violations]).tobytes() == \
         np.array(expected).tobytes()
     assert [v.lhs for v in report.violations] == [
@@ -528,7 +528,7 @@ def test_check_leq_shifts_only_the_right_side(lhs, terms, constant):
     probes = decided_points([lhs, *terms])
     lvals = np.array([_reference_count(lhs, v) for v in probes])
     rvals = np.array([constant + sum(_reference_count(t, v) for t in terms)
-                      for v in tie_shifted(probes)])
+                      for v in tie_shifted(probes.tolist())])
     assert report.probes == cluster_count(probes)
     assert [(v.lam, v.lhs, v.rhs) for v in report.violations] == [
         (probes[k], lvals[k] * THIRD, rvals[k] * THIRD) for k in np.flatnonzero(lvals > rvals)]
@@ -712,7 +712,7 @@ def _on_an_edge(functions, upper):
         if min(abs(x - reach), abs(x - upper)) <= 1e-12 * max(1.0, x):
             return True
         if x > reach:
-            reach = float(tie_shifted(x))
+            reach = tie_shifted([x])[0]
     return False
 
 

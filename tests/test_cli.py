@@ -468,6 +468,12 @@ def test_anomaly_sweep_csv(capsys):
     assert len(lines) == 4
 
 
+def test_anomaly_sweep_of_one_point(capsys):
+    code, out, _ = run_cli(capsys, "anomaly", "--dim", "2", "--sweep", "0.5:1:1")
+    assert code == 0
+    assert [line.split(",")[0] for line in out.splitlines()] == ["u", "0.5"]
+
+
 @pytest.mark.parametrize("placement", ["subcommand", "top-level"])
 def test_anomaly_sweep_writes_its_csv_to_output(capsys, tmp_path, placement):
     sweep = ["anomaly", "--dim", "3", "--sweep", "0:1:4"]
@@ -584,6 +590,12 @@ def _packaged_table_with_scalar_poly(coefficient: float) -> dict:
      "error: --sweep expects u0:u1:n with finite bounds u0, u1\n"),
     (["anomaly", "--dim", "3", "--sweep=-inf:0:3"], None,
      "error: --sweep expects u0:u1:n with finite bounds u0, u1\n"),
+    (["anomaly", "--dim", "3", "--sweep", "0:1:1.5"], None,
+     "error: --sweep expects u0:u1:n with finite bounds u0, u1\n"),
+    # the point count is checked before linspace builds an array of n points
+    *((["anomaly", "--dim", "3", "--sweep", f"0:1:{n}"], None,
+       f"error: the point count n of --sweep must be an integer in [1, 100000], got {n}\n")
+      for n in ("0", "-1", "100001", "1000000000000")),
     # every distance to the boundary is >= 0: a cutoff <= 0 would compare
     # nothing, and K/2 or 2K may round to 0 or overflow
     (["heatcmp", "--pair", "halfline-line", "--K", "-1"], None,
@@ -723,7 +735,9 @@ def _packaged_table_with_scalar_poly(coefficient: float) -> dict:
      "error: {path}: duality defect 130.7374491820566\n"),
 ], ids=["zeta-no-spectrum", "density-wrong-dim", "constant-wrong-dim",
         "anomaly-bad-sweep", "anomaly-nan-sweep",
-        "anomaly-infinite-sweep", "heatcmp-negative-cutoff", "heatcmp-zero-cutoff",
+        "anomaly-infinite-sweep", "anomaly-fractional-sweep-count", "anomaly-no-sweep-points",
+        "anomaly-negative-sweep-count", "anomaly-sweep-count-over-bound",
+        "anomaly-huge-sweep-count", "heatcmp-negative-cutoff", "heatcmp-zero-cutoff",
         "heatcmp-half-cutoff-underflows", "heatcmp-double-cutoff-overflows", "det-overflow",
         "det-underflow", "density-overflow", "cusp-overflow", "table-no-m",
         "table-row-no-components", "table-list", "table-degree-out-of-range",

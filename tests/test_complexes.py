@@ -1,5 +1,6 @@
 import sys
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,10 +10,23 @@ from hypothesis import strategies as st
 from l2tor.checks import CheckReport
 from l2tor.complexes import (FiniteCochainComplex, ShortExactTriple, complex_sdf,
                              connecting_map, laplacian_sdf_decomposition)
-from l2tor.rand import (random_complex, random_map, random_short_exact_triple,
-                        random_space, rng_for)
+from l2tor.rand import (_coupling_nullspace, random_complex, random_map,
+                        random_short_exact_triple, random_space, rng_for)
 from l2tor.sdf import SpectralDensityFunction, sdf_of_map
-from l2tor.traced import TracedMap, TracedSpace, _orthonormal_space, nonzero_mask
+from l2tor.traced import TracedMap, TracedSpace, _orthonormal_space, _rank_threshold
+
+
+def _rank_count(sv: np.ndarray) -> int:
+    """The count of the singular values sv (in any order) that the rank rule
+    keeps: those above its one threshold."""
+    values = sv.tolist()
+    return sum(map(_rank_threshold(values).__lt__, values))
+
+
+def _image_complement_basis(C: FiniteCochainComplex, p: int) -> np.ndarray:
+    """Gram-orthonormal basis (columns) of (im c^{p-1})^perp inside C^p: the
+    complex's kept whitened basis of degree p, in the space's coordinates."""
+    return C.space(p).inverse_whitener @ C._degree(p)[0]
 
 
 def two_term(scalar, normalization=1.0):
@@ -52,7 +66,7 @@ def complex_sdf_via_projector(C: FiniteCochainComplex, p: int) -> SpectralDensit
     the projected-away subspace: that many counts, in the same unit.
     """
     space = C.space(p)
-    basis = C.image_complement_basis(p)
+    basis = _image_complement_basis(C, p)
     proj = basis @ basis.T @ space.gram if space.dim else np.zeros((0, 0))
     d = C.differential(p)
     full = TracedMap(space, d.target, d.coefficients @ proj)
@@ -133,13 +147,13 @@ def _harmonic_basis_oracle(C: FiniteCochainComplex, p: int) -> np.ndarray:
     space = C.space(p)
     if space.dim == 0:
         return np.zeros((0, 0))
-    basis = C.image_complement_basis(p)
+    basis = _image_complement_basis(C, p)
     d = C.differential(p)
     if d.target.dim == 0:
         return basis
     m = d.target.whitener @ d.coefficients @ basis
     _, s, vt = np.linalg.svd(m, full_matrices=True)
-    return basis @ vt[np.count_nonzero(nonzero_mask(s)):].T
+    return basis @ vt[_rank_count(s):].T
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 5), min_size=1, max_size=4))
@@ -180,7 +194,7 @@ def test_each_degree_is_decomposed_once(monkeypatch):
             complex_sdf(C, p)
             C.cohomology_dim(p)
             C.harmonic_basis(p)
-            C.image_complement_basis(p)
+            _image_complement_basis(C, p)
             laplacian_sdf_decomposition(C, p)
         passes.append((len(svds), len(spaces)))
     # every SVD is a map's own, taken once per map and kind: _degree and the
@@ -342,7 +356,7 @@ def _assert_same_map(f: TracedMap, coeff: np.ndarray) -> None:
     got = f.singular_values()
     assert got.shape == want.shape
     assert np.abs(got - want).max(initial=0.0) <= 1e-12 * want.max(initial=0.0)
-    assert f.rank() == np.count_nonzero(nonzero_mask(want))
+    assert f.rank() == _rank_count(want)
     assert np.abs(f.coefficients - coeff).max(initial=0.0) <= 1e-12 * np.abs(coeff).max(
         initial=0.0)
 
@@ -357,13 +371,13 @@ def _gram_image_complement(C: FiniteCochainComplex, p: int) -> np.ndarray:
     if prev.source.dim == 0:
         return np.linalg.solve(wt, np.eye(space.dim))
     u, s, _ = np.linalg.svd(wt @ prev.coefficients, full_matrices=True)
-    return np.linalg.solve(wt, u[:, np.count_nonzero(nonzero_mask(s)):])
+    return np.linalg.solve(wt, u[:, _rank_count(s):])
 
 
 def _gram_least_norm_solve(f: TracedMap, rhs: np.ndarray) -> np.ndarray:
     u, s, vt = np.linalg.svd(_gram_whitened(f.source, f.target, f.coefficients),
                              full_matrices=True)
-    r = np.count_nonzero(nonzero_mask(s))
+    r = _rank_count(s)
     coords = (1.0 / s[:r])[:, None] * (u[:, :r].T @ (f.target.whitener @ rhs))
     return np.linalg.solve(f.source.whitener, vt[:r].T @ coords)
 
@@ -374,7 +388,7 @@ def _gram_harmonic(C: FiniteCochainComplex, p: int) -> np.ndarray:
     if basis.shape[1] == 0 or d.target.dim == 0:
         return basis
     _, s, vt = np.linalg.svd(d.target.whitener @ d.coefficients @ basis, full_matrices=True)
-    return basis @ vt[np.count_nonzero(nonzero_mask(s)):].T
+    return basis @ vt[_rank_count(s):].T
 
 
 def _projector(space: TracedSpace, basis: np.ndarray) -> np.ndarray:
@@ -406,7 +420,7 @@ def test_whitened_maps_match_the_gram_coordinate_formulas(seed, dims):
         # the image complement spans the same subspace, and the restricted
         # differential has the same singular values and rank
         space, basis = C.space(p), _gram_image_complement(C, p)
-        got = C.image_complement_basis(p)
+        got = _image_complement_basis(C, p)
         assert got.shape == basis.shape
         assert np.abs(_projector(space, got) - _projector(space, basis)).max(
             initial=0.0) <= 1e-12
@@ -414,7 +428,7 @@ def test_whitened_maps_match_the_gram_coordinate_formulas(seed, dims):
         want = _gram_svals(TracedSpace(basis.shape[1]), d.target, d.coefficients @ basis)
         got = restricted.singular_values()
         assert np.abs(got - want).max(initial=0.0) <= 1e-12 * want.max(initial=0.0)
-        assert restricted.rank() == np.count_nonzero(nonzero_mask(want))
+        assert restricted.rank() == _rank_count(want)
 
 
 @given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 3), min_size=2, max_size=4),
@@ -434,10 +448,33 @@ def test_connecting_map_matches_the_gram_coordinate_route(seed, dims_c, dims_e):
         coords = h_c.T @ T.C.space(p + 1).gram @ pulled
         want = _gram_svals(delta.source, delta.target, coords)
         assert np.abs(delta.singular_values() - want).max() <= 1e-12 * max(want.max(), 1.0)
-        assert delta.rank() == np.count_nonzero(nonzero_mask(want))
+        assert delta.rank() == _rank_count(want)
         # the same operator E^p -> C^{p+1} through the harmonic embeddings,
         # whichever orthonormal bases of the harmonic spaces each route took
         e_gram = T.E.space(p).gram
         new = T.C.harmonic_basis(p + 1) @ delta.coefficients @ T.E.harmonic_basis(p).T @ e_gram
         old = h_c @ coords @ h_e.T @ e_gram
         assert np.abs(new - old).max() <= 1e-12 * max(np.abs(old).max(), 1.0)
+
+
+def _svd_kernel_basis(f: TracedMap) -> np.ndarray:
+    """Oracle: the null space that rand._coupling_nullspace took before it
+    was a traced map's kernel_basis: a full SVD of the constraints cut by
+    the rank rule over the array, and the identity when there are none."""
+    m, n = f.whitened.shape
+    if m == 0:
+        return np.eye(n)
+    _, s, vt = np.linalg.svd(f.whitened, full_matrices=True)
+    return vt[int(np.count_nonzero(s > _rank_threshold(s.tolist()))):].T
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(0, 4), min_size=1, max_size=4),
+       st.lists(st.integers(0, 4), min_size=1, max_size=4))
+def test_coupling_nullspace_matches_the_svd_form_bitwise(seed, dims_c, dims_e):
+    rng = rng_for(seed, 0)
+    C, E = random_complex(rng, dims_c), random_complex(rng, dims_e)
+    got = _coupling_nullspace(C, E, rng_for(seed, 1))
+    with mock.patch.object(TracedMap, "kernel_basis", _svd_kernel_basis):
+        want = _coupling_nullspace(C, E, rng_for(seed, 1))
+    assert [h.shape for h in got] == [h.shape for h in want]
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))

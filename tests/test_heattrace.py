@@ -852,7 +852,7 @@ def _array_form(S: Spectrum):
     e1 = exp1(lam)
     ein = _ein_array_form(lam, e1)
     gap = float(lam[0]) if lam.size else math.inf
-    return (pos.total_weight, gap, _array_exact_sum(-w * ein), _array_exact_sum(w * e1))
+    return (float(w.sum()), gap, _array_exact_sum(-w * ein), _array_exact_sum(w * e1))
 
 
 _POSITIVE_EIGENVALUE = st.one_of(

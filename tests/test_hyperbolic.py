@@ -13,8 +13,7 @@ from l2tor import heattrace
 from l2tor.heattrace import analytic_torsion, d_small, large_time_integral
 from l2tor.hyperbolic import (_REMAINDER_FLOOR, CuspEnd, PlancherelComponent,
                               PlancherelTable, _exp_taylor_remainder,
-                              _gaussian_moment, cusp_volume, heat_density,
-                              load_plancherel_table, plancherel_heat_model,
+                              _gaussian_moment, cusp_volume, load_plancherel_table, plancherel_heat_model,
                               torsion_constant, torsion_constant_result,
                               truncated_volume)
 
@@ -48,27 +47,27 @@ def test_scalar_density_closed_form(table):
     # shift 1 and density r^2/(2 pi^2) give e^{-t} (4 pi t)^{-3/2}
     for t in (1e-3, 0.1, 1.0, 4.0):
         expected = math.exp(-t) / (4.0 * math.pi * t) ** 1.5
-        assert heat_density(table, 0, t) == pytest.approx(expected, rel=1e-9)
+        assert table.density(0, t) == pytest.approx(expected, rel=1e-9)
 
 
 def test_duality_row_equality(table):
     for t in (0.01, 0.5, 2.0):
-        assert heat_density(table, 3, t) == pytest.approx(heat_density(table, 0, t),
+        assert table.density(3, t) == pytest.approx(table.density(0, t),
                                                           rel=1e-12)
-        assert heat_density(table, 2, t) == pytest.approx(heat_density(table, 1, t),
+        assert table.density(2, t) == pytest.approx(table.density(1, t),
                                                           rel=1e-12)
 
 
 def test_one_form_leading_term(table):
     t = 1e-4
     target = 3.0 / (4.0 * math.pi * t) ** 1.5
-    assert heat_density(table, 1, t) == pytest.approx(target, rel=1e-3)
+    assert table.density(1, t) == pytest.approx(target, rel=1e-3)
 
 
 def test_density_decreasing_and_log_convex(table):
     ts = np.geomspace(1e-3, 5.0, 40)
     for p in range(4):
-        vals = np.array([heat_density(table, p, t) for t in ts])
+        vals = np.array([table.density(p, t) for t in ts])
         assert np.all(np.diff(vals) < 0)
         logs = np.log(vals)
         # chord inequality for convexity of log K in t on the uneven grid

@@ -121,3 +121,68 @@ def test_every_config_constant_has_a_reader():
                          if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
                 read |= {node.attr for node in ast.walk(fn) if isinstance(node, ast.Attribute)}
     assert constants and not sorted(constants - read)
+
+
+# public members that nothing outside the tests names, each kept for a reason
+_TEST_ONLY_MEMBERS = {
+    "Spectrum.counting_function": "the paper's counting function F, documented in README",
+    "Domain1D.half_line_dirichlet": "the factory of a domain kind that kernel_1d supports",
+    "TracedMap.identity": "with TracedMap.zero, the exact maps any space has",
+}
+
+
+def _names(tree) -> set[str]:
+    """The names a module's code uses: its names, attributes and imports, and
+    the words of its string literals (bench/tracing.py patches members by
+    name), without its docstrings and its __all__."""
+    import ast
+    import re
+
+    skip = set()
+    for node in ast.walk(tree):
+        body = getattr(node, "body", None)
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and body
+                and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)):
+            skip.add(id(body[0].value))
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__"
+                                                for t in node.targets):
+            skip.update(id(n) for n in ast.walk(node.value))
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rpartition(".")[2])
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in skip):
+            names.update(re.findall(r"[A-Za-z_]\w*", node.value))
+    return names
+
+
+def test_every_public_member_is_reached_outside_the_tests():
+    # a public function, method or property of l2tor that no code in src/,
+    # bench/ or scripts/ names is surface that only the tests reach: delete
+    # it, or move it into the tests as a helper.  Names are matched as
+    # names, so a member that shares its name with another one that is used
+    # counts as reached.
+    import ast
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    members, used = [], set()
+    for path in sorted((root / "src" / "l2tor").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        used |= _names(tree)
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                members.append((node.name, node.name))
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                members += [(f"{node.name}.{sub.name}", sub.name) for sub in node.body
+                            if isinstance(sub, ast.FunctionDef)]
+    for path in sorted([*(root / "bench").rglob("*.py"), *(root / "scripts").rglob("*.py")]):
+        used |= _names(ast.parse(path.read_text()))
+    unreached = sorted(qualified for qualified, name in members
+                       if not name.startswith("_") and name not in used)
+    assert unreached == sorted(_TEST_ONLY_MEMBERS)

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -7,8 +8,17 @@ from hypothesis import strategies as st
 
 from l2tor.hyperbolic import torsion_constant_result
 from l2tor.jsj import (TORSION_PER_VOLUME, JsjManifest, JsjPiece, ManifestError,
-                       is_graph_manifold, load_census, load_manifest, manifest_from_dict,
+                       is_graph_manifold, load_manifest, manifest_from_dict,
                        torsion_3manifold)
+
+CENSUS = Path(__file__).parent / "data" / "census_cusped.json"
+
+
+def _load_census() -> list[JsjManifest]:
+    """The cusped-census fixture manifests, with published volumes."""
+    entries = json.loads(CENSUS.read_text())["manifests"]
+    return [manifest_from_dict(entry, f"{CENSUS}.manifests[{i}]")
+            for i, entry in enumerate(entries)]
 
 
 def test_graph_manifold_zero_torsion():
@@ -63,7 +73,7 @@ def test_torsion_linear_and_nonpositive(volumes):
 
 
 def test_census_figure_eight_volume():
-    census = {m.name: m for m in load_census()}
+    census = {m.name: m for m in _load_census()}
     fig8 = census["figure-eight-knot-complement"]
     assert fig8.boundary_tori == 1
     vol = fig8.hyperbolic_volume

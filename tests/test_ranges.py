@@ -22,7 +22,7 @@ from l2tor import (ConformalFamily, CuspEnd, Domain1D, HeatTraceModel, JsjManife
                    JsjPiece, PlancherelTable, SpectralDensityFunction, Spectrum, TracedSpace,
                    anomaly_coefficients, cheeger_mueller_correction, check_gromov_shubin,
                    check_short_exact, complex_sdf, connecting_map, cusp_volume,
-                   heat_density, hodge_star_conformal, kernel_1d,
+                   hodge_star_conformal, kernel_1d,
                    laplacian_sdf_decomposition, large_time_dominating_bound,
                    load_plancherel_table, mean_curvature, ns_exponent_fit, product_lift,
                    run_suite, sup_bound_check, torsion_constant, truncated_volume,
@@ -67,9 +67,8 @@ SWEEP = [
     ("SpectralDensityFunction.plus_constant", _F.plus_constant, {"c": 1.0}),
     ("ns_exponent_fit", lambda eps: ns_exponent_fit(_POWER_LAW, eps), {"eps": 0.1}),
     *((f"FiniteCochainComplex.{name}", getattr(_C, name), {"p": 1})
-      for name in ("space", "differential", "image_complement_basis",
-                   "restricted_differential", "laplacian", "harmonic_basis",
-                   "cohomology_dim")),
+      for name in ("space", "differential", "restricted_differential", "laplacian",
+                   "harmonic_basis", "cohomology_dim")),
     ("ShortExactTriple.j_at", _TRIPLE.j_at, {"p": 1}),
     ("ShortExactTriple.q_at", _TRIPLE.q_at, {"p": 1}),
     ("complex_sdf", lambda p: complex_sdf(_C, p), {"p": 1}),
@@ -101,7 +100,6 @@ SWEEP = [
     ("PlancherelTable.density", _TABLE.density, {"p": 1, "t": 0.5}),
     ("cusp_volume", lambda m, height: cusp_volume(CuspEnd(1.0), m, height),
      {"m": 3, "height": 0.5}),
-    ("heat_density", lambda p, t: heat_density(_TABLE, p, t), {"p": 1, "t": 0.5}),
     ("torsion_constant", lambda m: torsion_constant(_TABLE, m), {"m": 3}),
     ("truncated_volume",
      lambda total_volume, R, m: truncated_volume(total_volume, [CuspEnd(1.0)], R, m),

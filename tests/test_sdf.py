@@ -12,7 +12,14 @@ from l2tor.checks import CheckReport, _moebius_argument, check_block_matrix_F, t
 from l2tor.config import TIE_RTOL
 from l2tor.rand import random_map, random_space, rng_for
 from l2tor.sdf import SpectralDensityFunction, _from_descending, ns_exponent_fit, sdf_of_map
-from l2tor.traced import TracedMap, TracedSpace, nonzero_mask
+from l2tor.traced import TracedMap, TracedSpace, _rank_threshold
+
+
+def _tie_shifted(x) -> np.ndarray:
+    """checks.tie_shifted over the points of an array or a scalar, as a
+    float array of the same shape."""
+    x = np.asarray(x, dtype=float)
+    return np.array(tie_shifted(x.ravel().tolist())).reshape(x.shape)
 
 
 def diag_map(entries, normalization=1.0):
@@ -51,15 +58,15 @@ def test_random_map_against_generalized_eigensolve():
         svs = np.sqrt(np.clip(eigs, 0.0, None))
         for lam in np.concatenate([svs, [0.0], svs * 0.999, svs * 1.001, [100.0]]):
             expected = float(np.count_nonzero(svs <= lam + 1e-9 * max(1.0, lam)))
-            assert F(tie_shifted(lam)) == pytest.approx(expected * src.normalization)
+            assert F(_tie_shifted(lam)) == pytest.approx(expected * src.normalization)
 
 
 def test_total_equals_normalized_source_dim():
     rng = rng_for(2, 1)
     f = random_map(rng, random_space(rng, 5, 0.25), random_space(rng, 3, 0.25))
     F = sdf_of_map(f)
-    assert F.total == pytest.approx(5 * 0.25)
-    assert F(f.norm) == pytest.approx(F.total)
+    assert F(math.inf) == pytest.approx(5 * 0.25)
+    assert F(f.norm) == pytest.approx(F(math.inf))
 
 
 def test_reduced_examples():
@@ -68,7 +75,7 @@ def test_reduced_examples():
     assert Fbar(1.9) == 0.0
     assert Fbar(2.0) == 1.0
     zero = TracedMap.zero(TracedSpace(3), TracedSpace(2))
-    assert sdf_of_map(zero).reduced().total == 0.0
+    assert sdf_of_map(zero).reduced()(math.inf) == 0.0
 
 
 def test_reduced_adjoint_symmetry():
@@ -103,7 +110,7 @@ def test_monotone_right_continuous_bounded():
     probes = np.unique(F.probe_points())
     vals = [F(x) for x in probes]
     assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
-    assert max(vals) <= f.source.normalized_dim + 1e-12
+    assert max(vals) <= f.source.normalization * f.source.dim + 1e-12
 
 
 def variational_sdf(f: TracedMap, lam: float) -> float:
@@ -130,7 +137,7 @@ def variational_sdf(f: TracedMap, lam: float) -> float:
             raise ValueError("variational form requires a diagonal map")
     diag = np.abs(np.diag(coeff)) if coeff.size else np.zeros(0)
     entries = np.concatenate([diag, np.zeros(f.source.dim - diag.size)])
-    qualifying = np.count_nonzero(nonzero_mask(entries) & (entries <= lam))
+    qualifying = np.count_nonzero((entries > _rank_threshold(entries.tolist())) & (entries <= lam))
     return float(qualifying) * f.source.normalization
 
 
@@ -235,7 +242,7 @@ def reference_value(F, x):
 @given(st.data(), step_functions())
 def test_values_match_scalar_evaluation_bitwise(data, F):
     # at the probes and at their tie shifts, the two slacks of the checkers
-    for x in (data.draw(probes_for(F)), tie_shifted(data.draw(probes_for(F)))):
+    for x in (data.draw(probes_for(F)), _tie_shifted(data.draw(probes_for(F)))):
         got = F.values(x)
         expected = np.array([reference_value(F, v) for v in x], dtype=float)
         assert got.shape == x.shape
@@ -247,7 +254,7 @@ def test_values_of_empty_function_are_zero():
     x = np.array([0.0, 1.0, 1e9])
     zero = SpectralDensityFunction([], [])
     assert np.array_equal(zero.values(x), np.zeros(3))
-    assert np.array_equal(zero.values(tie_shifted(x)), np.zeros(3))
+    assert np.array_equal(zero.values(_tie_shifted(x)), np.zeros(3))
     assert zero.values(np.zeros(0)).shape == (0,)
     assert zero(0.0) == 0.0
 
@@ -255,7 +262,7 @@ def test_values_of_empty_function_are_zero():
 def test_tie_shift_is_relative_above_one_and_absolute_below():
     # zero is not shifted: a kernel is compared at 0 itself
     x = np.array([0.0, 0.5, 1.0, 1e6])
-    assert np.array_equal(tie_shifted(x), x + TIE_RTOL * np.array([0.0, 1.0, 1.0, 1e6]))
+    assert np.array_equal(tie_shifted(x.tolist()), x + TIE_RTOL * np.array([0.0, 1.0, 1.0, 1e6]))
 
 
 @given(step_functions())
@@ -273,7 +280,7 @@ def test_scaled_argument_at_zero_examples():
     G = F.scaled_argument(0.0)
     assert G(0.0) == 0.5 and G(1e9) == 0.5
     unreduced = SpectralDensityFunction(np.array([2.0]), np.array([1.0]))
-    assert unreduced.scaled_argument(0.0).total == 0.0
+    assert unreduced.scaled_argument(0.0)(math.inf) == 0.0
     with pytest.raises(ValueError, match=r"^c must be in \[0, inf\), got -1.0$"):
         F.scaled_argument(-1.0)
 
@@ -396,7 +403,7 @@ def test_derived_functions_keep_the_invariants_and_compose(F, G, c, a, t):
         assert rebuilt.lams.tobytes() == D.lams.tobytes(), name
         assert rebuilt.vals.tobytes() == D.vals.tobytes(), name
         # breakpoints pull back rounded, so both sides read just right of them
-        x = tie_shifted(np.unique(D.probe_points()))
+        x = _tie_shifted(np.unique(D.probe_points()))
         if name == "moebius":
             x = x[t * x < 1.0]  # the pullback lives on [0, 1/t)
         got, want = D.values(x), composed(x)
@@ -538,6 +545,10 @@ def test_list_algebra_equals_the_array_formulas_bitwise(F, G, c, a, t, k):
 
 @given(st.lists(_POINTS, max_size=12))
 def test_the_tie_shift_of_a_list_equals_that_of_an_array_bitwise(points):
+    # the array form it replaced: max(x > 0, x) is max(1, x) for a positive
+    # x and 0 otherwise
     shifted = tie_shifted(points)
     assert all(type(y) is float for y in shifted)
-    assert np.array(shifted, dtype=float).tobytes() == tie_shifted(np.array(points)).tobytes()
+    x = np.array(points, dtype=float)
+    assert np.array(shifted, dtype=float).tobytes() == (
+        x + TIE_RTOL * np.maximum(x > 0.0, x)).tobytes()

@@ -40,8 +40,8 @@ def test_nonpositive_time_rejected():
 def test_kernel_weight_and_gap():
     S = Spectrum.from_pairs([(0.0, 2.5), (0.5, 1.0), (3.0, 1.0)])
     assert S.weights[S.eigenvalues == 0.0].tolist() == [2.5]
-    assert S.spectral_gap == 0.5
-    assert S.positive_part().total_weight == 2.0
+    assert S.positive_part().eigenvalues[0] == 0.5
+    assert S.positive_part().weights.sum() == 2.0
 
 
 def test_validation_rejects_bad_inputs():

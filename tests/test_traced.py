@@ -11,7 +11,14 @@ from l2tor.checks import run_suite
 from l2tor.config import RANK_RTOL, ZERO_SV_ATOL
 from l2tor.rand import random_map, random_space, rng_for
 from l2tor.sdf import sdf_of_map
-from l2tor.traced import TracedMap, TracedSpace, nonzero_mask
+from l2tor.traced import TracedMap, TracedSpace, _rank_threshold
+
+
+def _nonzero(sv) -> list[bool]:
+    """The rank rule on a list of singular values, in any order: which lie
+    above the one threshold."""
+    threshold = _rank_threshold(list(sv))
+    return [v > threshold for v in sv]
 
 
 def test_space_rejects_indefinite_gram():
@@ -39,7 +46,7 @@ def test_space_accepts_rounding_asymmetry_and_symmetrizes():
 @pytest.mark.parametrize("n", [0, 1, 4])
 def test_identity_space_is_exactly_the_identity(n):
     s = TracedSpace(n)
-    for m in (s.gram, s.whitener, s.orthonormal_basis()):
+    for m in (s.gram, s.whitener, s.inverse_whitener):
         assert m.shape == (n, n)
         assert np.array_equal(m, np.eye(n))
 
@@ -49,7 +56,6 @@ def test_cached_inverse_equals_direct_inverse_bitwise():
     s = random_space(rng, 5)
     assert s.inverse_whitener.tobytes() == np.linalg.inv(s.whitener).tobytes()
     assert s.inverse_whitener is s.inverse_whitener
-    assert s.orthonormal_basis().tobytes() == s.inverse_whitener.tobytes()
     with pytest.raises(ValueError):
         s.inverse_whitener[0, 0] = 0.0
     # the gram inverse is gone: derived maps are whitened, so no map needs it
@@ -77,26 +83,14 @@ def test_identity_space_inverses_are_read_only_identities(n, monkeypatch):
         s.gram[...] = 0.0
 
 
-def test_orthonormal_basis_is_a_copy():
-    rng = rng_for(1, 6)
-    src, tgt = random_space(rng, 3), random_space(rng, 2)
-    coeff = rng.standard_normal((2, 3))
-    before = TracedMap(src, tgt, coeff).whitened.copy()
-    src.orthonormal_basis()[:] = 0.0
-    assert np.array_equal(TracedMap(src, tgt, coeff).whitened, before)
-
-
 def test_space_rejects_nonpositive_normalization():
     with pytest.raises(ValueError):
         TracedSpace(2, 0.0)
 
 
-def test_normalized_dim():
-    s = TracedSpace(3, 0.5)
-    assert s.normalized_dim == 1.5
+def test_normalization_is_held_as_a_float():
     third = TracedSpace(3, Fraction(1, 3))
     assert type(third.normalization) is float and third.normalization == 1.0 / 3.0
-    assert third.normalized_dim == 1.0
 
 
 def test_whitener_reproduces_inner_product():
@@ -105,25 +99,25 @@ def test_whitener_reproduces_inner_product():
     u = rng.standard_normal(4)
     v = rng.standard_normal(4)
     w = s.whitener
-    assert s.inner(u, v) == pytest.approx(float((w @ u) @ (w @ v)), rel=1e-12)
+    assert float(u @ s.gram @ v) == pytest.approx(float((w @ u) @ (w @ v)), rel=1e-12)
 
 
 def test_orthonormal_basis_is_gram_orthonormal():
     rng = rng_for(1, 1)
     s = random_space(rng, 5)
-    b = s.orthonormal_basis()
+    b = s.inverse_whitener
     assert np.allclose(b.T @ s.gram @ b, np.eye(5), atol=1e-10)
 
 
 def test_rank_rule_cutoff():
     # relative cut at RANK_RTOL of the largest, absolute floor at ZERO_SV_ATOL
-    sv = np.array([2.0, 2.0 * RANK_RTOL, 2.0 * RANK_RTOL * 1.5, 0.0])
-    assert nonzero_mask(sv).tolist() == [True, False, True, False]
-    tiny = np.array([ZERO_SV_ATOL, 0.5 * ZERO_SV_ATOL, 2.0 * ZERO_SV_ATOL])
-    assert nonzero_mask(tiny).tolist() == [False, False, True]
-    assert nonzero_mask(np.zeros(0)).size == 0
+    sv = [2.0, 2.0 * RANK_RTOL, 2.0 * RANK_RTOL * 1.5, 0.0]
+    assert _nonzero(sv) == [True, False, True, False]
+    tiny = [ZERO_SV_ATOL, 0.5 * ZERO_SV_ATOL, 2.0 * ZERO_SV_ATOL]
+    assert _nonzero(tiny) == [False, False, True]
+    assert _nonzero([]) == []
     # the order of the values does not matter
-    assert nonzero_mask(sv[::-1]).tolist() == [False, True, False, True]
+    assert _nonzero(sv[::-1]) == [False, True, False, True]
 
 
 @pytest.mark.parametrize("sv", [[2.0, np.nan], [np.nan], [np.inf, 1.0]],
@@ -131,7 +125,7 @@ def test_rank_rule_cutoff():
 def test_rank_rule_refuses_nonfinite_values(sv):
     # a NaN top would make every comparison false, so every value a zero
     with pytest.raises(ValueError, match="finite"):
-        nonzero_mask(np.array(sv))
+        _rank_threshold(sv)
 
 
 _RANK_EDGES = (0.0, 1e-17, 0.5 * ZERO_SV_ATOL, ZERO_SV_ATOL, 2.0 * ZERO_SV_ATOL,
@@ -156,11 +150,10 @@ def ranked_maps(draw):
 
 
 @given(ranked_maps())
-def test_rank_counts_what_the_nonzero_mask_keeps(f):
-    # rank() in Python floats and nonzero_mask over the array share one threshold
+def test_rank_counts_the_values_above_the_threshold(f):
     rank = f.rank()
     assert type(rank) is int
-    assert rank == np.count_nonzero(nonzero_mask(f.singular_values()))
+    assert rank == sum(_nonzero(f.singular_values().tolist()))
 
 
 @given(st.lists(st.floats(0.0, 1e3), min_size=1, max_size=5),
@@ -173,8 +166,6 @@ def test_rank_refuses_a_nan_or_inf_past_the_leading_value(values, bad, data):
     f._svals = np.array(sv)  # as if the decomposition had returned them
     with pytest.raises(ValueError, match="finite"):
         f.rank()
-    with pytest.raises(ValueError, match="finite"):
-        nonzero_mask(np.array(sv))
 
 
 def test_rank_decisions_follow_the_rank_rule():
@@ -233,8 +224,9 @@ def test_operator_norm_against_rayleigh_sampling():
     best = 0.0
     for _ in range(2000):
         x = rng.standard_normal(4)
-        num = np.sqrt(f.target.inner(f.apply(x), f.apply(x)))
-        den = np.sqrt(f.source.inner(x, x))
+        y = f.coefficients @ x
+        num = np.sqrt(y @ f.target.gram @ y)
+        den = np.sqrt(x @ f.source.gram @ x)
         best = max(best, num / den)
     assert best <= f.norm * (1 + 1e-9)
     assert best >= f.norm * 0.95
@@ -304,7 +296,7 @@ def test_whitening_overflow_is_refused_not_read_as_rank_zero():
     f = TracedMap(TracedSpace(1), TracedSpace(1, 1.0, np.array([[1e300]])),
                   np.array([[1e200]]))
     with np.errstate(over="ignore"):
-        for decide in (f.rank, f.image_basis, lambda: f.norm):
+        for decide in (f.rank, f.kernel_basis, lambda: f.norm):
             with pytest.raises(ValueError, match="overflows"):
                 decide()
 
@@ -355,7 +347,7 @@ def _gram_pinv_apply(f: TracedMap, rhs: np.ndarray) -> np.ndarray:
     wt = f.target.whitener
     b = wt @ f.coefficients @ f.source.inverse_whitener
     u, s, vt = np.linalg.svd(b, full_matrices=False)
-    nonzero = nonzero_mask(s)
+    nonzero = np.array(_nonzero(s.tolist()), dtype=bool)
     inv = np.where(nonzero, 1.0 / np.where(nonzero, s, 1.0), 0.0)
     x_white = vt.T @ (inv[:, None] * (u.T @ (wt @ rhs)))
     return np.linalg.solve(ws, x_white)
@@ -374,7 +366,7 @@ def test_kernel_image_bases_and_least_norm_solve(seed, n, m, r):
     src, tgt = random_space(rng, n), random_space(rng, m)
     f = TracedMap(src, tgt, rng.standard_normal((m, r)) @ rng.standard_normal((r, n)))
     assert f.rank() == r
-    ker, im = f.kernel_basis(), f.image_basis()
+    ker, im = f.kernel_basis(), f._full_svd()[0][:, :r]
     assert ker.shape == (n, n - r) and im.shape == (m, r)
     for basis in (ker, im):
         assert np.allclose(basis.T @ basis, np.eye(basis.shape[1]), atol=1e-12)
@@ -383,11 +375,14 @@ def test_kernel_image_bases_and_least_norm_solve(seed, n, m, r):
     assert _amax(f.whitened @ ker) <= 1e-12 * scale
     assert _amax(f.whitened - im @ (im.T @ f.whitened)) <= 1e-12 * scale
     rhs = rng.standard_normal((m, 3))
-    x, oracle = f.least_norm_solve(rhs), _gram_pinv_apply(f, rhs)
+    # the least-gram-norm x with f x = rhs, by the pseudoinverse that the
+    # connecting map applies in whitened coordinates
+    x = src.inverse_whitener @ f._pinv(tgt.whitener @ rhs)
+    oracle = _gram_pinv_apply(f, rhs)
     assert x.shape == (n, 3)
     assert _amax(x - oracle) <= 1e-12 * max(1.0, _amax(oracle))
     # x is gram-orthogonal to ker f, and f x is the gram projection of rhs
     # onto the image
     assert _amax(ker.T @ (src.whitener @ x)) <= 1e-12 * max(1.0, _amax(src.whitener @ x))
     wrhs = tgt.whitener @ rhs
-    assert _amax(tgt.whitener @ f.apply(x) - im @ (im.T @ wrhs)) <= 1e-10 * max(1.0, _amax(wrhs))
+    assert _amax(tgt.whitener @ f.coefficients @ x - im @ (im.T @ wrhs)) <= 1e-10 * max(1.0, _amax(wrhs))
