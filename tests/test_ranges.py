@@ -29,8 +29,9 @@ from l2tor import (ConformalFamily, CuspEnd, Domain1D, HeatTraceModel, JsjManife
                    v_operator, zeta_det)
 from l2tor.anomaly import PRESET_FAMILIES
 from l2tor.checks import CheckReport
-from l2tor.hyperbolic import plancherel_heat_model
+from l2tor.hyperbolic import plancherel_heat_model, torsion_constant_result
 from l2tor.rand import random_complex, random_homotopy_pair, random_short_exact_triple
+from l2tor.spectrum import circle_heat_trace
 
 BOUNDARY = [math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e308]
 BOUNDARY_IDS = ["nan", "inf", "-inf", "zero", "minus-one", "subnormal", "1e308"]
@@ -101,6 +102,11 @@ SWEEP = [
     ("cusp_volume", lambda m, height: cusp_volume(CuspEnd(1.0), m, height),
      {"m": 3, "height": 0.5}),
     ("torsion_constant", lambda m: torsion_constant(_TABLE, m), {"m": 3}),
+    # in their modules' __all__ but not the package's: the record behind
+    # torsion_constant (its per-degree values and error too), and the circle
+    # trace that HeatTraceModel.from_circle evaluates
+    ("torsion_constant_result", lambda m: torsion_constant_result(_TABLE, m), {"m": 3}),
+    ("circle_heat_trace", circle_heat_trace, {"circumference": 2.0, "t": 0.5}),
     ("truncated_volume",
      lambda total_volume, R, m: truncated_volume(total_volume, [CuspEnd(1.0)], R, m),
      {"total_volume": 2.0, "R": 0.5, "m": 3}),
