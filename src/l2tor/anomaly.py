@@ -236,13 +236,6 @@ PRESET_FAMILIES = {
     3: ConformalFamily(3, lambda x, u: 1 + x + u * x, name="linear-tilt-3d"),
 }
 
-_BASIS = {
-    2: {0: ["1"], 1: ["dx", "dy"], 2: ["dx^dy"]},
-    3: {0: ["1"], 1: ["dx", "dy", "dz"],
-        2: ["dy^dz", "dz^dx", "dx^dy"], 3: ["dx^dy^dz"]},
-}
-
-
 def hodge_star_conformal(family: ConformalFamily, p: int, point) -> list[dict]:
     """Star action on the degree-p basis forms at (x, u).
 
@@ -251,9 +244,8 @@ def hodge_star_conformal(family: ConformalFamily, p: int, point) -> list[dict]:
     sign, constant across each degree except for orientation signs in the
     middle degree of dimension 2.
     """
+    check_range("p", p, 0, family.dim, "[]", integer=True)
     x, u = point
-    if p not in _BASIS[family.dim]:
-        raise ValueError(f"degree {p} out of range for dimension {family.dim}")
     fval = family.jet(x, u).value
     if family.dim == 2:
         tables = {

@@ -35,16 +35,16 @@ from .hyperbolic import (CuspEnd, cusp_volume, load_plancherel_table,
                          torsion_constant_result)
 from .inputs import ManifestError, check_range, convert, field, integer, items, number, read_json
 from .jsj import is_graph_manifold, load_manifest, torsion_3manifold
-from .kernels1d import Domain1D, boundary_insensitivity_check, sup_bound_check
+from .kernels1d import (HALF_NEUMANN, INTERVAL_NEUMANN, LINE, Domain1D,
+                        boundary_insensitivity_check, sup_bound_check)
 from .selftest import run_selftest
 from .spectrum import Spectrum
 
 SWEEP_MAX_POINTS = 100_000  # the largest point count n of anomaly --sweep u0:u1:n
 
 HEATCMP_PAIRS = {
-    "halfline-line": (Domain1D.half_line_neumann, Domain1D.line),
-    "interval-halfline": (lambda: Domain1D.interval_neumann(3.0),
-                          Domain1D.half_line_neumann),
+    "halfline-line": (Domain1D(HALF_NEUMANN), Domain1D(LINE)),
+    "interval-halfline": (Domain1D(INTERVAL_NEUMANN, 3.0), Domain1D(HALF_NEUMANN)),
 }
 
 
@@ -186,8 +186,7 @@ def _cmd_heatcmp(args) -> int:
     # every distance to the boundary is >= 0, so a cutoff <= 0 cuts nothing
     for k in ks:
         check_range("the cutoff K/2, K or 2K of --K", k, 0, math.inf)
-    make_v, make_n = HEATCMP_PAIRS[args.pair]
-    V, N = make_v(), make_n()
+    V, N = HEATCMP_PAIRS[args.pair]
     rep = boundary_insensitivity_check(V, N, K_values=ks)
     if args.csv:
         with open(args.csv, "w", newline="") as fh:

@@ -66,7 +66,7 @@ import numpy as np
 from .config import QUAD_ATOL
 from .inputs import check_range
 from .mellin import EULER_GAMMA, dsmall_constant
-from .spectrum import (Spectrum, circle_heat_trace, circle_trace_residual)
+from .spectrum import _TINY, Spectrum, circle_heat_trace, circle_trace_residual
 
 __all__ = [
     "HeatTraceModel",
@@ -86,7 +86,6 @@ __all__ = [
 _S_LOW = math.exp(-60.0)  # lower end of the small-time integral in s = sqrt(t)
 
 _EPS = float(np.finfo(float).eps)
-_TINY = float(np.finfo(float).smallest_subnormal)  # bounds a term lost to underflow
 # relative error, in ulps, of one closed-form term at an exactly known
 # argument (special function, logarithm, products)
 _TERM_ULPS = 8.0

@@ -131,13 +131,20 @@ class PlancherelComponent:
             raise ValueError("density polynomial must be finite and nonempty")
 
     def trace(self, t: float) -> float:
-        """int_0^inf e^{-t(r^2 + shift)} poly(r) dr via r = s / sqrt(t)."""
+        """int_0^inf e^{-t(r^2 + shift)} poly(r) dr via r = s / sqrt(t); a
+        trace beyond a double is refused."""
         check_range("t", t, 0, math.inf)
         acc = 0.0
-        for k, c in enumerate(self.poly):
-            if c:
-                acc += c * _gaussian_moment(k) * t ** (-(k + 1) / 2.0)
-        return acc * math.exp(-t * self.shift)
+        try:
+            for k, c in enumerate(self.poly):
+                if c:
+                    acc += c * _gaussian_moment(k) * t ** (-(k + 1) / 2.0)
+        except OverflowError:  # t^{-(k+1)/2} beyond a double
+            acc = math.inf
+        value = acc * math.exp(-t * self.shift)
+        if not math.isfinite(value):
+            raise ValueError(f"heat trace overflows a double at t = {t:g}")
+        return value
 
     def expansion(self, m: int):
         """Coefficients of t^{-(m-i)/2}, i = 0..m, plus a stable remainder.
@@ -206,9 +213,10 @@ class PlancherelTable:
     def density(self, p: int, t: float) -> float:
         """Per-unit-volume p-form heat trace at time t."""
         check_range("p", p, 0, self.m, "[]", integer=True)
+        check_range("t", t, 0, math.inf)
         try:
             value = sum(comp.trace(t) for comp in self.rows[p])
-        except OverflowError:
+        except ValueError:  # a component's trace overflows
             value = math.inf
         if not math.isfinite(value):
             raise ValueError(f"heat density of degree {p} overflows a double at t = {t:g}")
@@ -286,6 +294,7 @@ def plancherel_heat_model(table: PlancherelTable, p: int) -> HeatTraceModel:
     """HeatTraceModel for one degree: the small-time expansion with its
     stable remainder, which the table's degree bound makes vanish at t = 0,
     and the large-time integral in closed form."""
+    check_range("p", p, 0, table.m, "[]", integer=True)
     comps = table.rows[p]
     large = [comp.large_time_exact() for comp in comps]
     coeff = np.zeros(table.m + 1)

@@ -28,11 +28,13 @@ _REQUIRED = object()
 
 def check_range(name: str, value, low, high, closed: str = "()", integer: bool = False):
     """value, if it lies between low and high with the brackets `closed`
-    ("()", "[]", "[)" or "(]") and, when `integer` is set, is an integer.
-    Every comparison with NaN is false, so NaN lies outside."""
+    ("()", "[]", "[)" or "(]") and, when `integer` is set, is an integer
+    (a bool is none).  Every comparison with NaN is false, so NaN lies
+    outside."""
     if ((value >= low if closed[0] == "[" else value > low)
             and (value <= high if closed[1] == "]" else value < high)
-            and (not integer or type(value) is int or isinstance(value, Integral))):
+            and (not integer or type(value) is int
+                 or isinstance(value, Integral) and not isinstance(value, bool))):
         return value
     kind = "an integer in" if integer else "in"
     raise ValueError(f"{name} must be {kind} {closed[0]}{low:g}, {high:g}{closed[1]}, "

@@ -6,12 +6,18 @@ interval and the circle with no discretization error, which makes the
 boundary-insensitivity comparison checkable to machine precision: the
 difference of two kernels at a point decays like a Gaussian in the distance
 to where the domains differ.
+
+A domain is built from its kind, with a length L where the kind takes one:
+Domain1D(LINE), Domain1D(HALF_NEUMANN), Domain1D(HALF_DIRICHLET),
+Domain1D(INTERVAL_NEUMANN, L) or Domain1D(CIRCLE, L).  One table, _KINDS,
+holds what the method of images fixes for each kind.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,50 +48,45 @@ _DECAY_CANDIDATES = (1.0, 2.0, 4.0)
 _SUP_POINTS = 24
 
 
+class _Images(NamedTuple):  # what the method of images fixes for a kind
+    takes_length: bool
+    low: float          # the span runs from low to L, or to inf without L
+    closed: str         # the span's brackets, as check_range reads them
+    reflections: tuple  # (sign of y, sign of the term) for each image of y
+    period: float       # translation period in units of L; 0 for none
+
+
+_KINDS = {
+    LINE: _Images(False, -math.inf, "()", ((-1.0, 1.0),), 0.0),
+    HALF_NEUMANN: _Images(False, 0.0, "[)", ((-1.0, 1.0), (1.0, 1.0)), 0.0),
+    HALF_DIRICHLET: _Images(False, 0.0, "[)", ((-1.0, 1.0), (1.0, -1.0)), 0.0),
+    INTERVAL_NEUMANN: _Images(True, 0.0, "[]", ((-1.0, 1.0), (1.0, 1.0)), 2.0),  # both walls
+    CIRCLE: _Images(True, 0.0, "[)", ((-1.0, 1.0),), 1.0),  # fundamental domain
+}
+
+
 @dataclass(frozen=True)
 class Domain1D:
     kind: str
     length: float | None = None
 
     def __post_init__(self):
-        if self.kind in (INTERVAL_NEUMANN, CIRCLE):
-            if self.length is None:
-                raise ValueError(f"{self.kind} needs a length")
-            check_range("length", self.length, 0, math.inf)
-        elif self.kind in (LINE, HALF_NEUMANN, HALF_DIRICHLET):
-            if self.length is not None:
-                raise ValueError(f"{self.kind} takes no length")
-        else:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown domain kind {self.kind!r}")
-
-    @staticmethod
-    def line() -> "Domain1D":
-        return Domain1D(LINE)
-
-    @staticmethod
-    def half_line_neumann() -> "Domain1D":
-        return Domain1D(HALF_NEUMANN)
-
-    @staticmethod
-    def half_line_dirichlet() -> "Domain1D":
-        return Domain1D(HALF_DIRICHLET)
-
-    @staticmethod
-    def interval_neumann(length: float) -> "Domain1D":
-        return Domain1D(INTERVAL_NEUMANN, length)
-
-    @staticmethod
-    def circle(length: float) -> "Domain1D":
-        return Domain1D(CIRCLE, length)
+        takes_length = _KINDS[self.kind].takes_length
+        if takes_length != (self.length is not None):
+            raise ValueError(f"{self.kind} {'needs a' if takes_length else 'takes no'} length")
+        if takes_length:
+            check_range("length", self.length, 0, math.inf)
 
     def contains(self, x: float) -> bool:
-        if self.kind == LINE:
-            return True
-        if self.kind in (HALF_NEUMANN, HALF_DIRICHLET):
-            return x >= 0.0
-        if self.kind == INTERVAL_NEUMANN:
-            return 0.0 <= x <= self.length
-        return 0.0 <= x < self.length  # circle fundamental domain
+        images = _KINDS[self.kind]
+        high = math.inf if self.length is None else self.length
+        try:
+            check_range("x", x, images.low, high, images.closed)
+        except ValueError:
+            return False
+        return True
 
 
 def _gauss(z: float, t: float) -> float:
@@ -112,24 +113,17 @@ def kernel_1d(domain: Domain1D, t: float, x: float, y: float) -> float:
     check_range("y", y, -math.inf, math.inf)
     if not domain.contains(x) or not domain.contains(y):
         raise ValueError(f"points ({x}, {y}) outside domain {domain.kind}")
-    kind = domain.kind
-    if kind == LINE:
-        return _gauss(x - y, t)
-    if kind == HALF_NEUMANN:
-        return _gauss(x - y, t) + _gauss(x + y, t)
-    if kind == HALF_DIRICHLET:
-        return _gauss(x - y, t) - _gauss(x + y, t)
-    L = domain.length
-    check_range("t", t, 0, _image_time_limit(L), "(]")
-    reach = _IMAGE_REACH * math.sqrt(t) + abs(x) + abs(y) + L
-    if kind == CIRCLE:
-        n_max = int(math.ceil(reach / L))
-        return sum(_gauss(x - y + n * L, t) for n in range(-n_max, n_max + 1))
-    # Neumann interval: reflection group generated by both walls
-    n_max = int(math.ceil(reach / (2.0 * L)))
+    _, _, _, reflections, period = _KINDS[domain.kind]
+    L, n_max = domain.length or 0.0, 0
+    if period:
+        check_range("t", t, 0, _image_time_limit(L), "(]")
+        reach = _IMAGE_REACH * math.sqrt(t) + abs(x) + abs(y) + L
+        n_max = int(math.ceil(reach / (period * L)))
+    # each translate's reflected terms are summed before they join the total
     acc = 0.0
     for n in range(-n_max, n_max + 1):
-        acc += _gauss(x - y + 2.0 * n * L, t) + _gauss(x + y + 2.0 * n * L, t)
+        shift = period * n * L
+        acc += sum(sign * _gauss(x + y_sign * y + shift, t) for y_sign, sign in reflections)
     return acc
 
 
@@ -144,6 +138,14 @@ def _distance_to_complement(V: Domain1D, N: Domain1D, x: float) -> float:
     if V.kind == N.kind and V.length == N.length:
         return math.inf
     raise ValueError(f"unsupported pair ({V.kind}, {N.kind})")
+
+
+def _grid(domain: Domain1D, points: int, start: float) -> np.ndarray:
+    """Points from start to L, unless the span is open there, or to start + 4."""
+    if domain.length is None:
+        return np.linspace(start, start + 4.0, points)
+    return np.linspace(start, domain.length, points,
+                       endpoint=_KINDS[domain.kind].closed[1] == "]")
 
 
 @dataclass
@@ -172,12 +174,7 @@ def boundary_insensitivity_check(V: Domain1D, N: Domain1D,
     which is verified pointwise to _CLOSED_FORM_ATOL.  The points x span
     V: [0, L] for the interval, [0, L) for the circle and [0, 4] otherwise.
     """
-    if V.kind == INTERVAL_NEUMANN:
-        xs = np.linspace(0.0, V.length, _BOUNDARY_POINTS)
-    elif V.kind == CIRCLE:
-        xs = np.linspace(0.0, V.length, _BOUNDARY_POINTS, endpoint=False)
-    else:
-        xs = np.linspace(0.0, 4.0, _BOUNDARY_POINTS)
+    xs = _grid(V, _BOUNDARY_POINTS, 0.0)
     pair = (V.kind, N.kind)
     diffs = []
     closed_violations = []
@@ -229,8 +226,8 @@ def sup_bound_check(domain: Domain1D, t0: float) -> dict:
     10 t0 kernel_1d takes; a t0 beyond is refused before any kernel runs.
     """
     high = 1e306
-    limit = (_image_time_limit(domain.length)
-             if domain.kind in (INTERVAL_NEUMANN, CIRCLE) else math.inf)
+    limit = (_image_time_limit(domain.length) if _KINDS[domain.kind].period
+             else math.inf)
     if limit < 10.0 * high:
         # the largest double whose product with 10 rounds to at most limit
         high = limit / 10.0
@@ -239,14 +236,7 @@ def sup_bound_check(domain: Domain1D, t0: float) -> dict:
         while 10.0 * math.nextafter(high, math.inf) <= limit:
             high = math.nextafter(high, math.inf)
     check_range("t0", t0, 0, high, "(]")
-    if domain.kind == LINE:
-        xs = np.linspace(-2.0, 2.0, _SUP_POINTS)
-    elif domain.kind in (HALF_NEUMANN, HALF_DIRICHLET):
-        xs = np.linspace(0.0, 4.0, _SUP_POINTS)
-    elif domain.kind == INTERVAL_NEUMANN:
-        xs = np.linspace(0.0, domain.length, _SUP_POINTS)
-    else:
-        xs = np.linspace(0.0, domain.length, _SUP_POINTS, endpoint=False)
+    xs = _grid(domain, _SUP_POINTS, max(_KINDS[domain.kind].low, -2.0))
     ts = np.geomspace(t0, 10.0 * t0, 12)
     sup = 0.0
     arg = None

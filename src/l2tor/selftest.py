@@ -20,7 +20,7 @@ from .config import DEFAULT_SEED
 from .heattrace import HeatTraceModel, large_time_dominating_bound, zeta_det
 from .hyperbolic import load_plancherel_table, torsion_constant
 from .jsj import JsjManifest, JsjPiece, is_graph_manifold, torsion_3manifold
-from .kernels1d import Domain1D, boundary_insensitivity_check
+from .kernels1d import HALF_NEUMANN, LINE, Domain1D, boundary_insensitivity_check
 from .mellin import resolve_dsmall_constant
 from .rand import rng_for
 from .spectrum import Spectrum
@@ -129,8 +129,7 @@ def _cim_constant(seed: int, quick: bool) -> CriterionResult:
 
 
 def _heat_boundary(seed: int, quick: bool) -> CriterionResult:
-    rep = boundary_insensitivity_check(Domain1D.half_line_neumann(),
-                                       Domain1D.line())
+    rep = boundary_insensitivity_check(Domain1D(HALF_NEUMANN), Domain1D(LINE))
     c1_at_1 = rep.fitted_c1[1.0]
     ok = (not rep.closed_form_violations
           and rep.monotone_in_cutoff

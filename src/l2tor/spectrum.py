@@ -23,6 +23,8 @@ __all__ = [
     "circle_heat_trace",
 ]
 
+_TINY = float(np.finfo(float).smallest_subnormal)  # bounds a term lost to underflow
+
 
 @dataclass(frozen=True)
 class Spectrum:
@@ -75,7 +77,9 @@ class Spectrum:
         """Bound on the floating-point error of heat_trace(t): each term
         w e^{-t lam} is good to 2 + t lam ulps (the rounding of t lam is
         amplified by the exponential), and the sum of n terms adds at most
-        n - 1 more."""
+        n - 1 more.  A term that underflows below the normal range loses
+        up to w + 1 smallest subnormals more: w in the exponential, one in
+        the product; adding subnormals is exact."""
         check_range("t", t, 0, math.inf)
         mask = slice(None) if include_kernel else self.eigenvalues > 0
         lam = self.eigenvalues[mask]
@@ -83,7 +87,8 @@ class Spectrum:
         # t lam overflows only where its term has underflowed to 0
         with np.errstate(over="ignore"):
             terms = self.weights[mask] * np.exp(-t * lam)
-            return float(eps * np.sum(terms * (terms.size + 2.0 + np.minimum(t * lam, 1e308))))
+            return float(eps * np.sum(terms * (terms.size + 2.0 + np.minimum(t * lam, 1e308)))
+                         + _TINY * np.sum(self.weights[mask] + 1.0))
 
     def counting_function(self, include_kernel: bool = False) -> SpectralDensityFunction:
         """Step function lambda -> weighted count of eigenvalues <= lambda."""
@@ -132,8 +137,10 @@ def circle_heat_trace(circumference: float, t: float, include_zero: bool = True)
 
 def circle_trace_residual(circumference: float, t: float) -> float:
     """Kernel-free circle trace minus its expansion L (4 pi t)^{-1/2} - 1,
-    exact and stable for all t (the difference is the dual-series tail)."""
-    L = circumference
+    exact and stable for all t (the difference is the dual-series tail);
+    t and L are held to circle_heat_trace's ranges."""
+    check_range("t", t, 0, math.inf)
+    L = check_range("circumference", circumference, 1e-153, 1e154, "[]")
     t_star = L * L / (4.0 * math.pi)
     if t < t_star:
         return L / math.sqrt(4.0 * math.pi * t) * _theta_dual_sum(L, t)

@@ -77,6 +77,13 @@ def test_star_dim3_top_degree_power():
     assert all(r["coefficient"] == pytest.approx(f_val) for r in one)
 
 
+@pytest.mark.parametrize("p", [1.0, True, -1, 4])
+def test_star_and_variation_refuse_a_degree_that_is_no_integer_in_range(p):
+    for operator in (hodge_star_conformal, v_operator):
+        with pytest.raises(ValueError, match=rf"^p must be an integer in \[0, 3\], got {p}$"):
+            operator(PRESET_FAMILIES[3], p, (0.25, 0.5))
+
+
 def test_v_operator_middle_degree_dim2_vanishes():
     for fam in (PRESET_FAMILIES[2],
                 ConformalFamily(2, lambda x, u: (1 + x * x * u).exp())):

@@ -19,7 +19,8 @@ from l2tor.heattrace import (_EIN_SERIES, _EPS, _ERFC_CUTOFF, _EXP1_CUTOFF, _TER
 from l2tor.anomaly import ConformalFamily
 from l2tor.hyperbolic import (CuspEnd, PlancherelComponent, load_plancherel_table,
                               plancherel_heat_model)
-from l2tor.kernels1d import Domain1D, kernel_1d, sup_bound_check
+from l2tor.kernels1d import (CIRCLE, INTERVAL_NEUMANN, LINE, Domain1D, kernel_1d,
+                             sup_bound_check)
 from l2tor.mellin import EULER_GAMMA
 from l2tor.rand import rng_for
 from l2tor.spectrum import Spectrum, circle_heat_trace
@@ -927,12 +928,12 @@ _WITH_KERNEL = Spectrum.from_pairs([(0.0, 1.0), (1.0, 1.0)])
     (lambda: circle_heat_trace(1.0, _NAN), _TIME + "nan$"),
     (lambda: circle_heat_trace(_NAN, 1.0), _CIRCLE_MODEL + "nan$"),
     (lambda: circle_heat_trace(-1.0, 1.0), _CIRCLE_MODEL + "-1.0$"),
-    (lambda: kernel_1d(Domain1D.line(), _NAN, 0.0, 0.0), _TIME + "nan$"),
-    (lambda: kernel_1d(Domain1D.line(), 1.0, _NAN, 0.0), r"^x must be in \(-inf, inf\)"),
-    (lambda: kernel_1d(Domain1D.line(), 1.0, 0.0, _INF), r"^y must be in \(-inf, inf\)"),
-    (lambda: sup_bound_check(Domain1D.line(), _NAN), r"^t0 must be in \(0, 1e\+306\], got nan$"),
-    (lambda: Domain1D.circle(_INF), r"^length must be in \(0, inf\), got inf$"),
-    (lambda: Domain1D.interval_neumann(_NAN), r"^length must be in \(0, inf\), got nan$"),
+    (lambda: kernel_1d(Domain1D(LINE), _NAN, 0.0, 0.0), _TIME + "nan$"),
+    (lambda: kernel_1d(Domain1D(LINE), 1.0, _NAN, 0.0), r"^x must be in \(-inf, inf\)"),
+    (lambda: kernel_1d(Domain1D(LINE), 1.0, 0.0, _INF), r"^y must be in \(-inf, inf\)"),
+    (lambda: sup_bound_check(Domain1D(LINE), _NAN), r"^t0 must be in \(0, 1e\+306\], got nan$"),
+    (lambda: Domain1D(CIRCLE, _INF), r"^length must be in \(0, inf\), got inf$"),
+    (lambda: Domain1D(INTERVAL_NEUMANN, _NAN), r"^length must be in \(0, inf\), got nan$"),
     (lambda: PlancherelComponent(0.0, (1.0,)).trace(_NAN), _TIME + "nan$"),
     (lambda: CuspEnd(_NAN), r"^cross_section_volume must be in \(0, inf\), got nan$"),
     (lambda: ConformalFamily(3, lambda x, u: 1 + x, cross_section_volume=_NAN),
@@ -956,16 +957,16 @@ _WITH_KERNEL = Spectrum.from_pairs([(0.0, 1.0), (1.0, 1.0)])
      _TIME + "inf$"),
     (lambda: circle_heat_trace(1.0, _INF), _TIME + "inf$"),
     # the image count of an infinite time overflows
-    (lambda: kernel_1d(Domain1D.circle(1.0), _INF, 0.0, 0.0), _TIME + "inf$"),
-    (lambda: kernel_1d(Domain1D.line(), _INF, 0.0, 0.0), _TIME + "inf$"),
+    (lambda: kernel_1d(Domain1D(CIRCLE, 1.0), _INF, 0.0, 0.0), _TIME + "inf$"),
+    (lambda: kernel_1d(Domain1D(LINE), _INF, 0.0, 0.0), _TIME + "inf$"),
     # a finite time far past the kernel's convergence asks for 1e154 images
-    (lambda: kernel_1d(Domain1D.circle(1.0), 1e308, 0.0, 0.0),
+    (lambda: kernel_1d(Domain1D(CIRCLE, 1.0), 1e308, 0.0, 0.0),
      r"^t must be in \(0, 1e\+06\], got 1e\+308$"),
-    (lambda: kernel_1d(Domain1D.interval_neumann(1.0), 1e308, 0.0, 0.0),
+    (lambda: kernel_1d(Domain1D(INTERVAL_NEUMANN, 1.0), 1e308, 0.0, 0.0),
      r"^t must be in \(0, 1e\+06\], got 1e\+308$"),
-    (lambda: sup_bound_check(Domain1D.line(), _INF), r"^t0 must be in \(0, 1e\+306\], got inf$"),
+    (lambda: sup_bound_check(Domain1D(LINE), _INF), r"^t0 must be in \(0, 1e\+306\], got inf$"),
     # the grid's top time 10 t0 would pass kernel_1d's 1e6 L^2
-    (lambda: sup_bound_check(Domain1D.circle(2.0), 1e6),
+    (lambda: sup_bound_check(Domain1D(CIRCLE, 2.0), 1e6),
      r"^t0 must be in \(0, 400000\], got 1000000.0$"),
     (lambda: PlancherelComponent(0.0, (1.0,)).trace(_INF), _TIME + "inf$"),
     # (2 pi / L)^2 overflows in the eigenvalue series

@@ -358,6 +358,26 @@ def test_component_refuses_shift_outside_zero_to_infinity(shift):
         PlancherelComponent(shift, (1.0,))
 
 
+def test_component_trace_refuses_a_trace_beyond_a_double(table):
+    # t^{-1} at the smallest subnormal t overflows the power itself, and
+    # 1e308 t^{-1/2} the sum of finite terms
+    message = r"^heat trace overflows a double at t = "
+    with pytest.raises(ValueError, match=message + "4.94066e-324$"):
+        table.rows[1][0].trace(5e-324)
+    with pytest.raises(ValueError, match=message + "1e-10$"):
+        PlancherelComponent(0.0, (1e308,)).trace(1e-10)
+    # the density of the degree keeps its own message
+    with pytest.raises(ValueError, match=(r"^heat density of degree 1 overflows a double "
+                                          r"at t = 4.94066e-324$")):
+        table.density(1, 5e-324)
+
+
+@pytest.mark.parametrize("p", [1.0, True, -1, 4])
+def test_heat_model_refuses_a_degree_that_is_no_integer_of_the_table(table, p):
+    with pytest.raises(ValueError, match=rf"^p must be an integer in \[0, 3\], got {p}$"):
+        plancherel_heat_model(table, p)
+
+
 def test_cusp_volume_examples():
     assert cusp_volume(CuspEnd(1.0), m=3, height=0.0) == pytest.approx(0.5)
     assert cusp_volume(CuspEnd(1.0), m=3, height=50.0) == pytest.approx(0.0, abs=1e-40)

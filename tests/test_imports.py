@@ -126,7 +126,6 @@ def test_every_config_constant_has_a_reader():
 # public members that nothing outside the tests names, each kept for a reason
 _TEST_ONLY_MEMBERS = {
     "Spectrum.counting_function": "the paper's counting function F, documented in README",
-    "Domain1D.half_line_dirichlet": "the factory of a domain kind that kernel_1d supports",
     "TracedMap.identity": "with TracedMap.zero, the exact maps any space has",
 }
 

@@ -30,8 +30,9 @@ from l2tor import (ConformalFamily, CuspEnd, Domain1D, HeatTraceModel, JsjManife
 from l2tor.anomaly import PRESET_FAMILIES
 from l2tor.checks import CheckReport
 from l2tor.hyperbolic import plancherel_heat_model, torsion_constant_result
+from l2tor.kernels1d import CIRCLE, HALF_NEUMANN, INTERVAL_NEUMANN, LINE
 from l2tor.rand import random_complex, random_homotopy_pair, random_short_exact_triple
-from l2tor.spectrum import circle_heat_trace
+from l2tor.spectrum import circle_heat_trace, circle_trace_residual
 
 BOUNDARY = [math.nan, math.inf, -math.inf, 0.0, -1.0, 5e-324, 1e308]
 BOUNDARY_IDS = ["nan", "inf", "-inf", "zero", "minus-one", "subnormal", "1e308"]
@@ -102,23 +103,27 @@ SWEEP = [
     ("cusp_volume", lambda m, height: cusp_volume(CuspEnd(1.0), m, height),
      {"m": 3, "height": 0.5}),
     ("torsion_constant", lambda m: torsion_constant(_TABLE, m), {"m": 3}),
-    # in their modules' __all__ but not the package's: the record behind
-    # torsion_constant (its per-degree values and error too), and the circle
-    # trace that HeatTraceModel.from_circle evaluates
+    # not in the package's __all__: the record behind torsion_constant (its
+    # per-degree values and error too), the circle trace and residual that
+    # HeatTraceModel.from_circle evaluates, the model of one degree of a
+    # Plancherel table, and the trace of one of its components
     ("torsion_constant_result", lambda m: torsion_constant_result(_TABLE, m), {"m": 3}),
     ("circle_heat_trace", circle_heat_trace, {"circumference": 2.0, "t": 0.5}),
+    ("circle_trace_residual", circle_trace_residual, {"circumference": 2.0, "t": 0.5}),
+    ("plancherel_heat_model", lambda p: plancherel_heat_model(_TABLE, p), {"p": 1}),
+    ("PlancherelComponent.trace", _TABLE.rows[1][0].trace, {"t": 0.5}),
     ("truncated_volume",
      lambda total_volume, R, m: truncated_volume(total_volume, [CuspEnd(1.0)], R, m),
      {"total_volume": 2.0, "R": 0.5, "m": 3}),
     ("Domain1D", lambda length: Domain1D("circle", length), {"length": 2.0}),
-    ("Domain1D.interval_neumann", Domain1D.interval_neumann, {"length": 2.0}),
-    ("Domain1D.circle", Domain1D.circle, {"length": 2.0}),
-    ("Domain1D.contains", Domain1D.circle(2.0).contains, {"x": 0.5}),
+    ("Domain1D[intervalNeumann]", lambda length: Domain1D(INTERVAL_NEUMANN, length),
+     {"length": 2.0}),
+    ("Domain1D.contains", Domain1D(CIRCLE, 2.0).contains, {"x": 0.5}),
     *((f"kernel_1d[{domain.kind}]", lambda t, x, y, domain=domain: kernel_1d(domain, t, x, y),
        {"t": 0.5, "x": 0.5, "y": 1.0})
-      for domain in (Domain1D.line(), Domain1D.half_line_neumann(),
-                     Domain1D.interval_neumann(2.0), Domain1D.circle(2.0))),
-    ("sup_bound_check", lambda t0: sup_bound_check(Domain1D.circle(2.0), t0), {"t0": 0.5}),
+      for domain in (Domain1D(LINE), Domain1D(HALF_NEUMANN),
+                     Domain1D(INTERVAL_NEUMANN, 2.0), Domain1D(CIRCLE, 2.0))),
+    ("sup_bound_check", lambda t0: sup_bound_check(Domain1D(CIRCLE, 2.0), t0), {"t0": 0.5}),
     ("ConformalFamily", lambda dim, cross_section_volume: ConformalFamily(
         dim, _FAMILY3.f, cross_section_volume=cross_section_volume),
      {"dim": 3, "cross_section_volume": 1.5}),

@@ -8,7 +8,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from l2tor.heattrace import HeatTraceModel
-from l2tor.spectrum import Spectrum, _theta_dual_sum, circle_heat_trace
+from l2tor.spectrum import Spectrum, _theta_dual_sum, circle_heat_trace, circle_trace_residual
 
 
 def circle_spectrum(circumference: float, n_max: int) -> Spectrum:
@@ -167,3 +167,28 @@ def test_dual_sum_keeps_the_terms_whose_product_overflows(L, t):
 def test_dual_sum_without_overflow_keeps_its_direct_form(L, t):
     direct = float(2.0 * np.sum(np.exp(-(np.arange(1, 65.0) ** 2) * L * L / (4.0 * t))))
     assert repr(_theta_dual_sum(L, t)) == repr(direct)
+
+
+@pytest.mark.parametrize("weight", [1.0, 1e3])
+def test_rounding_bound_covers_a_subnormal_trace(weight):
+    # from t = 708.4 on, e^{-t} is subnormal and good only to half the
+    # smallest subnormal; a bound of eps times the trace underflows to 0
+    spectrum = Spectrum.from_pairs([(1.0, weight)])
+    assert spectrum.heat_trace_rounding_bound(740.0) > 0.0
+    with mpmath.workdps(40):
+        for t in np.linspace(700.0, 746.0, 185):
+            t = float(t)
+            exact = weight * mpmath.exp(-mpmath.mpf(t))
+            error = abs(spectrum.heat_trace(t) - exact)
+            assert error <= spectrum.heat_trace_rounding_bound(t), t
+
+
+@pytest.mark.parametrize("L, t, message", [
+    (1.0, 0.0, r"^t must be in \(0, inf\), got 0.0$"),
+    (1.0, math.nan, r"^t must be in \(0, inf\), got nan$"),
+    (math.inf, 1.0, r"^circumference must be in \[1e-153, 1e\+154\], got inf$"),
+    (1e-200, 1.0, r"^circumference must be in \[1e-153, 1e\+154\], got 1e-200$"),
+], ids=["zero-time", "nan-time", "infinite-length", "length-below-range"])
+def test_circle_residual_holds_the_circle_traces_ranges(L, t, message):
+    with pytest.raises(ValueError, match=message):
+        circle_trace_residual(L, t)
