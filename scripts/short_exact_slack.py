@@ -7,8 +7,9 @@ how much room the stated constants leave on generic data.  No conclusion is
 drawn beyond the recorded numbers.
 
 --seed overrides L2TOR_SEED, which is read only when --seed is absent.  A
-negative seed, --instances or --max-dim below 1 and an L2TOR_SEED that is
-no integer are refused with one `error:` line and exit status 2.
+negative seed, --instances below 1, --max-dim outside [1, 32] and an
+L2TOR_SEED that is no integer are refused with one `error:` line and exit
+status 2.
 """
 
 import argparse
@@ -16,7 +17,7 @@ import sys
 
 import numpy as np
 
-from l2tor.checks import CheckReport, check_short_exact
+from l2tor.checks import MAX_DIM, CheckReport, check_short_exact
 from l2tor.config import seed_from_env
 from l2tor.rand import random_short_exact_triple, rng_for
 
@@ -33,6 +34,8 @@ def main() -> int:
                                    ("--max-dim", args.max_dim, 1)):
             if value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
+        if args.max_dim > MAX_DIM:
+            raise ValueError(f"--max-dim must be at most {MAX_DIM}, got {args.max_dim}")
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

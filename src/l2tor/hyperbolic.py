@@ -330,6 +330,7 @@ def torsion_constant_result(table: PlancherelTable | None = None,
     degrees with equal rows (p and m - p, by duality) share one model, which
     analytic_torsion solves once.
     """
+    check_range("m", m, 1, math.inf, "[)", integer=True)
     if m % 2 == 0:
         return TorsionResult([], 0.0, {"error": 0.0})
     if table is None:
@@ -364,7 +365,7 @@ def cusp_volume(end: CuspEnd, m: int, height: float = 0.0) -> float:
     The warped metric contracts the cross-section by e^{-u}, so the volume
     element carries e^{-(m-1)u}.
     """
-    check_range("m", m, 2, math.inf, "[)")
+    check_range("m", m, 2, math.inf, "[)", integer=True)
     try:
         value = end.cross_section_volume * math.exp(-(m - 1) * height) / (m - 1)
     except OverflowError:
@@ -378,6 +379,8 @@ def truncated_volume(total_volume: float, ends: list[CuspEnd], R: float,
                      m: int) -> float:
     """Volume of the compact part once every end is cut at height R."""
     check_range("total_volume", total_volume, 0, math.inf, "[)")
+    check_range("R", R, -math.inf, math.inf, "(]")
+    check_range("m", m, 2, math.inf, "[)", integer=True)
     cusps = sum(cusp_volume(e, m, height=R) for e in ends)
     if total_volume < cusps - 1e-12 * max(1.0, abs(total_volume)):
         raise ValueError(

@@ -10,7 +10,8 @@ to where the domains differ.
 A domain is built from its kind, with a length L where the kind takes one:
 Domain1D(LINE), Domain1D(HALF_NEUMANN), Domain1D(HALF_DIRICHLET),
 Domain1D(INTERVAL_NEUMANN, L) or Domain1D(CIRCLE, L).  One table, _KINDS,
-holds what the method of images fixes for each kind.
+holds what the method of images fixes for each kind.  On the two periodic
+kinds, with period P, the kernel from t = P^2 on is its closed form 1/L.
 """
 
 from __future__ import annotations
@@ -97,17 +98,15 @@ def _gauss(z: float, t: float) -> float:
     return math.exp(-z * z / (4.0 * t)) / math.sqrt(4.0 * math.pi * t)
 
 
-def _image_time_limit(length: float) -> float:
-    """The largest time kernel_1d takes on a circle or Neumann interval of
-    this length: t <= 1e6 L^2 keeps the image sum below about 12 000 terms,
-    and there the kernel has long been 1/L."""
-    return 1e6 * length * length
-
-
 def kernel_1d(domain: Domain1D, t: float, x: float, y: float) -> float:
-    """Heat kernel of the domain at (t, x, y), exact up to tails < 1e-14;
-    on the circle and the Neumann interval t is held to
-    _image_time_limit(L)."""
+    """Heat kernel of the domain at (t, x, y), exact up to tails < 1e-14.
+
+    On the circle and the Neumann interval, whose images repeat with period
+    P, the kernel is the constant 1/L from t = P^2 on: by Poisson summation
+    its first non-constant mode is then at most 2 exp(-4 pi^2) = 1.4e-17 of
+    the value, below half an ulp.  Below P^2 the sum takes at most 15
+    translates a side.  A length whose 1/L is beyond a double is refused.
+    """
     check_range("t", t, 0, math.inf)
     check_range("x", x, -math.inf, math.inf)
     check_range("y", y, -math.inf, math.inf)
@@ -115,10 +114,15 @@ def kernel_1d(domain: Domain1D, t: float, x: float, y: float) -> float:
         raise ValueError(f"points ({x}, {y}) outside domain {domain.kind}")
     _, _, _, reflections, period = _KINDS[domain.kind]
     L, n_max = domain.length or 0.0, 0
-    if period:
-        check_range("t", t, 0, _image_time_limit(L), "(]")
+    P = period * L
+    if P:
+        if t >= P * P:
+            value = sum(sign for _, sign in reflections) / P
+            if not math.isfinite(value):
+                raise ValueError(f"heat kernel overflows a double at length {L:g}")
+            return value
         reach = _IMAGE_REACH * math.sqrt(t) + abs(x) + abs(y) + L
-        n_max = int(math.ceil(reach / (period * L)))
+        n_max = int(math.ceil(reach / P))
     # each translate's reflected terms are summed before they join the total
     acc = 0.0
     for n in range(-n_max, n_max + 1):
@@ -173,7 +177,12 @@ def boundary_insensitivity_check(V: Domain1D, N: Domain1D,
     line the difference is exactly the image term exp(-x^2/t)/sqrt(4 pi t),
     which is verified pointwise to _CLOSED_FORM_ATOL.  The points x span
     V: [0, L] for the interval, [0, L) for the circle and [0, 4] otherwise.
+    The cutoffs K_values must be a nonempty, strictly increasing sequence in
+    (0, inf).
     """
+    K_values = tuple(check_range("K", K, 0, math.inf) for K in K_values)
+    if not K_values or any(b <= a for a, b in zip(K_values, K_values[1:])):
+        raise ValueError(f"K_values must be nonempty and increase strictly, got {K_values}")
     xs = _grid(V, _BOUNDARY_POINTS, 0.0)
     pair = (V.kind, N.kind)
     diffs = []
@@ -221,21 +230,10 @@ def sup_bound_check(domain: Domain1D, t0: float) -> dict:
     Returns the grid supremum and asserts it is attained on the diagonal at
     t = t0: the kernel is dominated by its diagonal (Cauchy-Schwarz for the
     semigroup) and the diagonal decreases in time.  The time grid runs to
-    10 t0, so t0 is held to (0, 1e306], where 4 pi t stays finite, and on
-    the circle and the Neumann interval further to the largest t0 whose
-    10 t0 kernel_1d takes; a t0 beyond is refused before any kernel runs.
+    10 t0, so t0 is held to (0, 1e306], where 4 pi t stays finite, on every
+    kind.
     """
-    high = 1e306
-    limit = (_image_time_limit(domain.length) if _KINDS[domain.kind].period
-             else math.inf)
-    if limit < 10.0 * high:
-        # the largest double whose product with 10 rounds to at most limit
-        high = limit / 10.0
-        while 10.0 * high > limit:
-            high = math.nextafter(high, 0.0)
-        while 10.0 * math.nextafter(high, math.inf) <= limit:
-            high = math.nextafter(high, math.inf)
-    check_range("t0", t0, 0, high, "(]")
+    check_range("t0", t0, 0, 1e306, "(]")
     xs = _grid(domain, _SUP_POINTS, max(_KINDS[domain.kind].low, -2.0))
     ts = np.geomspace(t0, 10.0 * t0, 12)
     sup = 0.0

@@ -43,9 +43,10 @@ def random_space(rng: np.random.Generator, dim: int, normalization: float = 1.0)
     return TracedSpace(dim, normalization, a @ a.T + np.eye(dim))
 
 
-def _separated(make, predicate=None) -> TracedMap:
+def _separated(rng: np.random.Generator, source: TracedSpace, target: TracedSpace,
+               predicate=None) -> TracedMap:
     for _ in range(MAX_DRAWS):
-        f = make()
+        f = TracedMap(source, target, rng.standard_normal((target.dim, source.dim)))
         sv = f.singular_values()
         if sv.size == 0 or sv[0] == 0.0:
             if predicate is None or predicate(f):
@@ -62,9 +63,7 @@ def _separated(make, predicate=None) -> TracedMap:
 
 def random_map(rng: np.random.Generator, source: TracedSpace,
                target: TracedSpace) -> TracedMap:
-    return _separated(
-        lambda: TracedMap(source, target, rng.standard_normal((target.dim, source.dim)))
-    )
+    return _separated(rng, source, target)
 
 
 def random_injective(rng: np.random.Generator, source: TracedSpace,
@@ -72,7 +71,7 @@ def random_injective(rng: np.random.Generator, source: TracedSpace,
     if target.dim < source.dim:
         raise ValueError("injective map needs target dim >= source dim")
     return _separated(
-        lambda: TracedMap(source, target, rng.standard_normal((target.dim, source.dim))),
+        rng, source, target,
         predicate=lambda f: source.dim == 0 or f.singular_values()[source.dim - 1] > 0.05,
     )
 
@@ -82,7 +81,7 @@ def random_surjective(rng: np.random.Generator, source: TracedSpace,
     if source.dim < target.dim:
         raise ValueError("surjective map needs source dim >= target dim")
     return _separated(
-        lambda: TracedMap(source, target, rng.standard_normal((target.dim, source.dim))),
+        rng, source, target,
         predicate=lambda f: target.dim == 0 or f.singular_values()[target.dim - 1] > 0.05,
     )
 

@@ -322,7 +322,7 @@ def test_unknown_suite_rejected():
 @pytest.mark.parametrize("kwargs, message", [
     ({"instances": -3}, "instances must be an integer in [1, inf), got -3"),
     ({"instances": 0}, "instances must be an integer in [1, inf), got 0"),
-    ({"max_dim": 0}, "max_dim must be an integer in [1, inf), got 0"),
+    ({"max_dim": 0}, "max_dim must be an integer in [1, 32], got 0"),
     ({"seed": -1}, "seed must be an integer in [0, inf), got -1"),
 ], ids=["kwargs0-instances must be at least 1, got -3",  # ids recorded under the old wording
         "kwargs1-instances must be at least 1, got 0", "kwargs2-max_dim must be at least 1, got 0",
@@ -330,6 +330,19 @@ def test_unknown_suite_rejected():
 def test_run_suite_refuses_counts_that_check_nothing(kwargs, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         run_suite("basic", **{"seed": 1, "instances": 1, "max_dim": 3, **kwargs})
+
+
+def test_run_suite_refuses_a_max_dim_past_its_bound_before_any_draw(monkeypatch):
+    # the short-exact coupling constraint grows like max_dim^4
+    draws = []
+    monkeypatch.setattr(checks, "rng_for", lambda *args: draws.append(args))
+    for max_dim in (checks.MAX_DIM + 1, 30000):
+        message = f"max_dim must be an integer in [1, 32], got {max_dim}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_suite("short-exact", seed=1, instances=3, max_dim=max_dim)
+    assert draws == []
+    monkeypatch.undo()
+    assert run_suite("basic", seed=1, instances=1, max_dim=checks.MAX_DIM).instances == 1
 
 
 _CHECKERS = ("check_basic_F", "check_block_matrix_F", "check_short_exact",

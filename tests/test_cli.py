@@ -66,11 +66,13 @@ _BASIC = ["sdf-check", "--suite", "basic"]
 @pytest.mark.parametrize("argv, message", [
     ([*_BASIC, "--instances", "-3"], "instances must be an integer in [1, inf), got -3"),
     ([*_BASIC, "--instances", "0"], "instances must be an integer in [1, inf), got 0"),
-    ([*_BASIC, "--max-dim", "0"], "max_dim must be an integer in [1, inf), got 0"),
+    ([*_BASIC, "--max-dim", "0"], "max_dim must be an integer in [1, 32], got 0"),
+    ([*_BASIC, "--instances", "1", "--max-dim", "33"],
+     "max_dim must be an integer in [1, 32], got 33"),
     ([*_BASIC, "--seed", "-1"], "seed must be an integer in [0, inf), got -1"),
     (["selftest", "--quick", "--seed", "-1"], "seed must be an integer in [0, inf), got -1"),
-], ids=["negative-instances", "zero-instances", "zero-max-dim", "negative-seed",
-        "selftest-negative-seed"])
+], ids=["negative-instances", "zero-instances", "zero-max-dim", "max-dim-past-bound",
+        "negative-seed", "selftest-negative-seed"])
 def test_counts_that_check_nothing_are_refused(capsys, argv, message):
     # the selftest refuses before its environment line and its first criterion
     code, out, err = run_cli(capsys, *argv)
@@ -272,6 +274,11 @@ def test_hyperbolic_even_dimension(capsys):
     payload = json.loads(out)
     assert payload["value"] == 0.0
     assert payload["perDegree"] == [] and payload["errorEstimate"] == 0.0
+
+
+def test_hyperbolic_constant_refuses_a_dimension_below_one(capsys):
+    code, out, err = run_cli(capsys, "hyperbolic", "--m", "-2", "--op", "constant")
+    assert (code, out, err) == (2, "", "error: m must be an integer in [1, inf), got -2\n")
 
 
 def test_hyperbolic_constant_per_degree(capsys):

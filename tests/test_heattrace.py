@@ -956,18 +956,18 @@ _WITH_KERNEL = Spectrum.from_pairs([(0.0, 1.0), (1.0, 1.0)])
     (lambda: _WITH_KERNEL.heat_trace_rounding_bound(_INF, include_kernel=True),
      _TIME + "inf$"),
     (lambda: circle_heat_trace(1.0, _INF), _TIME + "inf$"),
-    # the image count of an infinite time overflows
+    # an infinite time is refused, though past P^2 the circle would give 1/L
     (lambda: kernel_1d(Domain1D(CIRCLE, 1.0), _INF, 0.0, 0.0), _TIME + "inf$"),
     (lambda: kernel_1d(Domain1D(LINE), _INF, 0.0, 0.0), _TIME + "inf$"),
-    # a finite time far past the kernel's convergence asks for 1e154 images
-    (lambda: kernel_1d(Domain1D(CIRCLE, 1.0), 1e308, 0.0, 0.0),
-     r"^t must be in \(0, 1e\+06\], got 1e\+308$"),
-    (lambda: kernel_1d(Domain1D(INTERVAL_NEUMANN, 1.0), 1e308, 0.0, 0.0),
-     r"^t must be in \(0, 1e\+06\], got 1e\+308$"),
+    # past P^2 the periodic kernels are 1/L, beyond a double at L = 5e-324
+    (lambda: kernel_1d(Domain1D(CIRCLE, 5e-324), 1.0, 0.0, 0.0),
+     r"^heat kernel overflows a double at length 4.94066e-324$"),
+    (lambda: kernel_1d(Domain1D(INTERVAL_NEUMANN, 5e-324), 1.0, 0.0, 0.0),
+     r"^heat kernel overflows a double at length 4.94066e-324$"),
     (lambda: sup_bound_check(Domain1D(LINE), _INF), r"^t0 must be in \(0, 1e\+306\], got inf$"),
-    # the grid's top time 10 t0 would pass kernel_1d's 1e6 L^2
-    (lambda: sup_bound_check(Domain1D(CIRCLE, 2.0), 1e6),
-     r"^t0 must be in \(0, 400000\], got 1000000.0$"),
+    # the periodic kinds take the grid of every other kind
+    (lambda: sup_bound_check(Domain1D(CIRCLE, 2.0), 1e307),
+     r"^t0 must be in \(0, 1e\+306\], got 1e\+307$"),
     (lambda: PlancherelComponent(0.0, (1.0,)).trace(_INF), _TIME + "inf$"),
     # (2 pi / L)^2 overflows in the eigenvalue series
     (lambda: circle_heat_trace(1e-200, 1.0), _CIRCLE_MODEL + "1e-200$"),
@@ -982,7 +982,8 @@ _WITH_KERNEL = Spectrum.from_pairs([(0.0, 1.0), (1.0, 1.0)])
         "circle-model-gap-overflow", "circle-model-half-length-zero",
         "circle-model-cutoff-overflow", "heat-trace-inf", "heat-trace-bound-inf",
         "circle-trace-inf", "kernel-circle-time-inf", "kernel-line-time-inf",
-        "kernel-circle-images", "kernel-interval-images", "sup-bound-inf", "sup-bound-images",
+        "kernel-circle-overflow", "kernel-interval-overflow", "sup-bound-inf",
+        "sup-bound-periodic",
         "plancherel-trace-inf", "circle-trace-gap-overflow", "circle-trace-overflow"])
 def test_range_checks_refuse_nan_and_infinity(call, message):
     # every range check goes through inputs.check_range, outside whose

@@ -419,3 +419,21 @@ def test_truncated_volume_monotone_in_height():
 def test_truncated_volume_rejects_deficit():
     with pytest.raises(ValueError):
         truncated_volume(0.1, [CuspEnd(1.0)], 0.0, 3)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: torsion_constant(m=-2), r"^m must be an integer in \[1, inf\), got -2$"),
+    (lambda: torsion_constant(m=0), r"^m must be an integer in \[1, inf\), got 0$"),
+    (lambda: torsion_constant(m=4.0), r"^m must be an integer in \[1, inf\), got 4.0$"),
+    (lambda: cusp_volume(CuspEnd(1.0), 2.5), r"^m must be an integer in \[2, inf\), got 2.5$"),
+    # with no ends, m and R reach no cusp volume
+    (lambda: truncated_volume(1.0, [], math.nan, 3), r"^R must be in \(-inf, inf\], got nan$"),
+    (lambda: truncated_volume(1.0, [], 0.0, math.nan),
+     r"^m must be an integer in \[2, inf\), got nan$"),
+    (lambda: truncated_volume(1.0, [], 0.0, 3.0),
+     r"^m must be an integer in \[2, inf\), got 3.0$"),
+], ids=["constant-negative", "constant-zero", "constant-float", "cusp-float",
+        "truncated-nan-height", "truncated-nan-dimension", "truncated-float-dimension"])
+def test_dimensions_are_integers(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -1,7 +1,7 @@
 import math
 import re
-import struct
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -154,52 +154,31 @@ def test_sup_bound_half_line_neumann():
     assert out["argmax"][1] == 0.0 and out["argmax"][2] == 0.0
 
 
-def _largest_grid_start(limit: float) -> float:
-    """The largest double t0 with 10 t0 <= limit in floating point, by
-    bisection over the bit patterns of the nonnegative doubles."""
-    lo, hi = 0, struct.unpack("<q", struct.pack("<d", limit))[0]
-
-    def start(bits):
-        return struct.unpack("<d", struct.pack("<q", bits))[0]
-
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if 10.0 * start(mid) <= limit else (lo, mid)
-    return start(lo)
-
-
-# at L = 2 the bound is limit / 10 itself; at the other two lengths
-# limit / 10 rounds to the double below the bound and to the one above it
-@pytest.mark.parametrize("length", [2.0, 49.54855435832317, 65.16278134254907])
-@pytest.mark.parametrize("kind", ["circle", "intervalNeumann"])
-def test_sup_bound_refuses_a_grid_past_the_image_limit_before_any_kernel(
-        kind, length, monkeypatch):
-    domain = Domain1D(kind, length)
-    limit = 1e6 * length * length  # the largest time kernel_1d takes
-    t0 = _largest_grid_start(limit)
-    times = []
-
-    def kernel(domain, t, x, y):
-        times.append(t)
-        return 1.0
-
-    monkeypatch.setattr(kernels1d, "kernel_1d", kernel)
-    sup_bound_check(domain, t0)
-    assert max(times) == 10.0 * t0
-    monkeypatch.undo()
-    # the top of the grid passes kernel_1d
-    assert kernel_1d(domain, max(times), 0.0, 0.0) > 0.0
-    times.clear()
-    monkeypatch.setattr(kernels1d, "kernel_1d", kernel)
-    above = math.nextafter(t0, math.inf)
-    message = re.escape(f"t0 must be in (0, {t0:g}], got {above}")
-    with pytest.raises(ValueError, match=f"^{message}$"):
+@pytest.mark.parametrize("domain", [Domain1D(LINE), Domain1D(HALF_NEUMANN),
+                                    Domain1D(HALF_DIRICHLET), Domain1D(INTERVAL_NEUMANN, 2.0),
+                                    Domain1D(CIRCLE, 2.0)], ids=lambda d: d.kind)
+def test_sup_bound_takes_t0_up_to_1e306_on_every_kind(domain):
+    out = sup_bound_check(domain, 1e306)
+    assert out["attained_on_initial_diagonal"]
+    if domain.length is not None:  # far past P^2 the kernel is 1/L
+        assert out["sup"] == 1.0 / domain.length
+    above = math.nextafter(1e306, math.inf)
+    message = f"t0 must be in (0, 1e+306], got {above}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         sup_bound_check(domain, above)
-    assert times == []
-    monkeypatch.undo()
-    # whose grid would end at a time kernel_1d refuses
-    with pytest.raises(ValueError, match=r"^t must be in \(0, "):
-        kernel_1d(domain, 10.0 * above, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("domain, t0", [(Domain1D(CIRCLE, 0.003), 0.3),
+                                        (Domain1D(INTERVAL_NEUMANN, 0.01), 1.0)],
+                         ids=[CIRCLE, INTERVAL_NEUMANN])
+def test_sup_bound_on_a_short_period_is_one_over_the_length_on_the_initial_diagonal(
+        domain, t0):
+    # every time of the grid is past P^2, so every kernel is the constant
+    out = sup_bound_check(domain, t0)
+    assert out["sup"] == out["diagonal_max_at_t0"] == 1.0 / domain.length
+    t, x, y = out["argmax"]
+    assert t == t0 and x == y
+    assert out["attained_on_initial_diagonal"]
 
 
 def test_sup_bound_circle_finite():
@@ -210,8 +189,8 @@ def test_sup_bound_circle_finite():
 
 
 # kernel_1d written with one branch per kind, and the point test it ran
-# before: the oracle that the one image sum over kernels1d._KINDS matches
-# bit for bit
+# before, with the constant 1/L from t = P^2 on the two periodic kinds: the
+# oracle that the one image sum over kernels1d._KINDS matches bit for bit
 def _branch_contains(domain: Domain1D, x: float) -> bool:
     if domain.kind == LINE:
         return True
@@ -237,7 +216,10 @@ def _branch_kernel(domain: Domain1D, t: float, x: float, y: float) -> float:
     if kind == HALF_DIRICHLET:
         return gauss(x - y, t) - gauss(x + y, t)
     L = domain.length
-    check_range("t", t, 0, kernels1d._image_time_limit(L), "(]")
+    if kind == CIRCLE and t >= L * L:
+        return 1.0 / L
+    if kind == INTERVAL_NEUMANN and t >= 4.0 * L * L:
+        return 2.0 / (2.0 * L)
     reach = kernels1d._IMAGE_REACH * math.sqrt(t) + abs(x) + abs(y) + L
     if kind == CIRCLE:
         n_max = int(math.ceil(reach / L))
@@ -274,6 +256,46 @@ def test_image_sum_matches_the_branch_per_kind_bit_for_bit(domain, log_t, fx, fy
     assert _outcome(kernel_1d, domain, t, x, y) == _outcome(_branch_kernel, domain, t, x, y)
 
 
+def _theta_kernel(domain: Domain1D, t: float, x: float, y: float) -> mpmath.mpf:
+    """The kernel as Jacobi theta functions (the Fourier series of the image
+    sum), at mpmath's working precision."""
+    L, t, x, y = (mpmath.mpf(v) for v in (domain.length, t, x, y))
+    if domain.kind == CIRCLE:
+        q = mpmath.exp(-4 * mpmath.pi ** 2 * t / L ** 2)
+        return mpmath.jtheta(3, mpmath.pi * (x - y) / L, q) / L
+    q = mpmath.exp(-mpmath.pi ** 2 * t / L ** 2)
+    return (mpmath.jtheta(3, mpmath.pi * (x - y) / (2 * L), q)
+            + mpmath.jtheta(3, mpmath.pi * (x + y) / (2 * L), q)) / (2 * L)
+
+
+@given(st.sampled_from([CIRCLE, INTERVAL_NEUMANN]),
+       st.sampled_from([0.003, 0.01, 1.5, 2.0, 3.0]),
+       st.floats(-math.log(30.0), math.log(30.0)),
+       st.floats(0.0, 1.0, exclude_max=True), st.floats(0.0, 1.0, exclude_max=True))
+def test_periodic_kernels_are_the_theta_series_to_4_ulps(kind, length, log_ratio, fx, fy):
+    # t log-uniform on [P^2 / 30, 30 P^2]: the image sum below P^2 and the
+    # constant 1/L from P^2 on
+    domain = Domain1D(kind, length)
+    period = 2.0 * length if kind == INTERVAL_NEUMANN else length
+    t = period * period * math.exp(log_ratio)
+    x, y = fx * length, fy * length
+    with mpmath.workdps(40):
+        exact = _theta_kernel(domain, t, x, y)
+        error = abs(mpmath.mpf(kernel_1d(domain, t, x, y)) - exact)
+    assert error <= 4 * math.ulp(float(exact))
+
+
+@pytest.mark.parametrize("kind", [CIRCLE, INTERVAL_NEUMANN])
+def test_a_length_whose_constant_overflows_is_refused(kind):
+    # 1/L is beyond a double below about 5.6e-309, and P^2 underflows there,
+    # so every time would give the constant
+    for length in (5e-324, 5e-309):
+        with pytest.raises(ValueError, match=r"^heat kernel overflows a double at length "):
+            kernel_1d(Domain1D(kind, length), 1.0, 0.0, 0.0)
+    # P^2 underflows at L = 1e-200 too, but 1/L is a double
+    assert kernel_1d(Domain1D(kind, 1e-200), 1e-300, 0.0, 0.0) == 1e200
+
+
 _TINY = 5e-324
 
 
@@ -287,6 +309,21 @@ _TINY = 5e-324
 def test_contains_is_the_span_and_refuses_nan_and_infinities(domain, inside, outside):
     assert all(domain.contains(x) for x in inside)
     assert not any(domain.contains(x) for x in outside + [math.nan, math.inf, -math.inf])
+
+
+@pytest.mark.parametrize("K_values, message", [
+    ((), r"^K_values must be nonempty and increase strictly, got \(\)$"),
+    ((2.0, 1.0), r"^K_values must be nonempty and increase strictly, got \(2.0, 1.0\)$"),
+    ((1.0, 1.0), r"^K_values must be nonempty and increase strictly, got \(1.0, 1.0\)$"),
+    ((math.nan,), r"^K must be in \(0, inf\), got nan$"),
+    ((0.5, math.inf), r"^K must be in \(0, inf\), got inf$"),
+    ((0.0, 1.0), r"^K must be in \(0, inf\), got 0.0$"),
+], ids=["empty", "decreasing", "repeated", "nan", "inf", "zero"])
+def test_boundary_insensitivity_refuses_bad_cutoffs_before_any_kernel(
+        K_values, message, monkeypatch):
+    monkeypatch.setattr(kernels1d, "kernel_1d", lambda *args: pytest.fail("kernel ran"))
+    with pytest.raises(ValueError, match=message):
+        boundary_insensitivity_check(Domain1D(HALF_NEUMANN), Domain1D(LINE), K_values)
 
 
 @pytest.mark.parametrize("kind, length, message", [

@@ -45,6 +45,8 @@ def test_short_exact_slack_reads_the_seed_variable_only_without_seed(src_env):
     (["--instances", "-2", "--seed", "-1"], "seed must be at least 0, got -1"),
     (["--instances", "0", "--seed", "0"], "--instances must be at least 1, got 0"),
     (["--max-dim", "0", "--seed", "0"], "--max-dim must be at least 1, got 0"),
+    (["--max-dim", "33", "--seed", "0", "--instances", "1"],
+     "--max-dim must be at most 32, got 33"),
 ])
 def test_short_exact_slack_refuses_bad_sizes_and_seeds(src_env, args, message):
     proc = run(src_env, "short_exact_slack.py", *args)
