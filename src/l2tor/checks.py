@@ -438,10 +438,9 @@ def check_gromov_shubin(report: CheckReport, C: FiniteCochainComplex,
         resid = resid - T[p + 1].coefficients @ C.differential(p).coefficients
     if p > 0 and T[p].source.dim and C.space(p - 1).dim:
         resid = resid - C.differential(p - 1).coefficients @ T[p].coefficients
-    defect = TracedMap._derived(space, space,
-                                space.whitener @ resid @ space.inverse_whitener).norm
-    if defect > STRUCTURE_ATOL:
-        raise ValueError(f"homotopy relation fails at degree {p}: defect {defect}")
+    defect = TracedMap._derived(space, space, space.whitener @ resid @ space.inverse_whitener)
+    if defect._norm_exceeds(STRUCTURE_ATOL):
+        raise ValueError(f"homotopy relation fails at degree {p}: defect {defect.norm}")
 
     t_norm = T[p + 1].norm if p + 1 < len(T) else 0.0
     f_norm = f[p + 1].norm if p + 1 < len(f) else 0.0

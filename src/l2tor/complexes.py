@@ -39,8 +39,9 @@ class FiniteCochainComplex:
         self._differentials: dict[int, TracedMap] = dict(enumerate(self.differentials))
         self._zero = TracedSpace(0, spaces[0].normalization if spaces else 1.0)
         self._degrees: dict[int, tuple[np.ndarray, TracedMap]] = {}
-        defect = self.square_zero_defect()
-        if defect > STRUCTURE_ATOL:
+        squares = [b @ a for a, b in zip(self.differentials, self.differentials[1:])]
+        if any(square._norm_exceeds(STRUCTURE_ATOL) for square in squares):
+            defect = max(square.norm for square in squares)
             raise ValueError(f"c∘c is not zero: operator-norm defect {defect}")
 
     # -- basic structure -------------------------------------------------------------
@@ -56,12 +57,6 @@ class FiniteCochainComplex:
         if p not in self._differentials:
             self._differentials[p] = TracedMap.zero(self.space(p), self.space(p + 1))
         return self._differentials[p]
-
-    def square_zero_defect(self) -> float:
-        worst = 0.0
-        for p in range(len(self.differentials) - 1):
-            worst = max(worst, (self.differentials[p + 1] @ self.differentials[p]).norm)
-        return worst
 
     # -- gram-aware subspace computations ---------------------------------------------
 
@@ -159,7 +154,7 @@ class ShortExactTriple:
                 raise ValueError(f"j_{p} is not injective")
             if self.E.space(p).dim and not qp.is_surjective():
                 raise ValueError(f"q_{p} is not surjective")
-            if (qp @ jp).norm > STRUCTURE_ATOL * max(1.0, qp.norm * jp.norm):
+            if (qp @ jp)._norm_exceeds(STRUCTURE_ATOL * max(1.0, qp.norm * jp.norm)):
                 raise ValueError(f"q_{p} j_{p} != 0")
             # exactness: rank j_p + rank q_p = dim D^p pins ker q = im j
             if jp.rank() + qp.rank() != self.D.space(p).dim:

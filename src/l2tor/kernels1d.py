@@ -105,7 +105,8 @@ def kernel_1d(domain: Domain1D, t: float, x: float, y: float) -> float:
     P, the kernel is the constant 1/L from t = P^2 on: by Poisson summation
     its first non-constant mode is then at most 2 exp(-4 pi^2) = 1.4e-17 of
     the value, below half an ulp.  Below P^2 the sum takes at most 15
-    translates a side.  A length whose 1/L is beyond a double is refused.
+    translates a side.  A length whose 1/L, or whose image reach
+    12 sqrt(t) + |x| + |y| + L, is beyond a double is refused.
     """
     check_range("t", t, 0, math.inf)
     check_range("x", x, -math.inf, math.inf)
@@ -121,8 +122,10 @@ def kernel_1d(domain: Domain1D, t: float, x: float, y: float) -> float:
             if not math.isfinite(value):
                 raise ValueError(f"heat kernel overflows a double at length {L:g}")
             return value
-        reach = _IMAGE_REACH * math.sqrt(t) + abs(x) + abs(y) + L
-        n_max = int(math.ceil(reach / P))
+        translates = (_IMAGE_REACH * math.sqrt(t) + abs(x) + abs(y) + L) / P
+        if not math.isfinite(translates):
+            raise ValueError(f"image reach overflows a double at length {L:g}")
+        n_max = int(math.ceil(translates))
     # each translate's reflected terms are summed before they join the total
     acc = 0.0
     for n in range(-n_max, n_max + 1):

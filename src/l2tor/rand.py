@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .complexes import FiniteCochainComplex, ShortExactTriple
-from .traced import TracedMap, TracedSpace, _orthonormal_space
+from .traced import TracedMap, TracedSpace, _identity, _orthonormal_space
 
 __all__ = [
     "rng_for",
@@ -40,20 +40,20 @@ def random_space(rng: np.random.Generator, dim: int, normalization: float = 1.0)
     if dim == 0:
         return TracedSpace(dim, normalization)
     a = rng.standard_normal((dim, dim))
-    return TracedSpace(dim, normalization, a @ a.T + np.eye(dim))
+    return TracedSpace._generated(dim, normalization, a @ a.T + _identity(dim))
 
 
 def _separated(rng: np.random.Generator, source: TracedSpace, target: TracedSpace,
                predicate=None) -> TracedMap:
     for _ in range(MAX_DRAWS):
         f = TracedMap(source, target, rng.standard_normal((target.dim, source.dim)))
-        sv = f.singular_values()
-        if sv.size == 0 or sv[0] == 0.0:
+        sv = f.singular_values().tolist()
+        if not sv or sv[0] == 0.0:
             if predicate is None or predicate(f):
                 return f
             continue
-        tiny = sv[(sv > 0) & (sv <= SEPARATION * sv[0])]
-        if tiny.size and np.any(tiny > 1e-12 * sv[0]):
+        top = sv[0]
+        if any(SEPARATION * top >= s > 1e-12 * top for s in sv):
             continue  # singular value inside the danger band; redraw
         if predicate is not None and not predicate(f):
             continue

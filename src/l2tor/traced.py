@@ -15,6 +15,11 @@ matrix between orthonormal coordinates, refuse one that is not finite (an
 overflow in their making) and compute coordinates only when read.  Every
 singular value, rank, norm, kernel and image goes through `whitened`, and
 each map is decomposed and ranked once.
+
+Spaces are validated once too.  The public TracedSpace constructor checks
+that its gram is a symmetric positive-definite matrix; the generators build
+theirs as a a^T + I, which is exactly symmetric and positive definite, and
+take a private constructor that only factors it.
 """
 
 from __future__ import annotations
@@ -29,6 +34,8 @@ from .config import RANK_RTOL, ZERO_SV_ATOL
 from .inputs import check_range
 
 __all__ = ["TracedSpace", "TracedMap", "check_spaces", "same_space"]
+
+_EPS = 2.0 ** -52  # the spacing of doubles at 1
 
 
 def _rank_threshold(values: list[float]) -> float:
@@ -88,9 +95,7 @@ class TracedSpace:
     gram: np.ndarray | None = None
 
     def __post_init__(self):
-        check_range("dim", self.dim, 0, np.inf, "[)", integer=True)
-        object.__setattr__(self, "normalization",
-                           check_range("normalization", float(self.normalization), 0, np.inf))
+        self._check_scalars()
         if self.gram is None:
             # the gram, its Cholesky factor and its inverse are one identity
             eye = _identity(self.dim)
@@ -112,6 +117,26 @@ class TracedSpace:
             raise ValueError("gram form must be positive definite") from None
         object.__setattr__(self, "gram", gram)
         object.__setattr__(self, "_chol", chol)
+
+    def _check_scalars(self) -> None:
+        check_range("dim", self.dim, 0, np.inf, "[)", integer=True)
+        object.__setattr__(self, "normalization",
+                           check_range("normalization", float(self.normalization), 0, np.inf))
+
+    @classmethod
+    def _generated(cls, dim: int, normalization: float, gram: np.ndarray) -> "TracedSpace":
+        """A space on a generated gram a a^T + I: a float dim x dim array,
+        exactly symmetric and positive definite by construction.  dim and
+        normalization are checked as the public constructor checks them; the
+        gram is only factored, so its shape and symmetry tests, its
+        symmetrization and its conversion are skipped."""
+        space = object.__new__(cls)
+        object.__setattr__(space, "dim", dim)
+        object.__setattr__(space, "normalization", normalization)
+        space._check_scalars()
+        object.__setattr__(space, "gram", gram)
+        object.__setattr__(space, "_chol", np.linalg.cholesky(gram))
+        return space
 
     @property
     def whitener(self) -> np.ndarray:
@@ -210,6 +235,19 @@ class TracedMap:
     def norm(self) -> float:
         sv = self.singular_values()
         return float(sv[0]) if sv.size else 0.0
+
+    def _norm_exceeds(self, bound: float) -> bool:
+        """Whether norm > bound.  The Frobenius norm is never below the
+        operator norm, so where it lies under bound by more than the rounding
+        of both (hypot is within an ulp of it, and the SVD's largest value
+        within m n ulps of the norm) the answer is no without a
+        decomposition; otherwise norm decides."""
+        if self._svals is None:
+            w = self.whitened
+            allowance = (w.size + 1) * _EPS
+            if math.hypot(*w.ravel().tolist()) * (1.0 + allowance) <= bound:
+                return False
+        return self.norm > bound
 
     def rank(self) -> int:
         """The rank rule applied once per map, in Python floats: the count of

@@ -13,6 +13,7 @@ import hashlib
 import math
 import time
 
+import numpy as np
 import pytest
 
 from l2tor import checks
@@ -158,6 +159,35 @@ def test_suite_margins_at_seed_7_are_pinned(monkeypatch):
     assert len(margins) == 1_708
     text = "\n".join("None" if m is None else m.hex() for m in margins)
     assert hashlib.sha256(text.encode()).hexdigest() == _MARGINS_SHA256
+
+
+# the decompositions of every suite at seed 7, 200 instances and max_dim 6,
+# as (svd, cholesky, inv, qr): a change that adds one back fails here.  The
+# Cholesky factors are the generated grams', the inverses the spaces'
+# inverse whiteners and gromov-shubin's s_blocks, the QRs the frames of
+# random_complex; the structure checks take an SVD only where the Frobenius
+# norm of the defect does not settle them
+_DECOMPOSITIONS = {
+    "basic": (1_622, 1_000, 600, 0),
+    "block": (800, 800, 400, 0),
+    "short-exact": (3_770, 1_583, 1_411, 623),
+    "gromov-shubin": (2_871, 1_182, 1_773, 424),
+    "laplacian": (1_343, 591, 391, 439),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_DECOMPOSITIONS))
+def test_suite_decompositions_at_seed_7_are_pinned(suite, monkeypatch):
+    names = ("svd", "cholesky", "inv", "qr")
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _call=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _call(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    run_suite(suite, seed=7, instances=200, max_dim=6)
+    assert tuple(calls.values()) == _DECOMPOSITIONS[suite]
 
 
 def test_inequality_suites_probe_and_time_budget(results):

@@ -12,6 +12,7 @@ from l2tor import checks
 from l2tor.checks import (CheckReport, Violation, check_basic_F, check_block_matrix_F,
                           check_gromov_shubin, check_short_exact, run_suite, tie_shifted)
 from l2tor.complexes import FiniteCochainComplex
+from l2tor.config import STRUCTURE_ATOL
 from l2tor.rand import (random_homotopy_pair, random_short_exact_triple,
                         rng_for)
 from l2tor.sdf import SpectralDensityFunction, sdf_of_map
@@ -267,6 +268,34 @@ def test_gromov_shubin_homotopy_residual_rejected():
          for p in range(n)]
     with pytest.raises(ValueError):
         check_gromov_shubin(CheckReport(), C, C, f, bad_g, T, 0)
+
+
+def _identity_homotopy(defect):
+    """C = D = R^2 in one degree with the identity gram, f = I, g = I +
+    diag(defect) and T = 0, so that g f - id = diag(defect) up to the
+    rounding of 1 + defect."""
+    s = TracedSpace(2)
+    C = FiniteCochainComplex([s], [])
+    g = TracedMap(s, s, np.eye(2) + np.diag(defect))
+    return C, C, [TracedMap.identity(s)], [g], [TracedMap.zero(s, C.space(-1))]
+
+
+def test_gromov_shubin_takes_the_operator_norm_of_the_homotopy_defect():
+    # the residual has Frobenius norm 1.13e-10, above STRUCTURE_ATOL, and
+    # operator norm 0.8e-10 below it
+    C, D, f, g, T = _identity_homotopy([0.8e-10, 0.8e-10])
+    resid = g[0].coefficients - np.eye(2)
+    assert np.linalg.norm(resid) > STRUCTURE_ATOL > np.linalg.norm(resid, 2)
+    assert checked(check_gromov_shubin, C, D, f, g, T, 0).ok
+
+
+def test_gromov_shubin_refuses_a_homotopy_defect_just_above_the_tolerance():
+    C, D, f, g, T = _identity_homotopy([STRUCTURE_ATOL * (1.0 + 1e-6), 0.0])
+    defect = float(np.linalg.svd(g[0].coefficients - np.eye(2), compute_uv=False)[0])
+    assert defect > STRUCTURE_ATOL
+    message = f"homotopy relation fails at degree 0: defect {defect}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        check_gromov_shubin(CheckReport(), C, D, f, g, T, 0)
 
 
 def _rebuilt(maps, degree, end, scale):

@@ -1,3 +1,4 @@
+import re
 import sys
 from collections import Counter
 from unittest import mock
@@ -8,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from l2tor.checks import CheckReport
+from l2tor.config import STRUCTURE_ATOL
 from l2tor.complexes import (FiniteCochainComplex, ShortExactTriple, complex_sdf,
                              connecting_map, laplacian_sdf_decomposition)
 from l2tor.rand import (_coupling_nullspace, random_complex, random_map,
@@ -56,6 +58,57 @@ def test_square_zero_enforced():
     d = TracedMap(s, s, np.array([[1.0]]))
     with pytest.raises(ValueError):
         FiniteCochainComplex([s, s, s], [d, d])
+
+
+def _square(entries) -> FiniteCochainComplex:
+    """R^2 -> R^2 -> R^2 with identity grams, c^0 = I and c^1 = diag(entries),
+    so that c^1 c^0 is diag(entries) in whitened coordinates."""
+    s = TracedSpace(2)
+    return FiniteCochainComplex([s, s, s], [TracedMap(s, s, np.eye(2)),
+                                            TracedMap(s, s, np.diag(entries))])
+
+
+def test_square_zero_takes_the_operator_norm_not_the_frobenius_norm():
+    # Frobenius norm 1.13e-10, above STRUCTURE_ATOL, operator norm 0.8e-10 below it
+    assert _square([0.8e-10, 0.8e-10]).top_degree == 2
+
+
+def test_square_zero_refuses_an_operator_norm_just_above_the_tolerance():
+    defect = STRUCTURE_ATOL * (1.0 + 1e-6)
+    with pytest.raises(ValueError,
+                       match=f"^c∘c is not zero: operator-norm defect {re.escape(str(defect))}$"):
+        _square([defect, 0.0])
+
+
+def test_square_zero_reports_the_largest_defect_over_the_degrees():
+    s = TracedSpace(2)
+    d = [TracedMap(s, s, np.eye(2)), TracedMap(s, s, np.diag([3e-10, 0.0])),
+         TracedMap(s, s, np.diag([2.0, 0.0]))]
+    # c^1 c^0 has norm 3e-10 and c^2 c^1 has norm 6e-10
+    with pytest.raises(ValueError, match=r"^c∘c is not zero: operator-norm defect 6e-10$"):
+        FiniteCochainComplex([s, s, s, s], d)
+
+
+def _coupled_triple(defect) -> ShortExactTriple:
+    """0 -> R^2 -> R^4 -> R^2 -> 0 in degree 0, identity grams, j the
+    inclusion of the first two coordinates and q = [diag(defect) | I], so
+    that q j = diag(defect)."""
+    c, d, e = TracedSpace(2), TracedSpace(4), TracedSpace(2)
+    j = TracedMap(c, d, np.vstack([np.eye(2), np.zeros((2, 2))]))
+    q = TracedMap(d, e, np.hstack([np.diag(defect), np.eye(2)]))
+    return ShortExactTriple(*(FiniteCochainComplex([s], []) for s in (c, d, e)), [j], [q])
+
+
+def test_triple_takes_the_operator_norm_of_q_j():
+    # |q| |j| rounds to 1, so the bound is STRUCTURE_ATOL; q j has Frobenius
+    # norm 1.13e-10 above it and operator norm 0.8e-10 below it
+    triple = _coupled_triple([0.8e-10, 0.8e-10])
+    assert triple.q_at(0).norm * triple.j_at(0).norm == 1.0
+
+
+def test_triple_refuses_a_q_j_just_above_the_tolerance():
+    with pytest.raises(ValueError, match=r"^q_0 j_0 != 0$"):
+        _coupled_triple([STRUCTURE_ATOL * (1.0 + 1e-6), 0.0])
 
 
 def complex_sdf_via_projector(C: FiniteCochainComplex, p: int) -> SpectralDensityFunction:

@@ -296,6 +296,21 @@ def test_a_length_whose_constant_overflows_is_refused(kind):
     assert kernel_1d(Domain1D(kind, 1e-200), 1e-300, 0.0, 0.0) == 1e200
 
 
+@pytest.mark.parametrize("kind", [CIRCLE, INTERVAL_NEUMANN])
+def test_an_image_reach_beyond_a_double_is_refused(kind):
+    # 12 sqrt(t) + |x| + |y| + L overflows at points near L = 1e308 (and on
+    # the interval P = 2L is inf already): the translate count was inf or
+    # NaN, an OverflowError on the circle and a ValueError about NaN on the
+    # interval
+    domain = Domain1D(kind, 1e308)
+    with pytest.raises(ValueError,
+                       match=r"^image reach overflows a double at length 1e\+308$"):
+        kernel_1d(domain, 1.0, 0.9e308, 0.9e308)
+    # near 0 the reach is a double, and the kernel is the line's to rounding
+    assert kernel_1d(domain, 1.0, 0.0, 0.0) == pytest.approx(
+        (1.0 if kind == CIRCLE else 2.0) / math.sqrt(4.0 * math.pi), rel=1e-15)
+
+
 _TINY = 5e-324
 
 

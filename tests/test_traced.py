@@ -1,3 +1,5 @@
+import math
+import re
 import sys
 from collections import Counter
 from fractions import Fraction
@@ -7,11 +9,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from l2tor.checks import run_suite
-from l2tor.config import RANK_RTOL, ZERO_SV_ATOL
+from l2tor.checks import _NORMALIZATIONS, run_suite
+from l2tor.config import RANK_RTOL, STRUCTURE_ATOL, ZERO_SV_ATOL
 from l2tor.rand import random_map, random_space, rng_for
 from l2tor.sdf import sdf_of_map
-from l2tor.traced import TracedMap, TracedSpace, _rank_threshold
+from l2tor.traced import TracedMap, TracedSpace, _rank_threshold, same_space
 
 
 def _nonzero(sv) -> list[bool]:
@@ -35,6 +37,52 @@ def test_space_rejects_indefinite_gram():
 def test_space_rejects_invalid_gram(gram):
     with pytest.raises(ValueError):
         TracedSpace(2, 1.0, np.array(gram))
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 6), st.sampled_from(_NORMALIZATIONS))
+def test_generated_spaces_equal_the_checked_constructor_bit_for_bit(seed, dim, normalization):
+    # random_space factors its gram a a^T + I without the public checks; the
+    # public constructor, symmetrizing and factoring the same gram, gives
+    # the same bits
+    space = random_space(rng_for(seed, 0), dim, normalization)
+    a = rng_for(seed, 0).standard_normal((dim, dim))
+    checked = TracedSpace(dim, normalization, a @ a.T + np.eye(dim))
+    assert (space.dim, space.normalization) == (checked.dim, checked.normalization)
+    assert type(space.normalization) is float and type(space.dim) is int
+    for name in ("gram", "_chol", "inverse_whitener", "whitener"):
+        mine, theirs = getattr(space, name), getattr(checked, name)
+        assert mine.shape == theirs.shape and mine.tobytes() == theirs.tobytes(), name
+    assert same_space(space, checked)
+
+
+def test_generated_spaces_skip_the_gram_checks(monkeypatch):
+    # one Cholesky per space, and no pass through the public constructor
+    def refused(self):
+        raise AssertionError("a generated gram went through the public checks")
+
+    monkeypatch.setattr(TracedSpace, "__post_init__", refused)
+    factored = Counter()
+    cholesky = np.linalg.cholesky
+
+    def counted(a):
+        factored[a.shape[0]] += 1
+        return cholesky(a)
+
+    monkeypatch.setattr(np.linalg, "cholesky", counted)
+    rng = rng_for(3, 0)
+    spaces = [random_space(rng, n, 0.5) for n in (1, 4, 6)]
+    assert [s.dim for s in spaces] == [1, 4, 6] and factored == Counter({1: 1, 4: 1, 6: 1})
+
+
+@pytest.mark.parametrize("dim, normalization", [
+    (2, 0.0), (2, -1.0), (2, np.nan), (2, np.inf), (np.int64(2), "x"),
+], ids=["zero-normalization", "negative-normalization", "nan-normalization",
+        "inf-normalization", "text-normalization"])
+def test_random_space_refuses_what_the_public_constructor_refuses(dim, normalization):
+    with pytest.raises(ValueError) as public:
+        TracedSpace(dim, normalization, np.eye(int(dim)))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(public.value))}$"):
+        random_space(rng_for(1, 0), dim, normalization)
 
 
 def test_space_accepts_rounding_asymmetry_and_symmetrizes():
@@ -166,6 +214,44 @@ def test_rank_refuses_a_nan_or_inf_past_the_leading_value(values, bad, data):
     f._svals = np.array(sv)  # as if the decomposition had returned them
     with pytest.raises(ValueError, match="finite"):
         f.rank()
+
+
+def _bounds_around(f: TracedMap) -> list[float]:
+    """Bounds at and around f's norm and Frobenius norm, and past both ends."""
+    norm = TracedMap._derived(f.source, f.target, f.whitened).norm
+    frobenius = float(np.linalg.norm(f.whitened))
+    return [b for value in (norm, frobenius, STRUCTURE_ATOL)
+            for b in (value, np.nextafter(value, -np.inf), np.nextafter(value, np.inf),
+                      value * (1.0 - 1e-12), value * (1.0 + 1e-12), 0.5 * value, 2.0 * value)
+            ] + [0.0, -1.0, np.inf, np.nan, 5e-324]
+
+
+@given(st.one_of(ranked_maps(),
+                 st.tuples(st.integers(0, 4), st.integers(0, 4)).map(
+                     lambda mn: TracedMap.zero(TracedSpace(mn[1]), TracedSpace(mn[0])))))
+def test_norm_exceeds_agrees_with_the_norm(f):
+    # random, zero and empty maps: the Frobenius shortcut never answers
+    # other than norm > bound, on a map with or without its values
+    for bound in _bounds_around(f):
+        fresh = TracedMap._derived(f.source, f.target, f.whitened)
+        expected = fresh.norm > bound
+        assert TracedMap._derived(f.source, f.target, f.whitened)._norm_exceeds(bound) == expected
+        assert fresh._norm_exceeds(bound) == expected
+
+
+def test_norm_exceeds_takes_no_decomposition_below_the_frobenius_bound(monkeypatch):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("a decomposition was taken")
+
+    space = TracedSpace(2)
+    tiny = TracedMap(space, space, np.diag([0.7e-10, 0.7e-10]))  # Frobenius 0.99e-10
+    with monkeypatch.context() as m:
+        m.setattr(np.linalg, "svd", no_svd)
+        assert not tiny._norm_exceeds(STRUCTURE_ATOL)
+    # Frobenius 1.13e-10, above the bound: the operator norm 0.8e-10 decides
+    near = TracedMap(space, space, np.diag([0.8e-10, 0.8e-10]))
+    assert math.hypot(0.8e-10, 0.8e-10) > STRUCTURE_ATOL
+    assert not near._norm_exceeds(STRUCTURE_ATOL) and near._svals is not None
 
 
 def test_rank_decisions_follow_the_rank_rule():
