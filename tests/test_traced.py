@@ -75,7 +75,7 @@ def test_generated_spaces_skip_the_gram_checks(monkeypatch):
 
 
 @pytest.mark.parametrize("dim, normalization", [
-    (2, 0.0), (2, -1.0), (2, np.nan), (2, np.inf), (np.int64(2), "x"),
+    (2, 0.0), (2, -1.0), (2, np.nan), (2, np.inf), (2, "x"),
 ], ids=["zero-normalization", "negative-normalization", "nan-normalization",
         "inf-normalization", "text-normalization"])
 def test_random_space_refuses_what_the_public_constructor_refuses(dim, normalization):
